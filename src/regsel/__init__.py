@@ -13,8 +13,8 @@ from .linalg import (SvdFactorization, is_surjective, least_norm_solve,
                      operator_norm, pinv_apply, pinv_matrix,
                      sigma_min_surjective, svd)
 from .convex import (AffineSet, Ball, Box, ConvexSet, Halfspaces,
-                     Intersection, TruncatedSet, direction_grid, dykstra,
-                     interior_contains, set_from_json, truncate)
+                     Intersection, direction_grid, dykstra,
+                     interior_contains, set_from_json)
 from .moduli import (CheckReport, LscProbeReport, ModulusEstimate,
                      SampledMapping, clm_estimate, counterexample_mapping,
                      csv_report, lg_bound_check, lip_estimate, lsc_probe,

@@ -88,12 +88,12 @@ def _seed(pf: ProblemFile, args) -> int:
 def _generalized_pieces(pf: ProblemFile, args):
     """Equation and config for a generalized problem file."""
     mat = pf.matrix
+    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
     if pf.constraint is not None:
-        def finv(w, _m=mat, _c=pf.constraint):
-            return Intersection([AffineSet(_m, w), _c])
+        def finv(w, _c=pf.constraint):
+            return Intersection([fibre.shifted(w), _c])
     else:
-        def finv(w, _m=mat):
-            return AffineSet(_m, w)
+        finv = fibre.shifted
     if pf.perturbation is not None:
         g = pf.perturbation
     else:
@@ -162,12 +162,7 @@ def cmd_moduli(pf: ProblemFile, args, out: _Writer) -> int:
     elif pf.kind == "smooth":
         problem = _smooth_problem(pf)
         radius = args.radius if args.radius is not None else problem.radius
-        b = problem.base_jacobian
-        x0 = problem.x_base
-
-        def g(x, _b=b, _x0=x0, _f=problem.f):
-            return np.asarray(_f(x), dtype=float) - _b @ (np.asarray(x) - _x0)
-
+        b, x0, g = problem.base_jacobian, problem.x_base, problem.remainder
         rows.append(ModulusEstimate(kind="reg", value=reg_linear(b), seed=seed))
         rows.append(lip_estimate(g, x0, radius, samples=samples, seed=seed))
         rows.append(clm_estimate(g, x0, radius, samples=samples, seed=seed))

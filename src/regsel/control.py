@@ -327,13 +327,18 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
         raise RegularityError(
             f"constant schedule rejected for the steering problem: {exc}") from exc
 
+    calm_bound = _transported_calm_bound(sys, fact, cfg)
+    # free the full SVD before the fibre takes its own: holding both at
+    # once raises peak memory
+    del fact
     stretch = 1.0 / (1.0 - cfg.contraction)
     radius_x = 2.0 * cfg.kappa * tau_target * stretch * 1.02
     radius_y = (1.0 + cfg.kappa * cfg.lam) * tau_target * stretch * 1.02
     lifted = _lift_control_set(problem.control_set, sys)
+    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
 
     def finv(w):
-        return Intersection([AffineSet(mat, w), lifted])
+        return Intersection([fibre.shifted(w), lifted])
 
     equation = GeneralizedEquation(
         finv=finv, g=g,
@@ -341,8 +346,6 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
         radius_x=radius_x, radius_y=radius_y,
         radius_graph=2.0 * (radius_x + radius_y))
     tau = compute_tau(cfg, (radius_x, radius_y))
-
-    calm_bound = _transported_calm_bound(sys, fact, cfg)
     return SteeringSetup(problem=problem, sys=sys, operator=mat,
                          equation=equation, config=cfg, tau=tau,
                          tau_target=tau_target, lip=lip,

@@ -9,6 +9,8 @@ scheme, which converges to the metric projection for closed convex members.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -46,47 +48,52 @@ class AffineSet(ConvexSet):
     """Solution set {x : op @ x = rhs}.
 
     The system must be consistent; rank-deficient rows are fine as long as
-    the right-hand side lies in the range. Projection uses an orthonormal
-    row-space basis from one SVD taken at construction.
+    the right-hand side lies in the range. One SVD at construction gives the
+    least-norm right inverse P of op on its numerical row space; the anchor
+    is P @ rhs and the projection is x - P @ (op @ x - rhs). ``shifted``
+    moves the right-hand side and reuses P, so a family of parallel fibres
+    is factored once.
     """
 
     def __init__(self, op, rhs):
         self.op = as_matrix(op)
-        self.rhs = as_vector(rhs, dim=self.op.shape[0])
         self.dim = self.op.shape[1]
         fac = svd(self.op)
         cutoff = SURJECTIVITY_RTOL * fac.s[0] if fac.s[0] > 0 else 0.0
         rank = int(np.sum(fac.s > cutoff))
-        if rank == 0 and np.linalg.norm(self.rhs) > 1e-12:
-            raise ContractError("affine system has zero operator but nonzero rhs")
-        self._rowspace = fac.vt[:rank]  # orthonormal rows spanning row space
-        if rank > 0:
-            x0 = fac.vt[:rank].T @ ((fac.u[:, :rank].T @ self.rhs) / fac.s[:rank])
-        else:
-            x0 = np.zeros(self.dim)
+        self._pinv = fac.vt[:rank].T @ (fac.u[:, :rank].T / fac.s[:rank, None])
+        self._set_rhs(rhs)
+
+    def shifted(self, rhs) -> AffineSet:
+        """The parallel fibre {x : op @ x = rhs}, without a new factorization."""
+        other = copy.copy(self)
+        other._set_rhs(rhs)
+        return other
+
+    def _set_rhs(self, rhs):
+        self.rhs = as_vector(rhs, dim=self.op.shape[0])
+        x0 = self._pinv @ self.rhs
         resid = np.linalg.norm(self.op @ x0 - self.rhs)
         if resid > 1e-9 * (1.0 + np.linalg.norm(self.rhs)):
             raise ContractError(
                 f"inconsistent affine system, residual {resid:.3e}")
         self._anchor = x0
 
+    def _offset(self, x):
+        """x minus its projection: the row-space component of x - anchor."""
+        return self._pinv @ (self.op @ x - self.rhs)
+
     def project(self, x):
         x = as_vector(x, dim=self.dim)
-        r = self._rowspace
-        if r.shape[0] == 0:
-            return x.copy()
-        return x - r.T @ (r @ (x - self._anchor))
+        return x - self._offset(x)
 
     def distance(self, x):
         x = as_vector(x, dim=self.dim)
-        if self._rowspace.shape[0] == 0:
-            return 0.0
-        return float(np.linalg.norm(self._rowspace @ (x - self._anchor)))
+        return float(np.linalg.norm(self._offset(x)))
 
     def support(self, d):
         d = as_vector(d, dim=self.dim)
-        r = self._rowspace
-        tangential = d if r.shape[0] == 0 else d - r.T @ (r @ d)
+        tangential = d - self._pinv @ (self.op @ d)
         if np.linalg.norm(tangential) > 1e-10 * max(1.0, np.linalg.norm(d)):
             return float("inf")
         return float(d @ self._anchor)
@@ -300,26 +307,6 @@ class Intersection(ConvexSet):
 
     def to_json(self):
         return {"type": "intersection", "members": [m.to_json() for m in self.members]}
-
-
-class TruncatedSet(Intersection):
-    """base intersected with a closed ball; the workhorse of the iteration."""
-
-    def __init__(self, base: ConvexSet, center, radius):
-        self.base = base
-        self.center = as_vector(center, dim=base.dim)
-        self.radius = float(radius)
-        super().__init__([base, Ball(self.center, self.radius)])
-
-    def to_json(self):
-        return {"type": "intersection",
-                "members": [self.base.to_json(),
-                            Ball(self.center, self.radius).to_json()]}
-
-
-def truncate(base: ConvexSet, center, radius) -> TruncatedSet:
-    """Intersect ``base`` with the closed ball around ``center``."""
-    return TruncatedSet(base, center, radius)
 
 
 def dykstra(sets, start, tol: float = DYKSTRA_TOL,

@@ -27,9 +27,10 @@ class NumericBreakdownError(RegselError, RuntimeError):
 class RegularityError(RegselError, RuntimeError):
     """Surjectivity or truncation nonemptiness failed.
 
-    Raised when an operator is numerically non-surjective, or when a
+    Raised when an operator is numerically non-surjective, when a
     truncated inverse image is empty because the regularity constant was
-    chosen too small for the instance.
+    chosen too small for the instance, or when the inverse image itself is
+    empty (the target has no preimage under the constraint).
     """
 
 

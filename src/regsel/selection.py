@@ -3,8 +3,15 @@
 Solves y in g(x) + F(x) near a base pair, where F^{-1} is available as a
 convex-set oracle and g is a Lipschitz perturbation. Each step projects the
 current iterate onto the inverse image of the corrected target, truncated to
-a ball whose radius shrinks geometrically; the truncation radii are what
-certify that the returned selection is calm with an explicit constant.
+a ball around that iterate whose radius shrinks geometrically; the
+truncation radii are what certify that the returned selection is calm with
+an explicit constant.
+
+Because the ball is centred at the point being projected, the truncated
+projection needs no iteration against the ball: for a closed convex fibre A,
+the projection of c onto A ∩ B(c, r) is P_A(c) when d(c, A) <= r, and the
+intersection is empty otherwise. Each step therefore projects onto the
+fibre and compares the measured distance with the allowed radius.
 
 A base point with g(x_base) != 0 is handled by shifting the query, so the
 solved inclusion is always stated at (x_base, y_base + g(x_base)).
@@ -17,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convex import ConvexSet, Intersection, dykstra, truncate
+from .convex import ConvexSet, Intersection
 from .errors import (ContractError, InfeasibilitySuspectedError, LocalityError,
                      NumericBreakdownError, RegularityError)
 from .linalg import as_vector
@@ -172,20 +179,30 @@ def compute_tau(cfg: IterationConfig, radii: tuple[float, float]) -> float:
 
 
 def _project_truncated(base_set: ConvexSet, center: np.ndarray, radius: float,
-                       start: np.ndarray, cfg: IterationConfig,
-                       what: str) -> np.ndarray:
-    trunc = truncate(base_set, center, radius)
+                       cfg: IterationConfig, what: str) -> np.ndarray:
+    """Projection of ``center`` onto base_set truncated to B(center, radius).
+
+    Raises RegularityError when the fibre is empty (no preimage under the
+    constraint) or lies farther than ``radius`` from the centre (the
+    truncated set is empty), NumericBreakdownError when the fibre's own
+    projection misses it by more than 10*tol.
+    """
     try:
-        z = dykstra(trunc.members, start)
+        z = base_set.project(center)
     except InfeasibilitySuspectedError as exc:
         raise RegularityError(
-            f"{what}: truncated inverse image looks empty (gap {exc.gap:.3e}); "
-            f"kappa={cfg.kappa:.6g} may be below the true regularity modulus "
-            f"or lambda={cfg.lam:.6g} misestimated") from exc
-    gap = membership_gap(trunc, z)
+            f"{what}: the corrected target has no preimage under the "
+            f"constraint (Dykstra gap {exc.gap:.3e})") from exc
+    gap = membership_gap(base_set, z)
     if gap > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"{what}: projection gap {gap:.3e} exceeds 10*tol")
+    dist = float(np.linalg.norm(z - center))
+    if dist > radius + 10.0 * cfg.tol:
+        raise RegularityError(
+            f"{what}: truncated inverse image is empty, distance {dist:.3g} > "
+            f"allowed radius {radius:.3g}; kappa={cfg.kappa:.6g} may be below "
+            f"the true regularity modulus or lambda={cfg.lam:.6g} misestimated")
     return z
 
 
@@ -204,8 +221,7 @@ def initial_selection(problem: GeneralizedEquation, cfg: IterationConfig,
             f"query is {dev:.6g} from y_base, outside the image ball "
             f"{problem.radius_y:.6g}", bound=problem.radius_y)
     return _project_truncated(problem.finv(y), problem.x_base,
-                              cfg.kappa * dev, problem.x_base, cfg,
-                              "initial selection")
+                              cfg.kappa * dev, cfg, "initial selection")
 
 
 def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
@@ -232,7 +248,7 @@ def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
             f"corrected target is {w_dev:.6g} from y_base, outside the image "
             f"ball {problem.radius_y:.6g}", bound=problem.radius_y)
     radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
-    return _project_truncated(problem.finv(w), z_curr, radius, z_curr, cfg,
+    return _project_truncated(problem.finv(w), z_curr, radius, cfg,
                               "iterate step")
 
 
@@ -263,7 +279,7 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
             f"corrected target is {w1_dev:.6g} from y_base, outside the image "
             f"ball {problem.radius_y:.6g}", bound=problem.radius_y)
     radius1 = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev
-    z1 = _project_truncated(problem.finv(w1), z0, radius1, z0, cfg,
+    z1 = _project_truncated(problem.finv(w1), z0, radius1, cfg,
                             "first corrector step")
 
     increments = [float(np.linalg.norm(z1 - z0))]

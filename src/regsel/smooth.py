@@ -74,6 +74,11 @@ class SmoothProblem:
     def base_jacobian(self) -> np.ndarray:
         return self._base_jacobian
 
+    def remainder(self, x) -> np.ndarray:
+        """g(x) = f(x) - B(x - x_base), the part the linearization misses."""
+        x = as_vector(x, dim=self.x_base.size)
+        return as_vector(self.f(x)) - self._base_jacobian @ (x - self.x_base)
+
 
 def split(problem: SmoothProblem) -> GeneralizedEquation:
     """Split f into its base linearization and the remainder.
@@ -86,16 +91,14 @@ def split(problem: SmoothProblem) -> GeneralizedEquation:
     """
     b = problem.base_jacobian
     x0 = problem.x_base
+    offset = b @ x0
+    fibre = AffineSet(b, offset)
 
     def finv(w):
-        return AffineSet(b, as_vector(w, dim=b.shape[0]) + b @ x0)
-
-    def g(x):
-        x = as_vector(x, dim=x0.size)
-        return as_vector(problem.f(x)) - b @ (x - x0)
+        return fibre.shifted(as_vector(w, dim=b.shape[0]) + offset)
 
     return GeneralizedEquation(
-        finv=finv, g=g, x_base=x0, y_base=np.zeros(b.shape[0]),
+        finv=finv, g=problem.remainder, x_base=x0, y_base=np.zeros(b.shape[0]),
         radius_x=problem.radius, radius_y=problem.radius,
         radius_graph=2.0 * problem.radius)
 
@@ -109,27 +112,18 @@ def remainder_lip_profile(problem: SmoothProblem,
     reports the observable consequence, a remainder modulus that decays with
     the radius. Returns a list of ModulusEstimate rows.
     """
-    b = problem.base_jacobian
-    x0 = problem.x_base
-
-    def g(x):
-        return as_vector(problem.f(x)) - b @ (x - x0)
-
-    return [lip_estimate(g, x0, r, samples=samples, seed=seed) for r in radii]
+    return [lip_estimate(problem.remainder, problem.x_base, r,
+                         samples=samples, seed=seed) for r in radii]
 
 
 def config_for(problem: SmoothProblem, samples: int = 1500,
                seed: int = 0, tol: float = 1e-10,
                max_iter: int = 200) -> IterationConfig:
     """Default constant schedule for a smooth problem."""
-    b = problem.base_jacobian
-    x0 = problem.x_base
-
-    def g(x):
-        return as_vector(problem.f(x)) - b @ (x - x0)
-
-    lip = lip_estimate(g, x0, problem.radius, samples=samples, seed=seed)
-    return default_config(reg_linear(b), lip.value, tol=tol, max_iter=max_iter)
+    lip = lip_estimate(problem.remainder, problem.x_base, problem.radius,
+                       samples=samples, seed=seed)
+    return default_config(reg_linear(problem.base_jacobian), lip.value,
+                          tol=tol, max_iter=max_iter)
 
 
 def smooth_selection(problem: SmoothProblem, y, cfg: IterationConfig | None = None

@@ -8,7 +8,7 @@ from regsel.control import (ControlProblem, DiscretizedSystem, calm_sweep,
                             steering_setup)
 from regsel.convex import Box, Halfspaces
 from regsel.errors import (ContractError, LocalityError,
-                           NumericBreakdownError, ShapeError,
+                           NumericBreakdownError, RegularityError, ShapeError,
                            UncontrollableError)
 
 UNIT_BOX = Box([-1.0], [1.0])
@@ -235,6 +235,31 @@ def test_steer_pendulum_target():
     assert res.certificate.iterate_count >= 2
     assert res.calm_ratio <= res.calm_bound
     assert trapezoid_residual(p.dynamics, res.states, res.controls) <= 1e-8
+
+
+def test_steer_with_prebuilt_setup_factors_nothing(monkeypatch):
+    p = pendulum(mesh=64)
+    setup = steering_setup(p)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    res = steer(p, b=[0.04, 0.0], setup=setup)
+    assert res.certificate.iterate_count >= 2
+    assert calls == []
+
+
+def test_steer_unreachable_target_names_the_constraint():
+    # bang-bang control in the unit box reaches at most 0.25 at rest, so the
+    # endpoint fibre misses the lifted control box entirely
+    with pytest.raises(RegularityError,
+                       match="no preimage under the constraint") as info:
+        steer(double_integrator(mesh=8), b=[0.3, 0.0])
+    assert "kappa" not in str(info.value)
 
 
 def test_steer_requires_target():

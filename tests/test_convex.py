@@ -7,9 +7,8 @@ from scipy.optimize import minimize
 from oracles import kkt_affine_project
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, interior_contains,
-                           set_from_json, truncate)
-from regsel.errors import (ContractError, InfeasibilitySuspectedError,
-                           ShapeError)
+                           set_from_json)
+from regsel.errors import ContractError, ShapeError
 
 
 def fixtures():
@@ -111,6 +110,33 @@ def test_project_ball_radius_zero_is_singleton():
 def test_affine_rejects_inconsistent_system():
     with pytest.raises(ContractError):
         AffineSet([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("op, rhs", [
+    ([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]], [0.4, -1.1]),
+    # rank one: the second row repeats the first
+    ([[1.0, 0.0, 2.0], [2.0, 0.0, 4.0]], [0.7, 1.4]),
+])
+def test_shifted_fibre_matches_fresh_construction(op, rhs):
+    family = AffineSet(op, np.zeros(len(rhs)))
+    moved, fresh = family.shifted(rhs), AffineSet(op, rhs)
+    np.testing.assert_allclose(moved._anchor, fresh._anchor, atol=1e-14)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.standard_normal(3)
+        np.testing.assert_allclose(moved.project(x), fresh.project(x), atol=1e-14)
+        assert moved.distance(x) == pytest.approx(fresh.distance(x), abs=1e-14)
+        assert moved.support(x) == fresh.support(x)
+    normal = np.asarray(op[0], dtype=float)
+    assert moved.support(normal) == pytest.approx(fresh.support(normal), abs=1e-14)
+    # the family's own right-hand side is untouched by the shift
+    np.testing.assert_array_equal(family.rhs, np.zeros(len(rhs)))
+
+
+def test_shifted_fibre_rejects_inconsistent_rhs():
+    family = AffineSet([[1.0, 0.0], [1.0, 0.0]], [0.0, 0.0])
+    with pytest.raises(ContractError, match="inconsistent"):
+        family.shifted([0.0, 1.0])
 
 
 def test_box_rejects_crossed_bounds():
@@ -255,28 +281,6 @@ def test_direction_grid_requires_two_per_axis():
     assert grid.shape == (9, 2)
     np.testing.assert_allclose(np.linalg.norm(grid, axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(grid, direction_grid(2, 9, seed=5))
-
-
-# ---------------------------------------------------------------------------
-# truncation
-
-
-def test_truncate_keeps_feasible_center():
-    s = truncate(AffineSet([[1.0, 1.0]], [0.0]), [0.0, 0.0], 1.0)
-    assert s.contains([0.0, 0.0])
-    np.testing.assert_allclose(s.project([0.2, -0.2]), [0.2, -0.2], atol=1e-9)
-
-
-def test_truncate_empty_intersection_raises_on_project():
-    # distance from the origin to {x1+x2=2} is sqrt(2) > 1
-    s = truncate(AffineSet([[1.0, 1.0]], [2.0]), [0.0, 0.0], 1.0)
-    with pytest.raises(InfeasibilitySuspectedError):
-        s.project([0.0, 0.0])
-
-
-def test_truncate_radius_zero_feasible_center_is_singleton():
-    s = truncate(AffineSet([[1.0, 1.0]], [0.0]), [0.5, -0.5], 0.0)
-    np.testing.assert_allclose(s.project([3.0, 7.0]), [0.5, -0.5], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from regsel.convex import AffineSet
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
                            RegularityError)
 from regsel.selection import (GeneralizedEquation, IterationConfig,
-                              compute_tau, default_config, initial_selection,
-                              iterate_step, solve, solve_implicit, sweep)
+                              _project_truncated, compute_tau, default_config,
+                              initial_selection, iterate_step, solve,
+                              solve_implicit, sweep)
 
 
 def singleton_inverse(y):
@@ -145,6 +146,30 @@ def test_problem_rejects_non_set_inverse():
 
 
 # ---------------------------------------------------------------------------
+# truncated projections
+
+
+def test_truncated_projection_keeps_feasible_center():
+    z = _project_truncated(AffineSet([[1.0, 1.0]], [0.0]), np.array([0.3, 0.1]),
+                           1.0, line_config(), "test")
+    np.testing.assert_allclose(z, [0.1, -0.1], atol=1e-12)
+
+
+def test_truncated_projection_empty_intersection_is_regularity_error():
+    # distance from the origin to {x1+x2=2} is sqrt(2) > 1
+    with pytest.raises(RegularityError,
+                       match=r"distance 1.41 > allowed radius 1;"):
+        _project_truncated(AffineSet([[1.0, 1.0]], [2.0]), np.zeros(2), 1.0,
+                           line_config(), "test")
+
+
+def test_truncated_projection_radius_zero_feasible_center_is_singleton():
+    z = _project_truncated(AffineSet([[1.0, 1.0]], [0.0]),
+                           np.array([0.5, -0.5]), 0.0, line_config(), "test")
+    np.testing.assert_allclose(z, [0.5, -0.5], atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # starting selection and single steps
 
 
@@ -247,7 +272,8 @@ def test_solve_surfaces_misdeclared_lipschitz_constant():
     # tight to contain the next projection
     p = scalar_problem(g=lambda x: 0.5 * x)
     cfg = IterationConfig(kappa=1.05, lam=0.2, alpha=2.0)
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError,
+                       match=r"distance 0.025 > allowed radius 0.02;.*kappa"):
         solve(p, cfg, [0.1])
 
 
