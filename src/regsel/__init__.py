@@ -18,8 +18,9 @@ from .convex import (AffineSet, Ball, Box, ConvexSet, Halfspaces,
 from .moduli import (CheckReport, LscProbeReport, ModulusEstimate,
                      SampledMapping, clm_estimate, counterexample_mapping,
                      csv_report, lg_bound_check, lip_estimate, lsc_probe,
-                     reg_linear, sampled_reg, truncated_counterexample,
-                     verify_aubin, verify_metric_regularity)
+                     reg_linear, regularity_report, sampled_reg,
+                     truncated_counterexample, verify_aubin,
+                     verify_metric_regularity)
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, SweepResult, SweepRow, compute_tau,
                         default_config, initial_selection, iterate_step,

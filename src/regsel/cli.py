@@ -24,7 +24,7 @@ from .errors import (ContractError, InfeasibilitySuspectedError,
 from .linalg import least_norm_solve, operator_norm
 from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
                      clm_estimate, fmt_float, lg_bound_check, lip_estimate,
-                     lsc_probe, reg_linear, sampled_reg,
+                     lsc_probe, reg_linear, regularity_report, sampled_reg,
                      truncated_counterexample, verify_aubin,
                      verify_metric_regularity)
 from .problems import ProblemFile, load_problem
@@ -421,6 +421,8 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
 
 def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
     seed = _seed(pf, args)
+    if args.grid is not None and args.grid < 2:
+        raise ProblemFileError("--grid: need at least 2 points per axis")
     grid = args.grid if args.grid is not None else 11
     reports = []
     informational = []
@@ -480,9 +482,12 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
             * problem.radius)
         if args.kappa is not None:
             kappa = args.kappa
+            reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
         else:
-            kappa = 1.05 * sampled_reg(mapping, grid=grid).value
-        reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
+            # one scan gives both the default constant and its verdict
+            estimate = sampled_reg(mapping, grid=grid)
+            kappa = 1.05 * estimate.value
+            reports.append(regularity_report(estimate, kappa))
         reports.append(verify_aubin(mapping, kappa, grid=grid))
     else:
         raise ProblemFileError("verify does not drive control problems")
@@ -580,7 +585,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kappa", type=float, default=None,
                    help="constant to verify (default: 1.1x measured)")
-    p.add_argument("--grid", type=int, default=None, help="grid per axis")
+    p.add_argument("--grid", type=int, default=None,
+                   help="grid points per axis, at least 2 (default 11)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -11,6 +11,15 @@ The sampled estimators interleave uniform exploration with shrinking-scale
 refinement around the incumbent maximizer, so for a fixed seed the estimate
 is nondecreasing in the sample budget and converges to the exact operator
 norm on linear oracles.
+
+Both verifiers sample the graph once on a grid of at least 2 points per
+axis and rebuild the fibres F^{-1}(y) with one membership rule (_fibres).
+The metric-regularity scan takes one test value y at a time against every
+grid point. The Aubin scan takes one source fibre at a time against every
+target fibre in a single vectorised step, so its Python loop runs over
+fibres, not over pairs of values; its temporaries stay of the order of
+|fibre| x (grid points) x dim, and it breaks ties as a pair-by-pair scan
+would: the first pair in the order of the test values wins.
 """
 
 from __future__ import annotations
@@ -285,6 +294,10 @@ def _axis_counts(dim: int, grid) -> list[int]:
         counts = [int(g) for g in grid]
         if len(counts) != dim:
             raise ShapeError(f"grid spec has {len(counts)} entries for dim {dim}")
+    if min(counts) < 2:
+        # One point per axis would be the corner x_base - radius_x alone, so
+        # every verdict on it would be vacuous.
+        raise ContractError(f"grid needs at least 2 points per axis, got {grid}")
     # Odd counts keep the base point on the grid.
     return [c + 1 if c % 2 == 0 else c for c in counts]
 
@@ -311,25 +324,42 @@ def _sample_graph(mapping: SampledMapping, grid):
     return pts, gy, gx_idx, y_test
 
 
-def _ratio_scan(mapping: SampledMapping, grid):
-    """Worst d(x, fib(y)) / d(y, F(x)) over the sampled graph, with witness."""
-    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of p and the rows of q."""
+    dists = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+    return np.sqrt(dists, out=dists)
+
+
+def _fibres(pts, gy, gx_idx, y_test):
+    """Yield (y, d_y_fx, in_fibre) for each test value y, in order.
+
+    d_y_fx[i] is the distance from y to the sampled values F(pts[i]), and
+    pts[i] lies in the sampled fibre F^{-1}(y) when that distance is at most
+    CHECK_RTOL * (1 + ||y||). Every test value is itself a graph value, so
+    each fibre holds at least the point it came from.
+    """
     n_pts = pts.shape[0]
-    worst = 0.0
-    witness = ()
     for y in y_test:
         dist_rows = np.linalg.norm(gy - y, axis=1)
         d_y_fx = np.full(n_pts, np.inf)
         np.minimum.at(d_y_fx, gx_idx, dist_rows)
         match_tol = CHECK_RTOL * (1.0 + np.linalg.norm(y))
-        fib = pts[d_y_fx <= match_tol]
+        yield y, d_y_fx, d_y_fx <= match_tol
+
+
+def _ratio_scan(mapping: SampledMapping, grid):
+    """Worst d(x, fib(y)) / d(y, F(x)) over the sampled graph, with witness."""
+    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
+    worst = 0.0
+    witness = ()
+    for y, d_y_fx, in_fibre in _fibres(pts, gy, gx_idx, y_test):
+        fib = pts[in_fibre]
         if fib.shape[0] == 0:
             # y came from the graph, so this cannot happen; guard anyway.
             finite = np.isfinite(d_y_fx) & (d_y_fx > 0)
             j = int(np.argmin(np.where(finite, d_y_fx, np.inf)))
             return float("inf"), (pts[j], y)
-        d_x_fib = np.sqrt(
-            ((pts[:, None, :] - fib[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+        d_x_fib = _distances(pts, fib).min(axis=1)
         denom = np.where(d_y_fx > 0, d_y_fx, np.inf)
         ratios = d_x_fib / denom
         bad_zero = (d_y_fx == 0) & (d_x_fib > 0)
@@ -350,6 +380,25 @@ def sampled_reg(mapping: SampledMapping, grid=11) -> ModulusEstimate:
                            radius=mapping.radius_x, witness=witness)
 
 
+def _check_kappa(kappa: float):
+    if not kappa > 0:
+        raise ContractError(f"kappa must be positive, got {kappa}")
+
+
+def regularity_report(estimate: ModulusEstimate, kappa: float) -> CheckReport:
+    """Metric-regularity verdict for kappa on a sampled_reg estimate.
+
+    Lets a caller that derives kappa from the sampled modulus itself judge
+    it without scanning the graph a second time.
+    """
+    _check_kappa(kappa)
+    worst = estimate.value
+    ok = worst <= kappa * (1.0 + CHECK_RTOL) + CHECK_ATOL
+    return CheckReport(kind="metric-regularity", ok=bool(ok), kappa=kappa,
+                       worst_ratio=worst, witness=estimate.witness,
+                       detail=f"worst ratio {worst:.6g} vs kappa {kappa:.6g}")
+
+
 def verify_metric_regularity(mapping: SampledMapping, kappa: float,
                              grid=11) -> CheckReport:
     """Check d(x, F^{-1}(y)) <= kappa d(y, F(x)) on the sampled graph.
@@ -358,13 +407,14 @@ def verify_metric_regularity(mapping: SampledMapping, kappa: float,
     ball; inverse images are reconstructed from the sampled graph. The
     comparison carries a 1e-9 relative slack for grid roundoff.
     """
-    if not kappa > 0:
-        raise ContractError(f"kappa must be positive, got {kappa}")
-    worst, witness = _ratio_scan(mapping, grid)
-    ok = worst <= kappa * (1.0 + CHECK_RTOL) + CHECK_ATOL
-    return CheckReport(kind="metric-regularity", ok=bool(ok), kappa=kappa,
-                       worst_ratio=worst, witness=witness,
-                       detail=f"worst ratio {worst:.6g} vs kappa {kappa:.6g}")
+    return regularity_report(sampled_reg(mapping, grid), kappa)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # matmul's 1x1 core goes through the same dot kernel as
+    # np.linalg.norm on a 1-D vector; (rows**2).sum(axis=1) differs from it
+    # in the last bit on many rows, which moves witnesses among ties.
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
@@ -373,46 +423,56 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     For sampled values y, y' and x in F^{-1}(y') inside the domain ball,
     requires d(x, F^{-1}(y)) <= kappa ||y' - y||. Equivalent to
     verify_metric_regularity with the same constant on the same graph.
+
+    Fibres come from the same membership rule as sampled_reg. The scan
+    loops over source fibres F^{-1}(y') only and treats every target y at
+    once: the distances from the source fibre to the points that lie in
+    any fibre are gathered in fibre order and reduced to d(x, F^{-1}(y))
+    for all y by one np.minimum.reduceat. A step holds |F^{-1}(y')| times
+    (fibre points x dim, then fibre memberships) floats, the order of one
+    sampled_reg step; no point-by-point or value-by-point table is built.
+
+    Ties resolve as in a scan of the pairs (y', y) in the order of the test
+    values: the witness (x, y', y) is the first pair attaining the worst
+    ratio, with the first x of its source fibre attaining it. Gaps
+    ||y' - y|| go through the dot kernel of np.linalg.norm, so ratios and
+    witnesses are those of that pair scan bit for bit.
     """
-    if not kappa > 0:
-        raise ContractError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    n_pts = pts.shape[0]
-    fibers = []
-    for y in y_test:
-        dist_rows = np.linalg.norm(gy - y, axis=1)
-        d_y_fx = np.full(n_pts, np.inf)
-        np.minimum.at(d_y_fx, gx_idx, dist_rows)
-        match_tol = CHECK_RTOL * (1.0 + np.linalg.norm(y))
-        fibers.append(pts[d_y_fx <= match_tol])
+    members = [np.flatnonzero(in_fibre)
+               for _, _, in_fibre in _fibres(pts, gy, gx_idx, y_test)]
+    starts = np.cumsum([0] + [m.size for m in members[:-1]])
+    # Near-equal test values share members, so distances are taken to each
+    # member point once and gathered into fibre order.
+    used, member_cols = np.unique(np.concatenate(members), return_inverse=True)
+    used_pts = pts[used]
     worst = 0.0
     witness = ()
     ok = True
-    for a, y_from in enumerate(y_test):
-        fib_from = fibers[a]
-        if fib_from.shape[0] == 0:
-            continue
-        for b, y_to in enumerate(y_test):
-            if a == b:
-                continue
-            gap_y = np.linalg.norm(y_from - y_to)
-            if gap_y == 0.0:
-                continue
-            fib_to = fibers[b]
-            if fib_to.shape[0] == 0:
-                ok = False
-                worst = float("inf")
-                witness = (fib_from[0], y_from, y_to)
-                continue
-            dists = np.sqrt(((fib_from[:, None, :] - fib_to[None, :, :]) ** 2)
-                            .sum(axis=2)).min(axis=1)
-            j = int(np.argmax(dists))
-            ratio = float(dists[j] / gap_y)
-            if ratio > worst:
-                worst = ratio
-                witness = (fib_from[j], y_from, y_to)
-            if dists[j] > kappa * gap_y * (1.0 + CHECK_RTOL) + CHECK_ATOL:
-                ok = False
+    prev_idx = None
+    for y_from, idx in zip(y_test, members):
+        fib_from = pts[idx]
+        # Near-equal values sort next to each other and often have the same
+        # fibre; its distances to the targets are then those of the last one.
+        if prev_idx is None or not np.array_equal(idx, prev_idx):
+            d_to = np.minimum.reduceat(
+                _distances(fib_from, used_pts)[:, member_cols], starts, axis=1)
+            j = np.argmax(d_to, axis=0)
+            d_far = d_to.max(axis=0)
+            prev_idx = idx
+        gap_y = _row_norms(y_from - y_test)
+        # gap 0 only at y' itself: the test values are distinct
+        valid = gap_y > 0.0
+        ratios = np.divide(d_far, gap_y, out=np.full(gap_y.shape, -np.inf),
+                           where=valid)
+        b = int(np.argmax(ratios))
+        if ratios[b] > worst:
+            worst = float(ratios[b])
+            witness = (fib_from[j[b]], y_from, y_test[b])
+        if np.any(valid & (d_far > kappa * gap_y * (1.0 + CHECK_RTOL)
+                           + CHECK_ATOL)):
+            ok = False
     return CheckReport(kind="aubin", ok=bool(ok), kappa=kappa,
                        worst_ratio=worst, witness=witness,
                        detail=f"worst ratio {worst:.6g} vs kappa {kappa:.6g}")

@@ -116,3 +116,60 @@ def random_surjective(rng, rows: int, cols: int, smin: float = 0.05,
     v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
     s = np.exp(rng.uniform(np.log(smin), np.log(smax), size=rows))
     return (u * s) @ v[:, :rows].T
+
+
+def sampled_fibre(pts, gy, gx_idx, y, rtol: float = 1e-9) -> np.ndarray:
+    """Grid points x with a sampled value of F(x) within rtol*(1+|y|) of y.
+
+    gy holds the sampled graph values, gx_idx[i] the index in pts of the
+    point gy[i] belongs to.
+    """
+    n_pts = pts.shape[0]
+    dist_rows = np.linalg.norm(gy - y, axis=1)
+    d_y_fx = np.full(n_pts, np.inf)
+    np.minimum.at(d_y_fx, gx_idx, dist_rows)
+    match_tol = rtol * (1.0 + np.linalg.norm(y))
+    return pts[d_y_fx <= match_tol]
+
+
+def aubin_pair_scan(pts, gy, gx_idx, y_test, kappa: float,
+                    rtol: float = 1e-9, atol: float = 1e-15):
+    """Aubin check on a sampled graph by brute force over pairs of values.
+
+    For every ordered pair (y_from, y_to) of distinct test values and every
+    x in the sampled fibre of y_from, requires d(x, fibre(y_to)) <=
+    kappa * |y_from - y_to| with the relative slack rtol and absolute slack
+    atol. Returns (ok, worst_ratio, witness), the witness being
+    (x, y_from, y_to) for the first pair, in test-value order, that attains
+    the worst ratio. One small distance table per pair, nothing shared.
+    """
+    fibers = [sampled_fibre(pts, gy, gx_idx, y, rtol) for y in y_test]
+    worst = 0.0
+    witness = ()
+    ok = True
+    for a, y_from in enumerate(y_test):
+        fib_from = fibers[a]
+        if fib_from.shape[0] == 0:
+            continue
+        for b, y_to in enumerate(y_test):
+            if a == b:
+                continue
+            gap_y = np.linalg.norm(y_from - y_to)
+            if gap_y == 0.0:
+                continue
+            fib_to = fibers[b]
+            if fib_to.shape[0] == 0:
+                ok = False
+                worst = float("inf")
+                witness = (fib_from[0], y_from, y_to)
+                continue
+            dists = np.sqrt(((fib_from[:, None, :] - fib_to[None, :, :]) ** 2)
+                            .sum(axis=2)).min(axis=1)
+            j = int(np.argmax(dists))
+            ratio = float(dists[j] / gap_y)
+            if ratio > worst:
+                worst = ratio
+                witness = (fib_from[j], y_from, y_to)
+            if dists[j] > kappa * gap_y * (1.0 + rtol) + atol:
+                ok = False
+    return ok, worst, witness

@@ -281,7 +281,8 @@ def test_criterion_08_steering_certificates():
     assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_09_regularity_and_aubin_agree():
+def criterion_09_cases():
+    """(mapping, grid, kappa, expected verdict) for the twelve graph checks."""
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
@@ -293,7 +294,7 @@ def test_criterion_09_regularity_and_aubin_agree():
                               y_base=np.zeros(dim_y), radius_x=rx, radius_y=ry)
 
     branches = lambda y: counterexample_mapping(float(y[0]), 5).reshape(-1, 1)
-    cases = [
+    return [
         (mk(lambda x: x, 1, 1), 11, 1.05, True),
         (mk(lambda x: 2.0 * x, 1, 1), 11, 0.55, True),
         (mk(lambda x: 2.0 * x, 1, 1), 11, 0.4, False),
@@ -314,6 +315,10 @@ def test_criterion_09_regularity_and_aubin_agree():
         # domain boundary where the fiber lines are clipped by the ball
         (mk(lambda x: np.array([x[0] + x[1]]), 2, 1, ry=0.25), 11, 1.05, True),
     ]
+
+
+def test_criterion_09_regularity_and_aubin_agree():
+    cases = criterion_09_cases()
     assert len(cases) == 12
     for i, (mapping, grid, kappa, expected) in enumerate(cases):
         mr = verify_metric_regularity(mapping, kappa, grid=grid)

@@ -345,6 +345,42 @@ def test_verify_smooth_default_constant(capsys, fdir):
     assert all(l.split(",")[5] == "pass" for l in out.splitlines()[1:])
 
 
+def test_verify_smooth_default_constant_scans_once(capsys, fdir, monkeypatch):
+    from regsel import moduli
+    scans = []
+    ratio_scan = moduli._ratio_scan
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        return ratio_scan(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "_ratio_scan", counted)
+    code, out, _ = run(capsys, "verify", "--input", str(fdir / "smooth.json"))
+    assert code == 0
+    assert len(scans) == 1
+    assert out == (
+        "kind,value,radius,samples,seed,verdict,witness\n"
+        "metric-regularity,1.098901098901099,,,,pass,"
+        "-0.80000000000000004;-0.94999999999999996\n"
+        "aubin,1.098901098901099,,,,pass,"
+        "-1;-0.94999999999999996;-0.76800000000000002\n")
+    # the same constant given explicitly goes through verify_metric_regularity
+    kappa = 1.05 * float(out.splitlines()[1].split(",")[1])
+    code, explicit, _ = run(capsys, "verify", "--input",
+                            str(fdir / "smooth.json"), "--kappa", repr(kappa))
+    assert code == 0
+    assert explicit == out
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+def test_verify_rejects_grid_below_two(capsys, fdir, grid):
+    code, out, err = run(capsys, "verify", "--input", str(fdir / "double.json"),
+                         "--kappa", "0.01", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err and "at least 2" in err
+
+
 def test_verify_counterexample_probe(capsys, fdir):
     code, out, _ = run(capsys, "verify", "--input", str(fdir / "counter.json"))
     assert code == 0

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import aubin_pair_scan, sampled_fibre
 from regsel.errors import ContractError, ShapeError
 from regsel.linalg import least_norm_solve
 from regsel.moduli import (CSV_HEADER, CheckReport, ModulusEstimate,
-                           SampledMapping, clm_estimate,
-                           counterexample_mapping, csv_report, lg_bound_check,
-                           lip_estimate, lsc_probe, reg_linear, sampled_reg,
+                           SampledMapping, _row_norms, _sample_graph,
+                           clm_estimate, counterexample_mapping, csv_report,
+                           lg_bound_check, lip_estimate, lsc_probe,
+                           reg_linear, regularity_report, sampled_reg,
                            truncated_counterexample, verify_aubin,
                            verify_metric_regularity)
+from test_acceptance import criterion_09_cases
 
 
 def fwd_double(x):
@@ -254,6 +257,107 @@ def test_verify_aubin_agrees_with_mr_on_cubic():
 def test_verify_aubin_rejects_bad_kappa():
     with pytest.raises(ContractError):
         verify_aubin(doubling_mapping(), kappa=-1.0)
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3, [5, 1]])
+@pytest.mark.parametrize("check", [verify_metric_regularity, verify_aubin])
+def test_verifiers_reject_grids_below_two_points(check, grid):
+    # one point per axis is the corner x_base - radius_x alone, on which a
+    # far too small constant (true modulus 0.5) would pass
+    mapping = doubling_mapping()
+    if isinstance(grid, list):
+        mapping = SampledMapping(forward=lambda x: 2.0 * x, x_base=[0.0, 0.0],
+                                 y_base=[0.0, 0.0], radius_x=0.5, radius_y=1.0)
+    with pytest.raises(ContractError, match="at least 2 points"):
+        check(mapping, kappa=0.01, grid=grid)
+
+
+def test_two_point_grid_keeps_base_and_judges_modulus():
+    assert not verify_metric_regularity(doubling_mapping(), kappa=0.01, grid=2).ok
+    assert not verify_aubin(doubling_mapping(), kappa=0.01, grid=2).ok
+    assert verify_aubin(doubling_mapping(), kappa=0.5, grid=2).ok
+
+
+def test_regularity_report_reuses_one_scan():
+    est = sampled_reg(doubling_mapping())
+    for kappa in (0.4, 0.5):
+        rep = regularity_report(est, kappa)
+        ref = verify_metric_regularity(doubling_mapping(), kappa)
+        assert rep.csv_row() == ref.csv_row()
+        assert rep.detail == ref.detail
+    with pytest.raises(ContractError):
+        regularity_report(est, 0.0)
+
+
+def test_row_norms_match_linalg_norm_bitwise():
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3, 5):
+        rows = rng.standard_normal((400, dim))
+        expected = np.array([np.linalg.norm(r) for r in rows])
+        assert np.array_equal(_row_norms(rows), expected)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised Aubin scan against the pair-by-pair oracle
+
+
+def ulps_apart(a: float, b: float) -> float:
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+def assert_aubin_matches_pair_scan(mapping, kappa, grid):
+    report = verify_aubin(mapping, kappa, grid=grid)
+    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
+    ok, worst, witness = aubin_pair_scan(pts, gy, gx_idx, y_test, kappa)
+    assert report.ok is ok
+    assert ulps_apart(report.worst_ratio, worst) <= 4, (report.worst_ratio, worst)
+    if not witness:
+        assert report.witness == ()
+        return report
+    if report.worst_ratio == worst:
+        # same arithmetic, so the tie rule must pick the same pair and point
+        assert all(np.array_equal(u, v) for u, v in zip(report.witness, witness))
+    x, y_from, y_to = report.witness
+    assert any(np.array_equal(x, p)
+               for p in sampled_fibre(pts, gy, gx_idx, y_from))
+    fib_to = sampled_fibre(pts, gy, gx_idx, y_to)
+    ratio = (np.linalg.norm(fib_to - x, axis=1).min()
+             / np.linalg.norm(y_from - y_to))
+    assert ulps_apart(ratio, report.worst_ratio) <= 4, (ratio, report.worst_ratio)
+    return report
+
+
+def test_aubin_matches_pair_scan_on_criterion_09_cases():
+    for mapping, grid, kappa, expected in criterion_09_cases():
+        assert assert_aubin_matches_pair_scan(mapping, kappa, grid).ok is expected
+
+
+@pytest.mark.parametrize("kappa", [1.05, 0.95])
+def test_aubin_matches_pair_scan_on_set_valued_branches(kappa):
+    # wide windows put grid points into several fibres at once
+    mapping = SampledMapping(
+        forward=lambda y: counterexample_mapping(float(y[0]), 4).reshape(-1, 1),
+        x_base=[0.0], y_base=[0.0], radius_x=0.4, radius_y=0.4)
+    assert_aubin_matches_pair_scan(mapping, kappa, grid=17)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(2, 2, 9), (3, 3, 5), (1, 2, 11)]),
+       st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+       st.sampled_from([0.5, 1.0, 2.0]))
+def test_aubin_matches_pair_scan_on_lattice_maps(shape, entries, scale):
+    rows, cols, grid = shape
+    mat = scale * np.array(entries[:rows * cols], dtype=float).reshape(rows, cols)
+    if not mat.any():
+        mat[:, :rows] = scale * np.eye(rows)
+    mapping = SampledMapping(forward=lambda x: mat @ x, x_base=np.zeros(cols),
+                             y_base=np.zeros(rows), radius_x=1.0,
+                             radius_y=2.0 * np.abs(mat).sum())
+    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
+    modulus = aubin_pair_scan(pts, gy, gx_idx, y_test, 1.0)[1]
+    assert modulus > 0
+    assert assert_aubin_matches_pair_scan(mapping, 1.05 * modulus, grid).ok
+    assert not assert_aubin_matches_pair_scan(mapping, 0.95 * modulus, grid).ok
 
 
 # ---------------------------------------------------------------------------
