@@ -584,7 +584,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fixture. Exit 6 when any verdict fails.")
     common(p)
     p.add_argument("--kappa", type=float, default=None,
-                   help="constant to verify (default: 1.1x measured)")
+                   help="constant to verify (default: 1.1 x reg_linear for "
+                        "linear and generalized files, 1.05 x the sampled "
+                        "modulus for smooth files)")
     p.add_argument("--grid", type=int, default=None,
                    help="grid points per axis, at least 2 (default 11)")
     p.set_defaults(func=cmd_verify)

@@ -43,7 +43,22 @@ CONTROL_MEMBERSHIP_TOL = 1e-7
 
 @dataclass
 class ControlProblem:
-    """Steering problem data: dynamics oracle, control set, dimensions, mesh."""
+    """Steering problem data: dynamics oracle, control set, dimensions, mesh.
+
+    ``dynamics`` is a stacked oracle. The leading axis of its arguments and
+    of its value indexes components, any trailing axis indexes points:
+    f(X, U) with X of shape (n, k) and U of shape (m, k) returns (n, k),
+    column j being f(X[:, j], U[:, j]). A single point is f(x, u) with 1-D
+    arrays. Writing the components by row index is enough, as in the
+    pendulum fixture::
+
+        def pendulum(x, u):
+            return np.array([x[1], -np.sin(x[0]) + u[0]])
+
+    Construction checks the contract once on a small stacked probe and
+    refuses an oracle that does not stack (``float(x[1])``, a fixed-length
+    vector added to x, ...) with ContractError.
+    """
 
     dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
     control_set: ConvexSet
@@ -69,6 +84,7 @@ class ControlProblem:
             raise ContractError(
                 f"dynamics must vanish at the rest point, got |f(0,0)| = "
                 f"{float(np.max(np.abs(probe))):.3e}")
+        self._check_stacking()
         if self.control_set.dim != self.control_dim:
             raise ShapeError(
                 f"control set lives in dimension {self.control_set.dim}, "
@@ -82,6 +98,34 @@ class ControlProblem:
                     and np.isfinite(self.control_set.support(-e))):
                 raise ContractError(
                     f"control set unbounded along axis {j}; it must be compact")
+
+    def _check_stacking(self):
+        """Compare one stacked call with per-point calls on a small probe.
+
+        The probe has n + m + 1 points, so no operand is square and no
+        fixed-length vector in the oracle broadcasts against it by accident.
+        """
+        n, m = self.state_dim, self.control_dim
+        k = n + m + 1
+        probe = 1e-2 * np.random.default_rng(0).standard_normal((n + m, k))
+        xs, us = probe[:n], probe[n:]
+        contract = ("dynamics must accept stacked points: f(X, U) with X of "
+                    f"shape ({n}, k) and U of shape ({m}, k) returns ({n}, k), "
+                    "one column per point")
+        try:
+            stacked = np.asarray(self.dynamics(xs, us), dtype=float)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ContractError(f"{contract}; a {k}-point probe raised "
+                                f"{type(exc).__name__}: {exc}") from exc
+        if stacked.shape != (n, k):
+            raise ContractError(f"{contract}; a {k}-point probe returned shape "
+                                f"{stacked.shape}")
+        single = np.column_stack([as_vector(self.dynamics(xs[:, j], us[:, j]), dim=n)
+                                  for j in range(k)])
+        gap = float(np.max(np.abs(stacked - single)))
+        if not gap <= 1e-12 * (1.0 + float(np.max(np.abs(single)))):
+            raise ContractError(f"{contract}; a {k}-point probe differs from "
+                                f"per-point calls by {gap:.3e}")
 
 
 @dataclass(frozen=True)
@@ -187,8 +231,10 @@ def _weighted_operator(sys: DiscretizedSystem) -> np.ndarray:
     return mat
 
 
-def _lift_control_set(control_set: ConvexSet, sys: DiscretizedSystem) -> Halfspaces:
-    """Per-interval control constraints as halfspaces on the scaled unknowns."""
+def _lift_control_set(control_set: ConvexSet, sys: DiscretizedSystem) -> Box | Halfspaces:
+    """Per-interval control constraints on the scaled unknowns: a box stays a
+    box (free states, bounds divided by sqrt(N) on the controls), halfspaces
+    become a block-diagonal halfspace system."""
     n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
     nx = n * big_n
     dim = nx + m * big_n
@@ -198,16 +244,9 @@ def _lift_control_set(control_set: ConvexSet, sys: DiscretizedSystem) -> Halfspa
             raise ShapeError(f"control set dimension {control_set.dim}, expected {m}")
         if np.any(~np.isfinite(control_set.lower)) or np.any(~np.isfinite(control_set.upper)):
             raise ContractError("control set must be compact")
-        rows = np.zeros((2 * m * big_n, dim))
-        offs = np.zeros(2 * m * big_n)
-        for i in range(big_n):
-            for j in range(m):
-                col = nx + m * i + j
-                rows[2 * (m * i + j), col] = sq
-                offs[2 * (m * i + j)] = control_set.upper[j]
-                rows[2 * (m * i + j) + 1, col] = -sq
-                offs[2 * (m * i + j) + 1] = -control_set.lower[j]
-        return Halfspaces(rows, offs)
+        free = np.full(nx, np.inf)
+        return Box(np.concatenate([-free, np.tile(control_set.lower / sq, big_n)]),
+                   np.concatenate([free, np.tile(control_set.upper / sq, big_n)]))
     if isinstance(control_set, Halfspaces):
         base_rows = as_matrix(control_set.normals)
         if base_rows.shape[1] != m:
@@ -225,24 +264,33 @@ def _lift_control_set(control_set: ConvexSet, sys: DiscretizedSystem) -> Halfspa
         "use a box or halfspaces")
 
 
+def _trapezoid_means(f, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """0.5*(f(x_i, u_i) + f(x_{i+1}, u_i)) for every interval, one row each,
+    from two stacked oracle calls.
+
+    ``states`` holds the N+1 nodes and ``controls`` the N interval values as
+    rows; the oracle sees them component-major with contiguous rows.
+    """
+    xs = np.ascontiguousarray(states.T)
+    us = np.ascontiguousarray(controls.T)
+    return (0.5 * (f(xs[:, :-1], us) + f(xs[:, 1:], us))).T
+
+
 def _remainder(problem: ControlProblem, sys: DiscretizedSystem):
     """Nonlinearity minus linearization at the collocation points, acting on
     and returning sqrt(h)-scaled vectors."""
-    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
+    n, big_n = sys.state_dim, sys.mesh_size
     a, b = sys.a_matrix, sys.b_matrix
     f = problem.dynamics
     nx = n * big_n
     sq = np.sqrt(big_n)
 
     def g(scaled):
-        scaled = np.asarray(scaled, dtype=float)
-        states = np.vstack([np.zeros(n), (scaled[:nx] * sq).reshape(big_n, n)])
-        controls = (scaled[nx:] * sq).reshape(big_n, m)
+        states, controls = _unscale(np.asarray(scaled, dtype=float), sys)
+        mean = _trapezoid_means(f, states, controls)
+        linear = (0.5 * (states[:-1] + states[1:])) @ a.T + controls @ b.T
         out = np.zeros(nx + n)
-        for i in range(big_n):
-            mean = 0.5 * (f(states[i], controls[i]) + f(states[i + 1], controls[i]))
-            linear = a @ (0.5 * (states[i] + states[i + 1])) + b @ controls[i]
-            out[n * i:n * (i + 1)] = linear - mean
+        out[:nx] = (linear - mean).ravel()
         return out / sq
 
     return g
@@ -449,14 +497,9 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
     scaled, cert = solve(setup.equation, setup.config, setup.query(b))
     states, controls = _unscale(scaled, sys)
 
-    h = sys.step
-    f = problem.dynamics
-    residual = 0.0
-    for i in range(sys.mesh_size):
-        mean = 0.5 * (f(states[i], controls[i]) + f(states[i + 1], controls[i]))
-        gap = states[i + 1] - states[i] - h * mean
-        residual = max(residual, float(np.max(np.abs(gap))))
-    if residual > DYNAMICS_RESIDUAL_TOL:
+    means = _trapezoid_means(problem.dynamics, states, controls)
+    residual = float(np.max(np.abs(np.diff(states, axis=0) - sys.step * means)))
+    if not residual <= DYNAMICS_RESIDUAL_TOL:  # a nan gap fails too
         raise NumericBreakdownError(
             f"trajectory violates the discretized dynamics by {residual:.3e}")
     for i in range(sys.mesh_size):

@@ -103,13 +103,20 @@ class AffineSet(ConvexSet):
 
 
 class Box(ConvexSet):
-    """Axis-aligned box {x : lower <= x <= upper} with finite bounds."""
+    """Axis-aligned box {x : lower <= x <= upper}.
+
+    A bound may be infinite (lower = -inf or upper = +inf), which leaves its
+    coordinate free; the set is then unbounded but still closed, and its
+    projection is still a clamp.
+    """
 
     def __init__(self, lower, upper):
-        self.lower = as_vector(lower)
-        self.upper = as_vector(upper, dim=self.lower.size)
+        self.lower = _bound_vector(lower)
+        self.upper = _bound_vector(upper, dim=self.lower.size)
         if np.any(self.lower > self.upper):
             raise ContractError("box has lower > upper in some coordinate")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise ContractError("box has an empty coordinate (lower = +inf or upper = -inf)")
         self.dim = self.lower.size
 
     def project(self, x):
@@ -123,10 +130,20 @@ class Box(ConvexSet):
 
     def support(self, d):
         d = as_vector(d, dim=self.dim)
-        return float(np.sum(np.where(d >= 0, self.upper * d, self.lower * d)))
+        bound = np.where(d >= 0, self.upper, self.lower)
+        # a free coordinate the direction does not see adds 0, not inf * 0
+        bound[(d == 0) & np.isinf(bound)] = 0.0
+        return float(np.sum(bound * d))
 
     def to_json(self):
         return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
+
+
+def _bound_vector(x, dim: int | None = None) -> np.ndarray:
+    """as_vector for box bounds: the same shape checks, but +-inf allowed."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    as_vector(np.where(np.isinf(v), 0.0, v), dim=dim)
+    return v
 
 
 class Ball(ConvexSet):

@@ -82,7 +82,9 @@ class PolynomialMap:
     """Vector polynomial given as per-component coefficient tables.
 
     ``terms[k]`` lists the monomials of output component k as (coef,
-    powers) pairs with one exponent per input coordinate.
+    powers) pairs with one exponent per input coordinate. ``value`` takes
+    one point of shape (input_dim,) or stacked points of shape
+    (input_dim, k) and returns (output_dim,) or (output_dim, k).
     """
 
     input_dim: int
@@ -91,10 +93,20 @@ class PolynomialMap:
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.zeros(self.output_dim)
+        out = np.zeros((self.output_dim,) + x.shape[1:])
+        # Stacked points, one per row, are raised to their powers as one flat
+        # array, so every entry meets the pow loop a single point meets:
+        # numpy sends a broadcast (stride-0) or 1x1 exponent to a
+        # scalar-power loop whose last bits differ.
+        rows = np.ascontiguousarray(x.T)
+        flat = rows.ravel()
         for k, comp in enumerate(self.terms):
             for coef, powers in comp:
-                out[k] += coef * np.prod(x ** powers)
+                if x.ndim == 1:
+                    base = x ** powers
+                else:
+                    base = (flat ** np.tile(powers, rows.shape[0])).reshape(rows.shape)
+                out[k] += coef * np.prod(base, axis=-1)
         return out
 
     def jacobian(self, x) -> np.ndarray:

@@ -109,6 +109,32 @@ def trapezoid_residual(dynamics, states, controls) -> float:
     return worst
 
 
+def collocation_remainder_loop(dynamics, sys):
+    """The collocation remainder evaluated interval by interval.
+
+    Two single-point dynamics calls per interval, in the scaled coordinates
+    of regsel.control: the reference the stacked evaluation must reproduce.
+    """
+    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
+    a, b = sys.a_matrix, sys.b_matrix
+    f = dynamics
+    nx = n * big_n
+    sq = np.sqrt(big_n)
+
+    def g(scaled):
+        scaled = np.asarray(scaled, dtype=float)
+        states = np.vstack([np.zeros(n), (scaled[:nx] * sq).reshape(big_n, n)])
+        controls = (scaled[nx:] * sq).reshape(big_n, m)
+        out = np.zeros(nx + n)
+        for i in range(big_n):
+            mean = 0.5 * (f(states[i], controls[i]) + f(states[i + 1], controls[i]))
+            linear = a @ (0.5 * (states[i] + states[i + 1])) + b @ controls[i]
+            out[n * i:n * (i + 1)] = linear - mean
+        return out / sq
+
+    return g
+
+
 def random_surjective(rng, rows: int, cols: int, smin: float = 0.05,
                       smax: float = 4.0) -> np.ndarray:
     """Random matrix with singular values drawn inside [smin, smax]."""

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import trapezoid_residual
+from oracles import collocation_remainder_loop, trapezoid_residual
+from regsel import control
 from regsel.control import (ControlProblem, DiscretizedSystem, calm_sweep,
                             endpoint_order_ratios, kalman_rank, linearize,
                             reachable_interior, simulate_trapezoidal, steer,
@@ -10,6 +11,7 @@ from regsel.convex import Box, Halfspaces
 from regsel.errors import (ContractError, LocalityError,
                            NumericBreakdownError, RegularityError, ShapeError,
                            UncontrollableError)
+from regsel.problems import parse_problem
 
 UNIT_BOX = Box([-1.0], [1.0])
 
@@ -80,6 +82,20 @@ def test_problem_rejects_wrong_dynamics_dimension():
     with pytest.raises(ShapeError, match="dynamics"):
         ControlProblem(dynamics=lambda x, u: np.zeros(3), control_set=UNIT_BOX,
                        state_dim=2, control_dim=1)
+
+
+@pytest.mark.parametrize("dynamics,fault", [
+    (lambda x, u: np.array([float(x[1]), float(u[0])]), "raised TypeError"),
+    # a fixed-length vector broadcasts against one point only
+    (lambda x, u: np.array([x[1], u[0]]) * np.array([1.0, 2.0]), "raised ValueError"),
+    # the norm of all stacked points is not the norm of each
+    (lambda x, u: np.array([x[1], u[0] - np.linalg.norm(x) * x[0]]), "differs"),
+])
+def test_problem_rejects_oracle_that_does_not_stack(dynamics, fault):
+    with pytest.raises(ContractError, match="stacked points") as info:
+        ControlProblem(dynamics=dynamics, control_set=UNIT_BOX, state_dim=2,
+                       control_dim=1)
+    assert fault in str(info.value)
 
 
 def test_linearize_pure_control():
@@ -190,6 +206,100 @@ def test_steering_setup_double_integrator():
     assert 5.5 <= setup.config.kappa <= 6.5
     assert setup.tau >= setup.tau_target
     assert np.isfinite(setup.calm_bound)
+
+
+@pytest.mark.parametrize("mesh", [8, 64, 128])
+@pytest.mark.parametrize("make", [pendulum, double_integrator])
+def test_remainder_matches_interval_loop(make, mesh):
+    p = make(mesh=mesh)
+    sys = linearize(p)
+    g = control._remainder(p, sys)
+    loop = collocation_remainder_loop(p.dynamics, sys)
+    rng = np.random.default_rng(mesh)
+    for _ in range(50):
+        v = 0.3 * rng.standard_normal(3 * mesh)
+        np.testing.assert_array_equal(g(v), loop(v))
+
+
+def test_remainder_matches_interval_loop_for_polynomial_file():
+    # x1' = x2 + 0.5 x1^2 u, x2' = u - x1^3 / 6 + x1 x2
+    dyn = {"input_dim": 3, "output_dim": 2,
+           "terms": [[{"coef": 1.0, "powers": [0, 1, 0]},
+                      {"coef": 0.5, "powers": [2, 0, 1]}],
+                     [{"coef": 1.0, "powers": [0, 0, 1]},
+                      {"coef": -1.0 / 6.0, "powers": [3, 0, 0]},
+                      {"coef": 1.0, "powers": [1, 1, 0]}]]}
+    p = parse_problem({"version": "1", "kind": "control", "dynamics": dyn,
+                       "state_dim": 2, "control_dim": 1,
+                       "control_set": {"type": "box", "lower": [-1.0],
+                                       "upper": [1.0]},
+                       "mesh": 32}).control
+    sys = linearize(p)
+    g = control._remainder(p, sys)
+    loop = collocation_remainder_loop(p.dynamics, sys)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        v = 0.5 * rng.standard_normal(3 * 32)
+        want = loop(v)
+        np.testing.assert_allclose(g(v), want, rtol=0.0,
+                                   atol=1e-14 * max(1.0, np.max(np.abs(want))))
+
+
+def test_box_control_set_lifts_to_the_same_clamp():
+    sys = linearize(pendulum(mesh=10))
+    box = Box([-0.7], [1.3])
+    lifted = control._lift_control_set(box, sys)
+    assert isinstance(lifted, Box)
+    # the dense axis-aligned halfspace lift this box replaces
+    sq = np.sqrt(10)
+    rows = np.zeros((20, 30))
+    rows[np.arange(0, 20, 2), 20 + np.arange(10)] = sq
+    rows[np.arange(1, 20, 2), 20 + np.arange(10)] = -sq
+    dense = Halfspaces(rows, np.tile([1.3, 0.7], 10))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = rng.standard_normal(30)
+        np.testing.assert_array_equal(lifted.project(x), dense.project(x))
+        assert lifted.distance(x) == dense.distance(x)
+
+
+def test_setup_dynamics_calls_do_not_grow_with_mesh(monkeypatch):
+    # each remainder evaluation is two stacked calls, whatever the mesh
+    calls = {"f": 0, "g": 0}
+    lip_estimate = control.lip_estimate
+
+    def f(x, u):
+        calls["f"] += 1
+        return np.array([x[1], u[0] - np.sin(x[0])])
+
+    def counting_lip(g, *args, **kwargs):
+        def counted(v):
+            calls["g"] += 1
+            return g(v)
+        return lip_estimate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(control, "lip_estimate", counting_lip)
+    counts = []
+    for mesh in (64, 128):
+        p = ControlProblem(dynamics=f, control_set=UNIT_BOX, state_dim=2,
+                           control_dim=1, mesh_size=mesh)
+        sys = linearize(p)
+        calls.update(f=0, g=0)
+        setup = steering_setup(p, sys)
+        assert calls["f"] == 2 * calls["g"]
+        counts.append(calls["f"])
+        g = setup.equation.g
+
+        def counted_g(v, g=g):
+            calls["g"] += 1
+            return g(v)
+
+        setup.equation.g = counted_g
+        calls.update(f=0, g=0)
+        steer(p, b=[0.04, 0.0], setup=setup)
+        # the residual check on the returned trajectory is one more pair
+        assert calls["f"] == 2 * calls["g"] + 2
+    assert counts[0] == counts[1]
 
 
 def test_steering_kappa_is_mesh_stable():

@@ -169,6 +169,18 @@ def test_support_box_diagonal_vertex_oracle():
     assert s.support(d) == pytest.approx(2.0)
 
 
+def test_box_with_free_coordinates():
+    s = Box([-np.inf, -1.0], [np.inf, 2.0])
+    np.testing.assert_array_equal(s.project([5.0, 3.0]), [5.0, 2.0])
+    assert s.distance([-7.0, -2.0]) == 1.0
+    assert s.support([0.0, 1.0]) == 2.0
+    assert s.support([1.0, 0.0]) == np.inf
+    with pytest.raises(ContractError, match="empty coordinate"):
+        Box([np.inf, 0.0], [np.inf, 1.0])
+    with pytest.raises(ShapeError):
+        Box([np.nan], [1.0])
+
+
 def test_support_halfspaces_lp_matches_box():
     box = Box([-1.0, -2.0], [3.0, 0.5])
     poly = Halfspaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],

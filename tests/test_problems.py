@@ -254,6 +254,26 @@ def test_polynomial_jacobian_matches_finite_differences(x):
     np.testing.assert_allclose(poly.jacobian(x), fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_polynomial_value_stacks_points_bitwise(dim):
+    # every exponent 0..3 on every coordinate, plus mixed monomials
+    rng = np.random.default_rng(dim)
+    powers = [np.full(dim, p) for p in range(4)] + [rng.integers(0, 4, dim)
+                                                    for _ in range(3)]
+    poly = PolynomialMap(
+        input_dim=dim, output_dim=2,
+        terms=tuple(tuple((float(rng.standard_normal()), p) for p in powers)
+                    for _ in range(2)))
+    # numpy squares a broadcast exponent 2 exactly where pow may not: about
+    # 3 % of points differ, so k = 256 shows it
+    for k in sorted({1, 2, dim, dim + 1, 256}):
+        x = 3.0 * rng.standard_normal((dim, k))
+        stacked = poly.value(x)
+        assert stacked.shape == (2, k)
+        per_point = np.column_stack([poly.value(x[:, j]) for j in range(k)])
+        np.testing.assert_array_equal(stacked, per_point)
+
+
 def test_dynamics_registry_contents():
     assert set(DYNAMICS_FIXTURES) == {"double_integrator", "pendulum"}
     for name, (oracle, n, m) in DYNAMICS_FIXTURES.items():
