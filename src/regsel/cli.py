@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from .convex import AffineSet, Intersection
-from .control import (TAU_FLOOR, calm_sweep, kalman_rank, linearize,
-                      reachable_interior, steer, steering_setup,
-                      _remainder, _weighted_operator)
+from .control import (calm_sweep, kalman_rank, linearize,
+                      reachable_interior, steer, _remainder,
+                      _weighted_operator)
 from .errors import (ContractError, InfeasibilitySuspectedError,
                      LocalityError, NumericBreakdownError, ProblemFileError,
                      RegularityError, ShapeError, UncontrollableError)
-from .linalg import least_norm_solve, operator_norm
+from .linalg import least_norm_solve, operator_norm, svd
 from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
                      clm_estimate, fmt_float, lg_bound_check, lip_estimate,
                      lsc_probe, reg_linear, regularity_report, sampled_reg,
@@ -82,7 +82,14 @@ def _seed(pf: ProblemFile, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# building blocks shared by solve/sweep
+# building blocks shared by the subcommands
+
+
+def _zero_map(rows: int):
+    """The perturbation of a file that has none: x -> 0 in R^rows."""
+    def g(x):
+        return np.zeros(rows)
+    return g
 
 
 def _generalized_pieces(pf: ProblemFile, args):
@@ -94,11 +101,7 @@ def _generalized_pieces(pf: ProblemFile, args):
             return Intersection([fibre.shifted(w), _c])
     else:
         finv = fibre.shifted
-    if pf.perturbation is not None:
-        g = pf.perturbation
-    else:
-        def g(x, _rows=mat.shape[0]):
-            return np.zeros(_rows)
+    g = pf.perturbation if pf.perturbation is not None else _zero_map(mat.shape[0])
     equation = GeneralizedEquation(
         finv=finv, g=g, x_base=pf.base_x, y_base=pf.base_y,
         radius_x=pf.radius_x, radius_y=pf.radius_y,
@@ -111,7 +114,7 @@ def _generalized_pieces(pf: ProblemFile, args):
                               max_iter=args.max_iter)
     else:
         lip = lip_estimate(g, pf.base_x, pf.radius_x, samples=600, seed=seed)
-        cfg = default_config(reg_linear(mat), lip.value, tol=args.tol,
+        cfg = default_config(reg_linear(fibre), lip.value, tol=args.tol,
                              max_iter=args.max_iter)
         if "kappa" in consts or "alpha" in consts or "lambda" in consts:
             cfg = IterationConfig(
@@ -145,51 +148,28 @@ def _certificate_lines(out: _Writer, cfg: IterationConfig, tau: float,
 
 
 def cmd_moduli(pf: ProblemFile, args, out: _Writer) -> int:
-    seed = _seed(pf, args)
-    samples = args.samples
-    rows: list = []
-    if pf.kind == "linear":
-        mat = pf.matrix
-        base = pf.base_x if pf.base_x is not None else np.zeros(mat.shape[1])
-        radius = args.radius if args.radius is not None else 1.0
-
-        def g(x, _rows=mat.shape[0]):
-            return np.zeros(_rows)
-
-        rows.append(ModulusEstimate(kind="reg", value=reg_linear(mat), seed=seed))
-        rows.append(lip_estimate(g, base, radius, samples=samples, seed=seed))
-        rows.append(clm_estimate(g, base, radius, samples=samples, seed=seed))
-    elif pf.kind == "smooth":
-        problem = _smooth_problem(pf)
-        radius = args.radius if args.radius is not None else problem.radius
-        b, x0, g = problem.base_jacobian, problem.x_base, problem.remainder
-        rows.append(ModulusEstimate(kind="reg", value=reg_linear(b), seed=seed))
-        rows.append(lip_estimate(g, x0, radius, samples=samples, seed=seed))
-        rows.append(clm_estimate(g, x0, radius, samples=samples, seed=seed))
-    elif pf.kind == "generalized":
+    if pf.kind in ("linear", "generalized"):
         if pf.fixture is not None:
             raise ProblemFileError(
                 "the counterexample fixture only supports the verify command")
-        mat = pf.matrix
-        radius = args.radius if args.radius is not None else pf.radius_x
-        g = pf.perturbation if pf.perturbation is not None else (
-            lambda x, _rows=mat.shape[0]: np.zeros(_rows))
-        rows.append(ModulusEstimate(kind="reg", value=reg_linear(mat),
-                                    seed=seed))
-        rows.append(lip_estimate(g, pf.base_x, radius, samples=samples,
-                                 seed=seed))
-        rows.append(clm_estimate(g, pf.base_x, radius, samples=samples,
-                                 seed=seed))
+        op = pf.matrix
+        g = pf.perturbation if pf.perturbation is not None else _zero_map(op.shape[0])
+        center = pf.base_x if pf.base_x is not None else np.zeros(op.shape[1])
+        default_radius = pf.radius_x if pf.kind == "generalized" else 1.0
+    elif pf.kind == "smooth":
+        problem = _smooth_problem(pf)
+        op, g = problem.base_fibre, problem.remainder
+        center, default_radius = problem.x_base, problem.radius
     else:
-        problem = pf.control
-        sys_ = linearize(problem)
-        mat = _weighted_operator(sys_)
-        g = _remainder(problem, sys_)
-        radius = args.radius if args.radius is not None else 0.5
-        center = np.zeros(mat.shape[1])
-        rows.append(ModulusEstimate(kind="reg", value=reg_linear(mat), seed=seed))
-        rows.append(lip_estimate(g, center, radius, samples=samples, seed=seed))
-        rows.append(clm_estimate(g, center, radius, samples=samples, seed=seed))
+        sys_ = linearize(pf.control)
+        op = _weighted_operator(sys_)
+        g = _remainder(pf.control, sys_)
+        center, default_radius = np.zeros(op.shape[1]), 0.5
+    seed = _seed(pf, args)
+    radius = args.radius if args.radius is not None else default_radius
+    rows = [ModulusEstimate(kind="reg", value=reg_linear(op), seed=seed),
+            lip_estimate(g, center, radius, samples=args.samples, seed=seed),
+            clm_estimate(g, center, radius, samples=args.samples, seed=seed)]
     out.line(CSV_HEADER)
     for row in rows:
         out.line(row.csv_row())
@@ -361,7 +341,6 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         raise ProblemFileError(
             f"--target: expected {problem.state_dim} components, got {b.size}")
     seed = _seed(pf, args)
-    tau_target = max(TAU_FLOOR, 1.3 * float(np.linalg.norm(b)))
 
     if args.grid is not None:
         if args.grid < 1:
@@ -372,8 +351,7 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
             steps = np.linspace(0.0, 1.0, args.grid)
             targets = [t * b for t in steps]
         try:
-            result = calm_sweep(problem, sys_, targets, tau_target=tau_target,
-                                tol=args.tol, seed=seed)
+            result = calm_sweep(problem, sys_, targets, tol=args.tol, seed=seed)
         except (LocalityError, RegularityError) as exc:
             out.line(f"error,{exc}")
             return EXIT_LOCALITY
@@ -400,15 +378,13 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         return EXIT_OK if ok_rows else EXIT_LOCALITY
 
     try:
-        setup = steering_setup(problem, sys_, tau_target=tau_target,
-                               tol=args.tol, seed=seed)
-        res = steer(problem, sys_, b, setup=setup)
+        res = steer(problem, sys_, b, tol=args.tol, seed=seed)
     except (LocalityError, RegularityError) as exc:
         out.line(f"error,{exc}")
         return EXIT_LOCALITY
     out.line(f"tau,{fmt_float(res.tau)}")
-    out.line(f"kappa,{fmt_float(setup.config.kappa)}")
-    out.line(f"lambda,{fmt_float(setup.config.lam)}")
+    out.line(f"kappa,{fmt_float(res.certificate.kappa)}")
+    out.line(f"lambda,{fmt_float(res.certificate.lam)}")
     out.line(f"iterations,{res.certificate.iterate_count}")
     out.line(f"endpoint_error,{fmt_float(res.endpoint_error)}")
     out.line(f"dynamics_residual,{fmt_float(res.dynamics_residual)}")
@@ -435,41 +411,27 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
                           approach=[np.array([10.0 ** -j])
                                     for j in range(1, 15)])
         informational.append(probe)
-    elif pf.kind == "linear":
+    elif pf.kind in ("linear", "generalized"):
         mat = pf.matrix
         base_x = pf.base_x if pf.base_x is not None else np.zeros(mat.shape[1])
-        kappa = args.kappa if args.kappa is not None else 1.1 * reg_linear(mat)
-
-        def forward(x, _m=mat):
-            return _m @ x
-
+        radius_x = pf.radius_x if pf.kind == "generalized" else 1.0
+        fac = svd(mat)
+        kappa = args.kappa if args.kappa is not None else 1.1 * reg_linear(fac)
         mapping = SampledMapping(
-            forward=forward, x_base=base_x, y_base=mat @ base_x,
-            radius_x=1.0, radius_y=2.0 * max(operator_norm(mat), 1e-9))
-        reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
-        reports.append(verify_aubin(mapping, kappa, grid=grid))
-    elif pf.kind == "generalized":
-        mat = pf.matrix
-        kappa = args.kappa if args.kappa is not None else 1.1 * reg_linear(mat)
-
-        def forward(x, _m=mat):
-            return _m @ x
-
-        mapping = SampledMapping(
-            forward=forward, x_base=pf.base_x, y_base=mat @ pf.base_x,
-            radius_x=pf.radius_x,
-            radius_y=2.0 * max(operator_norm(mat), 1e-9) * pf.radius_x)
+            forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
+            radius_x=radius_x,
+            radius_y=2.0 * max(float(fac.s[0]), 1e-9) * radius_x)
         reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
         reports.append(verify_aubin(mapping, kappa, grid=grid))
         if pf.perturbation is not None:
-            lip = lip_estimate(pf.perturbation, pf.base_x, pf.radius_x,
+            lip = lip_estimate(pf.perturbation, base_x, radius_x,
                                samples=600, seed=seed)
             lam = pf.constants.get("lambda", 1.2 * lip.value)
             if lam <= 0:
                 lam = 0.5 / kappa
-            report, _ = lg_bound_check(mat, pf.perturbation, pf.base_x,
+            report, _ = lg_bound_check(mat, pf.perturbation, base_x,
                                        kappa=kappa, lam=lam,
-                                       radius=pf.radius_x, grid=grid,
+                                       radius=radius_x, grid=grid,
                                        seed=seed)
             reports.append(report)
     elif pf.kind == "smooth":

@@ -28,7 +28,7 @@ from .convex import (AffineSet, Box, ConvexSet, Halfspaces, Intersection,
                      direction_grid)
 from .errors import (ContractError, LocalityError, NumericBreakdownError,
                      RegularityError, ShapeError, UncontrollableError)
-from .linalg import SURJECTIVITY_RTOL, as_matrix, as_vector, svd
+from .linalg import as_matrix, as_vector, svd
 from .moduli import ModulusEstimate, lip_estimate
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, compute_tau, default_config, solve)
@@ -175,11 +175,7 @@ def kalman_rank(sys: DiscretizedSystem) -> tuple[int, bool]:
     blocks = [b]
     for _ in range(sys.state_dim - 1):
         blocks.append(a @ blocks[-1])
-    k = np.hstack(blocks)
-    s = svd(k).s
-    if s.size == 0 or s[0] <= 0.0:
-        return 0, sys.state_dim == 0
-    rank = int(np.sum(s > SURJECTIVITY_RTOL * s[0]))
+    rank = svd(np.hstack(blocks)).rank
     return rank, rank == sys.state_dim
 
 
@@ -355,12 +351,12 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
         raise ContractError(f"tau target must be positive, got {tau_target}")
 
     mat = _weighted_operator(sys)
-    fact = svd(mat)
-    smin = fact.s[mat.shape[0] - 1]
-    if smin <= SURJECTIVITY_RTOL * fact.s[0]:
+    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
+    if not fibre.surjective:
         raise RegularityError(
             "collocation operator is not surjective; the discretized "
             "problem has no regularity modulus")
+    smin = fibre.sigma_min
     kappa = 1.1 / smin
 
     g = _remainder(problem, sys)
@@ -375,15 +371,11 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
         raise RegularityError(
             f"constant schedule rejected for the steering problem: {exc}") from exc
 
-    calm_bound = _transported_calm_bound(sys, fact, cfg)
-    # free the full SVD before the fibre takes its own: holding both at
-    # once raises peak memory
-    del fact
+    calm_bound = _transported_calm_bound(sys, fibre.right_inverse, cfg)
     stretch = 1.0 / (1.0 - cfg.contraction)
     radius_x = 2.0 * cfg.kappa * tau_target * stretch * 1.02
     radius_y = (1.0 + cfg.kappa * cfg.lam) * tau_target * stretch * 1.02
     lifted = _lift_control_set(problem.control_set, sys)
-    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
 
     def finv(w):
         return Intersection([fibre.shifted(w), lifted])
@@ -401,30 +393,24 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
                          interior_verdict=interior_ok)
 
 
-def _transported_calm_bound(sys: DiscretizedSystem, fact, cfg: IterationConfig) -> float:
+def _transported_calm_bound(sys: DiscretizedSystem, pinv: np.ndarray,
+                            cfg: IterationConfig) -> float:
     """Calmness constant in the reporting norms.
 
     The engine certifies gamma = 2*kappa/(1 - alpha*lambda) in the scaled
     Euclidean norm. Reported ratios use max_i N|x_{i+1}-x_i| + max_i |u_i|,
-    so the pseudoinverse is re-measured row by row in those coordinates and
-    the same series factor and kappa margin are applied.
+    so the right inverse ``pinv`` of the collocation operator is re-measured
+    row by row in those coordinates (a row of N*(x_{i+1} - x_i) is the
+    difference of consecutive state blocks, x_0 = 0; a row of u_i is a
+    control row) and the same series factor and kappa margin are applied.
     """
-    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
+    n, big_n = sys.state_dim, sys.mesh_size
     nx = n * big_n
-    r = n * big_n + n
-    pinv = fact.vt[:r].T @ (fact.u / fact.s[:r]).T
     sq = np.sqrt(big_n)
-    diff = np.zeros((nx, nx + m * big_n))
-    for i in range(big_n):
-        rr = slice(n * i, n * (i + 1))
-        if i > 0:
-            diff[rr, n * (i - 1):n * i] = -big_n * sq * np.eye(n)
-        diff[rr, n * i:n * (i + 1)] = big_n * sq * np.eye(n)
-    sel = np.zeros((m * big_n, nx + m * big_n))
-    for j in range(m * big_n):
-        sel[j, nx + j] = sq
-    row_norm_diff = float(np.max(np.linalg.norm(diff @ pinv, axis=1)))
-    row_norm_sel = float(np.max(np.linalg.norm(sel @ pinv, axis=1)))
+    states = big_n * sq * pinv[:nx]
+    steps = np.concatenate([states[:n], states[n:] - states[:-n]])
+    row_norm_diff = float(np.max(np.linalg.norm(steps, axis=1)))
+    row_norm_sel = float(np.max(np.linalg.norm(sq * pinv[nx:], axis=1)))
     return 2.0 * 1.1 * (row_norm_diff + row_norm_sel) / (1.0 - cfg.contraction)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from .linalg import SURJECTIVITY_RTOL, as_matrix, as_vector, svd
+from .linalg import as_matrix, as_vector, svd
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 10000
@@ -49,19 +49,21 @@ class AffineSet(ConvexSet):
 
     The system must be consistent; rank-deficient rows are fine as long as
     the right-hand side lies in the range. One SVD at construction gives the
-    least-norm right inverse P of op on its numerical row space; the anchor
-    is P @ rhs and the projection is x - P @ (op @ x - rhs). ``shifted``
-    moves the right-hand side and reuses P, so a family of parallel fibres
-    is factored once.
+    least-norm right inverse P of op on its numerical row space
+    (``right_inverse``) together with the operator's row-relevant
+    ``sigma_min`` and its ``surjective`` verdict; the anchor is P @ rhs and
+    the projection is x - P @ (op @ x - rhs). ``shifted`` moves the
+    right-hand side and reuses all three, so a family of parallel fibres is
+    factored once.
     """
 
     def __init__(self, op, rhs):
         self.op = as_matrix(op)
         self.dim = self.op.shape[1]
         fac = svd(self.op)
-        cutoff = SURJECTIVITY_RTOL * fac.s[0] if fac.s[0] > 0 else 0.0
-        rank = int(np.sum(fac.s > cutoff))
-        self._pinv = fac.vt[:rank].T @ (fac.u[:, :rank].T / fac.s[:rank, None])
+        self.right_inverse = fac.right_inverse()
+        self.sigma_min = fac.sigma_min
+        self.surjective = fac.surjective
         self._set_rhs(rhs)
 
     def shifted(self, rhs) -> AffineSet:
@@ -72,7 +74,7 @@ class AffineSet(ConvexSet):
 
     def _set_rhs(self, rhs):
         self.rhs = as_vector(rhs, dim=self.op.shape[0])
-        x0 = self._pinv @ self.rhs
+        x0 = self.right_inverse @ self.rhs
         resid = np.linalg.norm(self.op @ x0 - self.rhs)
         if resid > 1e-9 * (1.0 + np.linalg.norm(self.rhs)):
             raise ContractError(
@@ -81,7 +83,7 @@ class AffineSet(ConvexSet):
 
     def _offset(self, x):
         """x minus its projection: the row-space component of x - anchor."""
-        return self._pinv @ (self.op @ x - self.rhs)
+        return self.right_inverse @ (self.op @ x - self.rhs)
 
     def project(self, x):
         x = as_vector(x, dim=self.dim)
@@ -93,7 +95,7 @@ class AffineSet(ConvexSet):
 
     def support(self, d):
         d = as_vector(d, dim=self.dim)
-        tangential = d - self._pinv @ (self.op @ d)
+        tangential = d - self.right_inverse @ (self.op @ d)
         if np.linalg.norm(tangential) > 1e-10 * max(1.0, np.linalg.norm(d)):
             return float("inf")
         return float(d @ self._anchor)

@@ -8,13 +8,14 @@ Vectors are 1-D float64 arrays, operators are 2-D float64 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericBreakdownError, RegularityError, ShapeError
 
 # Relative singular-value cutoff below which an operator is treated as
-# non-surjective. Shared by every module.
+# non-surjective. Only SvdFactorization reads it.
 SURJECTIVITY_RTOL = 1e-10
 
 # Residual slack for least-norm solves: ||op x - rhs|| <= RESIDUAL_RTOL*(1+||rhs||).
@@ -51,11 +52,43 @@ def as_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Full SVD ``a = u @ diag(s) @ vt`` with singular values descending."""
+    """Full SVD ``a = u @ diag(s) @ vt`` with singular values descending.
+
+    The one place where singular values meet SURJECTIVITY_RTOL: the
+    numerical rank, the surjectivity verdict, the row-relevant sigma_min and
+    the least-norm right inverse are all read from here.
+    """
 
     u: np.ndarray
     s: np.ndarray
     vt: np.ndarray
+
+    @cached_property
+    def rank(self) -> int:
+        """Number of singular values above SURJECTIVITY_RTOL * s[0]."""
+        return int(np.count_nonzero(self.s > SURJECTIVITY_RTOL * self.s[0]))
+
+    @property
+    def surjective(self) -> bool:
+        """True when the rank equals the row count."""
+        return self.rank == self.u.shape[0]
+
+    @property
+    def sigma_min(self) -> float:
+        """s[rows-1], the singular value that decides surjectivity; 0 for an
+        operator with more rows than columns."""
+        rows = self.u.shape[0]
+        return float(self.s[rows - 1]) if rows <= self.s.size else 0.0
+
+    def right_inverse(self) -> np.ndarray:
+        """V_r diag(1/s_r) U_r^T on the numerical row space (r = rank).
+
+        For a surjective operator this is the least-norm right inverse
+        a^T (a a^T)^{-1}; otherwise it still maps each right-hand side in
+        the range to the least-norm solution.
+        """
+        r = self.rank
+        return self.vt[:r].T @ (self.u[:, :r].T / self.s[:r, None])
 
     def reconstruction_error(self, a) -> float:
         a = as_matrix(a)
@@ -89,16 +122,12 @@ def sigma_min_surjective(a) -> float:
     rows, cols = m.shape
     if rows > cols:
         raise ShapeError(f"operator with {rows} rows and {cols} cols cannot be surjective")
-    return float(svd(m).s[rows - 1])
+    return svd(m).sigma_min
 
 
-def is_surjective(a, rtol: float = SURJECTIVITY_RTOL) -> bool:
-    """True when the smallest row-relevant singular value clears rtol * s_max."""
-    m = as_matrix(a)
-    if m.shape[0] > m.shape[1]:
-        return False
-    s = svd(m).s
-    return bool(s[m.shape[0] - 1] > rtol * s[0])
+def is_surjective(a) -> bool:
+    """True when the smallest row-relevant singular value clears the cutoff."""
+    return svd(a).surjective
 
 
 def least_norm_solve(a, rhs) -> np.ndarray:
@@ -126,7 +155,7 @@ def least_norm_solve(a, rhs) -> np.ndarray:
     if rows > cols:
         raise RegularityError("operator has more rows than columns; not surjective")
     fac = svd(m)
-    if not fac.s[rows - 1] > SURJECTIVITY_RTOL * fac.s[0]:
+    if not fac.surjective:
         raise RegularityError(
             f"operator numerically non-surjective: sigma_min={fac.s[rows - 1]:.3e} "
             f"vs sigma_max={fac.s[0]:.3e}")
@@ -163,11 +192,8 @@ def pinv_apply(a, rhs) -> np.ndarray:
 
 def pinv_matrix(a) -> np.ndarray:
     """Least-norm right inverse as an explicit cols x rows matrix."""
-    m = as_matrix(a)
-    rows, cols = m.shape
-    if rows > cols:
-        raise RegularityError("operator has more rows than columns; not surjective")
-    fac = svd(m)
-    if not fac.s[rows - 1] > SURJECTIVITY_RTOL * fac.s[0]:
-        raise RegularityError("operator numerically non-surjective")
-    return fac.vt[:rows].T @ (fac.u.T / fac.s[:rows, None])
+    fac = svd(a)
+    if not fac.surjective:
+        raise RegularityError(
+            f"operator with {fac.u.shape[0]} rows and rank {fac.rank} is not surjective")
+    return fac.right_inverse()

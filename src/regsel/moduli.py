@@ -15,7 +15,8 @@ norm on linear oracles.
 Both verifiers sample the graph once on a grid of at least 2 points per
 axis and rebuild the fibres F^{-1}(y) with one membership rule (_fibres).
 The metric-regularity scan takes one test value y at a time against every
-grid point. The Aubin scan takes one source fibre at a time against every
+grid point; consecutive test values with the same fibre share one distance
+table. The Aubin scan takes one source fibre at a time against every
 target fibre in a single vectorised step, so its Python loop runs over
 fibres, not over pairs of values; its temporaries stay of the order of
 |fibre| x (grid points) x dim, and it breaks ties as a pair-by-pair scan
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import convex
 from .errors import ContractError, ShapeError
-from .linalg import (SURJECTIVITY_RTOL, as_matrix, as_vector, svd)
+from .linalg import SvdFactorization, as_matrix, as_vector, svd
 
 # Relative slack used when comparing sampled distances against kappa times
 # sampled distances; absorbs roundoff in grid arithmetic.
@@ -115,15 +116,16 @@ def csv_report(items: Sequence) -> str:
 
 
 def reg_linear(op) -> float:
-    """Regularity modulus of a linear operator: 1/sigma_min, +inf if not onto."""
-    m = as_matrix(op)
-    if m.shape[0] > m.shape[1]:
+    """Regularity modulus of a linear operator: 1/sigma_min, +inf if not onto.
+
+    ``op`` is a matrix, or an operator already factored (an SvdFactorization,
+    or an AffineSet, which keeps its operator's sigma_min); those are read
+    without another SVD.
+    """
+    fac = op if isinstance(op, (SvdFactorization, convex.AffineSet)) else svd(op)
+    if not fac.surjective:
         return float("inf")
-    s = svd(m).s
-    smin = s[m.shape[0] - 1]
-    if not smin > SURJECTIVITY_RTOL * s[0]:
-        return float("inf")
-    return float(1.0 / smin)
+    return 1.0 / fac.sigma_min
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +354,18 @@ def _ratio_scan(mapping: SampledMapping, grid):
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
     worst = 0.0
     witness = ()
+    prev_fibre = None
     for y, d_y_fx, in_fibre in _fibres(pts, gy, gx_idx, y_test):
-        fib = pts[in_fibre]
-        if fib.shape[0] == 0:
+        if not in_fibre.any():
             # y came from the graph, so this cannot happen; guard anyway.
             finite = np.isfinite(d_y_fx) & (d_y_fx > 0)
             j = int(np.argmin(np.where(finite, d_y_fx, np.inf)))
             return float("inf"), (pts[j], y)
-        d_x_fib = _distances(pts, fib).min(axis=1)
+        # Near-equal test values sort next to each other and often have the
+        # same fibre; its distance table is then that of the last one.
+        if prev_fibre is None or not np.array_equal(in_fibre, prev_fibre):
+            d_x_fib = _distances(pts, pts[in_fibre]).min(axis=1)
+            prev_fibre = in_fibre
         denom = np.where(d_y_fx > 0, d_y_fx, np.inf)
         ratios = d_x_fib / denom
         bad_zero = (d_y_fx == 0) & (d_x_fib > 0)
@@ -489,7 +495,8 @@ def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
     """
     m = as_matrix(op)
     center = as_vector(center, dim=m.shape[1])
-    reg0 = reg_linear(m)
+    fac = svd(m)
+    reg0 = reg_linear(fac)
     if not reg0 < kappa:
         raise ContractError(
             f"kappa: need reg_linear(op) < kappa, got {reg0:.6g} >= {kappa:.6g}")
@@ -505,7 +512,7 @@ def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
         return m @ x + as_vector(g(x), dim=m.shape[0])
 
     y_center = forward(center)
-    image_radius = (svd(m).s[0] + lam) * radius + 1e-9
+    image_radius = (fac.s[0] + lam) * radius + 1e-9
     mapping = SampledMapping(forward=forward, x_base=center, y_base=y_center,
                              radius_x=radius, radius_y=image_radius)
     measured, witness = _ratio_scan(mapping, grid)

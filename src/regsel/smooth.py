@@ -16,8 +16,7 @@ import numpy as np
 
 from .convex import AffineSet
 from .errors import ContractError, RegularityError, ShapeError
-from .linalg import (SURJECTIVITY_RTOL, as_matrix, as_vector, is_surjective,
-                     pinv_matrix, svd)
+from .linalg import as_matrix, as_vector, operator_norm, svd
 from .moduli import lip_estimate, reg_linear
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, default_config, solve)
@@ -32,6 +31,9 @@ class SmoothProblem:
     ``jacobian`` is optional; central differences with step
     1e-6*(1+||x||) are used when it is absent. The Jacobian at the base
     must be surjective (rows <= cols and sigma_min clear of the cutoff).
+    Construction factors it once into ``base_fibre`` = {x : B x = 0}, whose
+    ``shifted`` gives the other fibres of B and which carries B's sigma_min
+    and right inverse.
     """
 
     f: Callable
@@ -48,10 +50,12 @@ class SmoothProblem:
             raise ShapeError(
                 f"map has {self.y_base.size} outputs and {self.x_base.size} "
                 "inputs; the derivative cannot be surjective")
+        # every query moves the right-hand side, so the fibre is built at
+        # 0, which is consistent for any Jacobian
         b = self.jacobian_at(self.x_base)
-        if not is_surjective(b):
+        self.base_fibre = AffineSet(b, np.zeros(b.shape[0]))
+        if not self.base_fibre.surjective:
             raise RegularityError("Jacobian at the base point is not surjective")
-        self._base_jacobian = b
 
     def jacobian_at(self, x) -> np.ndarray:
         x = as_vector(x, dim=self.x_base.size)
@@ -72,12 +76,12 @@ class SmoothProblem:
 
     @property
     def base_jacobian(self) -> np.ndarray:
-        return self._base_jacobian
+        return self.base_fibre.op
 
     def remainder(self, x) -> np.ndarray:
         """g(x) = f(x) - B(x - x_base), the part the linearization misses."""
         x = as_vector(x, dim=self.x_base.size)
-        return as_vector(self.f(x)) - self._base_jacobian @ (x - self.x_base)
+        return as_vector(self.f(x)) - self.base_fibre.op @ (x - self.x_base)
 
 
 def split(problem: SmoothProblem) -> GeneralizedEquation:
@@ -92,7 +96,7 @@ def split(problem: SmoothProblem) -> GeneralizedEquation:
     b = problem.base_jacobian
     x0 = problem.x_base
     offset = b @ x0
-    fibre = AffineSet(b, offset)
+    fibre = problem.base_fibre
 
     def finv(w):
         return fibre.shifted(as_vector(w, dim=b.shape[0]) + offset)
@@ -122,7 +126,7 @@ def config_for(problem: SmoothProblem, samples: int = 1500,
     """Default constant schedule for a smooth problem."""
     lip = lip_estimate(problem.remainder, problem.x_base, problem.radius,
                        samples=samples, seed=seed)
-    return default_config(reg_linear(problem.base_jacobian), lip.value,
+    return default_config(reg_linear(problem.base_fibre), lip.value,
                           tol=tol, max_iter=max_iter)
 
 
@@ -163,9 +167,9 @@ def derivative_check(problem: SmoothProblem, cfg: IterationConfig | None = None,
         x_minus, _ = smooth_selection(problem, problem.y_base - e, cfg)
         cols.append((x_plus - x_minus) / (2.0 * h))
     j_fd = np.stack(cols, axis=1)
-    dev_left = svd(b @ j_fd - np.eye(m)).s[0]
-    dev_pinv = svd(j_fd - pinv_matrix(b)).s[0]
-    return j_fd, float(max(dev_left, dev_pinv))
+    dev_left = operator_norm(b @ j_fd - np.eye(m))
+    dev_pinv = operator_norm(j_fd - problem.base_fibre.right_inverse)
+    return j_fd, max(dev_left, dev_pinv)
 
 
 def augmented_jacobian(b) -> tuple[np.ndarray, bool]:
@@ -180,9 +184,7 @@ def augmented_jacobian(b) -> tuple[np.ndarray, bool]:
     j[:n, :n] = np.eye(n)
     j[:n, n:] = b.T
     j[n:, :n] = b
-    s = svd(j).s
-    verdict = bool(s[-1] > SURJECTIVITY_RTOL * s[0])
-    return j, verdict
+    return j, svd(j).surjective
 
 
 def calm_bound_linear(b, cross_check: bool = False, samples: int = 10000,

@@ -135,6 +135,33 @@ def collocation_remainder_loop(dynamics, sys):
     return g
 
 
+def transported_calm_bound_dense(sys, fact, cfg) -> float:
+    """The steering calm bound from a fresh full SVD and dense selectors.
+
+    ``fact`` is the full SVD of the collocation operator; its pseudoinverse
+    is re-measured through explicit N*(x_{i+1} - x_i) and u_i selector
+    matrices: the reference the sliced bound in regsel.control must
+    reproduce.
+    """
+    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
+    nx = n * big_n
+    r = n * big_n + n
+    pinv = fact.vt[:r].T @ (fact.u / fact.s[:r]).T
+    sq = np.sqrt(big_n)
+    diff = np.zeros((nx, nx + m * big_n))
+    for i in range(big_n):
+        rr = slice(n * i, n * (i + 1))
+        if i > 0:
+            diff[rr, n * (i - 1):n * i] = -big_n * sq * np.eye(n)
+        diff[rr, n * i:n * (i + 1)] = big_n * sq * np.eye(n)
+    sel = np.zeros((m * big_n, nx + m * big_n))
+    for j in range(m * big_n):
+        sel[j, nx + j] = sq
+    row_norm_diff = float(np.max(np.linalg.norm(diff @ pinv, axis=1)))
+    row_norm_sel = float(np.max(np.linalg.norm(sel @ pinv, axis=1)))
+    return 2.0 * 1.1 * (row_norm_diff + row_norm_sel) / (1.0 - cfg.contraction)
+
+
 def random_surjective(rng, rows: int, cols: int, smin: float = 0.05,
                       smax: float = 4.0) -> np.ndarray:
     """Random matrix with singular values drawn inside [smin, smax]."""

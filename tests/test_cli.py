@@ -339,6 +339,20 @@ def test_verify_fails_below_modulus(capsys, fdir):
         assert fields[6] != ""  # witness reported
 
 
+def test_verify_linear_factors_once(capsys, fdir, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code, _, _ = run(capsys, "verify", "--input", str(fdir / "diag.json"))
+    assert code == 0
+    assert calls == [(2, 2)]
+
+
 def test_verify_smooth_default_constant(capsys, fdir):
     code, out, _ = run(capsys, "verify", "--input", str(fdir / "smooth.json"))
     assert code == 0

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import collocation_remainder_loop, trapezoid_residual
+from oracles import (collocation_remainder_loop, trapezoid_residual,
+                     transported_calm_bound_dense)
 from regsel import control
 from regsel.control import (ControlProblem, DiscretizedSystem, calm_sweep,
                             endpoint_order_ratios, kalman_rank, linearize,
                             reachable_interior, simulate_trapezoidal, steer,
                             steering_setup)
-from regsel.convex import Box, Halfspaces
+from regsel.convex import AffineSet, Box, Halfspaces
 from regsel.errors import (ContractError, LocalityError,
                            NumericBreakdownError, RegularityError, ShapeError,
                            UncontrollableError)
+from regsel.linalg import svd
 from regsel.problems import parse_problem
+from regsel.selection import default_config
 
 UNIT_BOX = Box([-1.0], [1.0])
 
@@ -361,6 +364,40 @@ def test_steer_with_prebuilt_setup_factors_nothing(monkeypatch):
     res = steer(p, b=[0.04, 0.0], setup=setup)
     assert res.certificate.iterate_count >= 2
     assert calls == []
+
+
+def test_steering_setup_factors_the_collocation_operator_once(monkeypatch):
+    p = pendulum(mesh=64)
+    sys = linearize(p)
+    shape = control._weighted_operator(sys).shape
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    steering_setup(p, sys)
+    assert calls.count(shape) == 1
+
+
+@pytest.mark.parametrize("mesh", [8, 64, 128])
+@pytest.mark.parametrize("make", [pendulum, double_integrator])
+def test_calm_bound_matches_dense_selectors(make, mesh):
+    # the pendulum has no certified schedule at mesh 8, so the bound is
+    # taken on the fibre directly; set-ups are compared at 64 and 128
+    sys = linearize(make(mesh=mesh))
+    mat = control._weighted_operator(sys)
+    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
+    cfg = default_config(1.0 / fibre.sigma_min, 0.05)
+    want = transported_calm_bound_dense(sys, svd(mat), cfg)
+    got = control._transported_calm_bound(sys, fibre.right_inverse, cfg)
+    assert abs(got - want) <= np.spacing(want)
+    if mesh >= 64:
+        setup = steering_setup(make(mesh=mesh), sys)
+        want = transported_calm_bound_dense(sys, svd(mat), setup.config)
+        assert abs(setup.calm_bound - want) <= np.spacing(want)
 
 
 def test_steer_unreachable_target_names_the_constraint():

@@ -9,6 +9,7 @@ from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, interior_contains,
                            set_from_json)
 from regsel.errors import ContractError, ShapeError
+from regsel.linalg import sigma_min_surjective
 
 
 def fixtures():
@@ -110,6 +111,19 @@ def test_project_ball_radius_zero_is_singleton():
 def test_affine_rejects_inconsistent_system():
     with pytest.raises(ContractError):
         AffineSet([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("op, surjective", [
+    ([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]], True),
+    ([[1.0, 0.0, 2.0], [2.0, 0.0, 4.0]], False),
+])
+def test_affine_set_carries_its_operator_constants(op, surjective):
+    fibre = AffineSet(op, np.zeros(2))
+    assert fibre.surjective is surjective
+    assert fibre.sigma_min == sigma_min_surjective(op)
+    moved = fibre.shifted(np.asarray(op) @ np.ones(3))
+    assert (moved.sigma_min, moved.surjective) == (fibre.sigma_min, surjective)
+    assert moved.right_inverse is fibre.right_inverse
 
 
 @pytest.mark.parametrize("op, rhs", [

@@ -120,6 +120,31 @@ def test_jacobi_oracle_cross_check():
     assert np.max(np.abs(s_pkg - s_orc)) <= 1e-10 * s_orc[0]
 
 
+@pytest.mark.parametrize("a, rank", [
+    ([[3.0, 1.0, 0.0], [0.0, 2.0, 1.0]], 2),
+    # the second row repeats the first up to a factor: rank one
+    ([[1.0, 0.0, 2.0], [2.0, 0.0, 4.0]], 1),
+    # one singular value below the cutoff counts as zero
+    ([[1.0, 0.0], [0.0, 1e-12]], 1),
+    (np.ones((3, 2)), 1),
+])
+def test_factorization_answers_from_one_cutoff(a, rank):
+    a = np.asarray(a, dtype=float)
+    fac = svd(a)
+    rows = a.shape[0]
+    assert fac.rank == rank
+    assert fac.surjective == (rank == rows) == is_surjective(a)
+    if rows <= a.shape[1]:
+        assert fac.sigma_min == sigma_min_surjective(a)
+    else:
+        assert fac.sigma_min == 0.0
+    # least-norm solutions for right-hand sides in the range
+    np.testing.assert_allclose(fac.right_inverse(),
+                               np.linalg.pinv(a, rcond=1e-10), atol=1e-12)
+    if fac.surjective:
+        np.testing.assert_array_equal(fac.right_inverse(), pinv_matrix(a))
+
+
 # ---------------------------------------------------------------------------
 # least_norm_solve
 

@@ -228,6 +228,31 @@ def test_sampled_reg_doubling():
     assert est.value == pytest.approx(0.5, rel=1e-9)
 
 
+def test_sampled_reg_builds_one_table_per_distinct_fibre(monkeypatch):
+    # 137 test values on this 2->1 map, but only 57 distinct consecutive
+    # fibres: near-equal values reuse the last distance table
+    from regsel import moduli
+    calls = []
+    distances = moduli._distances
+
+    def counted(p, q):
+        calls.append(q.shape[0])
+        return distances(p, q)
+
+    monkeypatch.setattr(moduli, "_distances", counted)
+    m = np.array([[2.0, 2.0]])
+    mapping = SampledMapping(forward=lambda x: m @ x, x_base=np.zeros(2),
+                             y_base=np.zeros(1), radius_x=1.0,
+                             radius_y=2.0 * np.linalg.norm(m))
+    est = sampled_reg(mapping, grid=41)
+    assert len(calls) == 57
+    # the value and witness of the scan that rebuilt every table
+    assert est.value == 1.1180339887498998
+    np.testing.assert_array_equal(est.witness[0],
+                                  [0.30000000000000004, 0.9500000000000002])
+    np.testing.assert_array_equal(est.witness[1], [2.6])
+
+
 def test_verify_aubin_doubling():
     assert verify_aubin(doubling_mapping(), kappa=0.5).ok
     rep = verify_aubin(doubling_mapping(), kappa=0.4)

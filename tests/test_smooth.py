@@ -146,6 +146,22 @@ def test_selection_matches_least_norm_for_linear_maps():
         np.testing.assert_allclose(x, expect, atol=1e-9)
 
 
+def test_smooth_problem_factors_its_jacobian_once(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    p = sin_problem()
+    cfg = config_for(p)
+    for t in (0.01, 0.02, -0.03):
+        smooth_selection(p, p.y_base + t, cfg)
+    assert calls == [(1, 2)]
+
+
 def test_config_for_uses_measured_constants():
     cfg = config_for(sin_problem())
     sigma = np.sqrt(1.05 ** 2 + 1.0)
