@@ -9,15 +9,12 @@ from .errors import (ContractError, InfeasibilitySuspectedError,
                      LocalityError, NumericBreakdownError, ProblemFileError,
                      RegselError, RegularityError, ShapeError,
                      UncontrollableError)
-from .linalg import (SvdFactorization, is_surjective, least_norm_solve,
-                     operator_norm, pinv_apply, pinv_matrix,
-                     sigma_min_surjective, svd)
+from .linalg import SvdFactorization, least_norm_solve, operator_norm, svd
 from .convex import (AffineSet, Ball, Box, ConvexSet, Halfspaces,
-                     Intersection, direction_grid, dykstra,
-                     interior_contains, set_from_json)
+                     Intersection, direction_grid, dykstra, set_from_json)
 from .moduli import (CheckReport, LscProbeReport, ModulusEstimate,
                      SampledMapping, clm_estimate, counterexample_mapping,
-                     csv_report, lg_bound_check, lip_estimate, lsc_probe,
+                     lg_bound_check, lip_estimate, lsc_probe,
                      reg_linear, regularity_report, sampled_reg,
                      truncated_counterexample, verify_aubin,
                      verify_metric_regularity)
@@ -25,9 +22,8 @@ from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, SweepResult, SweepRow, compute_tau,
                         default_config, initial_selection, iterate_step,
                         solve, solve_implicit, sweep)
-from .smooth import (SmoothProblem, augmented_jacobian, calm_bound_linear,
-                     config_for, derivative_check, remainder_lip_profile,
-                     smooth_selection, split)
+from .smooth import (SmoothProblem, augmented_jacobian, config_for,
+                     derivative_check, smooth_selection, split)
 from .control import (ControlProblem, ControlSweep, DiscretizedSystem,
                       SteeringResult, SteeringSetup, calm_sweep,
                       endpoint_order_ratios, kalman_rank, linearize,

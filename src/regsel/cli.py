@@ -21,13 +21,13 @@ from .control import (calm_sweep, kalman_rank, linearize,
 from .errors import (ContractError, InfeasibilitySuspectedError,
                      LocalityError, NumericBreakdownError, ProblemFileError,
                      RegularityError, ShapeError, UncontrollableError)
-from .linalg import least_norm_solve, operator_norm, svd
+from .linalg import least_norm_solve
 from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
                      clm_estimate, fmt_float, lg_bound_check, lip_estimate,
                      lsc_probe, reg_linear, regularity_report, sampled_reg,
                      truncated_counterexample, verify_aubin,
                      verify_metric_regularity)
-from .problems import ProblemFile, load_problem
+from .problems import MAX_MESH, ProblemFile, load_problem
 from .selection import (GeneralizedEquation, IterationConfig, compute_tau,
                         default_config, solve, solve_implicit, sweep)
 from .smooth import SmoothProblem, config_for, smooth_selection, split
@@ -38,6 +38,11 @@ EXIT_NUMERIC = 3
 EXIT_LOCALITY = 4
 EXIT_UNCONTROLLABLE = 5
 EXIT_VERIFICATION = 6
+
+# Upper bounds on the work a flag can ask for; each bounds memory or time.
+MAX_SAMPLES = 10 ** 6       # moduli --samples
+MAX_GRID = 10 ** 4          # sweep and control --grid targets
+MAX_VERIFY_POINTS = 20_000  # verify grid points, after odd rounding
 
 
 class _Writer:
@@ -81,6 +86,26 @@ def _seed(pf: ProblemFile, args) -> int:
     return args.seed if args.seed is not None else pf.seed
 
 
+def _target_count(grid: int | None) -> int:
+    """The --grid point count of sweep and control, checked against its cap."""
+    if grid is None or grid < 1:
+        raise ProblemFileError("--grid: need a positive point count")
+    if grid > MAX_GRID:
+        raise ProblemFileError(f"--grid: at most {MAX_GRID} points, got {grid}")
+    return grid
+
+
+def _verify_grid(args, dim: int) -> int:
+    """Points per axis for verify; their count in dim axes is capped."""
+    grid = args.grid if args.grid is not None else 11
+    points = (grid + 1 - grid % 2) ** dim
+    if points > MAX_VERIFY_POINTS:
+        raise ProblemFileError(
+            f"--grid: {grid} per axis makes {points} points in {dim} "
+            f"dimensions, at most {MAX_VERIFY_POINTS} allowed")
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # building blocks shared by the subcommands
 
@@ -106,22 +131,18 @@ def _generalized_pieces(pf: ProblemFile, args):
         finv=finv, g=g, x_base=pf.base_x, y_base=pf.base_y,
         radius_x=pf.radius_x, radius_y=pf.radius_y,
         radius_graph=pf.radius_graph)
-    seed = _seed(pf, args)
     consts = pf.constants
-    if {"kappa", "lambda", "alpha"} <= set(consts):
-        cfg = IterationConfig(kappa=consts["kappa"], lam=consts["lambda"],
-                              alpha=consts["alpha"], tol=args.tol,
-                              max_iter=args.max_iter)
-    else:
-        lip = lip_estimate(g, pf.base_x, pf.radius_x, samples=600, seed=seed)
+    if not {"kappa", "lambda", "alpha"} <= set(consts):
+        # the default schedule fills in the constants the file leaves out
+        lip = lip_estimate(g, pf.base_x, pf.radius_x, samples=600,
+                           seed=_seed(pf, args))
         cfg = default_config(reg_linear(fibre), lip.value, tol=args.tol,
                              max_iter=args.max_iter)
-        if "kappa" in consts or "alpha" in consts or "lambda" in consts:
-            cfg = IterationConfig(
-                kappa=consts.get("kappa", cfg.kappa),
-                lam=consts.get("lambda", cfg.lam),
-                alpha=consts.get("alpha", cfg.alpha),
-                tol=args.tol, max_iter=args.max_iter)
+        consts = {"kappa": cfg.kappa, "lambda": cfg.lam, "alpha": cfg.alpha,
+                  **consts}
+    cfg = IterationConfig(kappa=consts["kappa"], lam=consts["lambda"],
+                          alpha=consts["alpha"], tol=args.tol,
+                          max_iter=args.max_iter)
     return equation, cfg
 
 
@@ -148,6 +169,9 @@ def _certificate_lines(out: _Writer, cfg: IterationConfig, tau: float,
 
 
 def cmd_moduli(pf: ProblemFile, args, out: _Writer) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise ProblemFileError(
+            f"--samples: at most {MAX_SAMPLES}, got {args.samples}")
     if pf.kind in ("linear", "generalized"):
         if pf.fixture is not None:
             raise ProblemFileError(
@@ -252,8 +276,7 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
     if pf.kind not in ("smooth", "generalized") or pf.fixture is not None:
         raise ProblemFileError(
             "sweep drives smooth or generalized problems")
-    if args.grid is None or args.grid < 1:
-        raise ProblemFileError("--grid: need a positive point count")
+    grid = _target_count(args.grid)
     target = args.target if args.target is not None else pf.target
     if target is None:
         raise ProblemFileError("sweep needs --target for the grid endpoint")
@@ -274,10 +297,10 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
         raise ProblemFileError(
             f"--target: expected {equation.y_base.size} components, got "
             f"{target.size}")
-    if args.grid == 1:
+    if grid == 1:
         ys = [target]
     else:
-        steps = np.linspace(0.0, 1.0, args.grid)
+        steps = np.linspace(0.0, 1.0, grid)
         ys = [base_out + t * (target - base_out) for t in steps]
     result = sweep(equation, cfg, ys)
 
@@ -314,10 +337,12 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
     if pf.kind != "control":
         raise ProblemFileError("control drives control problem files")
     problem = pf.control
+    grid = None if args.grid is None else _target_count(args.grid)
     if args.mesh is not None:
         from dataclasses import replace
-        if args.mesh < 2:
-            raise ProblemFileError("--mesh: need at least 2 intervals")
+        if not 2 <= args.mesh <= MAX_MESH:
+            raise ProblemFileError(
+                f"--mesh: need 2 to {MAX_MESH} intervals, got {args.mesh}")
         problem = replace(problem, mesh_size=args.mesh)
     sys_ = linearize(problem)
     rank, rank_ok = kalman_rank(sys_)
@@ -342,13 +367,11 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
             f"--target: expected {problem.state_dim} components, got {b.size}")
     seed = _seed(pf, args)
 
-    if args.grid is not None:
-        if args.grid < 1:
-            raise ProblemFileError("--grid: need a positive point count")
-        if args.grid == 1:
+    if grid is not None:
+        if grid == 1:
             targets = [b]
         else:
-            steps = np.linspace(0.0, 1.0, args.grid)
+            steps = np.linspace(0.0, 1.0, grid)
             targets = [t * b for t in steps]
         try:
             result = calm_sweep(problem, sys_, targets, tol=args.tol, seed=seed)
@@ -399,9 +422,7 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
     seed = _seed(pf, args)
     if args.grid is not None and args.grid < 2:
         raise ProblemFileError("--grid: need at least 2 points per axis")
-    grid = args.grid if args.grid is not None else 11
     reports = []
-    informational = []
 
     if pf.kind == "generalized" and pf.fixture is not None:
         # grid reconstruction cannot resolve the 1/k branch structure, so
@@ -410,17 +431,23 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
                           at=(np.zeros(1), np.array([0.05])),
                           approach=[np.array([10.0 ** -j])
                                     for j in range(1, 15)])
-        informational.append(probe)
-    elif pf.kind in ("linear", "generalized"):
+        witness = fmt_float(float(probe.witness_x[0]))
+        tail = fmt_float(min(probe.distances[3:]))
+        out.line(CSV_HEADER)
+        out.line(f"lsc-probe,{tail},,,,{probe.verdict},{witness}")
+        return EXIT_OK
+    if pf.kind in ("linear", "generalized"):
         mat = pf.matrix
+        grid = _verify_grid(args, mat.shape[1])
         base_x = pf.base_x if pf.base_x is not None else np.zeros(mat.shape[1])
         radius_x = pf.radius_x if pf.kind == "generalized" else 1.0
-        fac = svd(mat)
-        kappa = args.kappa if args.kappa is not None else 1.1 * reg_linear(fac)
+        # one factorization serves reg_linear, radius_y and lg_bound_check
+        fibre = AffineSet(mat, np.zeros(mat.shape[0]))
+        kappa = args.kappa if args.kappa is not None else 1.1 * reg_linear(fibre)
         mapping = SampledMapping(
             forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
             radius_x=radius_x,
-            radius_y=2.0 * max(float(fac.s[0]), 1e-9) * radius_x)
+            radius_y=2.0 * max(fibre.sigma_max, 1e-9) * radius_x)
         reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
         reports.append(verify_aubin(mapping, kappa, grid=grid))
         if pf.perturbation is not None:
@@ -429,18 +456,19 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
             lam = pf.constants.get("lambda", 1.2 * lip.value)
             if lam <= 0:
                 lam = 0.5 / kappa
-            report, _ = lg_bound_check(mat, pf.perturbation, base_x,
+            report, _ = lg_bound_check(fibre, pf.perturbation, base_x,
                                        kappa=kappa, lam=lam,
                                        radius=radius_x, grid=grid,
                                        seed=seed)
             reports.append(report)
     elif pf.kind == "smooth":
+        grid = _verify_grid(args, pf.base.size)
         problem = _smooth_problem(pf)
         mapping = SampledMapping(
             forward=lambda x: np.asarray(problem.f(x), dtype=float),
             x_base=problem.x_base, y_base=problem.y_base,
             radius_x=problem.radius,
-            radius_y=2.0 * (operator_norm(problem.base_jacobian) + 1.0)
+            radius_y=2.0 * (problem.base_fibre.sigma_max + 1.0)
             * problem.radius)
         if args.kappa is not None:
             kappa = args.kappa
@@ -457,11 +485,6 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
     out.line(CSV_HEADER)
     for report in reports:
         out.line(report.csv_row())
-    for probe in informational:
-        witness = fmt_float(float(probe.witness_x[0]))
-        tail = fmt_float(min(probe.distances[3:]) if probe.distances[3:]
-                         else float("nan"))
-        out.line(f"lsc-probe,{tail},,,,{probe.verdict},{witness}")
     if all(r.ok for r in reports):
         return EXIT_OK
     return EXIT_VERIFICATION
@@ -496,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=None,
                    help="sampling ball radius")
     p.add_argument("--samples", type=int, default=3000,
-                   help="sample budget per estimate")
+                   help=f"sample budget per estimate, at most {MAX_SAMPLES}")
     p.set_defaults(func=cmd_moduli)
 
     p = sub.add_parser(
@@ -518,7 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "max_continuity_ratio/empirical_clm/jumps.")
     common(p)
     p.add_argument("--target", default=None, help="grid endpoint")
-    p.add_argument("--grid", type=int, default=None, help="grid point count")
+    p.add_argument("--grid", type=int, default=None,
+                   help=f"grid point count, at most {MAX_GRID}")
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_sweep)
 
@@ -533,8 +557,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", default=None, help="endpoint target b")
     p.add_argument("--grid", type=int, default=None,
-                   help="sweep targets on the segment 0 -> b")
-    p.add_argument("--mesh", type=int, default=None, help="mesh override")
+                   help=f"sweep targets on the segment 0 -> b, at most "
+                        f"{MAX_GRID}")
+    p.add_argument("--mesh", type=int, default=None,
+                   help=f"mesh override, 2 to {MAX_MESH} intervals")
     p.set_defaults(func=cmd_control)
 
     p = sub.add_parser(
@@ -550,7 +576,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "linear and generalized files, 1.05 x the sampled "
                         "modulus for smooth files)")
     p.add_argument("--grid", type=int, default=None,
-                   help="grid points per axis, at least 2 (default 11)")
+                   help=f"grid points per axis, at least 2 (default 11); an "
+                        f"even count is raised by one, and the grid may "
+                        f"hold at most {MAX_VERIFY_POINTS} points")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -142,11 +142,6 @@ class DiscretizedSystem:
     def step(self) -> float:
         return 1.0 / self.mesh_size
 
-    @property
-    def transition_factor(self) -> np.ndarray:
-        """One-interval state propagator e^{A/N}; always invertible."""
-        return expm(self.a_matrix * self.step)
-
 
 def linearize(problem: ControlProblem) -> DiscretizedSystem:
     """Central-difference A = df/dx and B = df/du at the origin."""

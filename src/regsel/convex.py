@@ -40,9 +40,6 @@ class ConvexSet:
         """Support value sup{<d, x> : x in set}; +inf when unbounded."""
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class AffineSet(ConvexSet):
     """Solution set {x : op @ x = rhs}.
@@ -50,11 +47,11 @@ class AffineSet(ConvexSet):
     The system must be consistent; rank-deficient rows are fine as long as
     the right-hand side lies in the range. One SVD at construction gives the
     least-norm right inverse P of op on its numerical row space
-    (``right_inverse``) together with the operator's row-relevant
-    ``sigma_min`` and its ``surjective`` verdict; the anchor is P @ rhs and
-    the projection is x - P @ (op @ x - rhs). ``shifted`` moves the
-    right-hand side and reuses all three, so a family of parallel fibres is
-    factored once.
+    (``right_inverse``) together with the operator's largest singular value
+    ``sigma_max``, its row-relevant ``sigma_min`` and its ``surjective``
+    verdict; the anchor is P @ rhs and the projection is
+    x - P @ (op @ x - rhs). ``shifted`` moves the right-hand side and reuses
+    all four, so a family of parallel fibres is factored once.
     """
 
     def __init__(self, op, rhs):
@@ -62,6 +59,7 @@ class AffineSet(ConvexSet):
         self.dim = self.op.shape[1]
         fac = svd(self.op)
         self.right_inverse = fac.right_inverse()
+        self.sigma_max = float(fac.s[0])
         self.sigma_min = fac.sigma_min
         self.surjective = fac.surjective
         self._set_rhs(rhs)
@@ -100,9 +98,6 @@ class AffineSet(ConvexSet):
             return float("inf")
         return float(d @ self._anchor)
 
-    def to_json(self):
-        return {"type": "affine", "matrix": self.op.tolist(), "rhs": self.rhs.tolist()}
-
 
 class Box(ConvexSet):
     """Axis-aligned box {x : lower <= x <= upper}.
@@ -137,9 +132,6 @@ class Box(ConvexSet):
         bound[(d == 0) & np.isinf(bound)] = 0.0
         return float(np.sum(bound * d))
 
-    def to_json(self):
-        return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
 
 def _bound_vector(x, dim: int | None = None) -> np.ndarray:
     """as_vector for box bounds: the same shape checks, but +-inf allowed."""
@@ -173,9 +165,6 @@ class Ball(ConvexSet):
     def support(self, d):
         d = as_vector(d, dim=self.dim)
         return float(d @ self.center + self.radius * np.linalg.norm(d))
-
-    def to_json(self):
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
 class Halfspaces(ConvexSet):
@@ -215,13 +204,6 @@ class Halfspaces(ConvexSet):
                 for i in range(self.normals.shape[0])]
         return dykstra(sets, x)
 
-    def distance(self, x):
-        x = as_vector(x, dim=self.dim)
-        if self._axis_aligned:
-            viol = np.maximum(0.0, np.maximum(self._lo - x, x - self._hi))
-            return float(np.linalg.norm(viol))
-        return float(np.linalg.norm(x - self.project(x)))
-
     def contains(self, x, tol: float = 1e-9):
         x = as_vector(x, dim=self.dim)
         viol = (self.normals @ x - self.offsets) / self._row_norms
@@ -238,10 +220,6 @@ class Halfspaces(ConvexSet):
         if not res.success:  # pragma: no cover - solver hiccup
             raise InfeasibilitySuspectedError(f"support LP failed: {res.message}")
         return float(-res.fun)
-
-    def to_json(self):
-        return {"type": "halfspaces", "normals": self.normals.tolist(),
-                "offsets": self.offsets.tolist()}
 
 
 class _SingleHalfspace(ConvexSet):
@@ -324,9 +302,6 @@ class Intersection(ConvexSet):
             raise InfeasibilitySuspectedError(f"support LP failed: {res.message}")
         return float(-res.fun)
 
-    def to_json(self):
-        return {"type": "intersection", "members": [m.to_json() for m in self.members]}
-
 
 def dykstra(sets, start, tol: float = DYKSTRA_TOL,
             max_rounds: int = DYKSTRA_MAX_ROUNDS) -> np.ndarray:
@@ -375,30 +350,8 @@ def direction_grid(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return np.array(dirs)
 
 
-def interior_contains(set_or_support, point, directions: int | None = None,
-                      seed: int = 0) -> tuple[bool, float]:
-    """Support-function interiority test.
-
-    ``set_or_support`` is a ConvexSet or a callable direction -> support
-    value. Probes a deterministic direction grid (at least 2*dim vectors)
-    and returns (verdict, margin) with margin = min support(d) - <d, point>.
-    A positive margin certifies interiority up to the grid resolution.
-    """
-    point = as_vector(point)
-    if callable(set_or_support) and not isinstance(set_or_support, ConvexSet):
-        sample = set_or_support
-    else:
-        sample = set_or_support.support
-    count = directions if directions is not None else 2 * point.size
-    grid = direction_grid(point.size, count, seed=seed)
-    margin = float("inf")
-    for d in grid:
-        margin = min(margin, float(sample(d)) - float(d @ point))
-    return margin > 0.0, margin
-
-
 def set_from_json(data: dict) -> ConvexSet:
-    """Inverse of to_json for the whole catalogue."""
+    """Build a set of the catalogue from its JSON description."""
     if not isinstance(data, dict) or "type" not in data:
         raise ContractError("convex set JSON needs a 'type' field")
     kind = data["type"]

@@ -90,12 +90,6 @@ class SvdFactorization:
         r = self.rank
         return self.vt[:r].T @ (self.u[:, :r].T / self.s[:r, None])
 
-    def reconstruction_error(self, a) -> float:
-        a = as_matrix(a)
-        k = self.s.size
-        recon = (self.u[:, :k] * self.s) @ self.vt[:k]
-        return float(np.linalg.norm(recon - a))
-
 
 def svd(a) -> SvdFactorization:
     """Full SVD of a matrix; raises NumericBreakdownError if LAPACK fails."""
@@ -110,24 +104,6 @@ def svd(a) -> SvdFactorization:
 def operator_norm(a) -> float:
     """Largest singular value."""
     return float(svd(a).s[0])
-
-
-def sigma_min_surjective(a) -> float:
-    """Smallest singular value relevant for surjectivity (rows <= cols).
-
-    For a map onto its row count this is s[rows-1]; it is zero exactly when
-    the rows are dependent.
-    """
-    m = as_matrix(a)
-    rows, cols = m.shape
-    if rows > cols:
-        raise ShapeError(f"operator with {rows} rows and {cols} cols cannot be surjective")
-    return svd(m).sigma_min
-
-
-def is_surjective(a) -> bool:
-    """True when the smallest row-relevant singular value clears the cutoff."""
-    return svd(a).surjective
 
 
 def least_norm_solve(a, rhs) -> np.ndarray:
@@ -167,33 +143,3 @@ def least_norm_solve(a, rhs) -> np.ndarray:
         raise NumericBreakdownError(
             f"least-norm residual {resid.max():.3e} exceeds tolerance")
     return x[:, 0] if vector_input else x
-
-
-def pinv_apply(a, rhs) -> np.ndarray:
-    """Apply the least-norm right inverse ``a^T (a a^T)^{-1}`` to ``rhs``.
-
-    Independent route from least_norm_solve (normal equations instead of a
-    direct SVD solve); the two agree to 1e-9 on surjective operators.
-    """
-    m = as_matrix(a)
-    rows, cols = m.shape
-    b = as_vector(rhs, dim=rows)
-    if rows > cols:
-        raise RegularityError("operator has more rows than columns; not surjective")
-    if not is_surjective(m):
-        raise RegularityError("operator numerically non-surjective")
-    gram = m @ m.T
-    try:
-        w = np.linalg.solve(gram, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericBreakdownError(f"normal-equation solve failed: {exc}") from exc
-    return m.T @ w
-
-
-def pinv_matrix(a) -> np.ndarray:
-    """Least-norm right inverse as an explicit cols x rows matrix."""
-    fac = svd(a)
-    if not fac.surjective:
-        raise RegularityError(
-            f"operator with {fac.u.shape[0]} rows and rank {fac.rank} is not surjective")
-    return fac.right_inverse()

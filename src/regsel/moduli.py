@@ -32,7 +32,7 @@ import numpy as np
 
 from . import convex
 from .errors import ContractError, ShapeError
-from .linalg import SvdFactorization, as_matrix, as_vector, svd
+from .linalg import as_matrix, as_vector, svd
 
 # Relative slack used when comparing sampled distances against kappa times
 # sampled distances; absorbs roundoff in grid arithmetic.
@@ -105,12 +105,6 @@ class CheckReport:
         ])
 
 
-def csv_report(items: Sequence) -> str:
-    lines = [CSV_HEADER]
-    lines += [item.csv_row() for item in items]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # exact linear moduli
 
@@ -118,11 +112,10 @@ def csv_report(items: Sequence) -> str:
 def reg_linear(op) -> float:
     """Regularity modulus of a linear operator: 1/sigma_min, +inf if not onto.
 
-    ``op`` is a matrix, or an operator already factored (an SvdFactorization,
-    or an AffineSet, which keeps its operator's sigma_min); those are read
-    without another SVD.
+    ``op`` is a matrix, or an AffineSet, which keeps its operator's
+    sigma_min and is read without another SVD.
     """
-    fac = op if isinstance(op, (SvdFactorization, convex.AffineSet)) else svd(op)
+    fac = op if isinstance(op, convex.AffineSet) else svd(op)
     if not fac.surjective:
         return float("inf")
     return 1.0 / fac.sigma_min
@@ -489,14 +482,17 @@ def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
                    seed: int = 0) -> tuple[CheckReport, ModulusEstimate]:
     """Perturbation bound check for a linear map plus a Lipschitz term.
 
-    Preconditions: reg_linear(op) < kappa and sampled lip of g < lam < 1/kappa.
-    Samples the regularity ratio of x -> op x + g(x) around the center and
-    compares it against (1/kappa - lam)^{-1} + 1e-6.
+    ``op`` is a matrix, or an AffineSet whose operator is read without
+    another SVD. Preconditions: reg_linear(op) < kappa and sampled lip of
+    g < lam < 1/kappa. Samples the regularity ratio of x -> op x + g(x)
+    around the center and compares it against (1/kappa - lam)^{-1} + 1e-6.
     """
-    m = as_matrix(op)
+    if not isinstance(op, convex.AffineSet):
+        rows = as_matrix(op).shape[0]
+        op = convex.AffineSet(op, np.zeros(rows))
+    m = op.op
     center = as_vector(center, dim=m.shape[1])
-    fac = svd(m)
-    reg0 = reg_linear(fac)
+    reg0 = reg_linear(op)
     if not reg0 < kappa:
         raise ContractError(
             f"kappa: need reg_linear(op) < kappa, got {reg0:.6g} >= {kappa:.6g}")
@@ -512,7 +508,7 @@ def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
         return m @ x + as_vector(g(x), dim=m.shape[0])
 
     y_center = forward(center)
-    image_radius = (fac.s[0] + lam) * radius + 1e-9
+    image_radius = (op.sigma_max + lam) * radius + 1e-9
     mapping = SampledMapping(forward=forward, x_base=center, y_base=y_center,
                              radius_x=radius, radius_y=image_radius)
     measured, witness = _ratio_scan(mapping, grid)

@@ -24,6 +24,10 @@ from .control import ControlProblem, DEFAULT_MESH
 
 SCHEMA_VERSION = "1"
 KINDS = ("linear", "smooth", "generalized", "control")
+# Collocation intervals a control problem may ask for: set-up factors a
+# dense (nN + n) x (n+m)N operator, 2,050 x 3,072 for the two-state
+# fixtures at this cap.
+MAX_MESH = 1024
 
 
 def _fail(path: str, message: str):
@@ -215,6 +219,8 @@ def _parse_control(payload: dict) -> ControlProblem:
     dynamics_spec = _require(payload, "dynamics")
     mesh = payload.get("mesh", DEFAULT_MESH)
     mesh = _positive_int(mesh, "mesh")
+    if mesh > MAX_MESH:
+        _fail("mesh", f"at most {MAX_MESH} intervals, got {mesh}")
     if isinstance(dynamics_spec, str):
         if dynamics_spec not in DYNAMICS_FIXTURES:
             _fail("dynamics", f"unknown fixture {dynamics_spec!r}; "

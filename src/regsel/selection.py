@@ -241,15 +241,22 @@ def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
         raise LocalityError(
             f"iterate drifted {drift:.6g} from x_base, outside the domain "
             f"ball {problem.radius_x:.6g}", bound=problem.radius_x)
-    w = y - problem.g_value(z_curr)
+    radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
+    return _corrector_step(problem, cfg, y, z_curr, radius, "iterate step")
+
+
+def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
+                    center: np.ndarray, radius: float, what: str) -> np.ndarray:
+    """Project ``center`` onto the inverse image of y - g(center), truncated
+    to B(center, radius), after checking that the corrected target stays in
+    the image ball."""
+    w = y - problem.g_value(center)
     w_dev = float(np.linalg.norm(w - problem.y_base))
     if w_dev > problem.radius_y + 1e-12:
         raise LocalityError(
             f"corrected target is {w_dev:.6g} from y_base, outside the image "
             f"ball {problem.radius_y:.6g}", bound=problem.radius_y)
-    radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
-    return _project_truncated(problem.finv(w), z_curr, radius, cfg,
-                              "iterate step")
+    return _project_truncated(problem.finv(w), center, radius, cfg, what)
 
 
 def solve(problem: GeneralizedEquation, cfg: IterationConfig,
@@ -271,16 +278,11 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
 
     z0 = initial_selection(problem, cfg, y - g_base)
 
-    # First corrector step carries the wider radius kappa*(1+kappa*lambda)*dev.
-    w1 = y - problem.g_value(z0)
-    w1_dev = float(np.linalg.norm(w1 - problem.y_base))
-    if w1_dev > problem.radius_y + 1e-12:
-        raise LocalityError(
-            f"corrected target is {w1_dev:.6g} from y_base, outside the image "
-            f"ball {problem.radius_y:.6g}", bound=problem.radius_y)
+    # The first corrector step carries the wider radius
+    # kappa*(1+kappa*lambda)*dev. It skips iterate_step's drift check, which
+    # cannot fire on z0: ||z0 - x_base|| <= kappa*dev <= radius_x/2 under tau.
     radius1 = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev
-    z1 = _project_truncated(problem.finv(w1), z0, radius1, cfg,
-                            "first corrector step")
+    z1 = _corrector_step(problem, cfg, y, z0, radius1, "first corrector step")
 
     increments = [float(np.linalg.norm(z1 - z0))]
     z_prev, z_curr = z0, z1

@@ -107,19 +107,6 @@ def split(problem: SmoothProblem) -> GeneralizedEquation:
         radius_graph=2.0 * problem.radius)
 
 
-def remainder_lip_profile(problem: SmoothProblem,
-                          radii: tuple = (0.1, 0.01, 0.001),
-                          samples: int = 1500, seed: int = 0) -> list:
-    """Sampled lip of the remainder at shrinking radii.
-
-    Strict differentiability itself is not checkable from an oracle; this
-    reports the observable consequence, a remainder modulus that decays with
-    the radius. Returns a list of ModulusEstimate rows.
-    """
-    return [lip_estimate(problem.remainder, problem.x_base, r,
-                         samples=samples, seed=seed) for r in radii]
-
-
 def config_for(problem: SmoothProblem, samples: int = 1500,
                seed: int = 0, tol: float = 1e-10,
                max_iter: int = 200) -> IterationConfig:
@@ -185,45 +172,3 @@ def augmented_jacobian(b) -> tuple[np.ndarray, bool]:
     j[:n, n:] = b.T
     j[n:, :n] = b
     return j, svd(j).surjective
-
-
-def calm_bound_linear(b, cross_check: bool = False, samples: int = 10000,
-                      seed: int = 0) -> float:
-    """Calmness bound 2/sigma_min for the selection of a linear surjection.
-
-    With cross_check=True the bound is validated against twice the sampled
-    sup of least-norm solutions over unit targets (adaptive cap sampling);
-    a mismatch beyond 5% raises.
-    """
-    b = as_matrix(b)
-    bound = 2.0 * reg_linear(b)
-    if not np.isfinite(bound):
-        return bound
-    if cross_check:
-        from .linalg import least_norm_solve  # local import to avoid cycle noise
-        m = b.shape[0]
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        best_dir = None
-        rounds = 4
-        per_round = max(1, samples // rounds)
-        cap = 1.0
-        for _ in range(rounds):
-            if best_dir is None:
-                dirs = rng.standard_normal((per_round, m))
-            else:
-                dirs = best_dir + cap * rng.standard_normal((per_round, m))
-            norms = np.linalg.norm(dirs, axis=1)
-            dirs = dirs[norms > 1e-12] / norms[norms > 1e-12, None]
-            sols = least_norm_solve(b, dirs.T)
-            vals = np.linalg.norm(sols, axis=0)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                best_dir = dirs[k]
-            cap *= 0.1
-        if abs(2.0 * best - bound) > 0.05 * bound:
-            raise RegularityError(
-                f"calm bound {bound:.6g} disagrees with sampled sup "
-                f"{2.0 * best:.6g}")
-    return float(bound)

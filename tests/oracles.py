@@ -69,6 +69,37 @@ def kkt_affine_project(op, rhs, x) -> np.ndarray:
     return x - op.T @ mult
 
 
+def pinv_apply(a, rhs) -> np.ndarray:
+    """Least-norm solution a^T (a a^T)^{-1} rhs through the normal equations.
+
+    ``a`` must have full row rank; ``rhs`` is a vector or stacked columns.
+    """
+    a = np.asarray(a, dtype=float)
+    return a.T @ np.linalg.solve(a @ a.T, np.asarray(rhs, dtype=float))
+
+
+def sampled_calm_bound(b, samples: int = 10000, seed: int = 0) -> float:
+    """Twice the sampled sup of ||x|| over least-norm solutions of b x = y,
+    ||y|| = 1: the calmness bound 2/sigma_min(b) from below.
+
+    Four rounds of unit targets; after the first, each round samples a
+    shrinking cap around the best target so far.
+    """
+    b = np.asarray(b, dtype=float)
+    rng = np.random.default_rng(seed)
+    per_round = max(1, samples // 4)
+    best, best_dir, cap = 0.0, np.zeros(b.shape[0]), 1.0
+    for _ in range(4):
+        dirs = best_dir + cap * rng.standard_normal((per_round, b.shape[0]))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        vals = np.linalg.norm(pinv_apply(b, dirs.T), axis=0)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_dir = float(vals[k]), dirs[k]
+        cap *= 0.1
+    return 2.0 * best
+
+
 def bisect_root(fn, lo: float, hi: float, tol: float = 1e-13,
                 max_iter: int = 200) -> float:
     """Root of a scalar function with a sign change on [lo, hi]."""

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ FIXTURES = {
                        "control_set": BOX_JSON, "mesh": 8},
     "counter.json": {"version": "1", "kind": "generalized",
                      "fixture": "lsc_counterexample"},
+    "hugemesh.json": {"version": "1", "kind": "control",
+                      "dynamics": "double_integrator",
+                      "control_set": BOX_JSON, "mesh": 10 ** 7},
 }
 
 
@@ -353,6 +357,26 @@ def test_verify_linear_factors_once(capsys, fdir, monkeypatch):
     assert calls == [(2, 2)]
 
 
+@pytest.mark.parametrize("name", ["smooth.json", "pert.json"])
+def test_verify_smooth_and_generalized_factor_once(capsys, fdir, monkeypatch,
+                                                   name):
+    # the smooth problem's fibre gives the image radius; the generalized
+    # file's fibre also serves lg_bound_check
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code, out, _ = run(capsys, "verify", "--input", str(fdir / name))
+    assert code == 0
+    assert calls == [(1, 1)]
+    if name == "pert.json":
+        assert out.splitlines()[3].startswith("perturbation-bound,")
+
+
 def test_verify_smooth_default_constant(capsys, fdir):
     code, out, _ = run(capsys, "verify", "--input", str(fdir / "smooth.json"))
     assert code == 0
@@ -436,3 +460,36 @@ def test_runs_are_byte_identical(capsys, fdir):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# resource caps: refused before any allocation, with exit 2
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (("verify", "--input", "diag.json", "--grid", "1000000"), "--grid",
+     "20000"),
+    # 143 x 143 after odd rounding: 20,449 points
+    (("verify", "--input", "diag.json", "--grid", "142"), "--grid", "20000"),
+    # one axis: 20,000 rounds up to 20,001 points
+    (("verify", "--input", "smooth.json", "--grid", "20000"), "--grid",
+     "20000"),
+    (("moduli", "--input", "pert.json", "--samples", "1000000000"),
+     "--samples", "1000000"),
+    (("sweep", "--input", "pert.json", "--target", "0.1",
+      "--grid", "1000000000"), "--grid", "10000"),
+    (("control", "--input", "dblint.json", "--target", "0.01,0",
+      "--grid", "1000000000"), "--grid", "10000"),
+    (("control", "--input", "dblint.json", "--target", "0.01,0",
+      "--mesh", "10000000"), "--mesh", "1024"),
+    (("control", "--input", "hugemesh.json", "--target", "0.01,0"),
+     "$.mesh", "1024"),
+])
+def test_resource_caps_refuse_fast(capsys, fdir, argv, flag, cap):
+    argv = (argv[0], argv[1], str(fdir / argv[2])) + argv[3:]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"regsel: input error: {flag}:")
+    assert cap in err

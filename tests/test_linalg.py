@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_singular_values, kkt_affine_project, power_norm
+from oracles import (jacobi_singular_values, kkt_affine_project, pinv_apply,
+                     power_norm)
 from regsel.errors import NumericBreakdownError, RegularityError, ShapeError
-from regsel.linalg import (as_matrix, as_vector, is_surjective,
-                           least_norm_solve, operator_norm, pinv_apply,
-                           pinv_matrix, sigma_min_surjective, svd)
+from regsel.linalg import (as_matrix, as_vector, least_norm_solve,
+                           operator_norm, svd)
+from regsel.moduli import reg_linear
 
 SQRT2 = np.sqrt(2.0)
 
@@ -53,7 +54,9 @@ def test_svd_reconstruction_and_orthonormal_factors(rows, cols, seed, scale):
     a = random_matrix(seed, rows, cols, scale)
     fac = svd(a)
     smax = fac.s[0] if fac.s.size else 0.0
-    assert fac.reconstruction_error(a) <= 1e-10 * (1.0 + smax)
+    k = fac.s.size
+    recon = (fac.u[:, :k] * fac.s) @ fac.vt[:k]
+    assert np.linalg.norm(recon - a) <= 1e-10 * (1.0 + smax)
     assert np.linalg.norm(fac.u.T @ fac.u - np.eye(rows)) <= 1e-10
     assert np.linalg.norm(fac.vt @ fac.vt.T - np.eye(cols)) <= 1e-10
     assert np.all(np.diff(fac.s) <= 0)
@@ -79,26 +82,29 @@ def test_operator_norm_rank_one_row():
 
 
 # ---------------------------------------------------------------------------
-# sigma_min_surjective / is_surjective
+# sigma_min and the surjectivity verdict
 
 
 def test_sigma_min_identity():
-    assert sigma_min_surjective(np.eye(2)) == pytest.approx(1.0, abs=1e-14)
+    assert svd(np.eye(2)).sigma_min == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sigma_min_rank_one_row():
-    assert sigma_min_surjective([[1.0, 1.0]]) == pytest.approx(SQRT2, abs=1e-14)
+    assert svd([[1.0, 1.0]]).sigma_min == pytest.approx(SQRT2, abs=1e-14)
 
 
 def test_sigma_min_rank_deficient_square():
-    a = [[1.0, 0.0], [2.0, 0.0]]
-    assert sigma_min_surjective(a) == pytest.approx(0.0, abs=1e-14)
-    assert not is_surjective(a)
+    fac = svd([[1.0, 0.0], [2.0, 0.0]])
+    assert fac.sigma_min == pytest.approx(0.0, abs=1e-14)
+    assert not fac.surjective
 
 
 def test_sigma_min_rejects_tall():
-    with pytest.raises(ShapeError):
-        sigma_min_surjective(np.ones((3, 2)))
+    # more rows than columns: sigma_min 0, never surjective, modulus +inf
+    fac = svd(np.ones((3, 2)))
+    assert fac.sigma_min == 0.0
+    assert not fac.surjective
+    assert reg_linear(np.ones((3, 2))) == float("inf")
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,8 +112,8 @@ def test_sigma_min_rejects_tall():
 def test_norm_and_sigma_scale_linearly(dim, seed, c):
     a = random_matrix(seed, dim, dim + 1)
     assert operator_norm(c * a) == pytest.approx(c * operator_norm(a), rel=1e-9)
-    assert sigma_min_surjective(c * a) == pytest.approx(
-        c * sigma_min_surjective(a), rel=1e-9)
+    assert svd(c * a).sigma_min == pytest.approx(c * svd(a).sigma_min,
+                                                 rel=1e-9)
 
 
 def test_jacobi_oracle_cross_check():
@@ -133,16 +139,18 @@ def test_factorization_answers_from_one_cutoff(a, rank):
     fac = svd(a)
     rows = a.shape[0]
     assert fac.rank == rank
-    assert fac.surjective == (rank == rows) == is_surjective(a)
+    assert fac.surjective == (rank == rows)
     if rows <= a.shape[1]:
-        assert fac.sigma_min == sigma_min_surjective(a)
+        assert fac.sigma_min == pytest.approx(
+            jacobi_singular_values(a)[rows - 1], abs=1e-14)
     else:
         assert fac.sigma_min == 0.0
     # least-norm solutions for right-hand sides in the range
     np.testing.assert_allclose(fac.right_inverse(),
                                np.linalg.pinv(a, rcond=1e-10), atol=1e-12)
     if fac.surjective:
-        np.testing.assert_array_equal(fac.right_inverse(), pinv_matrix(a))
+        np.testing.assert_allclose(fac.right_inverse(),
+                                   pinv_apply(a, np.eye(rows)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,7 @@ def test_least_norm_solves_and_is_minimal(rows, extra, seed):
     cols = rows + extra
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((rows, cols))
-    if not is_surjective(a):  # vanishing probability, but stay honest
+    if not svd(a).surjective:  # vanishing probability, but stay honest
         return
     rhs = rng.standard_normal(rows)
     x = least_norm_solve(a, rhs)
@@ -216,43 +224,53 @@ def test_least_norm_agrees_with_pinv_apply(rows, extra, seed):
         cols = rows
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((rows, cols))
-    if not is_surjective(a):
+    if not svd(a).surjective:
         return
     rhs = rng.standard_normal(rows)
+    # pinv_apply is the normal-equation reference in tests/oracles.py
     np.testing.assert_allclose(least_norm_solve(a, rhs), pinv_apply(a, rhs),
                                atol=1e-9 * (1.0 + np.linalg.norm(rhs)))
 
 
 # ---------------------------------------------------------------------------
-# pinv_apply / pinv_matrix
+# the least-norm right inverse, against the normal-equation reference
 
 
 def test_pinv_apply_scalar_inverse():
-    np.testing.assert_allclose(pinv_apply([[3.0]], [6.0]), [2.0], atol=1e-14)
+    np.testing.assert_allclose(least_norm_solve([[3.0]], [6.0]), [2.0],
+                               atol=1e-14)
+    np.testing.assert_allclose(svd([[3.0]]).right_inverse() @ [6.0], [2.0],
+                               atol=1e-14)
 
 
 def test_pinv_apply_symmetric_row():
+    np.testing.assert_allclose(least_norm_solve([[1.0, 1.0]], [2.0]),
+                               [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(pinv_apply([[1.0, 1.0]], [2.0]), [1.0, 1.0],
                                atol=1e-12)
 
 
 def test_pinv_apply_permutation_swaps():
     perm = [[0.0, 1.0], [1.0, 0.0]]
+    right = svd(perm).right_inverse()
     rng = np.random.default_rng(0)
     for _ in range(5):
         ab = rng.standard_normal(2)
-        np.testing.assert_allclose(pinv_apply(perm, ab), ab[::-1], atol=1e-13)
+        np.testing.assert_allclose(least_norm_solve(perm, ab), ab[::-1],
+                                   atol=1e-13)
+        np.testing.assert_allclose(right @ ab, ab[::-1], atol=1e-13)
 
 
 def test_pinv_matrix_is_right_inverse():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((3, 6))
-    p = pinv_matrix(a)
+    p = svd(a).right_inverse()
     np.testing.assert_allclose(a @ p, np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(p, pinv_apply(a, np.eye(3)), atol=1e-10)
 
 
 def test_pinv_rejects_non_surjective():
     with pytest.raises(RegularityError):
-        pinv_apply([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
-    with pytest.raises(RegularityError):
-        pinv_matrix([[0.0, 0.0]])
+        least_norm_solve([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+    assert not svd([[0.0, 0.0]]).surjective
+    assert reg_linear([[0.0, 0.0]]) == float("inf")

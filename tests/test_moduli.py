@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import aubin_pair_scan, sampled_fibre
+from regsel.convex import AffineSet
 from regsel.errors import ContractError, ShapeError
 from regsel.linalg import least_norm_solve
 from regsel.moduli import (CSV_HEADER, CheckReport, ModulusEstimate,
                            SampledMapping, _row_norms, _sample_graph,
-                           clm_estimate, counterexample_mapping, csv_report,
+                           clm_estimate, counterexample_mapping,
                            lg_bound_check, lip_estimate, lsc_probe,
                            reg_linear, regularity_report, sampled_reg,
                            truncated_counterexample, verify_aubin,
@@ -407,6 +408,22 @@ def test_lg_bound_zero_perturbation_recovers_linear_reg():
     assert rep.worst_ratio == pytest.approx(reg_linear(m), rel=1e-9)
 
 
+def test_lg_bound_reads_an_affine_set_without_factoring(monkeypatch):
+    m = np.array([[2.0, 0.0], [0.0, 0.5]])
+    args = (lambda x: 0.3 * np.sin(x), [0.0, 0.0])
+    kwargs = dict(kappa=2.1, lam=0.32, radius=0.5, grid=7, samples=200)
+    from_matrix = lg_bound_check(m, *args, **kwargs)
+    fibre = AffineSet(m, np.zeros(2))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    from_fibre = lg_bound_check(fibre, *args, **kwargs)
+    assert calls == []
+    assert from_fibre[0].csv_row() == from_matrix[0].csv_row()
+    assert from_fibre[1].csv_row() == from_matrix[1].csv_row()
+
+
 def test_lg_bound_rejects_kappa_below_linear_reg():
     rot = 0.9 * np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ContractError, match="kappa"):
@@ -508,12 +525,8 @@ def test_check_report_csv_row_has_verdict():
 
 
 def test_csv_report_shape_and_header():
-    est = ModulusEstimate(kind="clm", value=2.0)
-    text = csv_report([est, est])
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
-    assert text.endswith("\n")
-    # unset radius and samples serialize as empty fields
-    assert lines[1].split(",")[2] == ""
-    assert lines[1].split(",")[3] == ""
+    # a row has one field per header column; unset radius and samples
+    # serialize as empty fields
+    row = ModulusEstimate(kind="clm", value=2.0).csv_row()
+    assert row == "clm,2,,,0,,"
+    assert len(row.split(",")) == len(CSV_HEADER.split(","))

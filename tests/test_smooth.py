@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import pinv_apply, sampled_calm_bound
 from regsel.errors import ContractError, RegularityError, ShapeError
-from regsel.linalg import least_norm_solve, pinv_matrix
+from regsel.linalg import least_norm_solve
+from regsel.moduli import lip_estimate, reg_linear
 from regsel.selection import compute_tau, sweep
-from regsel.smooth import (SmoothProblem, augmented_jacobian,
-                           calm_bound_linear, config_for, derivative_check,
-                           remainder_lip_profile, smooth_selection, split)
+from regsel.smooth import (SmoothProblem, augmented_jacobian, config_for,
+                           derivative_check, smooth_selection, split)
 
 B_WIDE = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
 
@@ -99,8 +100,8 @@ def test_remainder_profile_decays_with_radius():
     # f(x) = x + x^2/2: the remainder x^2/2 has lip about r on a ball of
     # radius r
     p = SmoothProblem(f=lambda x: x + 0.5 * x ** 2, x_base=[0.0])
-    rows = remainder_lip_profile(p, radii=(0.1, 0.01, 0.001))
-    vals = [r.value for r in rows]
+    vals = [lip_estimate(p.remainder, p.x_base, r, samples=1500).value
+            for r in (0.1, 0.01, 0.001)]
     for v, r in zip(vals, (0.1, 0.01, 0.001)):
         assert 0.8 * r <= v <= 1.05 * r
     assert vals[0] > vals[1] > vals[2]
@@ -177,7 +178,7 @@ def test_derivative_check_linear():
     p = linear_problem()
     j_fd, dev = derivative_check(p)
     assert dev <= 1e-8
-    np.testing.assert_allclose(j_fd, pinv_matrix(B_WIDE), atol=1e-8)
+    np.testing.assert_allclose(j_fd, pinv_apply(B_WIDE, np.eye(2)), atol=1e-8)
 
 
 def test_derivative_check_scalar_double_map():
@@ -220,19 +221,27 @@ def test_augmented_jacobian_detects_rank_loss():
     assert not ok
 
 
+# The selection of a linear surjection B is calm with constant
+# 2 * reg_linear(B) = 2 / sigma_min(B).
+
+
 def test_calm_bound_linear_values():
-    assert calm_bound_linear(np.eye(2)) == pytest.approx(2.0)
-    assert calm_bound_linear([[2.0, 0.0], [0.0, 0.5]]) == pytest.approx(4.0)
-    assert calm_bound_linear([[1.0, 1.0]]) == pytest.approx(np.sqrt(2.0))
+    assert 2.0 * reg_linear(np.eye(2)) == pytest.approx(2.0)
+    assert 2.0 * reg_linear([[2.0, 0.0], [0.0, 0.5]]) == pytest.approx(4.0)
+    assert 2.0 * reg_linear([[1.0, 1.0]]) == pytest.approx(np.sqrt(2.0))
 
 
 def test_calm_bound_linear_cross_check():
-    val = calm_bound_linear([[2.0, 0.0], [0.0, 0.5]], cross_check=True)
-    assert val == pytest.approx(4.0)
+    # the sampled sup approaches the bound from below, within 5%
+    for b in ([[2.0, 0.0], [0.0, 0.5]], B_WIDE):
+        bound = 2.0 * reg_linear(b)
+        sampled = sampled_calm_bound(b)
+        assert 0.95 * bound <= sampled <= bound * (1.0 + 1e-9)
+    assert 2.0 * reg_linear([[2.0, 0.0], [0.0, 0.5]]) == pytest.approx(4.0)
 
 
 def test_calm_bound_linear_non_surjective():
-    assert calm_bound_linear([[1.0, 0.0], [1.0, 0.0]]) == float("inf")
+    assert 2.0 * reg_linear([[1.0, 0.0], [1.0, 0.0]]) == float("inf")
 
 
 def test_sweep_respects_linear_calm_bound():
@@ -243,4 +252,4 @@ def test_sweep_respects_linear_calm_bound():
     ys = [[v] for v in np.linspace(-0.8 * tau, 0.8 * tau, 21)]
     res = sweep(ge, cfg, ys)
     assert all(r.error == "" for r in res.rows)
-    assert res.empirical_clm <= calm_bound_linear(p.base_jacobian) + 1e-3
+    assert res.empirical_clm <= 2.0 * reg_linear(p.base_fibre) + 1e-3
