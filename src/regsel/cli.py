@@ -436,6 +436,11 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         out.line(CSV_HEADER)
         out.line(f"lsc-probe,{tail},,,,{probe.verdict},{witness}")
         return EXIT_OK
+    if pf.constraint is not None:
+        raise ProblemFileError(
+            "$.constraint: verify samples x -> M x alone and cannot judge the "
+            "constrained mapping that solve uses; remove the constraint to "
+            "verify the unconstrained one")
     if pf.kind in ("linear", "generalized"):
         mat = pf.matrix
         grid = _verify_grid(args, mat.shape[1])

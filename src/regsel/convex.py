@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ContractError, InfeasibilitySuspectedError, ShapeError
 from .linalg import as_matrix, as_vector, svd
@@ -210,6 +209,8 @@ class Halfspaces(ConvexSet):
         return bool(np.max(viol) <= tol)
 
     def support(self, d):
+        from scipy.optimize import linprog  # deferred: ~0.6 s to import
+
         d = as_vector(d, dim=self.dim)
         res = linprog(-d, A_ub=self.normals, b_ub=self.offsets,
                       bounds=[(None, None)] * self.dim, method="highs")
@@ -268,6 +269,8 @@ class Intersection(ConvexSet):
         return max(m.distance(x) for m in self.members)
 
     def support(self, d):
+        from scipy.optimize import linprog  # deferred: ~0.6 s to import
+
         d = as_vector(d, dim=self.dim)
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         lo = np.full(self.dim, -np.inf)

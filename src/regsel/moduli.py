@@ -25,6 +25,7 @@ would: the first pair in the order of the test values wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -125,10 +126,24 @@ def reg_linear(op) -> float:
 # sampled lip / clm
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector; the same bits as np.linalg.norm."""
+    return math.sqrt(v.dot(v))
+
+
+def _oracle_vector(v) -> np.ndarray:
+    """as_vector for an oracle's value; a 1-D float64 array needs only the
+    finiteness check."""
+    if (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1
+            and v.size and np.isfinite(v).all()):
+        return v
+    return as_vector(v)
+
+
 def _draw_in_ball(rng, center: np.ndarray, radius: float) -> np.ndarray:
     d = center.size
     v = rng.standard_normal(d)
-    n = np.linalg.norm(v)
+    n = _norm(v)
     u = v / n if n > 0 else np.eye(d)[0]
     r = rng.random() ** (1.0 / d)
     return center + radius * r * u
@@ -136,7 +151,7 @@ def _draw_in_ball(rng, center: np.ndarray, radius: float) -> np.ndarray:
 
 def _clip_ball(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     delta = p - center
-    n = np.linalg.norm(delta)
+    n = _norm(delta)
     if n <= radius:
         return p
     return center + delta * (radius / n)
@@ -152,24 +167,30 @@ _SCALE_CYCLE = 28
 _MIN_GAP_FRAC = 1e-7
 
 
+def _refine_steps(radius: float) -> list[float]:
+    """Proposal step lengths, radius * 2^-k for each k of the scale cycle."""
+    return [2.0 ** (-k) * radius for k in range(_SCALE_CYCLE)]
+
+
 def _sup_center_quotient(f, center, radius, samples, seed):
     """sup ||f(x)-f(center)|| / ||x-center|| over a sampled ball."""
     rng = np.random.default_rng(seed)
     fc = as_vector(f(center))
     d = center.size
+    steps = _refine_steps(radius)
+    min_gap = _MIN_GAP_FRAC * radius
     best_q = -np.inf
     best_x = None
     for i in range(samples):
         if i % 3 != 0 and best_x is not None:
-            scale = 2.0 ** (-((i // 3) % _SCALE_CYCLE))
-            x = _clip_ball(best_x + scale * radius * rng.standard_normal(d),
-                           center, radius)
+            step = steps[(i // 3) % _SCALE_CYCLE]
+            x = _clip_ball(best_x + step * rng.standard_normal(d), center, radius)
         else:
             x = _draw_in_ball(rng, center, radius)
-        gap = np.linalg.norm(x - center)
-        if gap < _MIN_GAP_FRAC * radius:
+        gap = _norm(x - center)
+        if gap < min_gap:
             continue
-        q = np.linalg.norm(as_vector(f(x)) - fc) / gap
+        q = _norm(_oracle_vector(f(x)) - fc) / gap
         if q > best_q:
             best_q, best_x = q, x
     if best_x is None:
@@ -181,22 +202,22 @@ def _sup_pair_quotient(f, center, radius, samples, seed):
     """sup ||f(x)-f(x')|| / ||x-x'|| over sampled pairs in a ball."""
     rng = np.random.default_rng(seed)
     d = center.size
+    steps = _refine_steps(radius)
+    min_gap = _MIN_GAP_FRAC * radius
     best_q = -np.inf
     best_pair = None
     for i in range(samples):
         if i % 3 != 0 and best_pair is not None:
-            scale = 2.0 ** (-((i // 3) % _SCALE_CYCLE))
-            x = _clip_ball(best_pair[0] + scale * radius * rng.standard_normal(d),
-                           center, radius)
-            xp = _clip_ball(best_pair[1] + scale * radius * rng.standard_normal(d),
-                            center, radius)
+            step = steps[(i // 3) % _SCALE_CYCLE]
+            x = _clip_ball(best_pair[0] + step * rng.standard_normal(d), center, radius)
+            xp = _clip_ball(best_pair[1] + step * rng.standard_normal(d), center, radius)
         else:
             x = _draw_in_ball(rng, center, radius)
             xp = _draw_in_ball(rng, center, radius)
-        gap = np.linalg.norm(x - xp)
-        if gap < _MIN_GAP_FRAC * radius:
+        gap = _norm(x - xp)
+        if gap < min_gap:
             continue
-        q = np.linalg.norm(as_vector(f(x)) - as_vector(f(xp))) / gap
+        q = _norm(_oracle_vector(f(x)) - _oracle_vector(f(xp))) / gap
         if q > best_q:
             best_q, best_pair = q, (x, xp)
     if best_pair is None:

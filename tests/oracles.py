@@ -257,3 +257,93 @@ def aubin_pair_scan(pts, gy, gx_idx, y_test, kappa: float,
             if dists[j] > kappa * gap_y * (1.0 + rtol) + atol:
                 ok = False
     return ok, worst, witness
+
+
+def control_membership_loop(control_set, controls, tol: float):
+    """First interval whose control ``contains`` rejects, one call per
+    interval (the loop ``regsel.control.steer`` used to run); None when all
+    pass."""
+    for i in range(controls.shape[0]):
+        if not control_set.contains(controls[i], tol=tol):
+            return i
+    return None
+
+
+# The sampled-quotient loops of regsel.moduli as they were before their
+# per-sample overhead was trimmed: np.linalg.norm and as_vector on every
+# sample. The trimmed loops must reproduce them bit for bit.
+_SCALE_CYCLE = 28
+_MIN_GAP_FRAC = 1e-7
+
+
+def _draw_in_ball(rng, center, radius):
+    d = center.size
+    v = rng.standard_normal(d)
+    n = np.linalg.norm(v)
+    u = v / n if n > 0 else np.eye(d)[0]
+    r = rng.random() ** (1.0 / d)
+    return center + radius * r * u
+
+
+def _clip_ball(p, center, radius):
+    delta = p - center
+    n = np.linalg.norm(delta)
+    if n <= radius:
+        return p
+    return center + delta * (radius / n)
+
+
+def sup_center_quotient_loop(f, center, radius, samples, seed):
+    """sup ||f(x)-f(center)|| / ||x-center|| over a sampled ball."""
+    from regsel.linalg import as_vector
+
+    rng = np.random.default_rng(seed)
+    fc = as_vector(f(center))
+    d = center.size
+    best_q = -np.inf
+    best_x = None
+    for i in range(samples):
+        if i % 3 != 0 and best_x is not None:
+            scale = 2.0 ** (-((i // 3) % _SCALE_CYCLE))
+            x = _clip_ball(best_x + scale * radius * rng.standard_normal(d),
+                           center, radius)
+        else:
+            x = _draw_in_ball(rng, center, radius)
+        gap = np.linalg.norm(x - center)
+        if gap < _MIN_GAP_FRAC * radius:
+            continue
+        q = np.linalg.norm(as_vector(f(x)) - fc) / gap
+        if q > best_q:
+            best_q, best_x = q, x
+    if best_x is None:
+        return 0.0, (center,)
+    return float(best_q), (best_x, center)
+
+
+def sup_pair_quotient_loop(f, center, radius, samples, seed):
+    """sup ||f(x)-f(x')|| / ||x-x'|| over sampled pairs in a ball."""
+    from regsel.linalg import as_vector
+
+    rng = np.random.default_rng(seed)
+    d = center.size
+    best_q = -np.inf
+    best_pair = None
+    for i in range(samples):
+        if i % 3 != 0 and best_pair is not None:
+            scale = 2.0 ** (-((i // 3) % _SCALE_CYCLE))
+            x = _clip_ball(best_pair[0] + scale * radius * rng.standard_normal(d),
+                           center, radius)
+            xp = _clip_ball(best_pair[1] + scale * radius * rng.standard_normal(d),
+                            center, radius)
+        else:
+            x = _draw_in_ball(rng, center, radius)
+            xp = _draw_in_ball(rng, center, radius)
+        gap = np.linalg.norm(x - xp)
+        if gap < _MIN_GAP_FRAC * radius:
+            continue
+        q = np.linalg.norm(as_vector(f(x)) - as_vector(f(xp))) / gap
+        if q > best_q:
+            best_q, best_pair = q, (x, xp)
+    if best_pair is None:
+        return 0.0, (center, center)
+    return float(best_q), best_pair

@@ -1,10 +1,12 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regsel.cli import main
+from regsel.moduli import CSV_HEADER
 
 BOX_JSON = {"type": "box", "lower": [-1.0], "upper": [1.0]}
 
@@ -433,6 +435,21 @@ def test_verify_rejects_control_files(capsys, fdir):
     code, _, err = run(capsys, "verify", "--input", str(fdir / "dblint.json"))
     assert code == 2
     assert "control" in err
+
+
+def test_verify_refuses_a_constrained_generalized_file(capsys, tmp_path):
+    committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+    payload = json.loads((committed / "generalized.json").read_text())
+    payload["constraint"] = {"type": "box", "lower": [0.0], "upper": [0.01]}
+    path = tmp_path / "constrained.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "$.constraint" in err and "constrained mapping" in err
+    code, out, _ = run(capsys, "verify", "--input", str(committed / "generalized.json"))
+    assert code == 0
+    assert out.startswith(CSV_HEADER + "\n")
 
 
 # ---------------------------------------------------------------------------

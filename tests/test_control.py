@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import (collocation_remainder_loop, trapezoid_residual,
-                     transported_calm_bound_dense)
+from oracles import (collocation_remainder_loop, control_membership_loop,
+                     trapezoid_residual, transported_calm_bound_dense)
 from regsel import control
 from regsel.control import (ControlProblem, DiscretizedSystem, calm_sweep,
                             endpoint_order_ratios, kalman_rank, linearize,
@@ -402,6 +402,61 @@ def test_steer_unreachable_target_names_the_constraint():
                        match="no preimage under the constraint") as info:
         steer(double_integrator(mesh=8), b=[0.3, 0.0])
     assert "kappa" not in str(info.value)
+
+
+# Control sets with their vertices in counter-clockwise order: the box
+# [-1, 1] x [-0.5, 2] and a triangle written as halfspaces.
+MEMBERSHIP_SETS = {
+    "box": (Box([-1.0, -0.5], [1.0, 2.0]),
+            [(-1.0, -0.5), (1.0, -0.5), (1.0, 2.0), (-1.0, 2.0)]),
+    "halfspaces": (Halfspaces([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 1.0]),
+                   [(-1.0, -1.0), (2.0, -1.0), (-1.0, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SETS))
+def test_control_membership_matches_the_interval_loop(name):
+    # interior controls, with a few rows pushed off a face along its outward
+    # normal by just under or just over the tolerance (or well past it)
+    control_set, vertices = MEMBERSHIP_SETS[name]
+    verts = np.array(vertices)
+    faces = [(verts[k], verts[(k + 1) % len(verts)]) for k in range(len(verts))]
+    tol = control.CONTROL_MEMBERSHIP_TOL
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(300):
+        weights = rng.dirichlet(np.ones(len(verts)), size=24)
+        controls = 0.9 * weights @ verts + 0.1 * verts.mean(axis=0)
+        for i in rng.choice(24, size=int(rng.integers(0, 4)), replace=False):
+            start, end = faces[int(rng.integers(len(faces)))]
+            edge = end - start
+            outward = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
+            push = tol * rng.choice([0.5, 0.999, 1.001, 3.0])
+            controls[i] = start + rng.uniform(0.1, 0.9) * edge + push * outward
+        want = control_membership_loop(control_set, controls, tol)
+        assert control._first_inadmissible(control_set, controls) == want
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_steer_names_the_first_inadmissible_interval(monkeypatch):
+    # a trajectory that meets the dynamics exactly with controls 1.5 (outside
+    # the unit box) from interval 5 on
+    p = double_integrator(mesh=16)
+    setup = steering_setup(p)
+    big_n, n = 16, 2
+    nx = n * big_n
+    u = np.where(np.arange(big_n) >= 5, 1.5, 0.2) / np.sqrt(big_n)
+    density = setup.operator[:nx]
+    x = np.linalg.solve(density[:, :nx], -density[:, nx:] @ u)
+    scaled = np.concatenate([x, u])
+    controls = (u * np.sqrt(big_n)).reshape(big_n, 1)
+    assert control_membership_loop(p.control_set, controls,
+                                   control.CONTROL_MEMBERSHIP_TOL) == 5
+    monkeypatch.setattr(control, "solve", lambda *args: (scaled, None))
+    with pytest.raises(NumericBreakdownError,
+                       match="^control value at interval 5 leaves the admissible set$"):
+        steer(p, b=[0.04, 0.0], setup=setup)
 
 
 def test_steer_requires_target():

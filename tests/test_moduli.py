@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import aubin_pair_scan, sampled_fibre
+from oracles import (aubin_pair_scan, sampled_fibre, sup_center_quotient_loop,
+                     sup_pair_quotient_loop)
+from regsel import moduli
 from regsel.convex import AffineSet
 from regsel.errors import ContractError, ShapeError
 from regsel.linalg import least_norm_solve
@@ -14,6 +18,8 @@ from regsel.moduli import (CSV_HEADER, CheckReport, ModulusEstimate,
                            reg_linear, regularity_report, sampled_reg,
                            truncated_counterexample, verify_aubin,
                            verify_metric_regularity)
+from regsel.problems import load_problem
+from regsel.smooth import SmoothProblem
 from test_acceptance import criterion_09_cases
 
 
@@ -156,6 +162,65 @@ def test_sampled_estimates_validate_inputs():
         clm_estimate(lambda x: x, [0.0], -1.0)
     with pytest.raises(ContractError):
         lip_estimate(lambda x: x, [0.0], 1.0, samples=0)
+
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+
+
+def sampler_maps():
+    """(name, f, center, radius): the committed generalized perturbation and
+    smooth remainder, a 3-D sin map, and oracles whose values are not 1-D
+    float64 arrays, which go through as_vector."""
+    gen = load_problem(str(PROBLEMS / "generalized.json"))
+    sm = load_problem(str(PROBLEMS / "smooth.json"))
+    smooth = SmoothProblem(f=sm.smooth_map, x_base=sm.base,
+                           jacobian=sm.smooth_map.jacobian, radius=sm.radius)
+    return [
+        ("perturbation", gen.perturbation, gen.base_x, gen.radius_x),
+        ("remainder", smooth.remainder, sm.base, sm.radius),
+        ("sin3", lambda x: np.sin(x) * np.array([1.0, 2.0, 0.5]) + x[::-1] ** 2,
+         np.array([0.1, -0.2, 0.3]), 0.7),
+        ("scalar", lambda x: float(np.tanh(x[0] - x[1])), np.zeros(2), 0.5),
+        ("list", lambda x: [x[0] ** 2, 1], np.array([0.3]), 0.2),
+        ("float32", lambda x: (2.0 * x).astype(np.float32), np.zeros(2), 1.0),
+    ]
+
+
+SAMPLER_MAPS = sampler_maps()
+
+
+@pytest.mark.parametrize("name,f,center,radius", SAMPLER_MAPS,
+                         ids=[m[0] for m in SAMPLER_MAPS])
+@pytest.mark.parametrize("seed", range(5))
+def test_sampler_loops_match_the_reference_bit_for_bit(name, f, center, radius, seed):
+    for fast, reference in ((moduli._sup_pair_quotient, sup_pair_quotient_loop),
+                            (moduli._sup_center_quotient, sup_center_quotient_loop)):
+        calls = [0, 0]
+
+        def counted(slot):
+            def g(x):
+                calls[slot] += 1
+                return f(x)
+            return g
+
+        value, witness = fast(counted(0), center, radius, 400, seed)
+        want_value, want_witness = reference(counted(1), center, radius, 400, seed)
+        assert type(value) is float and value == want_value
+        assert len(witness) == len(want_witness)
+        for got, want in zip(witness, want_witness):
+            assert got.tobytes() == want.tobytes()
+        assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize("estimate", [lip_estimate, clm_estimate])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampler_rejects_non_finite_oracle_values(estimate, bad):
+    # finite at the center, non-finite on half the ball
+    def f(x):
+        return np.array([bad, 1.0]) if x[0] > 0 else np.array([0.0, 1.0])
+
+    with pytest.raises(ShapeError, match="non-finite"):
+        estimate(f, [0.0], 1.0, samples=10)
 
 
 # ---------------------------------------------------------------------------
