@@ -297,23 +297,6 @@ def _unscale(scaled: np.ndarray, sys: DiscretizedSystem) -> tuple[np.ndarray, np
     return states, controls
 
 
-def _first_inadmissible(control_set: Box | Halfspaces,
-                        controls: np.ndarray) -> int | None:
-    """First interval whose control (a row of the (N, m) ``controls``) is
-    outside the control set by more than CONTROL_MEMBERSHIP_TOL, measured
-    as ``contains`` measures one control; None when all are admissible."""
-    if isinstance(control_set, Box):
-        gap = np.maximum(0.0, np.maximum(control_set.lower - controls,
-                                         controls - control_set.upper))
-        excess = np.linalg.norm(gap, axis=1)
-    else:
-        rows = control_set.normals
-        excess = np.max((controls @ rows.T - control_set.offsets)
-                        / np.linalg.norm(rows, axis=1), axis=1)
-    bad = np.flatnonzero(~(excess <= CONTROL_MEMBERSHIP_TOL))  # nan fails too
-    return int(bad[0]) if bad.size else None
-
-
 @dataclass
 class SteeringSetup:
     """Precomputed steering data shared across queries on one problem."""
@@ -501,10 +484,11 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
     if not residual <= DYNAMICS_RESIDUAL_TOL:  # a nan gap fails too
         raise NumericBreakdownError(
             f"trajectory violates the discretized dynamics by {residual:.3e}")
-    i = _first_inadmissible(problem.control_set, controls)
-    if i is not None:
+    violation = problem.control_set.violation(controls)
+    bad = np.flatnonzero(~(violation <= CONTROL_MEMBERSHIP_TOL))  # nan fails too
+    if bad.size:
         raise NumericBreakdownError(
-            f"control value at interval {i} leaves the admissible set")
+            f"control value at interval {bad[0]} leaves the admissible set")
 
     norm_b = float(np.linalg.norm(b))
     ratio = _trajectory_norms(states, controls, sys.mesh_size) / norm_b if norm_b > 0 else 0.0

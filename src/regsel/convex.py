@@ -14,7 +14,7 @@ import copy
 import numpy as np
 
 from .errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from .linalg import as_matrix, as_vector, svd
+from .linalg import as_matrix, as_vector, row_norms, svd
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 10000
@@ -121,8 +121,13 @@ class Box(ConvexSet):
 
     def distance(self, x):
         x = as_vector(x, dim=self.dim)
-        viol = np.maximum(0.0, np.maximum(self.lower - x, x - self.upper))
-        return float(np.linalg.norm(viol))
+        return float(self.violation(x[None, :])[0])
+
+    def violation(self, points):
+        """Distance of each row of the (k, dim) points to the box, the norm of
+        its clamped excess; ``contains`` tests one point by this rule."""
+        p = _point_rows(points, self.dim)
+        return row_norms(np.maximum(0.0, np.maximum(self.lower - p, p - self.upper)))
 
     def support(self, d):
         d = as_vector(d, dim=self.dim)
@@ -130,6 +135,15 @@ class Box(ConvexSet):
         # a free coordinate the direction does not see adds 0, not inf * 0
         bound[(d == 0) & np.isinf(bound)] = 0.0
         return float(np.sum(bound * d))
+
+
+def _point_rows(points, dim: int) -> np.ndarray:
+    """(k, dim) float64 array of points, one per row; non-finite entries are
+    kept, so a nan row fails every ``violation(...) <= tol`` test."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != dim:
+        raise ShapeError(f"expected points as rows of length {dim}, got shape {p.shape}")
+    return p
 
 
 def _bound_vector(x, dim: int | None = None) -> np.ndarray:
@@ -205,8 +219,17 @@ class Halfspaces(ConvexSet):
 
     def contains(self, x, tol: float = 1e-9):
         x = as_vector(x, dim=self.dim)
-        viol = (self.normals @ x - self.offsets) / self._row_norms
-        return bool(np.max(viol) <= tol)
+        return bool(self.violation(x[None, :])[0] <= tol)
+
+    def violation(self, points):
+        """Largest normalized excess ``(n_i . p - c_i) / |n_i|`` of each row
+        ``p`` of the (k, dim) points, negative inside; ``contains`` tests one
+        point by this rule."""
+        p = _point_rows(points, self.dim)
+        # one (1, dim) @ (dim, rows) product per point, whatever their number,
+        # so a point gets the same bits alone (contains) as in a batch
+        products = np.matmul(p[:, None, :], self.normals.T)[:, 0, :]
+        return np.max((products - self.offsets) / self._row_norms, axis=1)
 
     def support(self, d):
         from scipy.optimize import linprog  # deferred: ~0.6 s to import

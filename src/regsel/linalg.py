@@ -31,7 +31,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ShapeError(f"expected a vector, got array of shape {v.shape}")
     if v.size == 0:
         raise ShapeError("expected a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ShapeError("vector has non-finite entries")
     if dim is not None and v.size != dim:
         raise ShapeError(f"expected a vector of length {dim}, got {v.size}")
@@ -45,7 +45,7 @@ def as_matrix(a) -> np.ndarray:
         raise ShapeError(f"expected a matrix, got array of shape {m.shape}")
     if m.size == 0:
         raise ShapeError("expected a nonempty matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ShapeError("matrix has non-finite entries")
     return m
 
@@ -99,6 +99,13 @@ def svd(a) -> SvdFactorization:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericBreakdownError(f"SVD failed: {exc}") from exc
     return SvdFactorization(u=u, s=s, vt=vt)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, with the bits np.linalg.norm gives one
+    row: matmul's 1x1 core goes through the same dot kernel, while
+    (rows**2).sum(axis=1) differs from it in the last bit on many rows."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def operator_norm(a) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import convex
 from .errors import ContractError, ShapeError
-from .linalg import as_matrix, as_vector, svd
+from .linalg import as_matrix, as_vector, row_norms, svd
 
 # Relative slack used when comparing sampled distances against kappa times
 # sampled distances; absorbs roundoff in grid arithmetic.
@@ -131,15 +131,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _oracle_vector(v) -> np.ndarray:
-    """as_vector for an oracle's value; a 1-D float64 array needs only the
-    finiteness check."""
-    if (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1
-            and v.size and np.isfinite(v).all()):
-        return v
-    return as_vector(v)
-
-
 def _draw_in_ball(rng, center: np.ndarray, radius: float) -> np.ndarray:
     d = center.size
     v = rng.standard_normal(d)
@@ -190,7 +181,7 @@ def _sup_center_quotient(f, center, radius, samples, seed):
         gap = _norm(x - center)
         if gap < min_gap:
             continue
-        q = _norm(_oracle_vector(f(x)) - fc) / gap
+        q = _norm(as_vector(f(x)) - fc) / gap
         if q > best_q:
             best_q, best_x = q, x
     if best_x is None:
@@ -217,7 +208,7 @@ def _sup_pair_quotient(f, center, radius, samples, seed):
         gap = _norm(x - xp)
         if gap < min_gap:
             continue
-        q = _norm(_oracle_vector(f(x)) - _oracle_vector(f(xp))) / gap
+        q = _norm(as_vector(f(x)) - as_vector(f(xp))) / gap
         if q > best_q:
             best_q, best_pair = q, (x, xp)
     if best_pair is None:
@@ -430,13 +421,6 @@ def verify_metric_regularity(mapping: SampledMapping, kappa: float,
     return regularity_report(sampled_reg(mapping, grid), kappa)
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # matmul's 1x1 core goes through the same dot kernel as
-    # np.linalg.norm on a 1-D vector; (rows**2).sum(axis=1) differs from it
-    # in the last bit on many rows, which moves witnesses among ties.
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-
-
 def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     """Check the Aubin inequality for the inverse of the sampled graph.
 
@@ -481,7 +465,7 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
             j = np.argmax(d_to, axis=0)
             d_far = d_to.max(axis=0)
             prev_idx = idx
-        gap_y = _row_norms(y_from - y_test)
+        gap_y = row_norms(y_from - y_test)
         # gap 0 only at y' itself: the test values are distinct
         valid = gap_y > 0.0
         ratios = np.divide(d_far, gap_y, out=np.full(gap_y.shape, -np.inf),

@@ -260,11 +260,19 @@ def aubin_pair_scan(pts, gy, gx_idx, y_test, kappa: float,
 
 
 def control_membership_loop(control_set, controls, tol: float):
-    """First interval whose control ``contains`` rejects, one call per
-    interval (the loop ``regsel.control.steer`` used to run); None when all
-    pass."""
-    for i in range(controls.shape[0]):
-        if not control_set.contains(controls[i], tol=tol):
+    """First interval whose control is outside the set by more than ``tol``,
+    one control at a time by the rules ``Box.distance`` (norm of the clamped
+    excess) and ``Halfspaces.contains`` (largest normalized row excess) used
+    before both moved to a batched ``violation``; None when all pass."""
+    for i, u in enumerate(controls):
+        if hasattr(control_set, "normals"):
+            rows = control_set.normals
+            excess = np.max((rows @ u - control_set.offsets)
+                            / np.linalg.norm(rows, axis=1))
+        else:
+            excess = np.linalg.norm(np.maximum(
+                0.0, np.maximum(control_set.lower - u, u - control_set.upper)))
+        if not excess <= tol:
             return i
     return None
 

@@ -434,7 +434,11 @@ def test_control_membership_matches_the_interval_loop(name):
             push = tol * rng.choice([0.5, 0.999, 1.001, 3.0])
             controls[i] = start + rng.uniform(0.1, 0.9) * edge + push * outward
         want = control_membership_loop(control_set, controls, tol)
-        assert control._first_inadmissible(control_set, controls) == want
+        admitted = control_set.violation(controls) <= tol
+        bad = np.flatnonzero(~admitted)
+        assert (int(bad[0]) if bad.size else None) == want
+        # contains applies the same rule to one control
+        assert [control_set.contains(u, tol=tol) for u in controls] == admitted.tolist()
         seen.add(want is None)
     assert seen == {True, False}
 

@@ -53,6 +53,8 @@ def test_cli_commands_load_no_scipy():
         ["verify", "--input", str(PROBLEMS / "generalized.json")],
         ["solve", "--input", str(PROBLEMS / "smooth.json"), "--target=0.08"],
         ["moduli", "--input", str(PROBLEMS / "generalized.json"), "--samples", "300"],
+        ["sweep", "--input", str(PROBLEMS / "generalized.json"), "--target=0.1",
+         "--grid", "21"],
     ]
     body = f"""
 import contextlib, io

@@ -10,9 +10,9 @@ from oracles import (aubin_pair_scan, sampled_fibre, sup_center_quotient_loop,
 from regsel import moduli
 from regsel.convex import AffineSet
 from regsel.errors import ContractError, ShapeError
-from regsel.linalg import least_norm_solve
+from regsel.linalg import least_norm_solve, row_norms
 from regsel.moduli import (CSV_HEADER, CheckReport, ModulusEstimate,
-                           SampledMapping, _row_norms, _sample_graph,
+                           SampledMapping, _sample_graph,
                            clm_estimate, counterexample_mapping,
                            lg_bound_check, lip_estimate, lsc_probe,
                            reg_linear, regularity_report, sampled_reg,
@@ -170,7 +170,7 @@ PROBLEMS = Path(__file__).resolve().parents[1] / "scripts" / "problems"
 def sampler_maps():
     """(name, f, center, radius): the committed generalized perturbation and
     smooth remainder, a 3-D sin map, and oracles whose values are not 1-D
-    float64 arrays, which go through as_vector."""
+    float64 arrays (as_vector converts them)."""
     gen = load_problem(str(PROBLEMS / "generalized.json"))
     sm = load_problem(str(PROBLEMS / "smooth.json"))
     smooth = SmoothProblem(f=sm.smooth_map, x_base=sm.base,
@@ -382,10 +382,10 @@ def test_regularity_report_reuses_one_scan():
 
 def test_row_norms_match_linalg_norm_bitwise():
     rng = np.random.default_rng(5)
-    for dim in (1, 2, 3, 5):
+    for dim in (1, 2, 3, 5, 8, 30, 384):
         rows = rng.standard_normal((400, dim))
         expected = np.array([np.linalg.norm(r) for r in rows])
-        assert np.array_equal(_row_norms(rows), expected)
+        assert np.array_equal(row_norms(rows), expected)
 
 
 # ---------------------------------------------------------------------------
