@@ -456,9 +456,10 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
         reports.append(verify_aubin(mapping, kappa, grid=grid))
         if pf.perturbation is not None:
-            lip = lip_estimate(pf.perturbation, base_x, radius_x,
-                               samples=600, seed=seed)
-            lam = pf.constants.get("lambda", 1.2 * lip.value)
+            lam = pf.constants.get("lambda")
+            if lam is None:
+                lam = 1.2 * lip_estimate(pf.perturbation, base_x, radius_x,
+                                         samples=600, seed=seed).value
             if lam <= 0:
                 lam = 0.5 / kappa
             report, _ = lg_bound_check(fibre, pf.perturbation, base_x,

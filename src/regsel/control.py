@@ -23,11 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convex import (AffineSet, Box, ConvexSet, Halfspaces, Intersection,
-                     direction_grid)
+from .convex import AffineSet, Box, Halfspaces, Intersection, direction_grid
 from .errors import (ContractError, LocalityError, NumericBreakdownError,
                      RegularityError, ShapeError, UncontrollableError)
-from .linalg import as_matrix, as_vector, svd
+from .linalg import as_vector, svd
 from .moduli import ModulusEstimate, lip_estimate
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, compute_tau, default_config, solve)
@@ -56,11 +55,12 @@ class ControlProblem:
 
     Construction checks the contract once on a small stacked probe and
     refuses an oracle that does not stack (``float(x[1])``, a fixed-length
-    vector added to x, ...) with ContractError.
+    vector added to x, ...) with ContractError. The control set must be a
+    compact ``Box`` or ``Halfspaces`` containing the zero control.
     """
 
     dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    control_set: ConvexSet
+    control_set: Box | Halfspaces
     state_dim: int
     control_dim: int
     mesh_size: int = DEFAULT_MESH
@@ -84,19 +84,23 @@ class ControlProblem:
                 f"dynamics must vanish at the rest point, got |f(0,0)| = "
                 f"{float(np.max(np.abs(probe))):.3e}")
         self._check_stacking()
+        if not isinstance(self.control_set, (Box, Halfspaces)):
+            raise ContractError(
+                f"control set of type {type(self.control_set).__name__} is not "
+                "supported; use a box or halfspaces")
         if self.control_set.dim != self.control_dim:
             raise ShapeError(
                 f"control set lives in dimension {self.control_set.dim}, "
                 f"expected {self.control_dim}")
         if not self.control_set.contains(np.zeros(self.control_dim), tol=1e-9):
             raise ContractError("control set must contain the zero control")
-        for j in range(self.control_dim):
-            e = np.zeros(self.control_dim)
-            e[j] = 1.0
-            if not (np.isfinite(self.control_set.support(e))
-                    and np.isfinite(self.control_set.support(-e))):
-                raise ContractError(
-                    f"control set unbounded along axis {j}; it must be compact")
+        m = self.control_dim
+        axes = np.eye(m)
+        bounded = np.isfinite(self.control_set.support(np.vstack([axes, -axes])))
+        unbounded = np.flatnonzero(~(bounded[:m] & bounded[m:]))
+        if unbounded.size:
+            raise ContractError(
+                f"control set unbounded along axis {unbounded[0]}; it must be compact")
 
     def _check_stacking(self):
         """Compare one stacked call with per-point calls on a small probe.
@@ -173,35 +177,32 @@ def kalman_rank(sys: DiscretizedSystem) -> tuple[int, bool]:
     return rank, rank == sys.state_dim
 
 
-def reachable_interior(sys: DiscretizedSystem, control_set: ConvexSet,
-                       quad_points: int = QUADRATURE_POINTS,
-                       direction_count: int | None = None,
+def reachable_interior(sys: DiscretizedSystem, control_set: Box | Halfspaces,
                        seed: int = 0) -> tuple[bool, float]:
     """Does 0 lie interior to the integral of e^{At} B 𝒰 over [0, 1]?
 
     The support function of the reachable integral in direction d is the
     integral of support_𝒰(B^T e^{A^T t} d); midpoint quadrature of that
-    integrand over a deterministic direction grid gives the margin. A
-    positive margin certifies interiority up to grid and quadrature
+    integrand at QUADRATURE_POINTS nodes over a deterministic direction grid
+    gives the margin, from one ``support`` query over every direction and
+    node. A positive margin certifies interiority up to grid and quadrature
     resolution.
     """
     from scipy.linalg import expm  # deferred: ~0.3 s to import
 
-    if quad_points < 2:
-        raise ContractError(f"need at least 2 quadrature points, got {quad_points}")
-    n = sys.state_dim
-    count = direction_count if direction_count is not None else max(2 * n, 16)
-    dirs = direction_grid(n, count, seed=seed)
-    mids = (np.arange(quad_points) + 0.5) / quad_points
+    n, m = sys.state_dim, sys.control_dim
+    dirs = direction_grid(n, max(2 * n, 16), seed=seed)
+    mids = (np.arange(QUADRATURE_POINTS) + 0.5) / QUADRATURE_POINTS
     # m x n maps direction -> control-space direction, one per quadrature node
-    lifted = [sys.b_matrix.T @ expm(sys.a_matrix.T * t) for t in mids]
-    margin = np.inf
-    for d in dirs:
-        total = 0.0
-        for w in lifted:
-            total += control_set.support(w @ d)
-        margin = min(margin, total / quad_points)
-    return margin > 0.0, float(margin)
+    lifted = np.array([sys.b_matrix.T @ expm(sys.a_matrix.T * t) for t in mids])
+    # one (m, n) @ (n, 1) product per direction and node, as w @ d would be
+    controls = np.matmul(lifted, dirs[:, None, :, None])[..., 0]
+    values = control_set.support(controls.reshape(-1, m)).reshape(len(dirs), -1)
+    # summed node by node from 0.0, so each total has the bits of a running
+    # sum; adding 0.0 turns a total of signed zeros into +0.0 as that sum does
+    totals = np.cumsum(values, axis=1)[:, -1] + 0.0
+    margin = float(np.min(totals / QUADRATURE_POINTS))
+    return margin > 0.0, margin
 
 
 def _weighted_operator(sys: DiscretizedSystem) -> np.ndarray:
@@ -223,37 +224,25 @@ def _weighted_operator(sys: DiscretizedSystem) -> np.ndarray:
     return mat
 
 
-def _lift_control_set(control_set: ConvexSet, sys: DiscretizedSystem) -> Box | Halfspaces:
+def _lift_control_set(control_set: Box | Halfspaces, sys: DiscretizedSystem) -> Box | Halfspaces:
     """Per-interval control constraints on the scaled unknowns: a box stays a
     box (free states, bounds divided by sqrt(N) on the controls), halfspaces
-    become a block-diagonal halfspace system."""
+    become a block-diagonal halfspace system. ``ControlProblem`` has checked
+    the set's type, dimension and compactness."""
     n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
     nx = n * big_n
-    dim = nx + m * big_n
     sq = np.sqrt(big_n)
     if isinstance(control_set, Box):
-        if control_set.dim != m:
-            raise ShapeError(f"control set dimension {control_set.dim}, expected {m}")
-        if np.any(~np.isfinite(control_set.lower)) or np.any(~np.isfinite(control_set.upper)):
-            raise ContractError("control set must be compact")
         free = np.full(nx, np.inf)
         return Box(np.concatenate([-free, np.tile(control_set.lower / sq, big_n)]),
                    np.concatenate([free, np.tile(control_set.upper / sq, big_n)]))
-    if isinstance(control_set, Halfspaces):
-        base_rows = as_matrix(control_set.normals)
-        if base_rows.shape[1] != m:
-            raise ShapeError(
-                f"control set dimension {base_rows.shape[1]}, expected {m}")
-        k = base_rows.shape[0]
-        rows = np.zeros((k * big_n, dim))
-        offs = np.zeros(k * big_n)
-        for i in range(big_n):
-            rows[k * i:k * (i + 1), nx + m * i:nx + m * (i + 1)] = base_rows * sq
-            offs[k * i:k * (i + 1)] = control_set.offsets
-        return Halfspaces(rows, offs)
-    raise ContractError(
-        f"control set of type {type(control_set).__name__} is not supported; "
-        "use a box or halfspaces")
+    k = control_set.normals.shape[0]
+    rows = np.zeros((k * big_n, nx + m * big_n))
+    offs = np.zeros(k * big_n)
+    for i in range(big_n):
+        rows[k * i:k * (i + 1), nx + m * i:nx + m * (i + 1)] = control_set.normals * sq
+        offs[k * i:k * (i + 1)] = control_set.offsets
+    return Halfspaces(rows, offs)
 
 
 def _trapezoid_means(f, states: np.ndarray, controls: np.ndarray) -> np.ndarray:

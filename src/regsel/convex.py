@@ -2,9 +2,12 @@
 
 The catalogue is deliberately small: affine solution sets, boxes, balls,
 halfspace systems, and finite intersections of those. Every set answers
-project / contains / support / distance, which is all the selection
-iteration needs. Projections onto intersections run Dykstra's alternating
-scheme, which converges to the metric projection for closed convex members.
+project / contains / distance / gap, which is all the selection iteration
+needs. Boxes and halfspace systems, the two kinds of control set, also
+answer ``support`` for the steering application's interior test, taking
+directions as rows. Projections onto intersections run Dykstra's
+alternating scheme, which converges to the metric projection for closed
+convex members.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ DYKSTRA_MAX_ROUNDS = 10000
 
 
 class ConvexSet:
-    """Base interface; concrete sets override the four queries."""
+    """Base interface; concrete sets override ``project`` and may override
+    the other queries with a closed form. ``support`` lives on ``Box`` and
+    ``Halfspaces`` only."""
 
     dim: int
 
@@ -35,9 +40,10 @@ class ConvexSet:
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.distance(x) <= tol
 
-    def support(self, d) -> float:
-        """Support value sup{<d, x> : x in set}; +inf when unbounded."""
-        raise NotImplementedError
+    def gap(self, x) -> float:
+        """Feasibility gap of x, zero on the set; the distance unless a set
+        has a cheaper bound (``Intersection``)."""
+        return self.distance(x)
 
 
 class AffineSet(ConvexSet):
@@ -76,7 +82,6 @@ class AffineSet(ConvexSet):
         if resid > 1e-9 * (1.0 + np.linalg.norm(self.rhs)):
             raise ContractError(
                 f"inconsistent affine system, residual {resid:.3e}")
-        self._anchor = x0
 
     def _offset(self, x):
         """x minus its projection: the row-space component of x - anchor."""
@@ -89,13 +94,6 @@ class AffineSet(ConvexSet):
     def distance(self, x):
         x = as_vector(x, dim=self.dim)
         return float(np.linalg.norm(self._offset(x)))
-
-    def support(self, d):
-        d = as_vector(d, dim=self.dim)
-        tangential = d - self.right_inverse @ (self.op @ d)
-        if np.linalg.norm(tangential) > 1e-10 * max(1.0, np.linalg.norm(d)):
-            return float("inf")
-        return float(d @ self._anchor)
 
 
 class Box(ConvexSet):
@@ -129,17 +127,20 @@ class Box(ConvexSet):
         p = _point_rows(points, self.dim)
         return row_norms(np.maximum(0.0, np.maximum(self.lower - p, p - self.upper)))
 
-    def support(self, d):
-        d = as_vector(d, dim=self.dim)
+    def support(self, directions):
+        """Support value sup{<d, x> : x in box} of each row d of the (k, dim)
+        directions; +inf along a free coordinate the direction sees."""
+        d = _point_rows(directions, self.dim)
         bound = np.where(d >= 0, self.upper, self.lower)
         # a free coordinate the direction does not see adds 0, not inf * 0
         bound[(d == 0) & np.isinf(bound)] = 0.0
-        return float(np.sum(bound * d))
+        return np.sum(bound * d, axis=1)
 
 
 def _point_rows(points, dim: int) -> np.ndarray:
-    """(k, dim) float64 array of points, one per row; non-finite entries are
-    kept, so a nan row fails every ``violation(...) <= tol`` test."""
+    """(k, dim) float64 array of points or directions, one per row;
+    non-finite entries are kept, so a nan row fails every
+    ``violation(...) <= tol`` test."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != dim:
         raise ShapeError(f"expected points as rows of length {dim}, got shape {p.shape}")
@@ -174,10 +175,6 @@ class Ball(ConvexSet):
     def distance(self, x):
         x = as_vector(x, dim=self.dim)
         return float(max(0.0, np.linalg.norm(x - self.center) - self.radius))
-
-    def support(self, d):
-        d = as_vector(d, dim=self.dim)
-        return float(d @ self.center + self.radius * np.linalg.norm(d))
 
 
 class Halfspaces(ConvexSet):
@@ -231,19 +228,26 @@ class Halfspaces(ConvexSet):
         products = np.matmul(p[:, None, :], self.normals.T)[:, 0, :]
         return np.max((products - self.offsets) / self._row_norms, axis=1)
 
-    def support(self, d):
+    def support(self, directions):
+        """Support value sup{<d, x> : normals @ x <= offsets} of each row d of
+        the (k, dim) directions, one linear program per row; +inf where the
+        polyhedron is unbounded along d."""
         from scipy.optimize import linprog  # deferred: ~0.6 s to import
 
-        d = as_vector(d, dim=self.dim)
-        res = linprog(-d, A_ub=self.normals, b_ub=self.offsets,
-                      bounds=[(None, None)] * self.dim, method="highs")
-        if res.status == 3:
-            return float("inf")
-        if res.status == 2:
-            raise InfeasibilitySuspectedError("halfspace system is empty")
-        if not res.success:  # pragma: no cover - solver hiccup
-            raise InfeasibilitySuspectedError(f"support LP failed: {res.message}")
-        return float(-res.fun)
+        d = _point_rows(directions, self.dim)
+        values = np.empty(d.shape[0])
+        for i, row in enumerate(d):
+            res = linprog(-row, A_ub=self.normals, b_ub=self.offsets,
+                          bounds=[(None, None)] * self.dim, method="highs")
+            if res.status == 3:
+                values[i] = np.inf
+                continue
+            if res.status == 2:
+                raise InfeasibilitySuspectedError("halfspace system is empty")
+            if not res.success:  # pragma: no cover - solver hiccup
+                raise InfeasibilitySuspectedError(f"support LP failed: {res.message}")
+            values[i] = -res.fun
+        return values
 
 
 class _SingleHalfspace(ConvexSet):
@@ -290,43 +294,6 @@ class Intersection(ConvexSet):
     def gap(self, x) -> float:
         """Worst member distance; a feasibility gap, not the true distance."""
         return max(m.distance(x) for m in self.members)
-
-    def support(self, d):
-        from scipy.optimize import linprog  # deferred: ~0.6 s to import
-
-        d = as_vector(d, dim=self.dim)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        lo = np.full(self.dim, -np.inf)
-        hi = np.full(self.dim, np.inf)
-        for m in self.members:
-            if isinstance(m, Halfspaces):
-                a_ub.append(m.normals)
-                b_ub.append(m.offsets)
-            elif isinstance(m, Box):
-                lo = np.maximum(lo, m.lower)
-                hi = np.minimum(hi, m.upper)
-            elif isinstance(m, AffineSet):
-                a_eq.append(m.op)
-                b_eq.append(m.rhs)
-            else:
-                raise ContractError(
-                    "support of an intersection needs polyhedral members only")
-        res = linprog(
-            -d,
-            A_ub=np.vstack(a_ub) if a_ub else None,
-            b_ub=np.concatenate(b_ub) if b_ub else None,
-            A_eq=np.vstack(a_eq) if a_eq else None,
-            b_eq=np.concatenate(b_eq) if b_eq else None,
-            bounds=list(zip(np.where(np.isfinite(lo), lo, None),
-                            np.where(np.isfinite(hi), hi, None))),
-            method="highs")
-        if res.status == 3:
-            return float("inf")
-        if res.status == 2:
-            raise InfeasibilitySuspectedError("intersection is empty")
-        if not res.success:  # pragma: no cover
-            raise InfeasibilitySuspectedError(f"support LP failed: {res.message}")
-        return float(-res.fun)
 
 
 def dykstra(sets, start, tol: float = DYKSTRA_TOL,

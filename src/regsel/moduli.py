@@ -163,35 +163,17 @@ def _refine_steps(radius: float) -> list[float]:
     return [2.0 ** (-k) * radius for k in range(_SCALE_CYCLE)]
 
 
-def _sup_center_quotient(f, center, radius, samples, seed):
-    """sup ||f(x)-f(center)|| / ||x-center|| over a sampled ball."""
-    rng = np.random.default_rng(seed)
-    fc = as_vector(f(center))
-    d = center.size
-    steps = _refine_steps(radius)
-    min_gap = _MIN_GAP_FRAC * radius
-    best_q = -np.inf
-    best_x = None
-    for i in range(samples):
-        if i % 3 != 0 and best_x is not None:
-            step = steps[(i // 3) % _SCALE_CYCLE]
-            x = _clip_ball(best_x + step * rng.standard_normal(d), center, radius)
-        else:
-            x = _draw_in_ball(rng, center, radius)
-        gap = _norm(x - center)
-        if gap < min_gap:
-            continue
-        q = _norm(as_vector(f(x)) - fc) / gap
-        if q > best_q:
-            best_q, best_x = q, x
-    if best_x is None:
-        return 0.0, (center,)
-    return float(best_q), (best_x, center)
+def _sup_quotient(f, center, radius, samples, seed, anchored):
+    """sup ||f(x)-f(x')|| / ||x-x'|| over sampled pairs in a ball.
 
-
-def _sup_pair_quotient(f, center, radius, samples, seed):
-    """sup ||f(x)-f(x')|| / ||x-x'|| over sampled pairs in a ball."""
+    With ``anchored`` the second point is always the center, whose value is
+    evaluated once, and a draw or refinement moves the first point only;
+    otherwise both points are drawn and refined. The witness is the best
+    pair, or the center alone (twice when not anchored) if every sample
+    fell below the gap floor.
+    """
     rng = np.random.default_rng(seed)
+    fc = as_vector(f(center)) if anchored else None
     d = center.size
     steps = _refine_steps(radius)
     min_gap = _MIN_GAP_FRAC * radius
@@ -201,18 +183,19 @@ def _sup_pair_quotient(f, center, radius, samples, seed):
         if i % 3 != 0 and best_pair is not None:
             step = steps[(i // 3) % _SCALE_CYCLE]
             x = _clip_ball(best_pair[0] + step * rng.standard_normal(d), center, radius)
-            xp = _clip_ball(best_pair[1] + step * rng.standard_normal(d), center, radius)
+            xp = center if anchored else _clip_ball(
+                best_pair[1] + step * rng.standard_normal(d), center, radius)
         else:
             x = _draw_in_ball(rng, center, radius)
-            xp = _draw_in_ball(rng, center, radius)
+            xp = center if anchored else _draw_in_ball(rng, center, radius)
         gap = _norm(x - xp)
         if gap < min_gap:
             continue
-        q = _norm(as_vector(f(x)) - as_vector(f(xp))) / gap
+        q = _norm(as_vector(f(x)) - (fc if anchored else as_vector(f(xp)))) / gap
         if q > best_q:
             best_q, best_pair = q, (x, xp)
     if best_pair is None:
-        return 0.0, (center, center)
+        return 0.0, (center,) if anchored else (center, center)
     return float(best_q), best_pair
 
 
@@ -229,8 +212,8 @@ def lip_estimate(f: Callable, center, radius: float, samples: int = 3000,
         raise ContractError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ContractError("samples must be >= 1")
-    q_pair, wit_pair = _sup_pair_quotient(f, center, radius, samples, seed)
-    q_clm, wit_clm = _sup_center_quotient(f, center, radius, samples, seed)
+    q_pair, wit_pair = _sup_quotient(f, center, radius, samples, seed, anchored=False)
+    q_clm, wit_clm = _sup_quotient(f, center, radius, samples, seed, anchored=True)
     if q_clm > q_pair:
         q_pair, wit_pair = q_clm, wit_clm
     return ModulusEstimate(kind="lip", value=q_pair, radius=radius,
@@ -245,7 +228,7 @@ def clm_estimate(f: Callable, center, radius: float, samples: int = 3000,
         raise ContractError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ContractError("samples must be >= 1")
-    q, wit = _sup_center_quotient(f, center, radius, samples, seed)
+    q, wit = _sup_quotient(f, center, radius, samples, seed, anchored=True)
     return ModulusEstimate(kind="clm", value=q, radius=radius, samples=samples,
                            seed=seed, witness=wit)
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convex import ConvexSet, Intersection
+from .convex import ConvexSet
 from .errors import (ContractError, InfeasibilitySuspectedError, LocalityError,
                      NumericBreakdownError, RegularityError)
 from .linalg import as_vector
@@ -132,7 +132,7 @@ class GeneralizedEquation:
         base_set = self.finv(self.y_base)
         if not isinstance(base_set, ConvexSet):
             raise ContractError("finv must return ConvexSet instances")
-        gap = membership_gap(base_set, self.x_base)
+        gap = base_set.gap(self.x_base)
         if gap > 1e-9:
             raise ContractError(
                 f"x_base is not in finv(y_base): gap {gap:.3e}")
@@ -141,13 +141,6 @@ class GeneralizedEquation:
         if self.g is None:
             return np.zeros(self.y_base.size)
         return as_vector(self.g(x), dim=self.y_base.size)
-
-
-def membership_gap(s: ConvexSet, x) -> float:
-    """Distance-style feasibility gap; worst member distance for intersections."""
-    if isinstance(s, Intersection):
-        return s.gap(x)
-    return s.distance(x)
 
 
 @dataclass
@@ -193,7 +186,7 @@ def _project_truncated(base_set: ConvexSet, center: np.ndarray, radius: float,
         raise RegularityError(
             f"{what}: the corrected target has no preimage under the "
             f"constraint (Dykstra gap {exc.gap:.3e})") from exc
-    gap = membership_gap(base_set, z)
+    gap = base_set.gap(z)
     if gap > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"{what}: projection gap {gap:.3e} exceeds 10*tol")
@@ -302,7 +295,7 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
 
     x = z_curr
     final_set = problem.finv(y - problem.g_value(x))
-    residual = membership_gap(final_set, x)
+    residual = final_set.gap(x)
     if residual > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"final membership residual {residual:.3e} exceeds 10*tol")

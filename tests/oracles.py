@@ -277,9 +277,35 @@ def control_membership_loop(control_set, controls, tol: float):
     return None
 
 
+def reachable_interior_node_loop(sys, control_set, seed: int = 0):
+    """The reachable-set interior test one direction and quadrature node at a
+    time, as it was before its support queries were stacked: a running
+    total of the box support sup{<v, u> : lower <= u <= upper} of each
+    control-space direction v, written out here (box control sets only)."""
+    from scipy.linalg import expm
+
+    from regsel.convex import direction_grid
+
+    n, quad_points = sys.state_dim, 128
+    dirs = direction_grid(n, max(2 * n, 16), seed=seed)
+    mids = (np.arange(quad_points) + 0.5) / quad_points
+    lifted = [sys.b_matrix.T @ expm(sys.a_matrix.T * t) for t in mids]
+    margin = np.inf
+    for d in dirs:
+        total = 0.0
+        for w in lifted:
+            v = w @ d
+            bound = np.where(v >= 0, control_set.upper, control_set.lower)
+            bound[(v == 0) & np.isinf(bound)] = 0.0
+            total += float(np.sum(bound * v))
+        margin = min(margin, total / quad_points)
+    return margin > 0.0, float(margin)
+
+
 # The sampled-quotient loops of regsel.moduli as they were before their
-# per-sample overhead was trimmed: np.linalg.norm and as_vector on every
-# sample. The trimmed loops must reproduce them bit for bit.
+# per-sample overhead was trimmed and they became one loop: np.linalg.norm
+# and as_vector on every sample. regsel.moduli._sup_quotient must reproduce
+# each of them bit for bit.
 _SCALE_CYCLE = 28
 _MIN_GAP_FRAC = 1e-7
 

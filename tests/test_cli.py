@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regsel import cli, moduli
 from regsel.cli import main
 from regsel.moduli import CSV_HEADER
 
@@ -450,6 +451,42 @@ def test_verify_refuses_a_constrained_generalized_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(committed / "generalized.json"))
     assert code == 0
     assert out.startswith(CSV_HEADER + "\n")
+
+
+GENERALIZED_VERIFY = (
+    CSV_HEADER + "\n"
+    "metric-regularity,0.7692307692307695,,,,pass,-0.59999999999999998;-1.04\n"
+    "aubin,0.7692307692307695,,,,pass,"
+    "-0.80000000000000004;-1.04;-0.78000000000000003\n"
+    "perturbation-bound,0.62500000000000022,,,,pass,"
+    "0.80000000000000004;0.96000000000000019\n")
+
+
+@pytest.mark.parametrize("drop_lambda, estimates", [(False, 1), (True, 2)])
+def test_verify_samples_the_perturbation_once(capsys, tmp_path, monkeypatch,
+                                              drop_lambda, estimates):
+    # the file's lambda leaves lg_bound_check's estimate as the only one; a
+    # file without it needs one more to choose lambda
+    committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+    payload = json.loads((committed / "generalized.json").read_text())
+    if drop_lambda:
+        del payload["constants"]["lambda"]
+    path = tmp_path / "generalized.json"
+    path.write_text(json.dumps(payload))
+    calls = []
+    original = moduli.lip_estimate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("samples"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "lip_estimate", counting)
+    monkeypatch.setattr(cli, "lip_estimate", counting)
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert code == 0
+    assert calls == [600] * estimates
+    if not drop_lambda:
+        assert out == GENERALIZED_VERIFY
 
 
 # ---------------------------------------------------------------------------

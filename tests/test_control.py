@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import (collocation_remainder_loop, control_membership_loop,
-                     trapezoid_residual, transported_calm_bound_dense)
+                     reachable_interior_node_loop, trapezoid_residual,
+                     transported_calm_bound_dense)
 from regsel import control
 from regsel.control import (ControlProblem, DiscretizedSystem, calm_sweep,
                             endpoint_order_ratios, kalman_rank, linearize,
                             reachable_interior, simulate_trapezoidal, steer,
                             steering_setup)
-from regsel.convex import AffineSet, Box, Halfspaces
+from regsel.convex import AffineSet, Ball, Box, Halfspaces
 from regsel.errors import (ContractError, LocalityError,
                            NumericBreakdownError, RegularityError, ShapeError,
                            UncontrollableError)
@@ -70,6 +73,19 @@ def test_problem_rejects_unbounded_control_set():
     with pytest.raises(ContractError, match="compact"):
         ControlProblem(dynamics=lambda x, u: 0.0 * x, control_set=half,
                        state_dim=1, control_dim=1)
+    # the first unbounded axis is named
+    strip = Box([-1.0, -np.inf, -1.0], [1.0, 1.0, np.inf])
+    with pytest.raises(ContractError, match="unbounded along axis 1;"):
+        ControlProblem(dynamics=lambda x, u: 0.0 * x, control_set=strip,
+                       state_dim=1, control_dim=3)
+
+
+def test_problem_rejects_unsupported_control_set():
+    with pytest.raises(ContractError,
+                       match="^control set of type Ball is not supported; "
+                             "use a box or halfspaces$"):
+        ControlProblem(dynamics=lambda x, u: 0.0 * x,
+                       control_set=Ball([0.0], 1.0), state_dim=1, control_dim=1)
 
 
 def test_problem_rejects_degenerate_sizes():
@@ -168,10 +184,27 @@ def test_reachable_interior_singleton_control_set():
     assert margin == 0.0
 
 
-def test_reachable_interior_rejects_tiny_quadrature():
-    with pytest.raises(ContractError):
-        reachable_interior(linearize(double_integrator()), UNIT_BOX,
-                           quad_points=1)
+@pytest.mark.parametrize("make", [double_integrator, pendulum])
+@pytest.mark.parametrize("mesh", [8, 64, 128])
+def test_reachable_interior_matches_the_node_loop(make, mesh):
+    sys = linearize(make(mesh=mesh))
+    got = reachable_interior(sys, UNIT_BOX)
+    want = reachable_interior_node_loop(sys, UNIT_BOX)
+    assert got[0] == want[0] and got[1].hex() == want[1].hex()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9])
+def test_reachable_interior_matches_the_node_loop_on_random_boxes(m):
+    rng = np.random.default_rng(m)
+    for _ in range(6):
+        n = int(rng.integers(1, 5))
+        sys = raw_system(rng.uniform(-1.0, 1.0, (n, n)),
+                         rng.uniform(-1.0, 1.0, (n, m)))
+        box = Box(-rng.uniform(0.1, 2.0, m), rng.uniform(0.1, 2.0, m))
+        seed = int(rng.integers(0, 100))
+        got = reachable_interior(sys, box, seed=seed)
+        want = reachable_interior_node_loop(sys, box, seed=seed)
+        assert got[0] == want[0] and got[1].hex() == want[1].hex()
 
 
 def test_kalman_controllable_implies_interior():
@@ -188,7 +221,7 @@ def test_kalman_controllable_implies_interior():
         if not ok:
             continue
         box = Box(-np.ones(m), np.ones(m))
-        interior, margin = reachable_interior(sys, box, quad_points=64)
+        interior, margin = reachable_interior(sys, box)
         assert interior, f"margin {margin} for A={sys.a_matrix} B={sys.b_matrix}"
         checked += 1
 
@@ -461,6 +494,33 @@ def test_steer_names_the_first_inadmissible_interval(monkeypatch):
     with pytest.raises(NumericBreakdownError,
                        match="^control value at interval 5 leaves the admissible set$"):
         steer(p, b=[0.04, 0.0], setup=setup)
+
+
+@pytest.mark.parametrize("mesh", [8, 32])
+def test_halfspace_control_set_steers_like_the_box(mesh):
+    # the unit interval written as halfspaces lifts to the same clamp
+    half = Halfspaces([[1.0], [-1.0]], [1.0, 1.0])
+    box_problem = double_integrator(mesh=mesh)
+    box_run = steer(box_problem, b=[0.1, -0.05])
+    half_run = steer(replace(box_problem, control_set=half), b=[0.1, -0.05])
+    for field_name in ("states", "controls"):
+        assert (getattr(half_run, field_name).tobytes()
+                == getattr(box_run, field_name).tobytes())
+    for field_name in ("endpoint_error", "calm_ratio", "calm_bound", "tau",
+                       "dynamics_residual"):
+        assert getattr(half_run, field_name) == getattr(box_run, field_name)
+
+
+def test_triangle_control_set_steers_inside():
+    # two controls, one per state derivative, in a triangle around 0
+    triangle = Halfspaces([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [0.5, 1.0, 1.0])
+    p = ControlProblem(dynamics=lambda x, u: np.array([u[0], u[1]]),
+                       control_set=triangle, state_dim=2, control_dim=2,
+                       mesh_size=8)
+    res = steer(p, b=[0.03, -0.02])
+    assert res.endpoint_error <= 1e-6
+    assert np.all(triangle.violation(res.controls) <= control.CONTROL_MEMBERSHIP_TOL)
+    assert trapezoid_residual(p.dynamics, res.states, res.controls) <= 1e-10
 
 
 def test_steer_requires_target():

@@ -1,6 +1,6 @@
 """scipy stays out of a cold start.
 
-``linprog`` and ``expm`` are imported inside the three functions that use
+``linprog`` and ``expm`` are imported inside the two functions that use
 them, so importing regsel and running the CLI on problems that never reach
 those functions must load numpy and regsel only. Each check runs in a fresh
 interpreter, since this test process may have loaded scipy already.
@@ -16,7 +16,7 @@ import numpy as np
 
 import regsel
 from regsel.control import linearize, reachable_interior
-from regsel.convex import AffineSet, Box, Halfspaces, Intersection
+from regsel.convex import Box, Halfspaces
 from test_control import double_integrator
 
 SRC = str(Path(regsel.__file__).resolve().parents[1])
@@ -69,13 +69,11 @@ for argv in {commands!r}:
 
 
 def lazy_calls():
-    """The three functions that import scipy, on sets with known answers."""
+    """The two functions that import scipy, on sets with known answers."""
     tri = Halfspaces([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
-    both = Intersection([Box([-0.5, -0.5], [0.5, 0.5]), tri,
-                         AffineSet([[1.0, -1.0]], [0.25])])
     d = np.array([0.6, 0.8])
     margin = reachable_interior(linearize(double_integrator()), Box([-1.0], [1.0]))[1]
-    return [tri.support(d), both.support(d), margin]
+    return [float(tri.support(d[None, :])[0]), margin]
 
 
 def test_lazy_imports_give_the_same_values():
@@ -91,8 +89,6 @@ report()
     assert fresh[2] == ["scipy", "scipy.linalg", "scipy.optimize"]
     here = lazy_calls()
     assert [float.fromhex(v) for v in fresh[1]] == here
-    # vertex (-1, 2) of the triangle; the segment x - y = 0.25 in the box
-    # ends at (0.5, 0.25)
+    # vertex (-1, 2) of the triangle
     assert abs(here[0] - (0.6 * -1.0 + 0.8 * 2.0)) < 1e-9
-    assert abs(here[1] - (0.6 * 0.5 + 0.8 * 0.25)) < 1e-9
-    assert here[2] > 0.0
+    assert here[1] > 0.0
