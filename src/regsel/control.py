@@ -71,7 +71,17 @@ class ControlProblem:
                 f"dimensions must be positive, got state {self.state_dim} "
                 f"control {self.control_dim}")
         if self.mesh_size < 2:
-            raise ContractError(f"mesh size must be at least 2, got {self.mesh_size}")
+            raise ContractError(f"mesh size must be at least 2, got {self.mesh_size}",
+                                field="mesh_size")
+        for name, check in (("dynamics", self._check_dynamics),
+                            ("control_set", self._check_control_set)):
+            try:
+                check()
+            except (ContractError, ShapeError) as exc:
+                exc.field = name
+                raise
+
+    def _check_dynamics(self):
         probe = as_vector(self.dynamics(np.zeros(self.state_dim),
                                         np.zeros(self.control_dim)))
         if probe.size != self.state_dim:
@@ -84,6 +94,8 @@ class ControlProblem:
                 f"dynamics must vanish at the rest point, got |f(0,0)| = "
                 f"{float(np.max(np.abs(probe))):.3e}")
         self._check_stacking()
+
+    def _check_control_set(self):
         if not isinstance(self.control_set, (Box, Halfspaces)):
             raise ContractError(
                 f"control set of type {type(self.control_set).__name__} is not "

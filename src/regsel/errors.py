@@ -6,7 +6,16 @@ the CLI can map them to stable exit codes and tests can assert on them.
 
 
 class RegselError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``field`` names the field of the problem data at fault when the raiser
+    knows it (``ControlProblem`` names ``dynamics``, ``control_set`` or
+    ``mesh_size``), so a file parser can report the error at that field.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class ShapeError(RegselError, ValueError):

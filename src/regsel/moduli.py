@@ -131,21 +131,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _draw_in_ball(rng, center: np.ndarray, radius: float) -> np.ndarray:
-    d = center.size
-    v = rng.standard_normal(d)
-    n = _norm(v)
-    u = v / n if n > 0 else np.eye(d)[0]
-    r = rng.random() ** (1.0 / d)
-    return center + radius * r * u
+_FLOAT64 = np.dtype(np.float64)
 
 
-def _clip_ball(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    delta = p - center
-    n = _norm(delta)
-    if n <= radius:
-        return p
-    return center + delta * (radius / n)
+def _oracle_vector(v) -> np.ndarray:
+    """as_vector(v), but a finite nonempty 1-D float64 array passes as is.
+
+    A finite sum of squares implies finite entries, so only a value whose
+    squares overflow or that is not such an array pays for as_vector.
+    """
+    if (type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1
+            and v.size and math.isfinite(v.dot(v))):
+        return v
+    return as_vector(v)
 
 
 # Refinement scales cycle through powers of two so there is always a batch of
@@ -173,25 +171,38 @@ def _sup_quotient(f, center, radius, samples, seed, anchored):
     fell below the gap floor.
     """
     rng = np.random.default_rng(seed)
+    normal, uniform = rng.standard_normal, rng.random
     fc = as_vector(f(center)) if anchored else None
     d = center.size
+    inv_d = 1.0 / d
+    axis = np.eye(d)[0]
+    ends = range(1 if anchored else 2)
     steps = _refine_steps(radius)
     min_gap = _MIN_GAP_FRAC * radius
     best_q = -np.inf
     best_pair = None
     for i in range(samples):
+        pair = [center, center]
         if i % 3 != 0 and best_pair is not None:
+            # a step from the incumbent, clipped back onto the ball
             step = steps[(i // 3) % _SCALE_CYCLE]
-            x = _clip_ball(best_pair[0] + step * rng.standard_normal(d), center, radius)
-            xp = center if anchored else _clip_ball(
-                best_pair[1] + step * rng.standard_normal(d), center, radius)
+            for k in ends:
+                p = best_pair[k] + step * normal(d)
+                delta = p - center
+                n = _norm(delta)
+                pair[k] = p if n <= radius else center + delta * (radius / n)
         else:
-            x = _draw_in_ball(rng, center, radius)
-            xp = center if anchored else _draw_in_ball(rng, center, radius)
+            # a uniform point: a normal direction at radius * u^(1/d)
+            for k in ends:
+                v = normal(d)
+                n = _norm(v)
+                pair[k] = center + radius * uniform() ** inv_d * (v / n if n > 0 else axis)
+        x, xp = pair
         gap = _norm(x - xp)
         if gap < min_gap:
             continue
-        q = _norm(as_vector(f(x)) - (fc if anchored else as_vector(f(xp)))) / gap
+        fx = _oracle_vector(f(x))
+        q = _norm(fx - (fc if anchored else _oracle_vector(f(xp)))) / gap
         if q > best_q:
             best_q, best_pair = q, (x, xp)
     if best_pair is None:

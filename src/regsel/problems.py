@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .convex import Box, ConvexSet, set_from_json
-from .errors import ContractError, ProblemFileError
+from .convex import ConvexSet, set_from_json
+from .errors import ContractError, ProblemFileError, ShapeError
 from .control import ControlProblem, DEFAULT_MESH
 
 SCHEMA_VERSION = "1"
@@ -89,29 +90,65 @@ class PolynomialMap:
     powers) pairs with one exponent per input coordinate. ``value`` takes
     one point of shape (input_dim,) or stacked points of shape
     (input_dim, k) and returns (output_dim,) or (output_dim, k).
+
+    ``value`` reads a table compiled once from ``terms``: the T
+    coefficients in table order, the T * input_dim exponents as one flat
+    array, and each component's range of terms. A point is gathered into
+    the exponent slots, raised by one ``**``, reduced to one product per
+    term and scaled by the coefficients. Each component then sums its terms
+    one by one, in table order, from 0.0: the order of a loop over the
+    table, so a stacked column has the bits of the same point alone.
+    np.sum, ``@`` and np.add.reduceat add in other orders.
     """
 
     input_dim: int
     output_dim: int
     terms: tuple
 
+    @cached_property
+    def _table(self):
+        """(gather index, flat exponents, coefficients, term ranges)."""
+        monomials = [mono for comp in self.terms for mono in comp]
+        coefs = np.array([coef for coef, _ in monomials], dtype=float)
+        exps = np.array([p for _, powers in monomials for p in powers],
+                        dtype=float)
+        idx = np.tile(np.arange(self.input_dim), len(monomials))
+        ranges, stop = [], 0
+        for comp in self.terms:
+            ranges.append(range(stop, stop + len(comp)))
+            stop += len(comp)
+        return idx, exps, coefs, ranges
+
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.zeros((self.output_dim,) + x.shape[1:])
-        # Stacked points, one per row, are raised to their powers as one flat
-        # array, so every entry meets the pow loop a single point meets:
-        # numpy sends a broadcast (stride-0) or 1x1 exponent to a
+        if x.ndim == 0 or x.shape[0] != self.input_dim:
+            raise ShapeError(f"polynomial map has input_dim {self.input_dim}; "
+                             f"got a point of shape {x.shape}")
+        idx, exps, coefs, ranges = self._table
+        if x.ndim == 1:
+            monos = (x.take(idx) ** exps).reshape(coefs.size, self.input_dim)
+            terms = (np.multiply.reduce(monos, axis=-1) * coefs).tolist()
+            out = []
+            for span in ranges:
+                total = 0.0
+                for t in span:
+                    total += terms[t]
+                out.append(total)
+            return np.array(out)
+        rows = x.reshape(self.input_dim, x[0].size).T
+        # Stacked points are raised as one flat array against the exponents
+        # tiled once per point, so every entry meets the pow loop a single
+        # point meets: numpy sends a broadcast (stride-0) exponent to a
         # scalar-power loop whose last bits differ.
-        rows = np.ascontiguousarray(x.T)
-        flat = rows.ravel()
-        for k, comp in enumerate(self.terms):
-            for coef, powers in comp:
-                if x.ndim == 1:
-                    base = x ** powers
-                else:
-                    base = (flat ** np.tile(powers, rows.shape[0])).reshape(rows.shape)
-                out[k] += coef * np.prod(base, axis=-1)
-        return out
+        flat = rows.take(idx, axis=1).ravel()
+        monos = (flat ** np.tile(exps, rows.shape[0])).reshape(
+            rows.shape[0], coefs.size, self.input_dim)
+        terms = np.multiply.reduce(monos, axis=-1) * coefs
+        out = np.zeros((self.output_dim, rows.shape[0]))
+        for k, span in enumerate(ranges):
+            for t in span:
+                out[k] += terms[:, t]
+        return out.reshape((self.output_dim,) + x.shape[1:])
 
     def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -248,13 +285,12 @@ def _parse_control(payload: dict) -> ControlProblem:
         control_set = set_from_json(_require(payload, "control_set"))
     except ContractError as exc:
         _fail("control_set", str(exc))
-    if not isinstance(control_set, Box) and not hasattr(control_set, "normals"):
-        _fail("control_set", "control sets must be boxes or halfspaces")
     try:
         return ControlProblem(dynamics=oracle, control_set=control_set,
                               state_dim=n, control_dim=m, mesh_size=mesh)
-    except ContractError as exc:
-        _fail("", str(exc))
+    except (ContractError, ShapeError) as exc:
+        # ControlProblem names the field at fault; the file calls mesh_size mesh
+        _fail("mesh" if exc.field == "mesh_size" else exc.field or "", str(exc))
 
 
 def parse_problem(payload: dict) -> ProblemFile:

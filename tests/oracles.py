@@ -381,3 +381,29 @@ def sup_pair_quotient_loop(f, center, radius, samples, seed):
     if best_pair is None:
         return 0.0, (center, center)
     return float(best_q), best_pair
+
+
+def polynomial_value_loop(poly, x):
+    """regsel.problems.PolynomialMap.value as a loop over the table.
+
+    The evaluator before the table was compiled: one ``**`` and one product
+    per monomial, added into its component in table order. Stacked points
+    are raised as one flat array. PolynomialMap.value must reproduce it bit
+    for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((poly.output_dim,) + x.shape[1:])
+    # Stacked points, one per row, are raised to their powers as one flat
+    # array, so every entry meets the pow loop a single point meets:
+    # numpy sends a broadcast (stride-0) or 1x1 exponent to a
+    # scalar-power loop whose last bits differ.
+    rows = np.ascontiguousarray(x.T)
+    flat = rows.ravel()
+    for k, comp in enumerate(poly.terms):
+        for coef, powers in comp:
+            if x.ndim == 1:
+                base = x ** powers
+            else:
+                base = (flat ** np.tile(powers, rows.shape[0])).reshape(rows.shape)
+            out[k] += coef * np.prod(base, axis=-1)
+    return out

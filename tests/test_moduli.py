@@ -224,6 +224,50 @@ def test_sampler_rejects_non_finite_oracle_values(estimate, bad):
         estimate(f, [0.0], 1.0, samples=10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_sampler_raises_at_the_reference_oracle_call(bad, anchored):
+    # the first, second or third coordinate goes non-finite; the error must
+    # come from the same call as in the reference loop, before any other
+    for axis in range(3):
+        def f(x):
+            out = np.array([np.sin(x[0]), x[1] * x[2], 1.0])
+            if x[axis] > 0.3:
+                out[axis] = bad
+            return out
+
+        calls = [0, 0]
+        for slot, run in enumerate((
+                lambda g: moduli._sup_quotient(g, np.zeros(3), 1.0, 300, 2,
+                                               anchored=anchored),
+                lambda g: (sup_center_quotient_loop if anchored
+                           else sup_pair_quotient_loop)(g, np.zeros(3), 1.0, 300, 2))):
+            def counted(x, slot=slot):
+                calls[slot] += 1
+                return f(x)
+
+            with pytest.raises(ShapeError, match="non-finite"):
+                run(counted)
+        assert calls[0] == calls[1] > 1
+
+
+def test_sampler_passes_finite_values_whose_squares_overflow():
+    # the sum of squares of these finite values is inf; the quotient is inf
+    # in the reference loops too, and no error is raised
+    def f(x):
+        return 1e200 * np.array([1.0 + x[0], x[1]])
+
+    for anchored, reference in ((False, sup_pair_quotient_loop),
+                                (True, sup_center_quotient_loop)):
+        with np.errstate(over="ignore"):
+            value, witness = moduli._sup_quotient(f, np.zeros(2), 1.0, 30, 0,
+                                                  anchored=anchored)
+            want_value, want_witness = reference(f, np.zeros(2), 1.0, 30, 0)
+        assert value == want_value == np.inf
+        for got, want in zip(witness, want_witness):
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sampled mappings
 

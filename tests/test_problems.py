@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import polynomial_value_loop
 from regsel.convex import Box, Halfspaces
-from regsel.errors import ProblemFileError
+from regsel.errors import ProblemFileError, ShapeError
 from regsel.problems import (DYNAMICS_FIXTURES, PolynomialMap, load_problem,
                              parse_problem, polynomial_from_json)
 
@@ -208,6 +211,44 @@ def test_control_surfaces_problem_guards():
                        "control_set": BOX_JSON})
 
 
+UNBOUNDED = "control set unbounded along axis 0; it must be compact"
+
+
+@pytest.mark.parametrize("control_set,message", [
+    ({"type": "halfspaces", "normals": [[1.0]], "offsets": [1.0]}, UNBOUNDED),
+    ({"type": "box", "lower": [-1.0], "upper": [float("inf")]}, UNBOUNDED),
+    ({"type": "ball", "center": [0.0], "radius": 1.0},
+     "control set of type Ball is not supported; use a box or halfspaces"),
+    ({"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+     "control set lives in dimension 2, expected 1"),
+    ({"type": "box", "lower": [0.5], "upper": [1.0]},
+     "control set must contain the zero control"),
+], ids=["halfspace-u<=1", "box-infinite-upper", "ball", "dimension", "no-zero"])
+def test_control_set_errors_name_the_control_set(control_set, message):
+    with pytest.raises(ProblemFileError,
+                       match=f"^{re.escape('$.control_set: ' + message)}$"):
+        parse_problem(control_payload(control_set=control_set))
+
+
+def test_control_errors_name_the_dynamics_and_the_mesh(tmp_path):
+    dyn = {"input_dim": 2, "output_dim": 1,
+           "terms": [[{"coef": 1.0, "powers": [0, 0]}]]}
+    with pytest.raises(ProblemFileError,
+                       match=r"^\$\.dynamics: dynamics must vanish at the rest point"):
+        parse_problem(control_payload(dynamics=dyn, state_dim=1, control_dim=1))
+    with pytest.raises(ProblemFileError,
+                       match=r"^\$\.mesh: mesh size must be at least 2, got 1$"):
+        parse_problem(control_payload(mesh=1))
+    # json reads Infinity, so a file on disk can carry the unbounded box
+    path = tmp_path / "open.json"
+    path.write_text('{"version": "1", "kind": "control", "dynamics": '
+                    '"double_integrator", "control_set": {"type": "box", '
+                    '"lower": [-1.0], "upper": [Infinity]}}')
+    with pytest.raises(ProblemFileError,
+                       match=f"^{re.escape('$.control_set: ' + UNBOUNDED)}$"):
+        load_problem(str(path))
+
+
 # ---------------------------------------------------------------------------
 # polynomial tables
 
@@ -272,6 +313,69 @@ def test_polynomial_value_stacks_points_bitwise(dim):
         assert stacked.shape == (2, k)
         per_point = np.column_stack([poly.value(x[:, j]) for j in range(k)])
         np.testing.assert_array_equal(stacked, per_point)
+
+
+SIGNED = st.one_of(st.floats(min_value=-100.0, max_value=100.0),
+                   st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def polynomial_and_points(draw):
+    """A table of up to 3 components, each possibly empty, over up to 4
+    inputs with exponents 0 to 4, coefficients and coordinates that may be
+    signed zeros, and 1 to 6 drawn points stacked with 64 seeded ones."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    powers = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    terms = tuple(
+        tuple((draw(SIGNED), np.array(draw(powers)))
+              for _ in range(draw(st.integers(0, 11))))
+        for _ in range(m))
+    k = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(SIGNED, min_size=n * k, max_size=n * k)))
+    # pow differs from numpy's scalar-exponent loop on a few % of points
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    more = rng.standard_normal((n, 64)) * 10.0 ** rng.uniform(-3, 2, (n, 64))
+    x = np.concatenate([x.reshape(n, k), more], axis=1)
+    return PolynomialMap(input_dim=n, output_dim=m, terms=terms), x
+
+
+@given(polynomial_and_points())
+@settings(max_examples=200, deadline=None)
+def test_polynomial_value_matches_the_term_loop_bit_for_bit(case):
+    poly, x = case
+    got = poly.value(x)
+    assert got.tobytes() == polynomial_value_loop(poly, x).tobytes()
+    assert got.shape == (poly.output_dim, x.shape[1])
+    for j in range(x.shape[1] - 56):  # the drawn points and 8 seeded ones
+        for point in (x[:, j], x[:, j].copy()):
+            want = polynomial_value_loop(poly, point)
+            assert poly.value(point).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("power", range(5))
+def test_polynomial_value_stacks_a_single_monomial_bitwise(power):
+    # one term over one input: a stacked call must not hand numpy a
+    # broadcast exponent
+    poly = PolynomialMap(input_dim=1, output_dim=1,
+                         terms=(((0.3, np.array([power])),),))
+    x = 3.0 * np.random.default_rng(power).standard_normal((1, 256))
+    want = polynomial_value_loop(poly, x)
+    assert poly.value(x).tobytes() == want.tobytes()
+    per_point = np.column_stack([poly.value(x[:, j]) for j in range(256)])
+    assert per_point.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x", [np.ones(3), np.ones((3, 4)), np.ones(1),
+                               np.ones((1, 4)), np.float64(1.0)],
+                         ids=["point-3", "stacked-3", "point-1", "stacked-1",
+                              "0-d"])
+def test_polynomial_value_refuses_points_of_another_dimension(x):
+    # a gather would read the first two coordinates of a longer point
+    poly = PolynomialMap(input_dim=2, output_dim=1,
+                         terms=(((1.0, np.array([1, 0])),),))
+    with pytest.raises(ShapeError, match="input_dim 2"):
+        poly.value(x)
 
 
 def test_dynamics_registry_contents():
