@@ -71,8 +71,7 @@ class ControlProblem:
                 f"dimensions must be positive, got state {self.state_dim} "
                 f"control {self.control_dim}")
         if self.mesh_size < 2:
-            raise ContractError(f"mesh size must be at least 2, got {self.mesh_size}",
-                                field="mesh_size")
+            raise ContractError(f"mesh size must be at least 2, got {self.mesh_size}")
         for name, check in (("dynamics", self._check_dynamics),
                             ("control_set", self._check_control_set)):
             try:

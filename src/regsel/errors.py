@@ -9,8 +9,8 @@ class RegselError(Exception):
     """Base class for all package errors.
 
     ``field`` names the field of the problem data at fault when the raiser
-    knows it (``ControlProblem`` names ``dynamics``, ``control_set`` or
-    ``mesh_size``), so a file parser can report the error at that field.
+    knows it (``ControlProblem`` names ``dynamics`` or ``control_set``), so
+    a file parser can report the error at that field.
     """
 
     def __init__(self, *args, field: str | None = None):

@@ -7,6 +7,7 @@ Vectors are 1-D float64 arrays, operators are 2-D float64 arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +32,9 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ShapeError(f"expected a vector, got array of shape {v.shape}")
     if v.size == 0:
         raise ShapeError("expected a nonempty vector")
-    if not np.isfinite(v).all():
+    # a finite sum of squares implies finite entries and is cheaper to test;
+    # only a vector whose squares overflow (or that is not finite) is scanned
+    if not (math.isfinite(v.dot(v)) or np.isfinite(v).all()):
         raise ShapeError("vector has non-finite entries")
     if dim is not None and v.size != dim:
         raise ShapeError(f"expected a vector of length {dim}, got {v.size}")

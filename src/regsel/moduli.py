@@ -131,21 +131,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _oracle_vector(v) -> np.ndarray:
-    """as_vector(v), but a finite nonempty 1-D float64 array passes as is.
-
-    A finite sum of squares implies finite entries, so only a value whose
-    squares overflow or that is not such an array pays for as_vector.
-    """
-    if (type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1
-            and v.size and math.isfinite(v.dot(v))):
-        return v
-    return as_vector(v)
-
-
 # Refinement scales cycle through powers of two so there is always a batch of
 # proposals at the length scale matching the incumbent's remaining error.
 _SCALE_CYCLE = 28
@@ -201,8 +186,7 @@ def _sup_quotient(f, center, radius, samples, seed, anchored):
         gap = _norm(x - xp)
         if gap < min_gap:
             continue
-        fx = _oracle_vector(f(x))
-        q = _norm(fx - (fc if anchored else _oracle_vector(f(xp)))) / gap
+        q = _norm(as_vector(f(x)) - (fc if anchored else as_vector(f(xp)))) / gap
         if q > best_q:
             best_q, best_pair = q, (x, xp)
     if best_pair is None:

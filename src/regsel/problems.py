@@ -256,6 +256,8 @@ def _parse_control(payload: dict) -> ControlProblem:
     dynamics_spec = _require(payload, "dynamics")
     mesh = payload.get("mesh", DEFAULT_MESH)
     mesh = _positive_int(mesh, "mesh")
+    if mesh < 2:
+        _fail("mesh", f"mesh size must be at least 2, got {mesh}")
     if mesh > MAX_MESH:
         _fail("mesh", f"at most {MAX_MESH} intervals, got {mesh}")
     if isinstance(dynamics_spec, str):
@@ -289,8 +291,8 @@ def _parse_control(payload: dict) -> ControlProblem:
         return ControlProblem(dynamics=oracle, control_set=control_set,
                               state_dim=n, control_dim=m, mesh_size=mesh)
     except (ContractError, ShapeError) as exc:
-        # ControlProblem names the field at fault; the file calls mesh_size mesh
-        _fail("mesh" if exc.field == "mesh_size" else exc.field or "", str(exc))
+        # ControlProblem names the field at fault: dynamics or control_set
+        _fail(exc.field or "", str(exc))
 
 
 def parse_problem(payload: dict) -> ProblemFile:
