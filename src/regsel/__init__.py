@@ -20,15 +20,11 @@ from .moduli import (CheckReport, LscProbeReport, ModulusEstimate,
                      verify_metric_regularity)
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, SweepResult, SweepRow, compute_tau,
-                        default_config, initial_selection, iterate_step,
-                        solve, solve_implicit, sweep)
-from .smooth import (SmoothProblem, augmented_jacobian, config_for,
-                     derivative_check, smooth_selection, split)
+                        default_config, solve, solve_implicit, sweep)
+from .smooth import SmoothProblem, config_for, smooth_selection, split
 from .control import (ControlProblem, ControlSweep, DiscretizedSystem,
-                      SteeringResult, SteeringSetup, calm_sweep,
-                      endpoint_order_ratios, kalman_rank, linearize,
-                      reachable_interior, simulate_trapezoidal, steer,
-                      steering_setup)
+                      SteeringResult, SteeringSetup, calm_sweep, kalman_rank,
+                      linearize, reachable_interior, steer, steering_setup)
 from .problems import (DYNAMICS_FIXTURES, PolynomialMap, ProblemFile,
                        load_problem, parse_problem, polynomial_from_json)
 

@@ -21,15 +21,16 @@ from .control import (calm_sweep, kalman_rank, linearize,
 from .errors import (ContractError, InfeasibilitySuspectedError,
                      LocalityError, NumericBreakdownError, ProblemFileError,
                      RegularityError, ShapeError, UncontrollableError)
-from .linalg import least_norm_solve
+from .linalg import svd
 from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
                      clm_estimate, fmt_float, lg_bound_check, lip_estimate,
                      lsc_probe, reg_linear, regularity_report, sampled_reg,
                      truncated_counterexample, verify_aubin,
                      verify_metric_regularity)
 from .problems import MAX_MESH, ProblemFile, load_problem
-from .selection import (GeneralizedEquation, IterationConfig, compute_tau,
-                        default_config, solve, solve_implicit, sweep)
+from .selection import (KAPPA_MARGIN, LAMBDA_MARGIN, GeneralizedEquation,
+                        IterationConfig, compute_tau, default_config, solve,
+                        solve_implicit, sweep)
 from .smooth import SmoothProblem, config_for, smooth_selection, split
 
 EXIT_OK = 0
@@ -218,9 +219,11 @@ def cmd_solve(pf: ProblemFile, args, out: _Writer) -> int:
         if y.size != mat.shape[0]:
             raise ProblemFileError(
                 f"--target: expected {mat.shape[0]} components, got {y.size}")
-        x = least_norm_solve(mat, y)
+        # one factorization gives x (least_norm_solve's bits) and kappa
+        fac = svd(mat)
+        x = fac.least_norm(y)
         out.line("x," + ",".join(fmt_float(v) for v in np.atleast_1d(x)))
-        out.line(f"kappa,{fmt_float(reg_linear(mat))}")
+        out.line(f"kappa,{fmt_float(reg_linear(fac))}")
         out.line(f"residual,{fmt_float(float(np.linalg.norm(mat @ x - y)))}")
         return EXIT_OK
 
@@ -448,7 +451,7 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         radius_x = pf.radius_x if pf.kind == "generalized" else 1.0
         # one factorization serves reg_linear, radius_y and lg_bound_check
         fibre = AffineSet(mat, np.zeros(mat.shape[0]))
-        kappa = args.kappa if args.kappa is not None else 1.1 * reg_linear(fibre)
+        kappa = args.kappa if args.kappa is not None else KAPPA_MARGIN * reg_linear(fibre)
         mapping = SampledMapping(
             forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
             radius_x=radius_x,
@@ -458,8 +461,9 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         if pf.perturbation is not None:
             lam = pf.constants.get("lambda")
             if lam is None:
-                lam = 1.2 * lip_estimate(pf.perturbation, base_x, radius_x,
-                                         samples=600, seed=seed).value
+                lam = LAMBDA_MARGIN * lip_estimate(
+                    pf.perturbation, base_x, radius_x, samples=600,
+                    seed=seed).value
             if lam <= 0:
                 lam = 0.5 / kappa
             report, _ = lg_bound_check(fibre, pf.perturbation, base_x,

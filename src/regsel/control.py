@@ -28,8 +28,9 @@ from .errors import (ContractError, LocalityError, NumericBreakdownError,
                      RegularityError, ShapeError, UncontrollableError)
 from .linalg import as_vector, svd
 from .moduli import ModulusEstimate, lip_estimate
-from .selection import (GeneralizedEquation, IterationCertificate,
-                        IterationConfig, compute_tau, default_config, solve)
+from .selection import (KAPPA_MARGIN, GeneralizedEquation,
+                        IterationCertificate, IterationConfig, compute_tau,
+                        default_config, solve)
 from .smooth import FD_JACOBIAN_STEP
 
 DEFAULT_MESH = 64
@@ -353,7 +354,7 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
             "collocation operator is not surjective; the discretized "
             "problem has no regularity modulus")
     smin = fibre.sigma_min
-    kappa = 1.1 / smin
+    kappa = KAPPA_MARGIN / smin
 
     g = _remainder(problem, sys)
     # correctors of a tau-sized query stay within kappa*(1+kappa*lam)*tau
@@ -407,7 +408,7 @@ def _transported_calm_bound(sys: DiscretizedSystem, pinv: np.ndarray,
     steps = np.concatenate([states[:n], states[n:] - states[:-n]])
     row_norm_diff = float(np.max(np.linalg.norm(steps, axis=1)))
     row_norm_sel = float(np.max(np.linalg.norm(sq * pinv[nx:], axis=1)))
-    return 2.0 * 1.1 * (row_norm_diff + row_norm_sel) / (1.0 - cfg.contraction)
+    return 2.0 * KAPPA_MARGIN * (row_norm_diff + row_norm_sel) / (1.0 - cfg.contraction)
 
 
 @dataclass
@@ -451,6 +452,11 @@ def _trajectory_norms(states: np.ndarray, controls: np.ndarray, mesh: int) -> fl
     return float(slope + bound)
 
 
+def _default_tau_target(size: float) -> float:
+    """Radius to certify for targets up to ``size``: 30% headroom, >= TAU_FLOOR."""
+    return max(TAU_FLOOR, 1.3 * size)
+
+
 def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
           b=None, setup: SteeringSetup | None = None,
           tau_target: float | None = None, tol: float = 1e-11,
@@ -469,8 +475,8 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
         if sys is None:
             sys = linearize(problem)
         b = as_vector(b, dim=sys.state_dim)
-        target = tau_target if tau_target is not None else max(
-            TAU_FLOOR, 1.3 * float(np.linalg.norm(b)))
+        target = (tau_target if tau_target is not None
+                  else _default_tau_target(float(np.linalg.norm(b))))
         setup = steering_setup(problem, sys, tau_target=target, tol=tol,
                                samples=samples, seed=seed)
     sys = setup.sys
@@ -532,7 +538,7 @@ def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
         sys = linearize(problem)
     grid = [as_vector(t, dim=sys.state_dim) for t in targets]
     worst = max(float(np.linalg.norm(t)) for t in grid)
-    target = tau_target if tau_target is not None else max(TAU_FLOOR, 1.3 * worst)
+    target = tau_target if tau_target is not None else _default_tau_target(worst)
     setup = steering_setup(problem, sys, tau_target=target, tol=tol,
                            samples=samples, seed=seed)
     sweep = ControlSweep(calm_bound=setup.calm_bound, tau=setup.tau)
@@ -556,66 +562,3 @@ def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
                                 cur.controls - prev.controls, sys.mesh_size)
         sweep.max_continuity_ratio = max(sweep.max_continuity_ratio, num / dist)
     return sweep
-
-
-def simulate_trapezoidal(dynamics: Callable, state_dim: int, controls: np.ndarray,
-                         start: np.ndarray | None = None,
-                         tol: float = 1e-14, max_inner: int = 100) -> np.ndarray:
-    """Integrate the implicit trapezoidal recursion for given interval controls.
-
-    Serves as the independent feasibility check for steering output: a
-    trajectory solves the discretized problem iff it matches this recursion
-    from the same start under the same controls.
-    """
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    big_n = controls.shape[0]
-    h = 1.0 / big_n
-    x = np.zeros(state_dim) if start is None else as_vector(start, dim=state_dim)
-    out = np.zeros((big_n + 1, state_dim))
-    out[0] = x
-    for i in range(big_n):
-        u = controls[i]
-        fi = as_vector(dynamics(x, u), dim=state_dim)
-        z = x + h * fi
-        converged = False
-        for _ in range(max_inner):
-            znew = x + 0.5 * h * (fi + as_vector(dynamics(z, u), dim=state_dim))
-            if np.max(np.abs(znew - z)) < tol:
-                z = znew
-                converged = True
-                break
-            z = znew
-        if not converged:
-            raise NumericBreakdownError(
-                f"implicit trapezoidal step {i} did not settle in {max_inner} sweeps")
-        x = z
-        out[i + 1] = x
-    return out
-
-
-def endpoint_order_ratios(problem: ControlProblem, control_value,
-                          meshes: Sequence[int] = (32, 64, 128),
-                          ref_mesh: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint errors of the trapezoidal map under mesh doubling.
-
-    Holds the control constant, integrates on each mesh and on a fine
-    reference mesh, and returns (errors, ratios of consecutive errors).
-    Second order convergence shows as ratios near 4.
-    """
-    value = as_vector(control_value, dim=problem.control_dim)
-    if any(meshes[i + 1] != 2 * meshes[i] for i in range(len(meshes) - 1)):
-        raise ContractError(f"meshes must double, got {tuple(meshes)}")
-    if ref_mesh <= max(meshes):
-        raise ContractError("reference mesh must exceed the tested meshes")
-    reference = simulate_trapezoidal(
-        problem.dynamics, problem.state_dim,
-        np.tile(value, (ref_mesh, 1)))[-1]
-    errors = []
-    for mesh in meshes:
-        end = simulate_trapezoidal(problem.dynamics, problem.state_dim,
-                                   np.tile(value, (mesh, 1)))[-1]
-        errors.append(float(np.linalg.norm(end - reference)))
-    errors = np.array(errors)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = errors[:-1] / errors[1:]
-    return errors, ratios

@@ -58,10 +58,12 @@ class SvdFactorization:
     """Full SVD ``a = u @ diag(s) @ vt`` with singular values descending.
 
     The one place where singular values meet SURJECTIVITY_RTOL: the
-    numerical rank, the surjectivity verdict, the row-relevant sigma_min and
-    the least-norm right inverse are all read from here.
+    numerical rank, the surjectivity verdict, the row-relevant sigma_min,
+    the least-norm right inverse and least-norm solutions are all read from
+    here.
     """
 
+    a: np.ndarray
     u: np.ndarray
     s: np.ndarray
     vt: np.ndarray
@@ -93,6 +95,29 @@ class SvdFactorization:
         r = self.rank
         return self.vt[:r].T @ (self.u[:, :r].T / self.s[:r, None])
 
+    def least_norm(self, rhs) -> np.ndarray:
+        """Minimum-norm solution of ``a @ x = rhs``.
+
+        Raises RegularityError when ``a`` is not numerically surjective,
+        NumericBreakdownError when the residual check fails.
+        """
+        rows, cols = self.a.shape
+        b = as_vector(rhs, dim=rows).reshape(rows, 1)
+        if rows > cols:
+            raise RegularityError("operator has more rows than columns; not surjective")
+        if not self.surjective:
+            raise RegularityError(
+                f"operator numerically non-surjective: sigma_min={self.s[rows - 1]:.3e} "
+                f"vs sigma_max={self.s[0]:.3e}")
+        # x = V_r diag(1/s) U^T b lies in the row space, hence has minimal
+        # norm; b stays a column so x keeps the bits of the matrix products
+        x = self.vt[:rows].T @ ((self.u.T @ b) / self.s[:rows, None])
+        resid = float(np.linalg.norm(self.a @ x - b))
+        if resid > RESIDUAL_RTOL * (1.0 + np.linalg.norm(b)):
+            raise NumericBreakdownError(
+                f"least-norm residual {resid:.3e} exceeds tolerance")
+        return x[:, 0]
+
 
 def svd(a) -> SvdFactorization:
     """Full SVD of a matrix; raises NumericBreakdownError if LAPACK fails."""
@@ -101,7 +126,7 @@ def svd(a) -> SvdFactorization:
         u, s, vt = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericBreakdownError(f"SVD failed: {exc}") from exc
-    return SvdFactorization(u=u, s=s, vt=vt)
+    return SvdFactorization(a=m, u=u, s=s, vt=vt)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -117,39 +142,6 @@ def operator_norm(a) -> float:
 
 
 def least_norm_solve(a, rhs) -> np.ndarray:
-    """Minimum-norm solution of ``a @ x = rhs`` for surjective ``a``.
-
-    ``rhs`` may be a vector or a matrix of stacked column right-hand sides;
-    the answer has matching shape. Raises RegularityError when ``a`` is not
-    numerically surjective, NumericBreakdownError when the residual check
-    fails.
-    """
-    m = as_matrix(a)
-    rows, cols = m.shape
-    b = np.asarray(rhs, dtype=float)
-    vector_input = b.ndim <= 1
-    if vector_input:
-        b = as_vector(rhs, dim=rows).reshape(rows, 1)
-    elif b.ndim == 2:
-        if b.shape[0] != rows:
-            raise ShapeError(f"rhs has {b.shape[0]} rows, operator has {rows}")
-        if not np.all(np.isfinite(b)):
-            raise ShapeError("rhs has non-finite entries")
-    else:
-        raise ShapeError(f"rhs must be 1-D or 2-D, got shape {b.shape}")
-
-    if rows > cols:
-        raise RegularityError("operator has more rows than columns; not surjective")
-    fac = svd(m)
-    if not fac.surjective:
-        raise RegularityError(
-            f"operator numerically non-surjective: sigma_min={fac.s[rows - 1]:.3e} "
-            f"vs sigma_max={fac.s[0]:.3e}")
-    # x = V_r diag(1/s) U^T b lies in the row space, hence has minimal norm.
-    x = fac.vt[:rows].T @ ((fac.u.T @ b) / fac.s[:rows, None])
-    resid = np.linalg.norm(m @ x - b, axis=0)
-    scale = 1.0 + np.linalg.norm(b, axis=0)
-    if np.any(resid > RESIDUAL_RTOL * scale):
-        raise NumericBreakdownError(
-            f"least-norm residual {resid.max():.3e} exceeds tolerance")
-    return x[:, 0] if vector_input else x
+    """Minimum-norm solution of ``a @ x = rhs`` for surjective ``a`` and a
+    vector ``rhs``; see SvdFactorization.least_norm."""
+    return svd(a).least_norm(rhs)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import convex
 from .errors import ContractError, ShapeError
-from .linalg import as_matrix, as_vector, row_norms, svd
+from .linalg import SvdFactorization, as_matrix, as_vector, row_norms, svd
 
 # Relative slack used when comparing sampled distances against kappa times
 # sampled distances; absorbs roundoff in grid arithmetic.
@@ -113,10 +113,10 @@ class CheckReport:
 def reg_linear(op) -> float:
     """Regularity modulus of a linear operator: 1/sigma_min, +inf if not onto.
 
-    ``op`` is a matrix, or an AffineSet, which keeps its operator's
-    sigma_min and is read without another SVD.
+    ``op`` is a matrix, or an AffineSet or SvdFactorization, which keeps its
+    operator's sigma_min and is read without another SVD.
     """
-    fac = op if isinstance(op, convex.AffineSet) else svd(op)
+    fac = op if isinstance(op, (convex.AffineSet, SvdFactorization)) else svd(op)
     if not fac.surjective:
         return float("inf")
     return 1.0 / fac.sigma_min

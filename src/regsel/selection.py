@@ -29,6 +29,10 @@ from .errors import (ContractError, InfeasibilitySuspectedError, LocalityError,
                      NumericBreakdownError, RegularityError)
 from .linalg import as_vector
 
+# Default margins of kappa over a regularity modulus, lambda over a sampled lip
+KAPPA_MARGIN = 1.1
+LAMBDA_MARGIN = 1.2
+
 
 @dataclass
 class IterationConfig:
@@ -90,8 +94,8 @@ def default_config(reg_value: float, sampled_lip: float, tol: float = 1e-10,
         raise ContractError(f"regularity modulus must be finite positive, got {reg_value}")
     if sampled_lip < 0:
         raise ContractError(f"sampled lip must be >= 0, got {sampled_lip}")
-    kappa = 1.1 * reg_value
-    lam = 1.2 * sampled_lip
+    kappa = KAPPA_MARGIN * reg_value
+    lam = LAMBDA_MARGIN * sampled_lip
     if kappa * lam >= 0.9:
         raise ContractError(
             f"kappa*lambda: default schedule rejected, {kappa * lam:.6g} >= 0.9")
@@ -199,51 +203,17 @@ def _project_truncated(base_set: ConvexSet, center: np.ndarray, radius: float,
     return z
 
 
-def initial_selection(problem: GeneralizedEquation, cfg: IterationConfig,
-                      y) -> np.ndarray:
-    """Calm starting selection: project x_base onto the truncated fiber.
-
-    ``y`` is a query for the unperturbed part, within radius_y of y_base.
-    The truncation ball has radius kappa * ||y - y_base||, so the calm bound
-    with constant kappa holds by construction.
-    """
-    y = as_vector(y, dim=problem.y_base.size)
-    dev = float(np.linalg.norm(y - problem.y_base))
-    if dev > problem.radius_y + 1e-12:
-        raise LocalityError(
-            f"query is {dev:.6g} from y_base, outside the image ball "
-            f"{problem.radius_y:.6g}", bound=problem.radius_y)
-    return _project_truncated(problem.finv(y), problem.x_base,
-                              cfg.kappa * dev, cfg, "initial selection")
-
-
-def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
-                 z_prev, z_curr) -> np.ndarray:
-    """One corrector step of the iteration.
-
-    Projects z_curr onto the inverse image of y - g(z_curr), truncated to
-    the ball of radius alpha*lambda*||z_curr - z_prev|| around z_curr.
-    Locality guards keep the iterate in the domain ball and the corrected
-    target in the image ball.
-    """
-    y = as_vector(y, dim=problem.y_base.size)
-    z_prev = as_vector(z_prev, dim=problem.x_base.size)
-    z_curr = as_vector(z_curr, dim=problem.x_base.size)
-    drift = float(np.linalg.norm(z_curr - problem.x_base))
+def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, w,
+                    center: np.ndarray, radius: float, what: str) -> np.ndarray:
+    """One step: project ``center`` onto the inverse image of the corrected
+    target w = y - g(center), truncated to B(center, radius). Locality
+    guards keep ``center`` in the domain ball and ``w`` in the image ball;
+    ``what`` names the step in error messages."""
+    drift = float(np.linalg.norm(center - problem.x_base))
     if drift > problem.radius_x + 1e-12:
         raise LocalityError(
             f"iterate drifted {drift:.6g} from x_base, outside the domain "
             f"ball {problem.radius_x:.6g}", bound=problem.radius_x)
-    radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
-    return _corrector_step(problem, cfg, y, z_curr, radius, "iterate step")
-
-
-def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
-                    center: np.ndarray, radius: float, what: str) -> np.ndarray:
-    """Project ``center`` onto the inverse image of y - g(center), truncated
-    to B(center, radius), after checking that the corrected target stays in
-    the image ball."""
-    w = y - problem.g_value(center)
     w_dev = float(np.linalg.norm(w - problem.y_base))
     if w_dev > problem.radius_y + 1e-12:
         raise LocalityError(
@@ -256,9 +226,12 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
           y) -> tuple[np.ndarray, IterationCertificate]:
     """Solve y in g(x) + F(x) for a query in the certified tau-ball.
 
-    Returns the selection value and a certificate with the step lengths,
-    the final membership residual, and the calmness verdict against
-    gamma = 2*kappa/(1 - alpha*lambda).
+    Every step is one corrector step; only the truncation radius changes:
+    kappa*dev around x_base (the initial selection, calm with constant kappa
+    by construction), kappa*(1 + kappa*lambda)*dev for the first corrector
+    step, then alpha*lambda times the last increment. Returns the selection
+    value and a certificate with the step lengths, the final membership
+    residual, and the calmness verdict against gamma = 2*kappa/(1 - alpha*lambda).
     """
     y = as_vector(y, dim=problem.y_base.size)
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
@@ -269,31 +242,28 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
             f"query is {dev:.6g} from the base output, outside the certified "
             f"radius tau={tau:.6g}", bound=tau)
 
-    z0 = initial_selection(problem, cfg, y - g_base)
-
-    # The first corrector step carries the wider radius
-    # kappa*(1+kappa*lambda)*dev. It skips iterate_step's drift check, which
-    # cannot fire on z0: ||z0 - x_base|| <= kappa*dev <= radius_x/2 under tau.
-    radius1 = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev
-    z1 = _corrector_step(problem, cfg, y, z0, radius1, "first corrector step")
-
-    increments = [float(np.linalg.norm(z1 - z0))]
-    z_prev, z_curr = z0, z1
-    while increments[-1] > cfg.tol:
+    x = _corrector_step(problem, cfg, y - g_base, problem.x_base,
+                        cfg.kappa * dev, "initial selection")
+    radius = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev
+    what = "first corrector step"
+    increments: list[float] = []
+    while not increments or increments[-1] > cfg.tol:
         if len(increments) >= cfg.max_iter:
             raise NumericBreakdownError(
                 f"no convergence after {cfg.max_iter} steps; last increment "
                 f"{increments[-1]:.3e}")
-        z_next = iterate_step(problem, cfg, y, z_prev, z_curr)
-        step = float(np.linalg.norm(z_next - z_curr))
-        if increments[-1] > 0 and step > cfg.contraction * increments[-1] * (1 + 1e-6) + 1e-15:
+        w = y - problem.g_value(x)
+        z = _corrector_step(problem, cfg, w, x, radius, what)
+        step = float(np.linalg.norm(z - x))
+        if (increments and increments[-1] > 0
+                and step > cfg.contraction * increments[-1] * (1 + 1e-6) + 1e-15):
             raise RegularityError(
                 f"observed step ratio {step / increments[-1]:.6g} exceeds "
                 f"alpha*lambda={cfg.contraction:.6g}; moduli misestimated")
         increments.append(step)
-        z_prev, z_curr = z_curr, z_next
+        x = z
+        radius, what = cfg.contraction * step, "iterate step"
 
-    x = z_curr
     final_set = problem.finv(y - problem.g_value(x))
     residual = final_set.gap(x)
     if residual > 10.0 * cfg.tol:

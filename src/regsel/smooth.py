@@ -10,13 +10,14 @@ local right inverse of f that is calm at the base with constant close to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .convex import AffineSet
 from .errors import ContractError, RegularityError, ShapeError
-from .linalg import as_matrix, as_vector, operator_norm, svd
+from .linalg import as_matrix, as_vector
 from .moduli import lip_estimate, reg_linear
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, default_config, solve)
@@ -78,6 +79,21 @@ class SmoothProblem:
     def base_jacobian(self) -> np.ndarray:
         return self.base_fibre.op
 
+    @cached_property
+    def _equation(self) -> GeneralizedEquation:
+        """The generalized equation ``split`` returns, built on first use."""
+        b = self.base_jacobian
+        offset = b @ self.x_base
+        fibre = self.base_fibre
+
+        def finv(w):
+            return fibre.shifted(as_vector(w, dim=b.shape[0]) + offset)
+
+        return GeneralizedEquation(
+            finv=finv, g=self.remainder, x_base=self.x_base,
+            y_base=np.zeros(b.shape[0]), radius_x=self.radius,
+            radius_y=self.radius, radius_graph=2.0 * self.radius)
+
     def remainder(self, x) -> np.ndarray:
         """g(x) = f(x) - B(x - x_base), the part the linearization misses."""
         x = as_vector(x, dim=self.x_base.size)
@@ -91,20 +107,10 @@ def split(problem: SmoothProblem) -> GeneralizedEquation:
     (affine sets); the remainder g(x) = f(x) - B(x - x_base) carries the
     constant f(x_base), so the selection solver restates queries at
     y_base + g(x_base) = f(x_base) and solving y in g(x) + F(x) means
-    exactly f(x) = y.
+    exactly f(x) = y. The equation is built once per problem; every call
+    returns the same object.
     """
-    b = problem.base_jacobian
-    x0 = problem.x_base
-    offset = b @ x0
-    fibre = problem.base_fibre
-
-    def finv(w):
-        return fibre.shifted(as_vector(w, dim=b.shape[0]) + offset)
-
-    return GeneralizedEquation(
-        finv=finv, g=problem.remainder, x_base=x0, y_base=np.zeros(b.shape[0]),
-        radius_x=problem.radius, radius_y=problem.radius,
-        radius_graph=2.0 * problem.radius)
+    return problem._equation
 
 
 def config_for(problem: SmoothProblem, samples: int = 1500,
@@ -122,53 +128,10 @@ def smooth_selection(problem: SmoothProblem, y, cfg: IterationConfig | None = No
     """Local right inverse: returns x with f(x) = y, plus the certificate."""
     if cfg is None:
         cfg = config_for(problem)
-    ge = split(problem)
-    x, cert = solve(ge, cfg, y)
+    x, cert = solve(split(problem), cfg, y)
     y = as_vector(y, dim=problem.y_base.size)
     resid = np.linalg.norm(as_vector(problem.f(x)) - y)
     if resid > 1e-8 * (1.0 + np.linalg.norm(y)):
         raise RegularityError(
             f"selection does not satisfy f(x) = y: residual {resid:.3e}")
     return x, cert
-
-
-def derivative_check(problem: SmoothProblem, cfg: IterationConfig | None = None,
-                     step: float | None = None) -> tuple[np.ndarray, float]:
-    """Finite-difference derivative of the selection at the base output.
-
-    Central differences with step 1e-5*(1+||y_base||) by default. Returns
-    the stencil Jacobian J (cols x rows of f's Jacobian) and the worst of
-    two deviations: ||B J - I|| and ||J - B^T (B B^T)^{-1}||, both as
-    operator norms. Smooth fixtures land well under 1e-4.
-    """
-    if cfg is None:
-        cfg = config_for(problem)
-    b = problem.base_jacobian
-    m = b.shape[0]
-    h = step if step is not None else 1e-5 * (1.0 + np.linalg.norm(problem.y_base))
-    cols = []
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        x_plus, _ = smooth_selection(problem, problem.y_base + e, cfg)
-        x_minus, _ = smooth_selection(problem, problem.y_base - e, cfg)
-        cols.append((x_plus - x_minus) / (2.0 * h))
-    j_fd = np.stack(cols, axis=1)
-    dev_left = operator_norm(b @ j_fd - np.eye(m))
-    dev_pinv = operator_norm(j_fd - problem.base_fibre.right_inverse)
-    return j_fd, max(dev_left, dev_pinv)
-
-
-def augmented_jacobian(b) -> tuple[np.ndarray, bool]:
-    """Augmented block matrix [[I, B^T], [B, 0]] and its invertibility verdict.
-
-    The block matrix is invertible exactly when B is surjective; the verdict
-    uses the shared relative singular-value cutoff.
-    """
-    b = as_matrix(b)
-    m, n = b.shape
-    j = np.zeros((n + m, n + m))
-    j[:n, :n] = np.eye(n)
-    j[:n, n:] = b.T
-    j[n:, :n] = b
-    return j, svd(j).surjective

@@ -1,14 +1,30 @@
 """Independent oracles used by the test suite.
 
-Everything here deliberately avoids the package's own SVD/projection code
-paths: singular values come from one-sided Jacobi rotations, projections
-onto affine sets from the KKT normal equations, operator norms from power
-iteration. Tests compare package output against these.
+Most of what is here deliberately avoids the package's own SVD/projection
+code paths: singular values come from one-sided Jacobi rotations,
+projections onto affine sets from the KKT normal equations, operator norms
+from power iteration. Tests compare package output against these.
+
+The last sections hold checkers that run the package itself and that only
+tests call: the trapezoidal integrator and its mesh-doubling order check,
+the selection's finite-difference derivative and the augmented Jacobian,
+and the selection solve as three separate phases, the reference the single
+corrector loop of regsel.selection.solve must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
+
+from regsel.control import ControlProblem
+from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
+                           RegularityError)
+from regsel.linalg import as_matrix, as_vector, operator_norm, svd
+from regsel.selection import (GeneralizedEquation, IterationCertificate,
+                              IterationConfig, _project_truncated, compute_tau)
+from regsel.smooth import SmoothProblem, config_for, smooth_selection
 
 
 def jacobi_singular_values(a, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
@@ -407,3 +423,231 @@ def polynomial_value_loop(poly, x):
                 base = (flat ** np.tile(powers, rows.shape[0])).reshape(rows.shape)
             out[k] += coef * np.prod(base, axis=-1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# trapezoidal integration and its order
+
+
+def simulate_trapezoidal(dynamics: Callable, state_dim: int, controls: np.ndarray,
+                         start: np.ndarray | None = None,
+                         tol: float = 1e-14, max_inner: int = 100) -> np.ndarray:
+    """Integrate the implicit trapezoidal recursion for given interval controls.
+
+    Serves as the independent feasibility check for steering output: a
+    trajectory solves the discretized problem iff it matches this recursion
+    from the same start under the same controls.
+    """
+    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    big_n = controls.shape[0]
+    h = 1.0 / big_n
+    x = np.zeros(state_dim) if start is None else as_vector(start, dim=state_dim)
+    out = np.zeros((big_n + 1, state_dim))
+    out[0] = x
+    for i in range(big_n):
+        u = controls[i]
+        fi = as_vector(dynamics(x, u), dim=state_dim)
+        z = x + h * fi
+        converged = False
+        for _ in range(max_inner):
+            znew = x + 0.5 * h * (fi + as_vector(dynamics(z, u), dim=state_dim))
+            if np.max(np.abs(znew - z)) < tol:
+                z = znew
+                converged = True
+                break
+            z = znew
+        if not converged:
+            raise NumericBreakdownError(
+                f"implicit trapezoidal step {i} did not settle in {max_inner} sweeps")
+        x = z
+        out[i + 1] = x
+    return out
+
+
+def endpoint_order_ratios(problem: ControlProblem, control_value,
+                          meshes: Sequence[int] = (32, 64, 128),
+                          ref_mesh: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint errors of the trapezoidal map under mesh doubling.
+
+    Holds the control constant, integrates on each mesh and on a fine
+    reference mesh, and returns (errors, ratios of consecutive errors).
+    Second order convergence shows as ratios near 4.
+    """
+    value = as_vector(control_value, dim=problem.control_dim)
+    if any(meshes[i + 1] != 2 * meshes[i] for i in range(len(meshes) - 1)):
+        raise ContractError(f"meshes must double, got {tuple(meshes)}")
+    if ref_mesh <= max(meshes):
+        raise ContractError("reference mesh must exceed the tested meshes")
+    reference = simulate_trapezoidal(
+        problem.dynamics, problem.state_dim,
+        np.tile(value, (ref_mesh, 1)))[-1]
+    errors = []
+    for mesh in meshes:
+        end = simulate_trapezoidal(problem.dynamics, problem.state_dim,
+                                   np.tile(value, (mesh, 1)))[-1]
+        errors.append(float(np.linalg.norm(end - reference)))
+    errors = np.array(errors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = errors[:-1] / errors[1:]
+    return errors, ratios
+
+
+# ---------------------------------------------------------------------------
+# derivative of the smooth selection
+
+
+def derivative_check(problem: SmoothProblem, cfg: IterationConfig | None = None,
+                     step: float | None = None) -> tuple[np.ndarray, float]:
+    """Finite-difference derivative of the selection at the base output.
+
+    Central differences with step 1e-5*(1+||y_base||) by default. Returns
+    the stencil Jacobian J (cols x rows of f's Jacobian) and the worst of
+    two deviations: ||B J - I|| and ||J - B^T (B B^T)^{-1}||, both as
+    operator norms. Smooth fixtures land well under 1e-4.
+    """
+    if cfg is None:
+        cfg = config_for(problem)
+    b = problem.base_jacobian
+    m = b.shape[0]
+    h = step if step is not None else 1e-5 * (1.0 + np.linalg.norm(problem.y_base))
+    cols = []
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = h
+        x_plus, _ = smooth_selection(problem, problem.y_base + e, cfg)
+        x_minus, _ = smooth_selection(problem, problem.y_base - e, cfg)
+        cols.append((x_plus - x_minus) / (2.0 * h))
+    j_fd = np.stack(cols, axis=1)
+    dev_left = operator_norm(b @ j_fd - np.eye(m))
+    dev_pinv = operator_norm(j_fd - problem.base_fibre.right_inverse)
+    return j_fd, max(dev_left, dev_pinv)
+
+
+def augmented_jacobian(b) -> tuple[np.ndarray, bool]:
+    """Augmented block matrix [[I, B^T], [B, 0]] and its invertibility verdict.
+
+    The block matrix is invertible exactly when B is surjective; the verdict
+    uses the shared relative singular-value cutoff.
+    """
+    b = as_matrix(b)
+    m, n = b.shape
+    j = np.zeros((n + m, n + m))
+    j[:n, :n] = np.eye(n)
+    j[:n, n:] = b.T
+    j[n:, :n] = b
+    return j, svd(j).surjective
+
+
+# ---------------------------------------------------------------------------
+# the selection solve in three phases: initial selection, first corrector
+# step, iterate steps
+
+
+def initial_selection(problem: GeneralizedEquation, cfg: IterationConfig,
+                      y) -> np.ndarray:
+    """Calm starting selection: project x_base onto the truncated fiber.
+
+    ``y`` is a query for the unperturbed part, within radius_y of y_base.
+    The truncation ball has radius kappa * ||y - y_base||, so the calm bound
+    with constant kappa holds by construction.
+    """
+    y = as_vector(y, dim=problem.y_base.size)
+    dev = float(np.linalg.norm(y - problem.y_base))
+    if dev > problem.radius_y + 1e-12:
+        raise LocalityError(
+            f"query is {dev:.6g} from y_base, outside the image ball "
+            f"{problem.radius_y:.6g}", bound=problem.radius_y)
+    return _project_truncated(problem.finv(y), problem.x_base,
+                              cfg.kappa * dev, cfg, "initial selection")
+
+
+def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
+                 z_prev, z_curr) -> np.ndarray:
+    """One corrector step of the iteration.
+
+    Projects z_curr onto the inverse image of y - g(z_curr), truncated to
+    the ball of radius alpha*lambda*||z_curr - z_prev|| around z_curr.
+    Locality guards keep the iterate in the domain ball and the corrected
+    target in the image ball.
+    """
+    y = as_vector(y, dim=problem.y_base.size)
+    z_prev = as_vector(z_prev, dim=problem.x_base.size)
+    z_curr = as_vector(z_curr, dim=problem.x_base.size)
+    drift = float(np.linalg.norm(z_curr - problem.x_base))
+    if drift > problem.radius_x + 1e-12:
+        raise LocalityError(
+            f"iterate drifted {drift:.6g} from x_base, outside the domain "
+            f"ball {problem.radius_x:.6g}", bound=problem.radius_x)
+    radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
+    return _corrector_step(problem, cfg, y, z_curr, radius, "iterate step")
+
+
+def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
+                    center: np.ndarray, radius: float, what: str) -> np.ndarray:
+    """Project ``center`` onto the inverse image of y - g(center), truncated
+    to B(center, radius), after checking that the corrected target stays in
+    the image ball."""
+    w = y - problem.g_value(center)
+    w_dev = float(np.linalg.norm(w - problem.y_base))
+    if w_dev > problem.radius_y + 1e-12:
+        raise LocalityError(
+            f"corrected target is {w_dev:.6g} from y_base, outside the image "
+            f"ball {problem.radius_y:.6g}", bound=problem.radius_y)
+    return _project_truncated(problem.finv(w), center, radius, cfg, what)
+
+
+def three_phase_solve(problem: GeneralizedEquation, cfg: IterationConfig,
+                      y) -> tuple[np.ndarray, IterationCertificate]:
+    """Solve y in g(x) + F(x) for a query in the certified tau-ball.
+
+    Returns the selection value and a certificate with the step lengths,
+    the final membership residual, and the calmness verdict against
+    gamma = 2*kappa/(1 - alpha*lambda).
+    """
+    y = as_vector(y, dim=problem.y_base.size)
+    tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
+    g_base = problem.g_value(problem.x_base)
+    dev = float(np.linalg.norm(y - problem.y_base - g_base))
+    if dev > tau + 1e-15:
+        raise LocalityError(
+            f"query is {dev:.6g} from the base output, outside the certified "
+            f"radius tau={tau:.6g}", bound=tau)
+
+    z0 = initial_selection(problem, cfg, y - g_base)
+
+    # The first corrector step carries the wider radius
+    # kappa*(1+kappa*lambda)*dev. It skips iterate_step's drift check, which
+    # cannot fire on z0: ||z0 - x_base|| <= kappa*dev <= radius_x/2 under tau.
+    radius1 = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev
+    z1 = _corrector_step(problem, cfg, y, z0, radius1, "first corrector step")
+
+    increments = [float(np.linalg.norm(z1 - z0))]
+    z_prev, z_curr = z0, z1
+    while increments[-1] > cfg.tol:
+        if len(increments) >= cfg.max_iter:
+            raise NumericBreakdownError(
+                f"no convergence after {cfg.max_iter} steps; last increment "
+                f"{increments[-1]:.3e}")
+        z_next = iterate_step(problem, cfg, y, z_prev, z_curr)
+        step = float(np.linalg.norm(z_next - z_curr))
+        if increments[-1] > 0 and step > cfg.contraction * increments[-1] * (1 + 1e-6) + 1e-15:
+            raise RegularityError(
+                f"observed step ratio {step / increments[-1]:.6g} exceeds "
+                f"alpha*lambda={cfg.contraction:.6g}; moduli misestimated")
+        increments.append(step)
+        z_prev, z_curr = z_curr, z_next
+
+    x = z_curr
+    final_set = problem.finv(y - problem.g_value(x))
+    residual = final_set.gap(x)
+    if residual > 10.0 * cfg.tol:
+        raise NumericBreakdownError(
+            f"final membership residual {residual:.3e} exceeds 10*tol")
+    gamma = cfg.gamma
+    calm_ok = bool(np.linalg.norm(x - problem.x_base) <= gamma * dev + 1e-9)
+    cert = IterationCertificate(
+        kappa=cfg.kappa, lam=cfg.lam, alpha=cfg.alpha, tau=tau, gamma=gamma,
+        increments=increments, residual=float(residual), calm_ok=calm_ok,
+        iterate_count=len(increments),
+        tail_bound=increments[-1] / (1.0 - cfg.contraction))
+    return x, cert

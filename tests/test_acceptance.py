@@ -9,18 +9,18 @@ import time
 
 import numpy as np
 
-from oracles import jacobi_singular_values, random_surjective
-from regsel.control import (ControlProblem, endpoint_order_ratios, kalman_rank,
-                            linearize, reachable_interior, steer,
-                            steering_setup)
+from oracles import (augmented_jacobian, derivative_check,
+                     endpoint_order_ratios, jacobi_singular_values, pinv_apply,
+                     random_surjective)
+from regsel.control import (ControlProblem, kalman_rank, linearize,
+                            reachable_interior, steer, steering_setup)
 from regsel.convex import AffineSet, Box
-from regsel.linalg import least_norm_solve
 from regsel.moduli import (SampledMapping, counterexample_mapping, lg_bound_check,
                            lsc_probe, reg_linear, truncated_counterexample,
                            verify_aubin, verify_metric_regularity)
 from regsel.selection import (GeneralizedEquation, IterationConfig, compute_tau,
                               solve, sweep)
-from regsel.smooth import SmoothProblem, augmented_jacobian, derivative_check
+from regsel.smooth import SmoothProblem
 
 UNIT_BOX = Box([-1.0], [1.0])
 
@@ -105,17 +105,17 @@ def test_criterion_01_regularity_modulus_matches_svd_oracle():
         # a uniform sample cannot reach in 8 dimensions
         draws = rng.normal(size=(m, 9900))
         draws /= np.linalg.norm(draws, axis=0)
-        sup = float(np.linalg.norm(least_norm_solve(b, draws), axis=0).max())
+        sup = float(np.linalg.norm(pinv_apply(b, draws), axis=0).max())
         gram = b @ b.T
         y = draws[:, int(np.argmax(np.linalg.norm(
-            least_norm_solve(b, draws), axis=0)))].copy()
+            pinv_apply(b, draws), axis=0)))].copy()
         refined = []
         for _ in range(100):
             y = np.linalg.solve(gram, y)
             y /= np.linalg.norm(y)
             refined.append(y.copy())
         sup_ref = np.linalg.norm(
-            least_norm_solve(b, np.stack(refined, axis=1)), axis=0).max()
+            pinv_apply(b, np.stack(refined, axis=1)), axis=0).max()
         sup = max(sup, float(sup_ref))
         assert 0.98 * reg <= sup <= 1.02 * reg
     assert time.perf_counter() - start < 10.0

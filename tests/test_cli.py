@@ -165,6 +165,26 @@ def test_solve_linear_least_norm(capsys, fdir):
     assert float(grab(out, "residual")) <= 1e-12
 
 
+def test_solve_linear_factors_once(capsys, monkeypatch):
+    # x and kappa come from one factorization; x keeps least_norm_solve's bits
+    committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code, out, _ = run(capsys, "solve", "--input", str(committed / "linear.json"),
+                       "--target=0.6721450912107902,-0.9837187214280831")
+    assert code == 0
+    assert calls == [(2, 2)]
+    assert out == ("x,0.33607254560539512,-1.9674374428561663\n"
+                   "kappa,2\n"
+                   "residual,0\n")
+
+
 def test_solve_scalar_generalized(capsys, fdir):
     code, out, _ = run(capsys, "solve", "--input", str(fdir / "scalar.json"),
                        "--target", "0.1")

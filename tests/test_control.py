@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (collocation_remainder_loop, control_membership_loop,
-                     reachable_interior_node_loop, trapezoid_residual,
+                     endpoint_order_ratios, reachable_interior_node_loop,
+                     simulate_trapezoidal, trapezoid_residual,
                      transported_calm_bound_dense)
 from regsel import control
 from regsel.control import (ControlProblem, DiscretizedSystem, calm_sweep,
-                            endpoint_order_ratios, kalman_rank, linearize,
-                            reachable_interior, simulate_trapezoidal, steer,
+                            kalman_rank, linearize, reachable_interior, steer,
                             steering_setup)
 from regsel.convex import AffineSet, Ball, Box, Halfspaces
 from regsel.errors import (ContractError, LocalityError,

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_root
-from regsel.convex import AffineSet
+from oracles import bisect_root, random_surjective, three_phase_solve
+from regsel.convex import AffineSet, Box, Intersection
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
                            RegularityError)
 from regsel.selection import (GeneralizedEquation, IterationConfig,
-                              _project_truncated, compute_tau, default_config,
-                              initial_selection, iterate_step, solve,
-                              solve_implicit, sweep)
+                              _corrector_step, _project_truncated, compute_tau,
+                              default_config, solve, solve_implicit, sweep)
 
 
 def singleton_inverse(y):
@@ -170,12 +169,28 @@ def test_truncated_projection_radius_zero_feasible_center_is_singleton():
 
 
 # ---------------------------------------------------------------------------
-# starting selection and single steps
+# starting selection and single steps: the initial selection is the corrector
+# step from x_base with radius kappa*|y - y_base|, an iterate step the one
+# from z_curr with radius alpha*lambda*|z_curr - z_prev|
+
+
+def initial_step(p, cfg, y):
+    # a query for the unperturbed part, as solve passes y - g(x_base)
+    y = np.asarray(y, dtype=float)
+    radius = cfg.kappa * float(np.linalg.norm(y - p.y_base))
+    return _corrector_step(p, cfg, y, p.x_base, radius, "initial selection")
+
+
+def iterate(p, cfg, y, z_prev, z_curr):
+    z_prev, z_curr = np.asarray(z_prev, dtype=float), np.asarray(z_curr, dtype=float)
+    radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
+    return _corrector_step(p, cfg, np.asarray(y, dtype=float) - p.g_value(z_curr),
+                           z_curr, radius, "iterate step")
 
 
 def test_initial_selection_at_base_returns_base():
     p = scalar_problem()
-    z = initial_selection(p, scalar_config(), [0.0])
+    z = initial_step(p, scalar_config(), [0.0])
     np.testing.assert_array_equal(z, [0.0])
 
 
@@ -184,7 +199,7 @@ def test_initial_selection_projects_to_line():
     p2 = GeneralizedEquation(finv=line_inverse, g=None, x_base=[0.0, 0.0],
                              y_base=[0.0], radius_x=4.0, radius_y=3.0,
                              radius_graph=16.0)
-    z = initial_selection(p2, line_config(), [2.0])
+    z = initial_step(p2, line_config(), [2.0])
     np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-9)
     assert p.radius_y < 2.0  # the tighter problem would reject this query
 
@@ -197,41 +212,41 @@ def test_initial_selection_least_norm_in_three_dims():
                             y_base=[0.0, 0.0], radius_x=8.0, radius_y=8.0,
                             radius_graph=32.0)
     cfg = IterationConfig(kappa=1.2, lam=0.0, alpha=2.4)
-    z = initial_selection(p, cfg, [2.0, 3.0])
+    z = initial_step(p, cfg, [2.0, 3.0])
     np.testing.assert_allclose(z, [1.0, 3.0, 1.0], atol=1e-9)
 
 
 def test_initial_selection_rejects_far_query():
     p = scalar_problem()
-    with pytest.raises(LocalityError, match="query is"):
-        initial_selection(p, scalar_config(), [5.0])
+    with pytest.raises(LocalityError, match="corrected target is"):
+        initial_step(p, scalar_config(), [5.0])
 
 
 def test_iterate_step_fixed_point_is_stationary():
     p = scalar_problem(g=g_third)
     cfg = scalar_config()
     z_star = np.array([0.1 / 1.3])
-    out = iterate_step(p, cfg, [0.1], z_star, z_star)
+    out = iterate(p, cfg, [0.1], z_star, z_star)
     np.testing.assert_allclose(out, z_star, atol=1e-12)
 
 
 def test_iterate_step_scalar_hand_value():
     p = scalar_problem(g=g_third)
     cfg = scalar_config()
-    out = iterate_step(p, cfg, [0.1], [0.1], [0.07])
+    out = iterate(p, cfg, [0.1], [0.1], [0.07])
     np.testing.assert_allclose(out, [0.1 - 0.3 * 0.07], atol=1e-10)
 
 
 def test_iterate_step_rejects_drifted_iterate():
     p = scalar_problem(g=g_third)
     with pytest.raises(LocalityError, match="drifted"):
-        iterate_step(p, scalar_config(), [0.1], [0.0], [3.0])
+        iterate(p, scalar_config(), [0.1], [0.0], [3.0])
 
 
 def test_iterate_step_rejects_far_corrected_target():
     p = scalar_problem(g=g_third)
     with pytest.raises(LocalityError, match="corrected target"):
-        iterate_step(p, scalar_config(), [5.0], [0.0], [0.0])
+        iterate(p, scalar_config(), [5.0], [0.0], [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +332,58 @@ def test_solve_scalar_calm_and_contracting(y):
         assert inc[n] <= cfg.contraction * inc[n - 1] * (1 + 1e-6) + 1e-15
 
 
+def outcome(fn, *args):
+    """(x, certificate) of a solve, or the type and text of its failure."""
+    try:
+        return fn(*args)
+    except (LocalityError, RegularityError, NumericBreakdownError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 5)).filter(lambda s: s[0] <= s[1]),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_three_phase_solve_bit_for_bit(shape, seed, t, boxed):
+    # a random surjective matrix, a sin perturbation that moves the base
+    # output, and a query anywhere in the certified ball, with and without
+    # a box constraint; the single corrector loop must reproduce the three
+    # separate phases it replaced in every bit, or fail with the same error
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    mat = random_surjective(rng, rows, cols, smin=0.3, smax=3.0)
+    w = rng.standard_normal((rows, cols))
+    w /= np.linalg.norm(w, 2)
+    phase = rng.uniform(-1.0, 1.0, rows)
+    smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
+    eps = 0.25 * smin  # g is eps-Lipschitz, so kappa*lambda stays near 0.33
+
+    def g(x):
+        return eps * np.sin(w @ x + phase)
+
+    box = Box(-0.4 * np.ones(cols), 0.4 * np.ones(cols))
+
+    def finv(y):
+        fibre = AffineSet(mat, y)
+        return Intersection([fibre, box]) if boxed else fibre
+
+    p = GeneralizedEquation(finv=finv, g=g, x_base=np.zeros(cols),
+                            y_base=np.zeros(rows), radius_x=1.0, radius_y=1.0,
+                            radius_graph=4.0)
+    cfg = default_config(1.0 / smin, eps)
+    tau = compute_tau(cfg, (1.0, 1.0))
+    u = rng.standard_normal(rows)
+    y = g(p.x_base) + t * tau * u / np.linalg.norm(u)
+
+    got, want = outcome(solve, p, cfg, y), outcome(three_phase_solve, p, cfg, y)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (x, cert), (x_ref, cert_ref) = got, want
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.array(cert.increments).tobytes() == np.array(cert_ref.increments).tobytes()
+    assert cert == cert_ref
+
+
 # ---------------------------------------------------------------------------
 # parametric form
 
@@ -381,7 +448,7 @@ def test_sweep_affine_matches_initial_selection():
     for r, y in zip(res.rows, ys):
         # the corrector pass re-projects onto the same line, so it can move
         # the start point by float dust only
-        np.testing.assert_allclose(r.x, initial_selection(p, cfg, y),
+        np.testing.assert_allclose(r.x, initial_step(p, cfg, y),
                                    atol=1e-14)
         assert r.certificate.iterate_count == 1
         assert r.certificate.increments[0] <= 1e-14

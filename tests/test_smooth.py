@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import pinv_apply, sampled_calm_bound
+from oracles import (augmented_jacobian, derivative_check, pinv_apply,
+                     sampled_calm_bound)
 from regsel.errors import ContractError, RegularityError, ShapeError
 from regsel.linalg import least_norm_solve
 from regsel.moduli import lip_estimate, reg_linear
-from regsel.selection import compute_tau, sweep
-from regsel.smooth import (SmoothProblem, augmented_jacobian, config_for,
-                           derivative_check, smooth_selection, split)
+from regsel.selection import GeneralizedEquation, compute_tau, sweep
+from regsel.smooth import SmoothProblem, config_for, smooth_selection, split
 
 B_WIDE = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
 
@@ -94,6 +94,26 @@ def test_split_fibers_pass_through_least_norm_points():
     assert ge.y_base.shape == (2,)
     assert np.all(ge.y_base == 0.0)
     assert ge.radius_graph == pytest.approx(2.0 * p.radius)
+
+
+def test_split_is_built_once_per_problem(monkeypatch):
+    # every query reuses the problem's equation instead of rebuilding and
+    # re-validating it
+    p = sin_problem()
+    cfg = config_for(p)
+    builds = []
+    post_init = GeneralizedEquation.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GeneralizedEquation, "__post_init__", counting)
+    ge = split(p)
+    for y in (0.01, -0.02):
+        smooth_selection(p, [y], cfg)
+    assert split(p) is ge
+    assert builds == [ge]
 
 
 def test_remainder_profile_decays_with_radius():
