@@ -111,32 +111,62 @@ def _verify_grid(args, dim: int) -> int:
 # building blocks shared by the subcommands
 
 
-def _zero_map(rows: int):
-    """The perturbation of a file that has none: x -> 0 in R^rows."""
-    def g(x):
-        return np.zeros(rows)
-    return g
+def _target(pf: ProblemFile, args, dim: int, missing: str) -> np.ndarray:
+    """The query of solve, sweep and control: --target, else the file's
+    target, of length dim; read before any set-up work."""
+    target = args.target if args.target is not None else pf.target
+    if target is None:
+        raise ProblemFileError(missing)
+    if isinstance(target, str):
+        target = _parse_vector(target, "--target")
+    y = np.asarray(target, dtype=float)
+    if y.size != dim:
+        raise ProblemFileError(
+            f"--target: expected {dim} components, got {y.size}")
+    return y
 
 
-def _generalized_pieces(pf: ProblemFile, args):
-    """Equation and config for a generalized problem file."""
+def _linear_part(pf: ProblemFile):
+    """Matrix, perturbation (x -> 0 when the file has none), centre and
+    radius of a linear or generalized file."""
     mat = pf.matrix
+    g = pf.perturbation
+    if g is None:
+        def g(x):
+            return np.zeros(mat.shape[0])
+    center = pf.base_x if pf.base_x is not None else np.zeros(mat.shape[1])
+    radius = pf.radius_x if pf.kind == "generalized" else 1.0
+    return mat, g, center, radius
+
+
+def _smooth_problem(pf: ProblemFile) -> SmoothProblem:
+    return SmoothProblem(f=pf.smooth_map, x_base=pf.base,
+                         jacobian=pf.smooth_map.jacobian, radius=pf.radius)
+
+
+def _equation(pf: ProblemFile, args):
+    """Equation, constants and one-query solver of a smooth or generalized
+    file. A smooth file's equation is its split, and its queries go through
+    smooth_selection, which also checks f(x) = y."""
+    if pf.kind == "smooth":
+        problem = _smooth_problem(pf)
+        cfg = config_for(problem, seed=_seed(pf, args), tol=args.tol,
+                         max_iter=args.max_iter)
+        return split(problem), cfg, lambda y: smooth_selection(problem, y, cfg)
+    mat, g, center, radius = _linear_part(pf)
     fibre = AffineSet(mat, np.zeros(mat.shape[0]))
     if pf.constraint is not None:
         def finv(w, _c=pf.constraint):
             return Intersection([fibre.shifted(w), _c])
     else:
         finv = fibre.shifted
-    g = pf.perturbation if pf.perturbation is not None else _zero_map(mat.shape[0])
     equation = GeneralizedEquation(
-        finv=finv, g=g, x_base=pf.base_x, y_base=pf.base_y,
-        radius_x=pf.radius_x, radius_y=pf.radius_y,
-        radius_graph=pf.radius_graph)
+        finv=finv, g=g, x_base=center, y_base=pf.base_y, radius_x=radius,
+        radius_y=pf.radius_y, radius_graph=pf.radius_graph)
     consts = pf.constants
     if not {"kappa", "lambda", "alpha"} <= set(consts):
         # the default schedule fills in the constants the file leaves out
-        lip = lip_estimate(g, pf.base_x, pf.radius_x, samples=600,
-                           seed=_seed(pf, args))
+        lip = lip_estimate(g, center, radius, samples=600, seed=_seed(pf, args))
         cfg = default_config(reg_linear(fibre), lip.value, tol=args.tol,
                              max_iter=args.max_iter)
         consts = {"kappa": cfg.kappa, "lambda": cfg.lam, "alpha": cfg.alpha,
@@ -144,12 +174,7 @@ def _generalized_pieces(pf: ProblemFile, args):
     cfg = IterationConfig(kappa=consts["kappa"], lam=consts["lambda"],
                           alpha=consts["alpha"], tol=args.tol,
                           max_iter=args.max_iter)
-    return equation, cfg
-
-
-def _smooth_problem(pf: ProblemFile) -> SmoothProblem:
-    return SmoothProblem(f=pf.smooth_map, x_base=pf.base,
-                         jacobian=pf.smooth_map.jacobian, radius=pf.radius)
+    return equation, cfg, lambda y: solve(equation, cfg, y)
 
 
 def _certificate_lines(out: _Writer, cfg: IterationConfig, tau: float,
@@ -177,10 +202,7 @@ def cmd_moduli(pf: ProblemFile, args, out: _Writer) -> int:
         if pf.fixture is not None:
             raise ProblemFileError(
                 "the counterexample fixture only supports the verify command")
-        op = pf.matrix
-        g = pf.perturbation if pf.perturbation is not None else _zero_map(op.shape[0])
-        center = pf.base_x if pf.base_x is not None else np.zeros(op.shape[1])
-        default_radius = pf.radius_x if pf.kind == "generalized" else 1.0
+        op, g, center, default_radius = _linear_part(pf)
     elif pf.kind == "smooth":
         problem = _smooth_problem(pf)
         op, g = problem.base_fibre, problem.remainder
@@ -207,65 +229,36 @@ def cmd_solve(pf: ProblemFile, args, out: _Writer) -> int:
             "control problems are driven by the control subcommand")
     if pf.kind == "generalized" and pf.fixture is not None:
         raise ProblemFileError("the counterexample fixture has no solver")
-    target = args.target if args.target is not None else pf.target
-    if target is None and args.parameter is None:
-        raise ProblemFileError("solve needs --target (or --parameter)")
-    if isinstance(target, str):
-        target = _parse_vector(target, "--target")
+    p = None
+    if args.parameter is not None:
+        if pf.kind != "generalized":
+            raise ProblemFileError(
+                "--parameter: only generalized files take a parameter")
+        if args.target is not None:
+            raise ProblemFileError(
+                "--parameter: give --target or --parameter, not both")
+        p = _parse_vector(args.parameter, "--parameter")
+        if p.size != pf.matrix.shape[0]:
+            raise ProblemFileError(
+                f"--parameter: expected {pf.matrix.shape[0]} components")
+    else:
+        dim = (pf.smooth_map.output_dim if pf.kind == "smooth"
+               else pf.matrix.shape[0])
+        y = _target(pf, args, dim, "solve needs --target (or --parameter)")
 
     if pf.kind == "linear":
-        mat = pf.matrix
-        y = np.asarray(target, dtype=float)
-        if y.size != mat.shape[0]:
-            raise ProblemFileError(
-                f"--target: expected {mat.shape[0]} components, got {y.size}")
         # one factorization gives x (least_norm_solve's bits) and kappa
-        fac = svd(mat)
+        fac = svd(pf.matrix)
         x = fac.least_norm(y)
         out.line("x," + ",".join(fmt_float(v) for v in np.atleast_1d(x)))
         out.line(f"kappa,{fmt_float(reg_linear(fac))}")
-        out.line(f"residual,{fmt_float(float(np.linalg.norm(mat @ x - y)))}")
+        out.line(f"residual,{fmt_float(float(np.linalg.norm(pf.matrix @ x - y)))}")
         return EXIT_OK
 
-    if pf.kind == "smooth":
-        problem = _smooth_problem(pf)
-        cfg = config_for(problem, seed=_seed(pf, args), tol=args.tol,
-                         max_iter=args.max_iter)
-        ge = split(problem)
-        tau = compute_tau(cfg, (ge.radius_x, ge.radius_y))
-        try:
-            x, cert = smooth_selection(problem, target, cfg)
-        except (LocalityError, RegularityError) as exc:
-            _certificate_lines(out, cfg, tau)
-            out.line(f"error,{exc}")
-            return EXIT_LOCALITY
-        out.line("x," + ",".join(fmt_float(v) for v in x))
-        _certificate_lines(out, cfg, tau, cert)
-        return EXIT_OK
-
-    equation, cfg = _generalized_pieces(pf, args)
+    equation, cfg, select = _equation(pf, args)
     tau = compute_tau(cfg, (equation.radius_x, equation.radius_y))
     try:
-        if args.parameter is not None:
-            p = _parse_vector(args.parameter, "--parameter")
-            shifted = GeneralizedEquation(
-                finv=equation.finv,
-                g=lambda x, q, _g=equation.g: np.asarray(_g(x), dtype=float) + q,
-                x_base=equation.x_base, y_base=equation.y_base,
-                radius_x=equation.radius_x, radius_y=equation.radius_y,
-                radius_graph=equation.radius_graph,
-                p_base=np.zeros(equation.y_base.size))
-            if p.size != equation.y_base.size:
-                raise ProblemFileError(
-                    f"--parameter: expected {equation.y_base.size} components")
-            x, cert = solve_implicit(shifted, cfg, p)
-        else:
-            y = np.asarray(target, dtype=float)
-            if y.size != equation.y_base.size:
-                raise ProblemFileError(
-                    f"--target: expected {equation.y_base.size} components, "
-                    f"got {y.size}")
-            x, cert = solve(equation, cfg, y)
+        x, cert = select(y) if p is None else solve_implicit(equation, cfg, p)
     except (LocalityError, RegularityError) as exc:
         _certificate_lines(out, cfg, tau)
         out.line(f"error,{exc}")
@@ -280,26 +273,10 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
         raise ProblemFileError(
             "sweep drives smooth or generalized problems")
     grid = _target_count(args.grid)
-    target = args.target if args.target is not None else pf.target
-    if target is None:
-        raise ProblemFileError("sweep needs --target for the grid endpoint")
-    if isinstance(target, str):
-        target = _parse_vector(target, "--target")
-
-    if pf.kind == "smooth":
-        problem = _smooth_problem(pf)
-        cfg = config_for(problem, seed=_seed(pf, args), tol=args.tol,
-                         max_iter=args.max_iter)
-        equation = split(problem)
-    else:
-        equation, cfg = _generalized_pieces(pf, args)
-    base_out = equation.y_base + np.asarray(equation.g_value(equation.x_base),
-                                            dtype=float)
-    target = np.asarray(target, dtype=float)
-    if target.size != equation.y_base.size:
-        raise ProblemFileError(
-            f"--target: expected {equation.y_base.size} components, got "
-            f"{target.size}")
+    dim = pf.smooth_map.output_dim if pf.kind == "smooth" else pf.matrix.shape[0]
+    target = _target(pf, args, dim, "sweep needs --target for the grid endpoint")
+    equation, cfg, _ = _equation(pf, args)
+    base_out = equation.y_base + equation.g_value(equation.x_base)
     if grid == 1:
         ys = [target]
     else:
@@ -347,6 +324,8 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
             raise ProblemFileError(
                 f"--mesh: need 2 to {MAX_MESH} intervals, got {args.mesh}")
         problem = replace(problem, mesh_size=args.mesh)
+    b = _target(pf, args, problem.state_dim,
+                "control needs --target for the endpoint")
     sys_ = linearize(problem)
     rank, rank_ok = kalman_rank(sys_)
     interior_ok, margin = reachable_interior(sys_, problem.control_set,
@@ -359,15 +338,6 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         out.line("error,neither controllability test passed")
         return EXIT_UNCONTROLLABLE
 
-    target = args.target if args.target is not None else pf.target
-    if target is None:
-        raise ProblemFileError("control needs --target for the endpoint")
-    if isinstance(target, str):
-        target = _parse_vector(target, "--target")
-    b = np.asarray(target, dtype=float)
-    if b.size != problem.state_dim:
-        raise ProblemFileError(
-            f"--target: expected {problem.state_dim} components, got {b.size}")
     seed = _seed(pf, args)
 
     if grid is not None:
@@ -445,10 +415,8 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
             "constrained mapping that solve uses; remove the constraint to "
             "verify the unconstrained one")
     if pf.kind in ("linear", "generalized"):
-        mat = pf.matrix
+        mat, g, base_x, radius_x = _linear_part(pf)
         grid = _verify_grid(args, mat.shape[1])
-        base_x = pf.base_x if pf.base_x is not None else np.zeros(mat.shape[1])
-        radius_x = pf.radius_x if pf.kind == "generalized" else 1.0
         # one factorization serves reg_linear, radius_y and lg_bound_check
         fibre = AffineSet(mat, np.zeros(mat.shape[0]))
         kappa = args.kappa if args.kappa is not None else KAPPA_MARGIN * reg_linear(fibre)
@@ -462,11 +430,10 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
             lam = pf.constants.get("lambda")
             if lam is None:
                 lam = LAMBDA_MARGIN * lip_estimate(
-                    pf.perturbation, base_x, radius_x, samples=600,
-                    seed=seed).value
+                    g, base_x, radius_x, samples=600, seed=seed).value
             if lam <= 0:
                 lam = 0.5 / kappa
-            report, _ = lg_bound_check(fibre, pf.perturbation, base_x,
+            report, _ = lg_bound_check(fibre, g, base_x,
                                        kappa=kappa, lam=lam,
                                        radius=radius_x, grid=grid,
                                        seed=seed)
@@ -516,10 +483,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default: the file's seed)")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="iteration tolerance")
         p.add_argument("--out", default=None,
                        help="output path (default stdout)")
+
+    def tolerance(p):
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="iteration tolerance")
 
     p = sub.add_parser(
         "moduli", help="estimate reg/lip/clm moduli",
@@ -538,9 +507,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certificate lines kappa/lambda/alpha/tau/iterations/"
                     "residual/tail_bound/calm_ok.")
     common(p)
+    tolerance(p)
     p.add_argument("--target", default=None, help="query y (comma separated)")
     p.add_argument("--parameter", default=None,
-                   help="parameter p for the implicit variant")
+                   help="shift p of the perturbation, generalized files only "
+                        "and not with --target: solves y_base + g(x_base) "
+                        "in g(x) + p + F(x)")
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_solve)
 
@@ -550,6 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "residual, then summary lines tau/gamma/"
                     "max_continuity_ratio/empirical_clm/jumps.")
     common(p)
+    tolerance(p)
     p.add_argument("--target", default=None, help="grid endpoint")
     p.add_argument("--grid", type=int, default=None,
                    help=f"grid point count, at most {MAX_GRID}")
@@ -565,6 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "per-target rows index,status,b*,endpoint_error,"
                     "calm_ratio.")
     common(p)
+    tolerance(p)
     p.add_argument("--target", default=None, help="endpoint target b")
     p.add_argument("--grid", type=int, default=None,
                    help=f"sweep targets on the segment 0 -> b, at most "

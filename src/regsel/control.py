@@ -38,6 +38,8 @@ TAU_FLOOR = 0.065
 QUADRATURE_POINTS = 128
 DYNAMICS_RESIDUAL_TOL = 1e-8
 CONTROL_MEMBERSHIP_TOL = 1e-7
+# Sample budget of the collocation remainder's Lipschitz estimate
+LIP_SAMPLES = 400
 
 
 @dataclass
@@ -323,8 +325,7 @@ class SteeringSetup:
 
 def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None,
                    tau_target: float = TAU_FLOOR, tol: float = 1e-11,
-                   samples: int = 400, seed: int = 0,
-                   max_iter: int = 200) -> SteeringSetup:
+                   seed: int = 0) -> SteeringSetup:
     """Build the discretized generalized equation and its constant schedule.
 
     Controllability is gated first (rank test, then the interior test only
@@ -361,9 +362,9 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
     # of the base; 1.55 covers the schedule's margins there
     lip = lip_estimate(g, np.zeros(mat.shape[1]),
                        radius=1.55 * kappa * tau_target,
-                       samples=samples, seed=seed)
+                       samples=LIP_SAMPLES, seed=seed)
     try:
-        cfg = default_config(1.0 / smin, lip.value, tol=tol, max_iter=max_iter)
+        cfg = default_config(1.0 / smin, lip.value, tol=tol)
     except ContractError as exc:
         raise RegularityError(
             f"constant schedule rejected for the steering problem: {exc}") from exc
@@ -458,9 +459,8 @@ def _default_tau_target(size: float) -> float:
 
 
 def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
-          b=None, setup: SteeringSetup | None = None,
-          tau_target: float | None = None, tol: float = 1e-11,
-          samples: int = 400, seed: int = 0) -> SteeringResult:
+          b=None, setup: SteeringSetup | None = None, tol: float = 1e-11,
+          seed: int = 0) -> SteeringResult:
     """Steer the origin to endpoint b with admissible controls.
 
     Solves the discretized generalized equation for the query whose only
@@ -475,10 +475,9 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
         if sys is None:
             sys = linearize(problem)
         b = as_vector(b, dim=sys.state_dim)
-        target = (tau_target if tau_target is not None
-                  else _default_tau_target(float(np.linalg.norm(b))))
-        setup = steering_setup(problem, sys, tau_target=target, tol=tol,
-                               samples=samples, seed=seed)
+        setup = steering_setup(
+            problem, sys, tau_target=_default_tau_target(float(np.linalg.norm(b))),
+            tol=tol, seed=seed)
     sys = setup.sys
     b = as_vector(b, dim=sys.state_dim)
 
@@ -524,8 +523,7 @@ class ControlSweep:
 
 def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
                targets: Sequence | None = None, tau_target: float | None = None,
-               tol: float = 1e-11, samples: int = 400,
-               seed: int = 0) -> ControlSweep:
+               tol: float = 1e-11, seed: int = 0) -> ControlSweep:
     """Steer every target on a grid and report worst calm/continuity ratios.
 
     Continuity ratios compare adjacent targets: the difference of the two
@@ -539,8 +537,7 @@ def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
     grid = [as_vector(t, dim=sys.state_dim) for t in targets]
     worst = max(float(np.linalg.norm(t)) for t in grid)
     target = tau_target if tau_target is not None else _default_tau_target(worst)
-    setup = steering_setup(problem, sys, tau_target=target, tol=tol,
-                           samples=samples, seed=seed)
+    setup = steering_setup(problem, sys, tau_target=target, tol=tol, seed=seed)
     sweep = ControlSweep(calm_bound=setup.calm_bound, tau=setup.tau)
     for t in grid:
         try:

@@ -188,11 +188,10 @@ class Halfspaces(ConvexSet):
         if np.any(norms == 0.0):
             raise ContractError("halfspace normal row is zero")
         self._row_norms = norms
-        # Axis-aligned systems reduce to a clamp, which keeps the selection
-        # iteration cheap for control-set cylinders.
-        nonzeros = np.count_nonzero(self.normals, axis=1)
-        self._axis_aligned = bool(np.all(nonzeros == 1))
-        if self._axis_aligned:
+        # An axis-aligned system is the box of its bounds, which answers
+        # project and support in closed form (a clamp, no Dykstra, no LP).
+        self._box = None
+        if np.all(np.count_nonzero(self.normals, axis=1) == 1):
             lo = np.full(self.dim, -np.inf)
             hi = np.full(self.dim, np.inf)
             for row, off in zip(self.normals, self.offsets):
@@ -204,12 +203,12 @@ class Halfspaces(ConvexSet):
                     lo[j] = max(lo[j], off / c)
             if np.any(lo > hi):
                 raise ContractError("halfspace system is empty (bounds cross)")
-            self._lo, self._hi = lo, hi
+            self._box = Box(lo, hi)
 
     def project(self, x):
+        if self._box is not None:
+            return self._box.project(x)
         x = as_vector(x, dim=self.dim)
-        if self._axis_aligned:
-            return np.clip(x, self._lo, self._hi)
         sets = [_SingleHalfspace(self.normals[i], self.offsets[i])
                 for i in range(self.normals.shape[0])]
         return dykstra(sets, x)
@@ -230,8 +229,11 @@ class Halfspaces(ConvexSet):
 
     def support(self, directions):
         """Support value sup{<d, x> : normals @ x <= offsets} of each row d of
-        the (k, dim) directions, one linear program per row; +inf where the
-        polyhedron is unbounded along d."""
+        the (k, dim) directions: the box's closed form for an axis-aligned
+        system, else one linear program per row; +inf where the polyhedron
+        is unbounded along d."""
+        if self._box is not None:
+            return self._box.support(directions)
         from scipy.optimize import linprog  # deferred: ~0.6 s to import
 
         d = _point_rows(directions, self.dim)
@@ -296,34 +298,33 @@ class Intersection(ConvexSet):
         return max(m.distance(x) for m in self.members)
 
 
-def dykstra(sets, start, tol: float = DYKSTRA_TOL,
-            max_rounds: int = DYKSTRA_MAX_ROUNDS) -> np.ndarray:
+def dykstra(sets, start) -> np.ndarray:
     """Dykstra's alternating projections onto an intersection.
 
-    Stops when one full round moves the iterate by <= tol AND the iterate is
-    feasible; displacement alone is not enough, because the scheme can sit on
-    a transient plateau while the correction terms still carry momentum.
-    Unlike plain alternating projections this converges to the metric
-    projection of ``start``. Raises InfeasibilitySuspectedError when the
-    round budget is exhausted (in particular for empty intersections, where
-    the displacement vanishes but the gap stays put).
+    Stops when one full round moves the iterate by <= DYKSTRA_TOL AND the
+    iterate is feasible; displacement alone is not enough, because the
+    scheme can sit on a transient plateau while the correction terms still
+    carry momentum. Unlike plain alternating projections this converges to
+    the metric projection of ``start``. Raises InfeasibilitySuspectedError
+    when DYKSTRA_MAX_ROUNDS rounds are exhausted (in particular for empty
+    intersections, where the displacement vanishes but the gap stays put).
     """
     x = np.array(start, dtype=float)
     corrections = [np.zeros_like(x) for _ in sets]
-    gap_tol = max(1e-9, 10.0 * tol)
-    for _ in range(max_rounds):
+    gap_tol = max(1e-9, 10.0 * DYKSTRA_TOL)
+    for _ in range(DYKSTRA_MAX_ROUNDS):
         x_prev = x.copy()
         for i, s in enumerate(sets):
             y = s.project(x + corrections[i])
             corrections[i] = x + corrections[i] - y
             x = y
-        if np.linalg.norm(x - x_prev) <= tol:
+        if np.linalg.norm(x - x_prev) <= DYKSTRA_TOL:
             gap = max(s.distance(x) for s in sets)
             if gap <= gap_tol:
                 return x
     gap = max(s.distance(x) for s in sets)
     raise InfeasibilitySuspectedError(
-        f"alternating projections did not settle in {max_rounds} rounds "
+        f"alternating projections did not settle in {DYKSTRA_MAX_ROUNDS} rounds "
         f"(gap {gap:.3e}); the intersection may be empty",
         last_iterate=x, gap=gap)
 

@@ -40,6 +40,8 @@ from .linalg import SvdFactorization, as_matrix, as_vector, row_norms, svd
 CHECK_RTOL = 1e-9
 CHECK_ATOL = 1e-15
 
+# lsc_probe: the distance floor its converged tail must stay above, and how
+# close the last approach step must come to the probed value
 LSC_FLOOR = 1e-3
 LSC_TAIL_TOL = 1e-6
 
@@ -272,27 +274,16 @@ class SampledMapping:
         return vals
 
 
-def _axis_counts(dim: int, grid) -> list[int]:
-    if np.isscalar(grid):
-        counts = [int(grid)] * dim
-    else:
-        counts = [int(g) for g in grid]
-        if len(counts) != dim:
-            raise ShapeError(f"grid spec has {len(counts)} entries for dim {dim}")
-    if min(counts) < 2:
+def _sample_graph(mapping: SampledMapping, grid: int):
+    """Graph of the mapping on ``grid`` points per axis of the domain ball."""
+    if grid < 2:
         # One point per axis would be the corner x_base - radius_x alone, so
         # every verdict on it would be vacuous.
         raise ContractError(f"grid needs at least 2 points per axis, got {grid}")
-    # Odd counts keep the base point on the grid.
-    return [c + 1 if c % 2 == 0 else c for c in counts]
-
-
-def _sample_graph(mapping: SampledMapping, grid):
-    dim = mapping.x_base.size
-    counts = _axis_counts(dim, grid)
-    axes = [np.linspace(mapping.x_base[i] - mapping.radius_x,
-                        mapping.x_base[i] + mapping.radius_x, counts[i])
-            for i in range(dim)]
+    # An odd count keeps the base point on the grid.
+    count = int(grid) + 1 - int(grid) % 2
+    axes = [np.linspace(c - mapping.radius_x, c + mapping.radius_x, count)
+            for c in mapping.x_base]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.linalg.norm(pts - mapping.x_base, axis=1) <= mapping.radius_x + 1e-12
@@ -517,21 +508,21 @@ def counterexample_mapping(y: float, k_max: int) -> np.ndarray:
     return np.sort(float(y) + offsets)
 
 
-def truncated_counterexample(y_box: float = 0.1, x_box: float = 0.05,
-                             k_max: int = 40) -> Callable:
+def truncated_counterexample() -> Callable:
     """Box truncation of the branch-union mapping, as a set map for probes.
 
-    Returns a callable y -> 2-D array of value rows. Outside |y| <= y_box
-    the value set is empty. The truncation removes the branch that would
-    provide nearby values, which kills lower semicontinuity at the top edge.
+    Returns a callable y -> 2-D array of value rows: the branches up to
+    k = 40 with |x| <= 0.05, empty outside |y| <= 0.1. The truncation
+    removes the branch that would provide nearby values, which kills lower
+    semicontinuity at the top edge.
     """
 
     def set_map(y):
         yv = float(np.atleast_1d(np.asarray(y, dtype=float))[0])
-        if abs(yv) > y_box:
+        if abs(yv) > 0.1:
             return np.zeros((0, 1))
-        vals = counterexample_mapping(yv, k_max)
-        vals = vals[np.abs(vals) <= x_box]
+        vals = counterexample_mapping(yv, 40)
+        vals = vals[np.abs(vals) <= 0.05]
         return vals.reshape(-1, 1)
 
     return set_map
@@ -540,12 +531,8 @@ def truncated_counterexample(y_box: float = 0.1, x_box: float = 0.05,
 @dataclass
 class LscProbeReport:
     verdict: str
-    witness_y: np.ndarray
     witness_x: np.ndarray
-    approach: list = field(default_factory=list)
     distances: list = field(default_factory=list)
-    floor: float = LSC_FLOOR
-    tail_tol: float = LSC_TAIL_TOL
 
     @property
     def violated(self) -> bool:
@@ -563,15 +550,15 @@ def _set_distance(value_set, x: np.ndarray) -> float:
     return float(np.linalg.norm(arr - x, axis=1).min())
 
 
-def lsc_probe(set_map: Callable, at: tuple, approach: Sequence,
-              floor: float = LSC_FLOOR, tail_tol: float = LSC_TAIL_TOL) -> LscProbeReport:
+def lsc_probe(set_map: Callable, at: tuple, approach: Sequence) -> LscProbeReport:
     """Probe lower semicontinuity of a set map along an approach sequence.
 
     ``at`` is a pair (y, x) with x in set_map(y) up to 1e-9. The verdict is
     lsc-violated when every distance beyond the first three steps stays above
-    ``floor`` while the sequence has converged (last step within tail_tol of
-    y); anything else is lsc-consistent. The probe reports distances either
-    way and never raises on empty value sets (their distance is +inf).
+    LSC_FLOOR while the sequence has converged (last step within
+    LSC_TAIL_TOL of y); anything else is lsc-consistent. The probe reports
+    distances either way and never raises on empty value sets (their
+    distance is +inf).
     """
     y, x = at
     y = as_vector(y)
@@ -584,10 +571,9 @@ def lsc_probe(set_map: Callable, at: tuple, approach: Sequence,
     if not approach:
         raise ContractError("approach sequence is empty")
     distances = [_set_distance(set_map(p), x) for p in approach]
-    tail_converged = np.linalg.norm(approach[-1] - y) <= tail_tol
+    tail_converged = np.linalg.norm(approach[-1] - y) <= LSC_TAIL_TOL
     tail = distances[3:]
-    violated = bool(tail) and tail_converged and all(d > floor for d in tail)
+    violated = bool(tail) and tail_converged and all(d > LSC_FLOOR for d in tail)
     return LscProbeReport(
         verdict="lsc-violated" if violated else "lsc-consistent",
-        witness_y=y, witness_x=x, approach=approach, distances=distances,
-        floor=floor, tail_tol=tail_tol)
+        witness_x=x, distances=distances)

@@ -110,7 +110,7 @@ class GeneralizedEquation:
 
     radius_x / radius_y bound the certified neighborhood of the base pair,
     radius_graph is the ambient graph-localization radius and must dominate
-    both. For parametric perturbations g takes (x, p) and p_base is set.
+    both.
     """
 
     finv: Callable[[np.ndarray], ConvexSet]
@@ -120,7 +120,6 @@ class GeneralizedEquation:
     radius_x: float
     radius_y: float
     radius_graph: float
-    p_base: np.ndarray | None = None
 
     def __post_init__(self):
         self.x_base = as_vector(self.x_base)
@@ -131,8 +130,6 @@ class GeneralizedEquation:
         if max(self.radius_x, self.radius_y) > self.radius_graph:
             raise ContractError(
                 "radius_graph must dominate radius_x and radius_y")
-        if self.p_base is not None:
-            self.p_base = as_vector(self.p_base)
         base_set = self.finv(self.y_base)
         if not isinstance(base_set, ConvexSet):
             raise ContractError("finv must return ConvexSet instances")
@@ -233,9 +230,15 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
     value and a certificate with the step lengths, the final membership
     residual, and the calmness verdict against gamma = 2*kappa/(1 - alpha*lambda).
     """
+    return _solve(problem, cfg, y, problem.g_value)
+
+
+def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
+           g_value) -> tuple[np.ndarray, IterationCertificate]:
+    """``solve`` with the perturbation evaluated by ``g_value``."""
     y = as_vector(y, dim=problem.y_base.size)
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
-    g_base = problem.g_value(problem.x_base)
+    g_base = g_value(problem.x_base)
     dev = float(np.linalg.norm(y - problem.y_base - g_base))
     if dev > tau + 1e-15:
         raise LocalityError(
@@ -252,7 +255,7 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
             raise NumericBreakdownError(
                 f"no convergence after {cfg.max_iter} steps; last increment "
                 f"{increments[-1]:.3e}")
-        w = y - problem.g_value(x)
+        w = y - g_value(x)
         z = _corrector_step(problem, cfg, w, x, radius, what)
         step = float(np.linalg.norm(z - x))
         if (increments and increments[-1] > 0
@@ -264,7 +267,7 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
         x = z
         radius, what = cfg.contraction * step, "iterate step"
 
-    final_set = problem.finv(y - problem.g_value(x))
+    final_set = problem.finv(y - g_value(x))
     residual = final_set.gap(x)
     if residual > 10.0 * cfg.tol:
         raise NumericBreakdownError(
@@ -281,31 +284,18 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
 
 def solve_implicit(problem: GeneralizedEquation, cfg: IterationConfig,
                    p) -> tuple[np.ndarray, IterationCertificate]:
-    """Solve y_base in g(x, p) + F(x) for a parameter near p_base.
+    """Solve y_base + g(x_base) in g(x) + p + F(x) for a shift p of g.
 
-    Requires problem.g to accept (x, p) and problem.p_base to be set. The
-    parameter enters only through the driving term g(x_base, p) - g(x_base,
-    p_base), whose norm must stay within tau; the locality error reports the
+    g + p has the Lipschitz modulus of g, so this is ``solve`` on the same
+    equation with g shifted by p: the parameter moves the driving term by
+    -p, whose norm must stay within tau; the locality error reports the
     parameter when it does not.
     """
-    if problem.p_base is None:
-        raise ContractError("solve_implicit needs p_base on the problem")
-    if problem.g is None:
-        raise ContractError("solve_implicit needs a parametric perturbation g")
-    p = as_vector(p, dim=problem.p_base.size)
-
-    def g_fixed(x):
-        return problem.g(x, p)
-
-    fixed = GeneralizedEquation(
-        finv=problem.finv, g=g_fixed, x_base=problem.x_base,
-        y_base=problem.y_base, radius_x=problem.radius_x,
-        radius_y=problem.radius_y, radius_graph=problem.radius_graph)
-    g_ref = as_vector(problem.g(problem.x_base, problem.p_base),
-                      dim=problem.y_base.size)
-    target = problem.y_base + g_ref
+    p = as_vector(p, dim=problem.y_base.size)
+    target = problem.y_base + problem.g_value(problem.x_base)
     try:
-        return solve(fixed, cfg, target)
+        return _solve(problem, cfg, target,
+                      lambda x: problem.g_value(x) + p)
     except LocalityError as exc:
         raise LocalityError(
             f"parameter p={np.array2string(p)} moves the driving term outside "

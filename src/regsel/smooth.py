@@ -23,6 +23,8 @@ from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, default_config, solve)
 
 FD_JACOBIAN_STEP = 1e-6
+# Sample budget of the remainder's Lipschitz estimate in config_for
+LIP_SAMPLES = 1500
 
 
 @dataclass
@@ -113,12 +115,11 @@ def split(problem: SmoothProblem) -> GeneralizedEquation:
     return problem._equation
 
 
-def config_for(problem: SmoothProblem, samples: int = 1500,
-               seed: int = 0, tol: float = 1e-10,
+def config_for(problem: SmoothProblem, seed: int = 0, tol: float = 1e-10,
                max_iter: int = 200) -> IterationConfig:
     """Default constant schedule for a smooth problem."""
     lip = lip_estimate(problem.remainder, problem.x_base, problem.radius,
-                       samples=samples, seed=seed)
+                       samples=LIP_SAMPLES, seed=seed)
     return default_config(reg_linear(problem.base_fibre), lip.value,
                           tol=tol, max_iter=max_iter)
 

@@ -212,6 +212,32 @@ def test_solve_parameter_variant(capsys, fdir):
     assert abs(float(grab(out, "x")) + 0.05 / 1.6) < 1e-9
 
 
+def test_solve_parameter_builds_one_equation(capsys, monkeypatch):
+    # the shift p enters through the file's own equation, with no copy
+    committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+    builds = []
+    post_init = cli.GeneralizedEquation.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(cli.GeneralizedEquation, "__post_init__", counting)
+    code, out, _ = run(capsys, "solve", "--input",
+                       str(committed / "generalized.json"), "--parameter", "0.05")
+    assert code == 0
+    assert len(builds) == 1
+    assert out == ("x,-0.031250000008760298\n"
+                   "kappa,1\n"
+                   "lambda,0.35999999999999999\n"
+                   "alpha,1.8\n"
+                   "tau,0.17599999999999999\n"
+                   "iterations,14\n"
+                   "residual,1.0781904215593731e-11\n"
+                   "tail_bound,1.327317162430619e-10\n"
+                   "calm_ok,true\n")
+
+
 def test_solve_smooth_map(capsys, fdir):
     code, out, _ = run(capsys, "solve", "--input", str(fdir / "smooth.json"),
                        "--target", "0.1")
@@ -558,6 +584,18 @@ def test_runs_are_byte_identical(capsys, fdir):
       "--mesh", "10000000"), "--mesh", "1024"),
     (("control", "--input", "hugemesh.json", "--target", "0.01,0"),
      "$.mesh", "1024"),
+    # --parameter shifts a generalized file's perturbation and is the query
+    (("solve", "--input", "smooth.json", "--target", "0.08", "--parameter",
+      "0.5"), "--parameter", "generalized"),
+    (("solve", "--input", "diag.json", "--target", "1,2", "--parameter",
+      "0.5"), "--parameter", "generalized"),
+    (("solve", "--input", "pert.json", "--target", "0.9", "--parameter",
+      "0.05"), "--parameter", "not both"),
+    (("solve", "--input", "smooth.json", "--parameter", "0.05"),
+     "--parameter", "generalized"),
+    # the query length is checked before the constants are sampled
+    (("solve", "--input", "smooth.json", "--target", "0.08,1"), "--target",
+     "expected 1 components, got 2"),
 ])
 def test_resource_caps_refuse_fast(capsys, fdir, argv, flag, cap):
     argv = (argv[0], argv[1], str(fdir / argv[2])) + argv[3:]

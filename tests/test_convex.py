@@ -297,6 +297,17 @@ def test_halfspaces_axis_aligned_matches_general_path():
                                    atol=1e-7)
 
 
+def test_axis_aligned_halfspaces_support_is_the_box_support():
+    # x <= 0.5, x >= -0.5, y >= -0.5 with y free above
+    half = Halfspaces([[2.0, 0.0], [0.0, -1.0], [-3.0, 0.0]], [1.0, 0.5, 1.5])
+    box = Box([-0.5, -0.5], [0.5, np.inf])
+    d = np.vstack([np.eye(2), -np.eye(2),
+                   np.random.default_rng(4).standard_normal((40, 2))])
+    got = half.support(d)
+    assert got.tobytes() == box.support(d).tobytes()
+    assert got[1] == np.inf and got[3] == 0.5
+
+
 def test_halfspaces_rejects_zero_row():
     with pytest.raises(ContractError):
         Halfspaces([[0.0, 0.0]], [1.0])

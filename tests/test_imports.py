@@ -92,3 +92,32 @@ report()
     # vertex (-1, 2) of the triangle
     assert abs(here[0] - (0.6 * -1.0 + 0.8 * 2.0)) < 1e-9
     assert here[1] > 0.0
+
+
+def test_axis_aligned_halfspace_control_needs_no_linprog(tmp_path, capsys):
+    # the unit interval written as two halfspaces is answered by its box:
+    # no support LP, and the same output as the box file
+    spec = {"version": "1", "kind": "control", "dynamics": "double_integrator",
+            "mesh": 16}
+    paths = {}
+    for name, control_set in [
+            ("box", {"type": "box", "lower": [-1.0], "upper": [1.0]}),
+            ("half", {"type": "halfspaces", "normals": [[1.0], [-1.0]],
+                      "offsets": [1.0, 1.0]})]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(dict(spec, control_set=control_set)))
+    argv = ["control", "--input", str(paths["half"]), "--target", "0.05,0"]
+    fresh = run_fresh(f"""
+import contextlib, io
+from regsel.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    assert main({argv!r}) == 0
+print(json.dumps(buf.getvalue()))
+report()
+""")
+    assert "scipy.optimize" not in fresh[1]
+    from regsel.cli import main
+    assert main(["control", "--input", str(paths["box"]),
+                 "--target", "0.05,0"]) == 0
+    assert fresh[0] == capsys.readouterr().out

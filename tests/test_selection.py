@@ -385,53 +385,24 @@ def test_solve_matches_three_phase_solve_bit_for_bit(shape, seed, t, boxed):
 
 
 # ---------------------------------------------------------------------------
-# parametric form
+# additive parameter shift
 
 
 def test_solve_implicit_at_base_parameter():
-    def g_param(x, p):
-        return 0.3 * x + p
-
-    p = GeneralizedEquation(finv=singleton_inverse, g=g_param, x_base=[0.0],
-                            y_base=[0.0], radius_x=1.0, radius_y=1.0,
-                            radius_graph=4.0, p_base=[0.0])
-    x, cert = solve_implicit(p, scalar_config(), [0.0])
+    x, cert = solve_implicit(scalar_problem(g=g_third), scalar_config(), [0.0])
     np.testing.assert_array_equal(x, [0.0])
     assert cert.iterate_count == 1
 
 
 def test_solve_implicit_linear_parameter_response():
-    def g_param(x, p):
-        return 0.3 * x + p
-
-    p = GeneralizedEquation(finv=singleton_inverse, g=g_param, x_base=[0.0],
-                            y_base=[0.0], radius_x=1.0, radius_y=1.0,
-                            radius_graph=4.0, p_base=[0.0])
-    x, _ = solve_implicit(p, scalar_config(), [0.05])
+    x, _ = solve_implicit(scalar_problem(g=g_third), scalar_config(), [0.05])
     # x + 0.3 x + p = 0
     np.testing.assert_allclose(x, [-0.05 / 1.3], atol=1e-9)
 
 
-def test_solve_implicit_requires_parametric_data():
-    p = scalar_problem(g=g_third)
-    with pytest.raises(ContractError, match="p_base"):
-        solve_implicit(p, scalar_config(), [0.0])
-    q = GeneralizedEquation(finv=singleton_inverse, g=None, x_base=[0.0],
-                            y_base=[0.0], radius_x=1.0, radius_y=1.0,
-                            radius_graph=4.0, p_base=[0.0])
-    with pytest.raises(ContractError, match="perturbation"):
-        solve_implicit(q, scalar_config(), [0.0])
-
-
 def test_solve_implicit_reports_parameter_on_locality():
-    def g_param(x, p):
-        return 0.3 * x + p
-
-    p = GeneralizedEquation(finv=singleton_inverse, g=g_param, x_base=[0.0],
-                            y_base=[0.0], radius_x=1.0, radius_y=1.0,
-                            radius_graph=4.0, p_base=[0.0])
     with pytest.raises(LocalityError, match="parameter p="):
-        solve_implicit(p, scalar_config(), [2.0])
+        solve_implicit(scalar_problem(g=g_third), scalar_config(), [2.0])
 
 
 # ---------------------------------------------------------------------------
