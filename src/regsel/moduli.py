@@ -13,14 +13,29 @@ is nondecreasing in the sample budget and converges to the exact operator
 norm on linear oracles.
 
 Both verifiers sample the graph once on a grid of at least 2 points per
-axis and rebuild the fibres F^{-1}(y) with one membership rule (_fibres).
-The metric-regularity scan takes one test value y at a time against every
-grid point; consecutive test values with the same fibre share one distance
-table. The Aubin scan takes one source fibre at a time against every
-target fibre in a single vectorised step, so its Python loop runs over
-fibres, not over pairs of values; its temporaries stay of the order of
-|fibre| x (grid points) x dim, and it breaks ties as a pair-by-pair scan
-would: the first pair in the order of the test values wins.
+axis and work on blocked distance tables, with no Python loop per test
+value:
+
+* Fibre membership for a block of consecutive test values y is one table
+  of distances to every sampled value, reduced to d(y, F(x)) per grid point
+  by np.minimum.reduceat; x lies in the fibre F^{-1}(y) when that distance
+  is at most CHECK_RTOL * (1 + ||y||), and a point with no values is at
+  distance +inf.
+* d(x, F^{-1}(y)) comes from one table between the stacked members of the
+  block's distinct fibres and the grid points (metric regularity), or the
+  points that lie in some fibre (Aubin), reduced per fibre by
+  np.minimum.reduceat; the Aubin scan then takes the worst member of each
+  source fibre with np.maximum.reduceat. A fibre equal to the one before it
+  reuses its distances.
+* No table holds more than TABLE_ENTRIES float64 entries unless a single
+  row is wider; blocks of test values, source values and fibre members are
+  cut to fit, so the tables do not grow with the grid.
+
+_distances adds squared coordinate differences in coordinate order, which
+below 8 coordinates is numpy's own summation order, and min and max are
+exact. Every ratio, verdict and witness is therefore that of a scan of one
+test value at a time, ties included: the first pair in test-value order
+attaining the worst ratio, with the first grid point that attains it.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import convex
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .linalg import SvdFactorization, as_matrix, as_vector, row_norms, svd
 
 # Relative slack used when comparing sampled distances against kappa times
@@ -44,6 +59,12 @@ CHECK_ATOL = 1e-15
 # close the last approach step must come to the probed value
 LSC_FLOOR = 1e-3
 LSC_TAIL_TOL = 1e-6
+
+# Float64 entries in any one table the graph verifiers build: blocks of test
+# values, source values and fibre members are cut to fit, so the tables of a
+# scan do not grow with the grid. A table keeps at least one row, so a single
+# row wider than this (one value against more points or values) exceeds it.
+TABLE_ENTRIES = 1 << 14
 
 
 def fmt_float(x: float) -> str:
@@ -239,8 +260,11 @@ class SampledMapping:
     """Set-valued mapping sampled on a grid around a base pair.
 
     ``forward`` maps a point to the list of its values (a single vector, a
-    list of vectors, or a 2-D array of stacked rows). ``radius_x`` bounds the
-    sampled domain ball, ``radius_y`` the image ball used for test values.
+    list of vectors, or a 2-D array of stacked rows). Any empty form (an
+    empty list or tuple, an array with no entries) means F(x) is empty, that
+    is x is outside dom F, as in lsc_probe; the base point must have values.
+    ``radius_x`` bounds the sampled domain ball, ``radius_y`` the image ball
+    used for test values.
     """
 
     forward: Callable
@@ -255,27 +279,38 @@ class SampledMapping:
         if not (self.radius_x > 0 and self.radius_y > 0):
             raise ContractError("sampled mapping needs positive radii")
         vals = self.values_at(self.x_base)
+        if not vals:
+            raise ContractError(
+                f"forward oracle returned no values at the base point "
+                f"{self.x_base.tolist()}")
         gap = min(np.linalg.norm(v - self.y_base) for v in vals)
         if gap > 1e-12:
             raise ContractError(
                 f"base point is not on the graph (gap {gap:.3e})")
 
     def values_at(self, x) -> list[np.ndarray]:
+        """The values F(x), an empty list when x is outside dom F."""
         out = self.forward(np.asarray(x, dtype=float))
+        dim = self.y_base.size
         if isinstance(out, np.ndarray):
+            if out.size == 0:
+                return []
             if out.ndim <= 1:
-                return [as_vector(out, dim=self.y_base.size)]
-            return [as_vector(row, dim=self.y_base.size) for row in out]
+                return [as_vector(out, dim=dim)]
+            return [as_vector(row, dim=dim) for row in out]
         if np.isscalar(out):
-            return [as_vector(out, dim=self.y_base.size)]
-        vals = [as_vector(v, dim=self.y_base.size) for v in out]
-        if not vals:
-            raise ShapeError("forward oracle returned no values")
-        return vals
+            return [as_vector(out, dim=dim)]
+        return [as_vector(v, dim=dim) for v in out]
 
 
 def _sample_graph(mapping: SampledMapping, grid: int):
-    """Graph of the mapping on ``grid`` points per axis of the domain ball."""
+    """Graph of the mapping on ``grid`` points per axis of the domain ball.
+
+    Returns the grid points, the sampled values as rows of gy, the index
+    gx_idx of the point each value belongs to (nondecreasing; a point with
+    no values has no row) and the distinct values inside the image ball,
+    which are the test values.
+    """
     if grid < 2:
         # One point per axis would be the corner x_base - radius_x alone, so
         # every verdict on it would be vacuous.
@@ -288,68 +323,175 @@ def _sample_graph(mapping: SampledMapping, grid: int):
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.linalg.norm(pts - mapping.x_base, axis=1) <= mapping.radius_x + 1e-12
     pts = pts[keep]
-    gx_idx, gy = [], []
-    for i, x in enumerate(pts):
-        for v in mapping.values_at(x):
-            gx_idx.append(i)
-            gy.append(v)
-    gy = np.array(gy)
-    gx_idx = np.array(gx_idx, dtype=int)
+    # Values are packed as they come: a list of one small array per value
+    # would hold more memory than every later table of a scan.
+    packed, counts = bytearray(), []
+    for x in pts:
+        vals = mapping.values_at(x)
+        counts.append(len(vals))
+        for v in vals:
+            packed += v.tobytes()
+    gy = np.frombuffer(packed).reshape(-1, mapping.y_base.size)
+    gx_idx = np.repeat(np.arange(pts.shape[0]), counts)
     in_ball = np.linalg.norm(gy - mapping.y_base, axis=1) <= mapping.radius_y + 1e-12
     y_test = np.unique(gy[in_ball], axis=0)
     return pts, gy, gx_idx, y_test
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of p and the rows of q."""
-    dists = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
-    return np.sqrt(dists, out=dists)
+    """Euclidean distances between the rows of p and the rows of q.
 
-
-def _fibres(pts, gy, gx_idx, y_test):
-    """Yield (y, d_y_fx, in_fibre) for each test value y, in order.
-
-    d_y_fx[i] is the distance from y to the sampled values F(pts[i]), and
-    pts[i] lies in the sampled fibre F^{-1}(y) when that distance is at most
-    CHECK_RTOL * (1 + ||y||). Every test value is itself a graph value, so
-    each fibre holds at least the point it came from.
+    The squared coordinate differences are added into one len(p) x len(q)
+    table one coordinate at a time, in coordinate order. Below 8
+    coordinates numpy's pairwise sum adds in that order too, so the table
+    has the bits of np.sqrt(((p[:, None] - q[None]) ** 2).sum(axis=2)); from
+    8 coordinates on numpy keeps 8 partial sums and the last bit can differ.
     """
-    n_pts = pts.shape[0]
-    for y in y_test:
-        dist_rows = np.linalg.norm(gy - y, axis=1)
-        d_y_fx = np.full(n_pts, np.inf)
-        np.minimum.at(d_y_fx, gx_idx, dist_rows)
-        match_tol = CHECK_RTOL * (1.0 + np.linalg.norm(y))
-        yield y, d_y_fx, d_y_fx <= match_tol
+    out = np.subtract.outer(p[:, 0], q[:, 0])
+    out *= out
+    if p.shape[1] > 1:
+        diff = np.empty_like(out)
+        for j in range(1, p.shape[1]):
+            np.subtract.outer(p[:, j], q[:, j], out=diff)
+            diff *= diff
+            out += diff
+    return np.sqrt(out, out=out)
+
+
+def _chunks(count: int, width: int):
+    """Consecutive slices of range(count), each of at most
+    TABLE_ENTRIES // width rows (at least one), so a table of that many rows
+    and ``width`` columns stays within the cap."""
+    step = max(1, TABLE_ENTRIES // max(1, width))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def _run_starts(labels: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal labels."""
+    change = np.empty(len(labels), dtype=bool)
+    change[:1] = True
+    np.not_equal(labels[1:], labels[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def _fibre_blocks(pts, gy, gx_idx, y_test):
+    """Yield (rows, d_y_fx, in_fibre, new) for blocks of consecutive test values.
+
+    d_y_fx[r, i] is the distance from the test value y = y_test[rows][r] to
+    the sampled values F(pts[i]), +inf when F(pts[i]) is empty, and pts[i]
+    lies in the sampled fibre F^{-1}(y) when that distance is at most
+    CHECK_RTOL * (1 + ||y||). Every test value is itself a graph value, so
+    each fibre holds at least the point it came from. new[r] is False when
+    the fibre of y equals that of the test value before it.
+    """
+    starts = _run_starts(gx_idx)
+    owners = gx_idx[starts]
+    last = None
+    for rows in _chunks(len(y_test), max(len(gy), len(pts))):
+        ys = y_test[rows]
+        near = _distances(ys, gy)
+        if starts.size < near.shape[1]:
+            # a point with several values is as near as the nearest of them
+            near = np.minimum.reduceat(near, starts, axis=1)
+        if owners.size == len(pts):
+            d_y_fx = near
+        else:
+            d_y_fx = np.full((len(ys), len(pts)), np.inf)
+            d_y_fx[:, owners] = near
+        in_fibre = d_y_fx <= (CHECK_RTOL * (1.0 + row_norms(ys)))[:, None]
+        new = np.empty(len(ys), dtype=bool)
+        new[0] = last is None or not np.array_equal(in_fibre[0], last)
+        new[1:] = (in_fibre[1:] != in_fibre[:-1]).any(axis=1)
+        last = in_fibre[-1].copy()
+        yield rows, d_y_fx, in_fibre, new
+
+
+def _fold_fibres(out, labels, members, width, table, reduce):
+    """Reduce a per-member table into one row per fibre of ``out``.
+
+    ``members`` lists the members of consecutive fibres, fibre by fibre, and
+    labels[k] is the fibre of members[k]. They are taken TABLE_ENTRIES //
+    width at a time; table(members) gives one row per member, and each
+    fibre's rows are reduced by ``reduce`` (np.minimum or np.maximum) and
+    folded into its row of ``out``. Both reductions are exact, so the result
+    does not depend on where a fibre is cut. Rows of ``out`` that no member
+    reaches keep their values.
+    """
+    for part in _chunks(len(members), width):
+        lab = labels[part]
+        starts = _run_starts(lab)
+        rows = lab[starts]
+        block = table(members[part])
+        if starts.size < block.shape[0]:
+            block = reduce.reduceat(block, starts, axis=0)
+        # only the first fibre of a part can have members in the part before
+        if part.start and labels[part.start - 1] == rows[0]:
+            reduce(block[0], out[rows[0]], out=block[0])
+        out[rows] = block
+    return out
+
+
+def _first_max(ratios: np.ndarray) -> tuple[int, int, float]:
+    """(row, column, value) that a row-by-row scan keeping the first strict
+    improvement of each row's first maximum would end on.
+
+    A row whose maximum is NaN is passed over, as ``value > worst`` passes
+    it over.
+    """
+    cols = np.argmax(ratios, axis=1)
+    best = ratios[np.arange(len(cols)), cols]
+    best[np.isnan(best)] = -np.inf
+    r = int(np.argmax(best))
+    return r, int(cols[r]), float(best[r])
+
+
+def _spans(starts: np.ndarray, sizes: np.ndarray):
+    """The ranges [starts[k], starts[k] + sizes[k]) laid end to end: (the
+    range each position comes from, the positions)."""
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    offsets = starts - (np.cumsum(sizes) - sizes)
+    return labels, np.arange(labels.size) + offsets[labels]
 
 
 def _ratio_scan(mapping: SampledMapping, grid):
-    """Worst d(x, fib(y)) / d(y, F(x)) over the sampled graph, with witness."""
+    """Worst d(x, fib(y)) / d(y, F(x)) over the sampled graph, with witness.
+
+    Test values are taken in blocks (_fibre_blocks). A fibre that repeats
+    the one before it, across a block boundary too, reuses its distances;
+    the others are computed by _fold_fibres. The witness is the first pair
+    in test-value order attaining the worst ratio, and its first grid point.
+    """
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
     worst = 0.0
     witness = ()
-    prev_fibre = None
-    for y, d_y_fx, in_fibre in _fibres(pts, gy, gx_idx, y_test):
-        if not in_fibre.any():
+    last = None
+    for rows, d_y_fx, in_fibre, new in _fibre_blocks(pts, gy, gx_idx, y_test):
+        ys = y_test[rows]
+        fib, members = np.divmod(np.flatnonzero(in_fibre[new]), len(pts))
+        dist = _fold_fibres(np.full((int(new.sum()), len(pts)), np.inf), fib,
+                            members, len(pts), lambda m: _distances(pts[m], pts),
+                            np.minimum)
+        if not new[0]:
+            dist = np.concatenate([last[None], dist])
+        d_x_fib = dist[np.cumsum(new) - new[0]]
+        last = d_x_fib[-1].copy()
+        empty = ~in_fibre.any(axis=1)
+        if empty.any():
             # y came from the graph, so this cannot happen; guard anyway.
-            finite = np.isfinite(d_y_fx) & (d_y_fx > 0)
-            j = int(np.argmin(np.where(finite, d_y_fx, np.inf)))
-            return float("inf"), (pts[j], y)
-        # Near-equal test values sort next to each other and often have the
-        # same fibre; its distance table is then that of the last one.
-        if prev_fibre is None or not np.array_equal(in_fibre, prev_fibre):
-            d_x_fib = _distances(pts, pts[in_fibre]).min(axis=1)
-            prev_fibre = in_fibre
-        denom = np.where(d_y_fx > 0, d_y_fx, np.inf)
-        ratios = d_x_fib / denom
-        bad_zero = (d_y_fx == 0) & (d_x_fib > 0)
-        if np.any(bad_zero):
-            j = int(np.argmax(bad_zero))
-            return float("inf"), (pts[j], y)
-        j = int(np.argmax(ratios))
-        if ratios[j] > worst:
-            worst = float(ratios[j])
-            witness = (pts[j], y)
+            r = int(np.argmax(empty))
+            d = d_y_fx[r]
+            j = int(np.argmin(np.where(np.isfinite(d) & (d > 0), d, np.inf)))
+            return float("inf"), (pts[j], ys[r])
+        # d(y, F(x)) = 0 puts x in the fibre, at distance 0 from it, so a
+        # zero denominator never meets a positive numerator: its ratio is
+        # d(x, fib(y)) / inf = 0.
+        ratios = np.where(d_y_fx > 0, d_y_fx, np.inf)
+        np.divide(d_x_fib, ratios, out=ratios)
+        r, j, value = _first_max(ratios)
+        if value > worst:
+            worst = value
+            witness = (pts[j], ys[r])
     return worst, witness
 
 
@@ -397,13 +539,15 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     requires d(x, F^{-1}(y)) <= kappa ||y' - y||. Equivalent to
     verify_metric_regularity with the same constant on the same graph.
 
-    Fibres come from the same membership rule as sampled_reg. The scan
-    loops over source fibres F^{-1}(y') only and treats every target y at
-    once: the distances from the source fibre to the points that lie in
-    any fibre are gathered in fibre order and reduced to d(x, F^{-1}(y))
-    for all y by one np.minimum.reduceat. A step holds |F^{-1}(y')| times
-    (fibre points x dim, then fibre memberships) floats, the order of one
-    sampled_reg step; no point-by-point or value-by-point table is built.
+    Fibres come from the same membership rule as sampled_reg; a first pass
+    over blocks of test values lists the members of every fibre. Source
+    values y' are then taken in blocks. For the distinct fibres of a block,
+    the distances from their members to every point that lies in some fibre
+    form one table; it is gathered into target-fibre order, reduced to
+    d(x, F^{-1}(y)) for every target y by np.minimum.reduceat, and reduced
+    to the farthest x of each source fibre by np.maximum.reduceat over that
+    fibre's rows (_fold_fibres). A source fibre equal to the one before it
+    is not recomputed, and no table exceeds TABLE_ENTRIES entries.
 
     Ties resolve as in a scan of the pairs (y', y) in the order of the test
     values: the witness (x, y', y) is the first pair attaining the worst
@@ -413,38 +557,68 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     """
     _check_kappa(kappa)
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    members = [np.flatnonzero(in_fibre)
-               for _, _, in_fibre in _fibres(pts, gy, gx_idx, y_test)]
-    starts = np.cumsum([0] + [m.size for m in members[:-1]])
+    n_test, dim = y_test.shape
+    # the fibre of test value a is members[bounds[a]:bounds[a + 1]]
+    packed = bytearray()
+    sizes = np.empty(n_test, dtype=np.int64)
+    new = np.empty(n_test, dtype=bool)
+    for rows, _, in_fibre, fresh in _fibre_blocks(pts, gy, gx_idx, y_test):
+        cols = np.flatnonzero(in_fibre) % len(pts)
+        packed += cols.astype(np.int64, copy=False).tobytes()
+        sizes[rows] = in_fibre.sum(axis=1)
+        new[rows] = fresh
+    members = np.frombuffer(packed, dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
     # Near-equal test values share members, so distances are taken to each
     # member point once and gathered into fibre order.
-    used, member_cols = np.unique(np.concatenate(members), return_inverse=True)
+    used, member_cols = np.unique(members, return_inverse=True)
     used_pts = pts[used]
+
+    def d_to_targets(sources):
+        d = _distances(pts[sources], used_pts)[:, member_cols]
+        if n_test < d.shape[1]:
+            d = np.minimum.reduceat(d, bounds[:-1], axis=1)
+        return d
+
+    # test value a has the distinct fibre fibre_of[a], first seen at
+    # test value first_of[fibre_of[a]]
+    fibre_of = np.cumsum(new) - 1
+    first_of = np.flatnonzero(new)
     worst = 0.0
     witness = ()
     ok = True
-    prev_idx = None
-    for y_from, idx in zip(y_test, members):
-        fib_from = pts[idx]
-        # Near-equal values sort next to each other and often have the same
-        # fibre; its distances to the targets are then those of the last one.
-        if prev_idx is None or not np.array_equal(idx, prev_idx):
-            d_to = np.minimum.reduceat(
-                _distances(fib_from, used_pts)[:, member_cols], starts, axis=1)
-            j = np.argmax(d_to, axis=0)
-            d_far = d_to.max(axis=0)
-            prev_idx = idx
-        gap_y = row_norms(y_from - y_test)
+    last_id, last_far = -1, None
+    for rows in _chunks(n_test, n_test * dim):
+        ids = fibre_of[rows]
+        reuse = ids[0] == last_id
+        src = first_of[ids[0] + reuse:ids[-1] + 1]
+        labels, pos = _spans(bounds[src], sizes[src])
+        far = _fold_fibres(np.full((src.size, n_test), -np.inf), labels,
+                           members[pos], len(members), d_to_targets, np.maximum)
+        if reuse:
+            far = np.concatenate([last_far[None], far])
+        d_far = far[ids - ids[0]]
+        last_id, last_far = ids[-1], d_far[-1].copy()
+        ys = y_test[rows]
+        gap_y = row_norms((ys[:, None, :] - y_test).reshape(-1, dim))
+        gap_y = gap_y.reshape(len(ys), n_test)
         # gap 0 only at y' itself: the test values are distinct
         valid = gap_y > 0.0
         ratios = np.divide(d_far, gap_y, out=np.full(gap_y.shape, -np.inf),
                            where=valid)
-        b = int(np.argmax(ratios))
-        if ratios[b] > worst:
-            worst = float(ratios[b])
-            witness = (fib_from[j[b]], y_from, y_test[b])
-        if np.any(valid & (d_far > kappa * gap_y * (1.0 + CHECK_RTOL)
-                           + CHECK_ATOL)):
+        r, b, value = _first_max(ratios)
+        if value > worst:
+            # the witness x: the first member of the source fibre as far
+            # from the target fibre as d_far says
+            a = rows.start + r
+            fib_from = pts[members[bounds[a]:bounds[a + 1]]]
+            fib_to = pts[members[bounds[b]:bounds[b + 1]]]
+            d_x = np.concatenate([_distances(fib_from[part], fib_to).min(axis=1)
+                                  for part in _chunks(len(fib_from), len(fib_to))])
+            worst = value
+            witness = (fib_from[int(np.argmax(d_x))], ys[r], y_test[b])
+        if ok and np.any(valid & (d_far > kappa * gap_y * (1.0 + CHECK_RTOL)
+                                  + CHECK_ATOL)):
             ok = False
     return CheckReport(kind="aubin", ok=bool(ok), kappa=kappa,
                        worst_ratio=worst, witness=witness,

@@ -21,7 +21,8 @@ import numpy as np
 from regsel.control import ControlProblem
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
                            RegularityError)
-from regsel.linalg import as_matrix, as_vector, operator_norm, svd
+from regsel.linalg import as_matrix, as_vector, operator_norm, row_norms, svd
+from regsel.moduli import CHECK_ATOL, CHECK_RTOL
 from regsel.selection import (GeneralizedEquation, IterationCertificate,
                               IterationConfig, _project_truncated, compute_tau)
 from regsel.smooth import SmoothProblem, config_for, smooth_selection
@@ -423,6 +424,97 @@ def polynomial_value_loop(poly, x):
                 base = (flat ** np.tile(powers, rows.shape[0])).reshape(rows.shape)
             out[k] += coef * np.prod(base, axis=-1)
     return out
+
+
+# The grid-verifier scans of regsel.moduli as loops over test values and
+# source fibres, before they were blocked: a d-wide squared-difference
+# table per fibre, one norm per test value. regsel.moduli._ratio_scan and
+# verify_aubin must reproduce their values, verdicts and witnesses bit for
+# bit. They take the sampled graph of regsel.moduli._sample_graph.
+
+
+def distances_3d(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of p and the rows of q."""
+    dists = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+    return np.sqrt(dists, out=dists)
+
+
+def _fibres(pts, gy, gx_idx, y_test):
+    """Yield (y, d_y_fx, in_fibre) for each test value y, in order."""
+    n_pts = pts.shape[0]
+    for y in y_test:
+        dist_rows = np.linalg.norm(gy - y, axis=1)
+        d_y_fx = np.full(n_pts, np.inf)
+        np.minimum.at(d_y_fx, gx_idx, dist_rows)
+        match_tol = CHECK_RTOL * (1.0 + np.linalg.norm(y))
+        yield y, d_y_fx, d_y_fx <= match_tol
+
+
+def ratio_scan_loop(pts, gy, gx_idx, y_test):
+    """Worst d(x, fib(y)) / d(y, F(x)) over the sampled graph, with witness."""
+    worst = 0.0
+    witness = ()
+    prev_fibre = None
+    for y, d_y_fx, in_fibre in _fibres(pts, gy, gx_idx, y_test):
+        if not in_fibre.any():
+            # y came from the graph, so this cannot happen; guard anyway.
+            finite = np.isfinite(d_y_fx) & (d_y_fx > 0)
+            j = int(np.argmin(np.where(finite, d_y_fx, np.inf)))
+            return float("inf"), (pts[j], y)
+        # Near-equal test values sort next to each other and often have the
+        # same fibre; its distance table is then that of the last one.
+        if prev_fibre is None or not np.array_equal(in_fibre, prev_fibre):
+            d_x_fib = distances_3d(pts, pts[in_fibre]).min(axis=1)
+            prev_fibre = in_fibre
+        denom = np.where(d_y_fx > 0, d_y_fx, np.inf)
+        ratios = d_x_fib / denom
+        bad_zero = (d_y_fx == 0) & (d_x_fib > 0)
+        if np.any(bad_zero):
+            j = int(np.argmax(bad_zero))
+            return float("inf"), (pts[j], y)
+        j = int(np.argmax(ratios))
+        if ratios[j] > worst:
+            worst = float(ratios[j])
+            witness = (pts[j], y)
+    return worst, witness
+
+
+def aubin_fibre_loop(pts, gy, gx_idx, y_test, kappa: float):
+    """Aubin check looping over source fibres: (ok, worst ratio, witness)."""
+    members = [np.flatnonzero(in_fibre)
+               for _, _, in_fibre in _fibres(pts, gy, gx_idx, y_test)]
+    starts = np.cumsum([0] + [m.size for m in members[:-1]])
+    # Near-equal test values share members, so distances are taken to each
+    # member point once and gathered into fibre order.
+    used, member_cols = np.unique(np.concatenate(members), return_inverse=True)
+    used_pts = pts[used]
+    worst = 0.0
+    witness = ()
+    ok = True
+    prev_idx = None
+    for y_from, idx in zip(y_test, members):
+        fib_from = pts[idx]
+        # Near-equal values sort next to each other and often have the same
+        # fibre; its distances to the targets are then those of the last one.
+        if prev_idx is None or not np.array_equal(idx, prev_idx):
+            d_to = np.minimum.reduceat(
+                distances_3d(fib_from, used_pts)[:, member_cols], starts, axis=1)
+            j = np.argmax(d_to, axis=0)
+            d_far = d_to.max(axis=0)
+            prev_idx = idx
+        gap_y = row_norms(y_from - y_test)
+        # gap 0 only at y' itself: the test values are distinct
+        valid = gap_y > 0.0
+        ratios = np.divide(d_far, gap_y, out=np.full(gap_y.shape, -np.inf),
+                           where=valid)
+        b = int(np.argmax(ratios))
+        if ratios[b] > worst:
+            worst = float(ratios[b])
+            witness = (fib_from[j[b]], y_from, y_test[b])
+        if np.any(valid & (d_far > kappa * gap_y * (1.0 + CHECK_RTOL)
+                           + CHECK_ATOL)):
+            ok = False
+    return ok, worst, witness
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (aubin_pair_scan, pinv_apply, sampled_fibre,
+from oracles import (aubin_fibre_loop, aubin_pair_scan, distances_3d,
+                     pinv_apply, ratio_scan_loop, sampled_fibre,
                      sup_center_quotient_loop, sup_pair_quotient_loop)
 from regsel import moduli
 from regsel.convex import AffineSet
@@ -292,11 +294,41 @@ def test_sampled_mapping_accepts_value_lists():
     np.testing.assert_allclose(vals[1], [1.25])
 
 
-def test_sampled_mapping_rejects_empty_value_list():
-    m = SampledMapping(forward=lambda x: [x] if abs(x[0]) < 0.1 else [],
-                       x_base=[0.0], y_base=[0.0], radius_x=1.0, radius_y=1.0)
-    with pytest.raises(ShapeError):
-        m.values_at([0.5])
+EMPTY_FORMS = {
+    "list": lambda: [],
+    "tuple": lambda: (),
+    "rows": lambda: np.zeros((0, 1)),
+    "flat": lambda: np.zeros(0),
+}
+
+
+def half_domain_doubling(empty):
+    """x -> 2x on |x| <= 0.5, empty (in the given form) outside."""
+    return SampledMapping(
+        forward=lambda x: 2.0 * x if abs(x[0]) <= 0.5 else empty(),
+        x_base=[0.0], y_base=[0.0], radius_x=1.0, radius_y=2.0)
+
+
+@pytest.mark.parametrize("form", EMPTY_FORMS)
+def test_sampled_mapping_reads_every_empty_form_as_no_values(form):
+    m = half_domain_doubling(EMPTY_FORMS[form])
+    assert m.values_at([0.75]) == []
+    assert len(m.values_at([0.25])) == 1
+    # points outside dom F are at distance +inf from every value, so they
+    # never enter a fibre and their ratio is 0: the modulus is that of 2x
+    est = sampled_reg(m, grid=9)
+    assert est.value == 0.5
+    assert verify_aubin(m, kappa=0.5, grid=9).ok
+    assert not verify_aubin(m, kappa=0.45, grid=9).ok
+    assert_scans_match_loops(m, 0.5, 9)
+
+
+@pytest.mark.parametrize("form", EMPTY_FORMS)
+def test_sampled_mapping_refuses_an_empty_base(form):
+    with pytest.raises(ContractError, match=r"base point \[0\.0, 1\.0\]"):
+        SampledMapping(forward=lambda x: EMPTY_FORMS[form](),
+                       x_base=[0.0, 1.0], y_base=[0.0], radius_x=1.0,
+                       radius_y=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +375,11 @@ def test_sampled_reg_builds_one_table_per_distinct_fibre(monkeypatch):
     # 137 test values on this 2->1 map, but only 57 distinct consecutive
     # fibres: near-equal values reuse the last distance table
     from regsel import moduli
-    calls = []
+    entries = {1: 0, 2: 0}
     distances = moduli._distances
 
     def counted(p, q):
-        calls.append(q.shape[0])
+        entries[p.shape[1]] += p.shape[0] * q.shape[0]
         return distances(p, q)
 
     monkeypatch.setattr(moduli, "_distances", counted)
@@ -356,7 +388,12 @@ def test_sampled_reg_builds_one_table_per_distinct_fibre(monkeypatch):
                              y_base=np.zeros(1), radius_x=1.0,
                              radius_y=2.0 * np.linalg.norm(m))
     est = sampled_reg(mapping, grid=41)
-    assert len(calls) == 57
+    # distances between grid points: at most the 57 tables of 1257 points
+    # by one fibre each that a per-value scan builds; the 57 fibres
+    # partition the 1257 points, so that total is 1257 * 1257
+    assert entries[2] <= 1257 * 1257
+    # and one distance per test value and sampled value for the fibres
+    assert entries[1] == 137 * 1257
     # the value and witness of the scan that rebuilt every table
     assert est.value == 1.1180339887498998
     np.testing.assert_array_equal(est.witness[0],
@@ -437,6 +474,56 @@ def ulps_apart(a: float, b: float) -> float:
     return abs(a - b) / np.spacing(max(abs(a), abs(b)))
 
 
+def assert_same_witness(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def assert_scans_match_loops(mapping, kappa, grid):
+    """sampled_reg, verify_metric_regularity and verify_aubin give the value,
+    verdict and witness of the per-value loops bit for bit."""
+    graph = _sample_graph(mapping, grid)
+    worst, witness = ratio_scan_loop(*graph)
+    est = sampled_reg(mapping, grid)
+    assert est.value == worst
+    assert_same_witness(est.witness, witness)
+    mr = verify_metric_regularity(mapping, kappa, grid)
+    assert mr.worst_ratio == worst
+    assert mr.ok is (worst <= kappa * (1.0 + moduli.CHECK_RTOL) + moduli.CHECK_ATOL)
+    assert_same_witness(mr.witness, witness)
+    ok, worst, witness = aubin_fibre_loop(*graph, kappa)
+    au = verify_aubin(mapping, kappa, grid)
+    assert au.ok is ok
+    assert au.worst_ratio == worst
+    assert_same_witness(au.witness, witness)
+
+
+def assert_lg_scan_matches_loop(mat, kappa, grid):
+    """lg_bound_check's scan of x -> mat x + g(x) against the per-value loop."""
+    scans = []
+    ratio_scan = moduli._ratio_scan
+
+    def checked(mapping, grid):
+        got = ratio_scan(mapping, grid)
+        want = ratio_scan_loop(*_sample_graph(mapping, grid))
+        assert got[0] == want[0]
+        assert_same_witness(got[1], want[1])
+        scans.append(got)
+        return got
+
+    rows = mat.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moduli, "_ratio_scan", checked)
+        report, _ = lg_bound_check(
+            mat, lambda x: (0.1 / kappa) * np.sin(x[:rows]),
+            np.zeros(mat.shape[1]), kappa=kappa, lam=0.5 / kappa, radius=1.0,
+            grid=grid, samples=100)
+    assert len(scans) == 1
+    assert report.worst_ratio == scans[0][0]
+    assert_same_witness(report.witness, scans[0][1])
+
+
 def assert_aubin_matches_pair_scan(mapping, kappa, grid):
     report = verify_aubin(mapping, kappa, grid=grid)
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
@@ -462,6 +549,7 @@ def assert_aubin_matches_pair_scan(mapping, kappa, grid):
 def test_aubin_matches_pair_scan_on_criterion_09_cases():
     for mapping, grid, kappa, expected in criterion_09_cases():
         assert assert_aubin_matches_pair_scan(mapping, kappa, grid).ok is expected
+        assert_scans_match_loops(mapping, kappa, grid)
 
 
 @pytest.mark.parametrize("kappa", [1.05, 0.95])
@@ -471,6 +559,7 @@ def test_aubin_matches_pair_scan_on_set_valued_branches(kappa):
         forward=lambda y: counterexample_mapping(float(y[0]), 4).reshape(-1, 1),
         x_base=[0.0], y_base=[0.0], radius_x=0.4, radius_y=0.4)
     assert_aubin_matches_pair_scan(mapping, kappa, grid=17)
+    assert_scans_match_loops(mapping, kappa, grid=17)
 
 
 @settings(max_examples=12, deadline=None)
@@ -490,6 +579,80 @@ def test_aubin_matches_pair_scan_on_lattice_maps(shape, entries, scale):
     assert modulus > 0
     assert assert_aubin_matches_pair_scan(mapping, 1.05 * modulus, grid).ok
     assert not assert_aubin_matches_pair_scan(mapping, 0.95 * modulus, grid).ok
+    assert_scans_match_loops(mapping, 1.05 * modulus, grid)
+    if np.isfinite(reg_linear(mat)):
+        assert_lg_scan_matches_loop(mat, 1.05 * reg_linear(mat), grid)
+
+
+def uneven_maps():
+    """(forward, grid, kappa) of 2->1 maps: empty on a half plane; zero to
+    two values per point; a step map whose fibres are strips of 139 to
+    230 points, so tables cut fibres and the Aubin witness is chunked."""
+    def cut(x):
+        return np.array([[x[0] + 2.0 * x[1]]]) if x[0] < 0.3 else np.zeros((0, 1))
+
+    def varying(x):
+        k = int(round(4.0 * (x[0] + 1.0))) % 3
+        return [np.array([x[0] - x[1] + 0.5 * j]) for j in range(k)]
+
+    def steps(x):
+        return np.floor(2.0 * x[:1])
+
+    return [(cut, 15, 1.0), (varying, 11, 2.0), (steps, 31, 0.6)]
+
+
+@pytest.mark.parametrize("forward,grid,kappa", uneven_maps(),
+                         ids=["cut", "varying", "steps"])
+def test_scans_match_loops_on_uneven_maps(forward, grid, kappa):
+    mapping = SampledMapping(forward=forward, x_base=np.zeros(2),
+                             y_base=np.zeros(1), radius_x=1.0, radius_y=1.0)
+    assert_scans_match_loops(mapping, kappa, grid)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_distances_match_the_three_axis_sum_bitwise(dim):
+    # below 8 coordinates numpy's pairwise sum adds in coordinate order
+    rng = np.random.default_rng(dim)
+    p = rng.standard_normal((57, dim)) * rng.uniform(0.1, 10.0, dim)
+    q = rng.standard_normal((23, dim))
+    assert moduli._distances(p, q).tobytes() == distances_3d(p, q).tobytes()
+
+
+def memory_case(name):
+    """(matrix, grid) of the linear.json map at grid 101 (7,845 points) or
+    of a 2->1 map at grid 41 (1,257 points)."""
+    if name == "linear-101":
+        return load_problem(str(PROBLEMS / "linear.json")).matrix, 101
+    return np.array([[2.0, 2.0]]), 41
+
+
+@pytest.mark.parametrize("case,check", [
+    ("linear-101", "metric-regularity"), ("linear-101", "aubin"),
+    ("2to1-41", "metric-regularity"), ("2to1-41", "aubin"),
+    ("2to1-41", "perturbation-bound")])
+def test_verifier_memory_stays_within_the_table_budget(case, check):
+    # no table holds more than TABLE_ENTRIES entries, so the tracemalloc
+    # peak of a pass does not grow with the grid
+    mat, grid = memory_case(case)
+    mapping = SampledMapping(forward=lambda x: mat @ x,
+                             x_base=np.zeros(mat.shape[1]),
+                             y_base=np.zeros(mat.shape[0]), radius_x=1.0,
+                             radius_y=2.0 * np.linalg.norm(mat, 2))
+    kappa = 1.1 * reg_linear(mat)
+    run = {
+        "metric-regularity": lambda: verify_metric_regularity(mapping, kappa, grid),
+        "aubin": lambda: verify_aubin(mapping, kappa, grid),
+        "perturbation-bound": lambda: lg_bound_check(
+            mat, lambda x: np.zeros(mat.shape[0]), np.zeros(mat.shape[1]),
+            kappa=kappa, lam=0.5 / kappa, radius=1.0, grid=grid, samples=50),
+    }[check]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
