@@ -13,14 +13,23 @@ convex members.
 from __future__ import annotations
 
 import copy
+import threading
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from .linalg import as_matrix, as_vector, row_norms, svd
+from .linalg import as_matrix, as_vector, norm, row_norms, svd
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 10000
+
+# Bound on what the AffineSet factorization cache holds, in float64 entries
+# (512 KiB). An operator is charged its key and its right inverse (op.size
+# entries each) plus 64 entries for the Python objects around them (about
+# 440 bytes measured for a 1x1 operator), so many tiny operators cannot
+# grow the cache past the bound either.
+FACTOR_CACHE_ENTRIES = 2**16
 
 
 class ConvexSet:
@@ -35,7 +44,7 @@ class ConvexSet:
 
     def distance(self, x) -> float:
         x = as_vector(x, dim=self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+        return norm(x - self.project(x))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.distance(x) <= tol
@@ -46,27 +55,94 @@ class ConvexSet:
         return self.distance(x)
 
 
+class _Factors(NamedTuple):
+    """What an AffineSet keeps of its operator's SVD."""
+
+    right_inverse: np.ndarray  # read-only
+    sigma_max: float
+    sigma_min: float
+    surjective: bool
+
+
+class FactorCache:
+    """Factorizations of AffineSet operators, keyed on the operator's shape
+    and bytes, so equal operators share one SVD whatever array holds them.
+
+    Holds at most ``entries`` float64 entries (see FACTOR_CACHE_ENTRIES for
+    what an operator is charged) and evicts the oldest operators first. An
+    operator charged more than the whole bound is factored and not kept,
+    without computing its key.
+    """
+
+    def __init__(self, entries: int = FACTOR_CACHE_ENTRIES):
+        self.entries = entries
+        self._store: dict[tuple, _Factors] = {}
+        self._held = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _charge(op: np.ndarray) -> int:
+        return 2 * op.size + 64
+
+    def factors(self, op: np.ndarray) -> _Factors:
+        """The factors of a validated float64 operator, from the store or
+        from one SVD."""
+        cost = self._charge(op)
+        if cost > self.entries:
+            return _factor(op)
+        key = (op.shape, op.tobytes())
+        found = self._store.get(key)
+        if found is None:
+            found = _factor(op)
+            with self._lock:
+                if key not in self._store:
+                    while self._held + cost > self.entries:
+                        # a right inverse has its operator's size
+                        oldest = self._store.pop(next(iter(self._store)))
+                        self._held -= self._charge(oldest.right_inverse)
+                    self._store[key] = found
+                    self._held += cost
+        return found
+
+
+def _factor(op: np.ndarray) -> _Factors:
+    fac = svd(op)
+    right_inverse = fac.right_inverse()
+    right_inverse.flags.writeable = False
+    return _Factors(right_inverse, float(fac.s[0]), fac.sigma_min, fac.surjective)
+
+
+# The one cache every AffineSet construction reads.
+_factor_cache = FactorCache()
+
+
 class AffineSet(ConvexSet):
     """Solution set {x : op @ x = rhs}.
 
     The system must be consistent; rank-deficient rows are fine as long as
-    the right-hand side lies in the range. One SVD at construction gives the
+    the right-hand side lies in the range. One SVD of op gives the
     least-norm right inverse P of op on its numerical row space
-    (``right_inverse``) together with the operator's largest singular value
-    ``sigma_max``, its row-relevant ``sigma_min`` and its ``surjective``
-    verdict; the anchor is P @ rhs and the projection is
-    x - P @ (op @ x - rhs). ``shifted`` moves the right-hand side and reuses
-    all four, so a family of parallel fibres is factored once.
+    (``right_inverse``, read-only) together with the operator's largest
+    singular value ``sigma_max``, its row-relevant ``sigma_min`` and its
+    ``surjective`` verdict; the anchor is P @ rhs and the projection is
+    x - P @ (op @ x - rhs).
+
+    Construction looks these four up in a process-wide ``FactorCache``
+    keyed on op's shape and bytes, so ``AffineSet(M, w)`` called for many
+    ``w`` factors M once per process, and an operator changed in place gets
+    a fresh factorization. The cache holds at most FACTOR_CACHE_ENTRIES
+    float64 entries; a larger operator (a fine collocation mesh) is
+    factored on every construction, so hold one fibre of it and call
+    ``shifted``, which moves the right-hand side without hashing or
+    factoring op. The consistency check of the right-hand side runs on
+    every construction and every shift.
     """
 
     def __init__(self, op, rhs):
         self.op = as_matrix(op)
         self.dim = self.op.shape[1]
-        fac = svd(self.op)
-        self.right_inverse = fac.right_inverse()
-        self.sigma_max = float(fac.s[0])
-        self.sigma_min = fac.sigma_min
-        self.surjective = fac.surjective
+        (self.right_inverse, self.sigma_max, self.sigma_min,
+         self.surjective) = _factor_cache.factors(self.op)
         self._set_rhs(rhs)
 
     def shifted(self, rhs) -> AffineSet:
@@ -78,8 +154,9 @@ class AffineSet(ConvexSet):
     def _set_rhs(self, rhs):
         self.rhs = as_vector(rhs, dim=self.op.shape[0])
         x0 = self.right_inverse @ self.rhs
-        resid = np.linalg.norm(self.op @ x0 - self.rhs)
-        if resid > 1e-9 * (1.0 + np.linalg.norm(self.rhs)):
+        resid = norm(self.op @ x0 - self.rhs)
+        # the caller's rhs may be a strided view, which norm must not see
+        if resid > 1e-9 * (1.0 + norm(self.rhs.ravel())):
             raise ContractError(
                 f"inconsistent affine system, residual {resid:.3e}")
 
@@ -93,7 +170,7 @@ class AffineSet(ConvexSet):
 
     def distance(self, x):
         x = as_vector(x, dim=self.dim)
-        return float(np.linalg.norm(self._offset(x)))
+        return norm(self._offset(x))
 
 
 class Box(ConvexSet):
@@ -167,14 +244,14 @@ class Ball(ConvexSet):
     def project(self, x):
         x = as_vector(x, dim=self.dim)
         delta = x - self.center
-        norm = np.linalg.norm(delta)
-        if norm <= self.radius or norm == 0.0:
+        length = norm(delta)
+        if length <= self.radius or length == 0.0:
             return x.copy()
-        return self.center + delta * (self.radius / norm)
+        return self.center + delta * (self.radius / length)
 
     def distance(self, x):
         x = as_vector(x, dim=self.dim)
-        return float(max(0.0, np.linalg.norm(x - self.center) - self.radius))
+        return max(0.0, norm(x - self.center) - self.radius)
 
 
 class Halfspaces(ConvexSet):
@@ -318,7 +395,7 @@ def dykstra(sets, start) -> np.ndarray:
             y = s.project(x + corrections[i])
             corrections[i] = x + corrections[i] - y
             x = y
-        if np.linalg.norm(x - x_prev) <= DYKSTRA_TOL:
+        if norm(x - x_prev) <= DYKSTRA_TOL:
             gap = max(s.distance(x) for s in sets)
             if gap <= gap_tol:
                 return x

@@ -129,6 +129,18 @@ def svd(a) -> SvdFactorization:
     return SvdFactorization(a=m, u=u, s=s, vt=vt)
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D float64 vector, as a float.
+
+    np.linalg.norm computes sqrt(v.dot(v)) for such a vector, so this gives
+    the same bits (inf when the squares overflow, +0.0 for any zero vector)
+    without its argument handling. Pass a strided view as ``v.ravel()``:
+    BLAS sums a strided dot product in another order, while np.linalg.norm
+    ravels its argument first.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, with the bits np.linalg.norm gives one
     row: matmul's 1x1 core goes through the same dot kernel, while

@@ -40,7 +40,6 @@ attaining the worst ratio, with the first grid point that attains it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from . import convex
 from .errors import ContractError
-from .linalg import SvdFactorization, as_matrix, as_vector, row_norms, svd
+from .linalg import SvdFactorization, as_matrix, as_vector, norm, row_norms, svd
 
 # Relative slack used when comparing sampled distances against kappa times
 # sampled distances; absorbs roundoff in grid arithmetic.
@@ -149,11 +148,6 @@ def reg_linear(op) -> float:
 # sampled lip / clm
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real vector; the same bits as np.linalg.norm."""
-    return math.sqrt(v.dot(v))
-
-
 # Refinement scales cycle through powers of two so there is always a batch of
 # proposals at the length scale matching the incumbent's remaining error.
 _SCALE_CYCLE = 28
@@ -197,19 +191,19 @@ def _sup_quotient(f, center, radius, samples, seed, anchored):
             for k in ends:
                 p = best_pair[k] + step * normal(d)
                 delta = p - center
-                n = _norm(delta)
+                n = norm(delta)
                 pair[k] = p if n <= radius else center + delta * (radius / n)
         else:
             # a uniform point: a normal direction at radius * u^(1/d)
             for k in ends:
                 v = normal(d)
-                n = _norm(v)
+                n = norm(v)
                 pair[k] = center + radius * uniform() ** inv_d * (v / n if n > 0 else axis)
         x, xp = pair
-        gap = _norm(x - xp)
+        gap = norm(x - xp)
         if gap < min_gap:
             continue
-        q = _norm(as_vector(f(x)) - (fc if anchored else as_vector(f(xp)))) / gap
+        q = norm(as_vector(f(x)) - (fc if anchored else as_vector(f(xp)))) / gap
         if q > best_q:
             best_q, best_pair = q, (x, xp)
     if best_pair is None:

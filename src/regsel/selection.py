@@ -27,7 +27,7 @@ import numpy as np
 from .convex import ConvexSet
 from .errors import (ContractError, InfeasibilitySuspectedError, LocalityError,
                      NumericBreakdownError, RegularityError)
-from .linalg import as_vector
+from .linalg import as_vector, norm
 
 # Default margins of kappa over a regularity modulus, lambda over a sampled lip
 KAPPA_MARGIN = 1.1
@@ -191,7 +191,7 @@ def _project_truncated(base_set: ConvexSet, center: np.ndarray, radius: float,
     if gap > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"{what}: projection gap {gap:.3e} exceeds 10*tol")
-    dist = float(np.linalg.norm(z - center))
+    dist = norm(z - center)
     if dist > radius + 10.0 * cfg.tol:
         raise RegularityError(
             f"{what}: truncated inverse image is empty, distance {dist:.3g} > "
@@ -206,12 +206,12 @@ def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, w,
     target w = y - g(center), truncated to B(center, radius). Locality
     guards keep ``center`` in the domain ball and ``w`` in the image ball;
     ``what`` names the step in error messages."""
-    drift = float(np.linalg.norm(center - problem.x_base))
+    drift = norm(center - problem.x_base)
     if drift > problem.radius_x + 1e-12:
         raise LocalityError(
             f"iterate drifted {drift:.6g} from x_base, outside the domain "
             f"ball {problem.radius_x:.6g}", bound=problem.radius_x)
-    w_dev = float(np.linalg.norm(w - problem.y_base))
+    w_dev = norm(w - problem.y_base)
     if w_dev > problem.radius_y + 1e-12:
         raise LocalityError(
             f"corrected target is {w_dev:.6g} from y_base, outside the image "
@@ -239,7 +239,7 @@ def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
     y = as_vector(y, dim=problem.y_base.size)
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
     g_base = g_value(problem.x_base)
-    dev = float(np.linalg.norm(y - problem.y_base - g_base))
+    dev = norm(y - problem.y_base - g_base)
     if dev > tau + 1e-15:
         raise LocalityError(
             f"query is {dev:.6g} from the base output, outside the certified "
@@ -257,7 +257,7 @@ def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
                 f"{increments[-1]:.3e}")
         w = y - g_value(x)
         z = _corrector_step(problem, cfg, w, x, radius, what)
-        step = float(np.linalg.norm(z - x))
+        step = norm(z - x)
         if (increments and increments[-1] > 0
                 and step > cfg.contraction * increments[-1] * (1 + 1e-6) + 1e-15):
             raise RegularityError(
@@ -273,7 +273,7 @@ def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
         raise NumericBreakdownError(
             f"final membership residual {residual:.3e} exceeds 10*tol")
     gamma = cfg.gamma
-    calm_ok = bool(np.linalg.norm(x - problem.x_base) <= gamma * dev + 1e-9)
+    calm_ok = norm(x - problem.x_base) <= gamma * dev + 1e-9
     cert = IterationCertificate(
         kappa=cfg.kappa, lam=cfg.lam, alpha=cfg.alpha, tau=tau, gamma=gamma,
         increments=increments, residual=float(residual), calm_ok=calm_ok,

@@ -392,7 +392,7 @@ def test_verify_fails_below_modulus(capsys, fdir):
         assert fields[6] != ""  # witness reported
 
 
-def test_verify_linear_factors_once(capsys, fdir, monkeypatch):
+def test_verify_linear_factors_once(capsys, fdir, monkeypatch, cold_factor_cache):
     calls = []
     svd = np.linalg.svd
 
@@ -408,7 +408,7 @@ def test_verify_linear_factors_once(capsys, fdir, monkeypatch):
 
 @pytest.mark.parametrize("name", ["smooth.json", "pert.json"])
 def test_verify_smooth_and_generalized_factor_once(capsys, fdir, monkeypatch,
-                                                   name):
+                                                   cold_factor_cache, name):
     # the smooth problem's fibre gives the image radius; the generalized
     # file's fibre also serves lg_bound_check
     calls = []

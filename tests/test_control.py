@@ -394,7 +394,8 @@ def test_steer_with_prebuilt_setup_factors_nothing(monkeypatch):
     assert calls == []
 
 
-def test_steering_setup_factors_the_collocation_operator_once(monkeypatch):
+def test_steering_setup_factors_the_collocation_operator_once(monkeypatch,
+                                                               cold_factor_cache):
     p = pendulum(mesh=64)
     sys = linearize(p)
     shape = control._weighted_operator(sys).shape

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from oracles import kkt_affine_project
+from regsel import convex
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, set_from_json)
 from regsel.errors import ContractError, ShapeError
@@ -162,6 +166,160 @@ def test_shifted_fibre_rejects_inconsistent_rhs():
     family = AffineSet([[1.0, 0.0], [1.0, 0.0]], [0.0, 0.0])
     with pytest.raises(ContractError, match="inconsistent"):
         family.shifted([0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# factorization cache
+
+
+def _build(cache, monkeypatch, op, rhs):
+    monkeypatch.setattr(convex, "_factor_cache", cache)
+    return AffineSet(op, rhs)
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd_np = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd_np(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.mark.parametrize("op, rhs", [
+    ([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]], [0.4, -1.1]),  # wide
+    ([[2.0, 0.3], [-0.7, 1.5]], [0.2, 0.9]),  # square
+    ([[1.0, 0.0, 2.0], [2.0, 0.0, 4.0]], [0.7, 1.4]),  # rank one
+])
+def test_cached_factors_equal_a_fresh_factorization(monkeypatch, op, rhs):
+    # entries=0 keeps nothing: every build factors, as without a cache
+    fresh = _build(convex.FactorCache(entries=0), monkeypatch, op, rhs)
+    cache = convex.FactorCache()
+    calls = _count_svds(monkeypatch)
+    cold = _build(cache, monkeypatch, op, rhs)
+    warm = _build(cache, monkeypatch, np.array(op), np.zeros(len(rhs))).shifted(rhs)
+    assert len(calls) == 1
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((6, len(op[0])))
+    for s in (cold, warm):
+        assert s.right_inverse.tobytes() == fresh.right_inverse.tobytes()
+        assert ((s.sigma_max, s.sigma_min, s.surjective)
+                == (fresh.sigma_max, fresh.sigma_min, fresh.surjective))
+        for x in points:
+            assert s.project(x).tobytes() == fresh.project(x).tobytes()
+            assert s.distance(x) == fresh.distance(x)
+
+
+def test_equal_operators_share_one_factorization(cold_factor_cache, monkeypatch):
+    op = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
+    calls = _count_svds(monkeypatch)
+    # the key is the operator's shape and C-order bytes, not the array
+    sets = [AffineSet(op, [0.0, 0.0]), AffineSet(op.copy(), [1.0, 2.0]),
+            AffineSet(op.tolist(), [0.0, 1.0]),
+            AffineSet(np.asfortranarray(op), [3.0, 0.0])]
+    assert calls == [(2, 3)]
+    assert all(s.right_inverse is sets[0].right_inverse for s in sets)
+    # the same entries in another shape are another operator
+    AffineSet(op.reshape(3, 2), [0.0, 0.0, 0.0])
+    assert calls == [(2, 3), (3, 2)]
+
+
+def test_operator_changed_in_place_is_factored_again(cold_factor_cache, monkeypatch):
+    op = np.array([[1.0, 2.0], [0.0, 1.0]])
+    calls = _count_svds(monkeypatch)
+    before = AffineSet(op, [1.0, 1.0])
+    op[0, 1] = -3.0
+    after = AffineSet(op, [1.0, 1.0])
+    assert len(calls) == 2
+    want = svd(op).right_inverse()
+    assert after.right_inverse.tobytes() == want.tobytes()
+    assert after.right_inverse.tobytes() != before.right_inverse.tobytes()
+    np.testing.assert_allclose(op @ after.project([0.3, -2.0]), [1.0, 1.0], atol=1e-14)
+
+
+def test_cached_right_inverse_is_read_only(cold_factor_cache):
+    fibre = AffineSet([[1.0, 1.0]], [2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        fibre.right_inverse[0, 0] = 7.0
+    again = AffineSet([[1.0, 1.0]], [0.0])
+    want = svd([[1.0, 1.0]]).right_inverse()
+    assert again.right_inverse.tobytes() == want.tobytes()
+
+
+def test_operator_over_the_bound_is_factored_every_time(monkeypatch):
+    op = np.arange(1.0, 7.0).reshape(2, 3)
+    charge = 2 * op.size + 64
+    kept = _build(convex.FactorCache(entries=charge), monkeypatch, op, [0.0, 0.0])
+    cache = convex.FactorCache(entries=charge - 1)
+    calls = _count_svds(monkeypatch)
+    sets = [_build(cache, monkeypatch, op, [0.0, 0.0]) for _ in range(3)]
+    assert len(calls) == 3
+    assert cache._store == {} and cache._held == 0
+    assert all(s.right_inverse.tobytes() == kept.right_inverse.tobytes() for s in sets)
+    # at the default bound, a mesh-128 collocation operator is not kept
+    assert 2 * 258 * 384 + 64 > convex.FACTOR_CACHE_ENTRIES
+
+
+def test_cache_evicts_its_oldest_operator_first(monkeypatch):
+    ops = [[[1.0, float(k)]] for k in range(3)]
+    charge = 2 * 2 + 64
+    cache = convex.FactorCache(entries=2 * charge)
+    for op in ops:
+        _build(cache, monkeypatch, op, [1.0])
+    assert [key[1] for key in cache._store] == [np.array(op).tobytes() for op in ops[1:]]
+    assert cache._held == 2 * charge
+    calls = _count_svds(monkeypatch)
+    _build(cache, monkeypatch, ops[2], [0.0])
+    _build(cache, monkeypatch, ops[0], [0.0])
+    assert calls == [(1, 2)]
+
+
+def test_inconsistent_rhs_raises_on_a_cache_hit(cold_factor_cache, monkeypatch):
+    op = [[1.0, 0.0], [1.0, 0.0]]
+    AffineSet(op, [1.0, 1.0])
+    calls = _count_svds(monkeypatch)
+    with pytest.raises(ContractError, match="inconsistent"):
+        AffineSet(op, [0.0, 1.0])
+    assert calls == []
+
+
+def test_cache_keeps_its_count_under_threads(monkeypatch):
+    # more threads than cores, a short switch interval and a bound that
+    # holds five of the twelve operators, so inserts and evictions race
+    rng = np.random.default_rng(11)
+    ops = [rng.standard_normal((2, 3)) for _ in range(12)]
+    want = [svd(op).right_inverse().tobytes() for op in ops]
+    charge = 2 * 6 + 64
+    cache = convex.FactorCache(entries=5 * charge)
+    monkeypatch.setattr(convex, "_factor_cache", cache)
+    errors = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).integers(0, len(ops), size=300)
+        try:
+            for k in order:
+                got = AffineSet(ops[k], np.zeros(2)).right_inverse.tobytes()
+                if got != want[k]:
+                    errors.append(k)
+        except Exception as exc:  # reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache._held == charge * len(cache._store) <= cache.entries
 
 
 def test_box_rejects_crossed_bounds():

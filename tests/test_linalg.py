@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import (jacobi_singular_values, kkt_affine_project, pinv_apply,
                      power_norm)
 from regsel.errors import NumericBreakdownError, RegularityError, ShapeError
-from regsel.linalg import (as_matrix, as_vector, least_norm_solve,
+from regsel.linalg import (as_matrix, as_vector, least_norm_solve, norm,
                            operator_norm, svd)
 from regsel.moduli import reg_linear
 
@@ -269,3 +269,46 @@ def test_pinv_rejects_non_surjective():
         least_norm_solve([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     assert not svd([[0.0, 0.0]]).surjective
     assert reg_linear([[0.0, 0.0]]) == float("inf")
+
+
+# ---------------------------------------------------------------------------
+# the vector norm kernel
+
+# magnitudes from 1e-300 to 1e300 (squares underflow to 0 or overflow to
+# inf), exact zeros of both signs, and anything hypothesis finds in between
+_ENTRIES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e154, 3e-162]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+              st.integers(-300, 290)))
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# both sides warn alike when the squares overflow
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@given(st.lists(_ENTRIES, min_size=1, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_norm_has_the_bits_of_numpy(entries):
+    v = np.array(entries)
+    got = norm(v)
+    assert type(got) is float
+    assert _bits(got) == _bits(np.linalg.norm(v))
+    # a strided view goes in raveled, as the docstring asks
+    wide = np.zeros(2 * v.size)
+    wide[::2] = v
+    assert _bits(norm(wide[::2].ravel())) == _bits(np.linalg.norm(wide[::2]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_norm_edge_values():
+    assert norm(np.array([1e300, 1.0])) == np.inf
+    assert norm(np.array([1e-300])) == 0.0
+    assert _bits(norm(np.array([-0.0, 0.0]))) == _bits(0.0)
+    rng = np.random.default_rng(2)
+    # lengths past BLAS's unrolled blocks
+    for n in (16, 33, 257):
+        v = rng.standard_normal(n)
+        assert _bits(norm(v)) == _bits(np.linalg.norm(v))

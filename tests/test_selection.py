@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_root, random_surjective, three_phase_solve
+from regsel import convex
 from regsel.convex import AffineSet, Box, Intersection
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
                            RegularityError)
@@ -382,6 +383,51 @@ def test_solve_matches_three_phase_solve_bit_for_bit(shape, seed, t, boxed):
     assert x.tobytes() == x_ref.tobytes()
     assert np.array(cert.increments).tobytes() == np.array(cert_ref.increments).tobytes()
     assert cert == cert_ref
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_has_the_same_bits_with_a_cold_and_a_warm_cache(monkeypatch, seed,
+                                                              boxed):
+    # finv builds a new AffineSet of the same matrix on every call, so a
+    # warm cache serves every fibre; entries=0 factors each one afresh
+    rng = np.random.default_rng([seed, 7])
+    rows, cols = (2, 3) if boxed else (3, 5)
+    mat = random_surjective(rng, rows, cols, smin=0.3, smax=3.0)
+    w = rng.standard_normal((rows, cols))
+    w /= np.linalg.norm(w, 2)
+    phase = rng.uniform(-1.0, 1.0, rows)
+    smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
+    eps = 0.25 * smin
+    box = Box(-2.0 * np.ones(cols), 2.0 * np.ones(cols))
+
+    def finv(y):
+        fibre = AffineSet(mat, y)
+        return Intersection([fibre, box]) if boxed else fibre
+
+    def g(x):
+        return eps * np.sin(w @ x + phase)
+
+    cfg = default_config(1.0 / smin, eps)
+    tau = compute_tau(cfg, (1.0, 1.0))
+    u = rng.standard_normal(rows)
+    y = g(np.zeros(cols)) + 0.8 * tau * u / np.linalg.norm(u)
+    results = []
+    for cache in (convex.FactorCache(entries=0), convex.FactorCache(), None):
+        if cache is not None:  # None: solve again on the now warm cache
+            monkeypatch.setattr(convex, "_factor_cache", cache)
+        p = GeneralizedEquation(finv=finv, g=g, x_base=np.zeros(cols),
+                                y_base=np.zeros(rows), radius_x=1.0,
+                                radius_y=1.0, radius_graph=4.0)
+        results.append(solve(p, cfg, y))
+    assert convex._factor_cache._store
+    (x_ref, cert_ref) = results[0]
+    assert cert_ref.iterate_count >= 3
+    for x, cert in results[1:]:
+        assert x.tobytes() == x_ref.tobytes()
+        assert (np.array(cert.increments).tobytes()
+                == np.array(cert_ref.increments).tobytes())
+        assert cert == cert_ref
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_selection_matches_least_norm_for_linear_maps():
         np.testing.assert_allclose(x, expect, atol=1e-9)
 
 
-def test_smooth_problem_factors_its_jacobian_once(monkeypatch):
+def test_smooth_problem_factors_its_jacobian_once(monkeypatch, cold_factor_cache):
     calls = []
     svd = np.linalg.svd
 
