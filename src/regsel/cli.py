@@ -23,10 +23,9 @@ from .errors import (ContractError, InfeasibilitySuspectedError,
                      RegularityError, ShapeError, UncontrollableError)
 from .linalg import svd
 from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
-                     clm_estimate, fmt_float, lg_bound_check, lip_estimate,
-                     lsc_probe, reg_linear, regularity_report, sampled_reg,
-                     truncated_counterexample, verify_aubin,
-                     verify_metric_regularity)
+                     _check_kappa, clm_estimate, csv_row, fmt_float, lg_bound_check,
+                     lip_estimate, lsc_probe, reg_linear, regularity_report,
+                     sampled_reg, truncated_counterexample, verify_aubin)
 from .problems import MAX_MESH, ProblemFile, load_problem
 from .selection import (KAPPA_MARGIN, LAMBDA_MARGIN, GeneralizedEquation,
                         IterationConfig, compute_tau, default_config, solve,
@@ -334,10 +333,6 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
     out.line(f"kalman_controllable,{_bool(rank_ok)}")
     out.line(f"reachable_interior,{_bool(interior_ok)}")
     out.line(f"interior_margin,{fmt_float(margin)}")
-    if not (rank_ok or interior_ok):
-        out.line("error,neither controllability test passed")
-        return EXIT_UNCONTROLLABLE
-
     seed = _seed(pf, args)
 
     if grid is not None:
@@ -395,7 +390,6 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
     seed = _seed(pf, args)
     if args.grid is not None and args.grid < 2:
         raise ProblemFileError("--grid: need at least 2 points per axis")
-    reports = []
 
     if pf.kind == "generalized" and pf.fixture is not None:
         # grid reconstruction cannot resolve the 1/k branch structure, so
@@ -404,10 +398,9 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
                           at=(np.zeros(1), np.array([0.05])),
                           approach=[np.array([10.0 ** -j])
                                     for j in range(1, 15)])
-        witness = fmt_float(float(probe.witness_x[0]))
-        tail = fmt_float(min(probe.distances[3:]))
         out.line(CSV_HEADER)
-        out.line(f"lsc-probe,{tail},,,,{probe.verdict},{witness}")
+        out.line(csv_row("lsc-probe", min(probe.distances[3:]), np.nan, 0,
+                         None, probe.verdict, (probe.witness_x,)))
         return EXIT_OK
     if pf.constraint is not None:
         raise ProblemFileError(
@@ -424,47 +417,41 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
             forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
             radius_x=radius_x,
             radius_y=2.0 * max(fibre.sigma_max, 1e-9) * radius_x)
-        reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
-        reports.append(verify_aubin(mapping, kappa, grid=grid))
-        if pf.perturbation is not None:
-            lam = pf.constants.get("lambda")
-            if lam is None:
-                lam = LAMBDA_MARGIN * lip_estimate(
-                    g, base_x, radius_x, samples=600, seed=seed).value
-            if lam <= 0:
-                lam = 0.5 / kappa
-            report, _ = lg_bound_check(fibre, g, base_x,
-                                       kappa=kappa, lam=lam,
-                                       radius=radius_x, grid=grid,
-                                       seed=seed)
-            reports.append(report)
     elif pf.kind == "smooth":
         grid = _verify_grid(args, pf.base.size)
         problem = _smooth_problem(pf)
+        kappa = args.kappa
         mapping = SampledMapping(
             forward=lambda x: np.asarray(problem.f(x), dtype=float),
             x_base=problem.x_base, y_base=problem.y_base,
             radius_x=problem.radius,
             radius_y=2.0 * (problem.base_fibre.sigma_max + 1.0)
             * problem.radius)
-        if args.kappa is not None:
-            kappa = args.kappa
-            reports.append(verify_metric_regularity(mapping, kappa, grid=grid))
-        else:
-            # one scan gives both the default constant and its verdict
-            estimate = sampled_reg(mapping, grid=grid)
-            kappa = 1.05 * estimate.value
-            reports.append(regularity_report(estimate, kappa))
-        reports.append(verify_aubin(mapping, kappa, grid=grid))
     else:
         raise ProblemFileError("verify does not drive control problems")
 
+    if kappa is not None:  # refuse a bad --kappa before the scan
+        _check_kappa(kappa)
+    # one scan gives the verdict and, for a smooth file, the default constant
+    estimate = sampled_reg(mapping, grid=grid)
+    if kappa is None:
+        kappa = 1.05 * estimate.value
+    reports = [regularity_report(estimate, kappa),
+               verify_aubin(mapping, kappa, grid=grid)]
+    if pf.perturbation is not None:  # generalized files only
+        lam = pf.constants.get("lambda")
+        if lam is None:
+            lam = LAMBDA_MARGIN * lip_estimate(
+                g, base_x, radius_x, samples=600, seed=seed).value
+        if lam <= 0:
+            lam = 0.5 / kappa
+        report, _ = lg_bound_check(fibre, g, base_x, kappa=kappa, lam=lam,
+                                   radius=radius_x, grid=grid, seed=seed)
+        reports.append(report)
     out.line(CSV_HEADER)
     for report in reports:
         out.line(report.csv_row())
-    if all(r.ok for r in reports):
-        return EXIT_OK
-    return EXIT_VERIFICATION
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +555,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     out = _Writer(args.out)
+    note = None
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ProblemFileError(f"--seed: must be nonnegative, got {args.seed}")
         pf = load_problem(args.input)
         code = args.func(pf, args, out)
     except ProblemFileError as exc:
@@ -581,21 +570,22 @@ def main(argv=None) -> int:
         print(f"regsel: contract violation: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericBreakdownError, InfeasibilitySuspectedError) as exc:
-        out.flush()
-        print(f"regsel: numeric breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code, note = EXIT_NUMERIC, f"numeric breakdown: {exc}"
     except (LocalityError, RegularityError) as exc:
-        out.flush()
-        print(f"regsel: locality/regularity: {exc}", file=sys.stderr)
-        return EXIT_LOCALITY
+        code, note = EXIT_LOCALITY, f"locality/regularity: {exc}"
     except UncontrollableError as exc:
-        out.line(f"kalman_controllable,{_bool(exc.rank_verdict)}")
-        out.line(f"reachable_interior,{_bool(exc.interior_verdict)}")
         out.line(f"error,{exc}")
+        code, note = EXIT_UNCONTROLLABLE, f"uncontrollable: {exc}"
+    try:
         out.flush()
-        print(f"regsel: uncontrollable: {exc}", file=sys.stderr)
-        return EXIT_UNCONTROLLABLE
-    out.flush()
+    except OSError as exc:
+        if args.out is None:  # stdout failed: not an input error
+            raise
+        print(f"regsel: input error: --out: cannot write {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if note is not None:
+        print(f"regsel: {note}", file=sys.stderr)
     return code
 
 

@@ -31,9 +31,10 @@ from .moduli import ModulusEstimate, lip_estimate
 from .selection import (KAPPA_MARGIN, GeneralizedEquation,
                         IterationCertificate, IterationConfig, compute_tau,
                         default_config, solve)
-from .smooth import FD_JACOBIAN_STEP
 
 DEFAULT_MESH = 64
+# Central-difference step of ``linearize``
+FD_JACOBIAN_STEP = 1e-6
 TAU_FLOOR = 0.065
 QUADRATURE_POINTS = 128
 DYNAMICS_RESIDUAL_TOL = 1e-8
@@ -102,13 +103,13 @@ class ControlProblem:
             raise ContractError(
                 f"control set of type {type(self.control_set).__name__} is not "
                 "supported; use a box or halfspaces")
-        if self.control_set.dim != self.control_dim:
+        m = self.control_dim
+        if self.control_set.dim != m:
             raise ShapeError(
                 f"control set lives in dimension {self.control_set.dim}, "
-                f"expected {self.control_dim}")
-        if not self.control_set.contains(np.zeros(self.control_dim), tol=1e-9):
+                f"expected {m}")
+        if not self.control_set.violation(np.zeros((1, m)))[0] <= 1e-9:
             raise ContractError("control set must contain the zero control")
-        m = self.control_dim
         axes = np.eye(m)
         bounded = np.isfinite(self.control_set.support(np.vstack([axes, -axes])))
         unbounded = np.flatnonzero(~(bounded[:m] & bounded[m:]))
@@ -200,7 +201,8 @@ def reachable_interior(sys: DiscretizedSystem, control_set: Box | Halfspaces,
     integrand at QUADRATURE_POINTS nodes over a deterministic direction grid
     gives the margin, from one ``support`` query over every direction and
     node. A positive margin certifies interiority up to grid and quadrature
-    resolution.
+    resolution. ``regsel control`` prints the verdict as a diagnostic;
+    ``steering_setup`` gates on the Kalman rank alone.
     """
     from scipy.linalg import expm  # deferred: ~0.3 s to import
 
@@ -313,8 +315,6 @@ class SteeringSetup:
     tau_target: float
     lip: ModulusEstimate
     calm_bound: float
-    rank_verdict: bool
-    interior_verdict: bool | None
 
     def query(self, b) -> np.ndarray:
         b = as_vector(b, dim=self.sys.state_dim)
@@ -328,8 +328,9 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
                    seed: int = 0) -> SteeringSetup:
     """Build the discretized generalized equation and its constant schedule.
 
-    Controllability is gated first (rank test, then the interior test only
-    if the rank test fails). The Lipschitz modulus of the remainder is
+    Controllability is gated first: a Kalman rank below the state dimension
+    leaves the collocation operator not onto, so it raises
+    UncontrollableError. The Lipschitz modulus of the remainder is
     sampled on the ball the correctors of a tau-sized query live in; the
     recorded estimate keeps that radius. The locality radii on the equation
     are the larger ones required to certify tau.
@@ -337,14 +338,10 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
     if sys is None:
         sys = linearize(problem)
     rank, rank_ok = kalman_rank(sys)
-    interior_ok: bool | None = None
     if not rank_ok:
-        interior_ok, _ = reachable_interior(sys, problem.control_set, seed=seed)
-        if not interior_ok:
-            raise UncontrollableError(
-                f"rank test gives {rank} < {sys.state_dim} and the reachable "
-                "set has empty interior at 0",
-                rank_verdict=rank_ok, interior_verdict=interior_ok)
+        raise UncontrollableError(
+            f"Kalman rank {rank} < {sys.state_dim}: the linearization is not "
+            "controllable, so the collocation operator is not onto")
     if tau_target <= 0:
         raise ContractError(f"tau target must be positive, got {tau_target}")
 
@@ -387,8 +384,7 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
     return SteeringSetup(problem=problem, sys=sys, operator=mat,
                          equation=equation, config=cfg, tau=tau,
                          tau_target=tau_target, lip=lip,
-                         calm_bound=calm_bound, rank_verdict=rank_ok,
-                         interior_verdict=interior_ok)
+                         calm_bound=calm_bound)
 
 
 def _transported_calm_bound(sys: DiscretizedSystem, pinv: np.ndarray,
@@ -465,7 +461,7 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
 
     Solves the discretized generalized equation for the query whose only
     nonzero rows are the endpoint target. Raises UncontrollableError when
-    both controllability tests fail, LocalityError when |b| exceeds the
+    the Kalman rank test fails, LocalityError when |b| exceeds the
     certified radius, and NumericBreakdownError when the returned
     trajectory violates the dynamics or control-membership contracts.
     """

@@ -2,12 +2,12 @@
 
 The catalogue is deliberately small: affine solution sets, boxes, balls,
 halfspace systems, and finite intersections of those. Every set answers
-project / contains / distance / gap, which is all the selection iteration
-needs. Boxes and halfspace systems, the two kinds of control set, also
-answer ``support`` for the steering application's interior test, taking
-directions as rows. Projections onto intersections run Dykstra's
-alternating scheme, which converges to the metric projection for closed
-convex members.
+project / distance / gap, which is all the selection iteration needs.
+Boxes and halfspace systems, the two kinds of control set, also answer
+``support`` for the steering application's interior test, taking
+directions as rows, and ``violation``, their membership rule. Projections
+onto intersections run Dykstra's alternating scheme, which converges to
+the metric projection for closed convex members.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ class ConvexSet:
     def distance(self, x) -> float:
         x = as_vector(x, dim=self.dim)
         return norm(x - self.project(x))
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.distance(x) <= tol
 
     def gap(self, x) -> float:
         """Feasibility gap of x, zero on the set; the distance unless a set
@@ -200,7 +197,7 @@ class Box(ConvexSet):
 
     def violation(self, points):
         """Distance of each row of the (k, dim) points to the box, the norm of
-        its clamped excess; ``contains`` tests one point by this rule."""
+        its clamped excess."""
         p = _point_rows(points, self.dim)
         return row_norms(np.maximum(0.0, np.maximum(self.lower - p, p - self.upper)))
 
@@ -290,17 +287,12 @@ class Halfspaces(ConvexSet):
                 for i in range(self.normals.shape[0])]
         return dykstra(sets, x)
 
-    def contains(self, x, tol: float = 1e-9):
-        x = as_vector(x, dim=self.dim)
-        return bool(self.violation(x[None, :])[0] <= tol)
-
     def violation(self, points):
         """Largest normalized excess ``(n_i . p - c_i) / |n_i|`` of each row
-        ``p`` of the (k, dim) points, negative inside; ``contains`` tests one
-        point by this rule."""
+        ``p`` of the (k, dim) points, negative inside."""
         p = _point_rows(points, self.dim)
         # one (1, dim) @ (dim, rows) product per point, whatever their number,
-        # so a point gets the same bits alone (contains) as in a batch
+        # so a point gets the same bits alone as in a batch
         products = np.matmul(p[:, None, :], self.normals.T)[:, 0, :]
         return np.max((products - self.offsets) / self._row_norms, axis=1)
 
@@ -366,9 +358,6 @@ class Intersection(ConvexSet):
     def project(self, x):
         x = as_vector(x, dim=self.dim)
         return dykstra(self.members, x)
-
-    def contains(self, x, tol: float = 1e-9):
-        return all(m.contains(x, tol) for m in self.members)
 
     def gap(self, x) -> float:
         """Worst member distance; a feasibility gap, not the true distance."""

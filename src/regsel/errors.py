@@ -68,16 +68,7 @@ class InfeasibilitySuspectedError(RegselError, RuntimeError):
 
 
 class UncontrollableError(RegselError, RuntimeError):
-    """Neither controllability test passed for a steering problem.
-
-    ``rank_verdict`` and ``interior_verdict`` record the two test outcomes.
-    """
-
-    def __init__(self, message: str, rank_verdict: bool = False,
-                 interior_verdict: bool = False):
-        super().__init__(message)
-        self.rank_verdict = rank_verdict
-        self.interior_verdict = interior_verdict
+    """The Kalman rank test failed for a steering problem's linearization."""
 
 
 class ProblemFileError(RegselError, ValueError):

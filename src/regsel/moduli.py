@@ -71,15 +71,20 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_witness(witness: tuple) -> str:
-    groups = []
-    for w in witness:
-        arr = np.atleast_1d(np.asarray(w, dtype=float))
-        groups.append(" ".join(fmt_float(v) for v in arr))
-    return ";".join(groups)
-
-
 CSV_HEADER = "kind,value,radius,samples,seed,verdict,witness"
+
+
+def csv_row(kind: str, value: float, radius: float, samples: int,
+            seed: int | None, verdict: str, witness: tuple) -> str:
+    """One row under CSV_HEADER; a radius that is not finite, zero samples
+    and a seed of None leave their cells blank. The witness cell lists each
+    point's coordinates, space separated, one point after another by ';'."""
+    points = [" ".join(fmt_float(v) for v in np.atleast_1d(np.asarray(w, dtype=float)))
+              for w in witness]
+    return ",".join([kind, fmt_float(value),
+                     fmt_float(radius) if np.isfinite(radius) else "",
+                     str(samples) if samples else "",
+                     "" if seed is None else str(seed), verdict, ";".join(points)])
 
 
 @dataclass
@@ -94,15 +99,8 @@ class ModulusEstimate:
     witness: tuple = ()
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.kind,
-            fmt_float(self.value),
-            fmt_float(self.radius) if np.isfinite(self.radius) else "",
-            str(self.samples) if self.samples else "",
-            str(self.seed),
-            "",
-            _fmt_witness(self.witness),
-        ])
+        return csv_row(self.kind, self.value, self.radius, self.samples,
+                       self.seed, "", self.witness)
 
 
 @dataclass
@@ -117,15 +115,8 @@ class CheckReport:
     detail: str = ""
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.kind,
-            fmt_float(self.worst_ratio),
-            "",
-            "",
-            "",
-            "pass" if self.ok else "fail",
-            _fmt_witness(self.witness),
-        ])
+        return csv_row(self.kind, self.worst_ratio, np.nan, 0, None,
+                       "pass" if self.ok else "fail", self.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +163,11 @@ def _sup_quotient(f, center, radius, samples, seed, anchored):
     pair, or the center alone (twice when not anchored) if every sample
     fell below the gap floor.
     """
+    center = as_vector(center)
+    if not radius > 0:
+        raise ContractError(f"radius must be positive, got {radius}")
+    if samples < 1:
+        raise ContractError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     normal, uniform = rng.standard_normal, rng.random
     fc = as_vector(f(center)) if anchored else None
@@ -219,11 +215,6 @@ def lip_estimate(f: Callable, center, radius: float, samples: int = 3000,
     clm_estimate with the same seed, so lip_estimate(...) >= clm_estimate(...)
     holds exactly, not just in the limit.
     """
-    center = as_vector(center)
-    if not radius > 0:
-        raise ContractError(f"radius must be positive, got {radius}")
-    if samples < 1:
-        raise ContractError("samples must be >= 1")
     q_pair, wit_pair = _sup_quotient(f, center, radius, samples, seed, anchored=False)
     q_clm, wit_clm = _sup_quotient(f, center, radius, samples, seed, anchored=True)
     if q_clm > q_pair:
@@ -235,11 +226,6 @@ def lip_estimate(f: Callable, center, radius: float, samples: int = 3000,
 def clm_estimate(f: Callable, center, radius: float, samples: int = 3000,
                  seed: int = 0) -> ModulusEstimate:
     """Sampled calmness modulus: difference quotients anchored at center."""
-    center = as_vector(center)
-    if not radius > 0:
-        raise ContractError(f"radius must be positive, got {radius}")
-    if samples < 1:
-        raise ContractError("samples must be >= 1")
     q, wit = _sup_quotient(f, center, radius, samples, seed, anchored=True)
     return ModulusEstimate(kind="clm", value=q, radius=radius, samples=samples,
                            seed=seed, witness=wit)

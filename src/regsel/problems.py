@@ -308,6 +308,8 @@ def parse_problem(payload: dict) -> ProblemFile:
     seed = payload.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("seed", "expected an integer")
+    if seed < 0:
+        _fail("seed", f"must be nonnegative, got {seed}")
     out = ProblemFile(kind=kind, seed=seed)
     if "target" in payload:
         out.target = _vector(payload["target"], "target")
@@ -372,4 +374,6 @@ def load_problem(path: str) -> ProblemFile:
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno} "
                                f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+        raise ProblemFileError(f"{path}: unreadable JSON: {exc}") from exc
     return parse_problem(payload)

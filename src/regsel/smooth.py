@@ -22,7 +22,6 @@ from .moduli import lip_estimate, reg_linear
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, default_config, solve)
 
-FD_JACOBIAN_STEP = 1e-6
 # Sample budget of the remainder's Lipschitz estimate in config_for
 LIP_SAMPLES = 1500
 
@@ -31,17 +30,16 @@ LIP_SAMPLES = 1500
 class SmoothProblem:
     """A smooth map with a distinguished base point.
 
-    ``jacobian`` is optional; central differences with step
-    1e-6*(1+||x||) are used when it is absent. The Jacobian at the base
-    must be surjective (rows <= cols and sigma_min clear of the cutoff).
-    Construction factors it once into ``base_fibre`` = {x : B x = 0}, whose
-    ``shifted`` gives the other fibres of B and which carries B's sigma_min
-    and right inverse.
+    ``jacobian`` returns the derivative of ``f`` at a point; it is called
+    once, at the base, where it must be surjective (rows <= cols and
+    sigma_min clear of the cutoff). Construction factors it once into
+    ``base_fibre`` = {x : B x = 0}, whose ``shifted`` gives the other fibres
+    of B and which carries B's sigma_min and right inverse.
     """
 
     f: Callable
     x_base: np.ndarray
-    jacobian: Callable | None = None
+    jacobian: Callable
     radius: float = 1.0
 
     def __post_init__(self):
@@ -55,27 +53,13 @@ class SmoothProblem:
                 "inputs; the derivative cannot be surjective")
         # every query moves the right-hand side, so the fibre is built at
         # 0, which is consistent for any Jacobian
-        b = self.jacobian_at(self.x_base)
+        b = as_matrix(self.jacobian(self.x_base))
+        if b.shape != (self.y_base.size, self.x_base.size):
+            raise ShapeError(f"jacobian has shape {b.shape}, expected "
+                             f"{(self.y_base.size, self.x_base.size)}")
         self.base_fibre = AffineSet(b, np.zeros(b.shape[0]))
         if not self.base_fibre.surjective:
             raise RegularityError("Jacobian at the base point is not surjective")
-
-    def jacobian_at(self, x) -> np.ndarray:
-        x = as_vector(x, dim=self.x_base.size)
-        if self.jacobian is not None:
-            b = as_matrix(self.jacobian(x))
-            if b.shape != (self.y_base.size, self.x_base.size):
-                raise ShapeError(f"jacobian has shape {b.shape}, expected "
-                                 f"{(self.y_base.size, self.x_base.size)}")
-            return b
-        step = FD_JACOBIAN_STEP * (1.0 + np.linalg.norm(x))
-        cols = []
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = step
-            cols.append((as_vector(self.f(x + e)) - as_vector(self.f(x - e)))
-                        / (2.0 * step))
-        return np.stack(cols, axis=1)
 
     @property
     def base_jacobian(self) -> np.ndarray:

@@ -38,6 +38,17 @@ FIXTURES = {
                                                 "powers": [0, 1, 0]}], []]},
                        "state_dim": 2, "control_dim": 1,
                        "control_set": BOX_JSON, "mesh": 8},
+    # x' = (cos 0.3, sin 0.3) u: the reachable set is a segment, Kalman rank 1
+    "segment.json": {"version": "1", "kind": "control",
+                     "dynamics": {"input_dim": 3, "output_dim": 2,
+                                  "terms": [[{"coef": float(np.cos(0.3)),
+                                              "powers": [0, 0, 1]}],
+                                            [{"coef": float(np.sin(0.3)),
+                                              "powers": [0, 0, 1]}]]},
+                     "state_dim": 2, "control_dim": 1,
+                     "control_set": BOX_JSON, "mesh": 16},
+    "negseed.json": {"version": "1", "kind": "linear", "matrix": [[1.0]],
+                     "seed": -3},
     "counter.json": {"version": "1", "kind": "generalized",
                      "fixture": "lsc_counterexample"},
     "hugemesh.json": {"version": "1", "kind": "control",
@@ -83,6 +94,88 @@ def test_broken_json_reports_position(capsys, fdir):
     code, _, err = run(capsys, "moduli", "--input", str(fdir / "broken.json"))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv,names", [
+    (("moduli", "--input", "ident.json", "--seed", "-1"), "--seed"),
+    (("moduli", "--input", "negseed.json"), "$.seed"),
+    (("control", "--input", "dblint.json", "--target", "0.05,0", "--seed", "-2"),
+     "--seed"),
+])
+def test_negative_seed_is_refused(capsys, fdir, argv, names):
+    argv = [str(fdir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"regsel: input error: {names}: must be nonnegative")
+
+
+def _unreadable_input(path):
+    path.write_bytes(b'{"version": "1", "kind": "linear", "note": "\xe9"}')
+
+
+def _too_deep(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+def _too_many_digits(path):
+    path.write_text('{"version": "1", "kind": "linear", "seed": ' + "1" * 5000 + "}")
+
+
+@pytest.mark.parametrize("make,out", [
+    (_unreadable_input, None),
+    (_too_deep, None),
+    (_too_many_digits, None),
+    (None, "missing/dir/x.csv"),
+    (None, "."),
+])
+def test_unreadable_file_or_unwritable_out_is_input_error(capsys, fdir, tmp_path,
+                                                         make, out):
+    # each of these escaped main with a traceback and exit 1: a file that is
+    # not UTF-8, JSON nested past the decoder's recursion limit, an integer
+    # past Python's digit limit, an --out in a missing directory or naming
+    # a directory
+    argv = ["moduli", "--input", str(fdir / "ident.json")]
+    named = argv[-1]
+    if make is not None:
+        named = argv[-1] = str(tmp_path / "bad.json")
+        make(tmp_path / "bad.json")
+    if out is not None:
+        named = str(tmp_path / out)
+        argv += ["--out", named]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("regsel: input error: ")
+    assert named in err
+
+
+def test_stdout_write_failure_is_not_blamed_on_out(fdir, monkeypatch):
+    # without --out the lines go to stdout; its failure propagates instead of
+    # becoming an --out input error with exit 2
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli.sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["moduli", "--input", str(fdir / "ident.json")])
+
+
+@pytest.mark.parametrize("name", ["ident.json", "smooth.json"])
+@pytest.mark.parametrize("kappa", ["0", "-1"])
+def test_nonpositive_kappa_is_refused_before_the_scan(capsys, fdir, monkeypatch,
+                                                      name, kappa):
+    def no_scan(*a, **k):
+        raise AssertionError("scanned before checking --kappa")
+
+    monkeypatch.setattr(cli, "sampled_reg", no_scan)
+    code, out, err = run(capsys, "verify", "--input", str(fdir / name),
+                         "--kappa", kappa, "--grid", "5")
+    assert code == 2
+    assert out == ""
+    assert err == (f"regsel: contract violation: kappa must be positive, "
+                   f"got {float(kappa)}\n")
 
 
 def test_bad_target_vector(capsys, fdir):
@@ -358,6 +451,21 @@ def test_control_uncontrollable_exits_5(capsys, fdir):
     assert grab(out, "kalman_controllable") == "false"
     assert grab(out, "reachable_interior") == "false"
     assert "error" in out
+
+
+def test_control_rank_deficient_exits_5_at_the_gate(capsys, fdir):
+    # the interior diagnostic reads true on this segment; the rank test
+    # decides, and the run stops before any set-up work
+    code, out, err = run(capsys, "control", "--input",
+                         str(fdir / "segment.json"), "--target", "0.05,0")
+    assert code == 5
+    lines = out.splitlines()
+    assert lines[:3] == ["kalman_rank,1", "kalman_controllable,false",
+                         "reachable_interior,true"]
+    assert lines[3].startswith("interior_margin,")
+    assert lines[4].startswith("error,Kalman rank 1 < 2")
+    assert len(lines) == 5
+    assert err.startswith("regsel: uncontrollable: Kalman rank 1 < 2")
 
 
 def test_control_rejects_non_control_file(capsys, fdir):

@@ -38,6 +38,18 @@ def pendulum(mesh=64):
                           control_dim=1, mesh_size=mesh)
 
 
+def segment_problem(mesh=16):
+    # x' = (cos 0.3, sin 0.3) u, u in [-1, 1], as polynomial dynamics: every
+    # trajectory stays on one line, so the Kalman rank is 1
+    c, s = np.cos(0.3), np.sin(0.3)
+    return parse_problem({
+        "version": "1", "kind": "control", "state_dim": 2, "control_dim": 1,
+        "mesh": mesh, "control_set": {"type": "box", "lower": [-1.0], "upper": [1.0]},
+        "dynamics": {"input_dim": 3, "output_dim": 2,
+                     "terms": [[{"coef": c, "powers": [0, 0, 1]}],
+                               [{"coef": s, "powers": [0, 0, 1]}]]}}).control
+
+
 def raw_system(a, b, mesh=16):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -232,8 +244,7 @@ def test_kalman_controllable_implies_interior():
 
 def test_steering_setup_double_integrator():
     setup = steering_setup(double_integrator(mesh=64))
-    assert setup.rank_verdict
-    assert setup.interior_verdict is None  # rank test already decided
+    assert kalman_rank(setup.sys) == (2, True)  # the gate the set-up passed
     assert 5.5 <= setup.config.kappa <= 6.5
     assert setup.tau >= setup.tau_target
     assert np.isfinite(setup.calm_bound)
@@ -471,8 +482,9 @@ def test_control_membership_matches_the_interval_loop(name):
         admitted = control_set.violation(controls) <= tol
         bad = np.flatnonzero(~admitted)
         assert (int(bad[0]) if bad.size else None) == want
-        # contains applies the same rule to one control
-        assert [control_set.contains(u, tol=tol) for u in controls] == admitted.tolist()
+        # one control alone gets the same verdict as in the batch
+        assert [bool(control_set.violation(u[None, :])[0] <= tol)
+                for u in controls] == admitted.tolist()
         seen.add(want is None)
     assert seen == {True, False}
 
@@ -536,14 +548,26 @@ def test_steer_rejects_target_outside_tau():
         steer(p, b=[1.0, 0.0], setup=setup)
 
 
-def test_steer_uncontrollable_reports_both_verdicts():
+def test_steer_uncontrollable_names_the_rank():
     p = ControlProblem(dynamics=lambda x, u: np.array([x[1], 0.0 * u[0]]),
                        control_set=UNIT_BOX, state_dim=2, control_dim=1,
                        mesh_size=8)
-    with pytest.raises(UncontrollableError) as info:
+    with pytest.raises(UncontrollableError, match="Kalman rank 0 < 2"):
         steer(p, b=[0.01, 0.0])
-    assert info.value.rank_verdict is False
-    assert info.value.interior_verdict is False
+
+
+def test_rank_deficient_linearization_fails_the_gate():
+    # the interior test's direction grid reports a positive margin for this
+    # segment (a symmetric box has support >= 0 in every direction), but a
+    # rank-1 linearization leaves the collocation operator not onto: the
+    # rank test alone decides, before any set-up work
+    p = segment_problem()
+    sys_ = linearize(p)
+    assert kalman_rank(sys_) == (1, False)
+    interior, margin = reachable_interior(sys_, p.control_set)
+    assert interior and margin > 0.2
+    with pytest.raises(UncontrollableError, match="Kalman rank 1 < 2"):
+        steering_setup(p, sys_)
 
 
 def test_steering_result_csv_shape():

@@ -76,20 +76,29 @@ def slsqp_project(s, x):
     return res.x
 
 
+def feasible(s, x, tol):
+    """Membership by a rule that does not call ``s.project``: the normalized
+    row excess for ``Halfspaces`` (whose distance is its Dykstra projection),
+    the distance or worst member distance for the other sets."""
+    if isinstance(s, Halfspaces):
+        return bool(s.violation(np.asarray(x, float)[None, :])[0] <= tol)
+    return s.gap(x) <= tol
+
+
 # ---------------------------------------------------------------------------
 # membership
 
 
 def test_contains_box_interior():
-    assert Box([-1.0, -1.0], [1.0, 1.0]).contains([0.0, 0.0], tol=1e-9)
+    assert Box([-1.0, -1.0], [1.0, 1.0]).gap([0.0, 0.0]) <= 1e-9
 
 
 def test_contains_affine_exact_solution():
-    assert AffineSet([[1.0, 1.0]], [2.0]).contains([1.0, 1.0])
+    assert AffineSet([[1.0, 1.0]], [2.0]).gap([1.0, 1.0]) <= 1e-9
 
 
 def test_contains_ball_outside_by_a_milli():
-    assert not Ball([0.0, 0.0], 1.0).contains([1.001, 0.0], tol=1e-9)
+    assert not Ball([0.0, 0.0], 1.0).gap([1.001, 0.0]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +398,7 @@ def test_projection_properties_bulk(name, s):
         px, pxp = s.project(x), s.project(xp)
         assert np.linalg.norm(px - pxp) <= np.linalg.norm(x - xp) + 1e-9
         assert np.linalg.norm(s.project(px) - px) <= 1e-9
-        assert s.contains(px, tol=1e-7)
+        assert feasible(s, px, 1e-7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,7 +420,7 @@ def test_projection_matches_slsqp_oracle(name, s):
         x = 2.5 * rng.standard_normal(2)
         p = s.project(x)
         q = slsqp_project(s, x)
-        assert s.contains(p, tol=1e-7)
+        assert feasible(s, p, 1e-7)
         # one-sided optimality: never beaten by the independent minimizer
         assert np.linalg.norm(p - x) <= np.linalg.norm(q - x) + 1e-6
 

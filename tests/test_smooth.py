@@ -41,31 +41,33 @@ def linear_problem(b=B_WIDE, x_base=(0.3, -0.2, 0.5)):
 
 def test_rejects_more_outputs_than_inputs():
     with pytest.raises(ShapeError, match="outputs"):
-        SmoothProblem(f=lambda x: np.array([x[0], x[0]]), x_base=[0.0])
+        SmoothProblem(f=lambda x: np.array([x[0], x[0]]), x_base=[0.0],
+                      jacobian=lambda x: np.ones((2, 1)))
 
 
 def test_rejects_flat_jacobian():
     with pytest.raises(RegularityError, match="surjective"):
-        SmoothProblem(f=lambda x: np.array([0.0 * x[0]]), x_base=[0.0, 0.0])
+        SmoothProblem(f=lambda x: np.array([0.0 * x[0]]), x_base=[0.0, 0.0],
+                      jacobian=lambda x: np.zeros((1, 2)))
 
 
 def test_rejects_bad_radius():
     with pytest.raises(ContractError):
-        SmoothProblem(f=lambda x: x, x_base=[0.0], radius=0.0)
+        SmoothProblem(f=lambda x: x, x_base=[0.0], jacobian=lambda x: np.eye(1),
+                      radius=0.0)
 
 
 def test_rejects_misshapen_jacobian_callable():
     with pytest.raises(ShapeError, match="jacobian"):
-        p = SmoothProblem(f=lambda x: np.array([x[0] + x[1]]),
-                          x_base=[0.0, 0.0],
-                          jacobian=lambda x: np.eye(2))
-        p.jacobian_at([0.1, 0.1])
+        SmoothProblem(f=lambda x: np.array([x[0] + x[1]]), x_base=[0.0, 0.0],
+                      jacobian=lambda x: np.eye(2))
 
 
-def test_finite_difference_jacobian():
-    p = SmoothProblem(f=lambda x: np.array([np.sin(x[0]) + x[1]]),
+def test_smooth_problem_requires_a_jacobian():
+    # the derivative is problem data: there is no finite-difference fallback
+    with pytest.raises(TypeError, match="jacobian"):
+        SmoothProblem(f=lambda x: np.array([np.sin(x[0]) + x[1]]),
                       x_base=[0.0, 0.0])
-    np.testing.assert_allclose(p.base_jacobian, [[1.0, 1.0]], atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def test_split_fibers_pass_through_least_norm_points():
     w = np.array([0.05, -0.02])
     fiber = ge.finv(w)
     # the fiber of w is x_base + {B x = w}
-    assert fiber.contains(p.x_base + least_norm_solve(B_WIDE, w), tol=1e-9)
+    assert fiber.gap(p.x_base + least_norm_solve(B_WIDE, w)) <= 1e-9
     assert ge.y_base.shape == (2,)
     assert np.all(ge.y_base == 0.0)
     assert ge.radius_graph == pytest.approx(2.0 * p.radius)
@@ -119,7 +121,8 @@ def test_split_is_built_once_per_problem(monkeypatch):
 def test_remainder_profile_decays_with_radius():
     # f(x) = x + x^2/2: the remainder x^2/2 has lip about r on a ball of
     # radius r
-    p = SmoothProblem(f=lambda x: x + 0.5 * x ** 2, x_base=[0.0])
+    p = SmoothProblem(f=lambda x: x + 0.5 * x ** 2, x_base=[0.0],
+                      jacobian=lambda x: np.diag(1.0 + x))
     vals = [lip_estimate(p.remainder, p.x_base, r, samples=1500).value
             for r in (0.1, 0.01, 0.001)]
     for v, r in zip(vals, (0.1, 0.01, 0.001)):
@@ -139,7 +142,8 @@ def test_selection_at_base_output_returns_base():
 
 
 def test_selection_scalar_double_map():
-    p = SmoothProblem(f=lambda x: 2.0 * x, x_base=[0.0])
+    p = SmoothProblem(f=lambda x: 2.0 * x, x_base=[0.0],
+                      jacobian=lambda x: np.array([[2.0]]))
     x, _ = smooth_selection(p, [0.2])
     np.testing.assert_allclose(x, [0.1], atol=1e-12)
 
@@ -202,7 +206,8 @@ def test_derivative_check_linear():
 
 
 def test_derivative_check_scalar_double_map():
-    p = SmoothProblem(f=lambda x: 2.0 * x, x_base=[0.0])
+    p = SmoothProblem(f=lambda x: 2.0 * x, x_base=[0.0],
+                      jacobian=lambda x: np.array([[2.0]]))
     j_fd, dev = derivative_check(p)
     assert dev <= 1e-8
     np.testing.assert_allclose(j_fd, [[0.5]], atol=1e-8)
