@@ -17,7 +17,7 @@ from .moduli import (CheckReport, LscProbeReport, ModulusEstimate,
                      lg_bound_check, lip_estimate, lsc_probe,
                      reg_linear, regularity_report, sampled_reg,
                      truncated_counterexample, verify_aubin,
-                     verify_metric_regularity)
+                     verify_graph, verify_metric_regularity)
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, SweepResult, SweepRow, compute_tau,
                         default_config, solve, solve_implicit, sweep)

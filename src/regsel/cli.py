@@ -23,9 +23,9 @@ from .errors import (ContractError, InfeasibilitySuspectedError,
                      RegularityError, ShapeError, UncontrollableError)
 from .linalg import svd
 from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
-                     _check_kappa, clm_estimate, csv_row, fmt_float, lg_bound_check,
-                     lip_estimate, lsc_probe, reg_linear, regularity_report,
-                     sampled_reg, truncated_counterexample, verify_aubin)
+                     clm_estimate, csv_row, fmt_float, lg_bound_check,
+                     lip_estimate, lsc_probe, reg_linear, sampled_reg,
+                     truncated_counterexample, verify_graph)
 from .problems import MAX_MESH, ProblemFile, load_problem
 from .selection import (KAPPA_MARGIN, LAMBDA_MARGIN, GeneralizedEquation,
                         IterationConfig, compute_tau, default_config, solve,
@@ -430,14 +430,10 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
     else:
         raise ProblemFileError("verify does not drive control problems")
 
-    if kappa is not None:  # refuse a bad --kappa before the scan
-        _check_kappa(kappa)
-    # one scan gives the verdict and, for a smooth file, the default constant
-    estimate = sampled_reg(mapping, grid=grid)
-    if kappa is None:
-        kappa = 1.05 * estimate.value
-    reports = [regularity_report(estimate, kappa),
-               verify_aubin(mapping, kappa, grid=grid)]
+    if kappa is None:  # a smooth file: 1.05 x its sampled modulus
+        kappa = 1.05 * sampled_reg(mapping, grid=grid).value
+    # one scan judges both; a bad --kappa is refused before it
+    reports = list(verify_graph(mapping, kappa, grid=grid))
     if pf.perturbation is not None:  # generalized files only
         lam = pf.constants.get("lambda")
         if lam is None:

@@ -391,14 +391,15 @@ def dykstra(sets, start) -> np.ndarray:
     gap = max(s.distance(x) for s in sets)
     raise InfeasibilitySuspectedError(
         f"alternating projections did not settle in {DYKSTRA_MAX_ROUNDS} rounds "
-        f"(gap {gap:.3e}); the intersection may be empty",
-        last_iterate=x, gap=gap)
+        f"(gap {gap:.3e}); the intersection may be empty", gap=gap)
 
 
 def direction_grid(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic spread of unit directions: +-axes first, then seeded."""
     if count < 2 * dim:
         raise ContractError(f"need at least {2 * dim} directions in dimension {dim}")
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     dirs = [np.eye(dim)[i] for i in range(dim)]
     dirs += [-np.eye(dim)[i] for i in range(dim)]
     rng = np.random.default_rng(seed)

@@ -57,13 +57,11 @@ class LocalityError(RegselError, RuntimeError):
 class InfeasibilitySuspectedError(RegselError, RuntimeError):
     """Alternating projections failed to settle within the round budget.
 
-    ``last_iterate`` is the final iterate, ``gap`` the worst distance to a
-    member set at that iterate.
+    ``gap`` is the worst distance to a member set at the final iterate.
     """
 
-    def __init__(self, message: str, last_iterate=None, gap: float | None = None):
+    def __init__(self, message: str, gap: float | None = None):
         super().__init__(message)
-        self.last_iterate = last_iterate
         self.gap = gap
 
 

@@ -12,30 +12,34 @@ refinement around the incumbent maximizer, so for a fixed seed the estimate
 is nondecreasing in the sample budget and converges to the exact operator
 norm on linear oracles.
 
-Both verifiers sample the graph once on a grid of at least 2 points per
-axis and work on blocked distance tables, with no Python loop per test
-value:
+Both verifiers read one scan of the graph, sampled once on a grid of at
+least 2 points per axis, which works on blocked distance tables with no
+Python loop per test value:
 
 * Fibre membership for a block of consecutive test values y is one table
   of distances to every sampled value, reduced to d(y, F(x)) per grid point
   by np.minimum.reduceat; x lies in the fibre F^{-1}(y) when that distance
   is at most CHECK_RTOL * (1 + ||y||), and a point with no values is at
   distance +inf.
-* d(x, F^{-1}(y)) comes from one table between the stacked members of the
-  block's distinct fibres and the grid points (metric regularity), or the
-  points that lie in some fibre (Aubin), reduced per fibre by
-  np.minimum.reduceat; the Aubin scan then takes the worst member of each
-  source fibre with np.maximum.reduceat. A fibre equal to the one before it
-  reuses its distances.
+* The rows d(x, F^{-1}(y)) over all grid points x come from one table
+  between the stacked members of the block's distinct fibres and the grid
+  points, reduced per fibre by np.minimum.reduceat. A fibre equal to the
+  one before it reuses its distances. The metric-regularity ratio divides
+  them by d(y, F(x)); the Aubin excess gathers them at the members of
+  every source fibre and takes each fibre's worst with np.maximum.reduceat.
 * No table holds more than TABLE_ENTRIES float64 entries unless a single
-  row is wider; blocks of test values, source values and fibre members are
-  cut to fit, so the tables do not grow with the grid.
+  row is wider; blocks of test values and fibre members are cut to fit, so
+  the tables do not grow with the grid.
 
 _distances adds squared coordinate differences in coordinate order, which
 below 8 coordinates is numpy's own summation order, and min and max are
 exact. Every ratio, verdict and witness is therefore that of a scan of one
 test value at a time, ties included: the first pair in test-value order
 attaining the worst ratio, with the first grid point that attains it.
+
+Distances within a ball reach its diameter, so every sampler refuses a
+radius whose diameter has no finite float64 square: beyond it the norm of a
+difference overflows to inf and each quotient silently drops to 0.
 """
 
 from __future__ import annotations
@@ -60,10 +64,21 @@ LSC_FLOOR = 1e-3
 LSC_TAIL_TOL = 1e-6
 
 # Float64 entries in any one table the graph verifiers build: blocks of test
-# values, source values and fibre members are cut to fit, so the tables of a
-# scan do not grow with the grid. A table keeps at least one row, so a single
-# row wider than this (one value against more points or values) exceeds it.
+# values and fibre members are cut to fit, so the tables of a scan do not
+# grow with the grid. A table keeps at least one row, so a single row wider
+# than this (one value against more points or values) exceeds it.
 TABLE_ENTRIES = 1 << 14
+
+# The largest diameter whose square is a finite float64.
+_MAX_DIAMETER = float(np.sqrt(np.finfo(float).max))
+
+
+def _check_radius(name: str, radius: float):
+    """Refuse a ball whose squared diameter (2 radius)^2 overflows float64."""
+    if not 2.0 * radius <= _MAX_DIAMETER:
+        raise ContractError(
+            f"{name} {radius:g} is too large: distances across its ball "
+            f"overflow float64")
 
 
 def fmt_float(x: float) -> str:
@@ -166,8 +181,11 @@ def _sup_quotient(f, center, radius, samples, seed, anchored):
     center = as_vector(center)
     if not radius > 0:
         raise ContractError(f"radius must be positive, got {radius}")
+    _check_radius("radius", radius)
     if samples < 1:
         raise ContractError("samples must be >= 1")
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     normal, uniform = rng.standard_normal, rng.random
     fc = as_vector(f(center)) if anchored else None
@@ -258,6 +276,8 @@ class SampledMapping:
         self.y_base = as_vector(self.y_base)
         if not (self.radius_x > 0 and self.radius_y > 0):
             raise ContractError("sampled mapping needs positive radii")
+        _check_radius("radius_x", self.radius_x)
+        _check_radius("radius_y", self.radius_y)
         vals = self.values_at(self.x_base)
         if not vals:
             raise ContractError(
@@ -355,7 +375,7 @@ def _run_starts(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
-def _fibre_blocks(pts, gy, gx_idx, y_test):
+def _fibre_blocks(pts, gy, gx_idx, y_test, width=0):
     """Yield (rows, d_y_fx, in_fibre, new) for blocks of consecutive test values.
 
     d_y_fx[r, i] is the distance from the test value y = y_test[rows][r] to
@@ -363,12 +383,13 @@ def _fibre_blocks(pts, gy, gx_idx, y_test):
     lies in the sampled fibre F^{-1}(y) when that distance is at most
     CHECK_RTOL * (1 + ||y||). Every test value is itself a graph value, so
     each fibre holds at least the point it came from. new[r] is False when
-    the fibre of y equals that of the test value before it.
+    the fibre of y equals that of the test value before it. A block is cut
+    for tables as wide as the sampled values, the points or ``width``.
     """
     starts = _run_starts(gx_idx)
     owners = gx_idx[starts]
     last = None
-    for rows in _chunks(len(y_test), max(len(gy), len(pts))):
+    for rows in _chunks(len(y_test), max(len(gy), len(pts), width)):
         ys = y_test[rows]
         near = _distances(ys, gy)
         if starts.size < near.shape[1]:
@@ -387,82 +408,96 @@ def _fibre_blocks(pts, gy, gx_idx, y_test):
         yield rows, d_y_fx, in_fibre, new
 
 
-def _fold_fibres(out, labels, members, width, table, reduce):
-    """Reduce a per-member table into one row per fibre of ``out``.
+def _fold_fibres(pts, labels, members, count):
+    """d(x, fibre) for every grid point x and each of ``count`` fibres.
 
     ``members`` lists the members of consecutive fibres, fibre by fibre, and
-    labels[k] is the fibre of members[k]. They are taken TABLE_ENTRIES //
-    width at a time; table(members) gives one row per member, and each
-    fibre's rows are reduced by ``reduce`` (np.minimum or np.maximum) and
-    folded into its row of ``out``. Both reductions are exact, so the result
-    does not depend on where a fibre is cut. Rows of ``out`` that no member
-    reaches keep their values.
+    labels[k] is the fibre of members[k]. They are taken
+    TABLE_ENTRIES // len(pts) at a time; the distances from each member to
+    every point form one table whose rows are reduced per fibre by
+    np.minimum and folded into that fibre's row. The minimum is exact, so
+    the result does not depend on where a fibre is cut.
     """
-    for part in _chunks(len(members), width):
+    out = np.full((count, len(pts)), np.inf)
+    for part in _chunks(len(members), len(pts)):
         lab = labels[part]
         starts = _run_starts(lab)
         rows = lab[starts]
-        block = table(members[part])
+        block = _distances(pts[members[part]], pts)
         if starts.size < block.shape[0]:
-            block = reduce.reduceat(block, starts, axis=0)
+            block = np.minimum.reduceat(block, starts, axis=0)
         # only the first fibre of a part can have members in the part before
         if part.start and labels[part.start - 1] == rows[0]:
-            reduce(block[0], out[rows[0]], out=block[0])
+            np.minimum(block[0], out[rows[0]], out=block[0])
         out[rows] = block
     return out
 
 
 def _first_max(ratios: np.ndarray) -> tuple[int, int, float]:
-    """(row, column, value) that a row-by-row scan keeping the first strict
-    improvement of each row's first maximum would end on.
-
-    A row whose maximum is NaN is passed over, as ``value > worst`` passes
-    it over.
-    """
-    cols = np.argmax(ratios, axis=1)
-    best = ratios[np.arange(len(cols)), cols]
-    best[np.isnan(best)] = -np.inf
+    """(row, column, value) of the first largest entry in row-major order,
+    where a scan keeping each strict improvement ends; no ratio is NaN."""
+    best = ratios.max(axis=1)
     r = int(np.argmax(best))
-    return r, int(cols[r]), float(best[r])
+    return r, int(np.argmax(ratios[r])), float(best[r])
 
 
-def _spans(starts: np.ndarray, sizes: np.ndarray):
-    """The ranges [starts[k], starts[k] + sizes[k]) laid end to end: (the
-    range each position comes from, the positions)."""
-    labels = np.repeat(np.arange(sizes.size), sizes)
-    offsets = starts - (np.cumsum(sizes) - sizes)
-    return labels, np.arange(labels.size) + offsets[labels]
+def _graph_scan(mapping: SampledMapping, grid, kappa=None):
+    """One scan of the sampled graph for both verifiers: ((worst, witness),
+    aubin).
 
+    worst is the largest d(x, fib(y)) / d(y, F(x)), witness the first pair
+    (x, y) in test-value order attaining it, with its first grid point. Test
+    values come in blocks (_fibre_blocks); a fibre that repeats the one
+    before it reuses its row of distances d(x, fib(y)), across a block
+    boundary too, and _fold_fibres computes the others.
 
-def _ratio_scan(mapping: SampledMapping, grid):
-    """Worst d(x, fib(y)) / d(y, F(x)) over the sampled graph, with witness.
-
-    Test values are taken in blocks (_fibre_blocks). A fibre that repeats
-    the one before it, across a block boundary too, reuses its distances;
-    the others are computed by _fold_fibres. The witness is the first pair
-    in test-value order attaining the worst ratio, and its first grid point.
+    aubin is None without ``kappa``. With it, a first pass lists the members
+    of every fibre, blocks are cut so that the tables below fit the budget
+    too, and far[b, a], the largest d(x, fib(y_b)) over the members x of
+    fib(y_a), is read off each block's rows by np.maximum.reduceat. aubin is
+    (ok, worst, witness): whether far[b, a] <= kappa ||y_a - y_b|| up to the
+    check slack for all a != b, the largest such ratio, and (x, y_a, y_b)
+    for the first pair in source-major (a, b) order attaining it, with the
+    first member x of fib(y_a) that does.
     """
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
+    n_test, dim = y_test.shape
+    width = 0
+    excess = kappa is not None
+    if excess:
+        # fib(y_a) is members[bounds[a]:bounds[a + 1]]
+        packed = bytearray()
+        sizes = np.empty(n_test, dtype=np.intp)
+        for rows, _, in_fibre, _ in _fibre_blocks(pts, gy, gx_idx, y_test):
+            packed += (np.flatnonzero(in_fibre) % len(pts)).tobytes()
+            sizes[rows] = in_fibre.sum(axis=1)
+        members = np.frombuffer(packed, dtype=np.intp)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        width = max(members.size, n_test * dim)
+        # an empty fibre ends the scan at the guard below, before any excess
+        excess = bool(sizes.all())
+        ok, a_worst, a_witness, a_src = True, 0.0, (), n_test
     worst = 0.0
     witness = ()
     last = None
-    for rows, d_y_fx, in_fibre, new in _fibre_blocks(pts, gy, gx_idx, y_test):
+    for rows, d_y_fx, in_fibre, new in _fibre_blocks(pts, gy, gx_idx, y_test,
+                                                     width):
         ys = y_test[rows]
-        fib, members = np.divmod(np.flatnonzero(in_fibre[new]), len(pts))
-        dist = _fold_fibres(np.full((int(new.sum()), len(pts)), np.inf), fib,
-                            members, len(pts), lambda m: _distances(pts[m], pts),
-                            np.minimum)
+        fib, fib_members = np.divmod(np.flatnonzero(in_fibre[new]), len(pts))
+        dist = _fold_fibres(pts, fib, fib_members, int(new.sum()))
         if not new[0]:
             dist = np.concatenate([last[None], dist])
         d_x_fib = dist[np.cumsum(new) - new[0]]
         last = d_x_fib[-1].copy()
         empty = ~in_fibre.any(axis=1)
         if empty.any():
-            # y came from the graph, so this cannot happen; guard anyway.
+            # y came from the graph, so only a NaN among a point's values can
+            # leave its fibre empty; guard anyway.
             r = int(np.argmax(empty))
             d = d_y_fx[r]
             j = int(np.argmin(np.where(np.isfinite(d) & (d > 0), d, np.inf)))
-            return float("inf"), (pts[j], ys[r])
+            inf, w = float("inf"), (pts[j], ys[r])
+            return (inf, w), None if kappa is None else (False, inf, w)
         # d(y, F(x)) = 0 puts x in the fibre, at distance 0 from it, so a
         # zero denominator never meets a positive numerator: its ratio is
         # d(x, fib(y)) / inf = 0.
@@ -472,12 +507,32 @@ def _ratio_scan(mapping: SampledMapping, grid):
         if value > worst:
             worst = value
             witness = (pts[j], ys[r])
-    return worst, witness
+        if not excess:
+            continue
+        far = d_x_fib[:, members]
+        if members.size > n_test:  # some fibre has several members
+            far = np.maximum.reduceat(far, bounds[:-1], axis=1)
+        gap = row_norms((y_test - ys[:, None, :]).reshape(-1, dim))
+        gap = gap.reshape(far.shape)
+        # gap 0 only at y_b itself: the test values are distinct
+        valid = gap > 0.0
+        ratios = np.divide(far, gap, out=np.full(gap.shape, -np.inf),
+                           where=valid)
+        a, r, value = _first_max(ratios.T)
+        # blocks run over y_b, so a tie goes to the earlier source
+        if value > a_worst or (value == a_worst and a_witness and a < a_src):
+            x = members[bounds[a]:bounds[a + 1]]
+            a_worst, a_src = value, a
+            a_witness = (pts[x[int(np.argmax(d_x_fib[r, x]))]], y_test[a], ys[r])
+        if ok and np.any(valid & (far > kappa * gap * (1.0 + CHECK_RTOL)
+                                  + CHECK_ATOL)):
+            ok = False
+    return (worst, witness), (ok, a_worst, a_witness) if excess else None
 
 
 def sampled_reg(mapping: SampledMapping, grid=11) -> ModulusEstimate:
     """Worst sampled regularity ratio over the grid graph."""
-    worst, witness = _ratio_scan(mapping, grid)
+    (worst, witness), _ = _graph_scan(mapping, grid)
     return ModulusEstimate(kind="reg-sampled", value=worst,
                            radius=mapping.radius_x, witness=witness)
 
@@ -512,22 +567,35 @@ def verify_metric_regularity(mapping: SampledMapping, kappa: float,
     return regularity_report(sampled_reg(mapping, grid), kappa)
 
 
+def verify_graph(mapping: SampledMapping, kappa: float,
+                 grid=11) -> tuple[CheckReport, CheckReport]:
+    """Metric regularity of F and the Aubin property of F^{-1} with the
+    constant kappa, from one sampling and one scan of the graph.
+
+    Returns the reports of verify_metric_regularity and verify_aubin, which
+    read the same rows d(x, F^{-1}(y)) (_graph_scan). kappa is checked
+    before the graph is sampled.
+    """
+    _check_kappa(kappa)
+    (worst, witness), (ok, a_worst, a_witness) = _graph_scan(mapping, grid,
+                                                             kappa)
+    estimate = ModulusEstimate(kind="reg-sampled", value=worst,
+                               radius=mapping.radius_x, witness=witness)
+    aubin = CheckReport(kind="aubin", ok=bool(ok), kappa=kappa,
+                        worst_ratio=a_worst, witness=a_witness,
+                        detail=f"worst ratio {a_worst:.6g} vs kappa {kappa:.6g}")
+    return regularity_report(estimate, kappa), aubin
+
+
 def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     """Check the Aubin inequality for the inverse of the sampled graph.
 
     For sampled values y, y' and x in F^{-1}(y') inside the domain ball,
     requires d(x, F^{-1}(y)) <= kappa ||y' - y||. Equivalent to
-    verify_metric_regularity with the same constant on the same graph.
-
-    Fibres come from the same membership rule as sampled_reg; a first pass
-    over blocks of test values lists the members of every fibre. Source
-    values y' are then taken in blocks. For the distinct fibres of a block,
-    the distances from their members to every point that lies in some fibre
-    form one table; it is gathered into target-fibre order, reduced to
-    d(x, F^{-1}(y)) for every target y by np.minimum.reduceat, and reduced
-    to the farthest x of each source fibre by np.maximum.reduceat over that
-    fibre's rows (_fold_fibres). A source fibre equal to the one before it
-    is not recomputed, and no table exceeds TABLE_ENTRIES entries.
+    verify_metric_regularity with the same constant on the same graph, and
+    read off the same distance rows: the excess of fib(y') over fib(y) is
+    the largest d(x, F^{-1}(y)) over the members x of fib(y')
+    (_graph_scan, through verify_graph).
 
     Ties resolve as in a scan of the pairs (y', y) in the order of the test
     values: the witness (x, y', y) is the first pair attaining the worst
@@ -535,74 +603,7 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     ||y' - y|| go through the dot kernel of np.linalg.norm, so ratios and
     witnesses are those of that pair scan bit for bit.
     """
-    _check_kappa(kappa)
-    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    n_test, dim = y_test.shape
-    # the fibre of test value a is members[bounds[a]:bounds[a + 1]]
-    packed = bytearray()
-    sizes = np.empty(n_test, dtype=np.int64)
-    new = np.empty(n_test, dtype=bool)
-    for rows, _, in_fibre, fresh in _fibre_blocks(pts, gy, gx_idx, y_test):
-        cols = np.flatnonzero(in_fibre) % len(pts)
-        packed += cols.astype(np.int64, copy=False).tobytes()
-        sizes[rows] = in_fibre.sum(axis=1)
-        new[rows] = fresh
-    members = np.frombuffer(packed, dtype=np.int64)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    # Near-equal test values share members, so distances are taken to each
-    # member point once and gathered into fibre order.
-    used, member_cols = np.unique(members, return_inverse=True)
-    used_pts = pts[used]
-
-    def d_to_targets(sources):
-        d = _distances(pts[sources], used_pts)[:, member_cols]
-        if n_test < d.shape[1]:
-            d = np.minimum.reduceat(d, bounds[:-1], axis=1)
-        return d
-
-    # test value a has the distinct fibre fibre_of[a], first seen at
-    # test value first_of[fibre_of[a]]
-    fibre_of = np.cumsum(new) - 1
-    first_of = np.flatnonzero(new)
-    worst = 0.0
-    witness = ()
-    ok = True
-    last_id, last_far = -1, None
-    for rows in _chunks(n_test, n_test * dim):
-        ids = fibre_of[rows]
-        reuse = ids[0] == last_id
-        src = first_of[ids[0] + reuse:ids[-1] + 1]
-        labels, pos = _spans(bounds[src], sizes[src])
-        far = _fold_fibres(np.full((src.size, n_test), -np.inf), labels,
-                           members[pos], len(members), d_to_targets, np.maximum)
-        if reuse:
-            far = np.concatenate([last_far[None], far])
-        d_far = far[ids - ids[0]]
-        last_id, last_far = ids[-1], d_far[-1].copy()
-        ys = y_test[rows]
-        gap_y = row_norms((ys[:, None, :] - y_test).reshape(-1, dim))
-        gap_y = gap_y.reshape(len(ys), n_test)
-        # gap 0 only at y' itself: the test values are distinct
-        valid = gap_y > 0.0
-        ratios = np.divide(d_far, gap_y, out=np.full(gap_y.shape, -np.inf),
-                           where=valid)
-        r, b, value = _first_max(ratios)
-        if value > worst:
-            # the witness x: the first member of the source fibre as far
-            # from the target fibre as d_far says
-            a = rows.start + r
-            fib_from = pts[members[bounds[a]:bounds[a + 1]]]
-            fib_to = pts[members[bounds[b]:bounds[b + 1]]]
-            d_x = np.concatenate([_distances(fib_from[part], fib_to).min(axis=1)
-                                  for part in _chunks(len(fib_from), len(fib_to))])
-            worst = value
-            witness = (fib_from[int(np.argmax(d_x))], ys[r], y_test[b])
-        if ok and np.any(valid & (d_far > kappa * gap_y * (1.0 + CHECK_RTOL)
-                                  + CHECK_ATOL)):
-            ok = False
-    return CheckReport(kind="aubin", ok=bool(ok), kappa=kappa,
-                       worst_ratio=worst, witness=witness,
-                       detail=f"worst ratio {worst:.6g} vs kappa {kappa:.6g}")
+    return verify_graph(mapping, kappa, grid)[1]
 
 
 def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
@@ -639,7 +640,7 @@ def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
     image_radius = (op.sigma_max + lam) * radius + 1e-9
     mapping = SampledMapping(forward=forward, x_base=center, y_base=y_center,
                              radius_x=radius, radius_y=image_radius)
-    measured, witness = _ratio_scan(mapping, grid)
+    (measured, witness), _ = _graph_scan(mapping, grid)
     bound = 1.0 / (1.0 / kappa - lam)
     ok = measured <= bound + 1e-6
     report = CheckReport(

@@ -428,9 +428,10 @@ def polynomial_value_loop(poly, x):
 
 # The grid-verifier scans of regsel.moduli as loops over test values and
 # source fibres, before they were blocked: a d-wide squared-difference
-# table per fibre, one norm per test value. regsel.moduli._ratio_scan and
-# verify_aubin must reproduce their values, verdicts and witnesses bit for
-# bit. They take the sampled graph of regsel.moduli._sample_graph.
+# table per fibre, one norm per test value. regsel.moduli._graph_scan, which
+# serves sampled_reg, verify_aubin and verify_graph, must reproduce their
+# values, verdicts and witnesses bit for bit. They take the sampled graph of
+# regsel.moduli._sample_graph.
 
 
 def distances_3d(p: np.ndarray, q: np.ndarray) -> np.ndarray:

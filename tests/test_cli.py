@@ -169,7 +169,7 @@ def test_nonpositive_kappa_is_refused_before_the_scan(capsys, fdir, monkeypatch,
     def no_scan(*a, **k):
         raise AssertionError("scanned before checking --kappa")
 
-    monkeypatch.setattr(cli, "sampled_reg", no_scan)
+    monkeypatch.setattr(moduli, "_sample_graph", no_scan)
     code, out, err = run(capsys, "verify", "--input", str(fdir / name),
                          "--kappa", kappa, "--grid", "5")
     assert code == 2
@@ -541,30 +541,82 @@ def test_verify_smooth_default_constant(capsys, fdir):
 
 
 def test_verify_smooth_default_constant_scans_once(capsys, fdir, monkeypatch):
-    from regsel import moduli
-    scans = []
-    ratio_scan = moduli._ratio_scan
+    # one sampling gives the default constant, one more judges it with both
+    # verdicts from a single scan
+    samplings = []
+    sample_graph = moduli._sample_graph
 
     def counted(*args, **kwargs):
-        scans.append(1)
-        return ratio_scan(*args, **kwargs)
+        samplings.append(1)
+        return sample_graph(*args, **kwargs)
 
-    monkeypatch.setattr(moduli, "_ratio_scan", counted)
+    monkeypatch.setattr(moduli, "_sample_graph", counted)
     code, out, _ = run(capsys, "verify", "--input", str(fdir / "smooth.json"))
     assert code == 0
-    assert len(scans) == 1
+    assert len(samplings) == 2
     assert out == (
         "kind,value,radius,samples,seed,verdict,witness\n"
         "metric-regularity,1.098901098901099,,,,pass,"
         "-0.80000000000000004;-0.94999999999999996\n"
         "aubin,1.098901098901099,,,,pass,"
         "-1;-0.94999999999999996;-0.76800000000000002\n")
-    # the same constant given explicitly goes through verify_metric_regularity
+    # the same constant given explicitly is judged on one scan alone
     kappa = 1.05 * float(out.splitlines()[1].split(",")[1])
     code, explicit, _ = run(capsys, "verify", "--input",
                             str(fdir / "smooth.json"), "--kappa", repr(kappa))
     assert code == 0
     assert explicit == out
+
+
+@pytest.mark.parametrize("name, extra, graphs", [
+    ("linear.json", [], 1), ("generalized.json", [], 2),
+    ("smooth.json", ["--kappa", "1.2"], 1)])
+def test_verify_samples_each_graph_once(capsys, monkeypatch, name, extra,
+                                        graphs):
+    # both verdicts on x -> F(x) read one sampling of its graph; a
+    # generalized file's perturbation bound samples x -> M x + g(x) once more
+    committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+    mappings = []
+    sample_graph = moduli._sample_graph
+
+    def counted(mapping, grid):
+        mappings.append(mapping)
+        return sample_graph(mapping, grid)
+
+    monkeypatch.setattr(moduli, "_sample_graph", counted)
+    code, _, _ = run(capsys, "verify", "--input", str(committed / name), *extra)
+    assert code == 0
+    assert len(mappings) == graphs
+    assert len({id(m) for m in mappings}) == graphs
+
+
+def test_moduli_refuses_a_radius_whose_distances_overflow(capsys):
+    # beyond ~6.7e153 the squared diameter overflows and every sampled
+    # quotient would read 0
+    committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+    code, out, err = run(capsys, "moduli", "--input",
+                         str(committed / "generalized.json"), "--radius", "1e200")
+    assert code == 2
+    assert out == ""
+    assert err == ("regsel: contract violation: radius 1e+200 is too large: "
+                   "distances across its ball overflow float64\n")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["solve", "--target", "0.1"]])
+def test_a_file_radius_whose_distances_overflow_is_refused(capsys, tmp_path,
+                                                           command):
+    # at this radius verify used to pass every verdict with worst ratio 0,
+    # and solve to certify lambda 0
+    committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+    payload = json.loads((committed / "generalized.json").read_text())
+    del payload["constants"]
+    payload.update(radius_x=1e160, radius_graph=1e161)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command[0], "--input", str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "1e+160 is too large" in err
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])

@@ -242,6 +242,11 @@ def test_kalman_controllable_implies_interior():
 # the steering map
 
 
+def test_steering_setup_refuses_a_negative_seed():
+    with pytest.raises(ContractError, match="seed must be nonnegative, got -1"):
+        steering_setup(double_integrator(), seed=-1)
+
+
 def test_steering_setup_double_integrator():
     setup = steering_setup(double_integrator(mesh=64))
     assert kalman_rank(setup.sys) == (2, True)  # the gate the set-up passed

@@ -449,6 +449,11 @@ def test_direction_grid_requires_two_per_axis():
     np.testing.assert_allclose(grid, direction_grid(2, 9, seed=5))
 
 
+def test_direction_grid_refuses_a_negative_seed():
+    with pytest.raises(ContractError, match="seed must be nonnegative, got -1"):
+        direction_grid(2, 16, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # halfspace details
 

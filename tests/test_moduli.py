@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -166,6 +167,25 @@ def test_sampled_estimates_validate_inputs():
         lip_estimate(lambda x: x, [0.0], 1.0, samples=0)
 
 
+@pytest.mark.parametrize("estimate", [lip_estimate, clm_estimate])
+def test_sampled_estimates_refuse_a_negative_seed(estimate):
+    with pytest.raises(ContractError, match="seed must be nonnegative, got -1"):
+        estimate(lambda x: x, np.zeros(1), 1.0, samples=10, seed=-1)
+
+
+@pytest.mark.parametrize("radius", [1e160, 1e200, np.inf])
+@pytest.mark.parametrize("estimate", [lip_estimate, clm_estimate])
+def test_sampled_estimates_refuse_a_radius_whose_distances_overflow(estimate,
+                                                                    radius):
+    # the squared diameter overflows, so every quotient would be x / inf = 0
+    with pytest.raises(ContractError, match=re.escape(f"radius {radius:g} is too")):
+        estimate(lambda x: 0.3 * x, np.zeros(1), radius, samples=10)
+    # the largest radius whose squared diameter is finite still samples
+    largest = 0.5 * np.sqrt(np.finfo(float).max)
+    assert estimate(lambda x: 0.3 * x, np.zeros(1), largest,
+                    samples=30).value == pytest.approx(0.3)
+
+
 PROBLEMS = Path(__file__).resolve().parents[1] / "scripts" / "problems"
 
 
@@ -284,6 +304,21 @@ def test_sampled_mapping_rejects_bad_radii():
     with pytest.raises(ContractError):
         SampledMapping(forward=fwd_double, x_base=[0.0], y_base=[0.0],
                        radius_x=0.0, radius_y=1.0)
+
+
+@pytest.mark.parametrize("radius", ["radius_x", "radius_y"])
+@pytest.mark.parametrize("check", [verify_metric_regularity, verify_aubin])
+def test_verifiers_refuse_a_radius_whose_distances_overflow(check, radius):
+    radii = {"radius_x": 1.0, "radius_y": 2.0, radius: 1e160}
+    with pytest.raises(ContractError, match=rf"{radius} 1e\+160 is too large"):
+        check(SampledMapping(forward=fwd_double, x_base=[0.0], y_base=[0.0],
+                             **radii), 0.5, 5)
+
+
+def test_lg_bound_refuses_a_radius_whose_distances_overflow():
+    with pytest.raises(ContractError, match=r"radius 1e\+200 is too large"):
+        lg_bound_check(np.eye(1), lambda x: 0.1 * x, [0.0], kappa=1.01,
+                       lam=0.5, radius=1e200, samples=10)
 
 
 def test_sampled_mapping_accepts_value_lists():
@@ -502,19 +537,19 @@ def assert_scans_match_loops(mapping, kappa, grid):
 def assert_lg_scan_matches_loop(mat, kappa, grid):
     """lg_bound_check's scan of x -> mat x + g(x) against the per-value loop."""
     scans = []
-    ratio_scan = moduli._ratio_scan
+    graph_scan = moduli._graph_scan
 
-    def checked(mapping, grid):
-        got = ratio_scan(mapping, grid)
+    def checked(mapping, grid, kappa=None):
+        got = graph_scan(mapping, grid, kappa)
         want = ratio_scan_loop(*_sample_graph(mapping, grid))
-        assert got[0] == want[0]
-        assert_same_witness(got[1], want[1])
-        scans.append(got)
+        assert got[0][0] == want[0]
+        assert_same_witness(got[0][1], want[1])
+        scans.append(got[0])
         return got
 
     rows = mat.shape[0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moduli, "_ratio_scan", checked)
+        mp.setattr(moduli, "_graph_scan", checked)
         report, _ = lg_bound_check(
             mat, lambda x: (0.1 / kappa) * np.sin(x[:rows]),
             np.zeros(mat.shape[1]), kappa=kappa, lam=0.5 / kappa, radius=1.0,
