@@ -131,8 +131,8 @@ def _linear_part(pf: ProblemFile):
     mat = pf.matrix
     g = pf.perturbation
     if g is None:
-        def g(x):
-            return np.zeros(mat.shape[0])
+        def g(x):  # one point or stacked columns, as the samplers take
+            return np.zeros((mat.shape[0],) + np.shape(x)[1:])
     center = pf.base_x if pf.base_x is not None else np.zeros(mat.shape[1])
     radius = pf.radius_x if pf.kind == "generalized" else 1.0
     return mat, g, center, radius

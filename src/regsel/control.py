@@ -26,8 +26,8 @@ import numpy as np
 from .convex import AffineSet, Box, Halfspaces, Intersection, direction_grid
 from .errors import (ContractError, LocalityError, NumericBreakdownError,
                      RegularityError, ShapeError, UncontrollableError)
-from .linalg import as_vector, svd
-from .moduli import ModulusEstimate, lip_estimate
+from .linalg import as_vector, stack_matvec, svd
+from .moduli import ModulusEstimate, lip_estimate, probe_width, stacking_fault
 from .selection import (KAPPA_MARGIN, GeneralizedEquation,
                         IterationCertificate, IterationConfig, compute_tau,
                         default_config, solve)
@@ -118,32 +118,16 @@ class ControlProblem:
                 f"control set unbounded along axis {unbounded[0]}; it must be compact")
 
     def _check_stacking(self):
-        """Compare one stacked call with per-point calls on a small probe.
-
-        The probe has n + m + 1 points, so no operand is square and no
-        fixed-length vector in the oracle broadcasts against it by accident.
-        """
+        """Refuse dynamics that fail the stacking probe (stacking_fault)."""
         n, m = self.state_dim, self.control_dim
-        k = n + m + 1
+        k = probe_width(n, m)
         probe = 1e-2 * np.random.default_rng(0).standard_normal((n + m, k))
-        xs, us = probe[:n], probe[n:]
-        contract = ("dynamics must accept stacked points: f(X, U) with X of "
-                    f"shape ({n}, k) and U of shape ({m}, k) returns ({n}, k), "
-                    "one column per point")
-        try:
-            stacked = np.asarray(self.dynamics(xs, us), dtype=float)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ContractError(f"{contract}; a {k}-point probe raised "
-                                f"{type(exc).__name__}: {exc}") from exc
-        if stacked.shape != (n, k):
-            raise ContractError(f"{contract}; a {k}-point probe returned shape "
-                                f"{stacked.shape}")
-        single = np.column_stack([as_vector(self.dynamics(xs[:, j], us[:, j]), dim=n)
-                                  for j in range(k)])
-        gap = float(np.max(np.abs(stacked - single)))
-        if not gap <= 1e-12 * (1.0 + float(np.max(np.abs(single)))):
-            raise ContractError(f"{contract}; a {k}-point probe differs from "
-                                f"per-point calls by {gap:.3e}")
+        fault = stacking_fault(self.dynamics, (probe[:n], probe[n:]), n)
+        if fault is not None:
+            raise ContractError(
+                "dynamics must accept stacked points: f(X, U) with X of "
+                f"shape ({n}, k) and U of shape ({m}, k) returns ({n}, k), "
+                f"one column per point; {fault}")
 
 
 @dataclass(frozen=True)
@@ -275,20 +259,37 @@ def _trapezoid_means(f, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
 
 def _remainder(problem: ControlProblem, sys: DiscretizedSystem):
     """Nonlinearity minus linearization at the collocation points, acting on
-    and returning sqrt(h)-scaled vectors."""
-    n, big_n = sys.state_dim, sys.mesh_size
+    and returning sqrt(h)-scaled vectors.
+
+    The remainder takes one vector or k of them as columns, and returns one
+    column per trajectory. The N intervals of all k trajectories go to the
+    dynamics together, in two stacked calls on (n, N k) states, and the
+    linear part adds its terms one by one (stack_matvec): a stacked column
+    has the bits of the same trajectory alone.
+    """
+    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
     a, b = sys.a_matrix, sys.b_matrix
     f = problem.dynamics
     nx = n * big_n
     sq = np.sqrt(big_n)
 
     def g(scaled):
-        states, controls = _unscale(np.asarray(scaled, dtype=float), sys)
-        mean = _trapezoid_means(f, states, controls)
-        linear = (0.5 * (states[:-1] + states[1:])) @ a.T + controls @ b.T
-        out = np.zeros(nx + n)
-        out[:nx] = (linear - mean).ravel()
-        return out / sq
+        scaled = np.asarray(scaled, dtype=float)
+        cols = scaled.reshape(scaled.shape[0], -1) * sq
+        k = cols.shape[1]
+        # component-major nodes x_0 = 0, x_1, ..., x_N of every trajectory
+        states = np.zeros((n, big_n + 1, k))
+        states[:, 1:] = cols[:nx].reshape(big_n, n, k).transpose(1, 0, 2)
+        left = states[:, :-1].reshape(n, big_n * k)
+        right = states[:, 1:].reshape(n, big_n * k)
+        controls = cols[nx:].reshape(big_n, m, k).transpose(1, 0, 2).reshape(m, -1)
+        mean = 0.5 * (f(left, controls) + f(right, controls))
+        linear = (stack_matvec(a, 0.5 * (left + right))
+                  + stack_matvec(b, controls))
+        out = np.zeros((nx + n, k))
+        out[:nx] = (linear - mean).reshape(n, big_n, k).transpose(1, 0, 2).reshape(nx, k)
+        out /= sq
+        return out.reshape((nx + n,) + scaled.shape[1:])
 
     return g
 

@@ -148,6 +148,20 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
+def stack_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for one vector x, or for stacked vectors as the columns of x.
+
+    The products with a's columns are added one by one, in column order, so
+    a stacked column has the bits of the same vector alone; ``@`` does not
+    promise that, because BLAS sums one vector and many in different orders.
+    """
+    cols = a.reshape(a.shape + (1,) * (x.ndim - 1))
+    out = cols[:, 0] * x[0]
+    for j in range(1, a.shape[1]):
+        out += cols[:, j] * x[j]
+    return out
+
+
 def operator_norm(a) -> float:
     """Largest singular value."""
     return float(svd(a).s[0])

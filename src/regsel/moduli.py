@@ -7,10 +7,24 @@ Three kinds of quantities live here:
 * brute-force verifiers for the distance inequalities that define metric
   regularity and the Aubin property on grid-sampled graphs.
 
-The sampled estimators interleave uniform exploration with shrinking-scale
-refinement around the incumbent maximizer, so for a fixed seed the estimate
-is nondecreasing in the sample budget and converges to the exact operator
-norm on linear oracles.
+The sampled estimators draw proposals from one seeded stream in blocks of
+SAMPLE_BLOCK. Block 0 is uniform in the ball; in each later block one third
+of the proposals are uniform and two thirds are steps at the 28 scales of
+the cycle from the incumbent the earlier blocks left, clipped to the ball
+in bulk. Every block is drawn in full, so an estimate is the max over a
+prefix of one stream: for a fixed seed it is nondecreasing in the sample
+budget (to the bit when the map's stacked columns have the bits of each
+point alone, as every map the library builds does), and on linear oracles
+it approaches the operator norm.
+
+Every map the samplers evaluate keeps one stacked-oracle contract: a point
+(d,) gives (m,), and k points as the columns of a (d, k) array give (m, k),
+one column per point. Once per sampled stream, stacking_fault compares one
+stacked call on probe_width(d, m) points with per-point calls within
+STACK_RTOL. A map that passes is called once per end and block; one that
+fails (a fixed-length vector added to W x, say) is called one point at a
+time, to the same values. ControlProblem refuses dynamics that fail the
+same probe.
 
 Both verifiers read one scan of the graph, sampled once on a grid of at
 least 2 points per axis, which works on blocked distance tables with no
@@ -50,8 +64,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import convex
-from .errors import ContractError
-from .linalg import SvdFactorization, as_matrix, as_vector, norm, row_norms, svd
+from .errors import ContractError, ShapeError
+from .linalg import SvdFactorization, as_matrix, as_vector, row_norms, svd
 
 # Relative slack used when comparing sampled distances against kappa times
 # sampled distances; absorbs roundoff in grid arithmetic.
@@ -154,29 +168,132 @@ def reg_linear(op) -> float:
 # sampled lip / clm
 
 
+# Proposals per block of the sampled estimators: each block is drawn in full
+# and evaluated with one stacked call per end.
+SAMPLE_BLOCK = 64
+
 # Refinement scales cycle through powers of two so there is always a batch of
 # proposals at the length scale matching the incumbent's remaining error.
 _SCALE_CYCLE = 28
+
+# The proposals of a block that step from the incumbent, when there is one:
+# two of every three; the others are uniform in the ball.
+_STEP_COLUMNS = np.flatnonzero(np.arange(SAMPLE_BLOCK) % 3 != 0)
 
 # Difference quotients over gaps below this fraction of the radius are
 # dominated by cancellation noise in f(x) - f(x') and can overshoot the true
 # modulus, so such pairs are skipped.
 _MIN_GAP_FRAC = 1e-7
 
+# A stacked call passes the probe when its columns lie within this fraction
+# of 1 + the largest per-point value of the per-point calls.
+STACK_RTOL = 1e-12
 
-def _refine_steps(radius: float) -> list[float]:
-    """Proposal step lengths, radius * 2^-k for each k of the scale cycle."""
-    return [2.0 ** (-k) * radius for k in range(_SCALE_CYCLE)]
+
+def probe_width(*dims: int) -> int:
+    """The smallest k >= 2 equal to none of ``dims``: a k-point probe of a
+    map between those dimensions has no square operand, so no fixed-length
+    vector in the map broadcasts against it by accident."""
+    k = 2
+    while k in dims:
+        k += 1
+    return k
+
+
+def stacking_fault(f: Callable, operands, rows: int) -> str | None:
+    """Why ``f`` fails the stacking probe, or None when it passes.
+
+    ``operands`` are 2-D arrays with one probe point per column. f passes
+    when one call f(*operands) returns shape (rows, k) and every column lies
+    within STACK_RTOL of the call on that point alone. A stacked call that
+    raises TypeError, ValueError or IndexError, and per-point values that
+    are not (rows,) vectors or not finite, fail it.
+    """
+    k = operands[0].shape[1]
+    try:
+        stacked = np.asarray(f(*operands), dtype=float)
+    except (TypeError, ValueError, IndexError) as exc:
+        return f"a {k}-point probe raised {type(exc).__name__}: {exc}"
+    if stacked.shape != (rows, k):
+        return f"a {k}-point probe returned shape {stacked.shape}"
+    single = [np.asarray(f(*(o[:, j] for o in operands)), dtype=float)
+              for j in range(k)]
+    if any(v.size != rows for v in single):
+        return (f"per-point calls of a {k}-point probe return sizes "
+                f"{[v.size for v in single]}, not {rows}")
+    single = np.column_stack([v.reshape(rows) for v in single])
+    gap = float(np.max(np.abs(stacked - single)))
+    if not gap <= STACK_RTOL * (1.0 + float(np.max(np.abs(single)))):
+        return f"a {k}-point probe differs from per-point calls by {gap:.3e}"
+    return None
+
+
+def _block_values(f: Callable, center: np.ndarray, radius: float, rows: int):
+    """The function that evaluates f on the rows of a (k, d) array of points
+    and returns their values as the columns of a (rows, k) array.
+
+    f is probed once (stacking_fault) on probe_width(d, rows) points at half
+    the radius. A map that passes gets one stacked call on the points as
+    columns; one that fails is called on one point at a time. A value that
+    is misshaped or not finite raises ShapeError before any is returned.
+    """
+    d = center.size
+    z = np.random.default_rng(0).standard_normal((d, probe_width(d, rows)))
+    probe = center[:, None] + (0.5 * radius) * (z / np.linalg.norm(z, axis=0))
+    stacks = stacking_fault(f, (probe,), rows) is None
+    shapes = [(rows,)] if rows > 1 else [(rows,), ()]
+
+    def values(points):
+        k = len(points)
+        if stacks:
+            out = np.asarray(f(np.ascontiguousarray(points.T)), dtype=float)
+            if out.shape != (rows, k):
+                raise ShapeError(f"map returned shape {out.shape} for {k} "
+                                 f"stacked points, expected {(rows, k)}")
+        else:
+            got = [f(x) for x in points]
+            try:
+                out = np.array(got, dtype=float)
+            except (TypeError, ValueError):
+                out = None
+            if out is None or out.shape[1:] not in shapes:
+                for v in got:  # names the first misshaped value
+                    as_vector(v, dim=rows)
+                raise ShapeError(f"map values do not stack to {(rows, k)}")
+            out = out.reshape(k, rows).T
+        finite = np.isfinite(out).all(axis=0)
+        if not finite.all():
+            raise ShapeError("map value has non-finite entries at "
+                             f"{points[int(np.argmin(finite))].tolist()}")
+        return out
+
+    return values
+
+
+def _clip_to_ball(points: np.ndarray, center: np.ndarray, radius: float):
+    """Move each row of points that lies outside the ball radially onto it."""
+    delta = points - center
+    n = row_norms(delta)
+    far = n > radius
+    if far.any():
+        points[far] = center + delta[far] * (radius / n[far])[:, None]
+    return points
 
 
 def _sup_quotient(f, center, radius, samples, seed, anchored):
     """sup ||f(x)-f(x')|| / ||x-x'|| over sampled pairs in a ball.
 
     With ``anchored`` the second point is always the center, whose value is
-    evaluated once, and a draw or refinement moves the first point only;
-    otherwise both points are drawn and refined. The witness is the best
-    pair, or the center alone (twice when not anchored) if every sample
-    fell below the gap floor.
+    evaluated once, and a proposal moves the first point only; otherwise
+    both points are proposed. Proposals come from one seeded stream in
+    blocks of SAMPLE_BLOCK. Block 0 is uniform in the ball. In each later
+    block with an incumbent (the best pair of the blocks before it), the
+    proposals at _STEP_COLUMNS are steps from the incumbent, the t-th of
+    length radius * 2^-(t mod 28), clipped to the ball; the rest are
+    uniform. Every block is drawn in full, so the first ``samples``
+    proposals are a prefix of the same stream for every budget. The witness
+    is the best pair, first in stream order, or the center alone (twice
+    when not anchored) if every sample fell below the gap floor.
     """
     center = as_vector(center)
     if not radius > 0:
@@ -186,43 +303,46 @@ def _sup_quotient(f, center, radius, samples, seed, anchored):
         raise ContractError("samples must be >= 1")
     if seed < 0:
         raise ContractError(f"seed must be nonnegative, got {seed}")
+    fc = as_vector(f(center))
+    values = _block_values(f, center, radius, fc.size)
     rng = np.random.default_rng(seed)
-    normal, uniform = rng.standard_normal, rng.random
-    fc = as_vector(f(center)) if anchored else None
     d = center.size
-    inv_d = 1.0 / d
-    axis = np.eye(d)[0]
-    ends = range(1 if anchored else 2)
-    steps = _refine_steps(radius)
+    ends = 1 if anchored else 2
+    lengths = radius * 2.0 ** -(np.arange(_STEP_COLUMNS.size) % _SCALE_CYCLE)
     min_gap = _MIN_GAP_FRAC * radius
     best_q = -np.inf
-    best_pair = None
-    for i in range(samples):
-        pair = [center, center]
-        if i % 3 != 0 and best_pair is not None:
-            # a step from the incumbent, clipped back onto the ball
-            step = steps[(i // 3) % _SCALE_CYCLE]
-            for k in ends:
-                p = best_pair[k] + step * normal(d)
-                delta = p - center
-                n = norm(delta)
-                pair[k] = p if n <= radius else center + delta * (radius / n)
+    best = None
+    for start in range(0, samples, SAMPLE_BLOCK):
+        z = rng.standard_normal((ends * SAMPLE_BLOCK, d))
+        r = rng.random(ends * SAMPLE_BLOCK) ** (1.0 / d)
+        # a uniform point: a normal direction at radius * u^(1/d); a zero
+        # draw points along the first axis
+        n = row_norms(z)
+        dirs = z / np.where(n > 0, n, 1.0)[:, None]
+        dirs[n == 0, 0] = 1.0
+        pts = center + (radius * r)[:, None] * dirs
+        pts = pts.reshape(ends, SAMPLE_BLOCK, d)
+        if best is not None:
+            moved = (best[:, None] + lengths[:, None]
+                     * z.reshape(ends, SAMPLE_BLOCK, d)[:, _STEP_COLUMNS])
+            pts[:, _STEP_COLUMNS] = _clip_to_ball(
+                moved.reshape(-1, d), center, radius).reshape(ends, -1, d)
+        count = min(SAMPLE_BLOCK, samples - start)
+        pts = pts[:, :count]
+        if anchored:
+            diff = values(pts[0]) - fc[:, None]
+            gaps = row_norms(pts[0] - center)
         else:
-            # a uniform point: a normal direction at radius * u^(1/d)
-            for k in ends:
-                v = normal(d)
-                n = norm(v)
-                pair[k] = center + radius * uniform() ** inv_d * (v / n if n > 0 else axis)
-        x, xp = pair
-        gap = norm(x - xp)
-        if gap < min_gap:
-            continue
-        q = norm(as_vector(f(x)) - (fc if anchored else as_vector(f(xp)))) / gap
-        if q > best_q:
-            best_q, best_pair = q, (x, xp)
-    if best_pair is None:
+            diff = values(pts[0]) - values(pts[1])
+            gaps = row_norms(pts[0] - pts[1])
+        q = np.divide(row_norms(np.ascontiguousarray(diff.T)), gaps,
+                      out=np.full(count, -np.inf), where=gaps >= min_gap)
+        j = int(np.argmax(q))
+        if q[j] > best_q:
+            best_q, best = q[j], pts[:, j].copy()
+    if best is None:
         return 0.0, (center,) if anchored else (center, center)
-    return float(best_q), best_pair
+    return float(best_q), (best[0], center) if anchored else (best[0], best[1])
 
 
 def lip_estimate(f: Callable, center, radius: float, samples: int = 3000,

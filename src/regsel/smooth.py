@@ -17,7 +17,7 @@ import numpy as np
 
 from .convex import AffineSet
 from .errors import ContractError, RegularityError, ShapeError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, stack_matvec
 from .moduli import lip_estimate, reg_linear
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, default_config, solve)
@@ -81,9 +81,22 @@ class SmoothProblem:
             radius_y=self.radius, radius_graph=2.0 * self.radius)
 
     def remainder(self, x) -> np.ndarray:
-        """g(x) = f(x) - B(x - x_base), the part the linearization misses."""
-        x = as_vector(x, dim=self.x_base.size)
-        return as_vector(self.f(x)) - self.base_fibre.op @ (x - self.x_base)
+        """g(x) = f(x) - B(x - x_base), the part the linearization misses.
+
+        Takes one point (d,) or stacked points (d, k), one per column, and
+        returns (m,) or (m, k); f gets the same form. A stacked column has
+        the bits of the same point alone whenever f's columns do.
+        """
+        d = self.x_base.size
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[0] == d:
+            value = np.asarray(self.f(x), dtype=float)
+            shift = x - self.x_base[:, None]
+        else:
+            x = as_vector(x, dim=d)
+            value = as_vector(self.f(x))
+            shift = x - self.x_base
+        return value - stack_matvec(self.base_fibre.op, shift)
 
 
 def split(problem: SmoothProblem) -> GeneralizedEquation:

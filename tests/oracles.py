@@ -319,21 +319,15 @@ def reachable_interior_node_loop(sys, control_set, seed: int = 0):
     return margin > 0.0, float(margin)
 
 
-# The sampled-quotient loops of regsel.moduli as they were before their
-# per-sample overhead was trimmed and they became one loop: np.linalg.norm
-# and as_vector on every sample. regsel.moduli._sup_quotient must reproduce
-# each of them bit for bit.
+# The blocked sample stream of regsel.moduli._sup_quotient, one point at a
+# time: blocks of 64 proposals per end are drawn as the sampler draws them,
+# then every proposal is clipped, evaluated (side by side: every first point
+# of the block, then every second point) and compared on its own, with
+# np.linalg.norm and as_vector on every point. The sampler must reproduce it
+# bit for bit on maps whose stacked columns keep the bits of each point.
+_BLOCK = 64
 _SCALE_CYCLE = 28
 _MIN_GAP_FRAC = 1e-7
-
-
-def _draw_in_ball(rng, center, radius):
-    d = center.size
-    v = rng.standard_normal(d)
-    n = np.linalg.norm(v)
-    u = v / n if n > 0 else np.eye(d)[0]
-    r = rng.random() ** (1.0 / d)
-    return center + radius * r * u
 
 
 def _clip_ball(p, center, radius):
@@ -344,60 +338,48 @@ def _clip_ball(p, center, radius):
     return center + delta * (radius / n)
 
 
-def sup_center_quotient_loop(f, center, radius, samples, seed):
-    """sup ||f(x)-f(center)|| / ||x-center|| over a sampled ball."""
+def sup_quotient_block_loop(f, center, radius, samples, seed, anchored):
+    """sup ||f(x)-f(x')|| / ||x-x'|| over the sampler's stream of pairs,
+    x' = center when ``anchored``."""
     from regsel.linalg import as_vector
 
     rng = np.random.default_rng(seed)
+    center = np.asarray(center, dtype=float)
     fc = as_vector(f(center))
     d = center.size
+    ends = 1 if anchored else 2
     best_q = -np.inf
-    best_x = None
-    for i in range(samples):
-        if i % 3 != 0 and best_x is not None:
-            scale = 2.0 ** (-((i // 3) % _SCALE_CYCLE))
-            x = _clip_ball(best_x + scale * radius * rng.standard_normal(d),
-                           center, radius)
-        else:
-            x = _draw_in_ball(rng, center, radius)
-        gap = np.linalg.norm(x - center)
-        if gap < _MIN_GAP_FRAC * radius:
-            continue
-        q = np.linalg.norm(as_vector(f(x)) - fc) / gap
-        if q > best_q:
-            best_q, best_x = q, x
-    if best_x is None:
-        return 0.0, (center,)
-    return float(best_q), (best_x, center)
-
-
-def sup_pair_quotient_loop(f, center, radius, samples, seed):
-    """sup ||f(x)-f(x')|| / ||x-x'|| over sampled pairs in a ball."""
-    from regsel.linalg import as_vector
-
-    rng = np.random.default_rng(seed)
-    d = center.size
-    best_q = -np.inf
-    best_pair = None
-    for i in range(samples):
-        if i % 3 != 0 and best_pair is not None:
-            scale = 2.0 ** (-((i // 3) % _SCALE_CYCLE))
-            x = _clip_ball(best_pair[0] + scale * radius * rng.standard_normal(d),
-                           center, radius)
-            xp = _clip_ball(best_pair[1] + scale * radius * rng.standard_normal(d),
-                            center, radius)
-        else:
-            x = _draw_in_ball(rng, center, radius)
-            xp = _draw_in_ball(rng, center, radius)
-        gap = np.linalg.norm(x - xp)
-        if gap < _MIN_GAP_FRAC * radius:
-            continue
-        q = np.linalg.norm(as_vector(f(x)) - as_vector(f(xp))) / gap
-        if q > best_q:
-            best_q, best_pair = q, (x, xp)
-    if best_pair is None:
-        return 0.0, (center, center)
-    return float(best_q), best_pair
+    best = None
+    for start in range(0, samples, _BLOCK):
+        z = rng.standard_normal((ends, _BLOCK, d))
+        r = rng.random((ends, _BLOCK)) ** (1.0 / d)
+        count = min(_BLOCK, samples - start)
+        pts = [[None] * count for _ in range(ends)]
+        for k in range(ends):
+            steps = 0
+            for j in range(count):
+                if j % 3 != 0 and best is not None:
+                    step = 2.0 ** -(steps % _SCALE_CYCLE) * radius
+                    steps += 1
+                    pts[k][j] = _clip_ball(best[k] + step * z[k, j], center, radius)
+                else:
+                    n = np.linalg.norm(z[k, j])
+                    u = z[k, j] / n if n > 0 else np.eye(d)[0]
+                    pts[k][j] = center + radius * r[k, j] * u
+        vals = [[as_vector(f(x)) for x in side] for side in pts]
+        for j in range(count):
+            x = pts[0][j]
+            xp = center if anchored else pts[1][j]
+            gap = np.linalg.norm(x - xp)
+            if gap < _MIN_GAP_FRAC * radius:
+                continue
+            q = np.linalg.norm(vals[0][j] - (fc if anchored else vals[1][j])) / gap
+            if q > best_q:
+                best_q = q
+                best = [side[j] for side in pts]
+    if best is None:
+        return 0.0, (center,) if anchored else (center, center)
+    return float(best_q), (best[0], center) if anchored else tuple(best)
 
 
 def polynomial_value_loop(poly, x):

@@ -268,6 +268,17 @@ def test_remainder_matches_interval_loop(make, mesh):
         np.testing.assert_array_equal(g(v), loop(v))
 
 
+@pytest.mark.parametrize("make", [pendulum, double_integrator])
+def test_stacked_remainder_columns_have_the_bits_of_single_trajectories(make):
+    p = make(mesh=16)
+    g = control._remainder(p, linearize(p))
+    v = 0.3 * np.random.default_rng(5).standard_normal((3 * 16, 5))
+    stacked = g(v)
+    assert stacked.shape == (2 * 16 + 2, 5)
+    for j in range(5):
+        assert stacked[:, j].tobytes() == g(v[:, j]).tobytes()
+
+
 def test_remainder_matches_interval_loop_for_polynomial_file():
     # x1' = x2 + 0.5 x1^2 u, x2' = u - x1^3 / 6 + x1 x2
     dyn = {"input_dim": 3, "output_dim": 2,

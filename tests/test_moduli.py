@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (aubin_fibre_loop, aubin_pair_scan, distances_3d,
                      pinv_apply, ratio_scan_loop, sampled_fibre,
-                     sup_center_quotient_loop, sup_pair_quotient_loop)
+                     sup_quotient_block_loop)
 from regsel import moduli
 from regsel.convex import AffineSet
 from regsel.errors import ContractError, ShapeError
@@ -211,28 +212,36 @@ def sampler_maps():
 SAMPLER_MAPS = sampler_maps()
 
 
+def counting(f, points):
+    """f, adding to points[0] the number of points each call evaluates."""
+    def g(x):
+        points[0] += np.shape(x)[1] if np.ndim(x) == 2 else 1
+        return f(x)
+    return g
+
+
+# The sampler evaluates f once at the center and once on each point of a
+# stacking probe of at most 4 points, on its own and stacked.
+PROBE_POINTS = 1 + 2 * 4
+
+
 @pytest.mark.parametrize("name,f,center,radius", SAMPLER_MAPS,
                          ids=[m[0] for m in SAMPLER_MAPS])
 @pytest.mark.parametrize("seed", range(5))
 def test_sampler_loops_match_the_reference_bit_for_bit(name, f, center, radius, seed):
-    for anchored, reference in ((False, sup_pair_quotient_loop),
-                                (True, sup_center_quotient_loop)):
-        calls = [0, 0]
-
-        def counted(slot):
-            def g(x):
-                calls[slot] += 1
-                return f(x)
-            return g
-
-        value, witness = moduli._sup_quotient(counted(0), center, radius, 400, seed,
-                                              anchored=anchored)
-        want_value, want_witness = reference(counted(1), center, radius, 400, seed)
+    for anchored in (False, True):
+        points = [0]
+        want_points = [0]
+        value, witness = moduli._sup_quotient(counting(f, points), center,
+                                              radius, 400, seed, anchored)
+        want_value, want_witness = sup_quotient_block_loop(
+            counting(f, want_points), center, radius, 400, seed, anchored)
         assert type(value) is float and value == want_value
         assert len(witness) == len(want_witness)
         for got, want in zip(witness, want_witness):
             assert got.tobytes() == want.tobytes()
-        assert calls[0] == calls[1]
+        # the sampler evaluates every proposal the loop does, and the probe
+        assert 0 <= points[0] - want_points[0] <= PROBE_POINTS
 
 
 @pytest.mark.parametrize("estimate", [lip_estimate, clm_estimate])
@@ -246,48 +255,175 @@ def test_sampler_rejects_non_finite_oracle_values(estimate, bad):
         estimate(f, [0.0], 1.0, samples=10)
 
 
+def stacked_loop(f):
+    """f on one point, or on each column of a stack of points in turn."""
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.column_stack([f(c) for c in x.T])
+        return f(x)
+    return g
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("anchored", [False, True])
 def test_sampler_raises_at_the_reference_oracle_call(bad, anchored):
-    # the first, second or third coordinate goes non-finite; the error must
-    # come from the same call as in the reference loop, before any other
-    for axis in range(3):
+    # The first, second or third coordinate goes non-finite beyond 0.6, out
+    # of reach of the stacking probe at half the radius. The reference loop
+    # raises at its first non-finite point; the sampler raises once it has
+    # evaluated the block of proposals that holds that point, stacked or one
+    # point at a time, and evaluates no point of a later block.
+    for axis, stacks in itertools.product(range(3), (False, True)):
         def f(x):
             out = np.array([np.sin(x[0]), x[1] * x[2], 1.0])
-            if x[axis] > 0.3:
+            if x[axis] > 0.6:
                 out[axis] = bad
             return out
 
-        calls = [0, 0]
-        for slot, run in enumerate((
-                lambda g: moduli._sup_quotient(g, np.zeros(3), 1.0, 300, 2,
-                                               anchored=anchored),
-                lambda g: (sup_center_quotient_loop if anchored
-                           else sup_pair_quotient_loop)(g, np.zeros(3), 1.0, 300, 2))):
-            def counted(x, slot=slot):
-                calls[slot] += 1
-                return f(x)
+        calls = [[], []]
+        for slot, g in enumerate((stacked_loop(f) if stacks else f, f)):
+            def recorded(x, slot=slot, g=g):
+                x = np.asarray(x, dtype=float)
+                calls[slot].append(x.T if x.ndim == 2 else x[None])
+                return g(x)
 
             with pytest.raises(ShapeError, match="non-finite"):
-                run(counted)
-        assert calls[0] == calls[1] > 1
+                if slot == 0:
+                    moduli._sup_quotient(recorded, np.zeros(3), 1.0, 300, 2,
+                                         anchored)
+                else:
+                    sup_quotient_block_loop(recorded, np.zeros(3), 1.0, 300,
+                                            2, anchored)
+        sampler, reference = ([p.tobytes() for c in cs for p in c]
+                              for cs in calls)
+        assert len(reference) > 1
+        # a stacked map fails in a stacked call, one that does not per point
+        assert (len(calls[0][-1]) > 1) == stacks
+        # the reference's failing point is in the block the sampler ended on
+        assert reference[-1] in sampler[-moduli.SAMPLE_BLOCK:]
+        # it evaluated every point the reference did, its center value and
+        # probe, and at most the rest of the failing block
+        assert set(reference) <= set(sampler)
+        assert len(sampler) - len(reference) <= PROBE_POINTS + moduli.SAMPLE_BLOCK
 
 
 def test_sampler_passes_finite_values_whose_squares_overflow():
     # the sum of squares of these finite values is inf; the quotient is inf
-    # in the reference loops too, and no error is raised
+    # in the reference loop too, and no error is raised
     def f(x):
         return 1e200 * np.array([1.0 + x[0], x[1]])
 
-    for anchored, reference in ((False, sup_pair_quotient_loop),
-                                (True, sup_center_quotient_loop)):
-        with np.errstate(over="ignore"):
-            value, witness = moduli._sup_quotient(f, np.zeros(2), 1.0, 30, 0,
-                                                  anchored=anchored)
-            want_value, want_witness = reference(f, np.zeros(2), 1.0, 30, 0)
-        assert value == want_value == np.inf
-        for got, want in zip(witness, want_witness):
-            assert got.tobytes() == want.tobytes()
+    for anchored in (False, True):
+        for g in (f, stacked_loop(f)):
+            with np.errstate(over="ignore"):
+                value, witness = moduli._sup_quotient(g, np.zeros(2), 1.0, 30,
+                                                      0, anchored)
+                want_value, want_witness = sup_quotient_block_loop(
+                    f, np.zeros(2), 1.0, 30, 0, anchored)
+            assert value == want_value == np.inf
+            for got, want in zip(witness, want_witness):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_probe_width_avoids_the_map_dimensions():
+    assert moduli.probe_width(1, 1) == 2
+    assert moduli.probe_width(2, 1) == 3
+    assert moduli.probe_width(3, 2) == 4
+    assert moduli.probe_width(384, 258) == 2
+
+
+@st.composite
+def linear_maps(draw):
+    m = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    # entries far from underflow: below ~1e-154 the squares in a norm vanish
+    entries = st.one_of(st.just(0.0), st.floats(1e-6, 10.0),
+                        st.floats(-10.0, -1e-6))
+    return np.array(draw(st.lists(entries, min_size=m * d, max_size=m * d)),
+                    dtype=float).reshape(m, d)
+
+
+@given(linear_maps(), st.integers(0, 20))
+@settings(max_examples=60, deadline=None)
+def test_lip_of_a_linear_map_approaches_its_norm(a, seed):
+    est = lip_estimate(lambda x: a @ x, np.zeros(a.shape[1]), 1.0,
+                       samples=600, seed=seed).value
+    top = float(np.linalg.norm(a, 2))
+    # A value a @ x carries a rounding error up to about d eps ||(|a|)|| ||x||,
+    # and the sampler divides differences of values by gaps down to 1e-7 of
+    # the radius. When every quotient equals ||a|| (d = 1, say) the largest
+    # sampled one exceeds it by that cancellation noise, and no further.
+    noise = 2.0 * a.shape[1] * np.finfo(float).eps * np.linalg.norm(np.abs(a), 2) / 1e-7
+    assert 0.98 * top <= est <= top * (1.0 + 1e-12) + noise
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_lip_of_a_sin_perturbation_stays_below_its_bound(m, n, seed):
+    rng = np.random.default_rng([seed, m, n])
+    w = rng.standard_normal((m, n))
+    phase = rng.uniform(0.0, 2.0 * np.pi, m)
+    eps = 0.3
+
+    def g(x):
+        return eps * np.sin(w @ x + phase)
+
+    est = lip_estimate(g, np.zeros(n), 1.0, samples=600, seed=seed).value
+    assert est <= eps * np.linalg.norm(w, 2) * (1.0 + 1e-12)
+
+
+def sin_perturbation(m, n):
+    rng = np.random.default_rng([m, n])
+    w = rng.standard_normal((m, n))
+    phase = rng.uniform(0.0, 2.0 * np.pi, m)
+    return lambda x: 0.25 * np.sin(w @ x + phase)
+
+
+def broadcast_at_k_equal_m(x):
+    # stacked, the fixed vector lines up with the points when k = 3 = m and
+    # gives wrong values; for any other k the call raises
+    return np.sin(x[:3]) + np.array([0.1, -0.2, 0.3]) * x[3]
+
+
+@pytest.mark.parametrize("name,f,dim", [
+    ("sin-m2", sin_perturbation(2, 3), 3),
+    ("sin-m3", sin_perturbation(3, 5), 5),
+    ("broadcast", broadcast_at_k_equal_m, 4),
+], ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("estimate", [lip_estimate, clm_estimate])
+def test_a_map_that_does_not_stack_gives_the_per_point_estimate(name, f, dim,
+                                                                estimate):
+    rows = f(np.ones(dim)).size
+    probe = (np.ones((dim, moduli.probe_width(dim, rows))),)
+    assert moduli.stacking_fault(f, probe, rows) is not None
+    assert moduli.stacking_fault(stacked_loop(f), probe, rows) is None
+    got = estimate(f, np.full(dim, 0.1), 0.8, samples=400, seed=3)
+    want = estimate(stacked_loop(f), np.full(dim, 0.1), 0.8, samples=400,
+                    seed=3)
+    assert got.value == want.value
+    for a, b in zip(got.witness, want.witness):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_wrong_stacked_values_fail_the_probe():
+    k = moduli.probe_width(4, 3)
+    with pytest.raises(ValueError):
+        broadcast_at_k_equal_m(np.ones((4, k)))
+    assert "raised ValueError" in moduli.stacking_fault(
+        broadcast_at_k_equal_m, (np.ones((4, k)),), 3)
+    # at k = m the same map returns values of the right shape, but wrong
+    x = np.random.default_rng(0).standard_normal((4, 3))
+    assert "differs from per-point calls" in moduli.stacking_fault(
+        broadcast_at_k_equal_m, (x,), 3)
+
+
+@pytest.mark.parametrize("estimate", [lip_estimate, clm_estimate])
+def test_estimates_are_nondecreasing_in_the_budget(estimate):
+    # every budget samples a prefix of the same stream, blocks cut or whole
+    f = sin_perturbation(2, 3)
+    values = [estimate(stacked_loop(f), np.zeros(3), 1.0, samples=s,
+                       seed=4).value for s in range(1, 300, 11)]
+    assert values == sorted(values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from oracles import (augmented_jacobian, derivative_check, pinv_apply,
 from regsel.errors import ContractError, RegularityError, ShapeError
 from regsel.linalg import least_norm_solve
 from regsel.moduli import lip_estimate, reg_linear
+from regsel.problems import PolynomialMap
 from regsel.selection import GeneralizedEquation, compute_tau, sweep
 from regsel.smooth import SmoothProblem, config_for, smooth_selection, split
 
@@ -116,6 +117,22 @@ def test_split_is_built_once_per_problem(monkeypatch):
         smooth_selection(p, [y], cfg)
     assert split(p) is ge
     assert builds == [ge]
+
+
+def test_stacked_remainder_columns_have_the_bits_of_single_points():
+    # a 3 -> 2 polynomial with a dense Jacobian, so B (x - x_base) sums three
+    # products per row
+    terms = (((1.0, np.array([1, 0, 0])), (0.7, np.array([0, 1, 0])),
+              (-0.4, np.array([0, 0, 1])), (0.3, np.array([2, 0, 1]))),
+             ((0.2, np.array([1, 0, 0])), (1.1, np.array([0, 1, 0])),
+              (0.9, np.array([0, 0, 1])), (-0.5, np.array([1, 1, 0]))))
+    poly = PolynomialMap(input_dim=3, output_dim=2, terms=terms)
+    p = SmoothProblem(f=poly, x_base=[0.3, -0.2, 0.1], jacobian=poly.jacobian)
+    x = np.random.default_rng(4).standard_normal((3, 7))
+    stacked = p.remainder(x)
+    assert stacked.shape == (2, 7)
+    for j in range(7):
+        assert stacked[:, j].tobytes() == p.remainder(x[:, j]).tobytes()
 
 
 def test_remainder_profile_decays_with_radius():
