@@ -439,8 +439,8 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         if lam is None:
             lam = LAMBDA_MARGIN * lip_estimate(
                 g, base_x, radius_x, samples=600, seed=seed).value
-        if lam <= 0:
-            lam = 0.5 / kappa
+            if lam == 0:  # lg_bound_check needs lip < lam; any lam < 1/kappa will do
+                lam = 0.5 / kappa
         report, _ = lg_bound_check(fibre, g, base_x, kappa=kappa, lam=lam,
                                    radius=radius_x, grid=grid, seed=seed)
         reports.append(report)

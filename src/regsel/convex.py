@@ -13,8 +13,7 @@ the metric projection for closed convex members.
 from __future__ import annotations
 
 import copy
-import threading
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,12 +23,10 @@ from .linalg import as_matrix, as_vector, norm, row_norms, svd
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 10000
 
-# Bound on what the AffineSet factorization cache holds, in float64 entries
-# (512 KiB). An operator is charged its key and its right inverse (op.size
-# entries each) plus 64 entries for the Python objects around them (about
-# 440 bytes measured for a 1x1 operator), so many tiny operators cannot
-# grow the cache past the bound either.
-FACTOR_CACHE_ENTRIES = 2**16
+# AffineSet caches the factors of operators of at most CACHED_OP_ENTRIES
+# entries, 512 operators at most (``_cached_factors``): a key and a right
+# inverse of op.size float64 entries each, so 2**16 entries (512 KiB) in all.
+CACHED_OP_ENTRIES = 64
 
 
 class ConvexSet:
@@ -52,65 +49,19 @@ class ConvexSet:
         return self.distance(x)
 
 
-class _Factors(NamedTuple):
-    """What an AffineSet keeps of its operator's SVD."""
-
-    right_inverse: np.ndarray  # read-only
-    sigma_max: float
-    sigma_min: float
-    surjective: bool
-
-
-class FactorCache:
-    """Factorizations of AffineSet operators, keyed on the operator's shape
-    and bytes, so equal operators share one SVD whatever array holds them.
-
-    Holds at most ``entries`` float64 entries (see FACTOR_CACHE_ENTRIES for
-    what an operator is charged) and evicts the oldest operators first. An
-    operator charged more than the whole bound is factored and not kept,
-    without computing its key.
-    """
-
-    def __init__(self, entries: int = FACTOR_CACHE_ENTRIES):
-        self.entries = entries
-        self._store: dict[tuple, _Factors] = {}
-        self._held = 0
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _charge(op: np.ndarray) -> int:
-        return 2 * op.size + 64
-
-    def factors(self, op: np.ndarray) -> _Factors:
-        """The factors of a validated float64 operator, from the store or
-        from one SVD."""
-        cost = self._charge(op)
-        if cost > self.entries:
-            return _factor(op)
-        key = (op.shape, op.tobytes())
-        found = self._store.get(key)
-        if found is None:
-            found = _factor(op)
-            with self._lock:
-                if key not in self._store:
-                    while self._held + cost > self.entries:
-                        # a right inverse has its operator's size
-                        oldest = self._store.pop(next(iter(self._store)))
-                        self._held -= self._charge(oldest.right_inverse)
-                    self._store[key] = found
-                    self._held += cost
-        return found
-
-
-def _factor(op: np.ndarray) -> _Factors:
+def _factor(op: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
+    """What an AffineSet keeps of its operator's SVD: the read-only right
+    inverse, sigma_max, sigma_min and the surjectivity verdict."""
     fac = svd(op)
     right_inverse = fac.right_inverse()
     right_inverse.flags.writeable = False
-    return _Factors(right_inverse, float(fac.s[0]), fac.sigma_min, fac.surjective)
+    return right_inverse, float(fac.s[0]), fac.sigma_min, fac.surjective
 
 
-# The one cache every AffineSet construction reads.
-_factor_cache = FactorCache()
+@lru_cache(maxsize=512)
+def _cached_factors(shape: tuple[int, int], data: bytes):
+    """``_factor`` of the operator with this shape and C-order bytes."""
+    return _factor(np.frombuffer(data).reshape(shape))
 
 
 class AffineSet(ConvexSet):
@@ -124,22 +75,25 @@ class AffineSet(ConvexSet):
     ``surjective`` verdict; the anchor is P @ rhs and the projection is
     x - P @ (op @ x - rhs).
 
-    Construction looks these four up in a process-wide ``FactorCache``
-    keyed on op's shape and bytes, so ``AffineSet(M, w)`` called for many
+    Construction looks these four up in a process-wide LRU cache keyed on
+    op's shape and C-order bytes, so ``AffineSet(M, w)`` called for many
     ``w`` factors M once per process, and an operator changed in place gets
-    a fresh factorization. The cache holds at most FACTOR_CACHE_ENTRIES
-    float64 entries; a larger operator (a fine collocation mesh) is
-    factored on every construction, so hold one fibre of it and call
-    ``shifted``, which moves the right-hand side without hashing or
-    factoring op. The consistency check of the right-hand side runs on
-    every construction and every shift.
+    a fresh factorization. Only operators of at most CACHED_OP_ENTRIES
+    entries are cached; a larger one (a fine collocation mesh) is factored
+    on every construction, so hold one fibre of it and call ``shifted``,
+    which moves the right-hand side without factoring op. The consistency
+    check of the right-hand side runs on every construction and every shift.
     """
 
     def __init__(self, op, rhs):
         self.op = as_matrix(op)
         self.dim = self.op.shape[1]
+        if self.op.size <= CACHED_OP_ENTRIES:
+            factors = _cached_factors(self.op.shape, self.op.tobytes())
+        else:
+            factors = _factor(self.op)
         (self.right_inverse, self.sigma_max, self.sigma_min,
-         self.surjective) = _factor_cache.factors(self.op)
+         self.surjective) = factors
         self._set_rhs(rhs)
 
     def shifted(self, rhs) -> AffineSet:

@@ -15,7 +15,9 @@ in bulk. Every block is drawn in full, so an estimate is the max over a
 prefix of one stream: for a fixed seed it is nondecreasing in the sample
 budget (to the bit when the map's stacked columns have the bits of each
 point alone, as every map the library builds does), and on linear oracles
-it approaches the operator norm.
+it approaches the operator norm, but only up to cancellation noise in the
+quotients whose gaps sit near the gap floor: for d = 1 an estimate can
+exceed ||A|| by about 5e-8 relative.
 
 Every map the samplers evaluate keeps one stacked-oracle contract: a point
 (d,) gives (m,), and k points as the columns of a (d, k) array give (m, k),
@@ -660,6 +662,8 @@ def sampled_reg(mapping: SampledMapping, grid=11) -> ModulusEstimate:
 def _check_kappa(kappa: float):
     if not kappa > 0:
         raise ContractError(f"kappa must be positive, got {kappa}")
+    if not np.isfinite(kappa):
+        raise ContractError(f"kappa must be finite, got {kappa}")
 
 
 def regularity_report(estimate: ModulusEstimate, kappa: float) -> CheckReport:

@@ -248,7 +248,12 @@ def _parse_constants(payload, path: str) -> dict:
     for key in payload:
         if key not in ("kappa", "lambda", "alpha"):
             _fail(f"{path}.{key}", "unknown constant; use kappa, lambda, alpha")
-        out[key] = _number(payload[key], f"{path}.{key}")
+        value = _number(payload[key], f"{path}.{key}")
+        if key == "lambda" and value < 0:
+            _fail(f"{path}.{key}", f"must be >= 0, got {value}")
+        if key != "lambda" and value <= 0:
+            _fail(f"{path}.{key}", f"must be positive, got {value}")
+        out[key] = value
     return out
 
 

@@ -50,6 +50,10 @@ class IterationConfig:
     max_iter: int = 200
 
     def __post_init__(self):
+        for name, value in (("kappa", self.kappa), ("lambda", self.lam),
+                            ("alpha", self.alpha), ("tol", self.tol)):
+            if not np.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
         if not self.kappa > 0:
             raise ContractError(f"kappa must be positive, got {self.kappa}")
         if self.lam < 0:

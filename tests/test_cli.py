@@ -10,6 +10,7 @@ from regsel.cli import main
 from regsel.moduli import CSV_HEADER
 
 BOX_JSON = {"type": "box", "lower": [-1.0], "upper": [1.0]}
+COMMITTED = Path(__file__).resolve().parents[1] / "scripts" / "problems"
 
 FIXTURES = {
     "ident.json": {"version": "1", "kind": "linear", "matrix": [[1.0]]},
@@ -176,6 +177,50 @@ def test_nonpositive_kappa_is_refused_before_the_scan(capsys, fdir, monkeypatch,
     assert out == ""
     assert err == (f"regsel: contract violation: kappa must be positive, "
                    f"got {float(kappa)}\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("solve", "generalized.json", "--target", "0.1", "--tol", "inf"), "tol"),
+    (("sweep", "generalized.json", "--target", "0.15", "--grid", "5",
+      "--tol", "inf"), "tol"),
+    (("verify", "linear.json", "--kappa", "inf"), "kappa"),
+])
+def test_non_finite_tol_or_kappa_is_refused(capsys, argv, name):
+    command, file, *flags = argv
+    code, out, err = run(capsys, command, "--input", str(COMMITTED / file),
+                         *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"regsel: contract violation: {name} must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--target", "0.1"), ("sweep", "--target", "0.15", "--grid", "5"),
+    ("verify",), ("moduli",)])
+def test_a_negative_file_lambda_is_refused_by_every_command(capsys, tmp_path,
+                                                            argv):
+    payload = json.loads((COMMITTED / "generalized.json").read_text())
+    payload["constants"]["lambda"] = -0.36
+    path = tmp_path / "generalized.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "$.constants.lambda: must be >= 0, got -0.36" in err
+
+
+def test_verify_judges_a_file_lambda_of_zero_as_given(capsys, tmp_path):
+    # solve fails with this file's lambda; verify must not pass it by
+    # checking another one
+    payload = json.loads((COMMITTED / "generalized.json").read_text())
+    payload["constants"]["lambda"] = 0.0
+    path = tmp_path / "generalized.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("regsel: contract violation: lambda: sampled lip 0.3 is "
+                   "not below lam 0\n")
 
 
 def test_bad_target_vector(capsys, fdir):

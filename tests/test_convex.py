@@ -1,5 +1,6 @@
 import sys
 import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -181,11 +182,6 @@ def test_shifted_fibre_rejects_inconsistent_rhs():
 # factorization cache
 
 
-def _build(cache, monkeypatch, op, rhs):
-    monkeypatch.setattr(convex, "_factor_cache", cache)
-    return AffineSet(op, rhs)
-
-
 def _count_svds(monkeypatch):
     calls = []
     svd_np = np.linalg.svd
@@ -203,20 +199,23 @@ def _count_svds(monkeypatch):
     ([[2.0, 0.3], [-0.7, 1.5]], [0.2, 0.9]),  # square
     ([[1.0, 0.0, 2.0], [2.0, 0.0, 4.0]], [0.7, 1.4]),  # rank one
 ])
-def test_cached_factors_equal_a_fresh_factorization(monkeypatch, op, rhs):
-    # entries=0 keeps nothing: every build factors, as without a cache
-    fresh = _build(convex.FactorCache(entries=0), monkeypatch, op, rhs)
-    cache = convex.FactorCache()
+def test_cached_factors_equal_a_fresh_factorization(cold_factor_cache, monkeypatch,
+                                                   op, rhs):
+    want = convex._factor(np.array(op))
     calls = _count_svds(monkeypatch)
-    cold = _build(cache, monkeypatch, op, rhs)
-    warm = _build(cache, monkeypatch, np.array(op), np.zeros(len(rhs))).shifted(rhs)
+    cold = AffineSet(op, rhs)
+    warm = AffineSet(np.array(op), np.zeros(len(rhs))).shifted(rhs)
     assert len(calls) == 1
+    with monkeypatch.context() as m:
+        # a stand-in cache that keeps nothing: a fresh factorization
+        m.setattr(convex, "_cached_factors",
+                  lru_cache(maxsize=0)(cold_factor_cache.__wrapped__))
+        fresh = AffineSet(op, rhs)
     rng = np.random.default_rng(5)
     points = rng.standard_normal((6, len(op[0])))
     for s in (cold, warm):
-        assert s.right_inverse.tobytes() == fresh.right_inverse.tobytes()
-        assert ((s.sigma_max, s.sigma_min, s.surjective)
-                == (fresh.sigma_max, fresh.sigma_min, fresh.surjective))
+        assert s.right_inverse.tobytes() == want[0].tobytes()
+        assert (s.sigma_max, s.sigma_min, s.surjective) == want[1:]
         for x in points:
             assert s.project(x).tobytes() == fresh.project(x).tobytes()
             assert s.distance(x) == fresh.distance(x)
@@ -258,32 +257,56 @@ def test_cached_right_inverse_is_read_only(cold_factor_cache):
     assert again.right_inverse.tobytes() == want.tobytes()
 
 
-def test_operator_over_the_bound_is_factored_every_time(monkeypatch):
-    op = np.arange(1.0, 7.0).reshape(2, 3)
-    charge = 2 * op.size + 64
-    kept = _build(convex.FactorCache(entries=charge), monkeypatch, op, [0.0, 0.0])
-    cache = convex.FactorCache(entries=charge - 1)
+def test_operator_over_the_bound_is_factored_every_time(cold_factor_cache,
+                                                      monkeypatch):
+    bound = convex.CACHED_OP_ENTRIES
+    over = np.arange(1.0, bound + 2.0).reshape(5, 13)
+    at = np.arange(1.0, bound + 1.0).reshape(4, 16)
+    assert over.size == bound + 1 and at.size == bound
+    want = convex._factor(over)[0].tobytes()
     calls = _count_svds(monkeypatch)
-    sets = [_build(cache, monkeypatch, op, [0.0, 0.0]) for _ in range(3)]
+    sets = [AffineSet(over, np.zeros(5)) for _ in range(3)]
     assert len(calls) == 3
-    assert cache._store == {} and cache._held == 0
-    assert all(s.right_inverse.tobytes() == kept.right_inverse.tobytes() for s in sets)
-    # at the default bound, a mesh-128 collocation operator is not kept
-    assert 2 * 258 * 384 + 64 > convex.FACTOR_CACHE_ENTRIES
+    assert cold_factor_cache.cache_info().currsize == 0
+    assert all(s.right_inverse.tobytes() == want for s in sets)
+    # an operator at the bound is held
+    for _ in range(3):
+        AffineSet(at, np.zeros(4))
+    assert len(calls) == 4
+    assert cold_factor_cache.cache_info().currsize == 1
+    # a mesh-128 collocation operator is over the bound
+    assert 258 * 384 > bound
 
 
-def test_cache_evicts_its_oldest_operator_first(monkeypatch):
-    ops = [[[1.0, float(k)]] for k in range(3)]
-    charge = 2 * 2 + 64
-    cache = convex.FactorCache(entries=2 * charge)
-    for op in ops:
-        _build(cache, monkeypatch, op, [1.0])
-    assert [key[1] for key in cache._store] == [np.array(op).tobytes() for op in ops[1:]]
-    assert cache._held == 2 * charge
+def test_cache_evicts_its_least_recently_used_operator(cold_factor_cache,
+                                                       monkeypatch):
+    held = cold_factor_cache.cache_info().maxsize
+    ops = [[[1.0, float(k)]] for k in range(held + 1)]
+    for op in ops[:held]:
+        AffineSet(op, [1.0])
+    AffineSet(ops[0], [0.0])  # the first operator is used again
     calls = _count_svds(monkeypatch)
-    _build(cache, monkeypatch, ops[2], [0.0])
-    _build(cache, monkeypatch, ops[0], [0.0])
+    AffineSet(ops[held], [0.0])  # full: evicts ops[1], not ops[0]
+    AffineSet(ops[0], [0.0])
     assert calls == [(1, 2)]
+    AffineSet(ops[1], [0.0])
+    assert calls == [(1, 2)] * 2
+    assert cold_factor_cache.cache_info().currsize == held
+
+
+def test_cache_factors_each_operator_of_round_robin_traffic_once(
+        cold_factor_cache, monkeypatch):
+    # the benchmark's solve traffic: a few dozen small operators, each
+    # rebuilt for every query
+    rng = np.random.default_rng(3)
+    ops = [rng.standard_normal((3, 5)) for _ in range(64)]
+    calls = _count_svds(monkeypatch)
+    for _ in range(3):
+        for op in ops:
+            AffineSet(op, np.zeros(3))
+    assert len(calls) == 64
+    info = cold_factor_cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (64, 128, 64)
 
 
 def test_inconsistent_rhs_raises_on_a_cache_hit(cold_factor_cache, monkeypatch):
@@ -295,19 +318,17 @@ def test_inconsistent_rhs_raises_on_a_cache_hit(cold_factor_cache, monkeypatch):
     assert calls == []
 
 
-def test_cache_keeps_its_count_under_threads(monkeypatch):
-    # more threads than cores, a short switch interval and a bound that
-    # holds five of the twelve operators, so inserts and evictions race
+def test_cache_keeps_its_count_under_threads(cold_factor_cache):
+    # more threads than cores, a short switch interval and more operators
+    # than the cache holds, so inserts and evictions race
+    held = cold_factor_cache.cache_info().maxsize
     rng = np.random.default_rng(11)
-    ops = [rng.standard_normal((2, 3)) for _ in range(12)]
-    want = [svd(op).right_inverse().tobytes() for op in ops]
-    charge = 2 * 6 + 64
-    cache = convex.FactorCache(entries=5 * charge)
-    monkeypatch.setattr(convex, "_factor_cache", cache)
+    ops = [rng.standard_normal((2, 3)) for _ in range(held + 88)]
+    want = [convex._factor(op)[0].tobytes() for op in ops]
     errors = []
 
     def work(seed):
-        order = np.random.default_rng(seed).integers(0, len(ops), size=300)
+        order = np.random.default_rng(seed).integers(0, len(ops), size=400)
         try:
             for k in order:
                 got = AffineSet(ops[k], np.zeros(2)).right_inverse.tobytes()
@@ -328,7 +349,7 @@ def test_cache_keeps_its_count_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert cache._held == charge * len(cache._store) <= cache.entries
+    assert cold_factor_cache.cache_info().currsize <= held
 
 
 def test_box_rejects_crossed_bounds():

@@ -81,6 +81,20 @@ def test_accepts_constant_subset():
     assert set(out.constants) == {"kappa", "lambda", "alpha"}
 
 
+def test_accepts_a_zero_lambda():
+    out = parse_problem(linear_payload(constants={"lambda": 0.0}))
+    assert out.constants == {"lambda": 0.0}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("kappa", 0.0), ("kappa", -1.0), ("alpha", 0.0), ("alpha", -2.0),
+    ("lambda", -0.36)])
+def test_rejects_out_of_range_constant(name, value):
+    with pytest.raises(ProblemFileError,
+                       match=f"\\$\\.constants\\.{name}: must be"):
+        parse_problem(linear_payload(constants={name: value}))
+
+
 # ---------------------------------------------------------------------------
 # per-kind payloads
 

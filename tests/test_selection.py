@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -388,9 +390,11 @@ def test_solve_matches_three_phase_solve_bit_for_bit(shape, seed, t, boxed):
 @pytest.mark.parametrize("boxed", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solve_has_the_same_bits_with_a_cold_and_a_warm_cache(monkeypatch, seed,
-                                                              boxed):
+                                                              boxed,
+                                                              cold_factor_cache):
     # finv builds a new AffineSet of the same matrix on every call, so a
-    # warm cache serves every fibre; entries=0 factors each one afresh
+    # warm cache serves every fibre; a maxsize=0 stand-in factors each one
+    # afresh
     rng = np.random.default_rng([seed, 7])
     rows, cols = (2, 3) if boxed else (3, 5)
     mat = random_surjective(rng, rows, cols, smin=0.3, smax=3.0)
@@ -413,14 +417,16 @@ def test_solve_has_the_same_bits_with_a_cold_and_a_warm_cache(monkeypatch, seed,
     u = rng.standard_normal(rows)
     y = g(np.zeros(cols)) + 0.8 * tau * u / np.linalg.norm(u)
     results = []
-    for cache in (convex.FactorCache(entries=0), convex.FactorCache(), None):
-        if cache is not None:  # None: solve again on the now warm cache
-            monkeypatch.setattr(convex, "_factor_cache", cache)
+    uncached = lru_cache(maxsize=0)(cold_factor_cache.__wrapped__)
+    # the stand-in, then the real cache cold, then warm
+    for factors in (uncached, cold_factor_cache, cold_factor_cache):
+        monkeypatch.setattr(convex, "_cached_factors", factors)
         p = GeneralizedEquation(finv=finv, g=g, x_base=np.zeros(cols),
                                 y_base=np.zeros(rows), radius_x=1.0,
                                 radius_y=1.0, radius_graph=4.0)
         results.append(solve(p, cfg, y))
-    assert convex._factor_cache._store
+    info = cold_factor_cache.cache_info()
+    assert info.currsize == 1 and info.hits > 0
     (x_ref, cert_ref) = results[0]
     assert cert_ref.iterate_count >= 3
     for x, cert in results[1:]:
