@@ -18,7 +18,7 @@ max_i |u_i| for controls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,8 +90,6 @@ class ControlProblem:
         if probe.size != self.state_dim:
             raise ShapeError(
                 f"dynamics returned dimension {probe.size}, expected {self.state_dim}")
-        if not np.all(np.isfinite(probe)):
-            raise ContractError("dynamics oracle not finite at the origin")
         if float(np.max(np.abs(probe))) > 1e-12:
             raise ContractError(
                 f"dynamics must vanish at the rest point, got |f(0,0)| = "
@@ -334,7 +332,9 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
     UncontrollableError. The Lipschitz modulus of the remainder is
     sampled on the ball the correctors of a tau-sized query live in; the
     recorded estimate keeps that radius. The locality radii on the equation
-    are the larger ones required to certify tau.
+    are the larger ones required to certify tau. A schedule whose
+    kappa*lambda reaches 0.9 raises RegularityError; a tol that
+    IterationConfig refuses raises its ContractError.
     """
     if sys is None:
         sys = linearize(problem)
@@ -362,10 +362,12 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
                        radius=1.55 * kappa * tau_target,
                        samples=LIP_SAMPLES, seed=seed)
     try:
-        cfg = default_config(1.0 / smin, lip.value, tol=tol)
+        cfg = default_config(1.0 / smin, lip.value)
     except ContractError as exc:
         raise RegularityError(
             f"constant schedule rejected for the steering problem: {exc}") from exc
+    # a bad tol is an input error, refused by IterationConfig outside the try
+    cfg = replace(cfg, tol=tol)
 
     calm_bound = _transported_calm_bound(sys, fibre.right_inverse, cfg)
     stretch = 1.0 / (1.0 - cfg.contraction)

@@ -42,16 +42,17 @@ Python loop per test value:
   points, reduced per fibre by np.minimum.reduceat. A fibre equal to the
   one before it reuses its distances. The metric-regularity ratio divides
   them by d(y, F(x)); the Aubin excess gathers them at the members of
-  every source fibre and takes each fibre's worst with np.maximum.reduceat.
+  every source fibre and divides each fibre's worst (np.maximum.reduceat)
+  by the gaps ||y_a - y_b||, which form one more table.
 * No table holds more than TABLE_ENTRIES float64 entries unless a single
   row is wider; blocks of test values and fibre members are cut to fit, so
   the tables do not grow with the grid.
 
-_distances adds squared coordinate differences in coordinate order, which
-below 8 coordinates is numpy's own summation order, and min and max are
-exact. Every ratio, verdict and witness is therefore that of a scan of one
-test value at a time, ties included: the first pair in test-value order
-attaining the worst ratio, with the first grid point that attains it.
+Every table, gaps too, comes from _distances: it adds squared differences
+in coordinate order, below 8 coordinates numpy's own summation order, and
+min and max are exact. Every ratio, verdict and witness is thus that of a
+scan of one test value at a time, ties included: the first pair in
+test-value order attaining the worst ratio, with the first grid point.
 
 Distances within a ball reach its diameter, so every sampler refuses a
 radius whose diameter has no finite float64 square: beyond it the norm of a
@@ -585,8 +586,7 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
     n_test, dim = y_test.shape
     width = 0
-    excess = kappa is not None
-    if excess:
+    if kappa is not None:
         # fib(y_a) is members[bounds[a]:bounds[a + 1]]
         packed = bytearray()
         sizes = np.empty(n_test, dtype=np.intp)
@@ -595,9 +595,9 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
             sizes[rows] = in_fibre.sum(axis=1)
         members = np.frombuffer(packed, dtype=np.intp)
         bounds = np.concatenate([[0], np.cumsum(sizes)])
+        # n_test * dim, not n_test: a block's tables live at once, and cut at
+        # n_test, grid 101 of linear.json peaks past the 2 MB memory test
         width = max(members.size, n_test * dim)
-        # an empty fibre ends the scan at the guard below, before any excess
-        excess = bool(sizes.all())
         ok, a_worst, a_witness, a_src = True, 0.0, (), n_test
     worst = 0.0
     witness = ()
@@ -611,15 +611,6 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
             dist = np.concatenate([last[None], dist])
         d_x_fib = dist[np.cumsum(new) - new[0]]
         last = d_x_fib[-1].copy()
-        empty = ~in_fibre.any(axis=1)
-        if empty.any():
-            # y came from the graph, so only a NaN among a point's values can
-            # leave its fibre empty; guard anyway.
-            r = int(np.argmax(empty))
-            d = d_y_fx[r]
-            j = int(np.argmin(np.where(np.isfinite(d) & (d > 0), d, np.inf)))
-            inf, w = float("inf"), (pts[j], ys[r])
-            return (inf, w), None if kappa is None else (False, inf, w)
         # d(y, F(x)) = 0 puts x in the fibre, at distance 0 from it, so a
         # zero denominator never meets a positive numerator: its ratio is
         # d(x, fib(y)) / inf = 0.
@@ -629,13 +620,12 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
         if value > worst:
             worst = value
             witness = (pts[j], ys[r])
-        if not excess:
+        if kappa is None:
             continue
         far = d_x_fib[:, members]
         if members.size > n_test:  # some fibre has several members
             far = np.maximum.reduceat(far, bounds[:-1], axis=1)
-        gap = row_norms((y_test - ys[:, None, :]).reshape(-1, dim))
-        gap = gap.reshape(far.shape)
+        gap = _distances(ys, y_test)
         # gap 0 only at y_b itself: the test values are distinct
         valid = gap > 0.0
         ratios = np.divide(far, gap, out=np.full(gap.shape, -np.inf),
@@ -649,7 +639,7 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
         if ok and np.any(valid & (far > kappa * gap * (1.0 + CHECK_RTOL)
                                   + CHECK_ATOL)):
             ok = False
-    return (worst, witness), (ok, a_worst, a_witness) if excess else None
+    return (worst, witness), None if kappa is None else (ok, a_worst, a_witness)
 
 
 def sampled_reg(mapping: SampledMapping, grid=11) -> ModulusEstimate:
@@ -724,8 +714,8 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     Ties resolve as in a scan of the pairs (y', y) in the order of the test
     values: the witness (x, y', y) is the first pair attaining the worst
     ratio, with the first x of its source fibre attaining it. Gaps
-    ||y' - y|| go through the dot kernel of np.linalg.norm, so ratios and
-    witnesses are those of that pair scan bit for bit.
+    ||y' - y|| have the bits of _distances, as all distances of the scan, so
+    ratios and witnesses are those of that pair scan bit for bit.
     """
     return verify_graph(mapping, kappa, grid)[1]
 

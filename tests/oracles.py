@@ -21,7 +21,7 @@ import numpy as np
 from regsel.control import ControlProblem
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
                            RegularityError)
-from regsel.linalg import as_matrix, as_vector, operator_norm, row_norms, svd
+from regsel.linalg import as_matrix, as_vector, operator_norm, svd
 from regsel.moduli import CHECK_ATOL, CHECK_RTOL
 from regsel.selection import (GeneralizedEquation, IterationCertificate,
                               IterationConfig, _project_truncated, compute_tau)
@@ -485,7 +485,8 @@ def aubin_fibre_loop(pts, gy, gx_idx, y_test, kappa: float):
             j = np.argmax(d_to, axis=0)
             d_far = d_to.max(axis=0)
             prev_idx = idx
-        gap_y = row_norms(y_from - y_test)
+        # coordinate order, as the scan adds: the two agree bit for bit
+        gap_y = distances_3d(y_from[None], y_test)[0]
         # gap 0 only at y' itself: the test values are distinct
         valid = gap_y > 0.0
         ratios = np.divide(d_far, gap_y, out=np.full(gap_y.shape, -np.inf),

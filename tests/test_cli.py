@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -513,6 +514,18 @@ def test_control_rank_deficient_exits_5_at_the_gate(capsys, fdir):
     assert err.startswith("regsel: uncontrollable: Kalman rank 1 < 2")
 
 
+@pytest.mark.parametrize("grid", [(), ("--grid", "3")], ids=["single", "grid"])
+@pytest.mark.parametrize("tol", ["inf", "0", "-1"])
+def test_control_bad_tol_is_an_input_error(capsys, tol, grid):
+    # a tol the iteration refuses is bad input, not a rejected schedule
+    code, out, err = run(capsys, "control", "--input",
+                         str(COMMITTED / "double_integrator.json"),
+                         "--target", "0.05,0", "--tol", tol, *grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("regsel: contract violation: tol must be ")
+
+
 def test_control_rejects_non_control_file(capsys, fdir):
     code, _, err = run(capsys, "control", "--input", str(fdir / "diag.json"),
                        "--target", "0.1,0.1")
@@ -765,6 +778,93 @@ def test_runs_are_byte_identical(capsys, fdir):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# branches the tests above do not run, pinned to their stdout bytes
+
+GATE_LINES = {
+    "double_integrator.json": "kalman_rank,2\nkalman_controllable,true\n"
+                              "reachable_interior,true\n"
+                              "interior_margin,0.22174417432849799\n",
+    "pendulum.json": "kalman_rank,2\nkalman_controllable,true\n"
+                     "reachable_interior,true\n"
+                     "interior_margin,0.24500114428413344\n",
+}
+
+PINNED_BRANCHES = {
+    # an Intersection fibre; the target lies inside the box [-1, 0.1]
+    "solve-boxed": (
+        ("solve", "boxed.json", "--target", "0.05"), 0,
+        "x,0.031250000008760298\nkappa,1\nlambda,0.35999999999999999\n"
+        "alpha,1.8\ntau,0.17599999999999999\niterations,14\n"
+        "residual,1.0781904215593731e-11\ntail_bound,1.327317162430619e-10\n"
+        "calm_ok,true\n"),
+    # no constants in the file: the default schedule fills them in
+    "solve-default-schedule": (
+        ("solve", "unscheduled.json", "--target", "0.1"), 0,
+        "x,0.062500000017520596\nkappa,0.84615384615384615\n"
+        "lambda,0.36000000000304833\nalpha,1.8119658119540516\n"
+        "tau,0.20545454545378336\niterations,14\n"
+        "residual,2.1563808431187461e-11\ntail_bound,2.6875235996924966e-10\n"
+        "calm_ok,true\n"),
+    "control-grid-1": (
+        ("control", "double_integrator.json", "--target", "0.05,0",
+         "--grid", "1"), 0,
+        GATE_LINES["double_integrator.json"]
+        + "index,status,b1,b2,endpoint_error,calm_ratio\n"
+        "0,ok,0.050000000000000003,0,7.0997481469891062e-30,12.093184442612245\n"
+        "tau,0.066299999999999998\ncalm_bound,48.097599928805373\n"
+        "max_calm_ratio,12.093184442612245\nmax_continuity_ratio,0\n"),
+    # a schedule rejected at mesh 8 exits 4 on both paths
+    "control-mesh-8": (
+        ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8"), 4,
+        GATE_LINES["pendulum.json"]
+        + "error,constant schedule rejected for the steering problem: "
+        "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
+    "control-mesh-8-grid": (
+        ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8",
+         "--grid", "3"), 4,
+        GATE_LINES["pendulum.json"]
+        + "error,constant schedule rejected for the steering problem: "
+        "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def generalized_variants(tmp_path_factory):
+    """Copies of generalized.json with a box [-1, 0.1] constraint
+    (boxed.json) and without its constants (unscheduled.json)."""
+    root = tmp_path_factory.mktemp("variants")
+    payload = json.loads((COMMITTED / "generalized.json").read_text())
+    boxed = {**payload,
+             "constraint": {"type": "box", "lower": [-1.0], "upper": [0.1]}}
+    (root / "boxed.json").write_text(json.dumps(boxed))
+    unscheduled = {k: v for k, v in payload.items() if k != "constants"}
+    (root / "unscheduled.json").write_text(json.dumps(unscheduled))
+    return root
+
+
+@pytest.mark.parametrize("name", PINNED_BRANCHES)
+def test_cli_branches_keep_their_stdout(capsys, generalized_variants, name):
+    (command, file, *flags), code, stdout = PINNED_BRANCHES[name]
+    where = COMMITTED if (COMMITTED / file).exists() else generalized_variants
+    got = run(capsys, command, "--input", str(where / file), *flags)
+    assert got[:2] == (code, stdout)
+
+
+def test_moduli_on_a_control_file_keeps_its_stdout(capsys):
+    # the collocation operator and remainder of pendulum.json at mesh 64;
+    # each witness row holds 192 coordinates, so the bytes are pinned by hash
+    code, out, _ = run(capsys, "moduli", "--input",
+                       str(COMMITTED / "pendulum.json"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == [CSV_HEADER, "reg,5.2530006167207866,,,0,,"]
+    assert lines[2].startswith("lip,0.32009077419213083,0.5,3000,0,,")
+    assert lines[3].startswith("clm,0.32009077419213083,0.5,3000,0,,")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b44eaecc2a7dc3faf7ef4f56daaa48a9195d4fb0eb0dd4798281d1aa43384866")
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,14 @@ def test_problem_rejects_wrong_dynamics_dimension():
                        state_dim=2, control_dim=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_dynamics_at_the_origin(bad):
+    with pytest.raises(ShapeError, match="non-finite") as info:
+        ControlProblem(dynamics=lambda x, u: x + bad, control_set=UNIT_BOX,
+                       state_dim=1, control_dim=1)
+    assert info.value.field == "dynamics"
+
+
 @pytest.mark.parametrize("dynamics,fault", [
     (lambda x, u: np.array([float(x[1]), float(u[0])]), "raised TypeError"),
     # a fixed-length vector broadcasts against one point only
@@ -245,6 +253,14 @@ def test_kalman_controllable_implies_interior():
 def test_steering_setup_refuses_a_negative_seed():
     with pytest.raises(ContractError, match="seed must be nonnegative, got -1"):
         steering_setup(double_integrator(), seed=-1)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), 0.0, -1.0])
+def test_steering_setup_refuses_a_bad_tol_as_a_contract_error(tol):
+    # the tol rule is IterationConfig's; only a rejected schedule is a
+    # RegularityError
+    with pytest.raises(ContractError, match="tol must be"):
+        steering_setup(double_integrator(), tol=tol)
 
 
 def test_steering_setup_double_integrator():

@@ -21,7 +21,7 @@ from regsel.moduli import (CSV_HEADER, LSC_FLOOR, CheckReport,
                            lg_bound_check, lip_estimate, lsc_probe,
                            reg_linear, regularity_report, sampled_reg,
                            truncated_counterexample, verify_aubin,
-                           verify_metric_regularity)
+                           verify_graph, verify_metric_regularity)
 from regsel.problems import load_problem
 from regsel.smooth import SmoothProblem
 from test_acceptance import criterion_09_cases
@@ -778,6 +778,48 @@ def test_scans_match_loops_on_uneven_maps(forward, grid, kappa):
     mapping = SampledMapping(forward=forward, x_base=np.zeros(2),
                              y_base=np.zeros(1), radius_x=1.0, radius_y=1.0)
     assert_scans_match_loops(mapping, kappa, grid)
+
+
+def test_aubin_gaps_take_the_bits_of_the_distance_kernel():
+    # on this map the worst pair's gap ||y_a - y_b|| differs in its last bit
+    # between the dot kernel (row_norms) and the coordinate-order sum of
+    # _distances; the scan and the fibre loop both take the latter
+    mat = np.random.default_rng(57).standard_normal((2, 2))
+    mapping = SampledMapping(forward=lambda x: mat @ x, x_base=np.zeros(2),
+                             y_base=np.zeros(2), radius_x=1.0,
+                             radius_y=2.0 * np.linalg.norm(mat, 2))
+    _, y_from, y_to = verify_aubin(mapping, 1.0, grid=7).witness
+    gap = distances_3d(y_from[None], y_to[None])[0, 0]
+    assert gap != row_norms((y_from - y_to)[None])[0]
+    assert_scans_match_loops(mapping, 1.0, grid=7)
+    assert_aubin_matches_pair_scan(mapping, 1.0, grid=7)
+
+
+@pytest.mark.parametrize("form", ["vector", "stacked"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check", [
+    lambda m: sampled_reg(m, grid=5),
+    lambda m: verify_metric_regularity(m, 1.0, grid=5),
+    lambda m: verify_aubin(m, 1.0, grid=5),
+    lambda m: verify_graph(m, 1.0, grid=5)],
+    ids=["sampled_reg", "metric-regularity", "aubin", "graph"])
+def test_a_non_finite_value_off_the_base_is_refused_before_any_scan(
+        monkeypatch, check, bad, form):
+    # every test value is a graph value, so its fibre holds the point it came
+    # from; the sampled graph refuses the one value that could break that
+    def forward(x):
+        if x[0] < 0.4:
+            return 2.0 * x
+        return np.array([bad]) if form == "vector" else np.array([2.0 * x, [bad]])
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the graph was scanned")
+
+    monkeypatch.setattr(moduli, "_fibre_blocks", no_scan)
+    mapping = SampledMapping(forward=forward, x_base=[0.0], y_base=[0.0],
+                             radius_x=0.5, radius_y=1.0)
+    with pytest.raises(ShapeError, match="non-finite"):
+        check(mapping)
 
 
 @pytest.mark.parametrize("dim", range(1, 8))
