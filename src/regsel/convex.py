@@ -7,7 +7,8 @@ Boxes and halfspace systems, the two kinds of control set, also answer
 ``support`` for the steering application's interior test, taking
 directions as rows, and ``violation``, their membership rule. Projections
 onto intersections run Dykstra's alternating scheme, which converges to
-the metric projection for closed convex members.
+the metric projection for closed convex members, after an exact exit: an
+affine fibre met with an inactive constraint costs one projection.
 """
 
 from __future__ import annotations
@@ -321,6 +322,13 @@ class Intersection(ConvexSet):
 def dykstra(sets, start) -> np.ndarray:
     """Dykstra's alternating projections onto an intersection.
 
+    The first projection, onto the first member, is an exact exit: if it
+    lies in every other member (each ``distance`` exactly 0.0), it is a
+    point of the intersection nearest to ``start`` among the points of a
+    superset, so the metric projection onto the intersection, and is
+    returned. Membership must be exact: a point 1e-12 outside a box runs
+    the rounds below, whose first step reuses that projection.
+
     Stops when one full round moves the iterate by <= DYKSTRA_TOL AND the
     iterate is feasible; displacement alone is not enough, because the
     scheme can sit on a transient plateau while the correction terms still
@@ -330,12 +338,16 @@ def dykstra(sets, start) -> np.ndarray:
     intersections, where the displacement vanishes but the gap stays put).
     """
     x = np.array(start, dtype=float)
+    first = sets[0].project(x)
+    if all(s.distance(first) == 0.0 for s in sets[1:]):
+        return first
     corrections = [np.zeros_like(x) for _ in sets]
     gap_tol = max(1e-9, 10.0 * DYKSTRA_TOL)
     for _ in range(DYKSTRA_MAX_ROUNDS):
         x_prev = x.copy()
         for i, s in enumerate(sets):
-            y = s.project(x + corrections[i])
+            y = s.project(x + corrections[i]) if first is None else first
+            first = None
             corrections[i] = x + corrections[i] - y
             x = y
         if norm(x - x_prev) <= DYKSTRA_TOL:

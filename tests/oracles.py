@@ -4,6 +4,8 @@ Most of what is here deliberately avoids the package's own SVD/projection
 code paths: singular values come from one-sided Jacobi rotations,
 projections onto affine sets from the KKT normal equations, operator norms
 from power iteration. Tests compare package output against these.
+``dykstra_loop`` is the package's Dykstra scheme without its exact exit,
+the reference for what that exit may change.
 
 The last sections hold checkers that run the package itself and that only
 tests call: the trapezoidal integrator and its mesh-doubling order check,
@@ -18,10 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from regsel import convex
 from regsel.control import ControlProblem
-from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
-                           RegularityError)
-from regsel.linalg import as_matrix, as_vector, operator_norm, svd
+from regsel.errors import (ContractError, InfeasibilitySuspectedError,
+                           LocalityError, NumericBreakdownError, RegularityError)
+from regsel.linalg import as_matrix, as_vector, norm, operator_norm, svd
 from regsel.moduli import CHECK_ATOL, CHECK_RTOL
 from regsel.selection import (GeneralizedEquation, IterationCertificate,
                               IterationConfig, _project_truncated, compute_tau)
@@ -84,6 +87,30 @@ def kkt_affine_project(op, rhs, x) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     mult = np.linalg.solve(op @ op.T, op @ x - rhs)
     return x - op.T @ mult
+
+
+def dykstra_loop(sets, start) -> np.ndarray:
+    """Dykstra's alternating projections with every round run: the package's
+    ``convex.dykstra`` without its one-projection exit. The tolerance and
+    the round budget are read from ``regsel.convex`` at call time, so a
+    test that patches them patches both."""
+    x = np.array(start, dtype=float)
+    corrections = [np.zeros_like(x) for _ in sets]
+    gap_tol = max(1e-9, 10.0 * convex.DYKSTRA_TOL)
+    for _ in range(convex.DYKSTRA_MAX_ROUNDS):
+        x_prev = x.copy()
+        for i, s in enumerate(sets):
+            y = s.project(x + corrections[i])
+            corrections[i] = x + corrections[i] - y
+            x = y
+        if norm(x - x_prev) <= convex.DYKSTRA_TOL:
+            gap = max(s.distance(x) for s in sets)
+            if gap <= gap_tol:
+                return x
+    gap = max(s.distance(x) for s in sets)
+    raise InfeasibilitySuspectedError(
+        f"alternating projections did not settle in {convex.DYKSTRA_MAX_ROUNDS} "
+        f"rounds (gap {gap:.3e}); the intersection may be empty", gap=gap)
 
 
 def pinv_apply(a, rhs) -> np.ndarray:

@@ -4,15 +4,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from oracles import kkt_affine_project
+from oracles import dykstra_loop, kkt_affine_project
 from regsel import convex
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, set_from_json)
-from regsel.errors import ContractError, ShapeError
+from regsel.errors import ContractError, InfeasibilitySuspectedError, ShapeError
 from regsel.linalg import svd
 
 
@@ -455,6 +455,123 @@ def test_dykstra_finds_metric_projection_not_just_feasibility():
     np.testing.assert_allclose(got, [0.5, 1.5], atol=1e-8)
     got_rev = dykstra(members[::-1], x)
     np.testing.assert_allclose(got_rev, [0.5, 1.5], atol=1e-8)
+
+
+class CountingMember(convex.ConvexSet):
+    """A member whose projections dykstra makes are counted; ``distance``
+    goes to the wrapped set untouched (a general Halfspaces system answers
+    it with a projection of its own, a membership test and not a step)."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.calls = inner, inner.dim, 0
+
+    def project(self, x):
+        self.calls += 1
+        return self.inner.project(x)
+
+    def distance(self, x):
+        return self.inner.distance(x)
+
+
+def affine_case(seed):
+    """A 2x4 fibre, a start off it and the start's projection onto it."""
+    rng = np.random.default_rng(seed)
+    fibre = AffineSet(rng.standard_normal((2, 4)), rng.standard_normal(2))
+    start = 3.0 * rng.standard_normal(4)
+    return fibre, start, fibre.project(start), rng
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "halfspaces"])
+@pytest.mark.parametrize("seed", range(5))
+def test_an_inactive_constraint_costs_one_projection(kind, seed):
+    fibre, start, proj, rng = affine_case(seed)
+    normals = rng.standard_normal((3, 4))
+    constraint = {"box": Box(proj - 1.0, proj + 1.0),
+                  "ball": Ball(proj + 0.1, 1.0),
+                  "halfspaces": Halfspaces(normals, normals @ proj + 0.5)}[kind]
+    members = [CountingMember(fibre), CountingMember(constraint)]
+    got = dykstra(members, start)
+    assert [m.calls for m in members] == [1, 0]
+    assert got.tobytes() == proj.tobytes()
+    # The reference's second round adds rounding of the start's size: a
+    # coordinate much smaller than the start can be 32 ulps of itself off
+    # (the box at seed 382); 4 ulps of the start's largest coordinate held
+    # on 1,200 draws of these three cases.
+    ref = dykstra_loop([fibre, constraint], start)
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.max(np.abs(start))))
+
+
+def test_an_active_or_inexact_constraint_runs_the_reference_rounds():
+    fibre, start, proj, _ = affine_case(11)
+    cut = proj + [-0.5, 1.0, 1.0, 1.0]
+    missed = proj.copy()
+    missed[0] -= 1e-12
+    for upper in (cut, missed):
+        # the box cuts the fibre's nearest point off, by 0.5 or by 1e-12
+        box = Box(proj - 1.0, upper)
+        members = [CountingMember(fibre), CountingMember(box)]
+        got = dykstra(members, start)
+        assert got.tobytes() == dykstra_loop([fibre, box], start).tobytes()
+        assert members[0].calls == members[1].calls > 1
+        assert got[0] <= upper[0] < proj[0]
+    # a start already in the intersection
+    box = Box(proj - 1.0, proj + 1.0)
+    assert dykstra([fibre, box], proj).tobytes() == \
+        dykstra_loop([fibre, box], proj).tobytes()
+
+
+def test_disjoint_members_fail_as_the_reference_does(monkeypatch):
+    monkeypatch.setattr(convex, "DYKSTRA_MAX_ROUNDS", 25)
+    members = [AffineSet([[1.0, 1.0]], [5.0]), Box([0.0, 0.0], [1.0, 1.0])]
+    for order in (members, members[::-1]):
+        with pytest.raises(InfeasibilitySuspectedError) as got:
+            dykstra(order, [3.0, -1.0])
+        with pytest.raises(InfeasibilitySuspectedError) as ref:
+            dykstra_loop(order, [3.0, -1.0])
+        assert str(got.value) == str(ref.value)
+        assert "did not settle in 25 rounds" in str(got.value)
+        assert got.value.gap == ref.value.gap > 0.0
+
+
+def test_a_single_member_intersection_is_its_member_projection():
+    box = Box([-1.0, 0.0], [1.0, 2.0])
+    counted = CountingMember(box)
+    x = np.array([3.0, -0.5])
+    assert Intersection([counted]).project(x).tobytes() == box.project(x).tobytes()
+    assert counted.calls == 1
+    np.testing.assert_allclose(dykstra([box], x), dykstra_loop([box], x),
+                               rtol=0, atol=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 5), st.integers(0, 10 ** 6))
+@example(1, 2, 203835)
+def test_affine_box_projection_agrees_with_the_reference(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    op = rng.standard_normal((rows, cols))
+    # a point of the fibre inside the box keeps the intersection nonempty;
+    # half-widths from 1e-3 to 10 make the box active on some draws
+    inside = rng.standard_normal(cols)
+    half = 10.0 ** rng.uniform(-3.0, 1.0, cols)
+    members = [AffineSet(op, op @ inside),
+               Box(inside - half * rng.uniform(0.0, 1.0, cols),
+                   inside + half * rng.uniform(0.0, 1.0, cols))]
+    x = 3.0 * rng.standard_normal(cols)
+    try:
+        ref = dykstra_loop(members, x)
+    except InfeasibilitySuspectedError as exc:
+        # The round budget can run out on a nonempty intersection whose
+        # members meet at a small angle (the pinned example: a line almost
+        # parallel to a box 6.8e-4 wide). The exit cannot be taken there,
+        # or the reference would settle in two rounds, so the change fails
+        # with the same message and gap.
+        with pytest.raises(InfeasibilitySuspectedError) as got:
+            dykstra(members, x)
+        assert (str(got.value), got.value.gap) == (str(exc), exc.gap)
+        return
+    got = dykstra(members, x)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    assert Intersection(members).gap(got) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,19 @@ for argv in {commands!r}:
     assert run_fresh(body) == [[]] * len(commands)
 
 
+def test_verify_leaves_numpy_ma_unloaded():
+    # np.unique(..., axis=0) alone would import numpy.ma on the first graph,
+    # about 1.1 MB inside the verifiers' memory budget and 14 ms of a cold run
+    body = f"""
+import contextlib, io
+from regsel.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--input", {str(PROBLEMS / "linear.json")!r}]) == 0
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+    assert run_fresh(body) == [False]
+
+
 def lazy_calls():
     """The two functions that import scipy, on sets with known answers."""
     tri = Halfspaces([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 1.0])

@@ -868,6 +868,21 @@ def test_verifier_memory_stays_within_the_table_budget(case, check):
     assert peak < 2_000_000
 
 
+def test_test_values_are_the_bytes_of_plain_unique():
+    # values (floor(x0), -0.0 * x1) repeat, and their second coordinate is
+    # -0.0 for x1 >= 0 and +0.0 for x1 < 0: duplicate rows that differ only
+    # in the sign of a zero
+    mapping = SampledMapping(
+        forward=lambda x: np.array([np.floor(x[0]), -0.0 * x[1]]),
+        x_base=np.zeros(2), y_base=np.zeros(2), radius_x=2.0, radius_y=1.5)
+    _, gy, _, y_test = _sample_graph(mapping, 9)
+    zeros = gy[:, 1] == 0.0
+    assert np.signbit(gy[zeros, 1]).any() and not np.signbit(gy[zeros, 1]).all()
+    in_ball = np.linalg.norm(gy, axis=1) <= 1.5 + 1e-12
+    assert y_test.tobytes() == np.unique(gy[in_ball], axis=0).tobytes()
+    assert len(y_test) == 3
+
+
 # ---------------------------------------------------------------------------
 # perturbation bound checks
 
