@@ -138,6 +138,17 @@ def _linear_part(pf: ProblemFile):
     return mat, g, center, radius
 
 
+def _onto(fibre: AffineSet) -> AffineSet:
+    """The fibre of an onto operator. Any other has no finite regularity
+    modulus: a regularity failure (exit 4), named by its singular values
+    before any certificate line, as a linear file's solve names it."""
+    if not fibre.surjective:
+        raise RegularityError(
+            f"operator numerically non-surjective: sigma_min={fibre.sigma_min:.3e} "
+            f"vs sigma_max={fibre.sigma_max:.3e}")
+    return fibre
+
+
 def _smooth_problem(pf: ProblemFile) -> SmoothProblem:
     return SmoothProblem(f=pf.smooth_map, x_base=pf.base,
                          jacobian=pf.smooth_map.jacobian, radius=pf.radius)
@@ -153,7 +164,7 @@ def _equation(pf: ProblemFile, args):
                          max_iter=args.max_iter)
         return split(problem), cfg, lambda y: smooth_selection(problem, y, cfg)
     mat, g, center, radius = _linear_part(pf)
-    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
+    fibre = _onto(AffineSet(mat, np.zeros(mat.shape[0])))
     if pf.constraint is not None:
         def finv(w, _c=pf.constraint):
             return Intersection([fibre.shifted(w), _c])
@@ -325,15 +336,14 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         problem = replace(problem, mesh_size=args.mesh)
     b = _target(pf, args, problem.state_dim,
                 "control needs --target for the endpoint")
+    seed = _seed(pf, args)
     sys_ = linearize(problem)
     rank, rank_ok = kalman_rank(sys_)
-    interior_ok, margin = reachable_interior(sys_, problem.control_set,
-                                             seed=_seed(pf, args))
+    interior_ok, margin = reachable_interior(sys_, problem.control_set, seed=seed)
     out.line(f"kalman_rank,{rank}")
     out.line(f"kalman_controllable,{_bool(rank_ok)}")
     out.line(f"reachable_interior,{_bool(interior_ok)}")
     out.line(f"interior_margin,{fmt_float(margin)}")
-    seed = _seed(pf, args)
 
     if grid is not None:
         if grid == 1:
@@ -412,7 +422,7 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         grid = _verify_grid(args, mat.shape[1])
         # one factorization serves reg_linear, radius_y and lg_bound_check
         fibre = AffineSet(mat, np.zeros(mat.shape[0]))
-        kappa = args.kappa if args.kappa is not None else KAPPA_MARGIN * reg_linear(fibre)
+        kappa = args.kappa if args.kappa is not None else KAPPA_MARGIN * reg_linear(_onto(fibre))
         mapping = SampledMapping(
             forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
             radius_x=radius_x,

@@ -5,21 +5,25 @@ halfspace systems, and finite intersections of those. Every set answers
 project / distance / gap, which is all the selection iteration needs.
 Boxes and halfspace systems, the two kinds of control set, also answer
 ``support`` for the steering application's interior test, taking
-directions as rows, and ``violation``, their membership rule. Projections
-onto intersections run Dykstra's alternating scheme, which converges to
-the metric projection for closed convex members, after an exact exit: an
+directions as rows (a halfspace system from its vertices, so on a bounded
+system only), and ``violation``, their membership rule. Projections onto
+intersections run Dykstra's alternating scheme, which converges to the
+metric projection for closed convex members, after an exact exit: an
 affine fibre met with an inactive constraint costs one projection.
 """
 
 from __future__ import annotations
 
 import copy
-from functools import lru_cache
+import itertools
+import math
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from .linalg import as_matrix, as_vector, norm, row_norms, svd
+from .linalg import (SURJECTIVITY_RTOL, as_matrix, as_vector, norm, row_norms,
+                     stack_matvec, svd)
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 10000
@@ -28,6 +32,12 @@ DYKSTRA_MAX_ROUNDS = 10000
 # entries, 512 operators at most (``_cached_factors``): a key and a right
 # inverse of op.size float64 entries each, so 2**16 entries (512 KiB) in all.
 CACHED_OP_ENTRIES = 64
+
+# The vertex and recession-ray enumerations of a halfspace system take one
+# SVD per row subset, stacked: subsets x dim x dim float64 entries, a few
+# arrays of them. 2**18 entries is 2 MiB per array and about 0.2 s of SVDs
+# on one core; a system with more subsets is refused, not enumerated.
+MAX_SUBSET_ENTRIES = 2 ** 18
 
 
 class ConvexSet:
@@ -233,14 +243,14 @@ class Halfspaces(ConvexSet):
             if np.any(lo > hi):
                 raise ContractError("halfspace system is empty (bounds cross)")
             self._box = Box(lo, hi)
+        self._rows = [_SingleHalfspace(row, off)
+                      for row, off in zip(self.normals, self.offsets)]
 
     def project(self, x):
         if self._box is not None:
             return self._box.project(x)
         x = as_vector(x, dim=self.dim)
-        sets = [_SingleHalfspace(self.normals[i], self.offsets[i])
-                for i in range(self.normals.shape[0])]
-        return dykstra(sets, x)
+        return dykstra(self._rows, x)
 
     def violation(self, points):
         """Largest normalized excess ``(n_i . p - c_i) / |n_i|`` of each row
@@ -254,26 +264,53 @@ class Halfspaces(ConvexSet):
     def support(self, directions):
         """Support value sup{<d, x> : normals @ x <= offsets} of each row d of
         the (k, dim) directions: the box's closed form for an axis-aligned
-        system, else one linear program per row; +inf where the polyhedron
-        is unbounded along d."""
+        system, else the largest <d, v> over the vertices v. A system that
+        is not axis-aligned must be bounded and nonempty: ContractError
+        names a recession direction, or the emptiness, otherwise."""
         if self._box is not None:
             return self._box.support(directions)
-        from scipy.optimize import linprog  # deferred: ~0.6 s to import
-
         d = _point_rows(directions, self.dim)
-        values = np.empty(d.shape[0])
-        for i, row in enumerate(d):
-            res = linprog(-row, A_ub=self.normals, b_ub=self.offsets,
-                          bounds=[(None, None)] * self.dim, method="highs")
-            if res.status == 3:
-                values[i] = np.inf
-                continue
-            if res.status == 2:
-                raise InfeasibilitySuspectedError("halfspace system is empty")
-            if not res.success:  # pragma: no cover - solver hiccup
-                raise InfeasibilitySuspectedError(f"support LP failed: {res.message}")
-            values[i] = -res.fun
-        return values
+        return np.max(stack_matvec(self._vertices, d.T), axis=0)
+
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        """Points holding every vertex of a bounded system, as rows.
+
+        Boundedness is tested exactly, up to the rank rule's slack: each
+        candidate recession direction d (normals @ d <= 0) is a null vector
+        of dim - 1 rows (of all rows, if fewer), or its negative. Those hold
+        an extreme ray of any pointed recession cone other than {0}, and a
+        null vector of normals whose rank is below dim. The vertices are
+        among the least-norm solutions of the dim-row subsystems that meet
+        every row. ContractError names a recession direction, or emptiness.
+        """
+        unit = self.normals / self._row_norms[:, None]
+        rays = np.linalg.svd(unit[_row_subsets(unit, min(self.dim - 1, len(unit)))])[2][:, -1]
+        rays = np.concatenate([rays, -rays])
+        inside = np.flatnonzero(np.all(unit @ rays.T <= SURJECTIVITY_RTOL, axis=0))
+        if inside.size:
+            raise ContractError(
+                "halfspace system is unbounded along the direction "
+                f"[{', '.join(f'{v:.12g}' for v in rays[inside[0]])}] "
+                "(normals @ d <= 0); it must be compact")
+        rows = _row_subsets(self.normals, self.dim)
+        points = (np.linalg.pinv(self.normals[rows]) @ self.offsets[rows][:, :, None])[:, :, 0]
+        scale = 1.0 + np.max(np.abs(points), axis=1)
+        points = points[self.violation(points) <= SURJECTIVITY_RTOL * scale]
+        if not points.size:
+            raise ContractError("halfspace system is empty")
+        return points
+
+
+def _row_subsets(rows: np.ndarray, size: int) -> np.ndarray:
+    """Indices of every ``size``-row subset of ``rows``, one subset a row;
+    ContractError when their dim x dim blocks exceed MAX_SUBSET_ENTRIES."""
+    count, dim = math.comb(rows.shape[0], size), rows.shape[1]
+    if count * dim * dim > MAX_SUBSET_ENTRIES:
+        raise ContractError(
+            f"halfspace system of {rows.shape[0]} rows in dimension {dim} has {count} "
+            f"subsets of {size} rows; at most {MAX_SUBSET_ENTRIES // dim ** 2} are enumerated")
+    return np.array(list(itertools.combinations(range(rows.shape[0]), size)))
 
 
 class _SingleHalfspace(ConvexSet):

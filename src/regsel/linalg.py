@@ -16,7 +16,8 @@ import numpy as np
 from .errors import NumericBreakdownError, RegularityError, ShapeError
 
 # Relative singular-value cutoff below which an operator is treated as
-# non-surjective. Only SvdFactorization reads it.
+# non-surjective. SvdFactorization reads it; convex.Halfspaces's vertex and
+# recession tests take it as their slack.
 SURJECTIVITY_RTOL = 1e-10
 
 # Residual slack for least-norm solves: ||op x - rhs|| <= RESIDUAL_RTOL*(1+||rhs||).
@@ -142,9 +143,16 @@ def norm(v: np.ndarray) -> float:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, with the bits np.linalg.norm gives one
-    row: matmul's 1x1 core goes through the same dot kernel, while
-    (rows**2).sum(axis=1) differs from it in the last bit on many rows."""
+    """Euclidean norm of each row, with the bits np.linalg.norm gives that
+    row alone: matmul's 1x1 core goes through the same dot kernel, while
+    (rows**2).sum(axis=1) differs from it in the last bit on many rows.
+    OpenBLAS's Prescott kernel sums a vector off a 16-byte boundary in
+    another order, and every other row of odd length starts off it, so a
+    block of such rows is copied to an even stride first (not a lone row)."""
+    if rows.shape[1] % 2 and rows.shape[0] > 1:
+        padded = np.empty((rows.shape[0], rows.shape[1] + 1))
+        padded[:, :-1] = rows
+        rows = padded[:, :-1]
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 

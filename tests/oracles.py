@@ -321,28 +321,71 @@ def control_membership_loop(control_set, controls, tol: float):
     return None
 
 
-def reachable_interior_node_loop(sys, control_set, seed: int = 0):
-    """The reachable-set interior test one direction and quadrature node at a
-    time, as it was before its support queries were stacked: a running
-    total of the box support sup{<v, u> : lower <= u <= upper} of each
-    control-space direction v, written out here (box control sets only)."""
+def support_lp(control_set, d) -> float:
+    """sup{<d, u> : u in the set} for one direction: the box bound picked
+    by the sign of each coordinate, written out, or one ``linprog`` over a
+    halfspace system (+inf where it is unbounded along d). HiGHS runs
+    without presolve, which reports some unbounded, nonempty systems (the
+    recession-ray case of test_convex) as infeasible."""
+    if hasattr(control_set, "normals"):
+        from scipy.optimize import linprog
+
+        res = linprog(-np.asarray(d, dtype=float), A_ub=control_set.normals,
+                      b_ub=control_set.offsets,
+                      bounds=[(None, None)] * control_set.dim, method="highs",
+                      options={"presolve": False})
+        if res.status == 3:
+            return float("inf")
+        assert res.status == 0, res.message
+        return float(-res.fun)
+    total = 0.0
+    for dj, lo, hi in zip(d, control_set.lower, control_set.upper):
+        if dj != 0.0:
+            total += dj * (hi if dj > 0 else lo)
+    return total
+
+
+def reachable_interior_expm_loop(sys, control_set, seed: int = 0,
+                                 nodes: int = 1024):
+    """The interior margin of the continuous-time reachable set: the least
+    over the direction grid of the integral over [0, 1] of
+    support(B^T e^{A^T t} d), by the midpoint rule at ``nodes`` nodes with
+    scipy's ``expm``, one direction and node at a time."""
     from scipy.linalg import expm
 
     from regsel.convex import direction_grid
 
-    n, quad_points = sys.state_dim, 128
-    dirs = direction_grid(n, max(2 * n, 16), seed=seed)
-    mids = (np.arange(quad_points) + 0.5) / quad_points
-    lifted = [sys.b_matrix.T @ expm(sys.a_matrix.T * t) for t in mids]
+    n = sys.state_dim
+    lifted = [sys.b_matrix.T @ expm(sys.a_matrix.T * (k + 0.5) / nodes)
+              for k in range(nodes)]
     margin = np.inf
-    for d in dirs:
+    for d in direction_grid(n, max(2 * n, 16), seed=seed):
+        margin = min(margin, sum(support_lp(control_set, w @ d) for w in lifted) / nodes)
+    return margin > 0.0, float(margin)
+
+
+def reachable_interior_node_loop(sys, control_set, seed: int = 0):
+    """The reachable-set interior test one direction and interval at a time,
+    with each interval's endpoint map E_i read off the collocation operator
+    itself: the density rows of ``_weighted_operator`` are solved for the
+    scaled states, x = -M_x^{-1} M_u u, and its endpoint rows read the last
+    state, so b = E u for unscaled controls u (scaled by 1/sqrt(N) in the
+    operator). The margin is the least over the direction grid of the sum
+    over intervals of ``support_lp(E_i^T d)``."""
+    from regsel.control import _weighted_operator
+    from regsel.convex import direction_grid
+
+    mat = _weighted_operator(sys)
+    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
+    nx = n * big_n
+    states = -np.linalg.solve(mat[:nx, :nx], mat[:nx, nx:])
+    endpoint = mat[nx:, :nx] @ states / np.sqrt(big_n)
+    margin = np.inf
+    for d in direction_grid(n, max(2 * n, 16), seed=seed):
         total = 0.0
-        for w in lifted:
-            v = w @ d
-            bound = np.where(v >= 0, control_set.upper, control_set.lower)
-            bound[(v == 0) & np.isinf(bound)] = 0.0
-            total += float(np.sum(bound * v))
-        margin = min(margin, total / quad_points)
+        for i in range(big_n):
+            total += support_lp(control_set, endpoint[:, m * i:m * (i + 1)].T @ d)
+        margin = min(margin, total)
     return margin > 0.0, float(margin)
 
 
@@ -390,7 +433,7 @@ def sup_quotient_block_loop(f, center, radius, samples, seed, anchored):
                     steps += 1
                     pts[k][j] = _clip_ball(best[k] + step * z[k, j], center, radius)
                 else:
-                    n = np.linalg.norm(z[k, j])
+                    n = np.linalg.norm(z[k, j].copy())  # the direction alone
                     u = z[k, j] / n if n > 0 else np.eye(d)[0]
                     pts[k][j] = center + radius * r[k, j] * u
         vals = [[as_vector(f(x)) for x in side] for side in pts]
@@ -444,8 +487,14 @@ def polynomial_value_loop(poly, x):
 
 
 def distances_3d(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of p and the rows of q."""
-    dists = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+    """Euclidean distances between the rows of p and the rows of q, the
+    squared coordinate differences added in coordinate order, as the
+    verifiers define their gaps. numpy's ``sum(axis=2)`` adds in that order
+    below 8 coordinates only; from 8 on it keeps 8 partial sums."""
+    squares = (p[:, None, :] - q[None, :, :]) ** 2
+    dists = squares[:, :, 0].copy()
+    for j in range(1, squares.shape[2]):
+        dists += squares[:, :, j]
     return np.sqrt(dists, out=dists)
 
 
@@ -453,7 +502,7 @@ def _fibres(pts, gy, gx_idx, y_test):
     """Yield (y, d_y_fx, in_fibre) for each test value y, in order."""
     n_pts = pts.shape[0]
     for y in y_test:
-        dist_rows = np.linalg.norm(gy - y, axis=1)
+        dist_rows = distances_3d(gy, y[None])[:, 0]
         d_y_fx = np.full(n_pts, np.inf)
         np.minimum.at(d_y_fx, gx_idx, dist_rows)
         match_tol = CHECK_RTOL * (1.0 + np.linalg.norm(y))

@@ -1,5 +1,5 @@
-import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -12,6 +12,19 @@ from regsel.moduli import CSV_HEADER
 
 BOX_JSON = {"type": "box", "lower": [-1.0], "upper": [1.0]}
 COMMITTED = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+
+RANK_ONE = [[1.0, 2.0], [2.0, 4.0]]
+UNBOUNDED_NORMALS = [
+    [0.9737736192884713, 1.0121394561996544, 1.6394168320140663],
+    [-0.7345404675412041, -0.1878214805116942, -0.37222757090140723],
+    [-0.5097499981351498, 0.5384100252314712, 0.676328386958752],
+    [-0.15036554748527867, 0.10575080137124572, 1.192499289624071]]
+UNBOUNDED_OFFSETS = [1.7885432250481188, 0.9402808144317926,
+                     0.8126172266109374, 0.4164766272751579]
+# x' = u in R^3, as a polynomial table
+VELOCITY_CONTROL = {"input_dim": 6, "output_dim": 3,
+                    "terms": [[{"coef": 1.0, "powers": [int(i == 3 + k) for i in range(6)]}]
+                              for k in range(3)]}
 
 FIXTURES = {
     "ident.json": {"version": "1", "kind": "linear", "matrix": [[1.0]]},
@@ -56,6 +69,33 @@ FIXTURES = {
     "hugemesh.json": {"version": "1", "kind": "control",
                       "dynamics": "double_integrator",
                       "control_set": BOX_JSON, "mesh": 10 ** 7},
+    # rank 1: onto no neighbourhood, so no finite regularity modulus
+    "rankone.json": {"version": "1", "kind": "generalized",
+                     "finv_matrix": RANK_ONE, "base_x": [0.0, 0.0],
+                     "base_y": [0.0, 0.0]},
+    "rankone-scheduled.json": {"version": "1", "kind": "generalized",
+                               "finv_matrix": RANK_ONE, "base_x": [0.0, 0.0],
+                               "base_y": [0.0, 0.0],
+                               "constants": {"kappa": 1.0, "lambda": 0.36,
+                                             "alpha": 1.8}},
+    "rankone-linear.json": {"version": "1", "kind": "linear",
+                            "matrix": RANK_ONE},
+    # x' = u in R^3, with a control set that holds 0 and is unbounded
+    "unbounded.json": {"version": "1", "kind": "control", "state_dim": 3,
+                       "control_dim": 3, "mesh": 8,
+                       "dynamics": VELOCITY_CONTROL,
+                       "control_set": {"type": "halfspaces",
+                                       "normals": UNBOUNDED_NORMALS,
+                                       "offsets": UNBOUNDED_OFFSETS}},
+    # x' = u in R^3 with 60 rows around 0: 34,220 subsets of 3 rows, over
+    # the enumeration cap
+    "manyrows.json": {"version": "1", "kind": "control", "state_dim": 3,
+                      "control_dim": 3, "mesh": 8,
+                      "dynamics": VELOCITY_CONTROL,
+                      "control_set": {"type": "halfspaces",
+                                      "normals": np.random.default_rng(0)
+                                      .standard_normal((60, 3)).tolist(),
+                                      "offsets": [1.0] * 60}},
 }
 
 
@@ -193,6 +233,31 @@ def test_non_finite_tol_or_kappa_is_refused(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert err == f"regsel: contract violation: {name} must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "rankone.json", "--target", "0.1,0.2"),
+    # with the file's constants a target in the range used to be certified
+    # and one off it refused as an input error
+    ("solve", "rankone-scheduled.json", "--target", "0.1,0.2"),
+    ("solve", "rankone-scheduled.json", "--target", "0.1,0"),
+    ("solve", "rankone-linear.json", "--target", "0.1,0.2"),
+    ("sweep", "rankone.json", "--target", "0.1,0.2", "--grid", "3"),
+    ("sweep", "rankone-scheduled.json", "--target", "0.1,0", "--grid", "3"),
+    ("verify", "rankone.json"),
+    ("verify", "rankone-linear.json"),
+], ids=lambda a: "-".join(a[:2]) if isinstance(a, tuple) else a)
+def test_a_non_surjective_operator_is_a_regularity_failure(capsys, fdir, argv):
+    # refused before any certificate line, naming the singular values;
+    # verify --kappa still judges the given constant
+    command, file, *flags = argv
+    code, out, err = run(capsys, command, "--input", str(fdir / file), *flags)
+    assert (code, out) == (4, "")
+    found = re.fullmatch(r"regsel: locality/regularity: operator numerically "
+                         r"non-surjective: sigma_min=(\S+) vs sigma_max=(\S+)\n",
+                         err)
+    assert found, err
+    assert float(found.group(1)) <= 1e-10 and found.group(2) == "5.000e+00"
 
 
 @pytest.mark.parametrize("argv", [
@@ -514,6 +579,70 @@ def test_control_rank_deficient_exits_5_at_the_gate(capsys, fdir):
     assert err.startswith("regsel: uncontrollable: Kalman rank 1 < 2")
 
 
+def test_unbounded_control_set_is_refused_naming_a_recession_direction(
+        capsys, fdir):
+    # nonempty (it holds 0) and unbounded: an input error at the control
+    # set, not an empty set
+    code, out, err = run(capsys, "control", "--input",
+                         str(fdir / "unbounded.json"), "--target", "0.01,0,0")
+    assert (code, out) == (2, "")
+    found = re.fullmatch(
+        r"regsel: input error: \$\.control_set: halfspace system is unbounded "
+        r"along the direction \[(.*)\] \(normals @ d <= 0\); it must be "
+        r"compact\n", err)
+    assert found, err
+    d = np.array([float(v) for v in found.group(1).split(",")])
+    unit = np.array(UNBOUNDED_NORMALS)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    assert np.all(unit @ d <= 1e-9) and abs(np.linalg.norm(d) - 1.0) < 1e-9
+
+
+def test_hexagon_control_set_steers_in_under_a_second(capsys, tmp_path):
+    # the support of a polytope comes from its six vertices, found once
+    angles = 0.1 + np.arange(6) * np.pi / 3
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps({
+        "version": "1", "kind": "control", "state_dim": 2, "control_dim": 2,
+        "mesh": 64,
+        "dynamics": {"input_dim": 4, "output_dim": 2, "terms": [
+            [{"coef": 1.0, "powers": [0, 1, 0, 0]},
+             {"coef": 1.0, "powers": [0, 0, 1, 0]}],
+            [{"coef": 1.0, "powers": [0, 0, 0, 1]}]]},
+        "control_set": {"type": "halfspaces",
+                        "normals": np.column_stack([np.cos(angles),
+                                                    np.sin(angles)]).tolist(),
+                        "offsets": [1.0] * 6}}))
+    # the better of two runs, so one stall of a shared host does not count
+    seconds = []
+    for _ in range(2):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "control", "--input", str(path),
+                           "--target", "0.05,0")
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1.0
+    assert code == 0
+    assert out.startswith("kalman_rank,2\nkalman_controllable,true\n"
+                          "reachable_interior,true\ninterior_margin,0.905905992850975")
+
+
+def test_axis_aligned_halfspace_control_prints_the_box_output(capsys, tmp_path):
+    # the unit interval written as two halfspaces is answered by its box:
+    # the same output as the box file
+    spec = {"version": "1", "kind": "control", "dynamics": "double_integrator",
+            "mesh": 16}
+    outputs = []
+    for name, control_set in [
+            ("box", {"type": "box", "lower": [-1.0], "upper": [1.0]}),
+            ("half", {"type": "halfspaces", "normals": [[1.0], [-1.0]],
+                      "offsets": [1.0, 1.0]})]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(spec, control_set=control_set)))
+        outputs.append(run(capsys, "control", "--input", str(path),
+                           "--target", "0.05,0"))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("grid", [(), ("--grid", "3")], ids=["single", "grid"])
 @pytest.mark.parametrize("tol", ["inf", "0", "-1"])
 def test_control_bad_tol_is_an_input_error(capsys, tol, grid):
@@ -783,14 +912,50 @@ def test_runs_are_byte_identical(capsys, fdir):
 # ---------------------------------------------------------------------------
 # branches the tests above do not run, pinned to their stdout bytes
 
+# The controllability lines of control on each committed file, at the
+# file's mesh and at --mesh 8. The interior margin is that of the steered,
+# discretized system, so it depends on the mesh.
 GATE_LINES = {
     "double_integrator.json": "kalman_rank,2\nkalman_controllable,true\n"
                               "reachable_interior,true\n"
                               "interior_margin,0.22174417432849799\n",
-    "pendulum.json": "kalman_rank,2\nkalman_controllable,true\n"
-                     "reachable_interior,true\n"
-                     "interior_margin,0.24500114428413344\n",
+    "pendulum.json --mesh 8": "kalman_rank,2\nkalman_controllable,true\n"
+                              "reachable_interior,true\n"
+                              "interior_margin,0.24419112342333002\n",
 }
+
+# Cells that a BLAS reduction reaches are pinned by a bound, all others by
+# their bytes. OpenBLAS picks its kernel by CPU, and its kernels sum in
+# different orders; the bounds below hold under OPENBLAS_CORETYPE=SkylakeX,
+# Haswell and Prescott.
+# - A product of SVD factors or of a least-norm solve (calm ratios and
+#   bounds, reg, sampled lip and clm and their witness points) moves in
+#   its 13th to 15th digit between kernels.
+KERNEL_RTOL = 1e-12
+# - The endpoint error of a steer reaching its target is the rounding noise
+#   of a least-norm solve: 7.1e-30 on SkylakeX, 1.2e-30 on Haswell and
+#   3.9e-30 on Prescott for a target of size 0.05.
+NOISE_ATOL = 1e-20
+
+
+def assert_cells(got: str, want: str, loose: dict):
+    """``got`` has ``want``'s lines and cells (split on commas), each cell
+    with ``want``'s bytes, except the cells that ``loose`` keys by (first
+    cell of the line, column): those are floats within
+    KERNEL_RTOL * |want| + the keyed absolute bound."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines), got
+    for g_line, w_line in zip(got_lines, want_lines):
+        g_cells, w_cells = g_line.split(","), w_line.split(",")
+        assert len(g_cells) == len(w_cells), g_line
+        for col, (g, w) in enumerate(zip(g_cells, w_cells)):
+            atol = loose.get((w_cells[0], col))
+            if atol is None:
+                assert g == w, (g_line, w_line)
+            else:
+                assert abs(float(g) - float(w)) <= KERNEL_RTOL * abs(float(w)) + atol, (
+                    g_line, w_line)
+
 
 PINNED_BRANCHES = {
     # an Intersection fibre; the target lies inside the box [-1, 0.1]
@@ -815,17 +980,19 @@ PINNED_BRANCHES = {
         + "index,status,b1,b2,endpoint_error,calm_ratio\n"
         "0,ok,0.050000000000000003,0,7.0997481469891062e-30,12.093184442612245\n"
         "tau,0.066299999999999998\ncalm_bound,48.097599928805373\n"
-        "max_calm_ratio,12.093184442612245\nmax_continuity_ratio,0\n"),
+        "max_calm_ratio,12.093184442612245\nmax_continuity_ratio,0\n",
+        {("0", 4): NOISE_ATOL, ("0", 5): 0.0, ("calm_bound", 1): 0.0,
+         ("max_calm_ratio", 1): 0.0}),
     # a schedule rejected at mesh 8 exits 4 on both paths
     "control-mesh-8": (
         ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8"), 4,
-        GATE_LINES["pendulum.json"]
+        GATE_LINES["pendulum.json --mesh 8"]
         + "error,constant schedule rejected for the steering problem: "
         "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
     "control-mesh-8-grid": (
         ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8",
          "--grid", "3"), 4,
-        GATE_LINES["pendulum.json"]
+        GATE_LINES["pendulum.json --mesh 8"]
         + "error,constant schedule rejected for the steering problem: "
         "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
 }
@@ -847,24 +1014,34 @@ def generalized_variants(tmp_path_factory):
 
 @pytest.mark.parametrize("name", PINNED_BRANCHES)
 def test_cli_branches_keep_their_stdout(capsys, generalized_variants, name):
-    (command, file, *flags), code, stdout = PINNED_BRANCHES[name]
+    (command, file, *flags), code, stdout, *loose = PINNED_BRANCHES[name]
     where = COMMITTED if (COMMITTED / file).exists() else generalized_variants
     got = run(capsys, command, "--input", str(where / file), *flags)
-    assert got[:2] == (code, stdout)
+    assert got[0] == code
+    assert_cells(got[1], stdout, loose[0] if loose else {})
 
 
 def test_moduli_on_a_control_file_keeps_its_stdout(capsys):
     # the collocation operator and remainder of pendulum.json at mesh 64;
-    # each witness row holds 192 coordinates, so the bytes are pinned by hash
+    # the witness pair is a sampled point of 192 coordinates, pinned by its
+    # norm and coordinate sum, and the centre, pinned by its bytes
     code, out, _ = run(capsys, "moduli", "--input",
                        str(COMMITTED / "pendulum.json"))
     assert code == 0
-    lines = out.splitlines()
-    assert lines[:2] == [CSV_HEADER, "reg,5.2530006167207866,,,0,,"]
-    assert lines[2].startswith("lip,0.32009077419213083,0.5,3000,0,,")
-    assert lines[3].startswith("clm,0.32009077419213083,0.5,3000,0,,")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b44eaecc2a7dc3faf7ef4f56daaa48a9195d4fb0eb0dd4798281d1aa43384866")
+    rows = [line.split(",") for line in out.splitlines()]
+    witness = rows[2].pop()
+    assert rows[3].pop() == witness
+    assert_cells("\n".join(",".join(row) for row in rows), "\n".join([
+        CSV_HEADER, "reg,5.2530006167207866,,,0,,",
+        "lip,0.32009077419213083,0.5,3000,0,",
+        "clm,0.32009077419213083,0.5,3000,0,"]),
+        {("reg", 1): 0.0, ("lip", 1): 0.0, ("clm", 1): 0.0})
+    sampled, centre = witness.split(";")
+    assert centre == " ".join(["0"] * 192)
+    point = np.array(sampled.split(), dtype=float)
+    assert point.size == 192
+    assert abs(np.linalg.norm(point) - 0.4997718292873128) <= KERNEL_RTOL * 0.5
+    assert abs(point.sum() - 0.2319961779005029) <= KERNEL_RTOL * np.abs(point).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +1078,9 @@ def test_moduli_on_a_control_file_keeps_its_stdout(capsys):
     # the query length is checked before the constants are sampled
     (("solve", "--input", "smooth.json", "--target", "0.08,1"), "--target",
      "expected 1 components, got 2"),
+    # a control polytope with more row subsets than the enumerations take
+    (("control", "--input", "manyrows.json", "--target", "0.01,0,0"),
+     "$.control_set", "34220 subsets of 3 rows; at most 29127 are enumerated"),
 ])
 def test_resource_caps_refuse_fast(capsys, fdir, argv, flag, cap):
     argv = (argv[0], argv[1], str(fdir / argv[2])) + argv[3:]

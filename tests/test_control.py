@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (collocation_remainder_loop, control_membership_loop,
-                     endpoint_order_ratios, reachable_interior_node_loop,
+                     endpoint_order_ratios, reachable_interior_expm_loop,
+                     reachable_interior_node_loop,
                      simulate_trapezoidal, trapezoid_residual,
                      transported_calm_bound_dense)
 from regsel import control
@@ -90,6 +91,24 @@ def test_problem_rejects_unbounded_control_set():
     with pytest.raises(ContractError, match="unbounded along axis 1;"):
         ControlProblem(dynamics=lambda x, u: 0.0 * x, control_set=strip,
                        state_dim=1, control_dim=3)
+
+
+def test_problem_rejects_an_unbounded_polytope_naming_a_recession_direction():
+    # nonempty (it holds 0) and unbounded: 4 rows in R^3 that do not
+    # positively span; an LP's status codes called it empty
+    half = Halfspaces(
+        [[0.9737736192884713, 1.0121394561996544, 1.6394168320140663],
+         [-0.7345404675412041, -0.1878214805116942, -0.37222757090140723],
+         [-0.5097499981351498, 0.5384100252314712, 0.676328386958752],
+         [-0.15036554748527867, 0.10575080137124572, 1.192499289624071]],
+        [1.7885432250481188, 0.9402808144317926, 0.8126172266109374,
+         0.4164766272751579])
+    with pytest.raises(ContractError, match=r"unbounded along the direction "
+                       r"\[.*\] \(normals @ d <= 0\); it must be compact$") as exc:
+        ControlProblem(dynamics=lambda x, u: np.asarray(u, dtype=float),
+                       control_set=half, state_dim=3, control_dim=3,
+                       mesh_size=8)
+    assert exc.value.field == "control_set"
 
 
 def test_problem_rejects_unsupported_control_set():
@@ -204,13 +223,22 @@ def test_reachable_interior_singleton_control_set():
     assert margin == 0.0
 
 
+# the oracle eliminates the states from the dense collocation operator and
+# sums its supports one interval at a time, so it agrees to rounding only
+INTERIOR_RTOL = 1e-12
+
+
+def assert_margin_matches_the_node_loop(sys, control_set, seed=0):
+    got = reachable_interior(sys, control_set, seed=seed)
+    want = reachable_interior_node_loop(sys, control_set, seed=seed)
+    assert got[0] == want[0]
+    assert abs(got[1] - want[1]) <= INTERIOR_RTOL * max(1.0, abs(want[1]))
+
+
 @pytest.mark.parametrize("make", [double_integrator, pendulum])
 @pytest.mark.parametrize("mesh", [8, 64, 128])
 def test_reachable_interior_matches_the_node_loop(make, mesh):
-    sys = linearize(make(mesh=mesh))
-    got = reachable_interior(sys, UNIT_BOX)
-    want = reachable_interior_node_loop(sys, UNIT_BOX)
-    assert got[0] == want[0] and got[1].hex() == want[1].hex()
+    assert_margin_matches_the_node_loop(linearize(make(mesh=mesh)), UNIT_BOX)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
@@ -221,10 +249,28 @@ def test_reachable_interior_matches_the_node_loop_on_random_boxes(m):
         sys = raw_system(rng.uniform(-1.0, 1.0, (n, n)),
                          rng.uniform(-1.0, 1.0, (n, m)))
         box = Box(-rng.uniform(0.1, 2.0, m), rng.uniform(0.1, 2.0, m))
-        seed = int(rng.integers(0, 100))
-        got = reachable_interior(sys, box, seed=seed)
-        want = reachable_interior_node_loop(sys, box, seed=seed)
-        assert got[0] == want[0] and got[1].hex() == want[1].hex()
+        assert_margin_matches_the_node_loop(sys, box, seed=int(rng.integers(0, 100)))
+
+
+@pytest.mark.parametrize("make", [double_integrator, pendulum])
+def test_interior_margin_tends_to_the_continuous_time_margin(make):
+    # trapezoid collocation is second order, so the steered system's margin
+    # is within a constant times h^2 of the margin of the continuous-time
+    # reachable set (expm at 1,024 midpoint nodes); the constant is 0.115 at
+    # these meshes
+    want = reachable_interior_expm_loop(linearize(make()), UNIT_BOX)[1]
+    for mesh in (8, 64, 128):
+        got = reachable_interior(linearize(make(mesh=mesh)), UNIT_BOX)[1]
+        assert abs(got - want) <= 0.25 / mesh ** 2
+
+
+def test_reachable_interior_matches_the_node_loop_on_a_hexagon():
+    # a polytope control set: vertex supports against one LP per interval
+    angles = 0.1 + np.arange(6) * np.pi / 3
+    hexagon = Halfspaces(np.column_stack([np.cos(angles), np.sin(angles)]),
+                         np.ones(6))
+    sys = raw_system([[0.0, 1.0], [0.0, 0.0]], np.eye(2), mesh=8)
+    assert_margin_matches_the_node_loop(sys, hexagon)
 
 
 def test_kalman_controllable_implies_interior():

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from functools import lru_cache
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from oracles import dykstra_loop, kkt_affine_project
+from oracles import dykstra_loop, kkt_affine_project, support_lp
 from regsel import convex
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, set_from_json)
@@ -616,6 +617,120 @@ def test_axis_aligned_halfspaces_support_is_the_box_support():
     got = half.support(d)
     assert got.tobytes() == box.support(d).tobytes()
     assert got[1] == np.inf and got[3] == 0.5
+
+
+def random_polytope(rng, dim: int, rows: int) -> Halfspaces:
+    """A bounded, nonempty polytope: rows - 1 >= dim random normals and,
+    as the last row, minus a positive combination of them, so the normals
+    positively span (no d != 0 with normals @ d <= 0); the offsets put a
+    random centre inside."""
+    normals = rng.standard_normal((rows - 1, dim))
+    normals = np.vstack([normals, -rng.uniform(0.1, 1.0, rows - 1) @ normals])
+    centre = rng.standard_normal(dim)
+    return Halfspaces(normals, normals @ centre + rng.uniform(0.1, 2.0, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 5), st.integers(0, 10 ** 6))
+def test_vertex_support_matches_the_lp(dim, extra, seed):
+    rng = np.random.default_rng(seed)
+    poly = random_polytope(rng, dim, min(8, dim + 1 + extra))
+    directions = rng.standard_normal((6, dim))
+    for got, d in zip(poly.support(directions), directions):
+        want = support_lp(poly, d)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def recession_direction_named(exc) -> np.ndarray:
+    return np.array([float(v) for v in re.search(
+        r"direction \[([^\]]*)\]", str(exc.value)).group(1).split(",")])
+
+
+@pytest.mark.parametrize("normals, offsets", [
+    # nonempty (it holds 0) and unbounded in R^3: 4 rows that do not
+    # positively span
+    ([[0.9737736192884713, 1.0121394561996544, 1.6394168320140663],
+      [-0.7345404675412041, -0.1878214805116942, -0.37222757090140723],
+      [-0.5097499981351498, 0.5384100252314712, 0.676328386958752],
+      [-0.15036554748527867, 0.10575080137124572, 1.192499289624071]],
+     [1.7885432250481188, 0.9402808144317926, 0.8126172266109374,
+      0.4164766272751579]),
+    # a slab: normals of rank 1 < 2, unbounded along their null space
+    ([[1.0, 1.0], [-1.0, -1.0]], [1.0, 1.0]),
+    # a wedge around the diagonal
+    ([[-1.0, 0.5], [0.5, -1.0]], [1.0, 1.0]),
+], ids=["recession-ray", "slab", "wedge"])
+def test_support_refuses_an_unbounded_system_naming_a_recession_direction(
+        normals, offsets):
+    poly = Halfspaces(normals, offsets)
+    with pytest.raises(ContractError, match="unbounded along the direction") as exc:
+        poly.support(np.eye(poly.dim))
+    d = recession_direction_named(exc)
+    assert abs(np.linalg.norm(d) - 1.0) < 1e-9
+    unit = poly.normals / np.linalg.norm(poly.normals, axis=1)[:, None]
+    assert np.all(unit @ d <= 1e-9)
+    # the LP oracle agrees: unbounded along the named direction
+    assert support_lp(poly, d) == np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 7), st.integers(0, 10 ** 6))
+def test_an_unbounded_polytope_is_refused_along_a_recession_direction(
+        dim, rows, seed):
+    # every normal makes an obtuse angle with a random direction d0, so d0
+    # is a recession direction; 0 lies inside
+    rng = np.random.default_rng(seed)
+    d0 = rng.standard_normal(dim)
+    normals = rng.standard_normal((rows, dim))
+    normals -= np.outer(normals @ d0 / (d0 @ d0) + rng.uniform(0.01, 1.0, rows), d0)
+    poly = Halfspaces(normals, rng.uniform(0.1, 2.0, rows))
+    if poly._box is not None:  # an axis-aligned draw: its box answers
+        return
+    with pytest.raises(ContractError, match="unbounded along the direction") as exc:
+        poly.support(np.eye(dim))
+    d = recession_direction_named(exc)
+    unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+    assert np.all(unit @ d <= 1e-9)
+
+
+def test_support_refuses_an_empty_bounded_system():
+    # x + y <= -1 with x, y >= 0 written as tilted rows: no vertex
+    empty = Halfspaces([[1.0, 1.0], [-1.0, 0.1], [0.1, -1.0]], [-1.0, 0.0, 0.0])
+    with pytest.raises(ContractError, match="^halfspace system is empty$"):
+        empty.support([[1.0, 0.0]])
+
+
+def test_vertex_enumeration_is_capped(monkeypatch):
+    # a hexagon: 15 subsets of 2 rows, 6 of 1, each 2 x 2 = 4 entries
+    angles = 0.1 + np.arange(6) * np.pi / 3
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    monkeypatch.setattr(convex, "MAX_SUBSET_ENTRIES", 15 * 4 - 1)
+    with pytest.raises(ContractError,
+                       match="has 15 subsets of 2 rows; at most 14 are enumerated"):
+        Halfspaces(normals, np.ones(6)).support([[1.0, 0.0]])
+    monkeypatch.setattr(convex, "MAX_SUBSET_ENTRIES", 15 * 4)
+    got = Halfspaces(normals, np.ones(6)).support([[1.0, 0.0]])[0]
+    assert abs(got - support_lp(Halfspaces(normals, np.ones(6)), [1.0, 0.0])) < 1e-12
+
+
+def test_halfspace_projection_builds_its_rows_once(monkeypatch):
+    poly = random_polytope(np.random.default_rng(5), 3, 6)
+    built = []
+    original = convex._SingleHalfspace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(convex._SingleHalfspace, "__init__", counting)
+    rows = [convex._SingleHalfspace(n, c)
+            for n, c in zip(poly.normals, poly.offsets)]
+    built.clear()
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        x = 3.0 * rng.standard_normal(3)
+        assert poly.project(x).tobytes() == dykstra(rows, x).tobytes()
+    assert built == []
 
 
 def test_halfspaces_rejects_zero_row():

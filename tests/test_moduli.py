@@ -633,7 +633,9 @@ def test_row_norms_match_linalg_norm_bitwise():
     rng = np.random.default_rng(5)
     for dim in (1, 2, 3, 5, 8, 30, 384):
         rows = rng.standard_normal((400, dim))
-        expected = np.array([np.linalg.norm(r) for r in rows])
+        # each row alone: a row view off a 16-byte boundary gets other bits
+        # from some BLAS kernels (OpenBLAS's Prescott) at odd dim
+        expected = np.array([np.linalg.norm(r.copy()) for r in rows])
         assert np.array_equal(row_norms(rows), expected)
 
 
@@ -780,17 +782,30 @@ def test_scans_match_loops_on_uneven_maps(forward, grid, kappa):
     assert_scans_match_loops(mapping, kappa, grid)
 
 
+def premise_map():
+    """The first map x -> M x (M of rows x 2, rows 2, 3, then 16; seeds from
+    57) whose worst Aubin pair's gap ||y_a - y_b|| differs in its last bit
+    between the dot kernel (row_norms) and the coordinate-order sum of
+    _distances on the running BLAS kernel. SkylakeX's dot differs from 2
+    coordinates on, Prescott's from 3 and Haswell's from 16."""
+    for rows in (2, 3, 16):
+        for seed in range(57, 157):
+            mat = np.random.default_rng(seed).standard_normal((rows, 2))
+            mapping = SampledMapping(forward=lambda x, mat=mat: mat @ x,
+                                     x_base=np.zeros(2), y_base=np.zeros(rows),
+                                     radius_x=1.0,
+                                     radius_y=2.0 * np.linalg.norm(mat, 2))
+            _, y_from, y_to = verify_aubin(mapping, 1.0, grid=7).witness
+            gap = distances_3d(y_from[None], y_to[None])[0, 0]
+            if gap != row_norms((y_from - y_to)[None])[0]:
+                return mapping
+    raise AssertionError("no map separates the dot kernel from the coordinate sum")
+
+
 def test_aubin_gaps_take_the_bits_of_the_distance_kernel():
-    # on this map the worst pair's gap ||y_a - y_b|| differs in its last bit
-    # between the dot kernel (row_norms) and the coordinate-order sum of
-    # _distances; the scan and the fibre loop both take the latter
-    mat = np.random.default_rng(57).standard_normal((2, 2))
-    mapping = SampledMapping(forward=lambda x: mat @ x, x_base=np.zeros(2),
-                             y_base=np.zeros(2), radius_x=1.0,
-                             radius_y=2.0 * np.linalg.norm(mat, 2))
-    _, y_from, y_to = verify_aubin(mapping, 1.0, grid=7).witness
-    gap = distances_3d(y_from[None], y_to[None])[0, 0]
-    assert gap != row_norms((y_from - y_to)[None])[0]
+    # on the premise map the scan and the fibre loop must both take the
+    # coordinate-order sum of _distances, not the dot kernel
+    mapping = premise_map()
     assert_scans_match_loops(mapping, 1.0, grid=7)
     assert_aubin_matches_pair_scan(mapping, 1.0, grid=7)
 
@@ -828,7 +843,9 @@ def test_distances_match_the_three_axis_sum_bitwise(dim):
     rng = np.random.default_rng(dim)
     p = rng.standard_normal((57, dim)) * rng.uniform(0.1, 10.0, dim)
     q = rng.standard_normal((23, dim))
-    assert moduli._distances(p, q).tobytes() == distances_3d(p, q).tobytes()
+    want = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
+    assert moduli._distances(p, q).tobytes() == want.tobytes()
+    assert distances_3d(p, q).tobytes() == want.tobytes()
 
 
 def memory_case(name):
