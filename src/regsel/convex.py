@@ -94,15 +94,23 @@ class AffineSet(ConvexSet):
     on every construction, so hold one fibre of it and call ``shifted``,
     which moves the right-hand side without factoring op. The consistency
     check of the right-hand side runs on every construction and every shift.
+
+    The ``svd`` that factors op refuses a misshaped, empty or non-finite
+    operator with ShapeError; a cache hit has bytes that passed it, since
+    the cache keeps no failed call. Products take ``ndarray.dot``, the BLAS
+    gemv that ``@`` calls for a C- or F-ordered operator, at less call
+    overhead; for an operator view in neither order (``M[:, ::2]``) ``dot``
+    may multiply a copy where ``@`` loops over the view, so such a view may
+    move a result in its last bit.
     """
 
     def __init__(self, op, rhs):
-        self.op = as_matrix(op)
-        self.dim = self.op.shape[1]
+        self.op = np.asarray(op, dtype=float)
         if self.op.size <= CACHED_OP_ENTRIES:
             factors = _cached_factors(self.op.shape, self.op.tobytes())
         else:
             factors = _factor(self.op)
+        self.dim = self.op.shape[1]
         (self.right_inverse, self.sigma_max, self.sigma_min,
          self.surjective) = factors
         self._set_rhs(rhs)
@@ -115,8 +123,8 @@ class AffineSet(ConvexSet):
 
     def _set_rhs(self, rhs):
         self.rhs = as_vector(rhs, dim=self.op.shape[0])
-        x0 = self.right_inverse @ self.rhs
-        resid = norm(self.op @ x0 - self.rhs)
+        x0 = self.right_inverse.dot(self.rhs)
+        resid = norm(self.op.dot(x0) - self.rhs)
         # the caller's rhs may be a strided view, which norm must not see
         if resid > 1e-9 * (1.0 + norm(self.rhs.ravel())):
             raise ContractError(
@@ -124,7 +132,7 @@ class AffineSet(ConvexSet):
 
     def _offset(self, x):
         """x minus its projection: the row-space component of x - anchor."""
-        return self.right_inverse @ (self.op @ x - self.rhs)
+        return self.right_inverse.dot(self.op.dot(x) - self.rhs)
 
     def project(self, x):
         x = as_vector(x, dim=self.dim)
@@ -156,15 +164,19 @@ class Box(ConvexSet):
         x = as_vector(x, dim=self.dim)
         return np.clip(x, self.lower, self.upper)
 
+    def _excess(self, x):
+        """How far each coordinate of x (or of each row of x) lies outside."""
+        return np.maximum(0.0, np.maximum(self.lower - x, x - self.upper))
+
     def distance(self, x):
-        x = as_vector(x, dim=self.dim)
-        return float(self.violation(x[None, :])[0])
+        """The norm of the clamped excess: the bits ``violation`` gives x as
+        a lone row, whose norm goes through the same dot kernel."""
+        return norm(self._excess(as_vector(x, dim=self.dim)))
 
     def violation(self, points):
         """Distance of each row of the (k, dim) points to the box, the norm of
         its clamped excess."""
-        p = _point_rows(points, self.dim)
-        return row_norms(np.maximum(0.0, np.maximum(self.lower - p, p - self.upper)))
+        return row_norms(self._excess(_point_rows(points, self.dim)))
 
     def support(self, directions):
         """Support value sup{<d, x> : x in box} of each row d of the (k, dim)
@@ -251,6 +263,20 @@ class Halfspaces(ConvexSet):
             return self._box.project(x)
         x = as_vector(x, dim=self.dim)
         return dykstra(self._rows, x)
+
+    def distance(self, x):
+        """0.0 for a point every row holds, ``n_i . x - c_i <= 0`` with each
+        product from the dot kernel of ``_SingleHalfspace.project``, so the
+        verdict is that of the rows; otherwise the distance to the projection."""
+        x = as_vector(x, dim=self.dim)
+        if self._box is None:
+            # one ddot per row, as in the rows' own test, and on a copy of x
+            # as dykstra makes: a kernel may sum a vector in an order that
+            # depends on its alignment (Prescott)
+            products = np.matmul(self.normals[:, None, :], np.array(x)[:, None])[:, 0, 0]
+            if np.all(products - self.offsets <= 0):
+                return 0.0
+        return super().distance(x)
 
     def violation(self, points):
         """Largest normalized excess ``(n_i . p - c_i) / |n_i|`` of each row

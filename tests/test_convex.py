@@ -14,7 +14,7 @@ from regsel import convex
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, set_from_json)
 from regsel.errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from regsel.linalg import svd
+from regsel.linalg import norm, svd
 
 
 def fixtures():
@@ -80,7 +80,7 @@ def slsqp_project(s, x):
 
 def feasible(s, x, tol):
     """Membership by a rule that does not call ``s.project``: the normalized
-    row excess for ``Halfspaces`` (whose distance is its Dykstra projection),
+    row excess for ``Halfspaces`` (whose distance projects a point outside),
     the distance or worst member distance for the other sets."""
     if isinstance(s, Halfspaces):
         return bool(s.violation(np.asarray(x, float)[None, :])[0] <= tol)
@@ -319,6 +319,29 @@ def test_inconsistent_rhs_raises_on_a_cache_hit(cold_factor_cache, monkeypatch):
     assert calls == []
 
 
+# 6 and 64 entries are cached (svd tests the bytes of a miss), 65 are not
+@pytest.mark.parametrize("shape", [(2, 3), (8, 8), (5, 13)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_operator_is_refused_and_not_cached(cold_factor_cache,
+                                                         shape, bad):
+    AffineSet([[1.0, 2.0]], [1.0])
+    held = cold_factor_cache.cache_info().currsize
+    rng = np.random.default_rng(shape[1])
+    twin = rng.standard_normal(shape)
+    for entry in [(0, 0), (shape[0] - 1, shape[1] - 1)]:
+        op = twin.copy()
+        op[entry] = bad
+        # twice: a refused operator leaves nothing in the cache to hit
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="matrix has non-finite entries"):
+                AffineSet(op, np.zeros(shape[0]))
+            assert cold_factor_cache.cache_info().currsize == held
+    fibre = AffineSet(twin, twin @ np.ones(shape[1]))
+    assert fibre.right_inverse.tobytes() == convex._factor(twin)[0].tobytes()
+    np.testing.assert_allclose(twin @ fibre.project(np.zeros(shape[1])),
+                               fibre.rhs, atol=1e-12)
+
+
 def test_cache_keeps_its_count_under_threads(cold_factor_cache):
     # more threads than cores, a short switch interval and more operators
     # than the cache holds, so inserts and evictions race
@@ -351,6 +374,69 @@ def test_cache_keeps_its_count_under_threads(cold_factor_cache):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert cold_factor_cache.cache_info().currsize <= held
+
+
+# ---------------------------------------------------------------------------
+# bit pins of the corrector step's kernels
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _vector_views(v):
+    """v contiguous, one float off its buffer's start, and strided."""
+    shifted = np.empty(v.size + 1)
+    shifted[1:] = v
+    wide = np.zeros(2 * v.size)
+    wide[::2] = v
+    return [v, shifted[1:], wide[::2]]
+
+
+@pytest.mark.parametrize("shape", [(m, n) for m in range(1, 4) for n in range(m, 6)]
+                         + [(258, 384)])
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+def test_affine_products_keep_the_bits_of_matmul(monkeypatch, shape, order):
+    # AffineSet takes its products with ndarray.dot; these are the `@`
+    # expressions it had, on operators in C and in Fortran order. An
+    # operator view in neither order may be multiplied by dot as a C-order
+    # copy while `@` loops over the view itself, so it gets the bits of one
+    # of the two, which may differ in the last bit: that is intended.
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    if order == "strided":
+        op = rng.standard_normal((shape[0], 2 * shape[1]))[:, ::2]
+        operators = [op, np.ascontiguousarray(op)]
+    else:
+        op = np.array(rng.standard_normal(shape), order=order)
+        operators = [op]
+    inverse = convex._factor(op)[0]
+    residuals = []
+    monkeypatch.setattr(convex, "norm",
+                        lambda v: residuals.append(v.copy()) or norm(v))
+    for rhs in _vector_views(op @ rng.standard_normal(shape[1])):
+        residuals.clear()
+        fibre = AffineSet(op, rhs)
+        assert residuals[0].tobytes() in {(a @ (inverse @ rhs) - rhs).tobytes()
+                                          for a in operators}
+        for x in _vector_views(3.0 * rng.standard_normal(shape[1])):
+            got = fibre.project(x).tobytes()
+            offsets = [inverse @ (a @ x - rhs) for a in operators]
+            offset = next(o for o in offsets if (x - o).tobytes() == got)
+            assert _bits(fibre.distance(x)) == _bits(norm(offset))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 17, 33])
+def test_box_distance_keeps_the_bits_of_a_lone_violation_row(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        lower = -rng.uniform(0.1, 2.0, dim)
+        upper = rng.uniform(0.1, 2.0, dim)
+        lower[rng.random(dim) < 0.3] = -np.inf
+        upper[rng.random(dim) < 0.3] = np.inf
+        box = Box(lower, upper)
+        for x in _vector_views(10.0 * rng.standard_normal(dim)):
+            assert _bits(box.distance(x)) == _bits(box.violation(x[None, :])[0])
+    assert Box(lower, upper).distance(np.clip(x, lower, upper)) == 0.0
 
 
 def test_box_rejects_crossed_bounds():
@@ -461,7 +547,8 @@ def test_dykstra_finds_metric_projection_not_just_feasibility():
 class CountingMember(convex.ConvexSet):
     """A member whose projections dykstra makes are counted; ``distance``
     goes to the wrapped set untouched (a general Halfspaces system answers
-    it with a projection of its own, a membership test and not a step)."""
+    it from its rows, or with a projection of its own for a point outside:
+    a membership test and not a step)."""
 
     def __init__(self, inner):
         self.inner, self.dim, self.calls = inner, inner.dim, 0
@@ -731,6 +818,42 @@ def test_halfspace_projection_builds_its_rows_once(monkeypatch):
         x = 3.0 * rng.standard_normal(3)
         assert poly.project(x).tobytes() == dykstra(rows, x).tobytes()
     assert built == []
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_halfspace_membership_from_one_product_is_the_rows_verdict(
+        monkeypatch, dim, order):
+    # Points on a face (its row's excess is exactly 0) and one ulp off it in
+    # each coordinate. The distance answers 0.0 without a row projection
+    # exactly when every row's own rule, n_i . x - c_i <= 0 on dykstra's
+    # copy of x, holds, and always has the bits of the projection's distance.
+    rng = np.random.default_rng(dim)
+    projections = []
+    original = convex._SingleHalfspace.project
+    monkeypatch.setattr(convex._SingleHalfspace, "project",
+                        lambda self, x: projections.append(1) or original(self, x))
+    verdicts = []
+    for _ in range(30):
+        normals = np.array(rng.standard_normal((dim + 3, dim)), order=order)
+        face = rng.standard_normal(dim)
+        margins = np.concatenate([[0.0], rng.uniform(0.1, 1.0, dim + 2)])
+        poly = Halfspaces(normals, [n @ face for n in normals] + margins)
+        points = [face]
+        for k in range(dim):
+            for toward in (-np.inf, np.inf):
+                off = face.copy()
+                off[k] = np.nextafter(off[k], toward)
+                points.append(off)
+        for point in points:
+            for x in _vector_views(point):
+                inside = all(r.normal @ np.array(x) - r.offset <= 0 for r in poly._rows)
+                projections.clear()
+                got = poly.distance(x)
+                assert (projections == []) == inside
+                assert _bits(got) == _bits(convex.ConvexSet.distance(poly, x))
+                verdicts.append(inside)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_halfspaces_rejects_zero_row():
