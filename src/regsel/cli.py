@@ -421,8 +421,8 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         mat, g, base_x, radius_x = _linear_part(pf)
         grid = _verify_grid(args, mat.shape[1])
         # one factorization serves reg_linear, radius_y and lg_bound_check
-        fibre = AffineSet(mat, np.zeros(mat.shape[0]))
-        kappa = args.kappa if args.kappa is not None else KAPPA_MARGIN * reg_linear(_onto(fibre))
+        fibre = _onto(AffineSet(mat, np.zeros(mat.shape[0])))
+        kappa = args.kappa if args.kappa is not None else KAPPA_MARGIN * reg_linear(fibre)
         mapping = SampledMapping(
             forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
             radius_x=radius_x,

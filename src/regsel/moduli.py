@@ -37,22 +37,24 @@ Python loop per test value:
   by np.minimum.reduceat; x lies in the fibre F^{-1}(y) when that distance
   is at most CHECK_RTOL * (1 + ||y||), and a point with no values is at
   distance +inf.
-* The rows d(x, F^{-1}(y)) over all grid points x come from one table
-  between the stacked members of the block's distinct fibres and the grid
-  points, reduced per fibre by np.minimum.reduceat. A fibre equal to the
-  one before it reuses its distances. The metric-regularity ratio divides
-  them by d(y, F(x)); the Aubin excess gathers them at the members of
-  every source fibre and divides each fibre's worst (np.maximum.reduceat)
-  by the gaps ||y_a - y_b||, which form one more table.
+* The rows d(x, F^{-1}(y)) over all grid points x come from one table of
+  squared distances between the stacked members of the block's distinct
+  fibres and the grid points; np.minimum.reduce folds each fibre's rows
+  and one square root ends. A fibre equal to the one before it reuses its
+  distances. The metric-regularity ratio divides them by d(y, F(x)); the
+  Aubin excess gathers them at the members of every source fibre and
+  divides each fibre's worst (np.maximum.reduceat) by the gaps
+  ||y_a - y_b||, which form one more table.
 * No table holds more than TABLE_ENTRIES float64 entries unless a single
   row is wider; blocks of test values and fibre members are cut to fit, so
   the tables do not grow with the grid.
 
-Every table, gaps too, comes from _distances: it adds squared differences
-in coordinate order, below 8 coordinates numpy's own summation order, and
-min and max are exact. Every ratio, verdict and witness is thus that of a
-scan of one test value at a time, ties included: the first pair in
-test-value order attaining the worst ratio, with the first grid point.
+Every table, gaps too, comes from _squared_distances, which adds squared
+differences in coordinate order (below 8 coordinates numpy's own order).
+min and max are exact and sqrt is correctly rounded and monotone, so the
+root of a least square is the least root: every ratio, verdict and witness
+is that of a scan of one test value at a time, ties included (the first
+pair in test-value order attaining the worst ratio, with the first point).
 
 Distances within a ball reach its diameter, so every sampler refuses a
 radius whose diameter has no finite float64 square: beyond it the norm of a
@@ -463,14 +465,14 @@ def _sample_graph(mapping: SampledMapping, grid: int):
     return pts, gy, gx_idx, y_test
 
 
-def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of p and the rows of q.
+def _squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of p and the rows of q.
 
     The squared coordinate differences are added into one len(p) x len(q)
     table one coordinate at a time, in coordinate order. Below 8
     coordinates numpy's pairwise sum adds in that order too, so the table
-    has the bits of np.sqrt(((p[:, None] - q[None]) ** 2).sum(axis=2)); from
-    8 coordinates on numpy keeps 8 partial sums and the last bit can differ.
+    has the bits of ((p[:, None] - q[None]) ** 2).sum(axis=2); from 8
+    coordinates on numpy keeps 8 partial sums and the last bit can differ.
     """
     out = np.subtract.outer(p[:, 0], q[:, 0])
     out *= out
@@ -480,6 +482,12 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             np.subtract.outer(p[:, j], q[:, j], out=diff)
             diff *= diff
             out += diff
+    return out
+
+
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The square root of _squared_distances: Euclidean distances."""
+    out = _squared_distances(p, q)
     return np.sqrt(out, out=out)
 
 
@@ -537,25 +545,27 @@ def _fold_fibres(pts, labels, members, count):
     """d(x, fibre) for every grid point x and each of ``count`` fibres.
 
     ``members`` lists the members of consecutive fibres, fibre by fibre, and
-    labels[k] is the fibre of members[k]. They are taken
-    TABLE_ENTRIES // len(pts) at a time; the distances from each member to
-    every point form one table whose rows are reduced per fibre by
-    np.minimum and folded into that fibre's row. The minimum is exact, so
-    the result does not depend on where a fibre is cut.
+    labels[k] is the fibre of members[k]. Taken TABLE_ENTRIES // len(pts)
+    at a time, they give one table of squared distances to every point, and
+    np.minimum.reduce folds each fibre's run of rows into that fibre's row;
+    one square root of the folded rows ends the fold. As sqrt is correctly
+    rounded and monotone, sqrt(min s) == min sqrt(s): every row has the bits
+    of the minimum over _distances, wherever a fibre is cut.
     """
     out = np.full((count, len(pts)), np.inf)
     for part in _chunks(len(members), len(pts)):
         lab = labels[part]
         starts = _run_starts(lab)
+        ends = np.append(starts[1:], len(lab))
         rows = lab[starts]
-        block = _distances(pts[members[part]], pts)
-        if starts.size < block.shape[0]:
-            block = np.minimum.reduceat(block, starts, axis=0)
+        block = _squared_distances(pts[members[part]], pts)
+        fold = ends - starts > 1
         # only the first fibre of a part can have members in the part before
-        if part.start and labels[part.start - 1] == rows[0]:
-            np.minimum(block[0], out[rows[0]], out=block[0])
-        out[rows] = block
-    return out
+        fold[0] |= part.start > 0 and labels[part.start - 1] == rows[0]
+        out[rows[~fold]] = block[starts[~fold]]
+        for lo, hi, row in zip(starts[fold], ends[fold], rows[fold]):
+            np.minimum(out[row], np.minimum.reduce(block[lo:hi]), out=out[row])
+    return np.sqrt(out, out=out)
 
 
 def _first_max(ratios: np.ndarray) -> tuple[int, int, float]:
@@ -573,8 +583,8 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
     worst is the largest d(x, fib(y)) / d(y, F(x)), witness the first pair
     (x, y) in test-value order attaining it, with its first grid point. Test
     values come in blocks (_fibre_blocks); a fibre that repeats the one
-    before it reuses its row of distances d(x, fib(y)), across a block
-    boundary too, and _fold_fibres computes the others.
+    before it reuses its row d(x, fib(y)), across a block boundary too, and
+    _fold_fibres folds squared distances into the others, then roots them.
 
     aubin is None without ``kappa``. With it, a first pass lists the members
     of every fibre, blocks are cut so that the tables below fit the budget

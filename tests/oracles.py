@@ -498,6 +498,25 @@ def distances_3d(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dists, out=dists)
 
 
+def fold_fibres_reduceat(pts, labels, members, count, rows_per_table):
+    """regsel.moduli._fold_fibres as it was before it folded squared
+    distances: the members are taken ``rows_per_table`` at a time, each
+    table of distances to every point gets its square root entry by entry,
+    np.minimum.reduceat reduces each fibre's run of rows, and np.minimum
+    folds a run continuing from the table before into that fibre's row."""
+    out = np.full((count, len(pts)), np.inf)
+    for lo in range(0, len(members), rows_per_table):
+        lab = labels[lo:lo + rows_per_table]
+        starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+        table = distances_3d(pts[members[lo:lo + rows_per_table]], pts)
+        block = np.minimum.reduceat(table, starts, axis=0)
+        rows = lab[starts]
+        if lo and labels[lo - 1] == rows[0]:
+            np.minimum(block[0], out[rows[0]], out=block[0])
+        out[rows] = block
+    return out
+
+
 def _fibres(pts, gy, gx_idx, y_test):
     """Yield (y, d_y_fx, in_fibre) for each test value y, in order."""
     n_pts = pts.shape[0]

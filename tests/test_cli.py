@@ -246,10 +246,14 @@ def test_non_finite_tol_or_kappa_is_refused(capsys, argv, name):
     ("sweep", "rankone-scheduled.json", "--target", "0.1,0", "--grid", "3"),
     ("verify", "rankone.json"),
     ("verify", "rankone-linear.json"),
-], ids=lambda a: "-".join(a[:2]) if isinstance(a, tuple) else a)
+    # a given constant too: the sampled graph lies in the range, where every
+    # ratio passes, but a map that is not onto has no finite modulus
+    ("verify", "rankone.json", "--kappa", "2"),
+    ("verify", "rankone-linear.json", "--kappa", "2"),
+], ids=lambda a: "-".join(a[:2] + (("kappa",) if "--kappa" in a else ())))
 def test_a_non_surjective_operator_is_a_regularity_failure(capsys, fdir, argv):
-    # refused before any certificate line, naming the singular values;
-    # verify --kappa still judges the given constant
+    # refused before any certificate line, naming the singular values, with
+    # or without verify --kappa
     command, file, *flags = argv
     code, out, err = run(capsys, command, "--input", str(fdir / file), *flags)
     assert (code, out) == (4, "")

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (aubin_fibre_loop, aubin_pair_scan, distances_3d,
-                     pinv_apply, ratio_scan_loop, sampled_fibre,
-                     sup_quotient_block_loop)
+                     fold_fibres_reduceat, pinv_apply, ratio_scan_loop,
+                     sampled_fibre, sup_quotient_block_loop)
 from regsel import moduli
 from regsel.convex import AffineSet
 from regsel.errors import ContractError, ShapeError
@@ -544,25 +544,25 @@ def test_sampled_reg_doubling():
 
 def test_sampled_reg_builds_one_table_per_distinct_fibre(monkeypatch):
     # 137 test values on this 2->1 map, but only 57 distinct consecutive
-    # fibres: near-equal values reuse the last distance table
-    from regsel import moduli
+    # fibres: near-equal values reuse the last distance table. Every table,
+    # the fold's and those under _distances, comes from _squared_distances.
     entries = {1: 0, 2: 0}
-    distances = moduli._distances
+    squared = moduli._squared_distances
 
     def counted(p, q):
         entries[p.shape[1]] += p.shape[0] * q.shape[0]
-        return distances(p, q)
+        return squared(p, q)
 
-    monkeypatch.setattr(moduli, "_distances", counted)
+    monkeypatch.setattr(moduli, "_squared_distances", counted)
     m = np.array([[2.0, 2.0]])
     mapping = SampledMapping(forward=lambda x: m @ x, x_base=np.zeros(2),
                              y_base=np.zeros(1), radius_x=1.0,
                              radius_y=2.0 * np.linalg.norm(m))
     est = sampled_reg(mapping, grid=41)
-    # distances between grid points: at most the 57 tables of 1257 points
-    # by one fibre each that a per-value scan builds; the 57 fibres
-    # partition the 1257 points, so that total is 1257 * 1257
-    assert entries[2] <= 1257 * 1257
+    # distances between grid points: the 57 tables of 1257 points by one
+    # fibre each that a per-value scan builds; the 57 fibres partition the
+    # 1257 points, so that total is 1257 * 1257
+    assert entries[2] == 1257 * 1257
     # and one distance per test value and sampled value for the fibres
     assert entries[1] == 137 * 1257
     # the value and witness of the scan that rebuilt every table
@@ -780,6 +780,38 @@ def test_scans_match_loops_on_uneven_maps(forward, grid, kappa):
     mapping = SampledMapping(forward=forward, x_base=np.zeros(2),
                              y_base=np.zeros(1), radius_x=1.0, radius_y=1.0)
     assert_scans_match_loops(mapping, kappa, grid)
+
+
+def test_fold_has_the_bits_of_the_square_root_then_reduceat_fold(monkeypatch):
+    # sqrt is correctly rounded and monotone, so one square root of each
+    # fibre's least squared distance is the least of the square roots. The
+    # folds of two Aubin scans (cut has points with no values, varying
+    # points with two) and one made by hand, on tables of a few rows.
+    monkeypatch.setattr(moduli, "TABLE_ENTRIES", 600)
+    folds = []
+    fold = moduli._fold_fibres
+    monkeypatch.setattr(moduli, "_fold_fibres",
+                        lambda *args: folds.append(args) or fold(*args))
+    for forward, grid, kappa in uneven_maps()[:2]:
+        mapping = SampledMapping(forward=forward, x_base=np.zeros(2),
+                                 y_base=np.zeros(1), radius_x=1.0,
+                                 radius_y=1.0)
+        verify_aubin(mapping, kappa, grid=grid)
+    assert len(folds) > 2
+    # 200 lattice points, so distances tie, and tables of 3 rows: fibre 1
+    # spans four tables between fibres of one member, fibre 4 has two, and
+    # fibres 2 and 6 have none, so their rows stay inf
+    pts = np.stack(np.divmod(np.arange(200.0), 20), axis=1) / 8.0
+    labels = np.array([0] + [1] * 10 + [3, 4, 4, 5])
+    members = np.random.default_rng(3).permutation(200)[:labels.size]
+    folds.append((pts, labels, members, 7))
+    for pts, labels, members, count in folds:
+        step = max(1, moduli.TABLE_ENTRIES // len(pts))
+        got = fold(pts, labels, members, count)
+        want = fold_fibres_reduceat(pts, labels, members, count, step)
+        assert got.tobytes() == want.tobytes()
+    assert np.isinf(got[[2, 6]]).all()
+    assert np.isfinite(got[[0, 1, 3, 4, 5]]).all()
 
 
 def premise_map():
