@@ -3,10 +3,13 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload solve-mix \
         --seed 1 --seconds 15 --pairs 10 --out /tmp/pairs.json
 
-Extracts the parent revision (``git archive``) into a temporary directory,
-removed on any exit, then runs ``bench/run.py --trace 0`` on each side
-``--pairs`` times, the parent first in odd pairs and the working tree
-first in even ones. ``--out`` gets the lines of a committed ``BENCH_*.json``
+Extracts the parent revision (``git archive``) into one temporary
+directory and copies the working tree's files (tracked, and untracked ones
+git does not ignore) into a sibling, both removed on any exit, then runs
+``bench/run.py --trace 0`` from each copy ``--pairs`` times, the parent
+first in odd pairs and the working tree first in even ones. Neither side
+runs in place: both load from the same kind of location, at the same
+path depth. ``--out`` gets the lines of a committed ``BENCH_*.json``
 file: a header object, then one object per run with the last stdout line
 of that run as ``result``. The summary printed at the end gives, for each
 end-to-end metric of ``BENCHMARK.json``, both medians and quartiles, the
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,16 +54,41 @@ def parse_args(argv=None):
     return args
 
 
-def git(*argv) -> str:
-    return subprocess.run(["git", *argv], cwd=ROOT, check=True,
+def git(*argv, root=ROOT) -> str:
+    return subprocess.run(["git", *argv], cwd=root, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
-def extract(rev: str, into: str):
+def extract(rev: str, into, root=ROOT):
     """Write the files of ``rev`` under ``into``."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+
+
+def copy_worktree(into, root=ROOT):
+    """Copy the working tree's files under ``into``: the tracked ones as they
+    are on disk (a deleted one is left out) and the untracked ones git does
+    not ignore."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                 root=root)
+    for name in filter(None, listed.split("\0")):
+        source = Path(root, name)
+        if source.is_file():
+            target = Path(into, name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def prepare(rev: str, tmp, root=ROOT) -> dict:
+    """Sibling directories under ``tmp`` to run each side from: the files of
+    ``rev`` for the parent, a copy of the working tree for the change."""
+    where = {side: Path(tmp, side) for side in ("parent", "change")}
+    for path in where.values():
+        path.mkdir()
+    extract(rev, where["parent"], root)
+    copy_worktree(where["change"], root)
+    return where
 
 
 def bench_command(args) -> list[str]:
@@ -159,6 +188,11 @@ def main(argv=None):
               "seconds": args.seconds, "command": " ".join(command),
               "parent": parent,
               "change": git("describe", "--always", "--dirty"),
+              "where": {"parent": "git archive of the parent in a temporary "
+                                  "directory",
+                        "change": "copy of the working tree's tracked and "
+                                  "unignored files in a sibling temporary "
+                                  "directory"},
               "protocol": f"{args.pairs} pairs, parent first in odd pairs and "
                           "change first in even pairs; each line below is the "
                           "last stdout line of one run",
@@ -169,8 +203,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp, \
             open(args.out, "w") as out:
         out.write(json.dumps(header) + "\n")
-        extract(parent, tmp)
-        where = {"parent": tmp, "change": ROOT}
+        where = prepare(parent, tmp)
         for pair in range(1, args.pairs + 1):
             for i, side in enumerate(run_order(pair)):
                 run = {"pair": pair, "side": side, "ran_first": i == 0,

@@ -2,8 +2,11 @@
 
 The catalogue is deliberately small: affine solution sets, boxes, balls,
 halfspace systems, and finite intersections of those. Every set answers
-project / distance / gap, which is all the selection iteration needs.
-Boxes and halfspace systems, the two kinds of control set, also answer
+project / distance / gap, and ``project_gap``, which returns a projection
+and its gap together: that is all the selection iteration needs. An
+intersection takes the gap of its projection from what ``dykstra``
+measured on the way, so each member is measured once per point. Boxes
+and halfspace systems, the two kinds of control set, also answer
 ``support`` for the steering application's interior test, taking
 directions as rows (a halfspace system from its vertices, so on a bounded
 system only), and ``violation``, their membership rule. Projections onto
@@ -42,8 +45,8 @@ MAX_SUBSET_ENTRIES = 2 ** 18
 
 class ConvexSet:
     """Base interface; concrete sets override ``project`` and may override
-    the other queries with a closed form. ``support`` lives on ``Box`` and
-    ``Halfspaces`` only."""
+    the other queries with a closed form, a distance through ``_distance``.
+    ``support`` lives on ``Box`` and ``Halfspaces`` only."""
 
     dim: int
 
@@ -51,13 +54,21 @@ class ConvexSet:
         raise NotImplementedError
 
     def distance(self, x) -> float:
-        x = as_vector(x, dim=self.dim)
-        return norm(x - self.project(x))
+        return self._distance(as_vector(x, dim=self.dim))
+
+    def _distance(self, v: np.ndarray) -> float:
+        """``distance`` of a vector that ``as_vector`` already validated."""
+        return norm(v - self.project(v))
 
     def gap(self, x) -> float:
         """Feasibility gap of x, zero on the set; the distance unless a set
         has a cheaper bound (``Intersection``)."""
         return self.distance(x)
+
+    def project_gap(self, x) -> tuple[np.ndarray, float]:
+        """The projection z of x and ``gap(z)``, in one call."""
+        z = self.project(x)
+        return z, self.gap(z)
 
 
 def _factor(op: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
@@ -125,8 +136,9 @@ class AffineSet(ConvexSet):
         self.rhs = as_vector(rhs, dim=self.op.shape[0])
         x0 = self.right_inverse.dot(self.rhs)
         resid = norm(self.op.dot(x0) - self.rhs)
+        # the bound is at least 1e-9, so a smaller residual needs no norm;
         # the caller's rhs may be a strided view, which norm must not see
-        if resid > 1e-9 * (1.0 + norm(self.rhs.ravel())):
+        if resid > 1e-9 and resid > 1e-9 * (1.0 + norm(self.rhs.ravel())):
             raise ContractError(
                 f"inconsistent affine system, residual {resid:.3e}")
 
@@ -138,9 +150,8 @@ class AffineSet(ConvexSet):
         x = as_vector(x, dim=self.dim)
         return x - self._offset(x)
 
-    def distance(self, x):
-        x = as_vector(x, dim=self.dim)
-        return norm(self._offset(x))
+    def _distance(self, v):
+        return norm(self._offset(v))
 
 
 class Box(ConvexSet):
@@ -168,10 +179,10 @@ class Box(ConvexSet):
         """How far each coordinate of x (or of each row of x) lies outside."""
         return np.maximum(0.0, np.maximum(self.lower - x, x - self.upper))
 
-    def distance(self, x):
-        """The norm of the clamped excess: the bits ``violation`` gives x as
+    def _distance(self, v):
+        """The norm of the clamped excess: the bits ``violation`` gives v as
         a lone row, whose norm goes through the same dot kernel."""
-        return norm(self._excess(as_vector(x, dim=self.dim)))
+        return norm(self._excess(v))
 
     def violation(self, points):
         """Distance of each row of the (k, dim) points to the box, the norm of
@@ -223,9 +234,8 @@ class Ball(ConvexSet):
             return x.copy()
         return self.center + delta * (self.radius / length)
 
-    def distance(self, x):
-        x = as_vector(x, dim=self.dim)
-        return max(0.0, norm(x - self.center) - self.radius)
+    def _distance(self, v):
+        return max(0.0, norm(v - self.center) - self.radius)
 
 
 class Halfspaces(ConvexSet):
@@ -262,21 +272,20 @@ class Halfspaces(ConvexSet):
         if self._box is not None:
             return self._box.project(x)
         x = as_vector(x, dim=self.dim)
-        return dykstra(self._rows, x)
+        return dykstra(self._rows, x)[0]
 
-    def distance(self, x):
-        """0.0 for a point every row holds, ``n_i . x - c_i <= 0`` with each
+    def _distance(self, v):
+        """0.0 for a point every row holds, ``n_i . v - c_i <= 0`` with each
         product from the dot kernel of ``_SingleHalfspace.project``, so the
         verdict is that of the rows; otherwise the distance to the projection."""
-        x = as_vector(x, dim=self.dim)
         if self._box is None:
-            # one ddot per row, as in the rows' own test, and on a copy of x
+            # one ddot per row, as in the rows' own test, and on a copy of v
             # as dykstra makes: a kernel may sum a vector in an order that
             # depends on its alignment (Prescott)
-            products = np.matmul(self.normals[:, None, :], np.array(x)[:, None])[:, 0, 0]
+            products = np.matmul(self.normals[:, None, :], np.array(v)[:, None])[:, 0, 0]
             if np.all(products - self.offsets <= 0):
                 return 0.0
-        return super().distance(x)
+        return super()._distance(v)
 
     def violation(self, points):
         """Largest normalized excess ``(n_i . p - c_i) / |n_i|`` of each row
@@ -375,15 +384,30 @@ class Intersection(ConvexSet):
 
     def project(self, x):
         x = as_vector(x, dim=self.dim)
-        return dykstra(self.members, x)
+        return dykstra(self.members, x)[0]
 
     def gap(self, x) -> float:
         """Worst member distance; a feasibility gap, not the true distance."""
-        return max(m.distance(x) for m in self.members)
+        x = as_vector(x, dim=self.dim)
+        return max(m._distance(x) for m in self.members)
+
+    def project_gap(self, x) -> tuple[np.ndarray, float]:
+        """``project`` and ``gap`` of the projection, bit for bit, from what
+        ``dykstra`` measured. After rounds, its gap is the gap. After the
+        exact exit every member but the first measured the point, and
+        validated it, at 0.0, so the gap is the first member's distance;
+        with no other member the point is validated here."""
+        z, gap = dykstra(self.members, as_vector(x, dim=self.dim))
+        if gap is None:
+            first = self.members[0]
+            gap = first._distance(z) if len(self.members) > 1 else first.distance(z)
+        return z, gap
 
 
-def dykstra(sets, start) -> np.ndarray:
-    """Dykstra's alternating projections onto an intersection.
+def dykstra(sets, start) -> tuple[np.ndarray, float | None]:
+    """Dykstra's alternating projections onto an intersection: the point and
+    its gap, the worst member ``distance``, or None for the gap on the exact
+    exit, which measures only the members after the first.
 
     The first projection, onto the first member, is an exact exit: if it
     lies in every other member (each ``distance`` exactly 0.0), it is a
@@ -403,7 +427,7 @@ def dykstra(sets, start) -> np.ndarray:
     x = np.array(start, dtype=float)
     first = sets[0].project(x)
     if all(s.distance(first) == 0.0 for s in sets[1:]):
-        return first
+        return first, None
     corrections = [np.zeros_like(x) for _ in sets]
     gap_tol = max(1e-9, 10.0 * DYKSTRA_TOL)
     for _ in range(DYKSTRA_MAX_ROUNDS):
@@ -416,7 +440,7 @@ def dykstra(sets, start) -> np.ndarray:
         if norm(x - x_prev) <= DYKSTRA_TOL:
             gap = max(s.distance(x) for s in sets)
             if gap <= gap_tol:
-                return x
+                return x, gap
     gap = max(s.distance(x) for s in sets)
     raise InfeasibilitySuspectedError(
         f"alternating projections did not settle in {DYKSTRA_MAX_ROUNDS} rounds "

@@ -180,18 +180,20 @@ def _project_truncated(base_set: ConvexSet, center: np.ndarray, radius: float,
                        cfg: IterationConfig, what: str) -> np.ndarray:
     """Projection of ``center`` onto base_set truncated to B(center, radius).
 
-    Raises RegularityError when the fibre is empty (no preimage under the
-    constraint) or lies farther than ``radius`` from the centre (the
-    truncated set is empty), NumericBreakdownError when the fibre's own
+    One ``project_gap`` call gives the fibre's projection and its gap, so an
+    intersection's members measure the projection once (see
+    ``Intersection.project_gap``). Raises RegularityError when the fibre is
+    empty (no preimage under the constraint: Dykstra did not settle while
+    projecting or measuring) or lies farther than ``radius`` from the centre
+    (the truncated set is empty), NumericBreakdownError when the fibre's own
     projection misses it by more than 10*tol.
     """
     try:
-        z = base_set.project(center)
+        z, gap = base_set.project_gap(center)
     except InfeasibilitySuspectedError as exc:
         raise RegularityError(
             f"{what}: the corrected target has no preimage under the "
             f"constraint (Dykstra gap {exc.gap:.3e})") from exc
-    gap = base_set.gap(z)
     if gap > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"{what}: projection gap {gap:.3e} exceeds 10*tol")

@@ -85,3 +85,37 @@ def test_report_prints_the_failed_share_and_each_verdict():
     assert lines[-1].startswith("peak_rss_mb: parent ")
     assert lines[-1].endswith("worse by +10.00% vs bound 5% (OVER BOUND)")
     assert all("within bound" in line for line in lines[1:-1])
+
+
+def test_both_sides_run_from_sibling_copies(tmp_path):
+    # a throwaway repository with one commit, then a modified tracked file,
+    # a new untracked module and an ignored file in its working tree
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*argv):
+        bench_pairs.git("-c", "user.name=t", "-c", "user.email=t@t", *argv,
+                        root=repo)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "pkg" / "mod.py").write_text("VALUE = 2\n")
+    (repo / "pkg" / "new.py").write_text("NEW = True\n")
+    (repo / "ignored.txt").write_text("build output\n")
+
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    where = bench_pairs.prepare("HEAD", runs, root=repo)
+    parent, change = where["parent"], where["change"]
+    assert repo not in (parent, change) and parent.parent == change.parent
+    assert (parent / "pkg" / "mod.py").read_text() == "VALUE = 1\n"
+    assert not (parent / "pkg" / "new.py").exists()
+    assert (change / "pkg" / "mod.py").read_text() == "VALUE = 2\n"
+    assert (change / "pkg" / "new.py").read_text() == "NEW = True\n"
+    assert (change / ".gitignore").exists()
+    assert not (change / "ignored.txt").exists()
+    assert not (change / ".git").exists()

@@ -538,9 +538,9 @@ def test_dykstra_finds_metric_projection_not_just_feasibility():
     # feasible point; dykstra must still return the nearest one
     members = [AffineSet([[1.0, 1.0]], [2.0]), Box([0.0, 0.0], [0.5, 5.0])]
     x = np.array([0.0, 0.0])
-    got = dykstra(members, x)
+    got, _ = dykstra(members, x)
     np.testing.assert_allclose(got, [0.5, 1.5], atol=1e-8)
-    got_rev = dykstra(members[::-1], x)
+    got_rev, _ = dykstra(members[::-1], x)
     np.testing.assert_allclose(got_rev, [0.5, 1.5], atol=1e-8)
 
 
@@ -578,9 +578,9 @@ def test_an_inactive_constraint_costs_one_projection(kind, seed):
                   "ball": Ball(proj + 0.1, 1.0),
                   "halfspaces": Halfspaces(normals, normals @ proj + 0.5)}[kind]
     members = [CountingMember(fibre), CountingMember(constraint)]
-    got = dykstra(members, start)
+    got, gap = dykstra(members, start)
     assert [m.calls for m in members] == [1, 0]
-    assert got.tobytes() == proj.tobytes()
+    assert got.tobytes() == proj.tobytes() and gap is None
     # The reference's second round adds rounding of the start's size: a
     # coordinate much smaller than the start can be 32 ulps of itself off
     # (the box at seed 382); 4 ulps of the start's largest coordinate held
@@ -598,13 +598,14 @@ def test_an_active_or_inexact_constraint_runs_the_reference_rounds():
         # the box cuts the fibre's nearest point off, by 0.5 or by 1e-12
         box = Box(proj - 1.0, upper)
         members = [CountingMember(fibre), CountingMember(box)]
-        got = dykstra(members, start)
+        got, gap = dykstra(members, start)
         assert got.tobytes() == dykstra_loop([fibre, box], start).tobytes()
         assert members[0].calls == members[1].calls > 1
+        assert _bits(gap) == _bits(Intersection([fibre, box]).gap(got))
         assert got[0] <= upper[0] < proj[0]
     # a start already in the intersection
     box = Box(proj - 1.0, proj + 1.0)
-    assert dykstra([fibre, box], proj).tobytes() == \
+    assert dykstra([fibre, box], proj)[0].tobytes() == \
         dykstra_loop([fibre, box], proj).tobytes()
 
 
@@ -627,7 +628,7 @@ def test_a_single_member_intersection_is_its_member_projection():
     x = np.array([3.0, -0.5])
     assert Intersection([counted]).project(x).tobytes() == box.project(x).tobytes()
     assert counted.calls == 1
-    np.testing.assert_allclose(dykstra([box], x), dykstra_loop([box], x),
+    np.testing.assert_allclose(dykstra([box], x)[0], dykstra_loop([box], x),
                                rtol=0, atol=1e-15)
 
 
@@ -657,7 +658,7 @@ def test_affine_box_projection_agrees_with_the_reference(rows, cols, seed):
             dykstra(members, x)
         assert (str(got.value), got.value.gap) == (str(exc), exc.gap)
         return
-    got = dykstra(members, x)
+    got, _ = dykstra(members, x)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     assert Intersection(members).gap(got) <= 1e-9
 
@@ -816,7 +817,7 @@ def test_halfspace_projection_builds_its_rows_once(monkeypatch):
     rng = np.random.default_rng(6)
     for _ in range(20):
         x = 3.0 * rng.standard_normal(3)
-        assert poly.project(x).tobytes() == dykstra(rows, x).tobytes()
+        assert poly.project(x).tobytes() == dykstra(rows, x)[0].tobytes()
     assert built == []
 
 
@@ -851,7 +852,8 @@ def test_halfspace_membership_from_one_product_is_the_rows_verdict(
                 projections.clear()
                 got = poly.distance(x)
                 assert (projections == []) == inside
-                assert _bits(got) == _bits(convex.ConvexSet.distance(poly, x))
+                # the base class's distance: the norm to the projection
+                assert _bits(got) == _bits(convex.ConvexSet._distance(poly, np.asarray(x)))
                 verdicts.append(inside)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -895,6 +897,42 @@ def test_gap_is_the_distance_except_for_intersections():
                 assert s.gap(x) == max(m.distance(x) for m in s.members)
             else:
                 assert s.gap(x) == s.distance(x)
+
+
+def test_project_gap_is_the_projection_and_its_gap(monkeypatch):
+    # Every set of the catalogue, an axis-aligned halfspace system, and
+    # intersections through dykstra's exact exit (an inactive box), through
+    # its rounds (an active box, either member first), and with one member,
+    # whose exit measures nothing: project_gap gives project, then gap of
+    # the projection, bit for bit, on contiguous, shifted and strided views.
+    exits = []
+    original = convex.dykstra
+
+    def recording(sets, start):
+        z, gap = original(sets, start)
+        exits.append((len(sets), gap is None))
+        return z, gap
+
+    monkeypatch.setattr(convex, "dykstra", recording)
+    fibre, _, proj, _ = affine_case(11)
+    cut = Box(proj - 1.0, proj + [-0.5, 1.0, 1.0, 1.0])
+    sets = [s for _, s in fixtures()] + [
+        Halfspaces([[1.0, 0.0], [0.0, -2.0]], [1.0, 0.5]),
+        Intersection([fibre, Box(proj - 1.0, proj + 1.0)]),
+        Intersection([fibre, cut]), Intersection([cut, fibre]),
+        Intersection([fibre]), Intersection([Box([-1.0, 0.0], [1.0, 2.0])])]
+    rng = np.random.default_rng(12)
+    for s in sets:
+        for _ in range(5):
+            # near the fibre's projection, so the wide box holds it
+            x = (proj if s.dim == 4 else 0.0) + 0.3 * rng.standard_normal(s.dim)
+            for v in _vector_views(x):
+                z, gap = s.project_gap(v)
+                want = s.project(v)
+                assert z.tobytes() == want.tobytes()
+                assert _bits(gap) == _bits(s.gap(want))
+    # (members, exact exit) of the dykstra calls
+    assert {(2, True), (2, False), (1, True)} <= set(exits)
 
 
 def test_set_from_json_rejects_unknown_type():

@@ -9,7 +9,7 @@ from oracles import bisect_root, random_surjective, three_phase_solve
 from regsel import convex
 from regsel.convex import AffineSet, Box, Intersection
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
-                           RegularityError)
+                           RegularityError, ShapeError)
 from regsel.selection import (GeneralizedEquation, IterationConfig,
                               _corrector_step, _project_truncated, compute_tau,
                               default_config, solve, solve_implicit, sweep)
@@ -169,6 +169,73 @@ def test_truncated_projection_radius_zero_feasible_center_is_singleton():
     z = _project_truncated(AffineSet([[1.0, 1.0]], [0.0]),
                            np.array([0.5, -0.5]), 0.0, line_config(), "test")
     np.testing.assert_allclose(z, [0.5, -0.5], atol=1e-10)
+
+
+class NanFibre(convex.ConvexSet):
+    """A set whose projection of any point holds a nan."""
+
+    dim = 2
+
+    def project(self, x):
+        return np.array([np.nan, 0.0])
+
+
+@pytest.mark.parametrize("base_set", [
+    NanFibre(), Intersection([NanFibre()]),
+    Intersection([NanFibre(), Box([-1.0, -1.0], [1.0, 1.0])]),
+    Intersection([NanFibre(), AffineSet([[1.0, 1.0]], [0.0])])],
+    ids=["bare", "one-member", "with-box", "with-affine"])
+def test_truncated_projection_refuses_a_nan_point(base_set):
+    # a gap of nan passes gap > 10*tol, so the validation of the measured
+    # point is what stops the step, with or without other members; the
+    # final residual's gap refuses a nan point too
+    for measure in (lambda: _project_truncated(base_set, np.zeros(2), 1.0,
+                                               line_config(), "test"),
+                    lambda: base_set.gap([np.nan, 0.0])):
+        with pytest.raises(ShapeError) as err:
+            measure()
+        assert str(err.value) == "vector has non-finite entries"
+
+
+def test_a_constrained_step_measures_each_member_once(monkeypatch):
+    # An inactive box: each corrector step projects onto the fibre once,
+    # the box measures that projection once (dykstra's exact exit) and the
+    # fibre once (the gap); the final residual measures each member once more.
+    rng = np.random.default_rng(4)
+    mat = random_surjective(rng, 2, 3, smin=0.5, smax=2.0)
+    w = rng.standard_normal((2, 3))
+    w /= np.linalg.norm(w, 2)
+    smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
+    eps = 0.25 * smin
+    box = Box(-2.0 * np.ones(3), 2.0 * np.ones(3))
+
+    def g(x):
+        return eps * np.sin(w @ x + 1.0)
+
+    p = GeneralizedEquation(
+        finv=lambda y: Intersection([AffineSet(mat, y), box]), g=g,
+        x_base=np.zeros(3), y_base=np.zeros(2), radius_x=1.0, radius_y=1.0,
+        radius_graph=2.0)
+    cfg = default_config(1.0 / smin, eps)
+    y = g(np.zeros(3)) + 0.5 * compute_tau(cfg, (1.0, 1.0)) * np.array([0.6, 0.8])
+    counts = {"project": 0, "offset": 0, "box": 0}
+
+    def counting(cls, name, key):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            counts[key] += 1
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(AffineSet, "project", "project")
+    counting(AffineSet, "_offset", "offset")
+    counting(Box, "_distance", "box")
+    _, cert = solve(p, cfg, y)
+    steps = cert.iterate_count + 1
+    assert cert.iterate_count >= 3
+    assert counts == {"project": steps, "box": steps + 1,
+                      "offset": 2 * steps + 1}
 
 
 # ---------------------------------------------------------------------------
