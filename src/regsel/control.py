@@ -8,7 +8,10 @@ together with the endpoint rows and the lifted control constraints forms
 the set-valued side; its graph is an intersection of affine constraints
 with a product of convex sets, hence convex and closed. The nonlinear
 remainder of f enters as the Lipschitz perturbation. The interior
-diagnostic reads the endpoint map of the same trapezoid rows.
+diagnostic reads the endpoint map of the same trapezoid rows. The dynamics
+are called two ways: ``linearize`` makes one stacked call, and the remainder
+and ``steer``'s trajectory check read one trajectory layout through one
+two-call trapezoid evaluator.
 
 Internally the iteration runs in mesh-weighted coordinates (nodal values
 scaled by sqrt(h)) so that the regularity modulus of the collocation
@@ -19,6 +22,7 @@ max_i |u_i| for controls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -28,7 +32,8 @@ from .convex import AffineSet, Box, Halfspaces, Intersection, direction_grid
 from .errors import (ContractError, LocalityError, NumericBreakdownError,
                      RegularityError, ShapeError, UncontrollableError)
 from .linalg import as_vector, stack_matvec, svd
-from .moduli import ModulusEstimate, lip_estimate, probe_width, stacking_fault
+from .moduli import (ModulusEstimate, fmt_float, lip_estimate, probe_width,
+                     stacking_fault)
 from .selection import (KAPPA_MARGIN, GeneralizedEquation,
                         IterationCertificate, IterationConfig, compute_tau,
                         default_config, solve)
@@ -145,24 +150,20 @@ class DiscretizedSystem:
 
 
 def linearize(problem: ControlProblem) -> DiscretizedSystem:
-    """Central-difference A = df/dx and B = df/du at the origin."""
+    """Central-difference A = df/dx and B = df/du at the origin, from one
+    stacked call on the 2(n+m) points +-h e_j (a width that is neither n nor
+    m, as in the stacking probe), each with the signed zeros of e_j."""
     n, m = problem.state_dim, problem.control_dim
-    f = problem.dynamics
-    a = np.zeros((n, n))
-    b = np.zeros((n, m))
-    hstep = FD_JACOBIAN_STEP
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = hstep
-        a[:, j] = (f(e, np.zeros(m)) - f(-e, np.zeros(m))) / (2.0 * hstep)
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = hstep
-        b[:, j] = (f(np.zeros(n), e) - f(np.zeros(n), -e)) / (2.0 * hstep)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    plus = FD_JACOBIAN_STEP * np.eye(n + m)
+    minus = -plus
+    minus[:n, n:] = minus[n:, :n] = 0.0
+    points = np.hstack([plus, minus])
+    values = problem.dynamics(points[:n], points[n:])
+    jac = (values[:, :n + m] - values[:, n + m:]) / (2.0 * FD_JACOBIAN_STEP)
+    if not np.all(np.isfinite(jac)):
         raise NumericBreakdownError("linearization produced non-finite entries")
-    return DiscretizedSystem(a_matrix=a, b_matrix=b, state_dim=n,
-                             control_dim=m, mesh_size=problem.mesh_size)
+    return DiscretizedSystem(a_matrix=jac[:, :n].copy(), b_matrix=jac[:, n:].copy(),
+                             state_dim=n, control_dim=m, mesh_size=problem.mesh_size)
 
 
 def kalman_rank(sys: DiscretizedSystem) -> tuple[int, bool]:
@@ -236,23 +237,35 @@ def _lift_control_set(control_set: Box | Halfspaces, sys: DiscretizedSystem) -> 
                    np.concatenate([free, np.tile(control_set.upper / sq, big_n)]))
     k = control_set.normals.shape[0]
     rows = np.zeros((k * big_n, nx + m * big_n))
-    offs = np.zeros(k * big_n)
     for i in range(big_n):
         rows[k * i:k * (i + 1), nx + m * i:nx + m * (i + 1)] = control_set.normals * sq
-        offs[k * i:k * (i + 1)] = control_set.offsets
-    return Halfspaces(rows, offs)
+    return Halfspaces(rows, np.tile(control_set.offsets, big_n))
+
+
+def _trajectories(scaled: np.ndarray, sys: DiscretizedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The sqrt(h)-scaled unknowns of one trajectory, or of k trajectories as
+    columns, laid out component-major: nodal states (n, N+1, k) with x_0 = 0
+    and interval controls (m, N, k)."""
+    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
+    nx = n * big_n
+    cols = scaled.reshape(scaled.shape[0], -1) * math.sqrt(big_n)
+    states = np.zeros((n, big_n + 1, cols.shape[1]))
+    states[:, 1:] = cols[:nx].reshape(big_n, n, -1).transpose(1, 0, 2)
+    return states, cols[nx:].reshape(big_n, m, -1).transpose(1, 0, 2)
 
 
 def _trapezoid_means(f, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-    """0.5*(f(x_i, u_i) + f(x_{i+1}, u_i)) for every interval, one row each,
-    from two stacked oracle calls.
+    """0.5*(f(x_i, u_i) + f(x_{i+1}, u_i)) for every interval of every
+    trajectory of the ``_trajectories`` layout, shape (n, N, k).
 
-    ``states`` holds the N+1 nodes and ``controls`` the N interval values as
-    rows; the oracle sees them component-major with contiguous rows.
+    The N k intervals go to the oracle together, in two stacked calls on
+    (n, N k) states with contiguous rows.
     """
-    xs = np.ascontiguousarray(states.T)
-    us = np.ascontiguousarray(controls.T)
-    return (0.5 * (f(xs[:, :-1], us) + f(xs[:, 1:], us))).T
+    n, m = states.shape[0], controls.shape[0]
+    us = controls.reshape(m, -1)
+    means = 0.5 * (f(states[:, :-1].reshape(n, -1), us)
+                   + f(states[:, 1:].reshape(n, -1), us))
+    return means.reshape((n,) + controls.shape[1:])
 
 
 def _remainder(problem: ControlProblem, sys: DiscretizedSystem):
@@ -260,45 +273,25 @@ def _remainder(problem: ControlProblem, sys: DiscretizedSystem):
     and returning sqrt(h)-scaled vectors.
 
     The remainder takes one vector or k of them as columns, and returns one
-    column per trajectory. The N intervals of all k trajectories go to the
-    dynamics together, in two stacked calls on (n, N k) states, and the
-    linear part adds its terms one by one (stack_matvec): a stacked column
-    has the bits of the same trajectory alone.
+    column per trajectory. The dynamics see all k trajectories in one
+    ``_trapezoid_means`` pair, and the linear part adds its terms one by one
+    (stack_matvec): a stacked column has the bits of the same trajectory
+    alone.
     """
-    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
-    a, b = sys.a_matrix, sys.b_matrix
-    f = problem.dynamics
-    nx = n * big_n
-    sq = np.sqrt(big_n)
+    n, nx = sys.state_dim, sys.state_dim * sys.mesh_size
 
     def g(scaled):
         scaled = np.asarray(scaled, dtype=float)
-        cols = scaled.reshape(scaled.shape[0], -1) * sq
-        k = cols.shape[1]
-        # component-major nodes x_0 = 0, x_1, ..., x_N of every trajectory
-        states = np.zeros((n, big_n + 1, k))
-        states[:, 1:] = cols[:nx].reshape(big_n, n, k).transpose(1, 0, 2)
-        left = states[:, :-1].reshape(n, big_n * k)
-        right = states[:, 1:].reshape(n, big_n * k)
-        controls = cols[nx:].reshape(big_n, m, k).transpose(1, 0, 2).reshape(m, -1)
-        mean = 0.5 * (f(left, controls) + f(right, controls))
-        linear = (stack_matvec(a, 0.5 * (left + right))
-                  + stack_matvec(b, controls))
-        out = np.zeros((nx + n, k))
-        out[:nx] = (linear - mean).reshape(n, big_n, k).transpose(1, 0, 2).reshape(nx, k)
-        out /= sq
+        states, controls = _trajectories(scaled, sys)
+        mean = _trapezoid_means(problem.dynamics, states, controls)
+        linear = (stack_matvec(sys.a_matrix, 0.5 * (states[:, :-1] + states[:, 1:]))
+                  + stack_matvec(sys.b_matrix, controls))
+        out = np.zeros((nx + n, states.shape[2]))
+        out[:nx] = (linear - mean).transpose(1, 0, 2).reshape(nx, -1)
+        out /= math.sqrt(sys.mesh_size)
         return out.reshape((nx + n,) + scaled.shape[1:])
 
     return g
-
-
-def _unscale(scaled: np.ndarray, sys: DiscretizedSystem) -> tuple[np.ndarray, np.ndarray]:
-    n, m, big_n = sys.state_dim, sys.control_dim, sys.mesh_size
-    nx = n * big_n
-    sq = np.sqrt(big_n)
-    states = np.vstack([np.zeros(n), (scaled[:nx] * sq).reshape(big_n, n)])
-    controls = (scaled[nx:] * sq).reshape(big_n, m)
-    return states, controls
 
 
 @dataclass
@@ -427,7 +420,6 @@ class SteeringResult:
 
     def csv_lines(self) -> list[str]:
         """Rows t_i, state components, control components (blank past N-1)."""
-        from .moduli import fmt_float
         n = self.states.shape[1]
         m = self.controls.shape[1]
         big_n = self.controls.shape[0]
@@ -447,9 +439,8 @@ class SteeringResult:
 
 def _trajectory_norms(states: np.ndarray, controls: np.ndarray, mesh: int) -> float:
     """Discretized |x'|_inf + esssup |u| seminorm of a trajectory pair."""
-    slope = mesh * np.max(np.abs(np.diff(states, axis=0))) if states.shape[0] > 1 else 0.0
-    bound = np.max(np.abs(controls)) if controls.size else 0.0
-    return float(slope + bound)
+    slope = mesh * np.max(np.abs(np.diff(states, axis=0)))
+    return float(slope + np.max(np.abs(controls)))
 
 
 def _default_tau_target(size: float) -> float:
@@ -463,31 +454,32 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
     """Steer the origin to endpoint b with admissible controls.
 
     Solves the discretized generalized equation for the query whose only
-    nonzero rows are the endpoint target. Raises UncontrollableError when
-    the Kalman rank test fails, LocalityError when |b| exceeds the
-    certified radius, and NumericBreakdownError when the returned
-    trajectory violates the dynamics or control-membership contracts.
+    nonzero rows are the endpoint target. Raises ContractError when
+    ``setup`` was built for another problem, UncontrollableError when the
+    Kalman rank test fails, LocalityError when |b| exceeds the certified
+    radius, and NumericBreakdownError when the returned trajectory
+    violates the dynamics or control-membership contracts.
     """
     if b is None:
         raise ContractError("steer needs a target endpoint")
+    b = as_vector(b, dim=problem.state_dim)
     if setup is None:
-        if sys is None:
-            sys = linearize(problem)
-        b = as_vector(b, dim=sys.state_dim)
         setup = steering_setup(
             problem, sys, tau_target=_default_tau_target(float(np.linalg.norm(b))),
             tol=tol, seed=seed)
+    elif setup.problem != problem:
+        raise ContractError("steer's set-up was built for another problem")
     sys = setup.sys
-    b = as_vector(b, dim=sys.state_dim)
 
     scaled, cert = solve(setup.equation, setup.config, setup.query(b))
-    states, controls = _unscale(scaled, sys)
-
+    states, controls = _trajectories(scaled, sys)
     means = _trapezoid_means(problem.dynamics, states, controls)
-    residual = float(np.max(np.abs(np.diff(states, axis=0) - sys.step * means)))
+    residual = float(np.max(np.abs(np.diff(states, axis=1) - sys.step * means)))
     if not residual <= DYNAMICS_RESIDUAL_TOL:  # a nan gap fails too
         raise NumericBreakdownError(
             f"trajectory violates the discretized dynamics by {residual:.3e}")
+    # the one trajectory as rows: states (N+1, n), controls (N, m)
+    states, controls = (np.ascontiguousarray(v[:, :, 0].T) for v in (states, controls))
     violation = problem.control_set.violation(controls)
     bad = np.flatnonzero(~(violation <= CONTROL_MEMBERSHIP_TOL))  # nan fails too
     if bad.size:
@@ -531,16 +523,14 @@ def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
     """
     if targets is None or len(targets) == 0:
         raise ContractError("calm_sweep needs a nonempty target grid")
-    if sys is None:
-        sys = linearize(problem)
-    grid = [as_vector(t, dim=sys.state_dim) for t in targets]
+    grid = [as_vector(t, dim=problem.state_dim) for t in targets]
     worst = max(float(np.linalg.norm(t)) for t in grid)
     target = tau_target if tau_target is not None else _default_tau_target(worst)
     setup = steering_setup(problem, sys, tau_target=target, tol=tol, seed=seed)
     sweep = ControlSweep(calm_bound=setup.calm_bound, tau=setup.tau)
     for t in grid:
         try:
-            res = steer(problem, sys, t, setup=setup)
+            res = steer(problem, b=t, setup=setup)
         except (LocalityError, RegularityError, NumericBreakdownError) as exc:
             sweep.results.append(None)
             sweep.errors.append(str(exc))
@@ -555,6 +545,6 @@ def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
         if dist <= 0:
             continue
         num = _trajectory_norms(cur.states - prev.states,
-                                cur.controls - prev.controls, sys.mesh_size)
+                                cur.controls - prev.controls, setup.sys.mesh_size)
         sweep.max_continuity_ratio = max(sweep.max_continuity_ratio, num / dist)
     return sweep

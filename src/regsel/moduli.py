@@ -688,8 +688,10 @@ def verify_metric_regularity(mapping: SampledMapping, kappa: float,
 
     x runs over the domain grid ball, y over graph values inside the image
     ball; inverse images are reconstructed from the sampled graph. The
-    comparison carries a 1e-9 relative slack for grid roundoff.
+    comparison carries a 1e-9 relative slack for grid roundoff. kappa is
+    checked before the graph is sampled.
     """
+    _check_kappa(kappa)
     return regularity_report(sampled_reg(mapping, grid), kappa)
 
 

@@ -210,6 +210,25 @@ def collocation_remainder_loop(dynamics, sys):
     return g
 
 
+def linearize_loop(problem, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """A = df/dx and B = df/du at the origin by central differences, one
+    column at a time: 2(n+m) single-point dynamics calls, the reference the
+    one stacked call of regsel.control.linearize must reproduce."""
+    n, m = problem.state_dim, problem.control_dim
+    f = problem.dynamics
+    a = np.zeros((n, n))
+    b = np.zeros((n, m))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        a[:, j] = (f(e, np.zeros(m)) - f(-e, np.zeros(m))) / (2.0 * step)
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = step
+        b[:, j] = (f(np.zeros(n), e) - f(np.zeros(n), -e)) / (2.0 * step)
+    return a, b
+
+
 def transported_calm_bound_dense(sys, fact, cfg) -> float:
     """The steering calm bound from a fresh full SVD and dense selectors.
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (collocation_remainder_loop, control_membership_loop,
-                     endpoint_order_ratios, reachable_interior_expm_loop,
+                     endpoint_order_ratios, linearize_loop,
+                     reachable_interior_expm_loop,
                      reachable_interior_node_loop,
                      simulate_trapezoidal, trapezoid_residual,
                      transported_calm_bound_dense)
@@ -49,6 +50,39 @@ def segment_problem(mesh=16):
         "dynamics": {"input_dim": 3, "output_dim": 2,
                      "terms": [[{"coef": c, "powers": [0, 0, 1]}],
                                [{"coef": s, "powers": [0, 0, 1]}]]}}).control
+
+
+def polynomial_file_problem(mesh=32):
+    # x1' = x2 + 0.5 x1^2 u, x2' = u - x1^3 / 6 + x1 x2
+    dyn = {"input_dim": 3, "output_dim": 2,
+           "terms": [[{"coef": 1.0, "powers": [0, 1, 0]},
+                      {"coef": 0.5, "powers": [2, 0, 1]}],
+                     [{"coef": 1.0, "powers": [0, 0, 1]},
+                      {"coef": -1.0 / 6.0, "powers": [3, 0, 0]},
+                      {"coef": 1.0, "powers": [1, 1, 0]}]]}
+    return parse_problem({"version": "1", "kind": "control", "dynamics": dyn,
+                          "state_dim": 2, "control_dim": 1,
+                          "control_set": {"type": "box", "lower": [-1.0],
+                                          "upper": [1.0]},
+                          "mesh": mesh}).control
+
+
+TRIANGLE = Halfspaces([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [0.5, 1.0, 1.0])
+
+
+def triangle_problem(mesh=8):
+    # two controls, one per state derivative, in a triangle around 0
+    return ControlProblem(dynamics=lambda x, u: np.array([u[0], u[1]]),
+                          control_set=TRIANGLE, state_dim=2, control_dim=2,
+                          mesh_size=mesh)
+
+
+def negated_control(mesh=16):
+    # x1' = x2, x2' = -u: -u of a zero control is -0.0, so A's zeros carry
+    # the signs of the difference points
+    return ControlProblem(dynamics=lambda x, u: np.array([x[1], -u[0]]),
+                          control_set=UNIT_BOX, state_dim=2, control_dim=1,
+                          mesh_size=mesh)
 
 
 def raw_system(a, b, mesh=16):
@@ -176,6 +210,38 @@ def test_linearize_nonlinear_control_channel():
                        control_set=UNIT_BOX, state_dim=1, control_dim=1)
     sys = linearize(p)
     np.testing.assert_allclose(sys.b_matrix, [[1.0]], atol=1e-8)
+
+
+@pytest.mark.parametrize("make", [pendulum, double_integrator,
+                                  polynomial_file_problem, triangle_problem,
+                                  negated_control])
+def test_linearize_has_the_bits_of_the_column_loop(make):
+    p = make()
+    sys = linearize(p)
+    a, b = linearize_loop(p, control.FD_JACOBIAN_STEP)
+    assert sys.a_matrix.tobytes() == a.tobytes()
+    assert sys.b_matrix.tobytes() == b.tobytes()
+    assert sys.a_matrix.flags.c_contiguous and sys.b_matrix.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
+def test_linearize_makes_one_stacked_call(n, m):
+    shapes = []
+
+    def f(x, u):
+        shapes.append((np.shape(x), np.shape(u)))
+        return np.array([x[(i + 1) % n] + (i + 1) * u[i % m] for i in range(n)])
+
+    p = ControlProblem(dynamics=f, control_set=Box(-np.ones(m), np.ones(m)),
+                       state_dim=n, control_dim=m)
+    shapes.clear()
+    sys = linearize(p)
+    assert shapes == [((n, 2 * (n + m)), (m, 2 * (n + m)))]
+    np.testing.assert_allclose(sys.a_matrix, np.roll(np.eye(n), 1, axis=1),
+                               rtol=0.0, atol=1e-9)
+    want_b = np.zeros((n, m))
+    want_b[np.arange(n), np.arange(n) % m] = np.arange(1, n + 1)
+    np.testing.assert_allclose(sys.b_matrix, want_b, rtol=0.0, atol=1e-9)
 
 
 def test_linearize_step_is_one_over_mesh():
@@ -342,18 +408,7 @@ def test_stacked_remainder_columns_have_the_bits_of_single_trajectories(make):
 
 
 def test_remainder_matches_interval_loop_for_polynomial_file():
-    # x1' = x2 + 0.5 x1^2 u, x2' = u - x1^3 / 6 + x1 x2
-    dyn = {"input_dim": 3, "output_dim": 2,
-           "terms": [[{"coef": 1.0, "powers": [0, 1, 0]},
-                      {"coef": 0.5, "powers": [2, 0, 1]}],
-                     [{"coef": 1.0, "powers": [0, 0, 1]},
-                      {"coef": -1.0 / 6.0, "powers": [3, 0, 0]},
-                      {"coef": 1.0, "powers": [1, 1, 0]}]]}
-    p = parse_problem({"version": "1", "kind": "control", "dynamics": dyn,
-                       "state_dim": 2, "control_dim": 1,
-                       "control_set": {"type": "box", "lower": [-1.0],
-                                       "upper": [1.0]},
-                       "mesh": 32}).control
+    p = polynomial_file_problem()
     sys = linearize(p)
     g = control._remainder(p, sys)
     loop = collocation_remainder_loop(p.dynamics, sys)
@@ -603,15 +658,34 @@ def test_halfspace_control_set_steers_like_the_box(mesh):
 
 
 def test_triangle_control_set_steers_inside():
-    # two controls, one per state derivative, in a triangle around 0
-    triangle = Halfspaces([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [0.5, 1.0, 1.0])
-    p = ControlProblem(dynamics=lambda x, u: np.array([u[0], u[1]]),
-                       control_set=triangle, state_dim=2, control_dim=2,
-                       mesh_size=8)
+    p = triangle_problem()
     res = steer(p, b=[0.03, -0.02])
     assert res.endpoint_error <= 1e-6
-    assert np.all(triangle.violation(res.controls) <= control.CONTROL_MEMBERSHIP_TOL)
+    assert np.all(TRIANGLE.violation(res.controls) <= control.CONTROL_MEMBERSHIP_TOL)
     assert trapezoid_residual(p.dynamics, res.states, res.controls) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [double_integrator, triangle_problem])
+def test_steer_returns_contiguous_rows(make):
+    p = make(mesh=8)
+    res = steer(p, b=[0.02, -0.01])
+    assert res.states.shape == (9, 2) and res.controls.shape == (8, p.control_dim)
+    assert res.states.flags.c_contiguous and res.controls.flags.c_contiguous
+    np.testing.assert_array_equal(res.states[0], 0.0)
+
+
+def test_steer_refuses_a_setup_built_for_another_problem(monkeypatch):
+    # the pendulum's set-up solved for the double integrator's trajectory
+    # check failed that check with a misleading residual of 6.2e-4
+    setup = steering_setup(pendulum(mesh=64))
+
+    def no_solve(*args):
+        raise AssertionError("solved before refusing the set-up")
+
+    monkeypatch.setattr(control, "solve", no_solve)
+    with pytest.raises(ContractError,
+                       match="^steer's set-up was built for another problem$"):
+        steer(double_integrator(mesh=64), b=[0.04, 0.0], setup=setup)
 
 
 def test_steer_requires_target():

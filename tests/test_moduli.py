@@ -603,6 +603,31 @@ def test_verify_aubin_rejects_bad_kappa():
         verify_aubin(doubling_mapping(), kappa=-1.0)
 
 
+@pytest.mark.parametrize("kappa,message", [
+    (0.0, "kappa must be positive, got 0.0"),
+    (-1.0, "kappa must be positive, got -1.0"),
+    (np.inf, "kappa must be finite, got inf"),
+    (np.nan, "kappa must be positive, got nan"),
+])
+@pytest.mark.parametrize("check", [verify_metric_regularity, verify_aubin])
+def test_verifiers_refuse_kappa_before_sampling_the_graph(check, kappa, message):
+    # at grid 41 this 2->1 map samples 1,257 points, each a forward call
+    calls = []
+    m = np.array([[2.0, 2.0]])
+
+    def forward(x):
+        calls.append(x)
+        return m @ x
+
+    mapping = SampledMapping(forward=forward, x_base=np.zeros(2),
+                             y_base=np.zeros(1), radius_x=1.0,
+                             radius_y=2.0 * np.linalg.norm(m))
+    calls.clear()
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        check(mapping, kappa=kappa, grid=41)
+    assert calls == []
+
+
 @pytest.mark.parametrize("grid", [1, 0, -3])
 @pytest.mark.parametrize("check", [verify_metric_regularity, verify_aubin])
 def test_verifiers_reject_grids_below_two_points(check, grid):
