@@ -12,7 +12,11 @@ directions as rows (a halfspace system from its vertices, so on a bounded
 system only), and ``violation``, their membership rule. Projections onto
 intersections run Dykstra's alternating scheme, which converges to the
 metric projection for closed convex members, after an exact exit: an
-affine fibre met with an inactive constraint costs one projection.
+affine fibre met with an inactive constraint costs one projection. An
+affine set checks that its right-hand side is consistent once per operator
+when its factorization proves every right-hand side consistent (a
+floating-point bound on the computed residual), and on every construction
+and shift otherwise.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from .linalg import (SURJECTIVITY_RTOL, as_matrix, as_vector, norm, row_norms,
-                     stack_matvec, svd)
+from .linalg import (RESIDUAL_RTOL, SURJECTIVITY_RTOL, as_matrix, as_vector, norm,
+                     row_norms, stack_matvec, svd)
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 10000
@@ -35,6 +39,10 @@ DYKSTRA_MAX_ROUNDS = 10000
 # entries, 512 operators at most (``_cached_factors``): a key and a right
 # inverse of op.size float64 entries each, so 2**16 entries (512 KiB) in all.
 CACHED_OP_ENTRIES = 64
+
+# _rhs_always_consistent reads an operator, its right inverse and op P - I
+# in row blocks of at most 2**14 float64 entries (128 KiB), and keeps none.
+CERT_BLOCK_ENTRIES = 2 ** 14
 
 # The vertex and recession-ray enumerations of a halfspace system take one
 # SVD per row subset, stacked: subsets x dim x dim float64 entries, a few
@@ -71,19 +79,96 @@ class ConvexSet:
         return z, self.gap(z)
 
 
-def _factor(op: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
+def _factor(op: np.ndarray) -> tuple[np.ndarray, float, float, bool, bool]:
     """What an AffineSet keeps of its operator's SVD: the read-only right
-    inverse, sigma_max, sigma_min and the surjectivity verdict."""
+    inverse, sigma_max, sigma_min, the surjectivity verdict and whether
+    ``_rhs_always_consistent`` proves every right-hand side consistent."""
     fac = svd(op)
     right_inverse = fac.right_inverse()
     right_inverse.flags.writeable = False
-    return right_inverse, float(fac.s[0]), fac.sigma_min, fac.surjective
+    proved = fac.surjective and _rhs_always_consistent(fac.a, right_inverse)
+    return right_inverse, float(fac.s[0]), fac.sigma_min, fac.surjective, proved
 
 
 @lru_cache(maxsize=512)
 def _cached_factors(shape: tuple[int, int], data: bytes):
     """``_factor`` of the operator with this shape and C-order bytes."""
     return _factor(np.frombuffer(data).reshape(shape))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53: a computed sum of k
+    nonzero rounded products, in any order, with or without FMA, is off by
+    at most gamma_k times the sum of their magnitudes (zero products add
+    exactly)."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
+def _abs_norm(mat: np.ndarray) -> tuple[float, int]:
+    """A bound on the spectral norm of |mat|, sqrt(||mat||_1 ||mat||_inf)
+    with each computed sum inflated by its gamma, and the most nonzeros in
+    a row; read in row blocks of at most CERT_BLOCK_ENTRIES entries."""
+    rows, cols = mat.shape
+    step = max(1, CERT_BLOCK_ENTRIES // cols)
+    col_sums, row_sum, nonzeros = 0.0, 0.0, 0
+    with np.errstate(over="ignore"):  # an infinite sum refuses the proof
+        for i in range(0, rows, step):
+            block = np.abs(mat[i:i + step])
+            col_sums = col_sums + block.sum(axis=0)
+            row_sum = max(row_sum, float(block.sum(axis=1).max()))
+            nonzeros = max(nonzeros, int(np.count_nonzero(block, axis=1).max()))
+    norm_1 = float(col_sums.max()) * (1 + 2 * _gamma(rows))
+    return math.sqrt(norm_1 * row_sum * (1 + 2 * _gamma(cols))), nonzeros
+
+
+def _rhs_always_consistent(op: np.ndarray, right_inverse: np.ndarray) -> bool:
+    """True when no vector that ``as_vector`` admits can fail ``_set_rhs``'s
+    residual check, so the check need not run.
+
+    With P the right inverse, E = op P - I, a and p bounds on the spectral
+    norms of |op| and |P| (``_abs_norm``) and k_op, k_p the most nonzeros in
+    a row of each, the computed x0 = P rhs is off by at most
+    gamma_{k_p} p ||rhs|| and the computed op x0 by gamma_{k_op} a ||x0||,
+    so the computed residual is at most
+    (||E|| + a p (gamma_{k_p} + gamma_{k_op} (1 + gamma_{k_p}))) ||rhs||,
+    times a slack for the rounding of its norm, of the check's own bound
+    and of this one, plus absolute terms of underflow. ||E|| is bounded
+    through the computed E, formed row block by row block from op's
+    nonzeros, and its rounding, gamma_{k_op} a p. The cheap terms and the
+    overflow guard come first: with p at most 2**500, and a p below 2**24
+    once the cheap terms pass, every product stays finite for
+    ||rhs|| < 2**513, and a larger rhs has an infinite computed norm, which
+    the check never exceeds.
+    """
+    m, n = op.shape
+    a, op_nonzeros = _abs_norm(op)
+    p, p_nonzeros = _abs_norm(right_inverse)
+    slack = 1 + 8 * _gamma(m + 64)
+    eta = 2.0 ** -1074
+    cheap = (a * p * (_gamma(p_nonzeros) + _gamma(op_nonzeros) * (2 + _gamma(p_nonzeros)))
+             + 2 * math.sqrt(m * eta) + 2 * eta * (a * n * p_nonzeros + 2 * m * op_nonzeros))
+    if not (p <= 2.0 ** 500 and slack * cheap <= RESIDUAL_RTOL):
+        return False
+    step = max(1, CERT_BLOCK_ENTRIES // max(m, op_nonzeros))
+    col_sums, row_sum = 0.0, 0.0
+    for start in range(0, m, step):
+        block = op[start:start + step]
+        rows, cols = np.nonzero(block)
+        # the place of each nonzero in its row; unused places multiply by 0
+        place = np.arange(rows.size) - np.searchsorted(rows, rows)
+        index = np.zeros((block.shape[0], op_nonzeros), dtype=np.intp)
+        coef = np.zeros((block.shape[0], op_nonzeros))
+        index[rows, place], coef[rows, place] = cols, block[rows, cols]
+        e = coef[:, :1] * right_inverse[index[:, 0]]
+        for k in range(1, op_nonzeros):
+            e += coef[:, k:k + 1] * right_inverse[index[:, k]]
+        diagonal = np.arange(block.shape[0])
+        e[diagonal, start + diagonal] -= 1.0
+        np.abs(e, out=e)
+        col_sums = col_sums + e.sum(axis=0)
+        row_sum = max(row_sum, float(e.sum(axis=1).max()))
+    e_norm = math.sqrt(float(col_sums.max()) * row_sum) * (1 + 2 * _gamma(m))
+    return slack * (e_norm + cheap) <= RESIDUAL_RTOL
 
 
 class AffineSet(ConvexSet):
@@ -97,14 +182,23 @@ class AffineSet(ConvexSet):
     ``surjective`` verdict; the anchor is P @ rhs and the projection is
     x - P @ (op @ x - rhs).
 
-    Construction looks these four up in a process-wide LRU cache keyed on
-    op's shape and C-order bytes, so ``AffineSet(M, w)`` called for many
-    ``w`` factors M once per process, and an operator changed in place gets
-    a fresh factorization. Only operators of at most CACHED_OP_ENTRIES
+    Construction looks these up, with the consistency proof below, in a
+    process-wide LRU cache keyed on op's shape and C-order bytes, so
+    ``AffineSet(M, w)`` called for many ``w`` factors M once per process,
+    and an operator changed in place gets a fresh factorization. Only operators of at most CACHED_OP_ENTRIES
     entries are cached; a larger one (a fine collocation mesh) is factored
     on every construction, so hold one fibre of it and call ``shifted``,
-    which moves the right-hand side without factoring op. The consistency
-    check of the right-hand side runs on every construction and every shift.
+    which moves the right-hand side without factoring op.
+
+    The right-hand side's consistency check, ||op P rhs - rhs|| <=
+    RESIDUAL_RTOL (1 + ||rhs||), is decided once per operator where the
+    factorization proves that no finite rhs can fail it
+    (``every_rhs_consistent``, from a rounding bound built of op P - I,
+    the gamma_k terms of the two products, the norms of |op| and |P| and
+    an overflow guard; see ``_rhs_always_consistent``). Such an operator
+    takes no product on a construction or a shift. Any other operator (not
+    onto, ill-conditioned, or a mesh too fine for the bound) runs the check
+    on every construction and every shift.
 
     The ``svd`` that factors op refuses a misshaped, empty or non-finite
     operator with ShapeError; a cache hit has bytes that passed it, since
@@ -123,7 +217,7 @@ class AffineSet(ConvexSet):
             factors = _factor(self.op)
         self.dim = self.op.shape[1]
         (self.right_inverse, self.sigma_max, self.sigma_min,
-         self.surjective) = factors
+         self.surjective, self.every_rhs_consistent) = factors
         self._set_rhs(rhs)
 
     def shifted(self, rhs) -> AffineSet:
@@ -134,11 +228,13 @@ class AffineSet(ConvexSet):
 
     def _set_rhs(self, rhs):
         self.rhs = as_vector(rhs, dim=self.op.shape[0])
+        if self.every_rhs_consistent:
+            return
         x0 = self.right_inverse.dot(self.rhs)
         resid = norm(self.op.dot(x0) - self.rhs)
-        # the bound is at least 1e-9, so a smaller residual needs no norm;
-        # the caller's rhs may be a strided view, which norm must not see
-        if resid > 1e-9 and resid > 1e-9 * (1.0 + norm(self.rhs.ravel())):
+        # the bound is at least RESIDUAL_RTOL, so a smaller residual needs no
+        # norm; the caller's rhs may be a strided view, which norm must not see
+        if resid > RESIDUAL_RTOL and resid > RESIDUAL_RTOL * (1.0 + norm(self.rhs.ravel())):
             raise ContractError(
                 f"inconsistent affine system, residual {resid:.3e}")
 
@@ -152,6 +248,17 @@ class AffineSet(ConvexSet):
 
     def _distance(self, v):
         return norm(self._offset(v))
+
+    def project_gap(self, x) -> tuple[np.ndarray, float]:
+        """``project`` and ``gap`` of the projection, bit for bit, without
+        validating the projection again: a non-finite projection has a
+        non-finite offset, and only then is it passed to ``as_vector``,
+        which refuses it with ShapeError as ``gap`` does."""
+        z = self.project(x)
+        gap = self._distance(z)
+        if not math.isfinite(gap):
+            as_vector(z)
+        return z, gap
 
 
 class Box(ConvexSet):

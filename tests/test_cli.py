@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsel import cli, moduli
+from regsel import cli, convex, moduli
 from regsel.cli import main
 from regsel.moduli import CSV_HEADER
 
@@ -601,8 +601,11 @@ def test_unbounded_control_set_is_refused_naming_a_recession_direction(
     assert np.all(unit @ d <= 1e-9) and abs(np.linalg.norm(d) - 1.0) < 1e-9
 
 
-def test_hexagon_control_set_steers_in_under_a_second(capsys, tmp_path):
-    # the support of a polytope comes from its six vertices, found once
+def test_hexagon_control_set_enumerates_its_vertices_once(capsys, tmp_path,
+                                                          monkeypatch):
+    # the support of a polytope comes from its six vertices, found once per
+    # run: one enumeration of the 1-row subsets (recession directions) and
+    # one of the 2-row subsets (vertices), whatever the number of supports
     angles = 0.1 + np.arange(6) * np.pi / 3
     path = tmp_path / "hexagon.json"
     path.write_text(json.dumps({
@@ -616,14 +619,13 @@ def test_hexagon_control_set_steers_in_under_a_second(capsys, tmp_path):
                         "normals": np.column_stack([np.cos(angles),
                                                     np.sin(angles)]).tolist(),
                         "offsets": [1.0] * 6}}))
-    # the better of two runs, so one stall of a shared host does not count
-    seconds = []
-    for _ in range(2):
-        start = time.perf_counter()
-        code, out, _ = run(capsys, "control", "--input", str(path),
-                           "--target", "0.05,0")
-        seconds.append(time.perf_counter() - start)
-    assert min(seconds) < 1.0
+    subsets = []
+    row_subsets = convex._row_subsets
+    monkeypatch.setattr(convex, "_row_subsets",
+                        lambda rows, size: subsets.append((rows.shape, size))
+                        or row_subsets(rows, size))
+    code, out, _ = run(capsys, "control", "--input", str(path), "--target", "0.05,0")
+    assert subsets == [((6, 2), 1), ((6, 2), 2)]
     assert code == 0
     assert out.startswith("kalman_rank,2\nkalman_controllable,true\n"
                           "reachable_interior,true\ninterior_margin,0.905905992850975")

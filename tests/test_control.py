@@ -555,6 +555,15 @@ def test_steering_setup_factors_the_collocation_operator_once(monkeypatch,
     assert calls.count(shape) == 1
 
 
+@pytest.mark.parametrize("mesh", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("make", [pendulum, double_integrator])
+def test_collocation_operators_prove_every_target_consistent(make, mesh):
+    # so a steer's shifted fibre takes no residual check; the proof's
+    # rounding terms grow with the mesh and no longer hold at 512
+    mat = control._weighted_operator(linearize(make(mesh=mesh)))
+    assert AffineSet(mat, np.zeros(mat.shape[0])).every_rhs_consistent
+
+
 @pytest.mark.parametrize("mesh", [8, 64, 128])
 @pytest.mark.parametrize("make", [pendulum, double_integrator])
 def test_calm_bound_matches_dense_selectors(make, mesh):

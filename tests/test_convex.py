@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -14,7 +15,7 @@ from regsel import convex
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, set_from_json)
 from regsel.errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from regsel.linalg import norm, svd
+from regsel.linalg import as_vector, norm, svd
 
 
 def fixtures():
@@ -216,7 +217,7 @@ def test_cached_factors_equal_a_fresh_factorization(cold_factor_cache, monkeypat
     points = rng.standard_normal((6, len(op[0])))
     for s in (cold, warm):
         assert s.right_inverse.tobytes() == want[0].tobytes()
-        assert (s.sigma_max, s.sigma_min, s.surjective) == want[1:]
+        assert (s.sigma_max, s.sigma_min, s.surjective, s.every_rhs_consistent) == want[1:]
         for x in points:
             assert s.project(x).tobytes() == fresh.project(x).tobytes()
             assert s.distance(x) == fresh.distance(x)
@@ -377,6 +378,125 @@ def test_cache_keeps_its_count_under_threads(cold_factor_cache):
 
 
 # ---------------------------------------------------------------------------
+# consistency proof: an operator whose factor proves every right-hand side
+# consistent skips the residual check
+
+
+def _residual_check_holds(op, inverse, rhs) -> bool:
+    """The residual check of AffineSet's right-hand side, written out."""
+    resid = norm(op.dot(inverse.dot(rhs)) - rhs)
+    return math.isfinite(resid) and resid <= 1e-9 * (1.0 + norm(rhs))
+
+
+def _operator(seed, rows, cols, cond, scale, zeros, rank):
+    """rows x cols operator with singular values from 1 down to 1/cond,
+    the last rows - rank of them 0, times 2**scale, with some entries set
+    to zero afterwards (which moves the singular values). At 2**-520 the
+    right inverse times a right-hand side near 2**512 overflows."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    s = np.logspace(0.0, -np.log10(cond), k)
+    s[rank:] = 0.0
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    op = (u[:, :k] * s) @ v[:, :k].T
+    op[rng.uniform(size=op.shape) < zeros] = 0.0
+    return np.ldexp(op, scale)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6),
+       extra=st.integers(-1, 4), log_cond=st.floats(0.0, 12.0),
+       scale=st.sampled_from([-520, -400, -200, 0, 200, 400]),
+       zeros=st.sampled_from([0.0, 0.2, 0.5]),
+       deficiency=st.sampled_from([0, 0, 0, 1, 2]))
+def test_a_proved_operator_passes_the_check_on_every_rhs(seed, rows, extra, log_cond,
+                                                         scale, zeros, deficiency):
+    cols = max(1, min(10, rows + extra))
+    rank = max(0, min(rows, cols) - deficiency)
+    op = _operator(seed, rows, cols, 10.0 ** log_cond, scale, zeros, rank)
+    inverse, _, _, surjective, proved = convex._factor(op)
+    if not surjective:
+        assert not proved
+        return
+    rng = np.random.default_rng(seed)
+    left = np.linalg.svd(op)[0]
+    directions = [rng.standard_normal(rows), *left.T]
+    # the largest norm whose square is finite is about 2**512 (1.34e154)
+    rhs = [d * f for d in directions
+           for f in (1.0, 1e-300, 1e154 / norm(d), 2.0 ** 511.9 / norm(d))]
+    if proved:
+        assert all(_residual_check_holds(op, inverse, b) for b in rhs)
+        fibre = AffineSet(op, np.zeros(rows))
+        assert fibre.every_rhs_consistent
+        for b in rhs:
+            fibre.shifted(b)
+
+
+def test_operators_that_are_not_onto_are_never_proved():
+    for op in ([[1.0, 0.0], [1.0, 0.0]], [[1.0], [2.0]], [[0.0, 0.0]],
+               [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-13]]):
+        fibre = AffineSet(op, np.zeros(len(op)))
+        assert not fibre.surjective and not fibre.every_rhs_consistent
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_ill_conditioned_onto_operator_still_checks_its_rhs(seed):
+    # sigma_min / sigma_max = 1e-9 is above the rank cutoff, so the operator
+    # is onto, but its right inverse is too large for a proof, and the
+    # residual along the last left singular vector fails the check
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((5, 5)))[0][:, :3]
+    fibre = AffineSet((u * [1.0, 1e-4, 1e-9]) @ v.T, np.zeros(3))
+    assert fibre.surjective and not fibre.every_rhs_consistent
+    with pytest.raises(ContractError, match="inconsistent"):
+        fibre.shifted(u[:, 2])
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 5)])
+def test_small_well_conditioned_operators_are_proved(rows, cols):
+    # the solve benchmark's operators: singular values in [0.5, 2]
+    rng = np.random.default_rng(rows * 10 + cols)
+    for _ in range(20):
+        s = np.sort(rng.uniform(0.5, 2.0, rows))[::-1]
+        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :rows]
+        assert convex._factor((u * s) @ v.T)[4]
+
+
+def test_a_proved_shift_takes_no_product(monkeypatch):
+    fibre = AffineSet([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]], np.zeros(2))
+    assert fibre.every_rhs_consistent
+    calls = []
+    monkeypatch.setattr(convex, "norm", lambda v: calls.append(v) or norm(v))
+    moved = fibre.shifted([0.4, -1.1])
+    assert calls == []
+    np.testing.assert_array_equal(moved.rhs, [0.4, -1.1])
+
+
+def test_the_proof_reads_blocks_of_at_most_its_bound(monkeypatch):
+    # a mesh-64-sized operator with at most five nonzeros in a row (four
+    # drawn, one on the diagonal): op P - I and P are both over the bound
+    rng = np.random.default_rng(7)
+    op = np.zeros((130, 192))
+    for i in range(130):
+        op[i, rng.choice(192, 4, replace=False)] = rng.standard_normal(4)
+    op[:, :130] += 4.0 * np.eye(130)
+    inverse = convex._factor(op)[0]
+    sizes = []
+    absolute = np.abs
+
+    def recording_abs(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return absolute(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", recording_abs)
+    assert convex._rhs_always_consistent(op, inverse)
+    assert sizes and max(sizes) <= convex.CERT_BLOCK_ENTRIES
+
+
+# ---------------------------------------------------------------------------
 # bit pins of the corrector step's kernels
 
 
@@ -396,12 +516,15 @@ def _vector_views(v):
 @pytest.mark.parametrize("shape", [(m, n) for m in range(1, 4) for n in range(m, 6)]
                          + [(258, 384)])
 @pytest.mark.parametrize("order", ["C", "F", "strided"])
-def test_affine_products_keep_the_bits_of_matmul(monkeypatch, shape, order):
+def test_affine_products_keep_the_bits_of_matmul(cold_factor_cache, monkeypatch,
+                                                shape, order):
     # AffineSet takes its products with ndarray.dot; these are the `@`
     # expressions it had, on operators in C and in Fortran order. An
     # operator view in neither order may be multiplied by dot as a C-order
     # copy while `@` loops over the view itself, so it gets the bits of one
     # of the two, which may differ in the last bit: that is intended.
+    # The residual check's products are taken where no proof skips them.
+    monkeypatch.setattr(convex, "_rhs_always_consistent", lambda op, inverse: False)
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     if order == "strided":
         op = rng.standard_normal((shape[0], 2 * shape[1]))[:, ::2]
@@ -917,7 +1040,7 @@ def test_project_gap_is_the_projection_and_its_gap(monkeypatch):
     fibre, _, proj, _ = affine_case(11)
     cut = Box(proj - 1.0, proj + [-0.5, 1.0, 1.0, 1.0])
     sets = [s for _, s in fixtures()] + [
-        Halfspaces([[1.0, 0.0], [0.0, -2.0]], [1.0, 0.5]),
+        fibre, Halfspaces([[1.0, 0.0], [0.0, -2.0]], [1.0, 0.5]),
         Intersection([fibre, Box(proj - 1.0, proj + 1.0)]),
         Intersection([fibre, cut]), Intersection([cut, fibre]),
         Intersection([fibre]), Intersection([Box([-1.0, 0.0], [1.0, 2.0])])]
@@ -933,6 +1056,26 @@ def test_project_gap_is_the_projection_and_its_gap(monkeypatch):
                 assert _bits(gap) == _bits(s.gap(want))
     # (members, exact exit) of the dykstra calls
     assert {(2, True), (2, False), (1, True)} <= set(exits)
+
+
+def test_affine_project_gap_validates_once_and_refuses_a_non_finite_projection(
+        monkeypatch):
+    fibre = AffineSet([[1.0, 1.0]], [0.0])
+    calls = []
+    monkeypatch.setattr(convex, "as_vector",
+                        lambda *args, **kwargs: calls.append(1) or as_vector(*args, **kwargs))
+    fibre.project_gap([0.3, -2.0])
+    assert len(calls) == 1
+    # the point's entries are finite, so it is admitted, but its projection
+    # overflows: refused as gap refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ShapeError, match="non-finite"):
+            fibre.gap(fibre.project([1e308, 1e308]))
+        with pytest.raises(ShapeError, match="non-finite"):
+            fibre.project_gap([1e308, 1e308])
+        # a finite projection whose gap overflows is returned, as by gap
+        z, gap = fibre.project_gap([1e308, 0.0])
+        assert np.isfinite(z).all() and gap == fibre.gap(z) == math.inf
 
 
 def test_set_from_json_rejects_unknown_type():
