@@ -43,7 +43,7 @@ def main():
     res = sweep(eq, cfg, ys)
 
     print(f"kappa={cfg.kappa} lambda={cfg.lam} alpha={cfg.alpha} "
-          f"tau={res.tau:.6g} gamma={res.gamma:.6g}")
+          f"tau={res.tau:.6g} gamma={cfg.gamma:.6g}")
     print("y,x1,x2,iterations,residual")
     for row in res.rows:
         if row.x is None:
@@ -55,7 +55,7 @@ def main():
                         str(row.certificate.iterate_count),
                         fmt_float(row.certificate.residual)]))
     print(f"empirical clm {res.empirical_clm:.6g} (certificate gamma "
-          f"{res.gamma:.6g}), jumps {len(res.jump_indices)}")
+          f"{cfg.gamma:.6g}), jumps {len(res.jump_indices)}")
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
                      truncated_counterexample, verify_graph)
 from .problems import MAX_MESH, ProblemFile, load_problem
 from .selection import (KAPPA_MARGIN, LAMBDA_MARGIN, GeneralizedEquation,
-                        IterationConfig, compute_tau, default_config, solve,
-                        solve_implicit, sweep)
+                        IterationCertificate, IterationConfig, compute_tau,
+                        default_config, solve, solve_implicit, sweep)
 from .smooth import SmoothProblem, config_for, smooth_selection, split
 
 EXIT_OK = 0
@@ -177,27 +177,13 @@ def _equation(pf: ProblemFile, args):
     if not {"kappa", "lambda", "alpha"} <= set(consts):
         # the default schedule fills in the constants the file leaves out
         lip = lip_estimate(g, center, radius, samples=600, seed=_seed(pf, args))
-        cfg = default_config(reg_linear(fibre), lip.value, tol=args.tol,
-                             max_iter=args.max_iter)
+        cfg = default_config(reg_linear(fibre), lip.value)
         consts = {"kappa": cfg.kappa, "lambda": cfg.lam, "alpha": cfg.alpha,
                   **consts}
     cfg = IterationConfig(kappa=consts["kappa"], lam=consts["lambda"],
                           alpha=consts["alpha"], tol=args.tol,
                           max_iter=args.max_iter)
     return equation, cfg, lambda y: solve(equation, cfg, y)
-
-
-def _certificate_lines(out: _Writer, cfg: IterationConfig, tau: float,
-                       cert=None):
-    out.line(f"kappa,{fmt_float(cfg.kappa)}")
-    out.line(f"lambda,{fmt_float(cfg.lam)}")
-    out.line(f"alpha,{fmt_float(cfg.alpha)}")
-    out.line(f"tau,{fmt_float(tau)}")
-    if cert is not None:
-        out.line(f"iterations,{cert.iterate_count}")
-        out.line(f"residual,{fmt_float(cert.residual)}")
-        out.line(f"tail_bound,{fmt_float(cert.tail_bound)}")
-        out.line(f"calm_ok,{_bool(cert.calm_ok)}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +243,26 @@ def cmd_solve(pf: ProblemFile, args, out: _Writer) -> int:
         y = _target(pf, args, dim, "solve needs --target (or --parameter)")
 
     if pf.kind == "linear":
-        # one factorization gives x (least_norm_solve's bits) and kappa
+        # one factorization gives x (least_norm_solve's bits) and kappa, the
+        # matrix's regularity modulus: no schedule, so no certificate block
         fac = svd(pf.matrix)
         x = fac.least_norm(y)
         out.line("x," + ",".join(fmt_float(v) for v in np.atleast_1d(x)))
-        out.line(f"kappa,{fmt_float(reg_linear(fac))}")
-        out.line(f"residual,{fmt_float(float(np.linalg.norm(pf.matrix @ x - y)))}")
+        for name, value in (("kappa", reg_linear(fac)),
+                            ("residual", float(np.linalg.norm(pf.matrix @ x - y)))):
+            out.line(f"{name},{fmt_float(value)}")
         return EXIT_OK
 
     equation, cfg, select = _equation(pf, args)
-    tau = compute_tau(cfg, (equation.radius_x, equation.radius_y))
     try:
         x, cert = select(y) if p is None else solve_implicit(equation, cfg, p)
     except (LocalityError, RegularityError) as exc:
-        _certificate_lines(out, cfg, tau)
+        tau = compute_tau(cfg, (equation.radius_x, equation.radius_y))
+        out.lines += IterationCertificate(cfg, tau).csv_lines()
         out.line(f"error,{exc}")
         return EXIT_LOCALITY
     out.line("x," + ",".join(fmt_float(v) for v in x))
-    _certificate_lines(out, cfg, tau, cert)
+    out.lines += cert.csv_lines()
     return EXIT_OK
 
 
@@ -287,11 +275,8 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
     target = _target(pf, args, dim, "sweep needs --target for the grid endpoint")
     equation, cfg, _ = _equation(pf, args)
     base_out = equation.y_base + equation.g_value(equation.x_base)
-    if grid == 1:
-        ys = [target]
-    else:
-        steps = np.linspace(0.0, 1.0, grid)
-        ys = [base_out + t * (target - base_out) for t in steps]
+    ys = [target] if grid == 1 else [base_out + t * (target - base_out)
+                                     for t in np.linspace(0.0, 1.0, grid)]
     result = sweep(equation, cfg, ys)
 
     ydim = equation.y_base.size
@@ -299,28 +284,21 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
     header = (["index", "status"] + [f"y{j + 1}" for j in range(ydim)]
               + [f"x{j + 1}" for j in range(xdim)] + ["iterations", "residual"])
     out.line(",".join(header))
-    ok_rows = 0
     for i, row in enumerate(result.rows):
-        cells = [str(i)]
-        if row.x is None:
-            cells.append("error")
-        else:
-            cells.append("ok")
-            ok_rows += 1
+        cells = [str(i), "error" if row.x is None else "ok"]
         cells += [fmt_float(v) for v in row.y]
         if row.x is None:
-            cells += [""] * xdim + ["", ""]
+            cells += [""] * (xdim + 2)
         else:
             cells += [fmt_float(v) for v in row.x]
             cells += [str(row.certificate.iterate_count),
                       fmt_float(row.certificate.residual)]
         out.line(",".join(cells))
-    out.line(f"tau,{fmt_float(result.tau)}")
-    out.line(f"gamma,{fmt_float(result.gamma)}")
+    out.lines += IterationCertificate(cfg, result.tau).csv_lines()
     out.line(f"max_continuity_ratio,{fmt_float(result.max_continuity_ratio)}")
     out.line(f"empirical_clm,{fmt_float(result.empirical_clm)}")
     out.line(f"jumps,{len(result.jump_indices)}")
-    return EXIT_OK if ok_rows else EXIT_LOCALITY
+    return EXIT_OK if any(row.x is not None for row in result.rows) else EXIT_LOCALITY
 
 
 def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
@@ -346,11 +324,7 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
     out.line(f"interior_margin,{fmt_float(margin)}")
 
     if grid is not None:
-        if grid == 1:
-            targets = [b]
-        else:
-            steps = np.linspace(0.0, 1.0, grid)
-            targets = [t * b for t in steps]
+        targets = [b] if grid == 1 else [t * b for t in np.linspace(0.0, 1.0, grid)]
         try:
             result = calm_sweep(problem, sys_, targets, tol=args.tol, seed=seed)
         except (LocalityError, RegularityError) as exc:
@@ -360,39 +334,34 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
                   + [f"b{j + 1}" for j in range(problem.state_dim)]
                   + ["endpoint_error", "calm_ratio"])
         out.line(",".join(header))
-        ok_rows = 0
         for i, (t, res, err) in enumerate(zip(targets, result.results,
                                               result.errors)):
             if res is None:
                 cells = [str(i), f"error: {err.replace(',', ';')}"]
                 cells += [fmt_float(v) for v in t] + ["", ""]
             else:
-                ok_rows += 1
                 cells = [str(i), "ok"] + [fmt_float(v) for v in res.target]
                 cells += [fmt_float(res.endpoint_error),
                           fmt_float(res.calm_ratio)]
             out.line(",".join(cells))
-        out.line(f"tau,{fmt_float(result.tau)}")
-        out.line(f"calm_bound,{fmt_float(result.calm_bound)}")
+        setup = result.setup
+        out.lines += IterationCertificate(setup.config, setup.tau).csv_lines()
+        out.line(f"calm_bound,{fmt_float(setup.calm_bound)}")
         out.line(f"max_calm_ratio,{fmt_float(result.max_calm_ratio)}")
         out.line(f"max_continuity_ratio,{fmt_float(result.max_continuity_ratio)}")
-        return EXIT_OK if ok_rows else EXIT_LOCALITY
+        return EXIT_OK if any(r is not None for r in result.results) else EXIT_LOCALITY
 
     try:
         res = steer(problem, sys_, b, tol=args.tol, seed=seed)
     except (LocalityError, RegularityError) as exc:
         out.line(f"error,{exc}")
         return EXIT_LOCALITY
-    out.line(f"tau,{fmt_float(res.tau)}")
-    out.line(f"kappa,{fmt_float(res.certificate.kappa)}")
-    out.line(f"lambda,{fmt_float(res.certificate.lam)}")
-    out.line(f"iterations,{res.certificate.iterate_count}")
+    out.lines += res.certificate.csv_lines()
     out.line(f"endpoint_error,{fmt_float(res.endpoint_error)}")
     out.line(f"dynamics_residual,{fmt_float(res.dynamics_residual)}")
     out.line(f"calm_ratio,{fmt_float(res.calm_ratio)}")
     out.line(f"calm_bound,{fmt_float(res.calm_bound)}")
-    for line in res.csv_lines():
-        out.line(line)
+    out.lines += res.csv_lines()
     return EXIT_OK
 
 
@@ -496,9 +465,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "solve", help="solve one query through the selection engine",
-        description="Emits the solution row x,<components> followed by "
-                    "certificate lines kappa/lambda/alpha/tau/iterations/"
-                    "residual/tail_bound/calm_ok.")
+        description="Emits the solution row x,<components>, then the "
+                    "certificate block: the schedule kappa/lambda/alpha/"
+                    "tau/gamma, then iterations/increments (one cell per "
+                    "step)/residual/tail_bound/calm_ok. A failed solve emits "
+                    "the schedule, then error,<message>.")
     common(p)
     tolerance(p)
     p.add_argument("--target", default=None, help="query y (comma separated)")
@@ -512,8 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", help="solve along a query grid and report continuity",
         description="Emits CSV with columns index,status,y*,x*,iterations,"
-                    "residual, then summary lines tau/gamma/"
-                    "max_continuity_ratio/empirical_clm/jumps.")
+                    "residual, then the schedule kappa/lambda/alpha/tau/gamma "
+                    "and max_continuity_ratio/empirical_clm/jumps.")
     common(p)
     tolerance(p)
     p.add_argument("--target", default=None, help="grid endpoint")
@@ -526,10 +497,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "control", help="check controllability and steer endpoints",
         description="Emits controllability lines (kalman_rank, "
                     "kalman_controllable, reachable_interior, "
-                    "interior_margin), then either certificate lines plus a "
-                    "trajectory CSV (columns t,x*,u*) or, with --grid, "
-                    "per-target rows index,status,b*,endpoint_error,"
-                    "calm_ratio.")
+                    "interior_margin), then either the certificate block "
+                    "(as solve's), endpoint_error/dynamics_residual/"
+                    "calm_ratio/calm_bound and a trajectory CSV (columns "
+                    "t,x*,u*) or, with --grid, per-target rows index,status,"
+                    "b*,endpoint_error,calm_ratio, the schedule kappa/lambda/"
+                    "alpha/tau/gamma and calm_bound/max_calm_ratio/"
+                    "max_continuity_ratio.")
     common(p)
     tolerance(p)
     p.add_argument("--target", default=None, help="endpoint target b")

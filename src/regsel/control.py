@@ -23,7 +23,7 @@ max_i |u_i| for controls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -354,13 +354,11 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
     lip = lip_estimate(g, np.zeros(mat.shape[1]),
                        radius=1.55 * kappa * tau_target,
                        samples=LIP_SAMPLES, seed=seed)
-    try:
-        cfg = default_config(1.0 / smin, lip.value)
-    except ContractError as exc:
+    try:  # a bad tol is an input error, a ContractError that passes through
+        cfg = default_config(1.0 / smin, lip.value, tol=tol)
+    except RegularityError as exc:
         raise RegularityError(
             f"constant schedule rejected for the steering problem: {exc}") from exc
-    # a bad tol is an input error, refused by IterationConfig outside the try
-    cfg = replace(cfg, tol=tol)
 
     calm_bound = _transported_calm_bound(sys, fibre.right_inverse, cfg)
     stretch = 1.0 / (1.0 - cfg.contraction)
@@ -415,7 +413,6 @@ class SteeringResult:
     calm_ratio: float
     calm_bound: float
     dynamics_residual: float
-    tau: float
     certificate: IterationCertificate
 
     def csv_lines(self) -> list[str]:
@@ -492,24 +489,23 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
     return SteeringResult(states=states, controls=controls, target=b.copy(),
                           endpoint_error=endpoint_error, calm_ratio=ratio,
                           calm_bound=setup.calm_bound,
-                          dynamics_residual=residual, tau=setup.tau,
-                          certificate=cert)
+                          dynamics_residual=residual, certificate=cert)
 
 
 @dataclass
 class ControlSweep:
-    """Steering results over a target grid with worst-case ratios.
+    """Steering results over a target grid with worst-case ratios, and the
+    set-up (schedule, tau, calm bound) that every target shared.
 
     results and errors run parallel to the target grid; a failed target
     leaves None in results and the failure message in errors.
     """
 
+    setup: SteeringSetup
     results: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     max_calm_ratio: float = 0.0
     max_continuity_ratio: float = 0.0
-    calm_bound: float = np.inf
-    tau: float = np.inf
 
 
 def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
@@ -527,7 +523,7 @@ def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
     worst = max(float(np.linalg.norm(t)) for t in grid)
     target = tau_target if tau_target is not None else _default_tau_target(worst)
     setup = steering_setup(problem, sys, tau_target=target, tol=tol, seed=seed)
-    sweep = ControlSweep(calm_bound=setup.calm_bound, tau=setup.tau)
+    sweep = ControlSweep(setup)
     for t in grid:
         try:
             res = steer(problem, b=t, setup=setup)

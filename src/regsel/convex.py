@@ -227,16 +227,27 @@ class AffineSet(ConvexSet):
         return other
 
     def _set_rhs(self, rhs):
-        self.rhs = as_vector(rhs, dim=self.op.shape[0])
+        self.rhs = rhs = as_vector(rhs, dim=self.op.shape[0])
         if self.every_rhs_consistent:
             return
-        x0 = self.right_inverse.dot(self.rhs)
-        resid = norm(self.op.dot(x0) - self.rhs)
+        resid, scale = self._residual(rhs), 1.0
         # the bound is at least RESIDUAL_RTOL, so a smaller residual needs no
         # norm; the caller's rhs may be a strided view, which norm must not see
-        if resid > RESIDUAL_RTOL and resid > RESIDUAL_RTOL * (1.0 + norm(self.rhs.ravel())):
+        if resid <= RESIDUAL_RTOL:
+            return
+        size = norm(rhs.ravel())
+        if not math.isfinite(resid + size):
+            # an overflow is judged on rhs / max|rhs|, not passed by inf <= inf
+            scale = float(np.max(np.abs(rhs)))
+            rhs = rhs / scale
+            resid, size = self._residual(rhs), norm(rhs)
+        if not resid <= RESIDUAL_RTOL * (1.0 + size):
             raise ContractError(
-                f"inconsistent affine system, residual {resid:.3e}")
+                f"inconsistent affine system, residual {resid * scale:.3e}")
+
+    def _residual(self, rhs) -> float:
+        """||op P rhs - rhs||, the consistency residual of rhs."""
+        return norm(self.op.dot(self.right_inverse.dot(rhs)) - rhs)
 
     def _offset(self, x):
         """x minus its projection: the row-space component of x - anchor."""

@@ -28,6 +28,7 @@ from .convex import ConvexSet
 from .errors import (ContractError, InfeasibilitySuspectedError, LocalityError,
                      NumericBreakdownError, RegularityError)
 from .linalg import as_vector, norm
+from .moduli import fmt_float
 
 # Default margins of kappa over a regularity modulus, lambda over a sampled lip
 KAPPA_MARGIN = 1.1
@@ -91,8 +92,10 @@ def default_config(reg_value: float, sampled_lip: float, tol: float = 1e-10,
     """Default constant schedule from a measured regularity modulus and lip.
 
     kappa gets a 10% margin over the modulus, lambda a 20% margin over the
-    sampled lip; alpha is the midpoint of its admissible interval. Rejected
-    when the resulting kappa*lambda reaches 0.9.
+    sampled lip; alpha is the midpoint of its admissible interval. A
+    kappa*lambda of 0.9 or more is a regularity failure (RegularityError):
+    the measured moduli admit no schedule. A bad tol or max_iter is refused
+    after that check, by IterationConfig, with ContractError.
     """
     if not np.isfinite(reg_value) or reg_value <= 0:
         raise ContractError(f"regularity modulus must be finite positive, got {reg_value}")
@@ -100,8 +103,8 @@ def default_config(reg_value: float, sampled_lip: float, tol: float = 1e-10,
         raise ContractError(f"sampled lip must be >= 0, got {sampled_lip}")
     kappa = KAPPA_MARGIN * reg_value
     lam = LAMBDA_MARGIN * sampled_lip
-    if kappa * lam >= 0.9:
-        raise ContractError(
+    if not kappa * lam < 0.9:  # a nan product is rejected too
+        raise RegularityError(
             f"kappa*lambda: default schedule rejected, {kappa * lam:.6g} >= 0.9")
     alpha = 0.5 * (kappa + 1.0 / lam) if lam > 0 else 2.0 * kappa
     return IterationConfig(kappa=kappa, lam=lam, alpha=alpha, tol=tol,
@@ -150,18 +153,41 @@ class GeneralizedEquation:
 
 @dataclass
 class IterationCertificate:
-    """A-posteriori record of one solve."""
+    """The certificate of a selection: the constant schedule (``config``
+    and the certified query radius ``tau``) and, once a solve has run, its
+    step lengths, final membership residual and calmness verdict. A
+    certificate without steps is the schedule alone."""
 
-    kappa: float
-    lam: float
-    alpha: float
+    config: IterationConfig
     tau: float
-    gamma: float
     increments: list = field(default_factory=list)
     residual: float = float("nan")
     calm_ok: bool = False
-    iterate_count: int = 0
-    tail_bound: float = 0.0
+
+    @property
+    def iterate_count(self) -> int:
+        return len(self.increments)
+
+    @property
+    def tail_bound(self) -> float:
+        """Distance bound to the limit: the last step over 1 - alpha*lambda."""
+        return self.increments[-1] / (1.0 - self.config.contraction)
+
+    def csv_lines(self) -> list[str]:
+        """The certificate block, one ``name,value`` line each: the schedule
+        kappa, lambda, alpha, tau, gamma, then for a solve iterations,
+        increments (one cell per step), residual, tail_bound, calm_ok."""
+        cfg = self.config
+        lines = [f"kappa,{fmt_float(cfg.kappa)}", f"lambda,{fmt_float(cfg.lam)}",
+                 f"alpha,{fmt_float(cfg.alpha)}", f"tau,{fmt_float(self.tau)}",
+                 f"gamma,{fmt_float(cfg.gamma)}"]
+        if self.increments:
+            lines += [f"iterations,{self.iterate_count}",
+                      ",".join(["increments"] + [fmt_float(v) for v in self.increments]),
+                      f"residual,{fmt_float(self.residual)}",
+                      f"tail_bound,{fmt_float(self.tail_bound)}",
+                      f"calm_ok,{'true' if self.calm_ok else 'false'}"]
+        return lines
 
 
 def compute_tau(cfg: IterationConfig, radii: tuple[float, float]) -> float:
@@ -278,14 +304,9 @@ def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
     if residual > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"final membership residual {residual:.3e} exceeds 10*tol")
-    gamma = cfg.gamma
-    calm_ok = norm(x - problem.x_base) <= gamma * dev + 1e-9
-    cert = IterationCertificate(
-        kappa=cfg.kappa, lam=cfg.lam, alpha=cfg.alpha, tau=tau, gamma=gamma,
-        increments=increments, residual=float(residual), calm_ok=calm_ok,
-        iterate_count=len(increments),
-        tail_bound=increments[-1] / (1.0 - cfg.contraction))
-    return x, cert
+    calm_ok = norm(x - problem.x_base) <= cfg.gamma * dev + 1e-9
+    return x, IterationCertificate(config=cfg, tau=tau, increments=increments,
+                                   residual=float(residual), calm_ok=calm_ok)
 
 
 def solve_implicit(problem: GeneralizedEquation, cfg: IterationConfig,
@@ -320,7 +341,6 @@ class SweepRow:
 class SweepResult:
     rows: list
     tau: float
-    gamma: float
     max_continuity_ratio: float
     jump_indices: list
     empirical_clm: float
@@ -354,7 +374,6 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
             rows.append(SweepRow(y=y, x=x, certificate=cert))
         except (RegularityError, NumericBreakdownError) as exc:
             rows.append(SweepRow(y=y, x=None, certificate=None, error=str(exc)))
-    gamma = cfg.gamma
     max_ratio = 0.0
     jumps: list[int] = []
     for i in range(len(rows) - 1):
@@ -367,7 +386,7 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
         ratio = float(np.linalg.norm(r0.x - r1.x)) / gap_y
         if ratio > max_ratio:
             max_ratio = ratio
-        if ratio > 10.0 * gamma:
+        if ratio > 10.0 * cfg.gamma:
             jumps.append(i)
     emp_clm = 0.0
     for r in rows:
@@ -377,6 +396,5 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
         if dev > 0:
             emp_clm = max(emp_clm,
                           float(np.linalg.norm(r.x - problem.x_base)) / dev)
-    return SweepResult(rows=rows, tau=tau, gamma=gamma,
-                       max_continuity_ratio=max_ratio, jump_indices=jumps,
-                       empirical_clm=emp_clm)
+    return SweepResult(rows=rows, tau=tau, max_continuity_ratio=max_ratio,
+                       jump_indices=jumps, empirical_clm=emp_clm)

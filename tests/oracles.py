@@ -833,11 +833,6 @@ def three_phase_solve(problem: GeneralizedEquation, cfg: IterationConfig,
     if residual > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"final membership residual {residual:.3e} exceeds 10*tol")
-    gamma = cfg.gamma
-    calm_ok = bool(np.linalg.norm(x - problem.x_base) <= gamma * dev + 1e-9)
-    cert = IterationCertificate(
-        kappa=cfg.kappa, lam=cfg.lam, alpha=cfg.alpha, tau=tau, gamma=gamma,
-        increments=increments, residual=float(residual), calm_ok=calm_ok,
-        iterate_count=len(increments),
-        tail_bound=increments[-1] / (1.0 - cfg.contraction))
-    return x, cert
+    calm_ok = bool(np.linalg.norm(x - problem.x_base) <= cfg.gamma * dev + 1e-9)
+    return x, IterationCertificate(config=cfg, tau=tau, increments=increments,
+                                   residual=float(residual), calm_ok=calm_ok)

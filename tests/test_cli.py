@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsel import cli, convex, moduli
+from regsel import cli, control, convex, moduli
 from regsel.cli import main
 from regsel.moduli import CSV_HEADER
+from regsel.problems import load_problem
 
 BOX_JSON = {"type": "box", "lower": [-1.0], "upper": [1.0]}
 COMMITTED = Path(__file__).resolve().parents[1] / "scripts" / "problems"
@@ -80,6 +81,17 @@ FIXTURES = {
                                              "alpha": 1.8}},
     "rankone-linear.json": {"version": "1", "kind": "linear",
                             "matrix": RANK_ONE},
+    # no constants, and the sampled moduli admit no default schedule:
+    # kappa*lambda = 1.1 * 1.2 * 0.9 and 1.1 * 1.2 * 1
+    "rejected.json": {"version": "1", "kind": "generalized",
+                      "finv_matrix": [[1.0]], "base_x": [0.0], "base_y": [0.0],
+                      "perturbation": {"input_dim": 1, "output_dim": 1,
+                                       "terms": [[{"coef": 0.9, "powers": [1]}]]}},
+    "rejected-smooth.json": {"version": "1", "kind": "smooth",
+                             "map": {"input_dim": 1, "output_dim": 1,
+                                     "terms": [[{"coef": 1.0, "powers": [1]},
+                                                {"coef": 0.5, "powers": [2]}]]},
+                             "base": [0.0]},
     # x' = u in R^3, with a control set that holds 0 and is unbounded
     "unbounded.json": {"version": "1", "kind": "control", "state_dim": 3,
                        "control_dim": 3, "mesh": 8,
@@ -420,6 +432,20 @@ def test_solve_parameter_variant(capsys, fdir):
     assert abs(float(grab(out, "x")) + 0.05 / 1.6) < 1e-9
 
 
+# The certificate block of generalized.json for a query 0.05 from its base
+# output, one line per field; only the x row tells the sign of the query.
+GENERALIZED_CERTIFICATE_AT_005 = (
+    "kappa,1\nlambda,0.35999999999999999\nalpha,1.8\n"
+    "tau,0.17599999999999999\ngamma,5.6818181818181825\niterations,14\n"
+    "increments,0.0088757396449704144,0.0020482476103777826,"
+    "0.00047267252547179145,0.00010907827510887175,2.5171909640506196e-05,"
+    "5.8089022247354016e-06,1.340515898024669e-06,3.0934982262961763e-07,"
+    "7.1388420612439329e-08,1.6474250907894117e-08,3.8017502028420136e-09,"
+    "8.7732696454900783e-10,2.0246006954272033e-10,4.672156411755779e-11\n"
+    "residual,1.0781904215593731e-11\ntail_bound,1.327317162430619e-10\n"
+    "calm_ok,true\n")
+
+
 def test_solve_parameter_builds_one_equation(capsys, monkeypatch):
     # the shift p enters through the file's own equation, with no copy
     committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
@@ -435,15 +461,7 @@ def test_solve_parameter_builds_one_equation(capsys, monkeypatch):
                        str(committed / "generalized.json"), "--parameter", "0.05")
     assert code == 0
     assert len(builds) == 1
-    assert out == ("x,-0.031250000008760298\n"
-                   "kappa,1\n"
-                   "lambda,0.35999999999999999\n"
-                   "alpha,1.8\n"
-                   "tau,0.17599999999999999\n"
-                   "iterations,14\n"
-                   "residual,1.0781904215593731e-11\n"
-                   "tail_bound,1.327317162430619e-10\n"
-                   "calm_ok,true\n")
+    assert out == "x,-0.031250000008760298\n" + GENERALIZED_CERTIFICATE_AT_005
 
 
 def test_solve_smooth_map(capsys, fdir):
@@ -967,16 +985,18 @@ PINNED_BRANCHES = {
     # an Intersection fibre; the target lies inside the box [-1, 0.1]
     "solve-boxed": (
         ("solve", "boxed.json", "--target", "0.05"), 0,
-        "x,0.031250000008760298\nkappa,1\nlambda,0.35999999999999999\n"
-        "alpha,1.8\ntau,0.17599999999999999\niterations,14\n"
-        "residual,1.0781904215593731e-11\ntail_bound,1.327317162430619e-10\n"
-        "calm_ok,true\n"),
+        "x,0.031250000008760298\n" + GENERALIZED_CERTIFICATE_AT_005),
     # no constants in the file: the default schedule fills them in
     "solve-default-schedule": (
         ("solve", "unscheduled.json", "--target", "0.1"), 0,
         "x,0.062500000017520596\nkappa,0.84615384615384615\n"
         "lambda,0.36000000000304833\nalpha,1.8119658119540516\n"
-        "tau,0.20545454545378336\niterations,14\n"
+        "tau,0.20545454545378336\ngamma,4.8672566371861956\niterations,14\n"
+        "increments,0.017751479289940829,0.0040964952207555652,"
+        "0.0009453450509435829,0.00021815655021774349,5.0343819281012392e-05,"
+        "1.1617804449470803e-05,2.6810317960493379e-06,6.1869964525923526e-07,"
+        "1.4277684122487866e-07,3.2948501815788234e-08,7.6035004056840272e-09,"
+        "1.7546539290980157e-09,4.0492013908544067e-10,9.344312823511558e-11\n"
         "residual,2.1563808431187461e-11\ntail_bound,2.6875235996924966e-10\n"
         "calm_ok,true\n"),
     "control-grid-1": (
@@ -985,10 +1005,15 @@ PINNED_BRANCHES = {
         GATE_LINES["double_integrator.json"]
         + "index,status,b1,b2,endpoint_error,calm_ratio\n"
         "0,ok,0.050000000000000003,0,7.0997481469891062e-30,12.093184442612245\n"
-        "tau,0.066299999999999998\ncalm_bound,48.097599928805373\n"
+        "kappa,6.0741784202376037\nlambda,0\nalpha,12.148356840475207\n"
+        "tau,0.066299999999999998\ngamma,12.148356840475207\n"
+        "calm_bound,48.097599928805373\n"
         "max_calm_ratio,12.093184442612245\nmax_continuity_ratio,0\n",
+        # kappa is 1.1 / sigma_min of the collocation operator, an SVD
+        # value, and alpha and gamma are 2 kappa here (lambda is 0)
         {("0", 4): NOISE_ATOL, ("0", 5): 0.0, ("calm_bound", 1): 0.0,
-         ("max_calm_ratio", 1): 0.0}),
+         ("max_calm_ratio", 1): 0.0, ("kappa", 1): 0.0, ("alpha", 1): 0.0,
+         ("gamma", 1): 0.0}),
     # a schedule rejected at mesh 8 exits 4 on both paths
     "control-mesh-8": (
         ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8"), 4,
@@ -1025,6 +1050,96 @@ def test_cli_branches_keep_their_stdout(capsys, generalized_variants, name):
     got = run(capsys, command, "--input", str(where / file), *flags)
     assert got[0] == code
     assert_cells(got[1], stdout, loose[0] if loose else {})
+
+
+# ---------------------------------------------------------------------------
+# the certificate block: one writer, one field order on every path
+
+SCHEDULE_FIELDS = ["kappa", "lambda", "alpha", "tau", "gamma"]
+SOLVE_FIELDS = ["iterations", "increments", "residual", "tail_bound", "calm_ok"]
+
+
+def _radii(pf, kappa, lam, alpha, target):
+    """The radii that tau certifies: the file's, or for a control file the
+    ones steering_setup derives from the constants and the target."""
+    if pf.kind == "control":
+        tau_target = max(control.TAU_FLOOR, 1.3 * float(np.linalg.norm(target)))
+        stretch = 1.0 / (1.0 - alpha * lam)
+        return (2.0 * kappa * tau_target * stretch * 1.02,
+                (1.0 + kappa * lam) * tau_target * stretch * 1.02)
+    if pf.kind == "smooth":
+        return pf.radius, pf.radius
+    return pf.radius_x, pf.radius_y
+
+
+@pytest.mark.parametrize("argv, code, solved, after", [
+    (("solve", "generalized.json", "--target", "0.1"), 0, True, None),
+    (("solve", "smooth.json", "--target", "0.08"), 0, True, None),
+    (("solve", "generalized.json", "--target", "0.9"), 4, False, "error"),
+    (("sweep", "generalized.json", "--target", "0.15", "--grid", "21"), 0,
+     False, "max_continuity_ratio"),
+    (("sweep", "smooth.json", "--target", "0.19", "--grid", "5"), 0, False,
+     "max_continuity_ratio"),
+    (("control", "double_integrator.json", "--target", "0.05,0"), 0, True,
+     "endpoint_error"),
+    (("control", "pendulum.json", "--target", "0.05,0", "--grid", "8"), 0,
+     False, "calm_bound"),
+], ids=["solve-generalized", "solve-smooth", "solve-error", "sweep-generalized",
+        "sweep-smooth", "control", "control-grid"])
+def test_certificate_block_round_trips(capsys, argv, code, solved, after):
+    # every path prints the schedule in one order, a solve its steps after
+    # it, and tau and gamma recompute bit for bit from the printed constants
+    command, file, *flags = argv
+    got, out, _ = run(capsys, command, "--input", str(COMMITTED / file), *flags)
+    assert got == code
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("kappa,"))
+    fields = SCHEDULE_FIELDS + (SOLVE_FIELDS if solved else [])
+    block = [line.split(",") for line in lines[start:start + len(fields)]]
+    assert [cells[0] for cells in block] == fields
+    following = lines[start + len(fields):]
+    assert (following[0].split(",")[0] if following else None) == after
+    values = {cells[0]: cells[1:] for cells in block}
+    kappa, lam, alpha, tau, gamma = (float(values[name][0]) for name in SCHEDULE_FIELDS)
+    pf = load_problem(str(COMMITTED / file))
+    target = [float(v) for v in flags[1].split(",")]
+    rx, ry = _radii(pf, kappa, lam, alpha, target)
+    assert tau == (1.0 - alpha * lam) * min(rx / (2.0 * kappa), ry / (1.0 + kappa * lam))
+    assert gamma == 2.0 * kappa / (1.0 - alpha * lam)
+    if solved:
+        steps = [float(v) for v in values["increments"]]
+        assert values["iterations"] == [str(len(steps))]
+        assert float(values["tail_bound"][0]) == steps[-1] / (1.0 - alpha * lam)
+        assert values["calm_ok"] == ["true"]
+
+
+@pytest.mark.parametrize("argv, modulus", [
+    (("solve", "rejected.json", "--target", "0.01"), "1.188"),
+    (("sweep", "rejected.json", "--target", "0.01", "--grid", "3"), "1.188"),
+    (("solve", "rejected-smooth.json", "--target", "0.01"), "1.32"),
+    (("sweep", "rejected-smooth.json", "--target", "0.01", "--grid", "3"), "1.32"),
+])
+def test_a_rejected_default_schedule_is_a_regularity_failure(capsys, fdir,
+                                                             argv, modulus):
+    # as control's rejected schedule: exit 4, not an input error
+    code, out, err = run(capsys, argv[0], "--input", str(fdir / argv[1]), *argv[2:])
+    assert (code, out) == (4, "")
+    assert err == ("regsel: locality/regularity: kappa*lambda: default "
+                   f"schedule rejected, {modulus} >= 0.9\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "unscheduled.json", "--target", "0.1"),
+    ("sweep", "unscheduled.json", "--target", "0.1", "--grid", "3"),
+    ("solve", "smooth.json", "--target", "0.08"),
+])
+def test_a_bad_tol_on_a_file_without_constants_is_an_input_error(
+        capsys, generalized_variants, argv):
+    where = COMMITTED if (COMMITTED / argv[1]).exists() else generalized_variants
+    code, out, err = run(capsys, argv[0], "--input", str(where / argv[1]),
+                         *argv[2:], "--tol", "inf")
+    assert (code, out) == (2, "")
+    assert err == "regsel: contract violation: tol must be finite, got inf\n"
 
 
 def test_moduli_on_a_control_file_keeps_its_stdout(capsys):

@@ -661,8 +661,8 @@ def test_halfspace_control_set_steers_like_the_box(mesh):
     for field_name in ("states", "controls"):
         assert (getattr(half_run, field_name).tobytes()
                 == getattr(box_run, field_name).tobytes())
-    for field_name in ("endpoint_error", "calm_ratio", "calm_bound", "tau",
-                       "dynamics_residual"):
+    for field_name in ("endpoint_error", "calm_ratio", "calm_bound",
+                       "dynamics_residual", "certificate"):
         assert getattr(half_run, field_name) == getattr(box_run, field_name)
 
 
@@ -767,7 +767,7 @@ def test_calm_sweep_circle_of_targets():
     targets = [0.05 * np.array([np.cos(t), np.sin(t)]) for t in angles]
     sweep = calm_sweep(double_integrator(), targets=targets)
     assert all(e == "" for e in sweep.errors)
-    assert sweep.max_calm_ratio <= sweep.calm_bound
+    assert sweep.max_calm_ratio <= sweep.setup.calm_bound
     assert np.isfinite(sweep.max_continuity_ratio)
 
 

@@ -180,6 +180,22 @@ def test_shifted_fibre_rejects_inconsistent_rhs():
         family.shifted([0.0, 1.0])
 
 
+@pytest.mark.parametrize("rhs", [[0.0, 1e100], [0.0, 1e200], [1e308, -1e308]])
+def test_an_inconsistent_rhs_whose_residual_overflows_is_refused(rhs):
+    # at 1e200 the residual and the norm of rhs are both inf, and inf <= inf
+    # used to pass the check; the shift is judged at the scale max|rhs| = 1
+    with np.errstate(over="ignore"):
+        with pytest.raises(ContractError, match="inconsistent"):
+            AffineSet([[1.0, 0.0], [1.0, 0.0]], rhs)
+
+
+def test_a_consistent_rhs_whose_norm_overflows_is_kept():
+    with np.errstate(over="ignore"):
+        fibre = AffineSet([[1.0, 0.0], [1.0, 0.0]], [1e200, 1e200])
+    assert fibre.rhs.tolist() == [1e200, 1e200]
+    np.testing.assert_allclose(fibre.project(np.zeros(2)), [1e200, 0.0], rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # factorization cache
 

@@ -4,7 +4,8 @@ scipy is a test dependency: the oracles take ``linprog`` and ``expm`` from
 it, and no module of the package imports it. One fresh interpreter, in
 which ``import scipy`` fails, runs every command of the README and of CI's
 console-script step, and ``control`` on both committed control files with
-one target and with ``--grid``; each must exit as CI expects it to.
+one target and with ``--grid``; each must exit as CI expects it to. The
+demo scripts, which read the library's result fields, run the same way.
 """
 
 import json
@@ -14,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import regsel
 
 SRC = str(Path(regsel.__file__).resolve().parents[1])
@@ -21,15 +24,20 @@ ROOT = Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "scripts" / "problems"
 
 
-def run_fresh(body: str) -> list:
-    """Run body in a new interpreter at the repository root; one parsed
-    JSON line per print."""
+def python_fresh(*args: str) -> str:
+    """stdout of ``python args`` in a new interpreter at the repository
+    root, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", body], capture_output=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    return proc.stdout
+
+
+def run_fresh(body: str) -> list:
+    """Run body in a new interpreter; one parsed JSON line per print."""
+    return [json.loads(line) for line in python_fresh("-c", body).splitlines()]
 
 
 def documented_commands() -> dict:
@@ -103,3 +111,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps("numpy.ma" in sys.modules))
 """
     assert run_fresh(body) == [False]
+
+
+@pytest.mark.parametrize("script", ["sweep_demo.py", "steering_demo.py"])
+def test_demo_script_runs(script):
+    # each reads result fields of the library, which no other test sees
+    assert python_fresh(str(ROOT / "scripts" / script))

@@ -102,7 +102,8 @@ def test_default_config_zero_lip():
 
 
 def test_default_config_rejects_tight_product():
-    with pytest.raises(ContractError, match="kappa\\*lambda"):
+    # a rejected schedule is a regularity failure; bad input stays a contract one
+    with pytest.raises(RegularityError, match="kappa\\*lambda"):
         default_config(1.0, 0.75)
     with pytest.raises(ContractError):
         default_config(float("inf"), 0.1)

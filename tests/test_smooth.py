@@ -170,7 +170,7 @@ def test_selection_solves_sin_fixture():
     x, cert = smooth_selection(p, [0.1])
     f_val = x[0] + x[1] + 0.05 * np.sin(x[0])
     assert abs(f_val - 0.1) <= 1e-8
-    assert np.linalg.norm(x) <= cert.gamma * 0.1 + 1e-9
+    assert np.linalg.norm(x) <= cert.config.gamma * 0.1 + 1e-9
     assert cert.calm_ok
 
 
