@@ -16,8 +16,8 @@ import numpy as np
 
 from .convex import AffineSet, Intersection
 from .control import (calm_sweep, kalman_rank, linearize,
-                      reachable_interior, steer, _remainder,
-                      _weighted_operator)
+                      reachable_interior, steer, steering_setup,
+                      _default_tau_target, _remainder, _weighted_operator)
 from .errors import (ContractError, InfeasibilitySuspectedError,
                      LocalityError, NumericBreakdownError, ProblemFileError,
                      RegularityError, ShapeError, UncontrollableError)
@@ -352,8 +352,17 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         return EXIT_OK if any(r is not None for r in result.results) else EXIT_LOCALITY
 
     try:
-        res = steer(problem, sys_, b, tol=args.tol, seed=seed)
+        setup = steering_setup(
+            problem, sys_, tau_target=_default_tau_target(float(np.linalg.norm(b))),
+            tol=args.tol, seed=seed)
     except (LocalityError, RegularityError) as exc:
+        out.line(f"error,{exc}")
+        return EXIT_LOCALITY
+    try:
+        res = steer(problem, b=b, setup=setup)
+    except (LocalityError, RegularityError) as exc:
+        # the schedule was built, so it is printed before the error, as solve does
+        out.lines += IterationCertificate(setup.config, setup.tau).csv_lines()
         out.line(f"error,{exc}")
         return EXIT_LOCALITY
     out.lines += res.certificate.csv_lines()
@@ -503,7 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "t,x*,u*) or, with --grid, per-target rows index,status,"
                     "b*,endpoint_error,calm_ratio, the schedule kappa/lambda/"
                     "alpha/tau/gamma and calm_bound/max_calm_ratio/"
-                    "max_continuity_ratio.")
+                    "max_continuity_ratio. A steer that fails after its "
+                    "schedule is built emits the schedule, then "
+                    "error,<message>.")
     common(p)
     tolerance(p)
     p.add_argument("--target", default=None, help="endpoint target b")

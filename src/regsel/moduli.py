@@ -26,11 +26,21 @@ stacked call on probe_width(d, m) points with per-point calls within
 STACK_RTOL. A map that passes is called once per end and block; one that
 fails (a fixed-length vector added to W x, say) is called one point at a
 time, to the same values. ControlProblem refuses dynamics that fail the
-same probe.
+same probe. A graph verifier's forward oracle is probed the same way, on
+points of its grid: one that passes gets one stacked call on the whole
+grid, whose values are kept when they are finite and one column per
+point. Set-valued maps, value lists and empty forms fail the probe, and
+they, or a stacked call that gives anything else, are called one grid
+point at a time. A stacked graph has the bits of the per-point graph
+exactly when the map's stacked columns have the bits of each point
+alone, as the polynomial maps and remainders do; x -> M x may not (a
+matrix product and a matrix-vector product can round differently), and
+its ratios and witnesses then move in their last bits.
 
 Both verifiers read one scan of the graph, sampled once on a grid of at
-least 2 points per axis, which works on blocked distance tables with no
-Python loop per test value:
+least 2 points per axis (with one stacked forward call where the map
+allows it), which works on blocked distance tables with no Python loop
+per test value:
 
 * Fibre membership for a block of consecutive test values y is one table
   of distances to every sampled value, reduced to d(y, F(x)) per grid point
@@ -386,8 +396,11 @@ class SampledMapping:
     list of vectors, or a 2-D array of stacked rows). Any empty form (an
     empty list or tuple, an array with no entries) means F(x) is empty, that
     is x is outside dom F, as in lsc_probe; the base point must have values.
-    ``radius_x`` bounds the sampled domain ball, ``radius_y`` the image ball
-    used for test values.
+    A single-valued forward may also take grid points as the columns of a
+    (d, k) array and return their values as the columns of (m, k), as the
+    samplers' maps do; the graph is then sampled with one stacked call
+    (_sample_graph). ``radius_x`` bounds the sampled domain ball,
+    ``radius_y`` the image ball used for test values.
     """
 
     forward: Callable
@@ -428,6 +441,29 @@ class SampledMapping:
         return [as_vector(v, dim=dim) for v in out]
 
 
+def _stacked_graph(forward: Callable, pts: np.ndarray, rows: int):
+    """The values of ``forward`` at the rows of pts, as the rows of one
+    (len(pts), rows) array from one stacked call, or None.
+
+    forward is probed (stacking_fault) on probe_width(d, rows) of the points
+    themselves, spread from the first to the last, so it is never called
+    off them. None when forward fails the probe, when a call raises
+    TypeError, ValueError or IndexError, or when the stacked call gives
+    anything but finite values of shape (rows, len(pts)).
+    """
+    k = probe_width(pts.shape[1], rows)
+    probe = pts[np.arange(k) * (len(pts) - 1) // (k - 1)]
+    try:
+        if stacking_fault(forward, (np.ascontiguousarray(probe.T),), rows):
+            return None
+        out = np.asarray(forward(np.ascontiguousarray(pts.T)), dtype=float)
+    except (TypeError, ValueError, IndexError):
+        return None
+    if out.shape != (rows, len(pts)) or not np.isfinite(out).all():
+        return None
+    return np.ascontiguousarray(out.T)
+
+
 def _sample_graph(mapping: SampledMapping, grid: int):
     """Graph of the mapping on ``grid`` points per axis of the domain ball.
 
@@ -435,6 +471,13 @@ def _sample_graph(mapping: SampledMapping, grid: int):
     gx_idx of the point each value belongs to (nondecreasing; a point with
     no values has no row) and the distinct values inside the image ball,
     which are the test values.
+
+    The values come from one stacked call on every grid point when forward
+    passes the stacking probe on grid points and that call gives finite
+    values of shape (m, points) (_stacked_graph); each point then has one
+    value and gx_idx is arange. Any other forward is called one grid point
+    at a time through values_at, which raises ShapeError on a misshaped or
+    non-finite value.
     """
     if grid < 2:
         # One point per axis would be the corner x_base - radius_x alone, so
@@ -448,16 +491,20 @@ def _sample_graph(mapping: SampledMapping, grid: int):
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.linalg.norm(pts - mapping.x_base, axis=1) <= mapping.radius_x + 1e-12
     pts = pts[keep]
-    # Values are packed as they come: a list of one small array per value
-    # would hold more memory than every later table of a scan.
-    packed, counts = bytearray(), []
-    for x in pts:
-        vals = mapping.values_at(x)
-        counts.append(len(vals))
-        for v in vals:
-            packed += v.tobytes()
-    gy = np.frombuffer(packed).reshape(-1, mapping.y_base.size)
-    gx_idx = np.repeat(np.arange(pts.shape[0]), counts)
+    gy = _stacked_graph(mapping.forward, pts, mapping.y_base.size)
+    if gy is not None:
+        gx_idx = np.arange(len(pts))
+    else:
+        # Values are packed as they come: a list of one small array per
+        # value would hold more memory than every later table of a scan.
+        packed, counts = bytearray(), []
+        for x in pts:
+            vals = mapping.values_at(x)
+            counts.append(len(vals))
+            for v in vals:
+                packed += v.tobytes()
+        gy = np.frombuffer(packed).reshape(-1, mapping.y_base.size)
+        gx_idx = np.repeat(np.arange(pts.shape[0]), counts)
     in_ball = np.linalg.norm(gy - mapping.y_base, axis=1) <= mapping.radius_y + 1e-12
     # return_counts takes the same sort path but skips np.ma.is_masked, whose
     # first call imports numpy.ma (about 1.1 MB held and 14 ms in a cold run)
@@ -761,7 +808,9 @@ def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
         raise ContractError(
             f"lambda: sampled lip {lip.value:.6g} is not below lam {lam:.6g}")
 
-    def forward(x):
+    def forward(x):  # one point or stacked columns, as g takes them
+        if np.ndim(x) == 2:
+            return m @ x + np.asarray(g(x), dtype=float)
         return m @ x + as_vector(g(x), dim=m.shape[0])
 
     y_center = forward(center)

@@ -289,6 +289,10 @@ def aubin_pair_scan(pts, gy, gx_idx, y_test, kappa: float,
     atol. Returns (ok, worst_ratio, witness), the witness being
     (x, y_from, y_to) for the first pair, in test-value order, that attains
     the worst ratio. One small distance table per pair, nothing shared.
+    Gaps |y_from - y_to| add squared coordinates in coordinate order
+    (distances_3d), as the verifiers define them: a dot-kernel norm can
+    differ in its last bit, and two pairs whose ratios tie under one
+    definition then tie under the other at different pairs.
     """
     fibers = [sampled_fibre(pts, gy, gx_idx, y, rtol) for y in y_test]
     worst = 0.0
@@ -301,7 +305,7 @@ def aubin_pair_scan(pts, gy, gx_idx, y_test, kappa: float,
         for b, y_to in enumerate(y_test):
             if a == b:
                 continue
-            gap_y = np.linalg.norm(y_from - y_to)
+            gap_y = distances_3d(y_from[None], y_to[None])[0, 0]
             if gap_y == 0.0:
                 continue
             fib_to = fibers[b]

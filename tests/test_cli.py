@@ -1014,7 +1014,18 @@ PINNED_BRANCHES = {
         {("0", 4): NOISE_ATOL, ("0", 5): 0.0, ("calm_bound", 1): 0.0,
          ("max_calm_ratio", 1): 0.0, ("kappa", 1): 0.0, ("alpha", 1): 0.0,
          ("gamma", 1): 0.0}),
-    # a schedule rejected at mesh 8 exits 4 on both paths
+    # a target the box control set cannot reach: the set-up succeeded, so
+    # its schedule precedes the error, as a failed solve's does
+    "control-unreachable": (
+        ("control", "double_integrator.json", "--target", "0.5,0"), 4,
+        GATE_LINES["double_integrator.json"]
+        + "kappa,6.0741784202376037\nlambda,0\nalpha,12.148356840475207\n"
+        "tau,0.66300000000000003\ngamma,12.148356840475207\n"
+        "error,initial selection: the corrected target has no preimage under "
+        "the constraint (Dykstra gap 8.661e-01)\n",
+        {("kappa", 1): 0.0, ("alpha", 1): 0.0, ("gamma", 1): 0.0}),
+    # a schedule rejected at mesh 8 exits 4 on both paths, before any
+    # schedule line
     "control-mesh-8": (
         ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8"), 4,
         GATE_LINES["pendulum.json --mesh 8"]
@@ -1084,8 +1095,10 @@ def _radii(pf, kappa, lam, alpha, target):
      "endpoint_error"),
     (("control", "pendulum.json", "--target", "0.05,0", "--grid", "8"), 0,
      False, "calm_bound"),
+    (("control", "double_integrator.json", "--target", "0.5,0"), 4, False,
+     "error"),
 ], ids=["solve-generalized", "solve-smooth", "solve-error", "sweep-generalized",
-        "sweep-smooth", "control", "control-grid"])
+        "sweep-smooth", "control", "control-grid", "control-error"])
 def test_certificate_block_round_trips(capsys, argv, code, solved, after):
     # every path prints the schedule in one order, a solve its steps after
     # it, and tau and gamma recompute bit for bit from the printed constants

@@ -611,7 +611,8 @@ def test_verify_aubin_rejects_bad_kappa():
 ])
 @pytest.mark.parametrize("check", [verify_metric_regularity, verify_aubin])
 def test_verifiers_refuse_kappa_before_sampling_the_graph(check, kappa, message):
-    # at grid 41 this 2->1 map samples 1,257 points, each a forward call
+    # at grid 41 this 2->1 map samples 1,257 points; a refused kappa calls
+    # forward on none of them, not even for the stacking probe
     calls = []
     m = np.array([[2.0, 2.0]])
 
@@ -860,8 +861,8 @@ def premise_map():
 
 
 def test_aubin_gaps_take_the_bits_of_the_distance_kernel():
-    # on the premise map the scan and the fibre loop must both take the
-    # coordinate-order sum of _distances, not the dot kernel
+    # on the premise map the scan, the fibre loop and the pair scan must
+    # all take the coordinate-order sum of _distances, not the dot kernel
     mapping = premise_map()
     assert_scans_match_loops(mapping, 1.0, grid=7)
     assert_aubin_matches_pair_scan(mapping, 1.0, grid=7)
@@ -906,22 +907,31 @@ def test_distances_match_the_three_axis_sum_bitwise(dim):
 
 
 def memory_case(name):
-    """(matrix, grid) of the linear.json map at grid 101 (7,845 points) or
-    of a 2->1 map at grid 41 (1,257 points)."""
-    if name == "linear-101":
-        return load_problem(str(PROBLEMS / "linear.json")).matrix, 101
-    return np.array([[2.0, 2.0]]), 41
+    """(matrix, grid, forward) of the linear.json map at grid 101 (7,845
+    points) or of a 2->1 map at grid 41 (1,257 points). forward is x -> M x,
+    sampled by one stacked call, or for "linear-101-per-point" the value
+    list [M x], which fails the stacking probe and is sampled point by
+    point."""
+    if name.startswith("linear-101"):
+        mat, grid = load_problem(str(PROBLEMS / "linear.json")).matrix, 101
+    else:
+        mat, grid = np.array([[2.0, 2.0]]), 41
+    if name.endswith("per-point"):
+        return mat, grid, lambda x: [mat @ x]
+    return mat, grid, lambda x: mat @ x
 
 
 @pytest.mark.parametrize("case,check", [
     ("linear-101", "metric-regularity"), ("linear-101", "aubin"),
+    ("linear-101-per-point", "metric-regularity"),
+    ("linear-101-per-point", "aubin"),
     ("2to1-41", "metric-regularity"), ("2to1-41", "aubin"),
     ("2to1-41", "perturbation-bound")])
 def test_verifier_memory_stays_within_the_table_budget(case, check):
     # no table holds more than TABLE_ENTRIES entries, so the tracemalloc
-    # peak of a pass does not grow with the grid
-    mat, grid = memory_case(case)
-    mapping = SampledMapping(forward=lambda x: mat @ x,
+    # peak of a pass does not grow with the grid, on either sampling path
+    mat, grid, forward = memory_case(case)
+    mapping = SampledMapping(forward=forward,
                              x_base=np.zeros(mat.shape[1]),
                              y_base=np.zeros(mat.shape[0]), radius_x=1.0,
                              radius_y=2.0 * np.linalg.norm(mat, 2))
@@ -955,6 +965,202 @@ def test_test_values_are_the_bytes_of_plain_unique():
     in_ball = np.linalg.norm(gy, axis=1) <= 1.5 + 1e-12
     assert y_test.tobytes() == np.unique(gy[in_ball], axis=0).tobytes()
     assert len(y_test) == 3
+
+
+# ---------------------------------------------------------------------------
+# the graph from one stacked call, or point by point
+
+
+def per_point_graph(mapping, grid):
+    """_sample_graph with the stacked call refused: the loop over points."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moduli, "_stacked_graph", lambda *args: None)
+        return _sample_graph(mapping, grid)
+
+
+def assert_same_graph(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def stacked_paths(monkeypatch):
+    """A list that gets, per _sample_graph, whether the stacked call served."""
+    paths = []
+    stacked = moduli._stacked_graph
+
+    def recorded(*args):
+        gy = stacked(*args)
+        paths.append(gy is not None)
+        return gy
+
+    monkeypatch.setattr(moduli, "_stacked_graph", recorded)
+    return paths
+
+
+def exact_column_maps():
+    """(name, mapping, grid) of maps whose stacked columns have the bits of
+    each point alone: smooth.json's polynomial, linear.json's diagonal, the
+    floor / -0.0 map of test_test_values_are_the_bytes_of_plain_unique and
+    the steps map of uneven_maps, floor(2 x0)."""
+    smooth = load_problem(str(PROBLEMS / "smooth.json")).smooth_map
+    diag = load_problem(str(PROBLEMS / "linear.json")).matrix
+    steps, steps_grid, _ = uneven_maps()[2]
+    return [
+        ("smooth", SampledMapping(forward=smooth, x_base=[0.0],
+                                  y_base=smooth(np.zeros(1)), radius_x=0.5,
+                                  radius_y=2.0), 21),
+        ("linear", SampledMapping(forward=lambda x: diag @ x,
+                                  x_base=np.zeros(2), y_base=np.zeros(2),
+                                  radius_x=1.0, radius_y=4.0), 21),
+        ("floor", SampledMapping(
+            forward=lambda x: np.array([np.floor(x[0]), -0.0 * x[1]]),
+            x_base=np.zeros(2), y_base=np.zeros(2), radius_x=2.0,
+            radius_y=1.5), 9),
+        ("steps", SampledMapping(forward=steps, x_base=np.zeros(2),
+                                 y_base=np.zeros(1), radius_x=1.0,
+                                 radius_y=1.0), steps_grid),
+    ]
+
+
+@pytest.mark.parametrize("name,mapping,grid", exact_column_maps(),
+                         ids=[m[0] for m in exact_column_maps()])
+def test_a_stacked_graph_has_the_bytes_of_the_per_point_graph(
+        monkeypatch, name, mapping, grid):
+    paths = stacked_paths(monkeypatch)
+    graph = _sample_graph(mapping, grid)
+    assert paths == [True]
+    assert_same_graph(graph, per_point_graph(mapping, grid))
+    np.testing.assert_array_equal(graph[2], np.arange(len(graph[0])))
+    assert_scans_match_loops(mapping, 1.05 * sampled_reg(mapping, grid).value,
+                             grid)
+
+
+def per_point_maps():
+    """(name, forward, x_base, y_base, radius_x, radius_y, grid) of maps
+    that fail the stacking probe: the empty forms, value lists, the branch
+    union, the uneven 2->1 maps that are set-valued or partial, and a value
+    list wrapping a linear map."""
+    maps = [(f"empty-{form}", half_domain_doubling(EMPTY_FORMS[form]).forward,
+             [0.0], [0.0], 1.0, 2.0, 9) for form in EMPTY_FORMS]
+    maps.append(("value-list", lambda x: [x, x + 1.0], [0.0], [1.0], 1.0,
+                 1.0, 9))
+    maps.append(("branch-union",
+                 lambda y: counterexample_mapping(float(y[0]), 4).reshape(-1, 1),
+                 [0.0], [0.0], 0.4, 0.4, 17))
+    for (forward, grid, _), name in zip(uneven_maps()[:2], ("cut", "varying")):
+        maps.append((name, forward, np.zeros(2), np.zeros(1), 1.0, 1.0, grid))
+    diag = load_problem(str(PROBLEMS / "linear.json")).matrix
+    maps.append(("linear-list", lambda x: [diag @ x], np.zeros(2),
+                 np.zeros(2), 1.0, 4.0, 11))
+    return maps
+
+
+@pytest.mark.parametrize("name,forward,x_base,y_base,rx,ry,grid",
+                         per_point_maps(), ids=[m[0] for m in per_point_maps()])
+def test_a_map_that_fails_the_probe_keeps_its_per_point_graph(
+        monkeypatch, name, forward, x_base, y_base, rx, ry, grid):
+    mapping = SampledMapping(forward=forward, x_base=x_base, y_base=y_base,
+                             radius_x=rx, radius_y=ry)
+    paths = stacked_paths(monkeypatch)
+    graph = _sample_graph(mapping, grid)
+    assert paths == [False]
+    assert_same_graph(graph, per_point_graph(mapping, grid))
+
+
+def frobenius_domain(x):
+    """x -> 2 x where the Frobenius norm of the argument is at most 1.5:
+    every point of the unit ball and a probe of two of them (norm at most
+    sqrt 2), but not the 9 points of its grid (norm sqrt 3.75)."""
+    return 2.0 * x if np.linalg.norm(x) <= 1.5 else []
+
+
+def grid_call_raises(x):
+    """x -> 2 x, except that a call on more than 3 points raises."""
+    if np.ndim(x) == 2 and x.shape[1] > 3:
+        raise ValueError("too many points")
+    return 2.0 * x
+
+
+@pytest.mark.parametrize("forward", [frobenius_domain, grid_call_raises])
+def test_a_stacked_call_that_fails_after_the_probe_falls_back(monkeypatch,
+                                                              forward):
+    mapping = SampledMapping(forward=forward, x_base=[0.0], y_base=[0.0],
+                             radius_x=1.0, radius_y=2.0)
+    calls = []
+    probe = moduli.stacking_fault
+    monkeypatch.setattr(moduli, "stacking_fault",
+                        lambda *args: calls.append(probe(*args)) or calls[-1])
+    paths = stacked_paths(monkeypatch)
+    graph = _sample_graph(mapping, 9)
+    assert calls == [None] and paths == [False]
+    want = _sample_graph(SampledMapping(forward=fwd_double, x_base=[0.0],
+                                        y_base=[0.0], radius_x=1.0,
+                                        radius_y=2.0), 9)
+    assert_same_graph(graph, want)
+    assert len(graph[1]) == len(graph[0]) == 9
+
+
+def test_a_non_finite_stacked_value_falls_back_to_the_per_point_error(
+        monkeypatch):
+    # the probe's points are the first and the last of the grid, where the
+    # map is finite; the loop then names the point where it is not
+    def forward(x):
+        return np.where(np.abs(x - 0.25) < 0.01, np.nan, 2.0 * x)
+
+    mapping = SampledMapping(forward=forward, x_base=[0.0], y_base=[0.0],
+                             radius_x=0.5, radius_y=1.0)
+    paths = stacked_paths(monkeypatch)
+    with pytest.raises(ShapeError, match="non-finite"):
+        _sample_graph(mapping, 5)
+    assert paths == [False]
+
+
+def test_forward_is_never_called_off_the_grid(monkeypatch):
+    mat = np.array([[2.0, 1.0], [0.0, 0.5]])
+    pts = _sample_graph(SampledMapping(forward=lambda x: mat @ x,
+                                       x_base=np.zeros(2), y_base=np.zeros(2),
+                                       radius_x=1.0, radius_y=5.0), 7)[0]
+    on_grid = {tuple(p): mat @ p for p in pts}
+    # a lookup answers grid points only, and fails the probe
+    looked_up = SampledMapping(forward=lambda x: on_grid[tuple(x)],
+                               x_base=np.zeros(2), y_base=np.zeros(2),
+                               radius_x=1.0, radius_y=5.0)
+    paths = stacked_paths(monkeypatch)
+    assert_same_graph(_sample_graph(looked_up, 7), per_point_graph(looked_up, 7))
+
+    # a map that stacks sees grid points alone, as columns or one at a time
+    seen = []
+
+    def forward(x):
+        seen.extend(map(tuple, np.reshape(x, (2, -1)).T))
+        return mat @ x
+
+    stacking = SampledMapping(forward=forward, x_base=np.zeros(2),
+                              y_base=np.zeros(2), radius_x=1.0, radius_y=5.0)
+    _sample_graph(stacking, 7)
+    assert paths == [False, True]
+    assert seen and set(seen) <= set(on_grid)
+
+
+def test_a_two_to_one_pass_calls_forward_a_few_times():
+    # at grid 41 the loop made one call per point, 1,257 of them
+    calls = []
+    m = np.array([[2.0, 2.0]])
+
+    def forward(x):
+        calls.append(np.shape(x))
+        return m @ x
+
+    mapping = SampledMapping(forward=forward, x_base=np.zeros(2),
+                             y_base=np.zeros(1), radius_x=1.0,
+                             radius_y=2.0 * np.linalg.norm(m))
+    calls.clear()
+    verify_metric_regularity(mapping, 1.0, grid=41)
+    width = moduli.probe_width(2, 1)
+    assert len(calls) <= 2 * width + 1
+    assert calls[-1] == (2, 1257)
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +1199,40 @@ def test_lg_bound_reads_an_affine_set_without_factoring(monkeypatch):
     assert calls == []
     assert from_fibre[0].csv_row() == from_matrix[0].csv_row()
     assert from_fibre[1].csv_row() == from_matrix[1].csv_row()
+
+
+def test_lg_bound_stacks_a_stacking_perturbation_to_the_same_report(
+        monkeypatch):
+    # generalized.json: 1.3 x plus the polynomial 0.3 x, whose stacked
+    # columns have the bits of each point alone
+    pf = load_problem(str(PROBLEMS / "generalized.json"))
+    args = (pf.matrix, pf.perturbation, pf.base_x)
+    kwargs = dict(kappa=pf.constants["kappa"], lam=pf.constants["lambda"],
+                  radius=pf.radius_x, grid=21, samples=600)
+    paths = stacked_paths(monkeypatch)
+    report = lg_bound_check(*args, **kwargs)[0]
+    assert paths == [True]
+    monkeypatch.setattr(moduli, "_stacked_graph", lambda *a: None)
+    assert report.csv_row() == lg_bound_check(*args, **kwargs)[0].csv_row()
+    assert report.ok
+
+
+def test_lg_bound_keeps_the_per_point_path_for_a_perturbation_that_does_not_stack(
+        monkeypatch):
+    # sin(W x + phase) with a phase of shape (m,) adds it to W X of shape
+    # (m, k) only at k = m, so it fails the probe, as lip_estimate finds too
+    weights = np.array([[0.6, -0.8], [0.8, 0.6]])
+    phase = np.array([0.3, 1.1])
+
+    def g(x):
+        return 0.1 * np.sin(weights @ x + phase)
+
+    mat = np.array([[2.0, 0.5], [-0.5, 1.0]])
+    paths = stacked_paths(monkeypatch)
+    report = lg_bound_check(mat, g, np.zeros(2), kappa=1.1 * reg_linear(mat),
+                            lam=0.2, radius=1.0, grid=9, samples=200)[0]
+    assert paths == [False]
+    assert report.ok
 
 
 def test_lg_bound_rejects_kappa_below_linear_reg():
