@@ -60,7 +60,7 @@ def main():
     worst_ratio = 0.0
     for angle in np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False):
         b = args.radius * np.array([np.cos(angle), np.sin(angle)])
-        res = steer(problem, b=b, setup=setup)
+        res = steer(problem, sys, b, setup)
         worst_ratio = max(worst_ratio, res.calm_ratio)
         print(",".join([f"{angle:.4f}",
                         fmt_float(res.endpoint_error),

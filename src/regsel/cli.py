@@ -75,6 +75,8 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
             f"{flag}: expected comma-separated floats, got {text!r}")
     if not vals:
         raise ProblemFileError(f"{flag}: empty vector")
+    if not all(np.isfinite(vals)):
+        raise ProblemFileError(f"{flag}: expected finite components, got {text!r}")
     return np.array(vals)
 
 
@@ -314,6 +316,10 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         problem = replace(problem, mesh_size=args.mesh)
     b = _target(pf, args, problem.state_dim,
                 "control needs --target for the endpoint")
+    with np.errstate(over="ignore"):
+        size = float(np.linalg.norm(b))
+    if not np.isfinite(size):
+        raise ProblemFileError("--target: the target's norm overflows float64")
     seed = _seed(pf, args)
     sys_ = linearize(problem)
     rank, rank_ok = kalman_rank(sys_)
@@ -322,14 +328,17 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
     out.line(f"kalman_controllable,{_bool(rank_ok)}")
     out.line(f"reachable_interior,{_bool(interior_ok)}")
     out.line(f"interior_margin,{fmt_float(margin)}")
+    # one set-up serves every target: the grid's largest is 1.0 * b
+    try:
+        setup = steering_setup(problem, sys_, tau_target=_default_tau_target(size),
+                               tol=args.tol, seed=seed)
+    except (LocalityError, RegularityError) as exc:
+        out.line(f"error,{exc}")
+        return EXIT_LOCALITY
 
     if grid is not None:
         targets = [b] if grid == 1 else [t * b for t in np.linspace(0.0, 1.0, grid)]
-        try:
-            result = calm_sweep(problem, sys_, targets, tol=args.tol, seed=seed)
-        except (LocalityError, RegularityError) as exc:
-            out.line(f"error,{exc}")
-            return EXIT_LOCALITY
+        result = calm_sweep(setup, targets)
         header = (["index", "status"]
                   + [f"b{j + 1}" for j in range(problem.state_dim)]
                   + ["endpoint_error", "calm_ratio"])
@@ -344,7 +353,6 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
                 cells += [fmt_float(res.endpoint_error),
                           fmt_float(res.calm_ratio)]
             out.line(",".join(cells))
-        setup = result.setup
         out.lines += IterationCertificate(setup.config, setup.tau).csv_lines()
         out.line(f"calm_bound,{fmt_float(setup.calm_bound)}")
         out.line(f"max_calm_ratio,{fmt_float(result.max_calm_ratio)}")
@@ -352,14 +360,7 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         return EXIT_OK if any(r is not None for r in result.results) else EXIT_LOCALITY
 
     try:
-        setup = steering_setup(
-            problem, sys_, tau_target=_default_tau_target(float(np.linalg.norm(b))),
-            tol=args.tol, seed=seed)
-    except (LocalityError, RegularityError) as exc:
-        out.line(f"error,{exc}")
-        return EXIT_LOCALITY
-    try:
-        res = steer(problem, b=b, setup=setup)
+        res = steer(problem, sys_, b, setup)
     except (LocalityError, RegularityError) as exc:
         # the schedule was built, so it is printed before the error, as solve does
         out.lines += IterationCertificate(setup.config, setup.tau).csv_lines()

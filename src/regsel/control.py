@@ -445,28 +445,23 @@ def _default_tau_target(size: float) -> float:
     return max(TAU_FLOOR, 1.3 * size)
 
 
-def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
-          b=None, setup: SteeringSetup | None = None, tol: float = 1e-11,
-          seed: int = 0) -> SteeringResult:
+def steer(problem: ControlProblem, sys: DiscretizedSystem, b,
+          setup: SteeringSetup) -> SteeringResult:
     """Steer the origin to endpoint b with admissible controls.
 
-    Solves the discretized generalized equation for the query whose only
-    nonzero rows are the endpoint target. Raises ContractError when
-    ``setup`` was built for another problem, UncontrollableError when the
-    Kalman rank test fails, LocalityError when |b| exceeds the certified
-    radius, and NumericBreakdownError when the returned trajectory
-    violates the dynamics or control-membership contracts.
+    Solves the discretized generalized equation of the prepared ``setup``
+    for the query whose only nonzero rows are the endpoint target; a query
+    builds nothing. Raises ContractError when ``setup`` was built for
+    another problem or ``sys`` is not the set-up's own system,
+    LocalityError when |b| exceeds the certified radius, and
+    NumericBreakdownError when the returned trajectory violates the
+    dynamics or control-membership contracts.
     """
-    if b is None:
-        raise ContractError("steer needs a target endpoint")
-    b = as_vector(b, dim=problem.state_dim)
-    if setup is None:
-        setup = steering_setup(
-            problem, sys, tau_target=_default_tau_target(float(np.linalg.norm(b))),
-            tol=tol, seed=seed)
-    elif setup.problem != problem:
+    if setup.problem != problem:
         raise ContractError("steer's set-up was built for another problem")
-    sys = setup.sys
+    if sys is not setup.sys:
+        raise ContractError("steer's system is not its set-up's own")
+    b = as_vector(b, dim=problem.state_dim)
 
     scaled, cert = solve(setup.equation, setup.config, setup.query(b))
     states, controls = _trajectories(scaled, sys)
@@ -494,39 +489,32 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem | None = None,
 
 @dataclass
 class ControlSweep:
-    """Steering results over a target grid with worst-case ratios, and the
-    set-up (schedule, tau, calm bound) that every target shared.
+    """Steering results over a target grid with worst-case ratios.
 
     results and errors run parallel to the target grid; a failed target
     leaves None in results and the failure message in errors.
     """
 
-    setup: SteeringSetup
     results: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     max_calm_ratio: float = 0.0
     max_continuity_ratio: float = 0.0
 
 
-def calm_sweep(problem: ControlProblem, sys: DiscretizedSystem | None = None,
-               targets: Sequence | None = None, tau_target: float | None = None,
-               tol: float = 1e-11, seed: int = 0) -> ControlSweep:
-    """Steer every target on a grid and report worst calm/continuity ratios.
+def calm_sweep(setup: SteeringSetup, targets: Sequence) -> ControlSweep:
+    """Steer every target on a grid with one prepared set-up and report
+    worst calm/continuity ratios.
 
     Continuity ratios compare adjacent targets: the difference of the two
     trajectory pairs in the discretized sup norms over the distance of the
     targets.
     """
-    if targets is None or len(targets) == 0:
+    if len(targets) == 0:
         raise ContractError("calm_sweep needs a nonempty target grid")
-    grid = [as_vector(t, dim=problem.state_dim) for t in targets]
-    worst = max(float(np.linalg.norm(t)) for t in grid)
-    target = tau_target if tau_target is not None else _default_tau_target(worst)
-    setup = steering_setup(problem, sys, tau_target=target, tol=tol, seed=seed)
-    sweep = ControlSweep(setup)
-    for t in grid:
+    sweep = ControlSweep()
+    for t in targets:
         try:
-            res = steer(problem, b=t, setup=setup)
+            res = steer(setup.problem, setup.sys, t, setup)
         except (LocalityError, RegularityError, NumericBreakdownError) as exc:
             sweep.results.append(None)
             sweep.errors.append(str(exc))

@@ -121,11 +121,10 @@ def config_for(problem: SmoothProblem, seed: int = 0, tol: float = 1e-10,
                           tol=tol, max_iter=max_iter)
 
 
-def smooth_selection(problem: SmoothProblem, y, cfg: IterationConfig | None = None
+def smooth_selection(problem: SmoothProblem, y, cfg: IterationConfig
                      ) -> tuple[np.ndarray, IterationCertificate]:
-    """Local right inverse: returns x with f(x) = y, plus the certificate."""
-    if cfg is None:
-        cfg = config_for(problem)
+    """Local right inverse: returns x with f(x) = y, plus the certificate,
+    under the caller's schedule (``config_for`` builds the default one)."""
     x, cert = solve(split(problem), cfg, y)
     y = as_vector(y, dim=problem.y_base.size)
     resid = np.linalg.norm(as_vector(problem.f(x)) - y)

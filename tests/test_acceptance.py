@@ -268,13 +268,15 @@ def test_criterion_08_steering_certificates():
     setup = steering_setup(problem, sys)
     for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
         b = 0.05 * np.array([np.cos(angle), np.sin(angle)])
-        res = steer(problem, b=b, setup=setup)
+        res = steer(problem, sys, b, setup)
         assert res.endpoint_error <= 1e-6
         assert np.all(np.abs(res.controls) <= 1.0 + 1e-7)
         assert res.calm_ratio <= res.calm_bound
 
     swing = pendulum(64)
-    res = steer(swing, b=[0.05, 0.0])
+    # the tau target 1.3 |b| = 0.065 is steering_setup's default
+    setup = steering_setup(swing)
+    res = steer(swing, setup.sys, [0.05, 0.0], setup)
     assert res.endpoint_error <= 1e-5
     assert np.all(np.abs(res.controls) <= 1.0 + 1e-7)
     assert res.calm_ratio <= res.calm_bound

@@ -1,12 +1,13 @@
 import json
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regsel import cli, control, convex, moduli
+from regsel import cli, control, convex, moduli, smooth
 from regsel.cli import main
 from regsel.moduli import CSV_HEADER
 from regsel.problems import load_problem
@@ -677,6 +678,89 @@ def test_control_bad_tol_is_an_input_error(capsys, tol, grid):
     assert code == 2
     assert out == ""
     assert err.startswith("regsel: contract violation: tol must be ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("control", "double_integrator.json", "--target", "nan,0"),
+    ("control", "double_integrator.json", "--target", "0.05,-inf", "--grid", "3"),
+    ("solve", "generalized.json", "--target", "nan"),
+    ("solve", "generalized.json", "--parameter", "inf")])
+def test_a_non_finite_vector_flag_is_refused_naming_the_flag(capsys, monkeypatch,
+                                                             argv):
+    # refused as the flag is read, before a control run linearizes
+    def no_linearize(problem):
+        raise AssertionError("linearized before refusing the flag")
+
+    monkeypatch.setattr(cli, "linearize", no_linearize)
+    command, file, flag, value, *rest = argv
+    code, out, err = run(capsys, command, "--input", str(COMMITTED / file),
+                         flag, value, *rest)
+    assert (code, out) == (2, "")
+    assert err == (f"regsel: input error: {flag}: expected finite components, "
+                   f"got {value!r}\n")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the run
+@pytest.mark.parametrize("grid", [(), ("--grid", "8")], ids=["single", "grid"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_control_refuses_a_target_whose_norm_overflows(capsys, tmp_path,
+                                                       monkeypatch, source, grid):
+    # |(1e300, 0)| is computed as the root of an overflowing dot product;
+    # the tau target built from it used to be refused as "radius inf"
+    def no_linearize(problem):
+        raise AssertionError("linearized before refusing the target")
+
+    monkeypatch.setattr(cli, "linearize", no_linearize)
+    path, flags = COMMITTED / "double_integrator.json", ("--target", "1e300,0")
+    if source == "file":
+        path = tmp_path / "far.json"
+        payload = json.loads((COMMITTED / "double_integrator.json").read_text())
+        path.write_text(json.dumps(dict(payload, target=[1e300, 0.0])))
+        flags = ()
+    code, out, err = run(capsys, "control", "--input", str(path), *flags, *grid)
+    assert (code, out) == (2, "")
+    assert err == "regsel: input error: --target: the target's norm overflows float64\n"
+
+
+def count_builders(monkeypatch) -> Counter:
+    """Count the calls of every set-up builder (steering_setup, config_for,
+    lip_estimate) under each name the CLI, control and smooth call it by."""
+    calls = Counter()
+    for module in (cli, control, smooth):
+        for name in ("steering_setup", "config_for", "lip_estimate"):
+            if hasattr(module, name):
+                key = f"{module.__name__}.{name}"
+
+                def counted(*args, _real=getattr(module, name), _key=key, **kwargs):
+                    calls[_key] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_prepared_queries_build_nothing(monkeypatch):
+    steering = control.steering_setup(load_problem(
+        str(COMMITTED / "pendulum.json")).control)
+    pf = load_problem(str(COMMITTED / "smooth.json"))
+    problem = cli._smooth_problem(pf)
+    cfg = smooth.config_for(problem, seed=pf.seed)
+    calls = count_builders(monkeypatch)
+    control.steer(steering.problem, steering.sys, [0.05, 0.0], steering)
+    control.calm_sweep(steering, [[0.0, 0.0], [0.02, 0.01], [0.05, 0.0]])
+    smooth.smooth_selection(problem, [0.08], cfg)
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("grid", [(), ("--grid", "8")], ids=["single", "grid"])
+def test_control_builds_one_setup(capsys, monkeypatch, grid):
+    # one steering set-up, whose one lip sample is its only estimate
+    calls = count_builders(monkeypatch)
+    code, _, _ = run(capsys, "control", "--input",
+                     str(COMMITTED / "pendulum.json"), "--target", "0.05,0", *grid)
+    assert code == 0
+    assert calls == Counter({"regsel.cli.steering_setup": 1,
+                             "regsel.control.lip_estimate": 1})
 
 
 def test_control_rejects_non_control_file(capsys, fdir):

@@ -40,6 +40,14 @@ def pendulum(mesh=64):
                           control_dim=1, mesh_size=mesh)
 
 
+def steer_fresh(p, b):
+    """steer with the set-up ``regsel control`` builds for the one target
+    b: tau target _default_tau_target(|b|), tol 1e-11, seed 0."""
+    size = float(np.linalg.norm(b))
+    setup = steering_setup(p, tau_target=control._default_tau_target(size))
+    return steer(p, setup.sys, b, setup)
+
+
 def segment_problem(mesh=16):
     # x' = (cos 0.3, sin 0.3) u, u in [-1, 1], as polynomial dynamics: every
     # trajectory stays on one line, so the Kalman rank is 1
@@ -471,7 +479,7 @@ def test_setup_dynamics_calls_do_not_grow_with_mesh(monkeypatch):
 
         setup.equation.g = counted_g
         calls.update(f=0, g=0)
-        steer(p, b=[0.04, 0.0], setup=setup)
+        steer(p, sys, [0.04, 0.0], setup)
         # the residual check on the returned trajectory is one more pair
         assert calls["f"] == 2 * calls["g"] + 2
     assert counts[0] == counts[1]
@@ -484,7 +492,7 @@ def test_steering_kappa_is_mesh_stable():
 
 
 def test_steer_zero_target_is_zero_trajectory():
-    res = steer(double_integrator(), b=[0.0, 0.0])
+    res = steer_fresh(double_integrator(), [0.0, 0.0])
     assert np.all(res.states == 0.0)
     assert np.all(res.controls == 0.0)
     assert res.endpoint_error == 0.0
@@ -494,7 +502,7 @@ def test_steer_zero_target_is_zero_trajectory():
 
 def test_steer_double_integrator_target():
     p = double_integrator(mesh=64)
-    res = steer(p, b=[0.1, 0.0])
+    res = steer_fresh(p, [0.1, 0.0])
     assert res.endpoint_error <= 1e-6
     assert np.max(np.abs(res.controls)) <= 1.0 + 1e-7
     # linear dynamics: the remainder vanishes, one outer iteration suffices
@@ -506,14 +514,14 @@ def test_steer_double_integrator_target():
 
 def test_steer_matches_independent_integrator():
     p = double_integrator(mesh=32)
-    res = steer(p, b=[0.08, -0.02])
+    res = steer_fresh(p, [0.08, -0.02])
     replay = simulate_trapezoidal(p.dynamics, p.state_dim, res.controls)
     np.testing.assert_allclose(replay, res.states, atol=1e-10)
 
 
 def test_steer_pendulum_target():
     p = pendulum(mesh=64)
-    res = steer(p, b=[0.05, 0.0])
+    res = steer_fresh(p, [0.05, 0.0])
     assert res.endpoint_error <= 1e-5
     assert np.max(np.abs(res.controls)) <= 1.0 + 1e-7
     assert res.dynamics_residual <= 1e-8
@@ -533,7 +541,7 @@ def test_steer_with_prebuilt_setup_factors_nothing(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    res = steer(p, b=[0.04, 0.0], setup=setup)
+    res = steer(p, setup.sys, [0.04, 0.0], setup)
     assert res.certificate.iterate_count >= 2
     assert calls == []
 
@@ -587,7 +595,7 @@ def test_steer_unreachable_target_names_the_constraint():
     # endpoint fibre misses the lifted control box entirely
     with pytest.raises(RegularityError,
                        match="no preimage under the constraint") as info:
-        steer(double_integrator(mesh=8), b=[0.3, 0.0])
+        steer_fresh(double_integrator(mesh=8), [0.3, 0.0])
     assert "kappa" not in str(info.value)
 
 
@@ -648,7 +656,7 @@ def test_steer_names_the_first_inadmissible_interval(monkeypatch):
     monkeypatch.setattr(control, "solve", lambda *args: (scaled, None))
     with pytest.raises(NumericBreakdownError,
                        match="^control value at interval 5 leaves the admissible set$"):
-        steer(p, b=[0.04, 0.0], setup=setup)
+        steer(p, setup.sys, [0.04, 0.0], setup)
 
 
 @pytest.mark.parametrize("mesh", [8, 32])
@@ -656,8 +664,8 @@ def test_halfspace_control_set_steers_like_the_box(mesh):
     # the unit interval written as halfspaces lifts to the same clamp
     half = Halfspaces([[1.0], [-1.0]], [1.0, 1.0])
     box_problem = double_integrator(mesh=mesh)
-    box_run = steer(box_problem, b=[0.1, -0.05])
-    half_run = steer(replace(box_problem, control_set=half), b=[0.1, -0.05])
+    box_run = steer_fresh(box_problem, [0.1, -0.05])
+    half_run = steer_fresh(replace(box_problem, control_set=half), [0.1, -0.05])
     for field_name in ("states", "controls"):
         assert (getattr(half_run, field_name).tobytes()
                 == getattr(box_run, field_name).tobytes())
@@ -668,7 +676,7 @@ def test_halfspace_control_set_steers_like_the_box(mesh):
 
 def test_triangle_control_set_steers_inside():
     p = triangle_problem()
-    res = steer(p, b=[0.03, -0.02])
+    res = steer_fresh(p, [0.03, -0.02])
     assert res.endpoint_error <= 1e-6
     assert np.all(TRIANGLE.violation(res.controls) <= control.CONTROL_MEMBERSHIP_TOL)
     assert trapezoid_residual(p.dynamics, res.states, res.controls) <= 1e-10
@@ -677,7 +685,7 @@ def test_triangle_control_set_steers_inside():
 @pytest.mark.parametrize("make", [double_integrator, triangle_problem])
 def test_steer_returns_contiguous_rows(make):
     p = make(mesh=8)
-    res = steer(p, b=[0.02, -0.01])
+    res = steer_fresh(p, [0.02, -0.01])
     assert res.states.shape == (9, 2) and res.controls.shape == (8, p.control_dim)
     assert res.states.flags.c_contiguous and res.controls.flags.c_contiguous
     np.testing.assert_array_equal(res.states[0], 0.0)
@@ -694,19 +702,31 @@ def test_steer_refuses_a_setup_built_for_another_problem(monkeypatch):
     monkeypatch.setattr(control, "solve", no_solve)
     with pytest.raises(ContractError,
                        match="^steer's set-up was built for another problem$"):
-        steer(double_integrator(mesh=64), b=[0.04, 0.0], setup=setup)
+        steer(double_integrator(mesh=64), setup.sys, [0.04, 0.0], setup)
 
 
-def test_steer_requires_target():
-    with pytest.raises(ContractError):
-        steer(double_integrator())
+def test_steer_refuses_a_system_that_is_not_its_setups_own(monkeypatch):
+    # an equal linearization of the same problem is still another object:
+    # the set-up's operator and schedule were built from its own
+    p = double_integrator(mesh=16)
+    setup = steering_setup(p)
+    other = linearize(p)
+    assert np.array_equal(other.a_matrix, setup.sys.a_matrix)
+
+    def no_solve(*args):
+        raise AssertionError("solved before refusing the system")
+
+    monkeypatch.setattr(control, "solve", no_solve)
+    with pytest.raises(ContractError,
+                       match="^steer's system is not its set-up's own$"):
+        steer(p, other, [0.04, 0.0], setup)
 
 
 def test_steer_rejects_target_outside_tau():
     p = double_integrator()
     setup = steering_setup(p)
     with pytest.raises(LocalityError, match="tau"):
-        steer(p, b=[1.0, 0.0], setup=setup)
+        steer(p, setup.sys, [1.0, 0.0], setup)
 
 
 def test_steer_uncontrollable_names_the_rank():
@@ -714,7 +734,7 @@ def test_steer_uncontrollable_names_the_rank():
                        control_set=UNIT_BOX, state_dim=2, control_dim=1,
                        mesh_size=8)
     with pytest.raises(UncontrollableError, match="Kalman rank 0 < 2"):
-        steer(p, b=[0.01, 0.0])
+        steering_setup(p)
 
 
 def test_rank_deficient_linearization_fails_the_gate():
@@ -733,7 +753,7 @@ def test_rank_deficient_linearization_fails_the_gate():
 
 def test_steering_result_csv_shape():
     p = double_integrator(mesh=8)
-    res = steer(p, b=[0.02, 0.0])
+    res = steer_fresh(p, [0.02, 0.0])
     lines = res.csv_lines()
     assert lines[0] == "t,x1,x2,u1"
     assert len(lines) == 10
@@ -745,7 +765,7 @@ def test_steering_result_csv_shape():
 
 
 def test_calm_sweep_trivial_grid():
-    sweep = calm_sweep(double_integrator(), targets=[[0.0, 0.0]])
+    sweep = calm_sweep(steering_setup(double_integrator()), [[0.0, 0.0]])
     assert sweep.errors == [""]
     assert sweep.results[0] is not None
     assert sweep.max_calm_ratio == 0.0
@@ -753,8 +773,8 @@ def test_calm_sweep_trivial_grid():
 
 
 def test_calm_sweep_records_failures_per_target():
-    sweep = calm_sweep(double_integrator(), tau_target=0.065,
-                       targets=[[0.0, 0.0], [5.0, 0.0], [0.01, 0.0]])
+    sweep = calm_sweep(steering_setup(double_integrator(), tau_target=0.065),
+                       [[0.0, 0.0], [5.0, 0.0], [0.01, 0.0]])
     assert sweep.results[0] is not None
     assert sweep.results[1] is None
     assert sweep.results[2] is not None
@@ -765,15 +785,16 @@ def test_calm_sweep_records_failures_per_target():
 def test_calm_sweep_circle_of_targets():
     angles = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
     targets = [0.05 * np.array([np.cos(t), np.sin(t)]) for t in angles]
-    sweep = calm_sweep(double_integrator(), targets=targets)
+    setup = steering_setup(double_integrator())
+    sweep = calm_sweep(setup, targets)
     assert all(e == "" for e in sweep.errors)
-    assert sweep.max_calm_ratio <= sweep.setup.calm_bound
+    assert sweep.max_calm_ratio <= setup.calm_bound
     assert np.isfinite(sweep.max_continuity_ratio)
 
 
 def test_calm_sweep_rejects_empty_grid():
     with pytest.raises(ContractError):
-        calm_sweep(double_integrator(), targets=[])
+        calm_sweep(steering_setup(double_integrator()), [])
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def run_fresh(body: str) -> list:
 
 def documented_commands() -> dict:
     """argv string -> expected exit code: the README's commands (exit 0),
-    CI's console-script commands (exit 0, or the code its ``test "$rc"``
-    names), and control on both committed control files, one target and
+    CI's console-script commands (exit 0 for those ``clean`` runs, or the
+    code its ``test "$rc"`` names), and control on both committed control files, one target and
     a grid each."""
     commands = {}
     for line in (ROOT / "README.md").read_text().splitlines():
@@ -55,8 +55,8 @@ def documented_commands() -> dict:
             r'\s*rc=0; regsel (.*) \|\| rc=\$\?; test "\$rc" -eq (\d+)', line)
         if refused:
             commands[refused.group(1)] = int(refused.group(2))
-        elif re.fullmatch(r"\s*regsel .*", line):
-            commands[line.strip()[len("regsel "):]] = 0
+        elif re.fullmatch(r"\s*clean regsel .*", line):
+            commands[line.strip()[len("clean regsel "):]] = 0
     for name in ("double_integrator", "pendulum"):
         path = f"scripts/problems/{name}.json"
         commands[f"control --input {path} --target 0.05,0"] = 0
@@ -80,7 +80,7 @@ report()
 
 def test_cli_commands_load_no_scipy():
     commands = documented_commands()
-    assert len(commands) >= 29  # 26 from CI, 3 more control runs
+    assert len(commands) >= 31  # 28 from CI, 3 more control runs
     body = f"""
 import contextlib, io, json, shlex, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

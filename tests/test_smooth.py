@@ -153,7 +153,7 @@ def test_remainder_profile_decays_with_radius():
 
 def test_selection_at_base_output_returns_base():
     p = sin_problem()
-    x, cert = smooth_selection(p, [0.0])
+    x, cert = smooth_selection(p, [0.0], config_for(p))
     np.testing.assert_array_equal(x, [0.0, 0.0])
     assert cert.iterate_count == 1
 
@@ -161,13 +161,13 @@ def test_selection_at_base_output_returns_base():
 def test_selection_scalar_double_map():
     p = SmoothProblem(f=lambda x: 2.0 * x, x_base=[0.0],
                       jacobian=lambda x: np.array([[2.0]]))
-    x, _ = smooth_selection(p, [0.2])
+    x, _ = smooth_selection(p, [0.2], config_for(p))
     np.testing.assert_allclose(x, [0.1], atol=1e-12)
 
 
 def test_selection_solves_sin_fixture():
     p = sin_problem()
-    x, cert = smooth_selection(p, [0.1])
+    x, cert = smooth_selection(p, [0.1], config_for(p))
     f_val = x[0] + x[1] + 0.05 * np.sin(x[0])
     assert abs(f_val - 0.1) <= 1e-8
     assert np.linalg.norm(x) <= cert.config.gamma * 0.1 + 1e-9
