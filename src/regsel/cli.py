@@ -66,20 +66,6 @@ class _Writer:
                 handle.write(text)
 
 
-def _parse_vector(text: str, flag: str) -> np.ndarray:
-    parts = [tok.strip() for tok in text.split(",")]
-    try:
-        vals = [float(tok) for tok in parts if tok != ""]
-    except ValueError:
-        raise ProblemFileError(
-            f"{flag}: expected comma-separated floats, got {text!r}")
-    if not vals:
-        raise ProblemFileError(f"{flag}: empty vector")
-    if not all(np.isfinite(vals)):
-        raise ProblemFileError(f"{flag}: expected finite components, got {text!r}")
-    return np.array(vals)
-
-
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
@@ -112,19 +98,45 @@ def _verify_grid(args, dim: int) -> int:
 # building blocks shared by the subcommands
 
 
+def _query(value, flag: str, dim: int) -> np.ndarray:
+    """A query vector named by ``flag``: the flag's comma-separated text or a
+    file's list. It must have dim finite components and a norm that does
+    not overflow float64 (taken with numpy's overflow warning silenced)."""
+    if isinstance(value, str):
+        try:
+            vals = [float(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            raise ProblemFileError(
+                f"{flag}: expected comma-separated floats, got {value!r}")
+        if not all(np.isfinite(vals)):
+            raise ProblemFileError(f"{flag}: expected finite components, got {value!r}")
+        value = vals
+    v = np.asarray(value, dtype=float)
+    if v.size != dim:
+        raise ProblemFileError(f"{flag}: expected {dim} components, got {v.size}")
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(v)
+    if not np.isfinite(size):
+        raise ProblemFileError(f"{flag}: the {flag[2:]}'s norm overflows float64")
+    return v
+
+
 def _target(pf: ProblemFile, args, dim: int, missing: str) -> np.ndarray:
     """The query of solve, sweep and control: --target, else the file's
-    target, of length dim; read before any set-up work."""
+    target; read before any set-up work."""
     target = args.target if args.target is not None else pf.target
     if target is None:
         raise ProblemFileError(missing)
-    if isinstance(target, str):
-        target = _parse_vector(target, "--target")
-    y = np.asarray(target, dtype=float)
-    if y.size != dim:
-        raise ProblemFileError(
-            f"--target: expected {dim} components, got {y.size}")
-    return y
+    return _query(target, "--target", dim)
+
+
+def _schedule_error(out: _Writer, schedule: IterationCertificate,
+                    exc: Exception) -> int:
+    """A query refused after its schedule was built: the schedule, then
+    error,<message>, and exit 4."""
+    out.lines += schedule.csv_lines()
+    out.line(f"error,{exc}")
+    return EXIT_LOCALITY
 
 
 def _linear_part(pf: ProblemFile):
@@ -157,14 +169,16 @@ def _smooth_problem(pf: ProblemFile) -> SmoothProblem:
 
 
 def _equation(pf: ProblemFile, args):
-    """Equation, constants and one-query solver of a smooth or generalized
-    file. A smooth file's equation is its split, and its queries go through
+    """Equation, schedule (constants and tau, as a certificate without
+    steps) and one-query solver of a smooth or generalized file. A smooth
+    file's equation is its split, and its queries go through
     smooth_selection, which also checks f(x) = y."""
     if pf.kind == "smooth":
         problem = _smooth_problem(pf)
-        cfg = config_for(problem, seed=_seed(pf, args), tol=args.tol,
-                         max_iter=args.max_iter)
-        return split(problem), cfg, lambda y: smooth_selection(problem, y, cfg)
+        cfg = config_for(problem, seed=_seed(pf, args), tol=args.tol)
+        tau = compute_tau(cfg, (problem.radius, problem.radius))
+        return (split(problem), IterationCertificate(cfg, tau),
+                lambda y: smooth_selection(problem, y, cfg))
     mat, g, center, radius = _linear_part(pf)
     fibre = _onto(AffineSet(mat, np.zeros(mat.shape[0])))
     if pf.constraint is not None:
@@ -183,9 +197,9 @@ def _equation(pf: ProblemFile, args):
         consts = {"kappa": cfg.kappa, "lambda": cfg.lam, "alpha": cfg.alpha,
                   **consts}
     cfg = IterationConfig(kappa=consts["kappa"], lam=consts["lambda"],
-                          alpha=consts["alpha"], tol=args.tol,
-                          max_iter=args.max_iter)
-    return equation, cfg, lambda y: solve(equation, cfg, y)
+                          alpha=consts["alpha"], tol=args.tol)
+    tau = compute_tau(cfg, (radius, pf.radius_y))
+    return equation, IterationCertificate(cfg, tau), lambda y: solve(equation, cfg, y)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +249,7 @@ def cmd_solve(pf: ProblemFile, args, out: _Writer) -> int:
         if args.target is not None:
             raise ProblemFileError(
                 "--parameter: give --target or --parameter, not both")
-        p = _parse_vector(args.parameter, "--parameter")
-        if p.size != pf.matrix.shape[0]:
-            raise ProblemFileError(
-                f"--parameter: expected {pf.matrix.shape[0]} components")
+        p = _query(args.parameter, "--parameter", pf.matrix.shape[0])
     else:
         dim = (pf.smooth_map.output_dim if pf.kind == "smooth"
                else pf.matrix.shape[0])
@@ -255,14 +266,12 @@ def cmd_solve(pf: ProblemFile, args, out: _Writer) -> int:
             out.line(f"{name},{fmt_float(value)}")
         return EXIT_OK
 
-    equation, cfg, select = _equation(pf, args)
+    equation, schedule, select = _equation(pf, args)
     try:
-        x, cert = select(y) if p is None else solve_implicit(equation, cfg, p)
+        x, cert = (select(y) if p is None
+                   else solve_implicit(equation, schedule.config, p))
     except (LocalityError, RegularityError) as exc:
-        tau = compute_tau(cfg, (equation.radius_x, equation.radius_y))
-        out.lines += IterationCertificate(cfg, tau).csv_lines()
-        out.line(f"error,{exc}")
-        return EXIT_LOCALITY
+        return _schedule_error(out, schedule, exc)
     out.line("x," + ",".join(fmt_float(v) for v in x))
     out.lines += cert.csv_lines()
     return EXIT_OK
@@ -275,15 +284,17 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
     grid = _target_count(args.grid)
     dim = pf.smooth_map.output_dim if pf.kind == "smooth" else pf.matrix.shape[0]
     target = _target(pf, args, dim, "sweep needs --target for the grid endpoint")
-    equation, cfg, _ = _equation(pf, args)
+    equation, schedule, _ = _equation(pf, args)
     base_out = equation.y_base + equation.g_value(equation.x_base)
     ys = [target] if grid == 1 else [base_out + t * (target - base_out)
                                      for t in np.linspace(0.0, 1.0, grid)]
-    result = sweep(equation, cfg, ys)
+    try:
+        result = sweep(equation, schedule.config, ys)
+    except LocalityError as exc:  # outside tau, or an iterate outside its ball
+        return _schedule_error(out, schedule, exc)
 
-    ydim = equation.y_base.size
     xdim = equation.x_base.size
-    header = (["index", "status"] + [f"y{j + 1}" for j in range(ydim)]
+    header = (["index", "status"] + [f"y{j + 1}" for j in range(equation.y_base.size)]
               + [f"x{j + 1}" for j in range(xdim)] + ["iterations", "residual"])
     out.line(",".join(header))
     for i, row in enumerate(result.rows):
@@ -296,7 +307,7 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
             cells += [str(row.certificate.iterate_count),
                       fmt_float(row.certificate.residual)]
         out.line(",".join(cells))
-    out.lines += IterationCertificate(cfg, result.tau).csv_lines()
+    out.lines += schedule.csv_lines()
     out.line(f"max_continuity_ratio,{fmt_float(result.max_continuity_ratio)}")
     out.line(f"empirical_clm,{fmt_float(result.empirical_clm)}")
     out.line(f"jumps,{len(result.jump_indices)}")
@@ -316,10 +327,7 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
         problem = replace(problem, mesh_size=args.mesh)
     b = _target(pf, args, problem.state_dim,
                 "control needs --target for the endpoint")
-    with np.errstate(over="ignore"):
-        size = float(np.linalg.norm(b))
-    if not np.isfinite(size):
-        raise ProblemFileError("--target: the target's norm overflows float64")
+    size = float(np.linalg.norm(b))
     seed = _seed(pf, args)
     sys_ = linearize(problem)
     rank, rank_ok = kalman_rank(sys_)
@@ -362,10 +370,7 @@ def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
     try:
         res = steer(problem, sys_, b, setup)
     except (LocalityError, RegularityError) as exc:
-        # the schedule was built, so it is printed before the error, as solve does
-        out.lines += IterationCertificate(setup.config, setup.tau).csv_lines()
-        out.line(f"error,{exc}")
-        return EXIT_LOCALITY
+        return _schedule_error(out, IterationCertificate(setup.config, setup.tau), exc)
     out.lines += res.certificate.csv_lines()
     out.line(f"endpoint_error,{fmt_float(res.endpoint_error)}")
     out.line(f"dynamics_residual,{fmt_float(res.dynamics_residual)}")
@@ -487,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="shift p of the perturbation, generalized files only "
                         "and not with --target: solves y_base + g(x_base) "
                         "in g(x) + p + F(x)")
-    p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
@@ -500,7 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="grid endpoint")
     p.add_argument("--grid", type=int, default=None,
                    help=f"grid point count, at most {MAX_GRID}")
-    p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(

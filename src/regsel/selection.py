@@ -19,6 +19,7 @@ solved inclusion is always stated at (x_base, y_base + g(x_base)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -48,7 +49,6 @@ class IterationConfig:
     lam: float
     alpha: float
     tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self):
         for name, value in (("kappa", self.kappa), ("lambda", self.lam),
@@ -62,24 +62,36 @@ class IterationConfig:
         if not self.alpha > self.kappa:
             raise ContractError(
                 f"alpha must exceed kappa, got alpha={self.alpha} kappa={self.kappa}")
-        if self.lam > 0 and not self.alpha < 1.0 / self.lam:
+        if not self.step_ratio < 1.0:  # so kappa*lambda < alpha*lambda < 1
             raise ContractError(
-                f"alpha must stay below 1/lambda, got alpha={self.alpha} "
-                f"1/lambda={1.0 / self.lam}")
-        if not self.kappa * self.lam < 1.0:
-            raise ContractError(
-                f"kappa*lambda must be < 1, got {self.kappa * self.lam}")
-        if not self.alpha * self.lam < 1.0:
-            raise ContractError(
-                f"alpha*lambda must be < 1, got {self.alpha * self.lam}")
+                f"alpha must stay below 1/lambda by the step check's slack: "
+                f"alpha*lambda*(1 + 1e-6) = {self.step_ratio} is not < 1")
         if not self.tol > 0:
             raise ContractError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ContractError(f"max_iter must be >= 1, got {self.max_iter}")
 
     @property
     def contraction(self) -> float:
         return self.alpha * self.lam
+
+    @property
+    def step_ratio(self) -> float:
+        """q, the largest ratio of consecutive steps that solve accepts."""
+        return self.contraction * (1 + 1e-6)
+
+    @property
+    def step_floor(self) -> float:
+        """c/(1 - q), the floor the steps approach for solve's slack c = 1e-15."""
+        return 1e-15 / (1.0 - self.step_ratio)
+
+    def step_budget(self, first: float) -> int:
+        """Steps a solve may take after a first corrector step of ``first``:
+        step 1 + j is at most q**j*first + c/(1 - q), below t = max(tol,
+        2c/(1 - q)) once q**j*first <= t/2; one step more covers rounding."""
+        q, t = self.step_ratio, max(self.tol, 2.0 * self.step_floor)
+        if q == 0 or first <= 0.5 * t:
+            return 3
+        j = (math.log(0.5 * t) - math.log(first)) / math.log(q)
+        return 2 + max(1, math.ceil(j))
 
     @property
     def gamma(self) -> float:
@@ -87,15 +99,15 @@ class IterationConfig:
         return 2.0 * self.kappa / (1.0 - self.contraction)
 
 
-def default_config(reg_value: float, sampled_lip: float, tol: float = 1e-10,
-                   max_iter: int = 200) -> IterationConfig:
+def default_config(reg_value: float, sampled_lip: float,
+                   tol: float = 1e-10) -> IterationConfig:
     """Default constant schedule from a measured regularity modulus and lip.
 
     kappa gets a 10% margin over the modulus, lambda a 20% margin over the
     sampled lip; alpha is the midpoint of its admissible interval. A
     kappa*lambda of 0.9 or more is a regularity failure (RegularityError):
-    the measured moduli admit no schedule. A bad tol or max_iter is refused
-    after that check, by IterationConfig, with ContractError.
+    the measured moduli admit no schedule. A bad tol is refused after that
+    check, by IterationConfig, with ContractError.
     """
     if not np.isfinite(reg_value) or reg_value <= 0:
         raise ContractError(f"regularity modulus must be finite positive, got {reg_value}")
@@ -107,8 +119,7 @@ def default_config(reg_value: float, sampled_lip: float, tol: float = 1e-10,
         raise RegularityError(
             f"kappa*lambda: default schedule rejected, {kappa * lam:.6g} >= 0.9")
     alpha = 0.5 * (kappa + 1.0 / lam) if lam > 0 else 2.0 * kappa
-    return IterationConfig(kappa=kappa, lam=lam, alpha=alpha, tol=tol,
-                           max_iter=max_iter)
+    return IterationConfig(kappa=kappa, lam=lam, alpha=alpha, tol=tol)
 
 
 @dataclass
@@ -258,19 +269,15 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
     Every step is one corrector step; only the truncation radius changes:
     kappa*dev around x_base (the initial selection, calm with constant kappa
     by construction), kappa*(1 + kappa*lambda)*dev for the first corrector
-    step, then alpha*lambda times the last increment. Returns the selection
+    step, then alpha*lambda times the last increment. Steps past
+    ``cfg.step_budget`` of the first corrector step are stuck above tol at
+    the rounding floor: NumericBreakdownError. Returns the selection
     value and a certificate with the step lengths, the final membership
     residual, and the calmness verdict against gamma = 2*kappa/(1 - alpha*lambda).
     """
-    return _solve(problem, cfg, y, problem.g_value)
-
-
-def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
-           g_value) -> tuple[np.ndarray, IterationCertificate]:
-    """``solve`` with the perturbation evaluated by ``g_value``."""
     y = as_vector(y, dim=problem.y_base.size)
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
-    g_base = g_value(problem.x_base)
+    g_base = problem.g_value(problem.x_base)
     dev = norm(y - problem.y_base - g_base)
     if dev > tau + 1e-15:
         raise LocalityError(
@@ -279,15 +286,18 @@ def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
 
     x = _corrector_step(problem, cfg, y - g_base, problem.x_base,
                         cfg.kappa * dev, "initial selection")
-    radius = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev
-    what = "first corrector step"
+    radius, what = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev, "first corrector step"
     increments: list[float] = []
+    budget = 1  # until the first corrector step's length derives the rest
     while not increments or increments[-1] > cfg.tol:
-        if len(increments) >= cfg.max_iter:
-            raise NumericBreakdownError(
-                f"no convergence after {cfg.max_iter} steps; last increment "
-                f"{increments[-1]:.3e}")
-        w = y - g_value(x)
+        if len(increments) == budget:
+            if budget > 1:
+                raise NumericBreakdownError(
+                    f"stalled after {budget} steps, the budget the contraction "
+                    f"certifies: increment {increments[-1]:.3e} is above "
+                    f"tol={cfg.tol:.3e} at the rounding floor {cfg.step_floor:.3e}")
+            budget = cfg.step_budget(increments[0])
+        w = y - problem.g_value(x)
         z = _corrector_step(problem, cfg, w, x, radius, what)
         step = norm(z - x)
         if (increments and increments[-1] > 0
@@ -299,8 +309,7 @@ def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
         x = z
         radius, what = cfg.contraction * step, "iterate step"
 
-    final_set = problem.finv(y - g_value(x))
-    residual = final_set.gap(x)
+    residual = problem.finv(y - problem.g_value(x)).gap(x)
     if residual > 10.0 * cfg.tol:
         raise NumericBreakdownError(
             f"final membership residual {residual:.3e} exceeds 10*tol")
@@ -311,18 +320,14 @@ def _solve(problem: GeneralizedEquation, cfg: IterationConfig, y,
 
 def solve_implicit(problem: GeneralizedEquation, cfg: IterationConfig,
                    p) -> tuple[np.ndarray, IterationCertificate]:
-    """Solve y_base + g(x_base) in g(x) + p + F(x) for a shift p of g.
-
-    g + p has the Lipschitz modulus of g, so this is ``solve`` on the same
-    equation with g shifted by p: the parameter moves the driving term by
-    -p, whose norm must stay within tau; the locality error reports the
-    parameter when it does not.
+    """Solve y_base + g(x_base) in g(x) + p + F(x) for a shift p of g: that
+    is ``solve`` of the shifted target y_base + g(x_base) - p, which lies |p|
+    from the base output; the locality error names p when that exceeds tau.
     """
     p = as_vector(p, dim=problem.y_base.size)
-    target = problem.y_base + problem.g_value(problem.x_base)
     try:
-        return _solve(problem, cfg, target,
-                      lambda x: problem.g_value(x) + p)
+        return solve(problem, cfg,
+                     problem.y_base + problem.g_value(problem.x_base) - p)
     except LocalityError as exc:
         raise LocalityError(
             f"parameter p={np.array2string(p)} moves the driving term outside "
@@ -356,8 +361,7 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
     are flagged as jumps.
     """
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
-    g_base = problem.g_value(problem.x_base)
-    base_out = problem.y_base + g_base
+    base_out = problem.y_base + problem.g_value(problem.x_base)
     ys = [as_vector(y, dim=problem.y_base.size) for y in ys]
     if not ys:
         raise ContractError("sweep needs at least one grid point")
@@ -374,27 +378,19 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
             rows.append(SweepRow(y=y, x=x, certificate=cert))
         except (RegularityError, NumericBreakdownError) as exc:
             rows.append(SweepRow(y=y, x=None, certificate=None, error=str(exc)))
-    max_ratio = 0.0
-    jumps: list[int] = []
-    for i in range(len(rows) - 1):
-        r0, r1 = rows[i], rows[i + 1]
-        if r0.x is None or r1.x is None:
-            continue
+    max_ratio, jumps = 0.0, []
+    for i, (r0, r1) in enumerate(zip(rows, rows[1:])):
         gap_y = float(np.linalg.norm(r0.y - r1.y))
-        if gap_y == 0.0:
+        if r0.x is None or r1.x is None or gap_y == 0.0:
             continue
         ratio = float(np.linalg.norm(r0.x - r1.x)) / gap_y
-        if ratio > max_ratio:
-            max_ratio = ratio
+        max_ratio = max(max_ratio, ratio)
         if ratio > 10.0 * cfg.gamma:
             jumps.append(i)
     emp_clm = 0.0
     for r in rows:
-        if r.x is None:
-            continue
         dev = float(np.linalg.norm(r.y - base_out))
-        if dev > 0:
-            emp_clm = max(emp_clm,
-                          float(np.linalg.norm(r.x - problem.x_base)) / dev)
+        if r.x is not None and dev > 0:
+            emp_clm = max(emp_clm, float(np.linalg.norm(r.x - problem.x_base)) / dev)
     return SweepResult(rows=rows, tau=tau, max_continuity_ratio=max_ratio,
                        jump_indices=jumps, empirical_clm=emp_clm)

@@ -112,13 +112,12 @@ def split(problem: SmoothProblem) -> GeneralizedEquation:
     return problem._equation
 
 
-def config_for(problem: SmoothProblem, seed: int = 0, tol: float = 1e-10,
-               max_iter: int = 200) -> IterationConfig:
+def config_for(problem: SmoothProblem, seed: int = 0,
+               tol: float = 1e-10) -> IterationConfig:
     """Default constant schedule for a smooth problem."""
     lip = lip_estimate(problem.remainder, problem.x_base, problem.radius,
                        samples=LIP_SAMPLES, seed=seed)
-    return default_config(reg_linear(problem.base_fibre), lip.value,
-                          tol=tol, max_iter=max_iter)
+    return default_config(reg_linear(problem.base_fibre), lip.value, tol=tol)
 
 
 def smooth_selection(problem: SmoothProblem, y, cfg: IterationConfig

@@ -480,11 +480,52 @@ def test_solve_outside_tau_exits_4(capsys, fdir):
     assert "tau" in grab(out, "error")
 
 
-def test_solve_starved_iteration_exits_3(capsys, fdir):
-    code, _, err = run(capsys, "solve", "--input", str(fdir / "pert.json"),
-                       "--target", "0.1", "--max-iter", "1")
-    assert code == 3
-    assert "numeric breakdown" in err
+def test_solve_stalled_iteration_exits_3(capsys, fdir, monkeypatch):
+    # pert.json with a kick of 4e-16 away from the fixed point 0.1/1.6 added
+    # to its perturbation: the steps settle near 8e-16, below the rounding
+    # floor 3.3e-15 and above --tol
+    def noisy_load(path):
+        pf = load_problem(path)
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            return 0.3 * x + 4e-16 * np.sign(x - 0.1 / 1.6)
+
+        pf.perturbation = g
+        return pf
+
+    monkeypatch.setattr(cli, "load_problem", noisy_load)
+    code, out, err = run(capsys, "solve", "--input", str(fdir / "pert.json"),
+                         "--target", "0.1", "--tol", "1e-16")
+    assert (code, out) == (3, "")
+    assert err.startswith("regsel: numeric breakdown: stalled after ")
+    assert "rounding floor 3.333e-15" in err
+
+
+def test_solve_runs_a_slow_contraction_past_200_steps(capsys, tmp_path):
+    # alpha*lambda = 0.997: a step cap of 200 used to report this certified
+    # contraction as a failure (exit 3)
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        "version": "1", "kind": "generalized", "finv_matrix": [[1.0]],
+        "base_x": [0.0], "base_y": [0.0],
+        "perturbation": {"input_dim": 1, "output_dim": 1,
+                         "terms": [[{"coef": 0.99, "powers": [1]}]]},
+        "constants": {"kappa": 1.0, "lambda": 0.995, "alpha": 1.002}}))
+    code, out, err = run(capsys, "solve", "--input", str(path),
+                         "--target", "0.001")
+    assert (code, err) == (0, "")
+    assert int(grab(out, "iterations")) > 200
+    assert grab(out, "calm_ok") == "true"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_max_iter_is_not_a_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(COMMITTED / "generalized.json"),
+              "--target", "0.1", "--max-iter", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-iter 5" in capsys.readouterr().err
 
 
 def test_solve_counterexample_fixture_rejected(capsys, fdir):
@@ -521,11 +562,13 @@ def test_sweep_singleton_grid(capsys, fdir):
 
 
 def test_sweep_outside_tau_exits_4(capsys, fdir):
+    # the schedule, then the error, as solve prints them
     code, out, err = run(capsys, "sweep", "--input", str(fdir / "scalar.json"),
                          "--target", "0.6", "--grid", "5")
-    assert code == 4
-    assert out == ""
-    assert "outside" in err
+    assert (code, err) == (4, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == [
+        "kappa", "lambda", "alpha", "tau", "gamma", "error"]
+    assert "outside" in grab(out, "error")
 
 
 def test_sweep_needs_positive_grid(capsys, fdir):
@@ -720,6 +763,25 @@ def test_control_refuses_a_target_whose_norm_overflows(capsys, tmp_path,
     code, out, err = run(capsys, "control", "--input", str(path), *flags, *grid)
     assert (code, out) == (2, "")
     assert err == "regsel: input error: --target: the target's norm overflows float64\n"
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the run
+@pytest.mark.parametrize("argv", [
+    ("solve", "--target", "1e160"),
+    ("sweep", "--target", "1e160", "--grid", "2"),
+    ("solve", "--parameter", "1e160")], ids=["solve", "sweep", "parameter"])
+def test_a_query_whose_norm_overflows_is_refused(capsys, monkeypatch, argv):
+    # refused as the flag is read: no equation or schedule is built
+    def no_equation(pf, args):
+        raise AssertionError("built the equation before refusing the query")
+
+    monkeypatch.setattr(cli, "_equation", no_equation)
+    command, flag, *rest = argv
+    code, out, err = run(capsys, command, "--input",
+                         str(COMMITTED / "generalized.json"), flag, *rest)
+    assert (code, out) == (2, "")
+    assert err == (f"regsel: input error: {flag}: the {flag[2:]}'s norm "
+                   f"overflows float64\n")
 
 
 def count_builders(monkeypatch) -> Counter:

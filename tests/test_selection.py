@@ -78,8 +78,24 @@ def test_config_rejects_bad_constants():
         IterationConfig(kappa=0.5, lam=1.0, alpha=1.0)  # alpha >= 1/lam
     with pytest.raises(ContractError):
         IterationConfig(kappa=1.0, lam=0.1, alpha=2.0, tol=0.0)
-    with pytest.raises(ContractError):
-        IterationConfig(kappa=1.0, lam=0.1, alpha=2.0, max_iter=0)
+
+
+def test_config_refuses_a_step_check_that_certifies_no_contraction():
+    # alpha < 1/lambda and kappa*lambda < 1 hold, but alpha*lambda*(1 + 1e-6)
+    # >= 1: the step check would accept steps that never shrink
+    with pytest.raises(ContractError, match="step check's slack"):
+        IterationConfig(kappa=1.0, lam=0.9999995, alpha=1.0000001)
+    assert IterationConfig(kappa=1.0, lam=0.999, alpha=1.0009).step_ratio < 1.0
+
+
+def test_step_budget_hand_values():
+    # q = 0 or a first step already below t/2 leaves one step and one for
+    # rounding after it
+    assert IterationConfig(kappa=1.0, lam=0.0, alpha=2.0).step_budget(0.1) == 3
+    cfg = IterationConfig(kappa=1.0, lam=0.1, alpha=5.0)  # q = 0.5(1 + 1e-6)
+    assert cfg.step_budget(0.25 * cfg.tol) == 3
+    # 0.5**j * 0.1 <= 0.5e-10 first at j = 31
+    assert cfg.step_budget(0.1) == 2 + 31
 
 
 def test_config_contraction_and_gamma():
@@ -353,6 +369,40 @@ def test_solve_rejects_query_outside_tau():
         solve(p, cfg, [tau * 1.5])
 
 
+def test_solve_runs_a_slow_contraction_to_its_derived_budget():
+    # alpha*lambda = 0.997: far more steps than a fixed cap of 200 allowed,
+    # all within the budget the first corrector step derives
+    p = scalar_problem(g=lambda x: 0.99 * x)
+    cfg = IterationConfig(kappa=1.0, lam=0.995, alpha=1.002)
+    x, cert = solve(p, cfg, [0.001])
+    assert 200 < cert.iterate_count <= cfg.step_budget(cert.increments[0])
+    assert abs(x[0] - 0.001 / 1.99) <= 1e-7
+    assert cert.calm_ok
+
+
+def noisy_third(y):
+    """0.3 x plus a kick of 4e-16 away from the fixed point y/1.3: a noise
+    at the rounding floor that holds the steps near 1.1e-15 for good, each
+    within the step check's slack."""
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return 0.3 * x + 4e-16 * np.sign(x - y / 1.3)
+    return g
+
+
+def test_solve_names_a_stall_at_the_rounding_floor():
+    p = scalar_problem(g=noisy_third(0.1))
+    cfg = scalar_config(tol=1e-16)  # below the floor 3.3e-15
+    assert cfg.step_floor > 10 * cfg.tol
+    with pytest.raises(NumericBreakdownError,
+                       match=r"stalled after 86 steps, .* increment .* is above "
+                             r"tol=1\.000e-16 at the rounding floor 3\.333e-15"):
+        solve(p, cfg, [0.1])
+    # the same noise passes at the default tol, above the floor
+    x, _ = solve(p, scalar_config(), [0.1])
+    assert abs(x[0] - 0.1 / 1.3) <= 1e-9
+
+
 def test_solve_surfaces_misdeclared_lipschitz_constant():
     # true slope 0.5 exceeds the declared 0.2, so the truncation ball is too
     # tight to contain the next projection
@@ -518,6 +568,15 @@ def test_solve_implicit_linear_parameter_response():
     x, _ = solve_implicit(scalar_problem(g=g_third), scalar_config(), [0.05])
     # x + 0.3 x + p = 0
     np.testing.assert_allclose(x, [-0.05 / 1.3], atol=1e-9)
+
+
+def test_solve_implicit_is_solve_of_the_shifted_target():
+    p = scalar_problem(g=lambda x: 0.3 * x + 0.01)
+    cfg = scalar_config()
+    x, cert = solve_implicit(p, cfg, [0.05])
+    x_ref, cert_ref = solve(p, cfg, p.y_base + p.g_value(p.x_base) - 0.05)
+    assert x.tobytes() == x_ref.tobytes()
+    assert cert == cert_ref
 
 
 def test_solve_implicit_reports_parameter_on_locality():
