@@ -38,12 +38,12 @@ def main():
     cfg = IterationConfig(kappa=0.8, lam=1.2 * c, alpha=2.0, tol=1e-11)
 
     probe = sweep(eq, cfg, [[0.0]])
-    ys = np.linspace(-args.tau_frac * probe.tau, args.tau_frac * probe.tau,
-                     args.grid).reshape(-1, 1)
+    tau = probe.schedule.tau
+    ys = np.linspace(-args.tau_frac * tau, args.tau_frac * tau, args.grid).reshape(-1, 1)
     res = sweep(eq, cfg, ys)
 
     print(f"kappa={cfg.kappa} lambda={cfg.lam} alpha={cfg.alpha} "
-          f"tau={res.tau:.6g} gamma={cfg.gamma:.6g}")
+          f"tau={tau:.6g} gamma={cfg.gamma:.6g}")
     print("y,x1,x2,iterations,residual")
     for row in res.rows:
         if row.x is None:

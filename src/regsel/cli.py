@@ -1,36 +1,31 @@
-"""Command line front end.
+"""Command line front end: it parses, calls the library and prints.
 
 Subcommands: moduli, solve, sweep, control, verify. Every command reads a
-JSON problem file (--input), writes CSV-style lines to --out (default
-stdout) with floats at 17 significant digits, and exits with a code from
-the fixed partition: 0 ok, 2 input, 3 numeric breakdown, 4 locality or
-regularity failure, 5 uncontrollable, 6 verification failed.
+JSON problem file (--input), whose ProblemFile builds the problem it
+states, writes CSV-style lines to --out (default stdout) with floats at
+17 significant digits, and exits with a code from the fixed partition:
+0 ok, 2 input, 3 numeric breakdown, 4 locality or regularity failure,
+5 uncontrollable, 6 verification failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .convex import AffineSet, Intersection
-from .control import (calm_sweep, kalman_rank, linearize,
-                      reachable_interior, steer, steering_setup,
-                      _default_tau_target, _remainder, _weighted_operator)
+from .control import calm_sweep, steer
 from .errors import (ContractError, InfeasibilitySuspectedError,
                      LocalityError, NumericBreakdownError, ProblemFileError,
                      RegularityError, ShapeError, UncontrollableError)
 from .linalg import svd
-from .moduli import (CSV_HEADER, ModulusEstimate, SampledMapping,
-                     clm_estimate, csv_row, fmt_float, lg_bound_check,
-                     lip_estimate, lsc_probe, reg_linear, sampled_reg,
-                     truncated_counterexample, verify_graph)
+from .moduli import (CSV_HEADER, ModulusEstimate, clm_estimate, csv_row,
+                     fmt_float, lip_estimate, lsc_probe, reg_linear,
+                     truncated_counterexample)
 from .problems import MAX_MESH, ProblemFile, load_problem
-from .selection import (KAPPA_MARGIN, LAMBDA_MARGIN, GeneralizedEquation,
-                        IterationCertificate, IterationConfig, compute_tau,
-                        default_config, solve, solve_implicit, sweep)
-from .smooth import SmoothProblem, config_for, smooth_selection, split
+from .selection import IterationCertificate, solve_implicit, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -52,9 +47,6 @@ class _Writer:
         self.path = path
         self.lines: list[str] = []
 
-    def line(self, text: str):
-        self.lines.append(text)
-
     def flush(self):
         if not self.lines:
             return
@@ -64,14 +56,6 @@ class _Writer:
         else:
             with open(self.path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _seed(pf: ProblemFile, args) -> int:
-    return args.seed if args.seed is not None else pf.seed
 
 
 def _target_count(grid: int | None) -> int:
@@ -92,10 +76,6 @@ def _verify_grid(args, dim: int) -> int:
             f"--grid: {grid} per axis makes {points} points in {dim} "
             f"dimensions, at most {MAX_VERIFY_POINTS} allowed")
     return grid
-
-
-# ---------------------------------------------------------------------------
-# building blocks shared by the subcommands
 
 
 def _query(value, flag: str, dim: int) -> np.ndarray:
@@ -134,72 +114,8 @@ def _schedule_error(out: _Writer, schedule: IterationCertificate,
                     exc: Exception) -> int:
     """A query refused after its schedule was built: the schedule, then
     error,<message>, and exit 4."""
-    out.lines += schedule.csv_lines()
-    out.line(f"error,{exc}")
+    out.lines += schedule.csv_lines() + [f"error,{exc}"]
     return EXIT_LOCALITY
-
-
-def _linear_part(pf: ProblemFile):
-    """Matrix, perturbation (x -> 0 when the file has none), centre and
-    radius of a linear or generalized file."""
-    mat = pf.matrix
-    g = pf.perturbation
-    if g is None:
-        def g(x):  # one point or stacked columns, as the samplers take
-            return np.zeros((mat.shape[0],) + np.shape(x)[1:])
-    center = pf.base_x if pf.base_x is not None else np.zeros(mat.shape[1])
-    radius = pf.radius_x if pf.kind == "generalized" else 1.0
-    return mat, g, center, radius
-
-
-def _onto(fibre: AffineSet) -> AffineSet:
-    """The fibre of an onto operator. Any other has no finite regularity
-    modulus: a regularity failure (exit 4), named by its singular values
-    before any certificate line, as a linear file's solve names it."""
-    if not fibre.surjective:
-        raise RegularityError(
-            f"operator numerically non-surjective: sigma_min={fibre.sigma_min:.3e} "
-            f"vs sigma_max={fibre.sigma_max:.3e}")
-    return fibre
-
-
-def _smooth_problem(pf: ProblemFile) -> SmoothProblem:
-    return SmoothProblem(f=pf.smooth_map, x_base=pf.base,
-                         jacobian=pf.smooth_map.jacobian, radius=pf.radius)
-
-
-def _equation(pf: ProblemFile, args):
-    """Equation, schedule (constants and tau, as a certificate without
-    steps) and one-query solver of a smooth or generalized file. A smooth
-    file's equation is its split, and its queries go through
-    smooth_selection, which also checks f(x) = y."""
-    if pf.kind == "smooth":
-        problem = _smooth_problem(pf)
-        cfg = config_for(problem, seed=_seed(pf, args), tol=args.tol)
-        tau = compute_tau(cfg, (problem.radius, problem.radius))
-        return (split(problem), IterationCertificate(cfg, tau),
-                lambda y: smooth_selection(problem, y, cfg))
-    mat, g, center, radius = _linear_part(pf)
-    fibre = _onto(AffineSet(mat, np.zeros(mat.shape[0])))
-    if pf.constraint is not None:
-        def finv(w, _c=pf.constraint):
-            return Intersection([fibre.shifted(w), _c])
-    else:
-        finv = fibre.shifted
-    equation = GeneralizedEquation(
-        finv=finv, g=g, x_base=center, y_base=pf.base_y, radius_x=radius,
-        radius_y=pf.radius_y, radius_graph=pf.radius_graph)
-    consts = pf.constants
-    if not {"kappa", "lambda", "alpha"} <= set(consts):
-        # the default schedule fills in the constants the file leaves out
-        lip = lip_estimate(g, center, radius, samples=600, seed=_seed(pf, args))
-        cfg = default_config(reg_linear(fibre), lip.value)
-        consts = {"kappa": cfg.kappa, "lambda": cfg.lam, "alpha": cfg.alpha,
-                  **consts}
-    cfg = IterationConfig(kappa=consts["kappa"], lam=consts["lambda"],
-                          alpha=consts["alpha"], tol=args.tol)
-    tau = compute_tau(cfg, (radius, pf.radius_y))
-    return equation, IterationCertificate(cfg, tau), lambda y: solve(equation, cfg, y)
 
 
 # ---------------------------------------------------------------------------
@@ -208,37 +124,20 @@ def _equation(pf: ProblemFile, args):
 
 def cmd_moduli(pf: ProblemFile, args, out: _Writer) -> int:
     if args.samples > MAX_SAMPLES:
-        raise ProblemFileError(
-            f"--samples: at most {MAX_SAMPLES}, got {args.samples}")
-    if pf.kind in ("linear", "generalized"):
-        if pf.fixture is not None:
-            raise ProblemFileError(
-                "the counterexample fixture only supports the verify command")
-        op, g, center, default_radius = _linear_part(pf)
-    elif pf.kind == "smooth":
-        problem = _smooth_problem(pf)
-        op, g = problem.base_fibre, problem.remainder
-        center, default_radius = problem.x_base, problem.radius
-    else:
-        sys_ = linearize(pf.control)
-        op = _weighted_operator(sys_)
-        g = _remainder(pf.control, sys_)
-        center, default_radius = np.zeros(op.shape[1]), 0.5
-    seed = _seed(pf, args)
+        raise ProblemFileError(f"--samples: at most {MAX_SAMPLES}, got {args.samples}")
+    op, g, center, default_radius = pf.sampled
+    seed = args.seed if args.seed is not None else pf.seed
     radius = args.radius if args.radius is not None else default_radius
     rows = [ModulusEstimate(kind="reg", value=reg_linear(op), seed=seed),
             lip_estimate(g, center, radius, samples=args.samples, seed=seed),
             clm_estimate(g, center, radius, samples=args.samples, seed=seed)]
-    out.line(CSV_HEADER)
-    for row in rows:
-        out.line(row.csv_row())
+    out.lines += [CSV_HEADER] + [row.csv_row() for row in rows]
     return EXIT_OK
 
 
 def cmd_solve(pf: ProblemFile, args, out: _Writer) -> int:
     if pf.kind == "control":
-        raise ProblemFileError(
-            "control problems are driven by the control subcommand")
+        raise ProblemFileError("control problems are driven by the control subcommand")
     if pf.kind == "generalized" and pf.fixture is not None:
         raise ProblemFileError("the counterexample fixture has no solver")
     p = None
@@ -260,31 +159,28 @@ def cmd_solve(pf: ProblemFile, args, out: _Writer) -> int:
         # matrix's regularity modulus: no schedule, so no certificate block
         fac = svd(pf.matrix)
         x = fac.least_norm(y)
-        out.line("x," + ",".join(fmt_float(v) for v in np.atleast_1d(x)))
-        for name, value in (("kappa", reg_linear(fac)),
-                            ("residual", float(np.linalg.norm(pf.matrix @ x - y)))):
-            out.line(f"{name},{fmt_float(value)}")
-        return EXIT_OK
-
-    equation, schedule, select = _equation(pf, args)
-    try:
-        x, cert = (select(y) if p is None
-                   else solve_implicit(equation, schedule.config, p))
-    except (LocalityError, RegularityError) as exc:
-        return _schedule_error(out, schedule, exc)
-    out.line("x," + ",".join(fmt_float(v) for v in x))
-    out.lines += cert.csv_lines()
+        lines = [f"kappa,{fmt_float(reg_linear(fac))}",
+                 f"residual,{fmt_float(float(np.linalg.norm(pf.matrix @ x - y)))}"]
+    else:
+        equation, schedule, select = pf.equation(args.tol, args.seed)
+        try:
+            x, cert = (select(y) if p is None
+                       else solve_implicit(equation, schedule.config, p))
+        except (LocalityError, RegularityError) as exc:
+            return _schedule_error(out, schedule, exc)
+        lines = cert.csv_lines()
+    out.lines.append("x," + ",".join(fmt_float(v) for v in np.atleast_1d(x)))
+    out.lines += lines
     return EXIT_OK
 
 
 def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
     if pf.kind not in ("smooth", "generalized") or pf.fixture is not None:
-        raise ProblemFileError(
-            "sweep drives smooth or generalized problems")
+        raise ProblemFileError("sweep drives smooth or generalized problems")
     grid = _target_count(args.grid)
     dim = pf.smooth_map.output_dim if pf.kind == "smooth" else pf.matrix.shape[0]
     target = _target(pf, args, dim, "sweep needs --target for the grid endpoint")
-    equation, schedule, _ = _equation(pf, args)
+    equation, schedule, _ = pf.equation(args.tol, args.seed)
     base_out = equation.y_base + equation.g_value(equation.x_base)
     ys = [target] if grid == 1 else [base_out + t * (target - base_out)
                                      for t in np.linspace(0.0, 1.0, grid)]
@@ -292,155 +188,64 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
         result = sweep(equation, schedule.config, ys)
     except LocalityError as exc:  # outside tau, or an iterate outside its ball
         return _schedule_error(out, schedule, exc)
-
-    xdim = equation.x_base.size
-    header = (["index", "status"] + [f"y{j + 1}" for j in range(equation.y_base.size)]
-              + [f"x{j + 1}" for j in range(xdim)] + ["iterations", "residual"])
-    out.line(",".join(header))
-    for i, row in enumerate(result.rows):
-        cells = [str(i), "error" if row.x is None else "ok"]
-        cells += [fmt_float(v) for v in row.y]
-        if row.x is None:
-            cells += [""] * (xdim + 2)
-        else:
-            cells += [fmt_float(v) for v in row.x]
-            cells += [str(row.certificate.iterate_count),
-                      fmt_float(row.certificate.residual)]
-        out.line(",".join(cells))
-    out.lines += schedule.csv_lines()
-    out.line(f"max_continuity_ratio,{fmt_float(result.max_continuity_ratio)}")
-    out.line(f"empirical_clm,{fmt_float(result.empirical_clm)}")
-    out.line(f"jumps,{len(result.jump_indices)}")
+    out.lines += result.csv_lines()
     return EXIT_OK if any(row.x is not None for row in result.rows) else EXIT_LOCALITY
 
 
 def cmd_control(pf: ProblemFile, args, out: _Writer) -> int:
     if pf.kind != "control":
         raise ProblemFileError("control drives control problem files")
-    problem = pf.control
     grid = None if args.grid is None else _target_count(args.grid)
     if args.mesh is not None:
-        from dataclasses import replace
         if not 2 <= args.mesh <= MAX_MESH:
             raise ProblemFileError(
                 f"--mesh: need 2 to {MAX_MESH} intervals, got {args.mesh}")
-        problem = replace(problem, mesh_size=args.mesh)
-    b = _target(pf, args, problem.state_dim,
+        pf = replace(pf, control=replace(pf.control, mesh_size=args.mesh))
+    b = _target(pf, args, pf.control.state_dim,
                 "control needs --target for the endpoint")
-    size = float(np.linalg.norm(b))
-    seed = _seed(pf, args)
-    sys_ = linearize(problem)
-    rank, rank_ok = kalman_rank(sys_)
-    interior_ok, margin = reachable_interior(sys_, problem.control_set, seed=seed)
-    out.line(f"kalman_rank,{rank}")
-    out.line(f"kalman_controllable,{_bool(rank_ok)}")
-    out.line(f"reachable_interior,{_bool(interior_ok)}")
-    out.line(f"interior_margin,{fmt_float(margin)}")
+    rank, rank_ok, interior_ok, margin = pf.control_gate(args.seed)
+    out.lines += [f"kalman_rank,{rank}", f"kalman_controllable,{str(rank_ok).lower()}",
+                  f"reachable_interior,{str(interior_ok).lower()}",
+                  f"interior_margin,{fmt_float(margin)}"]
     # one set-up serves every target: the grid's largest is 1.0 * b
     try:
-        setup = steering_setup(problem, sys_, tau_target=_default_tau_target(size),
-                               tol=args.tol, seed=seed)
+        setup = pf.steering(float(np.linalg.norm(b)), args.tol, args.seed)
     except (LocalityError, RegularityError) as exc:
-        out.line(f"error,{exc}")
+        out.lines.append(f"error,{exc}")
         return EXIT_LOCALITY
 
     if grid is not None:
         targets = [b] if grid == 1 else [t * b for t in np.linspace(0.0, 1.0, grid)]
         result = calm_sweep(setup, targets)
-        header = (["index", "status"]
-                  + [f"b{j + 1}" for j in range(problem.state_dim)]
-                  + ["endpoint_error", "calm_ratio"])
-        out.line(",".join(header))
-        for i, (t, res, err) in enumerate(zip(targets, result.results,
-                                              result.errors)):
-            if res is None:
-                cells = [str(i), f"error: {err.replace(',', ';')}"]
-                cells += [fmt_float(v) for v in t] + ["", ""]
-            else:
-                cells = [str(i), "ok"] + [fmt_float(v) for v in res.target]
-                cells += [fmt_float(res.endpoint_error),
-                          fmt_float(res.calm_ratio)]
-            out.line(",".join(cells))
-        out.lines += IterationCertificate(setup.config, setup.tau).csv_lines()
-        out.line(f"calm_bound,{fmt_float(setup.calm_bound)}")
-        out.line(f"max_calm_ratio,{fmt_float(result.max_calm_ratio)}")
-        out.line(f"max_continuity_ratio,{fmt_float(result.max_continuity_ratio)}")
+        out.lines += result.csv_lines()
         return EXIT_OK if any(r is not None for r in result.results) else EXIT_LOCALITY
 
     try:
-        res = steer(problem, sys_, b, setup)
+        res = steer(setup.problem, setup.sys, b, setup)
     except (LocalityError, RegularityError) as exc:
-        return _schedule_error(out, IterationCertificate(setup.config, setup.tau), exc)
-    out.lines += res.certificate.csv_lines()
-    out.line(f"endpoint_error,{fmt_float(res.endpoint_error)}")
-    out.line(f"dynamics_residual,{fmt_float(res.dynamics_residual)}")
-    out.line(f"calm_ratio,{fmt_float(res.calm_ratio)}")
-    out.line(f"calm_bound,{fmt_float(res.calm_bound)}")
+        return _schedule_error(out, setup.schedule, exc)
+    out.lines += res.certificate.csv_lines() + [
+        f"{name},{fmt_float(getattr(res, name))}"
+        for name in ("endpoint_error", "dynamics_residual", "calm_ratio", "calm_bound")]
     out.lines += res.csv_lines()
     return EXIT_OK
 
 
 def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
-    seed = _seed(pf, args)
     if args.grid is not None and args.grid < 2:
         raise ProblemFileError("--grid: need at least 2 points per axis")
-
-    if pf.kind == "generalized" and pf.fixture is not None:
+    if pf.fixture is not None:
         # grid reconstruction cannot resolve the 1/k branch structure, so
         # the inequality checks are skipped; the probe is the whole point
-        probe = lsc_probe(truncated_counterexample(),
-                          at=(np.zeros(1), np.array([0.05])),
-                          approach=[np.array([10.0 ** -j])
-                                    for j in range(1, 15)])
-        out.line(CSV_HEADER)
-        out.line(csv_row("lsc-probe", min(probe.distances[3:]), np.nan, 0,
-                         None, probe.verdict, (probe.witness_x,)))
+        probe = lsc_probe(truncated_counterexample(), at=(np.zeros(1), np.array([0.05])),
+                          approach=[np.array([10.0 ** -j]) for j in range(1, 15)])
+        out.lines += [CSV_HEADER, csv_row("lsc-probe", min(probe.distances[3:]), np.nan,
+                                          0, None, probe.verdict, (probe.witness_x,))]
         return EXIT_OK
-    if pf.constraint is not None:
-        raise ProblemFileError(
-            "$.constraint: verify samples x -> M x alone and cannot judge the "
-            "constrained mapping that solve uses; remove the constraint to "
-            "verify the unconstrained one")
-    if pf.kind in ("linear", "generalized"):
-        mat, g, base_x, radius_x = _linear_part(pf)
-        grid = _verify_grid(args, mat.shape[1])
-        # one factorization serves reg_linear, radius_y and lg_bound_check
-        fibre = _onto(AffineSet(mat, np.zeros(mat.shape[0])))
-        kappa = args.kappa if args.kappa is not None else KAPPA_MARGIN * reg_linear(fibre)
-        mapping = SampledMapping(
-            forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
-            radius_x=radius_x,
-            radius_y=2.0 * max(fibre.sigma_max, 1e-9) * radius_x)
-    elif pf.kind == "smooth":
-        grid = _verify_grid(args, pf.base.size)
-        problem = _smooth_problem(pf)
-        kappa = args.kappa
-        mapping = SampledMapping(
-            forward=lambda x: np.asarray(problem.f(x), dtype=float),
-            x_base=problem.x_base, y_base=problem.y_base,
-            radius_x=problem.radius,
-            radius_y=2.0 * (problem.base_fibre.sigma_max + 1.0)
-            * problem.radius)
-    else:
-        raise ProblemFileError("verify does not drive control problems")
-
-    if kappa is None:  # a smooth file: 1.05 x its sampled modulus
-        kappa = 1.05 * sampled_reg(mapping, grid=grid).value
-    # one scan judges both; a bad --kappa is refused before it
-    reports = list(verify_graph(mapping, kappa, grid=grid))
-    if pf.perturbation is not None:  # generalized files only
-        lam = pf.constants.get("lambda")
-        if lam is None:
-            lam = LAMBDA_MARGIN * lip_estimate(
-                g, base_x, radius_x, samples=600, seed=seed).value
-            if lam == 0:  # lg_bound_check needs lip < lam; any lam < 1/kappa will do
-                lam = 0.5 / kappa
-        report, _ = lg_bound_check(fibre, g, base_x, kappa=kappa, lam=lam,
-                                   radius=radius_x, grid=grid, seed=seed)
-        reports.append(report)
-    out.line(CSV_HEADER)
-    for report in reports:
-        out.line(report.csv_row())
+    # one scan judges both verdicts; a bad --kappa is refused before it
+    reports = pf.verify(args.kappa, _verify_grid(args, pf.graph.x_base.size),
+                        args.seed)
+    out.lines += [CSV_HEADER] + [report.csv_row() for report in reports]
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFICATION
 
 
@@ -569,7 +374,7 @@ def main(argv=None) -> int:
     except (LocalityError, RegularityError) as exc:
         code, note = EXIT_LOCALITY, f"locality/regularity: {exc}"
     except UncontrollableError as exc:
-        out.line(f"error,{exc}")
+        out.lines.append(f"error,{exc}")
         code, note = EXIT_UNCONTROLLABLE, f"uncontrollable: {exc}"
     try:
         out.flush()

@@ -308,6 +308,11 @@ class SteeringSetup:
     lip: ModulusEstimate
     calm_bound: float
 
+    @property
+    def schedule(self) -> IterationCertificate:
+        """The constant schedule and tau, as a certificate without steps."""
+        return IterationCertificate(self.config, self.tau)
+
     def query(self, b) -> np.ndarray:
         b = as_vector(b, dim=self.sys.state_dim)
         y = np.zeros(self.operator.shape[0])
@@ -491,14 +496,34 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem, b,
 class ControlSweep:
     """Steering results over a target grid with worst-case ratios.
 
-    results and errors run parallel to the target grid; a failed target
-    leaves None in results and the failure message in errors.
+    results and errors run parallel to ``targets``; a failed target leaves
+    None in results and the failure message in errors.
     """
 
+    setup: SteeringSetup
+    targets: list
     results: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     max_calm_ratio: float = 0.0
     max_continuity_ratio: float = 0.0
+
+    def csv_lines(self) -> list[str]:
+        """Rows index, status, b*, endpoint_error, calm_ratio (a failed
+        target's status is its message, commas as ';', and its ratios are
+        blank), the schedule, then calm_bound and the worst ratios."""
+        lines = [",".join(["index", "status"]
+                          + [f"b{j + 1}" for j in range(self.setup.sys.state_dim)]
+                          + ["endpoint_error", "calm_ratio"])]
+        for i, (t, res, err) in enumerate(zip(self.targets, self.results,
+                                              self.errors)):
+            cells = [str(i), "ok" if res is not None else f"error: {err.replace(',', ';')}"]
+            cells += [fmt_float(v) for v in t] + (["", ""] if res is None else [
+                fmt_float(res.endpoint_error), fmt_float(res.calm_ratio)])
+            lines.append(",".join(cells))
+        return lines + self.setup.schedule.csv_lines() + [
+            f"calm_bound,{fmt_float(self.setup.calm_bound)}",
+            f"max_calm_ratio,{fmt_float(self.max_calm_ratio)}",
+            f"max_continuity_ratio,{fmt_float(self.max_continuity_ratio)}"]
 
 
 def calm_sweep(setup: SteeringSetup, targets: Sequence) -> ControlSweep:
@@ -511,7 +536,7 @@ def calm_sweep(setup: SteeringSetup, targets: Sequence) -> ControlSweep:
     """
     if len(targets) == 0:
         raise ContractError("calm_sweep needs a nonempty target grid")
-    sweep = ControlSweep()
+    sweep = ControlSweep(setup=setup, targets=list(targets))
     for t in targets:
         try:
             res = steer(setup.problem, setup.sys, t, setup)

@@ -1,4 +1,5 @@
-"""Problem files: JSON parsing, polynomial maps, and named fixtures.
+"""Problem files: JSON parsing, polynomial maps, named fixtures, and the
+problem each file states.
 
 A problem file carries a version tag, a kind (linear, smooth, generalized,
 control), and the kind's payload. Smooth maps and perturbations are
@@ -8,7 +9,9 @@ small registry of named closed-form systems or from a polynomial table
 over the concatenated (state, control) input.
 
 Validation errors raise ProblemFileError with the JSON path of the
-offending field.
+offending field. A loaded ``ProblemFile`` assembles its own problem: the
+part the samplers read, the equation and schedule of a smooth or
+generalized file, and the gate and steering set-up of a control file.
 """
 
 from __future__ import annotations
@@ -19,9 +22,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import ConvexSet, set_from_json
-from .errors import ContractError, ProblemFileError, ShapeError
-from .control import ControlProblem, DEFAULT_MESH
+from .control import (DEFAULT_MESH, ControlProblem, DiscretizedSystem, SteeringSetup,
+                      kalman_rank, linearize, reachable_interior, steering_setup,
+                      _default_tau_target, _remainder, _weighted_operator)
+from .convex import AffineSet, ConvexSet, Intersection, set_from_json
+from .errors import ContractError, ProblemFileError, RegularityError, ShapeError
+from .moduli import (CheckReport, SampledMapping, lg_bound_check,
+                     lip_estimate, reg_linear, sampled_reg, verify_graph)
+from .selection import (KAPPA_MARGIN, LAMBDA_MARGIN, GeneralizedEquation,
+                        IterationCertificate, IterationConfig, compute_tau,
+                        default_config, solve)
+from .smooth import SmoothProblem, config_for, smooth_selection, split
 
 SCHEMA_VERSION = "1"
 KINDS = ("linear", "smooth", "generalized", "control")
@@ -239,6 +250,143 @@ class ProblemFile:
     radius: float | None = None
     # control
     control: ControlProblem | None = None
+
+    # -- the problem the file states: each part is built on first use, and
+    # a seed of None is the file's own
+
+    @cached_property
+    def fibre(self) -> AffineSet:
+        """{x : M x = 0} of a linear or generalized file, factored once. An
+        operator that is not onto has no finite regularity modulus."""
+        fibre = AffineSet(self.matrix, np.zeros(self.matrix.shape[0]))
+        if not fibre.surjective:
+            raise RegularityError(
+                f"operator numerically non-surjective: sigma_min={fibre.sigma_min:.3e} "
+                f"vs sigma_max={fibre.sigma_max:.3e}")
+        return fibre
+
+    @cached_property
+    def smooth_problem(self) -> SmoothProblem:
+        return SmoothProblem(f=self.smooth_map, x_base=self.base,
+                             jacobian=self.smooth_map.jacobian, radius=self.radius)
+
+    @cached_property
+    def system(self) -> DiscretizedSystem:
+        return linearize(self.control)
+
+    @cached_property
+    def sampled(self) -> tuple:
+        """(op, g, centre, radius) that the samplers read: a file's matrix
+        and perturbation (x -> 0 when it has none), a smooth map's base
+        fibre and remainder, or the collocation operator and remainder of a
+        control file at the rest point."""
+        if self.fixture is not None:
+            raise ProblemFileError(
+                "the counterexample fixture only supports the verify command")
+        if self.kind == "smooth":
+            p = self.smooth_problem
+            return p.base_fibre, p.remainder, p.x_base, p.radius
+        if self.kind == "control":
+            op = _weighted_operator(self.system)
+            return (op, _remainder(self.control, self.system),
+                    np.zeros(op.shape[1]), 0.5)
+        mat, g = self.matrix, self.perturbation
+        if g is None:
+            def g(x):  # one point or stacked columns, as the samplers take
+                return np.zeros((mat.shape[0],) + np.shape(x)[1:])
+        center = self.base_x if self.base_x is not None else np.zeros(mat.shape[1])
+        return mat, g, center, self.radius_x if self.kind == "generalized" else 1.0
+
+    def equation(self, tol: float = 1e-10, seed: int | None = None) -> tuple:
+        """Equation, schedule (constants and tau, as a certificate without
+        steps) and one-query solver of a smooth or generalized file. A
+        smooth file's equation is its split, and its queries go through
+        smooth_selection, which also checks f(x) = y. The default schedule
+        fills in the constants a generalized file leaves out."""
+        seed = self.seed if seed is None else seed
+        if self.kind == "smooth":
+            problem = self.smooth_problem
+            cfg = config_for(problem, seed=seed, tol=tol)
+            tau = compute_tau(cfg, (problem.radius, problem.radius))
+            return (split(problem), IterationCertificate(cfg, tau),
+                    lambda y: smooth_selection(problem, y, cfg))
+        _, g, center, radius = self.sampled
+        fibre, box = self.fibre, self.constraint
+        equation = GeneralizedEquation(
+            finv=fibre.shifted if box is None
+            else lambda w: Intersection([fibre.shifted(w), box]),
+            g=g, x_base=center, y_base=self.base_y, radius_x=radius,
+            radius_y=self.radius_y, radius_graph=self.radius_graph)
+        consts = self.constants
+        if not {"kappa", "lambda", "alpha"} <= set(consts):
+            lip = lip_estimate(g, center, radius, samples=600, seed=seed)
+            cfg = default_config(reg_linear(fibre), lip.value)
+            consts = {"kappa": cfg.kappa, "lambda": cfg.lam, "alpha": cfg.alpha,
+                      **consts}
+        cfg = IterationConfig(kappa=consts["kappa"], lam=consts["lambda"],
+                              alpha=consts["alpha"], tol=tol)
+        tau = compute_tau(cfg, (radius, self.radius_y))
+        return equation, IterationCertificate(cfg, tau), lambda y: solve(equation, cfg, y)
+
+    @cached_property
+    def graph(self) -> SampledMapping:
+        """The mapping verify samples: x -> M x, or a smooth file's f."""
+        if self.constraint is not None:
+            raise ProblemFileError(
+                "$.constraint: verify samples x -> M x alone and cannot judge the "
+                "constrained mapping that solve uses; remove the constraint to "
+                "verify the unconstrained one")
+        if self.kind == "control":
+            raise ProblemFileError("verify does not drive control problems")
+        if self.kind == "smooth":
+            p = self.smooth_problem
+            return SampledMapping(
+                forward=lambda x: np.asarray(p.f(x), dtype=float),
+                x_base=p.x_base, y_base=p.y_base, radius_x=p.radius,
+                radius_y=2.0 * (p.base_fibre.sigma_max + 1.0) * p.radius)
+        mat, _, base_x, radius_x = self.sampled
+        return SampledMapping(
+            forward=lambda x: mat @ x, x_base=base_x, y_base=mat @ base_x,
+            radius_x=radius_x,
+            radius_y=2.0 * max(self.fibre.sigma_max, 1e-9) * radius_x)
+
+    def verify(self, kappa: float | None, grid: int,
+               seed: int | None = None) -> list[CheckReport]:
+        """The regularity and Aubin verdicts of ``graph`` with kappa, from
+        one scan, then a perturbation's bound. The default kappa is 1.1 x
+        reg_linear of the matrix, or 1.05 x a smooth map's sampled
+        modulus; the default lambda 1.2 x the perturbation's sampled lip."""
+        if kappa is None:
+            kappa = (1.05 * sampled_reg(self.graph, grid=grid).value
+                     if self.kind == "smooth" else KAPPA_MARGIN * reg_linear(self.fibre))
+        reports = list(verify_graph(self.graph, kappa, grid=grid))
+        if self.perturbation is not None:
+            seed = self.seed if seed is None else seed
+            _, g, base_x, radius_x = self.sampled
+            lam = self.constants.get("lambda")
+            if lam is None:
+                lam = LAMBDA_MARGIN * lip_estimate(
+                    g, base_x, radius_x, samples=600, seed=seed).value
+                if lam == 0:  # lg_bound_check needs lip < lam; any lam < 1/kappa will do
+                    lam = 0.5 / kappa
+            reports.append(lg_bound_check(self.fibre, g, base_x, kappa=kappa, lam=lam,
+                                          radius=radius_x, grid=grid, seed=seed)[0])
+        return reports
+
+    def control_gate(self, seed: int | None = None) -> tuple[int, bool, bool, float]:
+        """A control file's Kalman rank and verdict, and the reachable
+        interior verdict and margin of its discretized system."""
+        rank, rank_ok = kalman_rank(self.system)
+        return (rank, rank_ok, *reachable_interior(
+            self.system, self.control.control_set,
+            seed=self.seed if seed is None else seed))
+
+    def steering(self, size: float, tol: float = 1e-11,
+                 seed: int | None = None) -> SteeringSetup:
+        """The one steering set-up for every target of norm up to ``size``."""
+        return steering_setup(self.control, self.system,
+                              tau_target=_default_tau_target(size), tol=tol,
+                              seed=self.seed if seed is None else seed)
 
 
 def _parse_constants(payload, path: str) -> dict:

@@ -345,10 +345,30 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    tau: float
+    schedule: IterationCertificate
+    x_dim: int
     max_continuity_ratio: float
     jump_indices: list
     empirical_clm: float
+
+    def csv_lines(self) -> list[str]:
+        """Rows index, status, y*, x*, iterations, residual (blank past y on
+        a failed point), the schedule, then the continuity diagnostics."""
+        lines = [",".join(["index", "status"]
+                          + [f"y{j + 1}" for j in range(self.rows[0].y.size)]
+                          + [f"x{j + 1}" for j in range(self.x_dim)]
+                          + ["iterations", "residual"])]
+        for i, row in enumerate(self.rows):
+            cells = [str(i), "error" if row.x is None else "ok"]
+            cells += [fmt_float(v) for v in row.y]
+            cells += [""] * (self.x_dim + 2) if row.x is None else (
+                [fmt_float(v) for v in row.x]
+                + [str(row.certificate.iterate_count), fmt_float(row.certificate.residual)])
+            lines.append(",".join(cells))
+        return lines + self.schedule.csv_lines() + [
+            f"max_continuity_ratio,{fmt_float(self.max_continuity_ratio)}",
+            f"empirical_clm,{fmt_float(self.empirical_clm)}",
+            f"jumps,{len(self.jump_indices)}"]
 
 
 def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
@@ -392,5 +412,6 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
         dev = float(np.linalg.norm(r.y - base_out))
         if r.x is not None and dev > 0:
             emp_clm = max(emp_clm, float(np.linalg.norm(r.x - problem.x_base)) / dev)
-    return SweepResult(rows=rows, tau=tau, max_continuity_ratio=max_ratio,
+    return SweepResult(rows=rows, schedule=IterationCertificate(cfg, tau),
+                       x_dim=problem.x_base.size, max_continuity_ratio=max_ratio,
                        jump_indices=jumps, empirical_clm=emp_clm)

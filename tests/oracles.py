@@ -16,6 +16,8 @@ corrector loop of regsel.selection.solve must reproduce bit for bit.
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -366,6 +368,48 @@ def support_lp(control_set, d) -> float:
         if dj != 0.0:
             total += dj * (hi if dj > 0 else lo)
     return total
+
+
+def _exact_solve(rows, rhs):
+    """The solution of a square system in Fractions, or None if singular."""
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def exact_vertices(poly) -> list:
+    """Every vertex of a bounded halfspace system, exactly: each dim-row
+    subsystem N_S v = h_S is solved in Fractions on the exact float data
+    and kept when it is nonsingular and v meets every row exactly. Returns
+    (rows S, v as Fractions) pairs; a degenerate vertex appears once per
+    subsystem that holds it."""
+    normals = [[Fraction(float(a)) for a in row] for row in poly.normals]
+    offsets = [Fraction(float(h)) for h in poly.offsets]
+    out = []
+    for subset in itertools.combinations(range(len(normals)), poly.dim):
+        v = _exact_solve([normals[i] for i in subset], [offsets[i] for i in subset])
+        if v is not None and all(sum(a * x for a, x in zip(row, v)) <= h
+                                 for row, h in zip(normals, offsets)):
+            out.append((subset, v))
+    return out
+
+
+def exact_support(vertices, d) -> list:
+    """(<d, v>, S, v) for every pair of ``exact_vertices``, in Fractions of
+    the exact float direction, largest first: the first value is the
+    support sup{<d, x> : x in the set}."""
+    d = [Fraction(float(a)) for a in d]
+    return sorted(((sum(a * x for a, x in zip(d, v)), subset, v) for subset, v in vertices),
+                  key=lambda row: row[0], reverse=True)
 
 
 def reachable_interior_expm_loop(sys, control_set, seed: int = 0,

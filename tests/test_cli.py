@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsel import cli, control, convex, moduli, smooth
+from regsel import cli, control, convex, moduli, problems, smooth
 from regsel.cli import main
 from regsel.moduli import CSV_HEADER
-from regsel.problems import load_problem
+from regsel.problems import ProblemFile, load_problem
 
 BOX_JSON = {"type": "box", "lower": [-1.0], "upper": [1.0]}
 COMMITTED = Path(__file__).resolve().parents[1] / "scripts" / "problems"
@@ -451,13 +451,13 @@ def test_solve_parameter_builds_one_equation(capsys, monkeypatch):
     # the shift p enters through the file's own equation, with no copy
     committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
     builds = []
-    post_init = cli.GeneralizedEquation.__post_init__
+    post_init = problems.GeneralizedEquation.__post_init__
 
     def counting(self):
         builds.append(self)
         post_init(self)
 
-    monkeypatch.setattr(cli.GeneralizedEquation, "__post_init__", counting)
+    monkeypatch.setattr(problems.GeneralizedEquation, "__post_init__", counting)
     code, out, _ = run(capsys, "solve", "--input",
                        str(committed / "generalized.json"), "--parameter", "0.05")
     assert code == 0
@@ -734,7 +734,7 @@ def test_a_non_finite_vector_flag_is_refused_naming_the_flag(capsys, monkeypatch
     def no_linearize(problem):
         raise AssertionError("linearized before refusing the flag")
 
-    monkeypatch.setattr(cli, "linearize", no_linearize)
+    monkeypatch.setattr(problems, "linearize", no_linearize)
     command, file, flag, value, *rest = argv
     code, out, err = run(capsys, command, "--input", str(COMMITTED / file),
                          flag, value, *rest)
@@ -753,7 +753,7 @@ def test_control_refuses_a_target_whose_norm_overflows(capsys, tmp_path,
     def no_linearize(problem):
         raise AssertionError("linearized before refusing the target")
 
-    monkeypatch.setattr(cli, "linearize", no_linearize)
+    monkeypatch.setattr(problems, "linearize", no_linearize)
     path, flags = COMMITTED / "double_integrator.json", ("--target", "1e300,0")
     if source == "file":
         path = tmp_path / "far.json"
@@ -772,10 +772,10 @@ def test_control_refuses_a_target_whose_norm_overflows(capsys, tmp_path,
     ("solve", "--parameter", "1e160")], ids=["solve", "sweep", "parameter"])
 def test_a_query_whose_norm_overflows_is_refused(capsys, monkeypatch, argv):
     # refused as the flag is read: no equation or schedule is built
-    def no_equation(pf, args):
+    def no_equation(pf, tol, seed):
         raise AssertionError("built the equation before refusing the query")
 
-    monkeypatch.setattr(cli, "_equation", no_equation)
+    monkeypatch.setattr(ProblemFile, "equation", no_equation)
     command, flag, *rest = argv
     code, out, err = run(capsys, command, "--input",
                          str(COMMITTED / "generalized.json"), flag, *rest)
@@ -786,9 +786,10 @@ def test_a_query_whose_norm_overflows_is_refused(capsys, monkeypatch, argv):
 
 def count_builders(monkeypatch) -> Counter:
     """Count the calls of every set-up builder (steering_setup, config_for,
-    lip_estimate) under each name the CLI, control and smooth call it by."""
+    lip_estimate) under each name the CLI, control, problems and smooth call
+    it by."""
     calls = Counter()
-    for module in (cli, control, smooth):
+    for module in (cli, control, problems, smooth):
         for name in ("steering_setup", "config_for", "lip_estimate"):
             if hasattr(module, name):
                 key = f"{module.__name__}.{name}"
@@ -805,7 +806,7 @@ def test_prepared_queries_build_nothing(monkeypatch):
     steering = control.steering_setup(load_problem(
         str(COMMITTED / "pendulum.json")).control)
     pf = load_problem(str(COMMITTED / "smooth.json"))
-    problem = cli._smooth_problem(pf)
+    problem = pf.smooth_problem
     cfg = smooth.config_for(problem, seed=pf.seed)
     calls = count_builders(monkeypatch)
     control.steer(steering.problem, steering.sys, [0.05, 0.0], steering)
@@ -821,7 +822,7 @@ def test_control_builds_one_setup(capsys, monkeypatch, grid):
     code, _, _ = run(capsys, "control", "--input",
                      str(COMMITTED / "pendulum.json"), "--target", "0.05,0", *grid)
     assert code == 0
-    assert calls == Counter({"regsel.cli.steering_setup": 1,
+    assert calls == Counter({"regsel.problems.steering_setup": 1,
                              "regsel.control.lip_estimate": 1})
 
 
@@ -1044,7 +1045,7 @@ def test_verify_samples_the_perturbation_once(capsys, tmp_path, monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(moduli, "lip_estimate", counting)
-    monkeypatch.setattr(cli, "lip_estimate", counting)
+    monkeypatch.setattr(problems, "lip_estimate", counting)
     code, out, _ = run(capsys, "verify", "--input", str(path))
     assert code == 0
     assert calls == [600] * estimates
@@ -1106,12 +1107,18 @@ KERNEL_RTOL = 1e-12
 #   of a least-norm solve: 7.1e-30 on SkylakeX, 1.2e-30 on Haswell and
 #   3.9e-30 on Prescott for a target of size 0.05.
 NOISE_ATOL = 1e-20
+# - The other cells of a steer that sit at the rounding noise of a
+#   least-norm solve (its increment, residuals and tail bound, and the
+#   trajectory's states and controls): at most 7.2e-15 apart between the
+#   three kernels on double_integrator.json.
+STEER_ATOL = 1e-13
 
 
 def assert_cells(got: str, want: str, loose: dict):
     """``got`` has ``want``'s lines and cells (split on commas), each cell
     with ``want``'s bytes, except the cells that ``loose`` keys by (first
-    cell of the line, column): those are floats within
+    cell of the line, column): those hold floats (a witness cell several,
+    space separated, points split by ';') each within
     KERNEL_RTOL * |want| + the keyed absolute bound."""
     got_lines, want_lines = got.splitlines(), want.splitlines()
     assert len(got_lines) == len(want_lines), got
@@ -1123,8 +1130,160 @@ def assert_cells(got: str, want: str, loose: dict):
             if atol is None:
                 assert g == w, (g_line, w_line)
             else:
-                assert abs(float(g) - float(w)) <= KERNEL_RTOL * abs(float(w)) + atol, (
+                assert g.count(";") == w.count(";"), (g_line, w_line)
+                g_vals, w_vals = (np.array(c.replace(";", " ").split(), dtype=float)
+                                  for c in (g, w))
+                assert g_vals.shape == w_vals.shape and np.all(
+                    np.abs(g_vals - w_vals) <= KERNEL_RTOL * np.abs(w_vals) + atol), (
                     g_line, w_line)
+
+
+def loose_rows(table: str, atol: float) -> dict:
+    """``loose`` keys for every nonempty cell past the first of each row of
+    a CSV table (its header line aside)."""
+    return {(cells[0], col): atol
+            for cells in (line.split(",") for line in table.splitlines()[1:])
+            for col in range(1, len(cells)) if cells[col]}
+
+
+# moduli on pendulum.json: the sampled point of 192 coordinates where lip
+# and clm peak, paired with the centre
+PENDULUM_WITNESS = " ".join("""
+-0.017855969529908033 0.031954655056217453 0.020448712259057467
+0.026653857723211768 0.0032691589404284958 -0.018900367527158738
+-0.046319567903254824 -0.030108203113408429 0.0071553207079555012
+-0.0027516756512666021 0.046984819203174016 -0.010033017067137242
+-0.007342353593352678 -0.044020532987643274 0.072234477940445518
+0.049683954448289269 0.0013988310802836249 -0.014097088391759471
+0.011170797061885909 0.018073041684810505 0.0030848216011516052
+0.013749126291310303 -0.023867961293095381 0.067510804234157604
+0.0014846159748998517 -0.024784955250599799 0.048007950028945111
+-0.0015977339727406338 0.021486986696778392 0.0072597673930474543
+-0.037805438636511299 -0.015689241697010303 0.015065533681814076
+-0.0046289339827523604 -0.062169063690209699 0.0068890856655937317
+-0.022756912752892534 0.029254212602766755 0.0016724326176808743
+-0.0062613028363791229 -0.0022144163293103185 0.0013344893029624623
+0.049742845823226217 -0.0026414413681695417 -0.03245761981643483
+0.036870812005773627 -0.02733866764105547 -0.033577792707203458
+0.003877739494040508 0.023943795868987164 0.019192852491875856
+0.038765916455059578 0.0016121998540466059 0.0074015314419328872
+-0.0015487393507135142 0.027283964053974725 -0.032149207827878161
+-0.010881511245075286 0.028880912384055796 -0.035961472414510434
+0.010082922383679638 0.012967802068573155 0.0083071034445463543
+-0.014205793573518876 -0.017729370443025944 0.020691564026906951
+0.013267739385451529 -0.048621414101877321 -0.040278686994315881
+0.030998042123250122 -0.039576758524340207 -0.014983569592763292
+0.034828195223046809 0.0048768917565779873 0.0027461435465425486
+0.026401874244620826 -0.0054227651804139949 0.00079599687676118003
+-0.025720652686555604 -0.044658424534285639 -0.0049647399153106789
+-0.0033401161385432092 0.012744157539571539 -0.011151511994021857
+-0.028182345844057682 -0.016103975484903919 0.011206590750274208
+0.015164209035104442 0.040135517232412425 -0.02982095391319407
+-0.30622257858745777 0.037400023846007019 -0.00043471437782897622
+0.047690802008869514 -0.024857089406733049 0.025659791151129176
+0.044189784868995462 -0.018639239527150925 -0.016240250568676166
+0.0029065428795839779 -0.013895214689908923 -0.024154272640160002
+-0.012517557112728488 0.038543502221595811 0.0041395701113551989
+-0.0016629372813869389 -0.0086421588558743233 -0.011354439928143624
+0.018026971933559378 -0.0065199632151609309 0.058137194737390298
+0.015351184301606167 0.032817097588317808 0.019846913599865509
+0.064525628287947945 0.0093830304020118566 -0.043012322280141811
+-0.02194122948172119 0.010639475707663965 0.076462020329780195
+-0.0258770534698788 -0.017990215129886536 0.021139933982619454
+0.034632089330587021 -0.026543556375370474 0.016883105541189863
+-0.047665514865898706 -0.0027729226501461181 -0.023035554869851385
+0.0049293691098551452 0.0016358932308910348 -0.019485084107915589
+-0.01350622142925318 -0.021233342402094894 0.0132091601212908
+-0.022272052595132607 1.7256779787316694e-05 0.01315868240404435
+-0.014934975841967851 -0.022496726871154279 0.0055563401740401624
+-0.0080534602367013722 0.014287156351618266 0.046067294544984642
+-0.042933024202481428 -0.022446826540559135 -0.007461057660433641
+0.020451076166391732 0.097512853856199747 -0.017536830542339805
+0.034773119079221163 0.010529939156536364 -0.020184483454783315
+0.0087058873677069975 0.019415361346810638 0.02030354746406474
+0.019138771039398841 0.029250809706685425 -0.013465997835183324
+0.016678091639666704 -0.014249430564679767 2.0653279140134219e-05
+-0.0028050486958489489 -0.063877138075439779 0.018186692595817604
+-0.041634497081175018 -0.031703888836184288 0.025934411270159424
+-0.0045631148252188204 0.037352556484793811 -0.064081480819676115
+0.049675209136845457 -0.0048713536768639539 -0.0037170537913449597
+-0.0020226018075154457 0.017237277352022844 0.028679747847404395
+-0.020004252092820356 0.073708710526768764 0.022819848546822126
+0.031759256206099103 0.06601472851769824 -0.0065411906916993494
+-0.0036641032346317257 -0.050116346306539619 0.028078410088722302
+-0.002984667280673859 0.013103909405164847 -0.024604417646158974
+-0.015715348116985169 0.026079712842560721 0.022402079800174397""".split())
+PENDULUM_CENTRE = " ".join(["0"] * 192)
+
+DOUBLE_INTEGRATOR_TRAJECTORY = (
+    "t,x1,x2,u1\n"
+    "0,0,0,0.29843081726577325\n"
+    "0.015625,3.6429543123263336e-05,0.0046629815197777071,0.28828995712533878\n"
+    "0.03125,0.00014448027452669169,0.0091675120998611255,0.2782194581914943\n"
+    "0.046875,0.00032168498729203814,0.013514691134103224,0.26821682702512967\n"
+    "0.0625,0.00056559334815511702,0.017705579056370876,0.25827957017220271\n"
+    "0.078125,0.00087377128875419847,0.021741197340311543,0.2484051941512746\n"
+    "0.09375,0.0012438003968732356,0.025622528498925209,0.23859120543705695\n"
+    "0.109375,0.0016732773076763951,0.029350516083879223,0.22883511044026447\n"
+    "0.125,0.0021598130949294233,0.032926064684508358,0.21913441548382365\n"
+    "0.140625,0.0027010326622024816,0.036350039926443097,0.20948662677557461\n"
+    "0.15625,0.0032945741340482202,0.03962326846981145,0.19988925037771674\n"
+    "0.171875,0.0039380882471480227,0.042746538006963278,0.19033979217302377\n"
+    "0.1875,0.0046292377414185702,0.045720597259666776,0.18083575782798483\n"
+    "0.203125,0.0053656967510700999,0.04854615597572904,0.17137465275311986\n"
+    "0.21875,0.0061451501956070187,0.051223884924996542,0.16195398206039285\n"
+    "0.234375,0.0069652931707608204,0.053754415894690176,0.15257125051815279\n"
+    "0.25,0.0078238303393446222,0.056138341684036315,0.14322396250344571\n"
+    "0.265625,0.0087184753220179729,0.058376216098152654,0.13390962195203251\n"
+    "0.28125,0.0096469500879500496,0.060468553941153164,0.12462573230619928\n"
+    "0.296875,0.010606984345368727,0.062415831008437526,0.11536979646044093\n"
+    "0.3125,0.01159631493198255,0.06421848407813191,0.10613931670520892\n"
+    "0.328125,0.012612685205262103,0.065876910901650806,0.096931794668887489\n"
+    "0.34375,0.013653844432566814,0.067391470193352163,0.087744731258014422\n"
+    "0.359375,0.014717547181102835,0.068762481619258645,0.078575626596028236\n"
+    "0.375,0.015801552707697213,0.069990225784821586,0.069421979960572519\n"
+    "0.390625,0.016903624348373204,0.071074944221705544,0.060281289719511411\n"
+    "0.40625,0.018021528907711318,0.072016839373572908,0.051151053265820458\n"
+    "0.421875,0.019153036047980257,0.072816074580851348,0.042028766951482818\n"
+    "0.4375,0.020295917678021816,0.073472774064468269,0.032911926020470376\n"
+    "0.453125,0.021447947341873431,0.073987022908538119,0.023798024540999215\n"
+    "0.46875,0.02260689960711194,0.074358867041991239,0.014684555337177978\n"
+    "0.484375,0.023770549452901985,0.074588313219134644,0.005569009920175865\n"
+    "0.5,0.024936671657732237,0.074675328999137397,-0.0035511215809681715\n"
+    "0.515625,0.026103040186822645,0.074619842724434768,-0.012678350488727457\n"
+    "0.53125,0.027267427579185793,0.074421743498048393,-0.021815189646576718\n"
+    "0.546875,0.028427604334325396,0.074080881159820644,-0.03096415348841652\n"
+    "0.5625,0.029581338298554964,0.073597066261564134,-0.040127758107791997\n"
+    "0.578125,0.030726394050919762,0.072970070041129875,-0.049308521326846141\n"
+    "0.59375,0.031860532288705133,0.072199624395397899,-0.058508962764774401\n"
+    "0.609375,0.032981509212514477,0.0712854218521983,-0.067731603905703555\n"
+    "0.625,0.034087075910900183,0.070227115541171684,-0.076978968165891656\n"
+    "0.640625,0.035174977744531051,0.069024319163579623,-0.086253580960011539\n"
+    "0.65625,0.03624295372987995,0.067676606961079452,-0.095557969766511486\n"
+    "0.671875,0.037288735922415557,0.066183513683477704,-0.10489466419180474\n"
+    "0.6875,0.038310048799282417,0.064544534555480759,-0.11426619603325018\n"
+    "0.703125,0.039304608641453839,0.062759125242461217,-0.1236750993407022\n"
+    "0.71875,0.040270122915342307,0.06082670181526275,-0.1331239104765515\n"
+    "0.734375,0.041204289653852692,0.058746640714066635,-0.14261516817410796\n"
+    "0.75,0.042104796836863731,0.056518278711346202,-0.15215141359418052\n"
+    "0.765625,0.04296932177112376,0.05414091287393713,-0.16173519037970671\n"
+    "0.78125,0.04379553046954713,0.051613800524254211,-0.17136904470832384\n"
+    "0.796875,0.044581077029898226,0.048936159200686655,-0.18105552534271652\n"
+    "0.8125,0.045323603012850523,0.046107166617206707,-0.19079718367861323\n"
+    "0.828125,0.046020736819408603,0.043125960622228371,-0.20059657379029031\n"
+    "0.84375,0.046670093067681911,0.039991639156755091,-0.21045625247343547\n"
+    "0.859375,0.047269271968999202,0.036703260211857658,-0.22037877928524346\n"
+    "0.875,0.04781585870335376,0.033259841785525726,-0.23036671658157581\n"
+    "0.890625,0.048307422794169885,0.029660361838938606,-0.24042262955108173\n"
+    "0.90625,0.048741517482381931,0.025903758252202955,-0.25054908624610189\n"
+    "0.921875,0.049115679099817948,0.021988928779607616,-0.26074865761019783\n"
+    "0.9375,0.04942742644188089,0.017914731004448275,-0.2710239175022186\n"
+    "0.953125,0.04967426013952092,0.013679982293476108,-0.28137744271669674\n"
+    "0.96875,0.049853662030493608,0.0092834597510277218,-0.29181181300046799\n"
+    "0.984375,0.049963094529899256,0.0047239001728954086,-0.30232961106530615\n"
+    "1,0.050000000000000003,-7.0997481469891062e-30,\n")
+
+
 
 
 PINNED_BRANCHES = {
@@ -1183,6 +1342,244 @@ PINNED_BRANCHES = {
         GATE_LINES["pendulum.json --mesh 8"]
         + "error,constant schedule rejected for the steering problem: "
         "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
+    # every command of CI's console-script step that exits 0, but verify on
+    # linear.json at --grid 101, which the verifier memory test runs
+    "ci-moduli-linear": (
+        ("moduli", "linear.json"), 0,
+        CSV_HEADER + "\n"
+        "reg,2,,,0,,\n"
+        "lip,0,1,3000,0,,0.39138229847650152 "
+        "-0.41122575451822374;-0.27679950390359925 -0.50136246808404383\n"
+        "clm,0,1,3000,0,,0.51318071070115734 -0.53919946247888895;0 0\n",
+        {("lip", 6): KERNEL_RTOL, ("clm", 6): KERNEL_RTOL}),
+    "ci-moduli-generalized": (
+        ("moduli", "generalized.json", "--samples", "3000"), 0,
+        CSV_HEADER + "\n"
+        "reg,0.76923076923076916,,,0,,\n"
+        "lip,0.30000000004599314,1,3000,0,,"
+        "-0.12689200942875228;-0.1268921301231293\n"
+        "clm,0.29999999999999999,1,3000,0,,0.2986961328189226;0\n"),
+    "ci-moduli-pendulum": (
+        ("moduli", "pendulum.json", "--samples", "3000"), 0,
+        CSV_HEADER + "\nreg,5.2530006167207866,,,0,,\n" + "".join(
+            f"{kind},0.32009077419213083,0.5,3000,0,,{PENDULUM_WITNESS};{PENDULUM_CENTRE}\n"
+            for kind in ("lip", "clm")),
+        {("reg", 1): 0.0, ("lip", 1): 0.0, ("clm", 1): 0.0,
+         ("lip", 6): KERNEL_RTOL, ("clm", 6): KERNEL_RTOL}),
+    "ci-moduli-smooth": (
+        ("moduli", "smooth.json", "--samples", "3000"), 0,
+        CSV_HEADER + "\n"
+        "reg,1,,,0,,\n"
+        "lip,0.099999996368092869,1,3000,0,,0.99999989912363241;1\n"
+        "clm,0.050000000000000044,1,3000,0,,-1;0\n"),
+    "ci-solve-generalized": (
+        ("solve", "generalized.json", "--target", "0.1"), 0,
+        "x,0.062500000017520596\n"
+        "kappa,1\n"
+        "lambda,0.35999999999999999\n"
+        "alpha,1.8\n"
+        "tau,0.17599999999999999\n"
+        "gamma,5.6818181818181825\n"
+        "iterations,14\n"
+        "increments,0.017751479289940829,0.0040964952207555652,"
+        "0.0009453450509435829,0.00021815655021774349,5.0343819281012392e-05,"
+        "1.1617804449470803e-05,2.6810317960493379e-06,6.1869964525923526e-07,"
+        "1.4277684122487866e-07,3.2948501815788234e-08,7.6035004056840272e-09,"
+        "1.7546539290980157e-09,4.0492013908544067e-10,9.344312823511558e-11\n"
+        "residual,2.1563808431187461e-11\n"
+        "tail_bound,2.6546343248612381e-10\n"
+        "calm_ok,true\n"),
+    "ci-solve-parameter": (
+        ("solve", "generalized.json", "--parameter", "0.05"), 0,
+        "x,-0.031250000008760298\n" + GENERALIZED_CERTIFICATE_AT_005),
+    "ci-solve-smooth": (
+        ("solve", "smooth.json", "--target", "0.08"), 0,
+        "x,0.079682534683311837\n"
+        "kappa,1.1000000000000001\n"
+        "lambda,0.11999999466200192\n"
+        "alpha,4.7166668520138302\n"
+        "tau,0.19727272860722678\n"
+        "gamma,5.0691243896718055\n"
+        "iterations,5\n"
+        "increments,0.00032000000000000084,2.5548800000052552e-06,"
+        "2.035761020868776e-08,1.6221461673904258e-10,1.2925771564198385e-12\n"
+        "residual,1.0311196341206141e-14\n"
+        "tail_bound,2.9782883587001957e-12\n"
+        "calm_ok,true\n"),
+    "ci-sweep-generalized": (
+        ("sweep", "generalized.json", "--target", "0.15", "--grid", "21"), 0,
+        "index,status,y1,x1,iterations,residual\n"
+        "0,ok,0,0,1,0\n"
+        "1,ok,0.0074999999999999997,0.0046874999943058108,13,"
+        "7.0082328028460315e-12\n"
+        "2,ok,0.014999999999999999,0.0093749999886116216,13,"
+        "1.4016465605692063e-11\n"
+        "3,ok,0.022500000000000003,0.014062499982917432,13,"
+        "2.102470174454478e-11\n"
+        "4,ok,0.029999999999999999,0.018750000005256173,14,"
+        "6.4691361242234036e-12\n"
+        "5,ok,0.037499999999999999,0.023437500006570217,14,"
+        "8.0864214896819286e-12\n"
+        "6,ok,0.045000000000000005,0.028125000007884267,14,"
+        "9.7037121927511482e-12\n"
+        "7,ok,0.052500000000000005,0.03281250000919831,14,"
+        "1.1320992220598979e-11\n"
+        "8,ok,0.059999999999999998,0.037500000010512347,14,"
+        "1.2938272248446807e-11\n"
+        "9,ok,0.067500000000000004,0.042187500011826397,14,"
+        "1.4555562951516027e-11\n"
+        "10,ok,0.074999999999999997,0.046875000013140433,14,"
+        "1.6172842979363857e-11\n"
+        "11,ok,0.082500000000000004,0.05156250001445449,14,"
+        "1.7790149695265163e-11\n"
+        "12,ok,0.090000000000000011,0.056250000015768534,14,"
+        "1.9407424385502296e-11\n"
+        "13,ok,0.097500000000000003,0.060937500017082563,14,"
+        "2.1024688400518042e-11\n"
+        "14,ok,0.10500000000000001,0.06562500001839662,14,"
+        "2.2641984441197957e-11\n"
+        "15,ok,0.11249999999999999,0.070312499995451375,15,"
+        "5.598288926450961e-12\n"
+        "16,ok,0.12,0.074999999995148142,15,5.9715160167100445e-12\n"
+        "17,ok,0.1275,0.07968749999484491,15,6.344721756526347e-12\n"
+        "18,ok,0.13500000000000001,0.084374999994541663,15,"
+        "6.7179595220068214e-12\n"
+        "19,ok,0.14250000000000002,0.089062499994238431,15,"
+        "7.091165261823124e-12\n"
+        "20,ok,0.14999999999999999,0.093749999993935185,15,"
+        "7.4643816768608182e-12\n"
+        "kappa,1\n"
+        "lambda,0.35999999999999999\n"
+        "alpha,1.8\n"
+        "tau,0.17599999999999999\n"
+        "gamma,5.6818181818181825\n"
+        "max_continuity_ratio,0.62500000297849911\n"
+        "empirical_clm,0.62500000017520596\n"
+        "jumps,0\n"),
+    "ci-sweep-smooth": (
+        ("sweep", "smooth.json", "--target", "0.19", "--grid", "21"), 0,
+        "index,status,y1,x1,iterations,residual\n"
+        "0,ok,0,0,1,0\n"
+        "1,ok,0.0095000000000000015,0.0094954917817872374,3,"
+        "3.8649639044763262e-15\n"
+        "2,ok,0.019000000000000003,0.018981984213642143,3,"
+        "1.2351231148954867e-13\n"
+        "3,ok,0.028500000000000004,0.028459502834922122,4,"
+        "2.6645352591003757e-15\n"
+        "4,ok,0.038000000000000006,0.037928073063698699,4,"
+        "1.4953316362920077e-14\n"
+        "5,ok,0.047500000000000001,0.047387720198775088,4,"
+        "5.6954441163270531e-14\n"
+        "6,ok,0.057000000000000009,0.05683846941987012,4,1.6978779493470597e-13\n"
+        "7,ok,0.066500000000000004,0.066280345788535047,4,"
+        "4.2743586448068527e-13\n"
+        "8,ok,0.076000000000000012,0.075713374247991988,5,"
+        "7.2025718722557031e-15\n"
+        "9,ok,0.085500000000000007,0.085137579626748575,5,"
+        "1.6389667401028873e-14\n"
+        "10,ok,0.095000000000000001,0.094552986635877592,5,"
+        "3.4180991370647007e-14\n"
+        "11,ok,0.10450000000000001,0.10395961987173971,5,6.6460725811623433e-14\n"
+        "12,ok,0.11400000000000002,0.11335750381630487,5,1.2197187704288126e-13\n"
+        "13,ok,0.12350000000000001,0.12274666283789488,5,2.1313506515241443e-13\n"
+        "14,ok,0.13300000000000001,0.13212712119191949,5,3.57297524899991e-13\n"
+        "15,ok,0.14250000000000002,0.14149890302160623,5,5.7789883989300961e-13\n"
+        "16,ok,0.15200000000000002,0.15086203235872375,5,9.0605301039659025e-13\n"
+        "17,ok,0.16150000000000003,0.16021653312429945,5,1.3820888877802417e-12\n"
+        "18,ok,0.17100000000000001,0.16956242913138805,6,3.4888758548845544e-14\n"
+        "19,ok,0.18050000000000002,0.17889974407848627,6,5.365152766501069e-14\n"
+        "20,ok,0.19,0.18822850156010257,6,8.0629947163401994e-14\n"
+        "kappa,1.1000000000000001\n"
+        "lambda,0.11999999466200192\n"
+        "alpha,4.7166668520138302\n"
+        "tau,0.19727272860722678\n"
+        "gamma,5.0691243896718055\n"
+        "max_continuity_ratio,0.99952545071444587\n"
+        "empirical_clm,0.99952545071444587\n"
+        "jumps,0\n"),
+    "ci-control-double-integrator": (
+        ("control", "double_integrator.json", "--target", "0.05,0"), 0,
+        "kalman_rank,2\n"
+        "kalman_controllable,true\n"
+        "reachable_interior,true\n"
+        "interior_margin,0.22174417432849799\n"
+        "kappa,6.0741784202376037\n"
+        "lambda,0\n"
+        "alpha,12.148356840475207\n"
+        "tau,0.066299999999999998\n"
+        "gamma,12.148356840475207\n"
+        "iterations,1\n"
+        "increments,2.3156652529007059e-15\n"
+        "residual,2.951856226587175e-17\n"
+        "tail_bound,2.3156652529007059e-15\n"
+        "calm_ok,true\n"
+        "endpoint_error,7.0997481469891062e-30\n"
+        "dynamics_residual,1.2522535092207576e-17\n"
+        "calm_ratio,12.093184442612245\n"
+        "calm_bound,48.097599928805373\n"
+        + DOUBLE_INTEGRATOR_TRAJECTORY,
+        {("kappa", 1): 0.0, ("alpha", 1): 0.0, ("gamma", 1): 0.0,
+         ("increments", 1): STEER_ATOL, ("residual", 1): STEER_ATOL,
+         ("tail_bound", 1): STEER_ATOL, ("endpoint_error", 1): NOISE_ATOL,
+         ("dynamics_residual", 1): STEER_ATOL, ("calm_ratio", 1): 0.0,
+         ("calm_bound", 1): 0.0, **loose_rows(DOUBLE_INTEGRATOR_TRAJECTORY, STEER_ATOL)}),
+    "ci-control-pendulum-grid-8": (
+        ("control", "pendulum.json", "--target", "0.05,0", "--grid", "8"), 0,
+        "kalman_rank,2\n"
+        "kalman_controllable,true\n"
+        "reachable_interior,true\n"
+        "interior_margin,0.24499048643544213\n"
+        "index,status,b1,b2,endpoint_error,calm_ratio\n"
+        "0,ok,0,0,0,0\n"
+        "1,ok,0.0071428571428571426,0,3.7876909158195102e-30,11.67202857021951\n"
+        "2,ok,0.014285714285714285,0,1.2139228302005276e-28,11.672030988627734\n"
+        "3,ok,0.021428571428571429,0,9.2171274182088908e-28,11.672035019357921\n"
+        "4,ok,0.028571428571428571,0,3.8839980732209814e-27,11.67204066248479\n"
+        "5,ok,0.035714285714285712,0,1.1852461940283476e-26,11.672047918112922\n"
+        "6,ok,0.042857142857142858,0,2.9490917714874122e-26,11.672056786376743\n"
+        "7,ok,0.050000000000000003,0,6.3736761454510296e-26,11.672067267440521\n"
+        "kappa,5.7783006783928661\n"
+        "lambda,0.11822245367224936\n"
+        "alpha,7.1184653675087421\n"
+        "tau,0.066299999999999998\n"
+        "gamma,72.941047009248905\n"
+        "calm_bound,287.9454484991424\n"
+        "max_calm_ratio,11.672067267440521\n"
+        "max_continuity_ratio,11.672130153823199\n",
+        {**{(str(i), col): atol for i in range(8)
+            for col, atol in ((4, NOISE_ATOL), (5, 0.0))},
+         **{(name, 1): 0.0 for name in ("kappa", "lambda", "alpha", "gamma", "calm_bound",
+                                        "max_calm_ratio", "max_continuity_ratio")}}),
+    "ci-verify-linear-kappa": (
+        ("verify", "linear.json", "--kappa", "2.1"), 0,
+        CSV_HEADER + "\n"
+        "metric-regularity,2,,,,pass,-0.80000000000000004 "
+        "-0.39999999999999991;-1.6000000000000001 -0.29999999999999999\n"
+        "aubin,2,,,,pass,-0.80000000000000004 "
+        "-0.59999999999999998;-1.6000000000000001 "
+        "-0.29999999999999999;-1.6000000000000001 -0.19999999999999996\n"),
+    "ci-verify-lsc": (
+        ("verify", "lsc_counterexample.json"), 0,
+        CSV_HEADER + "\n"
+        "lsc-probe,0.0022809523809523835,,,,lsc-violated,0.050000000000000003\n"),
+    "ci-verify-generalized": (
+        ("verify", "generalized.json"), 0, GENERALIZED_VERIFY),
+    "ci-verify-generalized-kappa": (
+        ("verify", "generalized.json", "--kappa", "2"), 0, GENERALIZED_VERIFY),
+    "ci-verify-smooth": (
+        ("verify", "smooth.json"), 0,
+        CSV_HEADER + "\n"
+        "metric-regularity,1.098901098901099,,,,pass,"
+        "-0.80000000000000004;-0.94999999999999996\n"
+        "aubin,1.098901098901099,,,,pass,"
+        "-1;-0.94999999999999996;-0.76800000000000002\n"),
+    "ci-verify-smooth-kappa": (
+        ("verify", "smooth.json", "--kappa", "1.2", "--grid", "9"), 0,
+        CSV_HEADER + "\n"
+        "metric-regularity,1.0958904109589045,,,,pass,"
+        "-0.75;-0.94999999999999996\n"
+        "aubin,1.0958904109589045,,,,pass,"
+        "-1;-0.94999999999999996;-0.72187500000000004\n"),
 }
 
 

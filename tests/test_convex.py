@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from oracles import dykstra_loop, kkt_affine_project, support_lp
+from oracles import (dykstra_loop, exact_support, exact_vertices, kkt_affine_project,
+                     support_lp)
 from regsel import convex
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, set_from_json)
@@ -774,6 +776,7 @@ def test_a_single_member_intersection_is_its_member_projection():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 3), st.integers(2, 5), st.integers(0, 10 ** 6))
 @example(1, 2, 203835)
+@example(1, 4, 1)
 def test_affine_box_projection_agrees_with_the_reference(rows, cols, seed):
     rng = np.random.default_rng(seed)
     op = rng.standard_normal((rows, cols))
@@ -857,15 +860,50 @@ def random_polytope(rng, dim: int, rows: int) -> Halfspaces:
     return Halfspaces(normals, normals @ centre + rng.uniform(0.1, 2.0, rows))
 
 
+# Normwise backward error of a dim x dim vertex solve, in units of dim * u:
+# the LP's from its final basis, Halfspaces.support's from a pseudo-inverse.
+SOLVE_BACKWARD_ERROR = 32
+
+
+def support_error_bound(poly, ranked, d) -> float:
+    """How far a support read off vertex systems solved in float64 may sit
+    from the exact one, ``ranked`` as exact_support gives it.
+
+    A vertex v of N_S v = h_S solved with normwise backward error
+    eps = SOLVE_BACKWARD_ERROR * dim * u (u = 2**-53) has a relative error
+    of at most 2 eps k / (1 - eps k), k = cond(N_S) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Theorem 7.2), and <d, v>
+    adds gamma_dim of |d| |v|: a bound b_S on <d, v>. The answer is the
+    largest computed value, so it lies within b_S of the support for some
+    S whose exact value reaches support - b_S - b_top.
+    """
+    eps = SOLVE_BACKWARD_ERROR * poly.dim * 2.0 ** -53
+    gamma = poly.dim * 2.0 ** -53 / (1 - poly.dim * 2.0 ** -53)
+    bounds = []
+    for value, subset, v in ranked:
+        k = np.linalg.cond(poly.normals[list(subset)])
+        rel = 2 * eps * k / (1 - eps * k) if eps * k < 1 else np.inf
+        bounds.append((value, (rel + gamma) * np.linalg.norm(d)
+                       * np.linalg.norm(np.array(v, dtype=float))))
+    top = ranked[0][0] - bounds[0][1]
+    return max(b for value, b in bounds if value + Fraction(b) >= top)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3), st.integers(0, 5), st.integers(0, 10 ** 6))
+@example(3, 0, 3948)
 def test_vertex_support_matches_the_lp(dim, extra, seed):
+    # both floating-point answers against the exact support, each within
+    # the error of the vertex systems that can give it
     rng = np.random.default_rng(seed)
     poly = random_polytope(rng, dim, min(8, dim + 1 + extra))
     directions = rng.standard_normal((6, dim))
+    vertices = exact_vertices(poly)
     for got, d in zip(poly.support(directions), directions):
-        want = support_lp(poly, d)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        ranked = exact_support(vertices, d)
+        bound = Fraction(support_error_bound(poly, ranked, d))
+        for answer in (got, support_lp(poly, d)):
+            assert abs(Fraction(float(answer)) - ranked[0][0]) <= bound, (answer, bound)
 
 
 def recession_direction_named(exc) -> np.ndarray:

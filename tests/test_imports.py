@@ -8,11 +8,13 @@ one target and with ``--grid``; each must exit as CI expects it to. The
 demo scripts, which read the library's result fields, run the same way.
 """
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,22 @@ def documented_commands() -> dict:
     return commands
 
 
+def test_cli_imports_no_private_library_name():
+    # the CLI parses, calls the library and prints: whatever it calls of
+    # the library is public
+    tree = ast.parse((Path(SRC) / "regsel" / "cli.py").read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "regsel"):
+            private += [f"{node.module}.{a.name}" for a in node.names
+                        if a.name.startswith("_") or "._" in f".{node.module}"]
+        elif isinstance(node, ast.Import):
+            private += [a.name for a in node.names
+                        if a.name.startswith("regsel.") and "._" in a.name]
+    assert private == []
+
+
 def test_import_loads_no_scipy():
     body = """
 import json, sys
@@ -100,6 +118,14 @@ print(json.dumps(sys.modules["scipy"]))
     *codes, scipy = run_fresh(body)
     assert scipy is None
     assert dict(codes) == commands
+
+
+def test_readme_library_example_prints_what_the_cli_prints():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    cli = python_fresh("-m", "regsel.cli", "solve", "--input",
+                       "scripts/problems/generalized.json", "--target", "0.1")
+    assert python_fresh("-c", textwrap.dedent(block)) == cli
 
 
 def test_verify_leaves_numpy_ma_unloaded():

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_root, random_surjective, three_phase_solve
@@ -464,6 +464,7 @@ def outcome(fn, *args):
 @given(st.tuples(st.integers(1, 3), st.integers(1, 5)).filter(lambda s: s[0] <= s[1]),
        st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.booleans())
 @settings(max_examples=60, deadline=None)
+@example(shape=(1, 1), seed=0, t=1.0, boxed=False)
 def test_solve_matches_three_phase_solve_bit_for_bit(shape, seed, t, boxed):
     # a random surjective matrix, a sin perturbation that moves the base
     # output, and a query anywhere in the certified ball, with and without
