@@ -181,7 +181,7 @@ def cmd_sweep(pf: ProblemFile, args, out: _Writer) -> int:
     dim = pf.smooth_map.output_dim if pf.kind == "smooth" else pf.matrix.shape[0]
     target = _target(pf, args, dim, "sweep needs --target for the grid endpoint")
     equation, schedule, _ = pf.equation(args.tol, args.seed)
-    base_out = equation.y_base + equation.g_value(equation.x_base)
+    base_out = equation.y_base + equation.g_base
     ys = [target] if grid == 1 else [base_out + t * (target - base_out)
                                      for t in np.linspace(0.0, 1.0, grid)]
     try:

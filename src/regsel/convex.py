@@ -389,8 +389,7 @@ class Halfspaces(ConvexSet):
     def project(self, x):
         if self._box is not None:
             return self._box.project(x)
-        x = as_vector(x, dim=self.dim)
-        return dykstra(self._rows, x)[0]
+        return dykstra(self._rows, as_vector(x, dim=self.dim))[0]
 
     def _distance(self, v):
         """0.0 for a point every row holds, ``n_i . v - c_i <= 0`` with each
@@ -434,8 +433,9 @@ class Halfspaces(ConvexSet):
         of dim - 1 rows (of all rows, if fewer), or its negative. Those hold
         an extreme ray of any pointed recession cone other than {0}, and a
         null vector of normals whose rank is below dim. The vertices are
-        among the least-norm solutions of the dim-row subsystems that meet
-        every row. ContractError names a recession direction, or emptiness.
+        among the solutions (one stacked solve) of the dim-row subsystems
+        that the rank rule calls nonsingular and that meet every row.
+        ContractError names a recession direction, or emptiness.
         """
         unit = self.normals / self._row_norms[:, None]
         rays = np.linalg.svd(unit[_row_subsets(unit, min(self.dim - 1, len(unit)))])[2][:, -1]
@@ -447,7 +447,9 @@ class Halfspaces(ConvexSet):
                 f"[{', '.join(f'{v:.12g}' for v in rays[inside[0]])}] "
                 "(normals @ d <= 0); it must be compact")
         rows = _row_subsets(self.normals, self.dim)
-        points = (np.linalg.pinv(self.normals[rows]) @ self.offsets[rows][:, :, None])[:, :, 0]
+        sigma = np.linalg.svd(self.normals[rows], compute_uv=False)
+        rows = rows[sigma[:, -1] > SURJECTIVITY_RTOL * sigma[:, 0]]
+        points = np.linalg.solve(self.normals[rows], self.offsets[rows][:, :, None])[:, :, 0]
         scale = 1.0 + np.max(np.abs(points), axis=1)
         points = points[self.violation(points) <= SURJECTIVITY_RTOL * scale]
         if not points.size:
@@ -501,8 +503,7 @@ class Intersection(ConvexSet):
         self.dim = flat[0].dim
 
     def project(self, x):
-        x = as_vector(x, dim=self.dim)
-        return dykstra(self.members, x)[0]
+        return self.project_gap(x)[0]
 
     def gap(self, x) -> float:
         """Worst member distance; a feasibility gap, not the true distance."""
@@ -510,29 +511,22 @@ class Intersection(ConvexSet):
         return max(m._distance(x) for m in self.members)
 
     def project_gap(self, x) -> tuple[np.ndarray, float]:
-        """``project`` and ``gap`` of the projection, bit for bit, from what
-        ``dykstra`` measured. After rounds, its gap is the gap. After the
-        exact exit every member but the first measured the point, and
-        validated it, at 0.0, so the gap is the first member's distance;
-        with no other member the point is validated here."""
-        z, gap = dykstra(self.members, as_vector(x, dim=self.dim))
-        if gap is None:
-            first = self.members[0]
-            gap = first._distance(z) if len(self.members) > 1 else first.distance(z)
-        return z, gap
+        """``project`` and ``gap`` of the projection, bit for bit: the gap
+        ``dykstra`` measured is the worst member distance."""
+        return dykstra(self.members, as_vector(x, dim=self.dim))
 
 
-def dykstra(sets, start) -> tuple[np.ndarray, float | None]:
+def dykstra(sets, start) -> tuple[np.ndarray, float]:
     """Dykstra's alternating projections onto an intersection: the point and
-    its gap, the worst member ``distance``, or None for the gap on the exact
-    exit, which measures only the members after the first.
+    its gap, the worst member ``distance``.
 
     The first projection, onto the first member, is an exact exit: if it
     lies in every other member (each ``distance`` exactly 0.0), it is a
     point of the intersection nearest to ``start`` among the points of a
     superset, so the metric projection onto the intersection, and is
-    returned. Membership must be exact: a point 1e-12 outside a box runs
-    the rounds below, whose first step reuses that projection.
+    returned with the first member's distance as its gap. Membership must
+    be exact: a point 1e-12 outside a box runs the rounds below, whose
+    first step reuses that projection.
 
     Stops when one full round moves the iterate by <= DYKSTRA_TOL AND the
     iterate is feasible; displacement alone is not enough, because the
@@ -545,7 +539,7 @@ def dykstra(sets, start) -> tuple[np.ndarray, float | None]:
     x = np.array(start, dtype=float)
     first = sets[0].project(x)
     if all(s.distance(first) == 0.0 for s in sets[1:]):
-        return first, None
+        return first, sets[0].distance(first)
     corrections = [np.zeros_like(x) for _ in sets]
     gap_tol = max(1e-9, 10.0 * DYKSTRA_TOL)
     for _ in range(DYKSTRA_MAX_ROUNDS):

@@ -31,7 +31,7 @@ from .moduli import (CheckReport, SampledMapping, lg_bound_check,
                      lip_estimate, reg_linear, sampled_reg, verify_graph)
 from .selection import (KAPPA_MARGIN, LAMBDA_MARGIN, GeneralizedEquation,
                         IterationCertificate, IterationConfig, compute_tau,
-                        default_config, solve)
+                        default_config, solve, zero_map)
 from .smooth import SmoothProblem, config_for, smooth_selection, split
 
 SCHEMA_VERSION = "1"
@@ -277,7 +277,7 @@ class ProblemFile:
     @cached_property
     def sampled(self) -> tuple:
         """(op, g, centre, radius) that the samplers read: a file's matrix
-        and perturbation (x -> 0 when it has none), a smooth map's base
+        and perturbation (``zero_map`` when it has none), a smooth map's base
         fibre and remainder, or the collocation operator and remainder of a
         control file at the rest point."""
         if self.fixture is not None:
@@ -291,13 +291,11 @@ class ProblemFile:
             return (op, _remainder(self.control, self.system),
                     np.zeros(op.shape[1]), 0.5)
         mat, g = self.matrix, self.perturbation
-        if g is None:
-            def g(x):  # one point or stacked columns, as the samplers take
-                return np.zeros((mat.shape[0],) + np.shape(x)[1:])
+        g = zero_map(mat.shape[0]) if g is None else g
         center = self.base_x if self.base_x is not None else np.zeros(mat.shape[1])
         return mat, g, center, self.radius_x if self.kind == "generalized" else 1.0
 
-    def equation(self, tol: float = 1e-10, seed: int | None = None) -> tuple:
+    def equation(self, tol: float, seed: int | None) -> tuple:
         """Equation, schedule (constants and tau, as a certificate without
         steps) and one-query solver of a smooth or generalized file. A
         smooth file's equation is its split, and its queries go through
@@ -350,8 +348,7 @@ class ProblemFile:
             radius_x=radius_x,
             radius_y=2.0 * max(self.fibre.sigma_max, 1e-9) * radius_x)
 
-    def verify(self, kappa: float | None, grid: int,
-               seed: int | None = None) -> list[CheckReport]:
+    def verify(self, kappa: float | None, grid: int, seed: int | None) -> list[CheckReport]:
         """The regularity and Aubin verdicts of ``graph`` with kappa, from
         one scan, then a perturbation's bound. The default kappa is 1.1 x
         reg_linear of the matrix, or 1.05 x a smooth map's sampled
@@ -373,7 +370,7 @@ class ProblemFile:
                                           radius=radius_x, grid=grid, seed=seed)[0])
         return reports
 
-    def control_gate(self, seed: int | None = None) -> tuple[int, bool, bool, float]:
+    def control_gate(self, seed: int | None) -> tuple[int, bool, bool, float]:
         """A control file's Kalman rank and verdict, and the reachable
         interior verdict and margin of its discretized system."""
         rank, rank_ok = kalman_rank(self.system)
@@ -381,8 +378,7 @@ class ProblemFile:
             self.system, self.control.control_set,
             seed=self.seed if seed is None else seed))
 
-    def steering(self, size: float, tol: float = 1e-11,
-                 seed: int | None = None) -> SteeringSetup:
+    def steering(self, size: float, tol: float, seed: int | None) -> SteeringSetup:
         """The one steering set-up for every target of norm up to ``size``."""
         return steering_setup(self.control, self.system,
                               tau_target=_default_tau_target(size), tol=tol,

@@ -14,13 +14,15 @@ intersection is empty otherwise. Each step therefore projects onto the
 fibre and compares the measured distance with the allowed radius.
 
 A base point with g(x_base) != 0 is handled by shifting the query, so the
-solved inclusion is always stated at (x_base, y_base + g(x_base)).
+solved inclusion is always stated at (x_base, y_base + g(x_base)), and
+g(x_base) is read once per equation (``GeneralizedEquation.g_base``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,13 +124,19 @@ def default_config(reg_value: float, sampled_lip: float,
     return IterationConfig(kappa=kappa, lam=lam, alpha=alpha, tol=tol)
 
 
+def zero_map(dim: int) -> Callable:
+    """x -> 0 in R^dim, for one point or points stacked as columns, as the
+    samplers take them: the perturbation of an equation that has none."""
+    return lambda x: np.zeros((dim,) + np.shape(x)[1:])
+
+
 @dataclass
 class GeneralizedEquation:
     """Problem data: F^{-1} as a convex-set oracle plus a perturbation g.
 
-    radius_x / radius_y bound the certified neighborhood of the base pair,
-    radius_graph is the ambient graph-localization radius and must dominate
-    both.
+    A g of None becomes ``zero_map`` at construction. radius_x / radius_y
+    bound the certified neighborhood of the base pair, radius_graph is the
+    ambient graph-localization radius and must dominate both.
     """
 
     finv: Callable[[np.ndarray], ConvexSet]
@@ -142,6 +150,8 @@ class GeneralizedEquation:
     def __post_init__(self):
         self.x_base = as_vector(self.x_base)
         self.y_base = as_vector(self.y_base)
+        if self.g is None:
+            self.g = zero_map(self.y_base.size)
         for name in ("radius_x", "radius_y", "radius_graph"):
             if not getattr(self, name) > 0:
                 raise ContractError(f"{name} must be positive")
@@ -157,9 +167,14 @@ class GeneralizedEquation:
                 f"x_base is not in finv(y_base): gap {gap:.3e}")
 
     def g_value(self, x) -> np.ndarray:
-        if self.g is None:
-            return np.zeros(self.y_base.size)
         return as_vector(self.g(x), dim=self.y_base.size)
+
+    @cached_property
+    def g_base(self) -> np.ndarray:
+        """g(x_base), read on first use and shared, read-only, by every query."""
+        value = np.array(self.g_value(self.x_base))
+        value.flags.writeable = False
+        return value
 
 
 @dataclass
@@ -277,14 +292,13 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
     """
     y = as_vector(y, dim=problem.y_base.size)
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
-    g_base = problem.g_value(problem.x_base)
-    dev = norm(y - problem.y_base - g_base)
+    dev = norm(y - problem.y_base - problem.g_base)
     if dev > tau + 1e-15:
         raise LocalityError(
             f"query is {dev:.6g} from the base output, outside the certified "
             f"radius tau={tau:.6g}", bound=tau)
 
-    x = _corrector_step(problem, cfg, y - g_base, problem.x_base,
+    x = _corrector_step(problem, cfg, y - problem.g_base, problem.x_base,
                         cfg.kappa * dev, "initial selection")
     radius, what = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev, "first corrector step"
     increments: list[float] = []
@@ -326,8 +340,7 @@ def solve_implicit(problem: GeneralizedEquation, cfg: IterationConfig,
     """
     p = as_vector(p, dim=problem.y_base.size)
     try:
-        return solve(problem, cfg,
-                     problem.y_base + problem.g_value(problem.x_base) - p)
+        return solve(problem, cfg, problem.y_base + problem.g_base - p)
     except LocalityError as exc:
         raise LocalityError(
             f"parameter p={np.array2string(p)} moves the driving term outside "
@@ -381,12 +394,12 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
     are flagged as jumps.
     """
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
-    base_out = problem.y_base + problem.g_value(problem.x_base)
+    base_out = problem.y_base + problem.g_base
     ys = [as_vector(y, dim=problem.y_base.size) for y in ys]
     if not ys:
         raise ContractError("sweep needs at least one grid point")
-    for i, y in enumerate(ys):
-        dev = float(np.linalg.norm(y - base_out))
+    devs = [float(np.linalg.norm(y - base_out)) for y in ys]
+    for i, dev in enumerate(devs):
         if dev > tau + 1e-15:
             raise LocalityError(
                 f"grid point {i} is {dev:.6g} from the base output, outside "
@@ -407,11 +420,8 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
         max_ratio = max(max_ratio, ratio)
         if ratio > 10.0 * cfg.gamma:
             jumps.append(i)
-    emp_clm = 0.0
-    for r in rows:
-        dev = float(np.linalg.norm(r.y - base_out))
-        if r.x is not None and dev > 0:
-            emp_clm = max(emp_clm, float(np.linalg.norm(r.x - problem.x_base)) / dev)
+    emp_clm = max([float(np.linalg.norm(r.x - problem.x_base)) / dev
+                   for r, dev in zip(rows, devs) if r.x is not None and dev > 0], default=0.0)
     return SweepResult(rows=rows, schedule=IterationCertificate(cfg, tau),
                        x_dim=problem.x_base.size, max_continuity_ratio=max_ratio,
                        jump_indices=jumps, empirical_clm=emp_clm)

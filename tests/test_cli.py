@@ -1002,6 +1002,18 @@ def test_verify_rejects_control_files(capsys, fdir):
     assert "control" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "pendulum.json", "--target", "0.01,0"),
+     "control problems are driven by the control subcommand"),
+    (("sweep", "linear.json", "--target", "1,1", "--grid", "2"),
+     "sweep drives smooth or generalized problems"),
+])
+def test_solve_and_sweep_refuse_a_kind_they_do_not_drive(capsys, argv, message):
+    command, file, *flags = argv
+    code, out, err = run(capsys, command, "--input", str(COMMITTED / file), *flags)
+    assert (code, out, err) == (2, "", f"regsel: input error: {message}\n")
+
+
 def test_verify_refuses_a_constrained_generalized_file(capsys, tmp_path):
     committed = Path(__file__).resolve().parents[1] / "scripts" / "problems"
     payload = json.loads((committed / "generalized.json").read_text())

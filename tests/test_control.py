@@ -485,6 +485,22 @@ def test_setup_dynamics_calls_do_not_grow_with_mesh(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_steers_read_the_remainder_at_the_base_once():
+    p = double_integrator()
+    setup = steering_setup(p)
+    equation, g = setup.equation, setup.equation.g
+    base_reads = []
+
+    def counted_g(v):
+        base_reads.append(v is equation.x_base)
+        return g(v)
+
+    equation.g = counted_g
+    for b in ([0.04, 0.0], [0.0, 0.03], [0.02, 0.02]):
+        steer(p, setup.sys, b, setup)
+    assert sum(base_reads) == 1
+
+
 def test_steering_kappa_is_mesh_stable():
     k64 = steering_setup(double_integrator(mesh=64)).config.kappa
     k32 = steering_setup(double_integrator(mesh=32)).config.kappa

@@ -721,7 +721,7 @@ def test_an_inactive_constraint_costs_one_projection(kind, seed):
     members = [CountingMember(fibre), CountingMember(constraint)]
     got, gap = dykstra(members, start)
     assert [m.calls for m in members] == [1, 0]
-    assert got.tobytes() == proj.tobytes() and gap is None
+    assert got.tobytes() == proj.tobytes() and _bits(gap) == _bits(fibre.distance(proj))
     # The reference's second round adds rounding of the start's size: a
     # coordinate much smaller than the start can be 32 ulps of itself off
     # (the box at seed 382); 4 ulps of the start's largest coordinate held
@@ -861,23 +861,28 @@ def random_polytope(rng, dim: int, rows: int) -> Halfspaces:
 
 
 # Normwise backward error of a dim x dim vertex solve, in units of dim * u:
-# the LP's from its final basis, Halfspaces.support's from a pseudo-inverse.
+# the LP's from its final basis, Halfspaces.support's from LU with partial
+# pivoting (np.linalg.solve). Both are set from the largest errors seen on
+# 12,000 draws of the test below (seeds 0-2,999, dim 2 and 3, extra 0 and
+# 3), in units of u cond(N_S) |d| |v|: 21.6 for the LP, 2.50 for the
+# vertices, against bounds of 2 * constant * dim units.
 SOLVE_BACKWARD_ERROR = 32
+VERTEX_BACKWARD_ERROR = 2
 
 
-def support_error_bound(poly, ranked, d) -> float:
+def support_error_bound(poly, ranked, d, backward_error) -> float:
     """How far a support read off vertex systems solved in float64 may sit
     from the exact one, ``ranked`` as exact_support gives it.
 
     A vertex v of N_S v = h_S solved with normwise backward error
-    eps = SOLVE_BACKWARD_ERROR * dim * u (u = 2**-53) has a relative error
+    eps = backward_error * dim * u (u = 2**-53) has a relative error
     of at most 2 eps k / (1 - eps k), k = cond(N_S) (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Theorem 7.2), and <d, v>
     adds gamma_dim of |d| |v|: a bound b_S on <d, v>. The answer is the
     largest computed value, so it lies within b_S of the support for some
     S whose exact value reaches support - b_S - b_top.
     """
-    eps = SOLVE_BACKWARD_ERROR * poly.dim * 2.0 ** -53
+    eps = backward_error * poly.dim * 2.0 ** -53
     gamma = poly.dim * 2.0 ** -53 / (1 - poly.dim * 2.0 ** -53)
     bounds = []
     for value, subset, v in ranked:
@@ -892,6 +897,8 @@ def support_error_bound(poly, ranked, d) -> float:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3), st.integers(0, 5), st.integers(0, 10 ** 6))
 @example(3, 0, 3948)
+@example(3, 3, 1059)  # a pseudo-inverse put a vertex about 50 u cond |v| off
+@example(2, 3, 1707)  # the largest vertex error of the scan above
 def test_vertex_support_matches_the_lp(dim, extra, seed):
     # both floating-point answers against the exact support, each within
     # the error of the vertex systems that can give it
@@ -901,8 +908,9 @@ def test_vertex_support_matches_the_lp(dim, extra, seed):
     vertices = exact_vertices(poly)
     for got, d in zip(poly.support(directions), directions):
         ranked = exact_support(vertices, d)
-        bound = Fraction(support_error_bound(poly, ranked, d))
-        for answer in (got, support_lp(poly, d)):
+        for answer, backward_error in ((got, VERTEX_BACKWARD_ERROR),
+                                       (support_lp(poly, d), SOLVE_BACKWARD_ERROR)):
+            bound = Fraction(support_error_bound(poly, ranked, d, backward_error))
             assert abs(Fraction(float(answer)) - ranked[0][0]) <= bound, (answer, bound)
 
 
@@ -1045,6 +1053,11 @@ def test_intersection_rejects_dimension_mismatch():
         Intersection([Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0])])
 
 
+def test_intersection_flattens_a_nested_intersection():
+    a, b, c = Box([0.0], [1.0]), Ball([0.5], 1.0), Halfspaces([[1.0]], [0.8])
+    assert Intersection([Intersection([a, b]), c]).members == [a, b, c]
+
+
 def test_intersection_gap_is_worst_member_distance():
     s = Intersection([Box([0.0, 0.0], [1.0, 1.0]),
                       AffineSet([[1.0, 0.0]], [3.0])])
@@ -1080,14 +1093,17 @@ def test_project_gap_is_the_projection_and_its_gap(monkeypatch):
     # Every set of the catalogue, an axis-aligned halfspace system, and
     # intersections through dykstra's exact exit (an inactive box), through
     # its rounds (an active box, either member first), and with one member,
-    # whose exit measures nothing: project_gap gives project, then gap of
-    # the projection, bit for bit, on contiguous, shifted and strided views.
+    # always the exact exit: project_gap gives project, then gap of the
+    # projection, bit for bit, on contiguous, shifted and strided views.
     exits = []
     original = convex.dykstra
 
     def recording(sets, start):
-        z, gap = original(sets, start)
-        exits.append((len(sets), gap is None))
+        counted = [CountingMember(s) for s in sets]
+        z, gap = original(counted, start)
+        assert isinstance(gap, float)
+        # the exact exit is the one exit that projects once
+        exits.append((len(sets), sum(m.calls for m in counted) == 1))
         return z, gap
 
     monkeypatch.setattr(convex, "dykstra", recording)

@@ -148,6 +148,18 @@ def test_generalized_radius_graph_tracks_overrides():
     assert out.radius_graph == pytest.approx(2.0 * (0.5 + 0.25))
 
 
+def test_verify_takes_half_of_one_over_kappa_for_a_constant_perturbation():
+    # a constant perturbation samples a lip of 0, and lg_bound_check needs
+    # lip < lambda: the default lambda is then 0.5/kappa, a bound of 2 kappa
+    pf = parse_problem(generalized_payload(
+        finv_matrix=[[1.3]], base_x=[0.0], perturbation={
+            "input_dim": 1, "output_dim": 1,
+            "terms": [[{"coef": 0.25, "powers": [0]}]]}))
+    report = pf.verify(None, 11, None)[-1]
+    assert report.kind == "perturbation-bound" and report.ok
+    assert report.detail.endswith(f"bound {2 * report.kappa:.6g}")
+
+
 def test_generalized_rejects_mismatched_perturbation():
     pert = {"input_dim": 1, "output_dim": 1,
             "terms": [[{"coef": 1.0, "powers": [1]}]]}

@@ -413,6 +413,29 @@ def test_solve_surfaces_misdeclared_lipschitz_constant():
         solve(p, cfg, [0.1])
 
 
+def test_solve_refuses_a_step_ratio_above_alpha_lambda():
+    # lambda = 0 declares g constant, but 1e-3 x moves the second step by
+    # 1e-3 of the first: within the truncation check's 10*tol slack, above
+    # the step check's
+    p = GeneralizedEquation(finv=singleton_inverse, g=lambda x: 1e-3 * x,
+                            x_base=[0.0], y_base=[0.0], radius_x=1.0,
+                            radius_y=1.0, radius_graph=2.0)
+    with pytest.raises(RegularityError, match="observed step ratio 0.001 exceeds"):
+        solve(p, IterationConfig(kappa=1.1, lam=0.0, alpha=2.2), [1e-6])
+
+
+def test_solve_refuses_a_final_residual_above_ten_tol():
+    # g = -0.3 x but for a jump of 1e-6 between the last two iterates: the
+    # steps converge, and the membership check at the last iterate sees it
+    cfg = IterationConfig(kappa=1.1, lam=0.5, alpha=1.2)
+    x, cert = solve(scalar_problem(g=lambda x: -0.3 * x), cfg, [0.1])
+    cut = x[0] - 0.5 * cert.increments[-1]  # the iterates increase to x
+    p = scalar_problem(g=lambda x: -0.3 * x + (1e-6 if x[0] > cut else 0.0))
+    with pytest.raises(NumericBreakdownError,
+                       match="final membership residual 1.000e-06 exceeds 10[*]tol"):
+        solve(p, cfg, [0.1])
+
+
 def test_solve_nonlinear_two_dim_fixture():
     # F(x) = x1 + x2 with perturbation 0.05 sin(x1); the orbit stays in the
     # span of (1, 1), so the answer solves 2t + 0.05 sin(t) = y
@@ -585,6 +608,33 @@ def test_solve_implicit_reports_parameter_on_locality():
         solve_implicit(scalar_problem(g=g_third), scalar_config(), [2.0])
 
 
+def test_g_is_read_at_the_base_once_per_equation():
+    # every query reads the equation's one g(x_base): three solves, a
+    # shifted solve and a sweep evaluate g there once in all
+    base_reads = []
+
+    def g(x):
+        base_reads.append(x is p.x_base)
+        return 0.3 * x + 0.01
+
+    p = scalar_problem(g=g)
+    cfg = scalar_config()
+    for y in (0.05, 0.1, -0.02):
+        solve(p, cfg, [y])
+    solve_implicit(p, cfg, [0.05])
+    sweep(p, cfg, [[0.0], [0.05]])
+    assert sum(base_reads) == 1
+    assert p.g_base.tobytes() == p.g_value(p.x_base).tobytes()
+    assert not p.g_base.flags.writeable
+
+
+def test_an_equation_without_g_holds_the_zero_map():
+    p = scalar_problem()
+    # one point, or points stacked as columns, as the samplers take them
+    assert p.g(np.ones(1)).tobytes() == np.zeros(1).tobytes()
+    assert p.g(np.ones((1, 3))).tobytes() == np.zeros((1, 3)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -630,6 +680,22 @@ def test_sweep_rejects_grid_point_outside_tau():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ContractError):
         sweep(scalar_problem(), scalar_config(), [])
+
+
+def test_sweep_flags_a_jump_between_branches():
+    # F^{-1}(w) is the point (w, 0) below w = 0.1 and (0, w) from there on:
+    # each query is solved, and the switch is a jump of ratio ~1.4e5
+    def finv(w):
+        w = float(np.asarray(w)[0])
+        return AffineSet(np.eye(2), [w, 0.0] if w < 0.1 else [0.0, w])
+
+    p = GeneralizedEquation(finv=finv, g=None, x_base=[0.0, 0.0], y_base=[0.0],
+                            radius_x=1.0, radius_y=1.0, radius_graph=2.0)
+    cfg = line_config()
+    res = sweep(p, cfg, [[0.09], [0.1 - 1e-6], [0.1]])
+    assert [r.error for r in res.rows] == ["", "", ""]
+    assert res.jump_indices == [1]
+    assert res.max_continuity_ratio > 10.0 * cfg.gamma
 
 
 def test_sweep_records_per_point_failures():

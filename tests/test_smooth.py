@@ -174,6 +174,15 @@ def test_selection_solves_sin_fixture():
     assert cert.calm_ok
 
 
+def test_selection_refuses_an_answer_off_f_under_a_loose_tol():
+    # tol 1e-4 stops the steps with f(x) - y at 6.6e-7: solve's membership
+    # check (10*tol) passes it, smooth_selection's f(x) = y check does not
+    p = SmoothProblem(f=lambda x: x + 0.3 * x ** 2, x_base=[0.0],
+                      jacobian=lambda x: np.array([[1.0 + 0.6 * x[0]]]), radius=0.5)
+    with pytest.raises(RegularityError, match="does not satisfy f.x. = y: residual 6.600e-07"):
+        smooth_selection(p, [0.05], config_for(p, tol=1e-4))
+
+
 def test_selection_matches_least_norm_for_linear_maps():
     p = linear_problem()
     cfg = config_for(p)
