@@ -270,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def tolerance(p):
         p.add_argument("--tol", type=float, default=1e-10,
-                       help="iteration tolerance")
+                       help="bound on the last corrector step; the printed "
+                            "tail_bound is that step over 1 - alpha*lambda")
 
     p = sub.add_parser(
         "moduli", help="estimate reg/lip/clm moduli",

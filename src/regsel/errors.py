@@ -44,14 +44,8 @@ class RegularityError(RegselError, RuntimeError):
 
 
 class LocalityError(RegselError, RuntimeError):
-    """A query point left the certified neighborhood.
-
-    Carries the violated bound in ``bound`` when known.
-    """
-
-    def __init__(self, message: str, bound: float | None = None):
-        super().__init__(message)
-        self.bound = bound
+    """A query point left the certified neighborhood; the message names
+    the violated bound."""
 
 
 class InfeasibilitySuspectedError(RegselError, RuntimeError):

@@ -55,7 +55,10 @@ def _require(payload: dict, key: str, path: str = ""):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond float64's range
+        out = np.inf
     if not np.isfinite(out):
         _fail(path, "must be finite")
     return out
@@ -204,6 +207,9 @@ def polynomial_from_json(payload, path: str) -> PolynomialMap:
             for j, p in enumerate(powers):
                 if isinstance(p, bool) or not isinstance(p, int) or p < 0:
                     _fail(f"{mpath}.powers[{j}]", "exponents are nonnegative integers")
+                if p > 2 ** 53:  # the table holds exponents as float64
+                    _fail(f"{mpath}.powers[{j}]",
+                          "exponents are at most 2**53, where float64 holds every integer")
                 exps.append(p)
             parsed.append((coef, np.array(exps)))
         terms.append(tuple(parsed))

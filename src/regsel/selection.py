@@ -11,7 +11,8 @@ Because the ball is centred at the point being projected, the truncated
 projection needs no iteration against the ball: for a closed convex fibre A,
 the projection of c onto A ∩ B(c, r) is P_A(c) when d(c, A) <= r, and the
 intersection is empty otherwise. Each step therefore projects onto the
-fibre and compares the measured distance with the allowed radius.
+fibre and compares the distance moved, its increment, once with the
+allowed distance: the truncation radius plus the step's slack.
 
 A base point with g(x_base) != 0 is handled by shifting the query, so the
 solved inclusion is always stated at (x_base, y_base + g(x_base)), and
@@ -36,6 +37,9 @@ from .moduli import fmt_float
 # Default margins of kappa over a regularity modulus, lambda over a sampled lip
 KAPPA_MARGIN = 1.1
 LAMBDA_MARGIN = 1.2
+# c, the absolute slack of the iterate step's check: a step may exceed
+# step_ratio times the step before by c, the rounding of steps near zero
+STEP_SLACK = 1e-15
 
 
 @dataclass
@@ -67,7 +71,7 @@ class IterationConfig:
         if not self.step_ratio < 1.0:  # so kappa*lambda < alpha*lambda < 1
             raise ContractError(
                 f"alpha must stay below 1/lambda by the step check's slack: "
-                f"alpha*lambda*(1 + 1e-6) = {self.step_ratio} is not < 1")
+                f"step_ratio = {self.step_ratio} is not < 1")
         if not self.tol > 0:
             raise ContractError(f"tol must be positive, got {self.tol}")
 
@@ -82,8 +86,14 @@ class IterationConfig:
 
     @property
     def step_floor(self) -> float:
-        """c/(1 - q), the floor the steps approach for solve's slack c = 1e-15."""
-        return 1e-15 / (1.0 - self.step_ratio)
+        """c/(1 - q), the floor the steps approach for c = STEP_SLACK."""
+        return STEP_SLACK / (1.0 - self.step_ratio)
+
+    @property
+    def slack(self) -> float:
+        """10*tol: how far a projection may miss its fibre, the final point
+        its fibre, and the first two steps their truncation radii."""
+        return 10.0 * self.tol
 
     def step_budget(self, first: float) -> int:
         """Steps a solve may take after a first corrector step of ``first``:
@@ -228,67 +238,61 @@ def compute_tau(cfg: IterationConfig, radii: tuple[float, float]) -> float:
     return tau
 
 
-def _project_truncated(base_set: ConvexSet, center: np.ndarray, radius: float,
-                       cfg: IterationConfig, what: str) -> np.ndarray:
-    """Projection of ``center`` onto base_set truncated to B(center, radius).
-
-    One ``project_gap`` call gives the fibre's projection and its gap, so an
-    intersection's members measure the projection once (see
-    ``Intersection.project_gap``). Raises RegularityError when the fibre is
-    empty (no preimage under the constraint: Dykstra did not settle while
-    projecting or measuring) or lies farther than ``radius`` from the centre
-    (the truncated set is empty), NumericBreakdownError when the fibre's own
-    projection misses it by more than 10*tol.
-    """
-    try:
-        z, gap = base_set.project_gap(center)
-    except InfeasibilitySuspectedError as exc:
-        raise RegularityError(
-            f"{what}: the corrected target has no preimage under the "
-            f"constraint (Dykstra gap {exc.gap:.3e})") from exc
-    if gap > 10.0 * cfg.tol:
-        raise NumericBreakdownError(
-            f"{what}: projection gap {gap:.3e} exceeds 10*tol")
-    dist = norm(z - center)
-    if dist > radius + 10.0 * cfg.tol:
-        raise RegularityError(
-            f"{what}: truncated inverse image is empty, distance {dist:.3g} > "
-            f"allowed radius {radius:.3g}; kappa={cfg.kappa:.6g} may be below "
-            f"the true regularity modulus or lambda={cfg.lam:.6g} misestimated")
-    return z
-
-
 def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, w,
-                    center: np.ndarray, radius: float, what: str) -> np.ndarray:
+                    center: np.ndarray, allowed: float,
+                    what: str) -> tuple[np.ndarray, float]:
     """One step: project ``center`` onto the inverse image of the corrected
-    target w = y - g(center), truncated to B(center, radius). Locality
-    guards keep ``center`` in the domain ball and ``w`` in the image ball;
-    ``what`` names the step in error messages."""
+    target w, truncated to a ball around ``center``, and return the point
+    with the distance moved. Locality guards keep ``center`` in the domain
+    ball and ``w`` in the image ball; ``what`` names the step in errors.
+
+    RegularityError when the fibre is empty (Dykstra did not settle) or
+    lies farther than ``allowed``, the ball's radius plus the step's slack;
+    NumericBreakdownError when the fibre's projection misses it by more
+    than ``cfg.slack``. One ``project_gap`` call gives the projection and
+    its gap, so an intersection's members measure the projection once.
+    """
     drift = norm(center - problem.x_base)
     if drift > problem.radius_x + 1e-12:
         raise LocalityError(
             f"iterate drifted {drift:.6g} from x_base, outside the domain "
-            f"ball {problem.radius_x:.6g}", bound=problem.radius_x)
+            f"ball {problem.radius_x:.6g}")
     w_dev = norm(w - problem.y_base)
     if w_dev > problem.radius_y + 1e-12:
         raise LocalityError(
             f"corrected target is {w_dev:.6g} from y_base, outside the image "
-            f"ball {problem.radius_y:.6g}", bound=problem.radius_y)
-    return _project_truncated(problem.finv(w), center, radius, cfg, what)
+            f"ball {problem.radius_y:.6g}")
+    try:
+        z, gap = problem.finv(w).project_gap(center)
+    except InfeasibilitySuspectedError as exc:
+        raise RegularityError(
+            f"{what}: the corrected target has no preimage under the "
+            f"constraint (Dykstra gap {exc.gap:.3e})") from exc
+    if gap > cfg.slack:
+        raise NumericBreakdownError(
+            f"{what}: projection gap {gap:.3e} exceeds 10*tol")
+    dist = norm(z - center)
+    if dist > allowed:
+        raise RegularityError(
+            f"{what}: truncated inverse image is empty, distance {dist:.3g} > "
+            f"allowed radius {allowed:.3g}; kappa={cfg.kappa:.6g} may be below "
+            f"the true regularity modulus or lambda={cfg.lam:.6g} misestimated")
+    return z, dist
 
 
 def solve(problem: GeneralizedEquation, cfg: IterationConfig,
           y) -> tuple[np.ndarray, IterationCertificate]:
     """Solve y in g(x) + F(x) for a query in the certified tau-ball.
 
-    Every step is one corrector step; only the truncation radius changes:
-    kappa*dev around x_base (the initial selection, calm with constant kappa
-    by construction), kappa*(1 + kappa*lambda)*dev for the first corrector
-    step, then alpha*lambda times the last increment. Steps past
-    ``cfg.step_budget`` of the first corrector step are stuck above tol at
-    the rounding floor: NumericBreakdownError. Returns the selection
-    value and a certificate with the step lengths, the final membership
-    residual, and the calmness verdict against gamma = 2*kappa/(1 - alpha*lambda).
+    Every step is one corrector step; only its allowed distance changes:
+    kappa*dev + 10*tol around x_base (the initial selection, calm with
+    constant kappa by construction), kappa*(1 + kappa*lambda)*dev + 10*tol
+    for the first corrector step, then q times the last increment plus
+    STEP_SLACK, the rule ``cfg.step_budget`` is derived from. Steps past
+    that budget are stuck above tol at the rounding floor:
+    NumericBreakdownError. Returns the selection value and a certificate
+    with the step lengths, the final membership residual, and the calmness
+    verdict against gamma = 2*kappa/(1 - alpha*lambda).
     """
     y = as_vector(y, dim=problem.y_base.size)
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
@@ -296,35 +300,27 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
     if dev > tau + 1e-15:
         raise LocalityError(
             f"query is {dev:.6g} from the base output, outside the certified "
-            f"radius tau={tau:.6g}", bound=tau)
+            f"radius tau={tau:.6g}")
 
-    x = _corrector_step(problem, cfg, y - problem.g_base, problem.x_base,
-                        cfg.kappa * dev, "initial selection")
-    radius, what = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev, "first corrector step"
-    increments: list[float] = []
-    budget = 1  # until the first corrector step's length derives the rest
-    while not increments or increments[-1] > cfg.tol:
+    x, _ = _corrector_step(problem, cfg, y - problem.g_base, problem.x_base,
+                           cfg.kappa * dev + cfg.slack, "initial selection")
+    x, step = _corrector_step(
+        problem, cfg, y - problem.g_value(x), x,
+        cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev + cfg.slack,
+        "first corrector step")
+    increments, budget = [step], cfg.step_budget(step)
+    while step > cfg.tol:
         if len(increments) == budget:
-            if budget > 1:
-                raise NumericBreakdownError(
-                    f"stalled after {budget} steps, the budget the contraction "
-                    f"certifies: increment {increments[-1]:.3e} is above "
-                    f"tol={cfg.tol:.3e} at the rounding floor {cfg.step_floor:.3e}")
-            budget = cfg.step_budget(increments[0])
-        w = y - problem.g_value(x)
-        z = _corrector_step(problem, cfg, w, x, radius, what)
-        step = norm(z - x)
-        if (increments and increments[-1] > 0
-                and step > cfg.contraction * increments[-1] * (1 + 1e-6) + 1e-15):
-            raise RegularityError(
-                f"observed step ratio {step / increments[-1]:.6g} exceeds "
-                f"alpha*lambda={cfg.contraction:.6g}; moduli misestimated")
+            raise NumericBreakdownError(
+                f"stalled after {budget} steps, the budget the contraction "
+                f"certifies: increment {step:.3e} is above tol={cfg.tol:.3e} "
+                f"at the rounding floor {cfg.step_floor:.3e}")
+        x, step = _corrector_step(problem, cfg, y - problem.g_value(x), x,
+                                  cfg.step_ratio * step + STEP_SLACK, "iterate step")
         increments.append(step)
-        x = z
-        radius, what = cfg.contraction * step, "iterate step"
 
     residual = problem.finv(y - problem.g_value(x)).gap(x)
-    if residual > 10.0 * cfg.tol:
+    if residual > cfg.slack:
         raise NumericBreakdownError(
             f"final membership residual {residual:.3e} exceeds 10*tol")
     calm_ok = norm(x - problem.x_base) <= cfg.gamma * dev + 1e-9
@@ -344,7 +340,7 @@ def solve_implicit(problem: GeneralizedEquation, cfg: IterationConfig,
     except LocalityError as exc:
         raise LocalityError(
             f"parameter p={np.array2string(p)} moves the driving term outside "
-            f"the certified radius: {exc}", bound=exc.bound) from exc
+            f"the certified radius: {exc}") from exc
 
 
 @dataclass
@@ -403,7 +399,7 @@ def sweep(problem: GeneralizedEquation, cfg: IterationConfig,
         if dev > tau + 1e-15:
             raise LocalityError(
                 f"grid point {i} is {dev:.6g} from the base output, outside "
-                f"tau={tau:.6g}", bound=tau)
+                f"tau={tau:.6g}")
     rows: list[SweepRow] = []
     for y in ys:
         try:

@@ -29,7 +29,7 @@ from regsel.errors import (ContractError, InfeasibilitySuspectedError,
 from regsel.linalg import as_matrix, as_vector, norm, operator_norm, svd
 from regsel.moduli import CHECK_ATOL, CHECK_RTOL
 from regsel.selection import (GeneralizedEquation, IterationCertificate,
-                              IterationConfig, _project_truncated, compute_tau)
+                              IterationConfig, compute_tau)
 from regsel.smooth import SmoothProblem, config_for, smooth_selection
 
 
@@ -778,7 +778,36 @@ def augmented_jacobian(b) -> tuple[np.ndarray, bool]:
 
 # ---------------------------------------------------------------------------
 # the selection solve in three phases: initial selection, first corrector
-# step, iterate steps
+# step, iterate steps. Each step applies one rule: it projects onto the
+# fibre and accepts the point when the distance moved is at most the
+# allowed distance, kappa*dev + 10*tol for the initial selection,
+# kappa*(1 + kappa*lambda)*dev + 10*tol for the first corrector step and
+# alpha*lambda*(1 + 1e-6)*prev + 1e-15 for an iterate step after a step of
+# length prev.
+
+
+def truncated_projection(base_set, center: np.ndarray, allowed: float,
+                         cfg: IterationConfig, what: str) -> np.ndarray:
+    """Projection of ``center`` onto base_set when it lies within
+    ``allowed`` of the centre, with the package's messages: RegularityError
+    for an empty fibre or one farther than ``allowed``, NumericBreakdownError
+    for a projection that misses its fibre by more than 10*tol."""
+    try:
+        z, gap = base_set.project_gap(center)
+    except InfeasibilitySuspectedError as exc:
+        raise RegularityError(
+            f"{what}: the corrected target has no preimage under the "
+            f"constraint (Dykstra gap {exc.gap:.3e})") from exc
+    if gap > 10.0 * cfg.tol:
+        raise NumericBreakdownError(
+            f"{what}: projection gap {gap:.3e} exceeds 10*tol")
+    dist = float(np.linalg.norm(z - center))
+    if dist > allowed:
+        raise RegularityError(
+            f"{what}: truncated inverse image is empty, distance {dist:.3g} > "
+            f"allowed radius {allowed:.3g}; kappa={cfg.kappa:.6g} may be below "
+            f"the true regularity modulus or lambda={cfg.lam:.6g} misestimated")
+    return z
 
 
 def initial_selection(problem: GeneralizedEquation, cfg: IterationConfig,
@@ -794,9 +823,10 @@ def initial_selection(problem: GeneralizedEquation, cfg: IterationConfig,
     if dev > problem.radius_y + 1e-12:
         raise LocalityError(
             f"query is {dev:.6g} from y_base, outside the image ball "
-            f"{problem.radius_y:.6g}", bound=problem.radius_y)
-    return _project_truncated(problem.finv(y), problem.x_base,
-                              cfg.kappa * dev, cfg, "initial selection")
+            f"{problem.radius_y:.6g}")
+    return truncated_projection(problem.finv(y), problem.x_base,
+                                cfg.kappa * dev + 10.0 * cfg.tol, cfg,
+                                "initial selection")
 
 
 def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
@@ -804,9 +834,9 @@ def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
     """One corrector step of the iteration.
 
     Projects z_curr onto the inverse image of y - g(z_curr), truncated to
-    the ball of radius alpha*lambda*||z_curr - z_prev|| around z_curr.
-    Locality guards keep the iterate in the domain ball and the corrected
-    target in the image ball.
+    the ball of radius alpha*lambda*(1 + 1e-6)*||z_curr - z_prev|| + 1e-15
+    around z_curr. Locality guards keep the iterate in the domain ball and
+    the corrected target in the image ball.
     """
     y = as_vector(y, dim=problem.y_base.size)
     z_prev = as_vector(z_prev, dim=problem.x_base.size)
@@ -815,23 +845,24 @@ def iterate_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
     if drift > problem.radius_x + 1e-12:
         raise LocalityError(
             f"iterate drifted {drift:.6g} from x_base, outside the domain "
-            f"ball {problem.radius_x:.6g}", bound=problem.radius_x)
-    radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
-    return _corrector_step(problem, cfg, y, z_curr, radius, "iterate step")
+            f"ball {problem.radius_x:.6g}")
+    prev = float(np.linalg.norm(z_curr - z_prev))
+    allowed = cfg.contraction * (1 + 1e-6) * prev + 1e-15
+    return _corrector_step(problem, cfg, y, z_curr, allowed, "iterate step")
 
 
 def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, y,
-                    center: np.ndarray, radius: float, what: str) -> np.ndarray:
-    """Project ``center`` onto the inverse image of y - g(center), truncated
-    to B(center, radius), after checking that the corrected target stays in
-    the image ball."""
+                    center: np.ndarray, allowed: float, what: str) -> np.ndarray:
+    """Project ``center`` onto the inverse image of y - g(center) when it
+    lies within ``allowed``, after checking that the corrected target stays
+    in the image ball."""
     w = y - problem.g_value(center)
     w_dev = float(np.linalg.norm(w - problem.y_base))
     if w_dev > problem.radius_y + 1e-12:
         raise LocalityError(
             f"corrected target is {w_dev:.6g} from y_base, outside the image "
-            f"ball {problem.radius_y:.6g}", bound=problem.radius_y)
-    return _project_truncated(problem.finv(w), center, radius, cfg, what)
+            f"ball {problem.radius_y:.6g}")
+    return truncated_projection(problem.finv(w), center, allowed, cfg, what)
 
 
 # Step limit of three_phase_solve: the cases it is compared on converge in
@@ -855,15 +886,15 @@ def three_phase_solve(problem: GeneralizedEquation, cfg: IterationConfig,
     if dev > tau + 1e-15:
         raise LocalityError(
             f"query is {dev:.6g} from the base output, outside the certified "
-            f"radius tau={tau:.6g}", bound=tau)
+            f"radius tau={tau:.6g}")
 
     z0 = initial_selection(problem, cfg, y - g_base)
 
     # The first corrector step carries the wider radius
     # kappa*(1+kappa*lambda)*dev. It skips iterate_step's drift check, which
     # cannot fire on z0: ||z0 - x_base|| <= kappa*dev <= radius_x/2 under tau.
-    radius1 = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev
-    z1 = _corrector_step(problem, cfg, y, z0, radius1, "first corrector step")
+    allowed1 = cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev + 10.0 * cfg.tol
+    z1 = _corrector_step(problem, cfg, y, z0, allowed1, "first corrector step")
 
     increments = [float(np.linalg.norm(z1 - z0))]
     z_prev, z_curr = z0, z1
@@ -873,12 +904,7 @@ def three_phase_solve(problem: GeneralizedEquation, cfg: IterationConfig,
                 f"no convergence after {THREE_PHASE_STEPS} steps; last increment "
                 f"{increments[-1]:.3e}")
         z_next = iterate_step(problem, cfg, y, z_prev, z_curr)
-        step = float(np.linalg.norm(z_next - z_curr))
-        if increments[-1] > 0 and step > cfg.contraction * increments[-1] * (1 + 1e-6) + 1e-15:
-            raise RegularityError(
-                f"observed step ratio {step / increments[-1]:.6g} exceeds "
-                f"alpha*lambda={cfg.contraction:.6g}; moduli misestimated")
-        increments.append(step)
+        increments.append(float(np.linalg.norm(z_next - z_curr)))
         z_prev, z_curr = z_curr, z_next
 
     x = z_curr

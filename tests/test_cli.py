@@ -977,6 +977,13 @@ def test_a_file_radius_whose_distances_overflow_is_refused(capsys, tmp_path,
     assert "1e+160 is too large" in err
 
 
+def test_an_integer_literal_beyond_float64_is_an_input_error(capsys):
+    # it used to print an OverflowError traceback and exit 1
+    path = Path(__file__).resolve().parent / "fixtures" / "huge_integer_literal.json"
+    assert run(capsys, "solve", "--input", str(path), "--target", "0.1") == (
+        2, "", "regsel: input error: $.base_y[0]: must be finite\n")
+
+
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])
 def test_verify_rejects_grid_below_two(capsys, fdir, grid):
     code, out, err = run(capsys, "verify", "--input", str(fdir / "double.json"),

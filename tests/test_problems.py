@@ -412,6 +412,26 @@ def test_dynamics_registry_contents():
         np.testing.assert_allclose(rest, np.zeros(n), atol=1e-15)
 
 
+def test_an_integer_literal_beyond_float64_is_refused_at_its_path():
+    # json reads a literal of 401 digits as an int that float() cannot hold
+    huge = 10 ** 400
+    with pytest.raises(ProblemFileError, match=r"^\$\.base_y\[0\]: must be finite$"):
+        parse_problem(generalized_payload(base_y=[huge]))
+
+    def with_power(p):
+        return generalized_payload(perturbation={
+            "input_dim": 2, "output_dim": 1,
+            "terms": [[{"coef": 1.0, "powers": [0, p]}]]})
+
+    for p in (huge, 2 ** 53 + 1):
+        with pytest.raises(ProblemFileError,
+                           match=r"^\$\.perturbation\.terms\[0\]\[0\]\.powers\[1\]: "
+                                 r"exponents are at most 2\*\*53"):
+            parse_problem(with_power(p))
+    poly = parse_problem(with_power(2 ** 53)).perturbation
+    assert poly.value(np.array([3.0, -1.0])).tolist() == [1.0]
+
+
 # ---------------------------------------------------------------------------
 # files on disk
 

@@ -10,9 +10,9 @@ from regsel import convex
 from regsel.convex import AffineSet, Box, Intersection
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
                            RegularityError, ShapeError)
-from regsel.selection import (GeneralizedEquation, IterationConfig,
-                              _corrector_step, _project_truncated, compute_tau,
-                              default_config, solve, solve_implicit, sweep)
+from regsel.selection import (STEP_SLACK, GeneralizedEquation, IterationConfig,
+                              _corrector_step, compute_tau, default_config, solve,
+                              solve_implicit, sweep)
 
 
 def singleton_inverse(y):
@@ -165,27 +165,38 @@ def test_problem_rejects_non_set_inverse():
 
 
 # ---------------------------------------------------------------------------
-# truncated projections
+# truncated projections: the corrector step onto a given fibre
+
+
+def step_onto(base_set, center, allowed):
+    """The corrector step from ``center`` onto base_set, whose inverse image
+    of the target 1 is base_set and of y_base = 0 the line x1 + x2 = 0."""
+    p = GeneralizedEquation(finv=lambda w: base_set if w[0] else line_inverse(w),
+                            g=None, x_base=[0.0, 0.0], y_base=[0.0], radius_x=1.0,
+                            radius_y=1.0, radius_graph=4.0)
+    return _corrector_step(p, line_config(), np.ones(1), np.asarray(center, dtype=float),
+                           allowed, "test")
 
 
 def test_truncated_projection_keeps_feasible_center():
-    z = _project_truncated(AffineSet([[1.0, 1.0]], [0.0]), np.array([0.3, 0.1]),
-                           1.0, line_config(), "test")
+    z, dist = step_onto(AffineSet([[1.0, 1.0]], [0.0]), [0.3, 0.1], 1.0)
     np.testing.assert_allclose(z, [0.1, -0.1], atol=1e-12)
+    assert dist == np.linalg.norm(z - [0.3, 0.1])
 
 
 def test_truncated_projection_empty_intersection_is_regularity_error():
     # distance from the origin to {x1+x2=2} is sqrt(2) > 1
     with pytest.raises(RegularityError,
                        match=r"distance 1.41 > allowed radius 1;"):
-        _project_truncated(AffineSet([[1.0, 1.0]], [2.0]), np.zeros(2), 1.0,
-                           line_config(), "test")
+        step_onto(AffineSet([[1.0, 1.0]], [2.0]), np.zeros(2), 1.0)
 
 
 def test_truncated_projection_radius_zero_feasible_center_is_singleton():
-    z = _project_truncated(AffineSet([[1.0, 1.0]], [0.0]),
-                           np.array([0.5, -0.5]), 0.0, line_config(), "test")
+    # a radius of 0 allows the slack alone, which the projection's rounding uses
+    z, dist = step_onto(AffineSet([[1.0, 1.0]], [0.0]), [0.5, -0.5],
+                        0.0 + line_config().slack)
     np.testing.assert_allclose(z, [0.5, -0.5], atol=1e-10)
+    assert dist <= line_config().slack
 
 
 class NanFibre(convex.ConvexSet):
@@ -206,8 +217,7 @@ def test_truncated_projection_refuses_a_nan_point(base_set):
     # a gap of nan passes gap > 10*tol, so the validation of the measured
     # point is what stops the step, with or without other members; the
     # final residual's gap refuses a nan point too
-    for measure in (lambda: _project_truncated(base_set, np.zeros(2), 1.0,
-                                               line_config(), "test"),
+    for measure in (lambda: step_onto(base_set, np.zeros(2), 1.0),
                     lambda: base_set.gap([np.nan, 0.0])):
         with pytest.raises(ShapeError) as err:
             measure()
@@ -257,22 +267,22 @@ def test_a_constrained_step_measures_each_member_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # starting selection and single steps: the initial selection is the corrector
-# step from x_base with radius kappa*|y - y_base|, an iterate step the one
-# from z_curr with radius alpha*lambda*|z_curr - z_prev|
+# step from x_base allowed kappa*|y - y_base| + 10*tol, an iterate step the
+# one from z_curr allowed step_ratio*|z_curr - z_prev| + STEP_SLACK
 
 
 def initial_step(p, cfg, y):
     # a query for the unperturbed part, as solve passes y - g(x_base)
     y = np.asarray(y, dtype=float)
-    radius = cfg.kappa * float(np.linalg.norm(y - p.y_base))
-    return _corrector_step(p, cfg, y, p.x_base, radius, "initial selection")
+    allowed = cfg.kappa * float(np.linalg.norm(y - p.y_base)) + cfg.slack
+    return _corrector_step(p, cfg, y, p.x_base, allowed, "initial selection")[0]
 
 
 def iterate(p, cfg, y, z_prev, z_curr):
     z_prev, z_curr = np.asarray(z_prev, dtype=float), np.asarray(z_curr, dtype=float)
-    radius = cfg.contraction * float(np.linalg.norm(z_curr - z_prev))
+    allowed = cfg.step_ratio * float(np.linalg.norm(z_curr - z_prev)) + STEP_SLACK
     return _corrector_step(p, cfg, np.asarray(y, dtype=float) - p.g_value(z_curr),
-                           z_curr, radius, "iterate step")
+                           z_curr, allowed, "iterate step")[0]
 
 
 def test_initial_selection_at_base_returns_base():
@@ -415,13 +425,47 @@ def test_solve_surfaces_misdeclared_lipschitz_constant():
 
 def test_solve_refuses_a_step_ratio_above_alpha_lambda():
     # lambda = 0 declares g constant, but 1e-3 x moves the second step by
-    # 1e-3 of the first: within the truncation check's 10*tol slack, above
-    # the step check's
+    # 1e-3 of the first: 1e-12, within 10*tol but above the STEP_SLACK an
+    # iterate step is allowed past step_ratio = 0 times the step before
     p = GeneralizedEquation(finv=singleton_inverse, g=lambda x: 1e-3 * x,
                             x_base=[0.0], y_base=[0.0], radius_x=1.0,
                             radius_y=1.0, radius_graph=2.0)
-    with pytest.raises(RegularityError, match="observed step ratio 0.001 exceeds"):
+    with pytest.raises(RegularityError,
+                       match=r"iterate step: truncated inverse image is empty, "
+                             r"distance 1e-12 > allowed radius 1e-15;"):
         solve(p, IterationConfig(kappa=1.1, lam=0.0, alpha=2.2), [1e-6])
+
+
+# alpha*lambda = 0.5 for F = identity; g = s x makes every step s times the
+# one before, so the iterate steps test s against step_ratio = 0.5(1 + 1e-6)
+STEP_RULE_CONFIG = IterationConfig(kappa=1.0, lam=0.4, alpha=1.25)
+
+
+def test_solve_accepts_an_iterate_step_within_step_ratio():
+    # s = 0.5(1 + 5e-7): the second step, s^2 * 0.1, exceeds alpha*lambda
+    # times the first by 1.25e-8, more than 10*tol, and stays below
+    # step_ratio times it; one rule accepts it, and every step after
+    cfg = STEP_RULE_CONFIG
+    s = cfg.contraction * (1 + 5e-7)
+    x, cert = solve(scalar_problem(g=lambda x: s * x), cfg, [0.1])
+    inc = cert.increments
+    assert inc[1] > cfg.contraction * inc[0] + cfg.slack
+    assert all(b <= cfg.step_ratio * a + STEP_SLACK for a, b in zip(inc, inc[1:]))
+    assert abs(x[0] - 0.1 / (1.0 + s)) <= 1e-9
+
+
+def test_solve_refuses_an_iterate_step_above_step_ratio():
+    # s = 0.5(1 + 2e-6): the second step exceeds step_ratio times the first
+    # by 2.5e-8, and the refusal names the allowed distance
+    cfg = STEP_RULE_CONFIG
+    s = cfg.contraction * (1 + 2e-6)
+    first = s * 0.1  # the first corrector step, from x = 0.1 to 0.1 - s 0.1
+    allowed = cfg.step_ratio * first + STEP_SLACK
+    with pytest.raises(RegularityError) as err:
+        solve(scalar_problem(g=lambda x: s * x), cfg, [0.1])
+    assert str(err.value).startswith(
+        f"iterate step: truncated inverse image is empty, distance {s * first:.3g} > "
+        f"allowed radius {allowed:.3g};")
 
 
 def test_solve_refuses_a_final_residual_above_ten_tol():
@@ -457,7 +501,7 @@ def test_solve_nonlinear_two_dim_fixture():
     # geometric decay of the step lengths at the certified rate
     inc = cert.increments
     for n in range(1, len(inc)):
-        assert inc[n] <= cfg.contraction * inc[n - 1] * (1 + 1e-6) + 1e-15
+        assert inc[n] <= cfg.step_ratio * inc[n - 1] + STEP_SLACK
     assert cert.residual <= 10.0 * cfg.tol
     assert cert.tail_bound == pytest.approx(inc[-1] / (1.0 - cfg.contraction))
     assert cert.calm_ok
@@ -473,7 +517,7 @@ def test_solve_scalar_calm_and_contracting(y):
     assert np.linalg.norm(x - p.x_base) <= cfg.gamma * dev + 1e-9
     inc = cert.increments
     for n in range(1, len(inc)):
-        assert inc[n] <= cfg.contraction * inc[n - 1] * (1 + 1e-6) + 1e-15
+        assert inc[n] <= cfg.step_ratio * inc[n - 1] + STEP_SLACK
 
 
 def outcome(fn, *args):
