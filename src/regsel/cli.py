@@ -242,7 +242,8 @@ def cmd_verify(pf: ProblemFile, args, out: _Writer) -> int:
         out.lines += [CSV_HEADER, csv_row("lsc-probe", min(probe.distances[3:]), np.nan,
                                           0, None, probe.verdict, (probe.witness_x,))]
         return EXIT_OK
-    # one scan judges both verdicts; a bad --kappa is refused before it
+    # one sampling of the graph judges both verdicts; a bad --kappa is
+    # refused before it
     reports = pf.verify(args.kappa, _verify_grid(args, pf.graph.x_base.size),
                         args.seed)
     out.lines += [CSV_HEADER] + [report.csv_row() for report in reports]

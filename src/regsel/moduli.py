@@ -37,24 +37,31 @@ alone, as the polynomial maps and remainders do; x -> M x may not (a
 matrix product and a matrix-vector product can round differently), and
 its ratios and witnesses then move in their last bits.
 
-Both verifiers read one scan of the graph, sampled once on a grid of at
-least 2 points per axis (with one stacked forward call where the map
-allows it), which works on blocked distance tables with no Python loop
-per test value:
+Both verifiers read the graph sampled once on a grid of at least 2 points
+per axis (with one stacked forward call where the map allows it), and work
+on blocked distance tables with no Python loop per test value. Each does
+its own work only, and each fibre's work once:
 
 * Fibre membership for a block of consecutive test values y is one table
   of distances to every sampled value, reduced to d(y, F(x)) per grid point
   by np.minimum.reduceat; x lies in the fibre F^{-1}(y) when that distance
   is at most CHECK_RTOL * (1 + ||y||), and a point with no values is at
-  distance +inf.
-* The rows d(x, F^{-1}(y)) over all grid points x come from one table of
-  squared distances between the stacked members of the block's distinct
-  fibres and the grid points; np.minimum.reduce folds each fibre's rows
-  and one square root ends. A fibre equal to the one before it reuses its
-  distances. The metric-regularity ratio divides them by d(y, F(x)); the
-  Aubin excess gathers them at the members of every source fibre and
-  divides each fibre's worst (np.maximum.reduceat) by the gaps
-  ||y_a - y_b||, which form one more table.
+  distance +inf. Test values a few ulps apart often share a fibre, so one
+  pass finds the distinct consecutive fibres.
+* Metric regularity: the rows d(x, F^{-1}(y)) over all grid points x come
+  from one table of squared distances between the stacked members of the
+  block's distinct fibres and the grid points; np.minimum.reduce folds each
+  fibre's rows and one square root ends (a fibre of one point takes its
+  row of _distances, with no fold). A fibre equal to the one before it
+  reuses its row. The ratio divides the rows by d(y, F(x)).
+* Aubin property: the membership pass lists the distinct fibres, their
+  members and the fibre of each test value, and computes no regularity
+  ratio. Each distinct target fibre's rows are taken at the listed members
+  alone, and np.maximum.reduceat turns them into each source fibre's
+  excess, once per pair of distinct fibres, then expanded to the test
+  values and divided by the gaps ||y_a - y_b||, which form one more table.
+  verify_graph lists the fibres in the pass that takes the regularity
+  ratios.
 * No table holds more than TABLE_ENTRIES float64 entries unless a single
   row is wider; blocks of test values and fibre members are cut to fit, so
   the tables do not grow with the grid.
@@ -95,7 +102,10 @@ LSC_TAIL_TOL = 1e-6
 # Float64 entries in any one table the graph verifiers build: blocks of test
 # values and fibre members are cut to fit, so the tables of a scan do not
 # grow with the grid. A table keeps at least one row, so a single row wider
-# than this (one value against more points or values) exceeds it.
+# than this (one value against more points or values) exceeds it. An Aubin
+# block keeps a few such tables live at once (its fibres' rows at the
+# listed members, their excess per source fibre, the gaps and the ratios),
+# each cut at the wider of the listed members and the test values.
 TABLE_ENTRIES = 1 << 14
 
 # The largest diameter whose square is a finite float64.
@@ -555,21 +565,25 @@ def _run_starts(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
-def _fibre_blocks(pts, gy, gx_idx, y_test, width=0):
-    """Yield (rows, d_y_fx, in_fibre, new) for blocks of consecutive test values.
+def _fibre_blocks(pts, gy, gx_idx, y_test):
+    """Yield (rows, d_y_fx, fib, members, new) for blocks of consecutive test
+    values.
 
     d_y_fx[r, i] is the distance from the test value y = y_test[rows][r] to
     the sampled values F(pts[i]), +inf when F(pts[i]) is empty, and pts[i]
     lies in the sampled fibre F^{-1}(y) when that distance is at most
     CHECK_RTOL * (1 + ||y||). Every test value is itself a graph value, so
     each fibre holds at least the point it came from. new[r] is False when
-    the fibre of y equals that of the test value before it. A block is cut
-    for tables as wide as the sampled values, the points or ``width``.
+    the fibre of y equals that of the test value before it, across a block
+    boundary too. members lists the grid points of the block's new fibres,
+    fibre by fibre in point order, and fib[k] counts, from 0 in each block,
+    the new fibre members[k] belongs to. A block is cut for tables as wide
+    as the sampled values or the points.
     """
     starts = _run_starts(gx_idx)
     owners = gx_idx[starts]
     last = None
-    for rows in _chunks(len(y_test), max(len(gy), len(pts), width)):
+    for rows in _chunks(len(y_test), max(len(gy), len(pts))):
         ys = y_test[rows]
         near = _distances(ys, gy)
         if starts.size < near.shape[1]:
@@ -585,7 +599,8 @@ def _fibre_blocks(pts, gy, gx_idx, y_test, width=0):
         new[0] = last is None or not np.array_equal(in_fibre[0], last)
         new[1:] = (in_fibre[1:] != in_fibre[:-1]).any(axis=1)
         last = in_fibre[-1].copy()
-        yield rows, d_y_fx, in_fibre, new
+        fib, members = np.divmod(np.flatnonzero(in_fibre[new]), len(pts))
+        yield rows, d_y_fx, fib, members, new
 
 
 def _fold_fibres(pts, labels, members, count):
@@ -615,6 +630,15 @@ def _fold_fibres(pts, labels, members, count):
     return np.sqrt(out, out=out)
 
 
+def _fibre_distances(pts, labels, members, count):
+    """_fold_fibres for fibres that each have a member: when each has
+    exactly one, its row is the _distances row of that member, with no
+    fold and the same bits."""
+    if members.size == count:
+        return _distances(pts[members], pts)
+    return _fold_fibres(pts, labels, members, count)
+
+
 def _first_max(ratios: np.ndarray) -> tuple[int, int, float]:
     """(row, column, value) of the first largest entry in row-major order,
     where a scan keeping each strict improvement ends; no ratio is NaN."""
@@ -623,52 +647,42 @@ def _first_max(ratios: np.ndarray) -> tuple[int, int, float]:
     return r, int(np.argmax(ratios[r])), float(best[r])
 
 
-def _graph_scan(mapping: SampledMapping, grid, kappa=None):
-    """One scan of the sampled graph for both verifiers: ((worst, witness),
-    aubin).
+def _membership_pass(pts, gy, gx_idx, y_test, regularity=True, listing=False):
+    """One pass over the fibres of the test values (_fibre_blocks):
+    (ratio, fibres), each None unless asked for.
 
-    worst is the largest d(x, fib(y)) / d(y, F(x)), witness the first pair
-    (x, y) in test-value order attaining it, with its first grid point. Test
-    values come in blocks (_fibre_blocks); a fibre that repeats the one
-    before it reuses its row d(x, fib(y)), across a block boundary too, and
-    _fold_fibres folds squared distances into the others, then roots them.
+    ratio, with ``regularity``, is (worst, witness): worst is the largest
+    d(x, fib(y)) / d(y, F(x)), witness the first pair (x, y) in test-value
+    order attaining it, with its first grid point. A block's new fibres get
+    their rows d(x, fib(y)) from _fibre_distances; a fibre that repeats the
+    one before it reuses its row, across a block boundary too.
 
-    aubin is None without ``kappa``. With it, a first pass lists the members
-    of every fibre, blocks are cut so that the tables below fit the budget
-    too, and far[b, a], the largest d(x, fib(y_b)) over the members x of
-    fib(y_a), is read off each block's rows by np.maximum.reduceat. aubin is
-    (ok, worst, witness): whether far[b, a] <= kappa ||y_a - y_b|| up to the
-    check slack for all a != b, the largest such ratio, and (x, y_a, y_b)
-    for the first pair in source-major (a, b) order attaining it, with the
-    first member x of fib(y_a) that does.
+    fibres, with ``listing``, is (members, bounds, fib_of) of the
+    consecutive-distinct fibres: members[bounds[f]:bounds[f + 1]] are the
+    grid points of fibre f in point order, and fib_of[r] is the fibre of
+    test value r. Members are packed as they come, so the listing holds no
+    Python object per block.
     """
-    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    n_test, dim = y_test.shape
-    width = 0
-    if kappa is not None:
-        # fib(y_a) is members[bounds[a]:bounds[a + 1]]
-        packed = bytearray()
-        sizes = np.empty(n_test, dtype=np.intp)
-        for rows, _, in_fibre, _ in _fibre_blocks(pts, gy, gx_idx, y_test):
-            packed += (np.flatnonzero(in_fibre) % len(pts)).tobytes()
-            sizes[rows] = in_fibre.sum(axis=1)
-        members = np.frombuffer(packed, dtype=np.intp)
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        # n_test * dim, not n_test: a block's tables live at once, and cut at
-        # n_test, grid 101 of linear.json peaks past the 2 MB memory test
-        width = max(members.size, n_test * dim)
-        ok, a_worst, a_witness, a_src = True, 0.0, (), n_test
-    worst = 0.0
-    witness = ()
-    last = None
-    for rows, d_y_fx, in_fibre, new in _fibre_blocks(pts, gy, gx_idx, y_test,
-                                                     width):
-        ys = y_test[rows]
-        fib, fib_members = np.divmod(np.flatnonzero(in_fibre[new]), len(pts))
-        dist = _fold_fibres(pts, fib, fib_members, int(new.sum()))
-        if not new[0]:
-            dist = np.concatenate([last[None], dist])
-        d_x_fib = dist[np.cumsum(new) - new[0]]
+    n_test = len(y_test)
+    if listing:
+        packed, sizes = bytearray(), bytearray()
+        new_all = np.empty(n_test, dtype=bool)
+    worst, witness, last = 0.0, (), None
+    for rows, d_y_fx, fib, members, new in _fibre_blocks(pts, gy, gx_idx,
+                                                         y_test):
+        if listing:
+            packed += members.tobytes()
+            sizes += np.bincount(fib).tobytes()
+            new_all[rows] = new
+        if not regularity:
+            continue
+        dist = _fibre_distances(pts, fib, members, int(new.sum()))
+        if new.all():
+            d_x_fib = dist
+        else:
+            if not new[0]:
+                dist = np.concatenate([last[None], dist])
+            d_x_fib = dist[np.cumsum(new) - new[0]]
         last = d_x_fib[-1].copy()
         # d(y, F(x)) = 0 puts x in the fibre, at distance 0 from it, so a
         # zero denominator never meets a positive numerator: its ratio is
@@ -678,12 +692,58 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
         r, j, value = _first_max(ratios)
         if value > worst:
             worst = value
-            witness = (pts[j], ys[r])
-        if kappa is None:
-            continue
-        far = d_x_fib[:, members]
-        if members.size > n_test:  # some fibre has several members
-            far = np.maximum.reduceat(far, bounds[:-1], axis=1)
+            witness = (pts[j], y_test[rows][r])
+    fibres = None
+    if listing:
+        bounds = np.concatenate([[0], np.cumsum(np.frombuffer(sizes, np.intp))])
+        fibres = (np.frombuffer(packed, np.intp), bounds, np.cumsum(new_all) - 1)
+    return (worst, witness) if regularity else None, fibres
+
+
+def _aubin_scan(pts, y_test, fibres, kappa):
+    """The Aubin check of the inverse of the sampled graph: (ok, worst,
+    witness).
+
+    fibres is the listing of _membership_pass. Blocks of consecutive test
+    values y_b are cut for tables as wide as the listed members or the test
+    values. For each distinct fibre among a block's y_b, d(x, fib(y_b)) at
+    every listed member x comes from _fibre_distances, and a fibre that the
+    block before ended on reuses its rows. far[b, a], the largest
+    d(x, fib(y_b)) over the members x of fib(y_a), is read off those rows by
+    np.maximum.reduceat over the listing, once per pair of distinct fibres,
+    or is the row itself when every fibre is one point; it is then expanded
+    to the block's test values. ok is whether far[b, a] <= kappa
+    ||y_a - y_b|| up to the check slack for all a != b, worst the largest
+    such ratio, and witness (x, y_a, y_b) the first pair in source-major
+    (a, b) order attaining it, with the first member x of fib(y_a) that
+    does.
+    """
+    members, bounds, fib_of = fibres
+    n_test, count = len(y_test), len(bounds) - 1
+    listed = pts[members]
+    ok, worst, witness, src = True, 0.0, (), n_test
+    carried = None
+    for rows in _chunks(n_test, max(members.size, n_test)):
+        fibs = fib_of[rows]
+        lo, hi = int(fibs[0]), int(fibs[-1]) + 1
+        first = lo if carried is None else lo + 1
+        sizes = np.diff(bounds[first:hi + 1])
+        near = _fibre_distances(
+            listed, np.repeat(np.arange(hi - first), sizes),
+            np.arange(bounds[first], bounds[hi]), hi - first)
+        far_fib = near
+        if members.size > count:  # some fibre has several members
+            far_fib = np.maximum.reduceat(near, bounds[:-1], axis=1)
+        if carried is not None:
+            near = np.concatenate([carried[0][None], near])
+            far_fib = np.concatenate([carried[1][None], far_fib])
+        carried = None
+        if rows.stop < n_test and fib_of[rows.stop] == hi - 1:
+            carried = (near[-1].copy(), far_fib[-1].copy())
+        far = far_fib if len(fibs) == hi - lo else far_fib[fibs - lo]
+        if count < n_test:
+            far = far[:, fib_of]
+        ys = y_test[rows]
         gap = _distances(ys, y_test)
         # gap 0 only at y_b itself: the test values are distinct
         valid = gap > 0.0
@@ -691,14 +751,35 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None):
                            where=valid)
         a, r, value = _first_max(ratios.T)
         # blocks run over y_b, so a tie goes to the earlier source
-        if value > a_worst or (value == a_worst and a_witness and a < a_src):
-            x = members[bounds[a]:bounds[a + 1]]
-            a_worst, a_src = value, a
-            a_witness = (pts[x[int(np.argmax(d_x_fib[r, x]))]], y_test[a], ys[r])
-        if ok and np.any(valid & (far > kappa * gap * (1.0 + CHECK_RTOL)
-                                  + CHECK_ATOL)):
-            ok = False
-    return (worst, witness), None if kappa is None else (ok, a_worst, a_witness)
+        if value > worst or (value == worst and witness and a < src):
+            f = fib_of[a]
+            x = int(np.argmax(near[fibs[r] - lo, bounds[f]:bounds[f + 1]]))
+            worst, src = value, a
+            witness = (pts[members[bounds[f] + x]], y_test[a], ys[r])
+        if ok:
+            # kappa * gap * (1 + CHECK_RTOL) + CHECK_ATOL, written over the
+            # ratios, which have been read
+            bound = np.multiply(gap, kappa, out=ratios)
+            bound *= 1.0 + CHECK_RTOL
+            bound += CHECK_ATOL
+            ok = not np.any(valid & (far > bound))
+    return ok, worst, witness
+
+
+def _graph_scan(mapping: SampledMapping, grid, kappa=None, regularity=True):
+    """Sample the graph once and scan it for the verifiers: (ratio, aubin).
+
+    ratio is the (worst, witness) of _membership_pass, None without
+    ``regularity``. aubin is None without ``kappa``; with it the membership
+    pass also lists the fibres, and aubin is the (ok, worst, witness) of
+    _aubin_scan on that listing, so the fibres are found once.
+    """
+    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
+    ratio, fibres = _membership_pass(pts, gy, gx_idx, y_test, regularity,
+                                     kappa is not None)
+    if kappa is None:
+        return ratio, None
+    return ratio, _aubin_scan(pts, y_test, fibres, kappa)
 
 
 def sampled_reg(mapping: SampledMapping, grid=11) -> ModulusEstimate:
@@ -742,24 +823,27 @@ def verify_metric_regularity(mapping: SampledMapping, kappa: float,
     return regularity_report(sampled_reg(mapping, grid), kappa)
 
 
+def _aubin_report(kappa, ok, worst, witness) -> CheckReport:
+    return CheckReport(kind="aubin", ok=bool(ok), kappa=kappa,
+                       worst_ratio=worst, witness=witness,
+                       detail=f"worst ratio {worst:.6g} vs kappa {kappa:.6g}")
+
+
 def verify_graph(mapping: SampledMapping, kappa: float,
                  grid=11) -> tuple[CheckReport, CheckReport]:
     """Metric regularity of F and the Aubin property of F^{-1} with the
-    constant kappa, from one sampling and one scan of the graph.
+    constant kappa, from one sampling of the graph.
 
-    Returns the reports of verify_metric_regularity and verify_aubin, which
-    read the same rows d(x, F^{-1}(y)) (_graph_scan). kappa is checked
-    before the graph is sampled.
+    Returns the reports of verify_metric_regularity and verify_aubin, with
+    their bits: one membership pass gives the regularity ratio and lists
+    the fibres, and the Aubin scan reads that listing (_graph_scan). kappa
+    is checked before the graph is sampled.
     """
     _check_kappa(kappa)
-    (worst, witness), (ok, a_worst, a_witness) = _graph_scan(mapping, grid,
-                                                             kappa)
+    (worst, witness), aubin = _graph_scan(mapping, grid, kappa)
     estimate = ModulusEstimate(kind="reg-sampled", value=worst,
                                radius=mapping.radius_x, witness=witness)
-    aubin = CheckReport(kind="aubin", ok=bool(ok), kappa=kappa,
-                        worst_ratio=a_worst, witness=a_witness,
-                        detail=f"worst ratio {a_worst:.6g} vs kappa {kappa:.6g}")
-    return regularity_report(estimate, kappa), aubin
+    return regularity_report(estimate, kappa), _aubin_report(kappa, *aubin)
 
 
 def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
@@ -767,10 +851,12 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
 
     For sampled values y, y' and x in F^{-1}(y') inside the domain ball,
     requires d(x, F^{-1}(y)) <= kappa ||y' - y||. Equivalent to
-    verify_metric_regularity with the same constant on the same graph, and
-    read off the same distance rows: the excess of fib(y') over fib(y) is
-    the largest d(x, F^{-1}(y)) over the members x of fib(y')
-    (_graph_scan, through verify_graph).
+    verify_metric_regularity with the same constant on the same graph, but
+    computes no regularity ratio: one membership pass lists the distinct
+    fibres, and the excess of fib(y') over fib(y), the largest
+    d(x, F^{-1}(y)) over the members x of fib(y'), is taken once per pair
+    of distinct fibres (_aubin_scan). kappa is checked before the graph is
+    sampled.
 
     Ties resolve as in a scan of the pairs (y', y) in the order of the test
     values: the witness (x, y', y) is the first pair attaining the worst
@@ -778,7 +864,9 @@ def verify_aubin(mapping: SampledMapping, kappa: float, grid=11) -> CheckReport:
     ||y' - y|| have the bits of _distances, as all distances of the scan, so
     ratios and witnesses are those of that pair scan bit for bit.
     """
-    return verify_graph(mapping, kappa, grid)[1]
+    _check_kappa(kappa)
+    _, aubin = _graph_scan(mapping, grid, kappa, regularity=False)
+    return _aubin_report(kappa, *aubin)
 
 
 def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,

@@ -356,7 +356,7 @@ class ProblemFile:
 
     def verify(self, kappa: float | None, grid: int, seed: int | None) -> list[CheckReport]:
         """The regularity and Aubin verdicts of ``graph`` with kappa, from
-        one scan, then a perturbation's bound. The default kappa is 1.1 x
+        one sampling, then a perturbation's bound. The default kappa is 1.1 x
         reg_linear of the matrix, or 1.05 x a smooth map's sampled
         modulus; the default lambda 1.2 x the perturbation's sampled lip."""
         if kappa is None:

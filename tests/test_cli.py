@@ -1305,6 +1305,13 @@ DOUBLE_INTEGRATOR_TRAJECTORY = (
 
 
 
+LINEAR_101_VERIFY = (
+    "metric-regularity,2,,,,{verdict},-0.97999999999999998 "
+    "-0.16000000000000003;-1.96 -0.089999999999999969\n"
+    "aubin,2,,,,{verdict},-0.97999999999999998 -0.17999999999999994;"
+    "-1.96 -0.089999999999999969;-1.96 -0.080000000000000016\n")
+
+
 PINNED_BRANCHES = {
     # an Intersection fibre; the target lies inside the box [-1, 0.1]
     "solve-boxed": (
@@ -1361,8 +1368,7 @@ PINNED_BRANCHES = {
         GATE_LINES["pendulum.json --mesh 8"]
         + "error,constant schedule rejected for the steering problem: "
         "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
-    # every command of CI's console-script step that exits 0, but verify on
-    # linear.json at --grid 101, which the verifier memory test runs
+    # every command of CI's console-script step that exits 0
     "ci-moduli-linear": (
         ("moduli", "linear.json"), 0,
         CSV_HEADER + "\n"
@@ -1599,6 +1605,15 @@ PINNED_BRANCHES = {
         "-0.75;-0.94999999999999996\n"
         "aubin,1.0958904109589045,,,,pass,"
         "-1;-0.94999999999999996;-0.72187500000000004\n"),
+    # grid 101 (7,845 points, one test value each): the scans cross more
+    # block boundaries here than anywhere else, and with --kappa 0.3 both
+    # verdicts fail with the same ratios and witnesses
+    "ci-verify-linear-101": (
+        ("verify", "linear.json", "--grid", "101"), 0,
+        CSV_HEADER + "\n" + LINEAR_101_VERIFY.format(verdict="pass")),
+    "ci-verify-linear-101-below-the-modulus": (
+        ("verify", "linear.json", "--grid", "101", "--kappa", "0.3"), 6,
+        CSV_HEADER + "\n" + LINEAR_101_VERIFY.format(verdict="fail")),
 }
 
 

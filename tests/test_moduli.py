@@ -554,11 +554,7 @@ def test_sampled_reg_builds_one_table_per_distinct_fibre(monkeypatch):
         return squared(p, q)
 
     monkeypatch.setattr(moduli, "_squared_distances", counted)
-    m = np.array([[2.0, 2.0]])
-    mapping = SampledMapping(forward=lambda x: m @ x, x_base=np.zeros(2),
-                             y_base=np.zeros(1), radius_x=1.0,
-                             radius_y=2.0 * np.linalg.norm(m))
-    est = sampled_reg(mapping, grid=41)
+    est = sampled_reg(two_to_one_map(), grid=41)
     # distances between grid points: the 57 tables of 1257 points by one
     # fibre each that a per-value scan builds; the 57 fibres partition the
     # 1257 points, so that total is 1257 * 1257
@@ -570,6 +566,82 @@ def test_sampled_reg_builds_one_table_per_distinct_fibre(monkeypatch):
     np.testing.assert_array_equal(est.witness[0],
                                   [0.30000000000000004, 0.9500000000000002])
     np.testing.assert_array_equal(est.witness[1], [2.6])
+
+
+def two_to_one_map():
+    """x -> 2 x0 + 2 x1: at grid 41, 1257 points and 137 test values over 57
+    distinct consecutive fibres, which partition the points."""
+    m = np.array([[2.0, 2.0]])
+    return SampledMapping(forward=lambda x: m @ x, x_base=np.zeros(2),
+                          y_base=np.zeros(1), radius_x=1.0,
+                          radius_y=2.0 * np.linalg.norm(m))
+
+
+def scan_counts(monkeypatch):
+    """Counters of one graph scan: the membership passes (_fibre_blocks), the
+    arguments of each _membership_pass, the squared-distance entries by
+    coordinate count, and the gap tables (one per Aubin block, the only
+    tables against all 137 test values)."""
+    counts = {"passes": 0, "membership": [], 1: 0, 2: 0, "gaps": 0}
+    blocks, squared = moduli._fibre_blocks, moduli._squared_distances
+    membership = moduli._membership_pass
+
+    def counted_blocks(*args):
+        counts["passes"] += 1
+        return blocks(*args)
+
+    def counted_membership(*args):
+        counts["membership"].append(args[4:])
+        return membership(*args)
+
+    def counted_squared(p, q):
+        counts[p.shape[1]] += p.shape[0] * q.shape[0]
+        counts["gaps"] += q.shape == (137, 1)
+        return squared(p, q)
+
+    monkeypatch.setattr(moduli, "_fibre_blocks", counted_blocks)
+    monkeypatch.setattr(moduli, "_membership_pass", counted_membership)
+    monkeypatch.setattr(moduli, "_squared_distances", counted_squared)
+    return counts
+
+
+def test_verify_aubin_lists_the_fibres_once_and_folds_each_once(monkeypatch):
+    # one membership pass lists the 57 distinct fibres; each is folded
+    # against the 1257 listed members once, and the Aubin blocks are cut at
+    # those 1257 members: 13 test values a block, so 11 blocks
+    counts = scan_counts(monkeypatch)
+    report = verify_aubin(two_to_one_map(), 1.0, grid=41)
+    assert counts["passes"] == 1
+    assert counts["membership"] == [(False, True)]  # no regularity ratio
+    assert counts[2] == 1257 * 1257
+    assert counts["gaps"] == 11
+    # one membership table per test value and one gap table per pair
+    assert counts[1] == 137 * 1257 + 137 * 137
+    # the value and witness of aubin_pair_scan on this map
+    assert not report.ok
+    assert report.worst_ratio == 1.1180339887498998
+    assert_same_witness(report.witness, (np.array([-0.9, -0.3999999999999999]),
+                                         np.array([-2.6]),
+                                         np.array([-2.6999999999999997])))
+
+
+def test_verify_metric_regularity_builds_no_listing(monkeypatch):
+    counts = scan_counts(monkeypatch)
+    verify_metric_regularity(two_to_one_map(), 1.0, grid=41)
+    assert counts["passes"] == 1
+    assert counts["membership"] == [(True, False)]
+    assert counts["gaps"] == 0
+
+
+def test_verify_graph_finds_the_fibres_once_for_both_verdicts(monkeypatch):
+    counts = scan_counts(monkeypatch)
+    verify_graph(two_to_one_map(), 1.0, grid=41)
+    assert counts["passes"] == 1
+    assert counts["membership"] == [(True, True)]
+    # the regularity rows over the points, then the Aubin rows over the
+    # listed members: the same 1257 points here
+    assert counts[2] == 2 * 1257 * 1257
+    assert counts["gaps"] == 11
 
 
 def test_verify_aubin_doubling():
@@ -680,8 +752,9 @@ def assert_same_witness(got, want):
 
 
 def assert_scans_match_loops(mapping, kappa, grid):
-    """sampled_reg, verify_metric_regularity and verify_aubin give the value,
-    verdict and witness of the per-value loops bit for bit."""
+    """sampled_reg, verify_metric_regularity, verify_aubin and verify_graph
+    give the value, verdict and witness of the per-value loops bit for
+    bit."""
     graph = _sample_graph(mapping, grid)
     worst, witness = ratio_scan_loop(*graph)
     est = sampled_reg(mapping, grid)
@@ -696,6 +769,10 @@ def assert_scans_match_loops(mapping, kappa, grid):
     assert au.ok is ok
     assert au.worst_ratio == worst
     assert_same_witness(au.witness, witness)
+    both = verify_graph(mapping, kappa, grid)
+    for got, want in zip(both, (mr, au)):
+        assert got.csv_row() == want.csv_row()
+        assert_same_witness(got.witness, want.witness)
 
 
 def assert_lg_scan_matches_loop(mat, kappa, grid):
@@ -806,6 +883,32 @@ def test_scans_match_loops_on_uneven_maps(forward, grid, kappa):
     mapping = SampledMapping(forward=forward, x_base=np.zeros(2),
                              y_base=np.zeros(1), radius_x=1.0, radius_y=1.0)
     assert_scans_match_loops(mapping, kappa, grid)
+
+
+@pytest.mark.parametrize("entries", [moduli.TABLE_ENTRIES, 600])
+@pytest.mark.parametrize("case", ["repeated", "singletons"])
+def test_scans_match_the_oracles_where_fibres_repeat_and_where_none_do(
+        monkeypatch, case, entries):
+    # the 2->1 map's 137 test values over 57 fibres, and a 2-D map whose
+    # every fibre is one point; at 600 entries a table holds less than one
+    # fibre's run, so blocks cut inside runs and carry their rows over
+    monkeypatch.setattr(moduli, "TABLE_ENTRIES", entries)
+    if case == "repeated":
+        mapping, grid, kappa = two_to_one_map(), 41, 1.15
+    else:
+        m = np.array([[2.0, 0.5], [0.3, 1.0]])
+        mapping = SampledMapping(forward=lambda x: m @ x, x_base=np.zeros(2),
+                                 y_base=np.zeros(2), radius_x=1.0,
+                                 radius_y=2.0 * np.linalg.norm(m, 2))
+        # a constant that fails here; 1.15 passes on the 2->1 map
+        grid, kappa = 11, 0.95 * reg_linear(m)
+    graph = _sample_graph(mapping, grid)
+    fibres = moduli._membership_pass(*graph, False, True)[1]
+    assert (fibres[0].size, len(fibres[1]) - 1, len(graph[3])) == {
+        "repeated": (1257, 57, 137), "singletons": (81, 81, 81)}[case]
+    # verify_graph against both verifiers, and verify_aubin against the pairs
+    assert_scans_match_loops(mapping, kappa, grid)
+    assert_aubin_matches_pair_scan(mapping, kappa, grid)
 
 
 def test_fold_has_the_bits_of_the_square_root_then_reduceat_fold(monkeypatch):
@@ -929,7 +1032,11 @@ def memory_case(name):
     ("2to1-41", "perturbation-bound")])
 def test_verifier_memory_stays_within_the_table_budget(case, check):
     # no table holds more than TABLE_ENTRIES entries, so the tracemalloc
-    # peak of a pass does not grow with the grid, on either sampling path
+    # peak of a pass does not grow with the grid, on either sampling path;
+    # what does is the sampled graph and the Aubin check's fibre listing,
+    # a few integers per test value (linear-101 peaks near 1.3 MB for
+    # metric regularity and 1.4 MB for Aubin, whose blocks hold two test
+    # values against all 7,845)
     mat, grid, forward = memory_case(case)
     mapping = SampledMapping(forward=forward,
                              x_base=np.zeros(mat.shape[1]),
