@@ -766,6 +766,18 @@ def test_control_refuses_a_target_whose_norm_overflows(capsys, tmp_path,
 
 
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the run
+def test_a_control_target_whose_squares_overflow_steers_without_a_warning(capsys):
+    # |(1e150, 0)| is finite, so the set-up is built and the steer is
+    # refused by the constraint; validating the targets and corrections on
+    # the way, whose squares overflow, prints no warning
+    code, out, err = run(capsys, "control", "--input",
+                         str(COMMITTED / "double_integrator.json"), "--target", "1e150,0")
+    assert (code, err) == (4, "")
+    assert out.splitlines()[-1].startswith(
+        "error,initial selection: the corrected target has no preimage under the constraint")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the run
 @pytest.mark.parametrize("argv", [
     ("solve", "--target", "1e160"),
     ("sweep", "--target", "1e160", "--grid", "2"),

@@ -9,7 +9,7 @@ from oracles import (collocation_remainder_loop, control_membership_loop,
                      reachable_interior_node_loop,
                      simulate_trapezoidal, trapezoid_residual,
                      transported_calm_bound_dense)
-from regsel import control
+from regsel import control, convex
 from regsel.control import (ControlProblem, DiscretizedSystem, calm_sweep,
                             kalman_rank, linearize, reachable_interior, steer,
                             steering_setup)
@@ -579,13 +579,96 @@ def test_steering_setup_factors_the_collocation_operator_once(monkeypatch,
     assert calls.count(shape) == 1
 
 
-@pytest.mark.parametrize("mesh", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("mesh", [8, 16, 32, 64, 128, 256, 512])
 @pytest.mark.parametrize("make", [pendulum, double_integrator])
 def test_collocation_operators_prove_every_target_consistent(make, mesh):
     # so a steer's shifted fibre takes no residual check; the proof's
-    # rounding terms grow with the mesh and no longer hold at 512
+    # rounding terms grow with the mesh and no longer hold at 512, where
+    # every shift runs the check
     mat = control._weighted_operator(linearize(make(mesh=mesh)))
-    assert AffineSet(mat, np.zeros(mat.shape[0])).every_rhs_consistent
+    assert AffineSet(mat, np.zeros(mat.shape[0])).every_rhs_consistent == (mesh <= 256)
+
+
+def _sparse_product_bound(op, x):
+    """How far ``_sparse_product`` and ``ndarray.dot`` may lie apart under
+    the consistency proof's model: each is within gamma_{k_op} |op| |x| of
+    op x, k_op the most nonzeros in a row, with one more rounding of slack
+    for the bound's own product."""
+    k = int(np.count_nonzero(op, axis=1).max())
+    return 2.0 * convex._gamma(k) * (np.abs(op) @ np.abs(x)) * (1.0 + convex._gamma(op.shape[1]))
+
+
+@pytest.mark.parametrize("mesh", [8, 64, 128, 512])
+@pytest.mark.parametrize("make", [pendulum, double_integrator])
+def test_sparse_product_agrees_with_the_dense_one(make, mesh):
+    op = control._weighted_operator(linearize(make(mesh=mesh)))
+    rng = np.random.default_rng(mesh)
+    for x in (rng.standard_normal(op.shape[1]), 1e6 * rng.standard_normal(op.shape[1])):
+        got = convex._sparse_product(*convex._nonzeros(op), x)
+        assert np.all(np.abs(got - op.dot(x)) <= _sparse_product_bound(op, x))
+
+
+def test_sparse_product_gives_an_all_zero_row_zero():
+    # 1,000 nonzeros drawn at random, the first, a middle and the last row
+    # all zero
+    rng = np.random.default_rng(3)
+    op = np.zeros((258, 384))
+    op.flat[rng.choice(op.size, 1000, replace=False)] = rng.standard_normal(1000)
+    op[[0, 100, -1]] = 0.0
+    x = rng.standard_normal(384)
+    got = convex._sparse_product(*convex._nonzeros(op), x)
+    assert np.all(np.abs(got - op.dot(x)) <= _sparse_product_bound(op, x))
+    assert got[[0, 100, -1]].tolist() == [0.0, 0.0, 0.0]
+    fibre = AffineSet(op, np.zeros(258))
+    assert fibre._product.func is convex._sparse_product
+    assert fibre._product(x)[[0, 100, -1]].tolist() == [0.0, 0.0, 0.0]
+    # the zero rows make the operator rank-deficient: a right-hand side with
+    # a nonzero entry there is inconsistent
+    rhs = np.zeros(258)
+    rhs[-1] = 1.0
+    with pytest.raises(ContractError, match="inconsistent"):
+        fibre.shifted(rhs)
+
+
+@pytest.mark.parametrize("mesh", [8, 64, 128])
+@pytest.mark.parametrize("make", [pendulum, double_integrator])
+def test_collocation_fibres_take_the_product_their_size_picks(make, mesh):
+    # below SPARSE_OP_ENTRIES entries (mesh 64 has 24,960) ndarray.dot is
+    # the faster product, however sparse the operator; mesh 128 (99,072
+    # entries, 1 in 86 nonzero) is multiplied by its nonzeros
+    mat = control._weighted_operator(linearize(make(mesh=mesh)))
+    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
+    if mesh == 128:
+        assert fibre._product.func is convex._sparse_product
+        assert mat.size > convex.SPARSE_OP_ENTRIES
+    else:
+        assert fibre._product == fibre.op.dot and mat.size <= convex.SPARSE_OP_ENTRIES
+
+
+def test_a_mesh_512_shift_runs_the_check_through_the_sparse_product(monkeypatch):
+    # no proof covers mesh 512, so each shift checks its right-hand side,
+    # multiplying by the operator's nonzeros; with the last row repeated
+    # the operator is no longer onto and the check refuses a right-hand
+    # side that repeats it with another value
+    calls = []
+    product = convex._sparse_product
+    monkeypatch.setattr(convex, "_sparse_product",
+                        lambda *args: calls.append(args[-1].size) or product(*args))
+    mat = control._weighted_operator(linearize(double_integrator(mesh=512)))
+    fibre = AffineSet(mat, np.zeros(mat.shape[0]))
+    assert not fibre.every_rhs_consistent
+    rng = np.random.default_rng(512)
+    calls.clear()
+    fibre.shifted(mat @ rng.standard_normal(mat.shape[1]))
+    assert calls == [mat.shape[1]]
+    repeated = AffineSet(np.vstack([mat, mat[-1]]), np.zeros(mat.shape[0] + 1))
+    assert repeated._product.func is convex._sparse_product and not repeated.surjective
+    rhs = np.zeros(mat.shape[0] + 1)
+    rhs[-1] = 1.0
+    calls.clear()
+    with pytest.raises(ContractError, match="inconsistent"):
+        repeated.shifted(rhs)
+    assert calls == [mat.shape[1]]
 
 
 @pytest.mark.parametrize("mesh", [8, 64, 128])

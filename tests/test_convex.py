@@ -235,7 +235,7 @@ def test_cached_factors_equal_a_fresh_factorization(cold_factor_cache, monkeypat
     points = rng.standard_normal((6, len(op[0])))
     for s in (cold, warm):
         assert s.right_inverse.tobytes() == want[0].tobytes()
-        assert (s.sigma_max, s.sigma_min, s.surjective, s.every_rhs_consistent) == want[1:]
+        assert (s.sigma_max, s.sigma_min, s.surjective, s.every_rhs_consistent) == want[1:5]
         for x in points:
             assert s.project(x).tobytes() == fresh.project(x).tobytes()
             assert s.distance(x) == fresh.distance(x)
@@ -275,6 +275,36 @@ def test_cached_right_inverse_is_read_only(cold_factor_cache):
     again = AffineSet([[1.0, 1.0]], [0.0])
     want = svd([[1.0, 1.0]]).right_inverse()
     assert again.right_inverse.tobytes() == want.tobytes()
+
+
+def _takes_dot(fibre) -> bool:
+    return fibre._product == fibre.op.dot
+
+
+def test_operators_of_at_most_the_cached_entries_take_dot(cold_factor_cache):
+    # however sparse: one nonzero among 64 entries, or among 2 x 32
+    for shape in [(1, 1), (1, 64), (2, 32), (8, 8), (4, 16)]:
+        op = np.zeros(shape)
+        op[np.arange(shape[0]), np.arange(shape[0])] = 1.0
+        assert op.size <= convex.CACHED_OP_ENTRIES
+        assert _takes_dot(AffineSet(op, np.zeros(shape[0])))
+
+
+def test_the_sparse_rule_reads_the_size_and_the_fill():
+    # at the entry bound, and one nonzero over the fill bound, an operator
+    # takes dot; past both bounds it takes its nonzeros
+    rows, cols = 128, convex.SPARSE_OP_ENTRIES // 128
+    at = np.zeros((rows, cols))
+    at[np.arange(rows), np.arange(rows)] = 1.0
+    assert _takes_dot(AffineSet(at, np.zeros(rows)))
+    wide = np.zeros((rows, cols + 1))
+    wide[np.arange(rows), np.arange(rows)] = 1.0
+    assert wide.size > convex.SPARSE_OP_ENTRIES
+    assert AffineSet(wide, np.zeros(rows))._product.func is convex._sparse_product
+    fill = wide.size // convex.SPARSE_FILL
+    wide.flat[np.flatnonzero(wide == 0)[:fill + 1 - rows]] = 0.5
+    assert np.count_nonzero(wide) == fill + 1
+    assert _takes_dot(AffineSet(wide, np.zeros(rows)))
 
 
 def test_operator_over_the_bound_is_factored_every_time(cold_factor_cache,
@@ -433,7 +463,7 @@ def test_a_proved_operator_passes_the_check_on_every_rhs(seed, rows, extra, log_
     cols = max(1, min(10, rows + extra))
     rank = max(0, min(rows, cols) - deficiency)
     op = _operator(seed, rows, cols, 10.0 ** log_cond, scale, zeros, rank)
-    inverse, _, _, surjective, proved = convex._factor(op)
+    inverse, _, _, surjective, proved, _ = convex._factor(op)
     if not surjective:
         assert not proved
         return
@@ -510,7 +540,7 @@ def test_the_proof_reads_blocks_of_at_most_its_bound(monkeypatch):
         return absolute(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "abs", recording_abs)
-    assert convex._rhs_always_consistent(op, inverse)
+    assert convex._rhs_always_consistent(op, inverse, convex._nonzeros(op))
     assert sizes and max(sizes) <= convex.CERT_BLOCK_ENTRIES
 
 
@@ -542,7 +572,7 @@ def test_affine_products_keep_the_bits_of_matmul(cold_factor_cache, monkeypatch,
     # copy while `@` loops over the view itself, so it gets the bits of one
     # of the two, which may differ in the last bit: that is intended.
     # The residual check's products are taken where no proof skips them.
-    monkeypatch.setattr(convex, "_rhs_always_consistent", lambda op, inverse: False)
+    monkeypatch.setattr(convex, "_rhs_always_consistent", lambda *args: False)
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     if order == "strided":
         op = rng.standard_normal((shape[0], 2 * shape[1]))[:, ::2]

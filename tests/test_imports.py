@@ -45,9 +45,9 @@ def run_fresh(body: str) -> list:
 def documented_commands() -> dict:
     """argv string -> expected exit code: the README's commands (exit 0),
     CI's console-script commands (exit 0 for those ``clean`` runs, or the
-    code its ``test "$rc"`` names, less a redirect of stdout and the check
-    that reads it), and control on both committed control files, one target
-    and a grid each."""
+    code its ``test "$rc"`` names, less a redirect of stdout or stderr and
+    the check that reads it), and control on both committed control files,
+    one target and a grid each."""
     commands = {}
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("regsel "):
@@ -55,8 +55,8 @@ def documented_commands() -> dict:
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     for line in ci.splitlines():
         refused = re.fullmatch(
-            r'\s*rc=0; regsel (.*?)(?: > "\$RUNNER_TEMP/stdout")? \|\| rc=\$\?; '
-            r'test "\$rc" -eq (\d+)(?:; grep .*)?', line)
+            r'\s*rc=0; regsel (.*?)(?: > "\$RUNNER_TEMP/stdout"| 2> "\$RUNNER_TEMP/stderr")? '
+            r'\|\| rc=\$\?; test "\$rc" -eq (\d+)(?:; (?:grep|test) .*)?', line)
         if refused:
             commands[refused.group(1)] = int(refused.group(2))
         elif re.fullmatch(r"\s*clean regsel .*", line):
@@ -100,7 +100,7 @@ report()
 
 def test_cli_commands_load_no_scipy():
     commands = documented_commands()
-    assert len(commands) >= 39  # 36 from CI, 3 more control runs
+    assert len(commands) >= 41  # 38 from CI, 3 more control runs
     body = f"""
 import contextlib, io, json, shlex, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

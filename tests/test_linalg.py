@@ -34,6 +34,17 @@ def test_as_vector_accepts_scalar_and_rejects_nan():
         as_vector([])
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the run
+def test_as_vector_screens_vectors_whose_squares_overflow_without_a_warning():
+    # entries above about 1.3e154 overflow the sum of squares that admits a
+    # finite vector at once; such a vector is scanned instead, silently
+    for entries in ([1e155], [1e200, -3.0], [-1.7e308, 1.7e308, 0.0]):
+        np.testing.assert_array_equal(as_vector(entries), entries)
+    for entries in ([1e200, np.inf], [np.nan, 1e200], [-np.inf]):
+        with pytest.raises(ShapeError, match="non-finite"):
+            as_vector(entries)
+
+
 def test_as_matrix_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         as_matrix([1.0, 2.0])
