@@ -68,6 +68,16 @@ its own work only, and each fibre's work once:
 
 Every table, gaps too, comes from _squared_distances, which adds squared
 differences in coordinate order (below 8 coordinates numpy's own order).
+A scan holds the grid points, sampled values and test values
+coordinate-major, one point per column, transposed once per scan, so each
+coordinate the kernel reads is a contiguous row. The scan runs under a
+ufunc buffer of SCAN_BUFSIZE elements, set by _graph_scan after the graph
+is sampled (the forward oracle runs under the caller's numpy state) and
+restored on return or raise. numpy 2.4 takes a broadcast whose rows are
+narrower than about a third of the buffer down its buffered path, at 3-4
+times the cost per entry; at the default 8,192 that is every row of
+verify-grid's tables (257, 317 and 1,257 entries). No scan takes a sum
+that numpy cuts at the buffer, so no bit depends on its size.
 min and max are exact and sqrt is correctly rounded and monotone, so the
 root of a least square is the least root: every ratio, verdict and witness
 is that of a scan of one test value at a time, ties included (the first
@@ -105,8 +115,21 @@ LSC_TAIL_TOL = 1e-6
 # than this (one value against more points or values) exceeds it. An Aubin
 # block keeps a few such tables live at once (its fibres' rows at the
 # listed members, their excess per source fibre, the gaps and the ratios),
-# each cut at the wider of the listed members and the test values.
+# each cut at the wider of the listed members and the test values. A table
+# is built from coordinate-major operands under SCAN_BUFSIZE: with numpy
+# 2.4.6 on a 2-core x86-64 host, a 2-coordinate table of this size takes
+# 1.7-2.0 ns an entry at rows of 137 to 3,276 entries, where row-major
+# operands at the default buffer took 3.8-4.3 ns.
 TABLE_ENTRIES = 1 << 14
+
+# The ufunc buffer size, in elements, under which the graph scans run. numpy
+# 2.4 takes a broadcast whose rows are narrower than about a third of the
+# buffer down its buffered path: there an outer difference costs 1.4-1.6 ns
+# an entry (same host), against 0.35-0.55 ns on contiguous rows of 137 to
+# 3,276 entries off it. At 256 every row of about 90 entries or more is off
+# it, where 512 left the 137-wide gap tables on it; numpy 1.x takes only
+# multiples of 16.
+SCAN_BUFSIZE = 256
 
 # The largest diameter whose square is a finite float64.
 _MAX_DIAMETER = float(np.sqrt(np.finfo(float).max))
@@ -523,27 +546,31 @@ def _sample_graph(mapping: SampledMapping, grid: int):
 
 
 def _squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of p and the rows of q.
+    """Squared Euclidean distances between the columns of the (d, a) array
+    p and those of the (d, b) array q, as an (a, b) table.
 
-    The squared coordinate differences are added into one len(p) x len(q)
-    table one coordinate at a time, in coordinate order. Below 8
-    coordinates numpy's pairwise sum adds in that order too, so the table
-    has the bits of ((p[:, None] - q[None]) ** 2).sum(axis=2); from 8
-    coordinates on numpy keeps 8 partial sums and the last bit can differ.
+    The squared coordinate differences are added into the table one
+    coordinate at a time, in coordinate order. Below 8 coordinates numpy's
+    pairwise sum adds in that order too, so the table has the bits of
+    ((p.T[:, None] - q.T[None]) ** 2).sum(axis=2) for any layout of p and
+    q; from 8 coordinates on numpy keeps 8 partial sums and the last bit
+    can differ. Coordinate-major operands (each coordinate p[j] a
+    contiguous row) are the fast layout.
     """
-    out = np.subtract.outer(p[:, 0], q[:, 0])
+    out = p[0][:, None] - q[0]
     out *= out
-    if p.shape[1] > 1:
+    if len(p) > 1:
         diff = np.empty_like(out)
-        for j in range(1, p.shape[1]):
-            np.subtract.outer(p[:, j], q[:, j], out=diff)
+        for j in range(1, len(p)):
+            np.subtract(p[j][:, None], q[j], out=diff)
             diff *= diff
             out += diff
     return out
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The square root of _squared_distances: Euclidean distances."""
+    """The square root of _squared_distances: Euclidean distances between
+    the columns of p and those of q."""
     out = _squared_distances(p, q)
     return np.sqrt(out, out=out)
 
@@ -569,8 +596,10 @@ def _fibre_blocks(pts, gy, gx_idx, y_test):
     """Yield (rows, d_y_fx, fib, members, new) for blocks of consecutive test
     values.
 
-    d_y_fx[r, i] is the distance from the test value y = y_test[rows][r] to
-    the sampled values F(pts[i]), +inf when F(pts[i]) is empty, and pts[i]
+    pts, gy and y_test hold the grid points, the sampled values and the test
+    values as columns (coordinate-major). d_y_fx[r, i] is the distance from
+    the test value y = y_test[:, rows][:, r] to the sampled values
+    F(pts[:, i]), +inf when F(pts[:, i]) is empty, and pts[:, i]
     lies in the sampled fibre F^{-1}(y) when that distance is at most
     CHECK_RTOL * (1 + ||y||). Every test value is itself a graph value, so
     each fibre holds at least the point it came from. new[r] is False when
@@ -580,47 +609,51 @@ def _fibre_blocks(pts, gy, gx_idx, y_test):
     the new fibre members[k] belongs to. A block is cut for tables as wide
     as the sampled values or the points.
     """
+    n_pts = pts.shape[1]
     starts = _run_starts(gx_idx)
     owners = gx_idx[starts]
+    # row_norms reads rows: the test values' own row-major bytes
+    slack = CHECK_RTOL * (1.0 + row_norms(np.ascontiguousarray(y_test.T)))
     last = None
-    for rows in _chunks(len(y_test), max(len(gy), len(pts))):
-        ys = y_test[rows]
-        near = _distances(ys, gy)
+    for rows in _chunks(y_test.shape[1], max(gy.shape[1], n_pts)):
+        near = _distances(y_test[:, rows], gy)
         if starts.size < near.shape[1]:
             # a point with several values is as near as the nearest of them
             near = np.minimum.reduceat(near, starts, axis=1)
-        if owners.size == len(pts):
+        if owners.size == n_pts:
             d_y_fx = near
         else:
-            d_y_fx = np.full((len(ys), len(pts)), np.inf)
+            d_y_fx = np.full((len(near), n_pts), np.inf)
             d_y_fx[:, owners] = near
-        in_fibre = d_y_fx <= (CHECK_RTOL * (1.0 + row_norms(ys)))[:, None]
-        new = np.empty(len(ys), dtype=bool)
+        in_fibre = d_y_fx <= slack[rows, None]
+        new = np.empty(len(near), dtype=bool)
         new[0] = last is None or not np.array_equal(in_fibre[0], last)
         new[1:] = (in_fibre[1:] != in_fibre[:-1]).any(axis=1)
         last = in_fibre[-1].copy()
-        fib, members = np.divmod(np.flatnonzero(in_fibre[new]), len(pts))
+        fib, members = np.divmod(np.flatnonzero(in_fibre[new]), n_pts)
         yield rows, d_y_fx, fib, members, new
 
 
 def _fold_fibres(pts, labels, members, count):
-    """d(x, fibre) for every grid point x and each of ``count`` fibres.
+    """d(x, fibre) for every grid point x (a column of pts) and each of
+    ``count`` fibres.
 
     ``members`` lists the members of consecutive fibres, fibre by fibre, and
-    labels[k] is the fibre of members[k]. Taken TABLE_ENTRIES // len(pts)
-    at a time, they give one table of squared distances to every point, and
-    np.minimum.reduce folds each fibre's run of rows into that fibre's row;
-    one square root of the folded rows ends the fold. As sqrt is correctly
-    rounded and monotone, sqrt(min s) == min sqrt(s): every row has the bits
-    of the minimum over _distances, wherever a fibre is cut.
+    labels[k] is the fibre of members[k]. Taken TABLE_ENTRIES // (number of
+    points) at a time, they give one table of squared distances to every
+    point, and np.minimum.reduce folds each fibre's run of rows into that
+    fibre's row; one square root of the folded rows ends the fold. As sqrt
+    is correctly rounded and monotone, sqrt(min s) == min sqrt(s): every
+    row has the bits of the minimum over _distances, wherever a fibre is
+    cut.
     """
-    out = np.full((count, len(pts)), np.inf)
-    for part in _chunks(len(members), len(pts)):
+    out = np.full((count, pts.shape[1]), np.inf)
+    for part in _chunks(len(members), pts.shape[1]):
         lab = labels[part]
         starts = _run_starts(lab)
         ends = np.append(starts[1:], len(lab))
         rows = lab[starts]
-        block = _squared_distances(pts[members[part]], pts)
+        block = _squared_distances(pts[:, members[part]], pts)
         fold = ends - starts > 1
         # only the first fibre of a part can have members in the part before
         fold[0] |= part.start > 0 and labels[part.start - 1] == rows[0]
@@ -635,7 +668,7 @@ def _fibre_distances(pts, labels, members, count):
     exactly one, its row is the _distances row of that member, with no
     fold and the same bits."""
     if members.size == count:
-        return _distances(pts[members], pts)
+        return _distances(pts[:, members], pts)
     return _fold_fibres(pts, labels, members, count)
 
 
@@ -648,8 +681,9 @@ def _first_max(ratios: np.ndarray) -> tuple[int, int, float]:
 
 
 def _membership_pass(pts, gy, gx_idx, y_test, regularity=True, listing=False):
-    """One pass over the fibres of the test values (_fibre_blocks):
-    (ratio, fibres), each None unless asked for.
+    """One pass over the fibres of the test values (_fibre_blocks), on
+    coordinate-major pts, gy and y_test: (ratio, fibres), each None unless
+    asked for.
 
     ratio, with ``regularity``, is (worst, witness): worst is the largest
     d(x, fib(y)) / d(y, F(x)), witness the first pair (x, y) in test-value
@@ -663,7 +697,7 @@ def _membership_pass(pts, gy, gx_idx, y_test, regularity=True, listing=False):
     test value r. Members are packed as they come, so the listing holds no
     Python object per block.
     """
-    n_test = len(y_test)
+    n_test = y_test.shape[1]
     if listing:
         packed, sizes = bytearray(), bytearray()
         new_all = np.empty(n_test, dtype=bool)
@@ -692,7 +726,7 @@ def _membership_pass(pts, gy, gx_idx, y_test, regularity=True, listing=False):
         r, j, value = _first_max(ratios)
         if value > worst:
             worst = value
-            witness = (pts[j], y_test[rows][r])
+            witness = (pts[:, j].copy(), y_test[:, rows.start + r].copy())
     fibres = None
     if listing:
         bounds = np.concatenate([[0], np.cumsum(np.frombuffer(sizes, np.intp))])
@@ -704,11 +738,12 @@ def _aubin_scan(pts, y_test, fibres, kappa):
     """The Aubin check of the inverse of the sampled graph: (ok, worst,
     witness).
 
-    fibres is the listing of _membership_pass. Blocks of consecutive test
-    values y_b are cut for tables as wide as the listed members or the test
-    values. For each distinct fibre among a block's y_b, d(x, fib(y_b)) at
-    every listed member x comes from _fibre_distances, and a fibre that the
-    block before ended on reuses its rows. far[b, a], the largest
+    pts and y_test are coordinate-major, and fibres is the listing of
+    _membership_pass. Blocks of consecutive test values y_b are cut for
+    tables as wide as the listed members or the test values. For each
+    distinct fibre among a block's y_b, d(x, fib(y_b)) at every listed
+    member x comes from _fibre_distances, and a fibre that the block before
+    ended on reuses its rows. far[b, a], the largest
     d(x, fib(y_b)) over the members x of fib(y_a), is read off those rows by
     np.maximum.reduceat over the listing, once per pair of distinct fibres,
     or is the row itself when every fibre is one point; it is then expanded
@@ -719,8 +754,8 @@ def _aubin_scan(pts, y_test, fibres, kappa):
     does.
     """
     members, bounds, fib_of = fibres
-    n_test, count = len(y_test), len(bounds) - 1
-    listed = pts[members]
+    n_test, count = y_test.shape[1], len(bounds) - 1
+    listed = pts[:, members]
     ok, worst, witness, src = True, 0.0, (), n_test
     carried = None
     for rows in _chunks(n_test, max(members.size, n_test)):
@@ -743,8 +778,7 @@ def _aubin_scan(pts, y_test, fibres, kappa):
         far = far_fib if len(fibs) == hi - lo else far_fib[fibs - lo]
         if count < n_test:
             far = far[:, fib_of]
-        ys = y_test[rows]
-        gap = _distances(ys, y_test)
+        gap = _distances(y_test[:, rows], y_test)
         # gap 0 only at y_b itself: the test values are distinct
         valid = gap > 0.0
         ratios = np.divide(far, gap, out=np.full(gap.shape, -np.inf),
@@ -755,7 +789,8 @@ def _aubin_scan(pts, y_test, fibres, kappa):
             f = fib_of[a]
             x = int(np.argmax(near[fibs[r] - lo, bounds[f]:bounds[f + 1]]))
             worst, src = value, a
-            witness = (pts[members[bounds[f] + x]], y_test[a], ys[r])
+            witness = (pts[:, members[bounds[f] + x]].copy(),
+                       y_test[:, a].copy(), y_test[:, rows.start + r].copy())
         if ok:
             # kappa * gap * (1 + CHECK_RTOL) + CHECK_ATOL, written over the
             # ratios, which have been read
@@ -772,14 +807,21 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None, regularity=True):
     ratio is the (worst, witness) of _membership_pass, None without
     ``regularity``. aubin is None without ``kappa``; with it the membership
     pass also lists the fibres, and aubin is the (ok, worst, witness) of
-    _aubin_scan on that listing, so the fibres are found once.
+    _aubin_scan on that listing, so the fibres are found once. Both run on
+    the coordinate-major graph under a ufunc buffer of SCAN_BUFSIZE, and
+    the caller's buffer size comes back on return or raise.
     """
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    ratio, fibres = _membership_pass(pts, gy, gx_idx, y_test, regularity,
-                                     kappa is not None)
-    if kappa is None:
-        return ratio, None
-    return ratio, _aubin_scan(pts, y_test, fibres, kappa)
+    pts, gy, y_test = (np.ascontiguousarray(a.T) for a in (pts, gy, y_test))
+    old = np.setbufsize(SCAN_BUFSIZE)
+    try:
+        ratio, fibres = _membership_pass(pts, gy, gx_idx, y_test, regularity,
+                                         kappa is not None)
+        aubin = None if kappa is None else _aubin_scan(pts, y_test, fibres,
+                                                       kappa)
+    finally:
+        np.setbufsize(old)
+    return ratio, aubin
 
 
 def sampled_reg(mapping: SampledMapping, grid=11) -> ModulusEstimate:

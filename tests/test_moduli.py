@@ -545,12 +545,13 @@ def test_sampled_reg_doubling():
 def test_sampled_reg_builds_one_table_per_distinct_fibre(monkeypatch):
     # 137 test values on this 2->1 map, but only 57 distinct consecutive
     # fibres: near-equal values reuse the last distance table. Every table,
-    # the fold's and those under _distances, comes from _squared_distances.
+    # the fold's and those under _distances, comes from _squared_distances,
+    # whose operands hold one point per column.
     entries = {1: 0, 2: 0}
     squared = moduli._squared_distances
 
     def counted(p, q):
-        entries[p.shape[1]] += p.shape[0] * q.shape[0]
+        entries[len(p)] += p.shape[1] * q.shape[1]
         return squared(p, q)
 
     monkeypatch.setattr(moduli, "_squared_distances", counted)
@@ -580,8 +581,9 @@ def two_to_one_map():
 def scan_counts(monkeypatch):
     """Counters of one graph scan: the membership passes (_fibre_blocks), the
     arguments of each _membership_pass, the squared-distance entries by
-    coordinate count, and the gap tables (one per Aubin block, the only
-    tables against all 137 test values)."""
+    coordinate count (the rows of the coordinate-major operands), and the
+    gap tables (one per Aubin block, the only tables against all 137 test
+    values)."""
     counts = {"passes": 0, "membership": [], 1: 0, 2: 0, "gaps": 0}
     blocks, squared = moduli._fibre_blocks, moduli._squared_distances
     membership = moduli._membership_pass
@@ -595,8 +597,8 @@ def scan_counts(monkeypatch):
         return membership(*args)
 
     def counted_squared(p, q):
-        counts[p.shape[1]] += p.shape[0] * q.shape[0]
-        counts["gaps"] += q.shape == (137, 1)
+        counts[len(p)] += p.shape[1] * q.shape[1]
+        counts["gaps"] += q.shape == (1, 137)
         return squared(p, q)
 
     monkeypatch.setattr(moduli, "_fibre_blocks", counted_blocks)
@@ -903,7 +905,9 @@ def test_scans_match_the_oracles_where_fibres_repeat_and_where_none_do(
         # a constant that fails here; 1.15 passes on the 2->1 map
         grid, kappa = 11, 0.95 * reg_linear(m)
     graph = _sample_graph(mapping, grid)
-    fibres = moduli._membership_pass(*graph, False, True)[1]
+    pts, gy, gx_idx, y_test = graph
+    fibres = moduli._membership_pass(pts.T, gy.T, gx_idx, y_test.T, False,
+                                     True)[1]
     assert (fibres[0].size, len(fibres[1]) - 1, len(graph[3])) == {
         "repeated": (1257, 57, 137), "singletons": (81, 81, 81)}[case]
     # verify_graph against both verifiers, and verify_aubin against the pairs
@@ -933,11 +937,12 @@ def test_fold_has_the_bits_of_the_square_root_then_reduceat_fold(monkeypatch):
     pts = np.stack(np.divmod(np.arange(200.0), 20), axis=1) / 8.0
     labels = np.array([0] + [1] * 10 + [3, 4, 4, 5])
     members = np.random.default_rng(3).permutation(200)[:labels.size]
-    folds.append((pts, labels, members, 7))
+    folds.append((np.ascontiguousarray(pts.T), labels, members, 7))
     for pts, labels, members, count in folds:
-        step = max(1, moduli.TABLE_ENTRIES // len(pts))
+        # the scans fold coordinate-major points; the oracle takes rows
+        step = max(1, moduli.TABLE_ENTRIES // pts.shape[1])
         got = fold(pts, labels, members, count)
-        want = fold_fibres_reduceat(pts, labels, members, count, step)
+        want = fold_fibres_reduceat(pts.T, labels, members, count, step)
         assert got.tobytes() == want.tobytes()
     assert np.isinf(got[[2, 6]]).all()
     assert np.isfinite(got[[0, 1, 3, 4, 5]]).all()
@@ -1005,8 +1010,124 @@ def test_distances_match_the_three_axis_sum_bitwise(dim):
     p = rng.standard_normal((57, dim)) * rng.uniform(0.1, 10.0, dim)
     q = rng.standard_normal((23, dim))
     want = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
-    assert moduli._distances(p, q).tobytes() == want.tobytes()
+    assert moduli._distances(p.T, q.T).tobytes() == want.tobytes()
     assert distances_3d(p, q).tobytes() == want.tobytes()
+
+
+def strided_columns(a):
+    """The columns of a as every other column of a coordinate-major array:
+    no coordinate row is contiguous."""
+    out = np.zeros((a.shape[1], 2 * a.shape[0]))
+    out[:, ::2] = a.T
+    return out[:, ::2]
+
+
+@given(st.integers(1, 7), st.sampled_from([137, 257, 317, 1257, 3276]),
+       st.sampled_from(["row-major", "strided", "coordinate-major"]),
+       st.integers(0, 2**32 - 1))
+def test_squared_distances_have_the_bits_of_the_broadcast_sum(
+        dim, width, layout, seed):
+    # the scans' tables at widths on both sides of the width below which
+    # numpy buffers a broadcast (about 2,730 at the default buffer), with
+    # the points as transposed rows, as strided columns, or coordinate-major
+    # as the scans hold them; under the caller's buffer and the scans' own
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((moduli.TABLE_ENTRIES // width, dim))
+    p *= rng.uniform(0.1, 10.0, dim)
+    q = rng.standard_normal((width, dim))
+    want = ((p[:, None] - q[None]) ** 2).sum(axis=2)
+    operands = {
+        "row-major": lambda a: a.T,
+        "strided": strided_columns,
+        "coordinate-major": lambda a: np.ascontiguousarray(a.T),
+    }[layout]
+    for bufsize in (np.getbufsize(), moduli.SCAN_BUFSIZE):
+        old = np.setbufsize(bufsize)
+        try:
+            got = moduli._squared_distances(operands(p), operands(q))
+        finally:
+            np.setbufsize(old)
+        assert got.tobytes() == want.tobytes()
+
+
+def state_check(name, bad=False):
+    """A call of one graph verifier on a small map; with ``bad`` the map has
+    a non-finite value off the base point (ShapeError)."""
+    def spoiled(x, y):
+        return np.where(x[:1] > 0.3, np.nan, y) if bad else y
+
+    mapping = SampledMapping(forward=lambda x: spoiled(x, 2.0 * x[:1] + x[1:]),
+                             x_base=np.zeros(2), y_base=np.zeros(1),
+                             radius_x=0.5, radius_y=1.0)
+    return {
+        "sampled_reg": lambda: sampled_reg(mapping, grid=5),
+        "metric-regularity": lambda: verify_metric_regularity(mapping, 1.0,
+                                                              grid=5),
+        "aubin": lambda: verify_aubin(mapping, 1.0, grid=5),
+        "graph": lambda: verify_graph(mapping, 1.0, grid=5),
+        "perturbation-bound": lambda: lg_bound_check(
+            np.array([[2.0, 1.0]]), lambda x: spoiled(x, 0.1 * np.sin(x[:1])),
+            np.zeros(2), kappa=1.0, lam=0.2, radius=0.5, grid=5, samples=50),
+    }[name]
+
+
+@pytest.mark.parametrize("outcome", ["returns", "non-finite", "scan raises"])
+@pytest.mark.parametrize("name", ["sampled_reg", "metric-regularity", "aubin",
+                                  "graph", "perturbation-bound"])
+def test_verifiers_leave_numpy_state_as_the_caller_set_it(monkeypatch, name,
+                                                          outcome):
+    # the scans run under their own ufunc buffer size; the caller's buffer
+    # size and error state come back whether the verifier returns or raises
+    def failing_scan(*args):
+        raise RuntimeError("scan failed")
+
+    if outcome == "scan raises":
+        monkeypatch.setattr(moduli, "_fibre_blocks", failing_scan)
+    check = state_check(name, bad=outcome == "non-finite")
+    old = np.setbufsize(64)
+    try:
+        with np.errstate(divide="ignore", under="warn"):
+            before = (np.getbufsize(), np.geterr())
+            if outcome == "returns":
+                check()
+            else:
+                error, match = {"non-finite": (ShapeError, "non-finite"),
+                                "scan raises": (RuntimeError, "scan failed")}[outcome]
+                with pytest.raises(error, match=match):
+                    check()
+            assert (np.getbufsize(), np.geterr()) == before
+    finally:
+        np.setbufsize(old)
+
+
+def report_bytes():
+    """The CSV rows and witness bytes of every graph verifier on the 2->1
+    map at grid 41 and on a 3-D map at grid 9."""
+    mat = np.array([[1.5, 0.2, 0.0], [0.3, 1.0, 0.4], [0.0, 0.2, 0.8]])
+    three = SampledMapping(forward=lambda x: mat @ x, x_base=np.zeros(3),
+                           y_base=np.zeros(3), radius_x=1.0,
+                           radius_y=2.0 * np.linalg.norm(mat, 2))
+    reports = []
+    for mapping, grid in ((two_to_one_map(), 41), (three, 9)):
+        reports += [sampled_reg(mapping, grid), *verify_graph(mapping, 1.0, grid),
+                    verify_metric_regularity(mapping, 1.0, grid),
+                    verify_aubin(mapping, 1.0, grid)]
+    reports.append(lg_bound_check(mat, lambda x: 0.05 * np.sin(x), np.zeros(3),
+                                  kappa=2.5, lam=0.2, radius=0.5, grid=9,
+                                  samples=50)[0])
+    return [r.csv_row() + "".join(np.asarray(w).tobytes().hex() for w in r.witness)
+            for r in reports]
+
+
+@pytest.mark.parametrize("bufsize", [64, 8192, 65536])
+def test_reports_do_not_depend_on_the_callers_buffer_size(bufsize):
+    want = report_bytes()
+    old = np.setbufsize(bufsize)
+    try:
+        got = report_bytes()
+    finally:
+        np.setbufsize(old)
+    assert got == want
 
 
 def memory_case(name):
