@@ -3,9 +3,10 @@
 The catalogue is deliberately small: affine solution sets, boxes, balls,
 halfspace systems, and finite intersections of those. Every set answers
 project / distance / gap, and ``project_gap``, which returns a projection
-and its gap together: that is all the selection iteration needs. An
-intersection takes the gap of its projection from what ``dykstra``
-measured on the way, so each member is measured once per point. Boxes
+and its gap together. The selection iteration calls ``_project_within``,
+the same projection with a gap that a proved affine set may bound instead
+of measuring (below). An intersection takes the gap of its projection from
+``dykstra``'s exit, so each member is measured at most once per point. Boxes
 and halfspace systems, the two kinds of control set, also answer
 ``support`` for the steering application's interior test, taking
 directions as rows (a halfspace system from its vertices, so on a bounded
@@ -16,7 +17,10 @@ affine fibre met with an inactive constraint costs one projection. An
 affine set checks that its right-hand side is consistent once per operator
 when its factorization proves every right-hand side consistent (a
 floating-point bound on the computed residual), and on every construction
-and shift otherwise. It multiplies by a large sparse operator's nonzeros.
+and shift otherwise. Such a proved set also bounds the gap of each
+projection it makes, so the selection's corrector measures a gap only
+where the bound does not settle its check (``_project_within``). It
+multiplies by a large sparse operator's nonzeros.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import copy
 import itertools
 import math
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, InfeasibilitySuspectedError, ShapeError
-from .linalg import (RESIDUAL_RTOL, SURJECTIVITY_RTOL, as_matrix, as_vector, norm,
+from .linalg import (RESIDUAL_RTOL, SURJECTIVITY_RTOL, _vdot, as_matrix, as_vector, norm,
                      row_norms, stack_matvec, svd)
 
 DYKSTRA_TOL = 1e-10
@@ -41,9 +46,10 @@ DYKSTRA_MAX_ROUNDS = 10000
 CACHED_OP_ENTRIES = 64
 
 # _rhs_always_consistent reads an operator, its right inverse and op P - I,
-# with the terms that form op P, in row blocks of at most 2**14 float64
-# entries (128 KiB), or of one row where a row of terms alone has more, and
-# keeps none.
+# with the terms that form op P, in row blocks, and _projector_norm reads
+# P op with the terms that form it in column blocks, of at most 2**14
+# float64 entries (128 KiB), or of one row or column where its terms alone
+# have more, and neither keeps any.
 CERT_BLOCK_ENTRIES = 2 ** 14
 
 # AffineSet multiplies an operator of more than SPARSE_OP_ENTRIES entries, at
@@ -88,21 +94,32 @@ class ConvexSet:
         z = self.project(x)
         return z, self.gap(z)
 
+    def _project_within(self, v: np.ndarray, slack: float) -> tuple[np.ndarray, float]:
+        """The projection z of a vector v that ``as_vector`` already
+        validated, and a gap that exceeds ``slack`` exactly when ``gap(z)``
+        does: ``gap(z)`` as measured, or a proved bound on it that is at most
+        ``slack`` (a proved ``AffineSet``, and an ``Intersection`` whose
+        ``dykstra`` leaves through its exact exit from one). A non-finite
+        projection raises ShapeError, as ``gap`` does."""
+        return self.project_gap(v)
+
 
 def _factor(op: np.ndarray):
     """What an AffineSet keeps of its operator's SVD: the read-only right
     inverse, sigma_max, sigma_min, the surjectivity verdict, whether
-    ``_rhs_always_consistent`` proves every right-hand side consistent, and
-    the ``_nonzeros`` listing of an operator that SPARSE_OP_ENTRIES and
-    SPARSE_FILL call sparse (None for any other)."""
+    ``_rhs_always_consistent`` proves every right-hand side consistent, the
+    ``_nonzeros`` listing of an operator that SPARSE_OP_ENTRIES and
+    SPARSE_FILL call sparse (None for any other), and the ``_gap_proof``
+    coefficients of a proved operator (None for any other)."""
     fac = svd(op)
     right_inverse = fac.right_inverse()
     right_inverse.flags.writeable = False
     nonzeros = _nonzeros(fac.a)
-    proved = fac.surjective and _rhs_always_consistent(fac.a, right_inverse, nonzeros)
+    rounding = fac.surjective and _rhs_always_consistent(fac.a, right_inverse, nonzeros)
+    gap_proof = _gap_proof(fac.a, right_inverse, nonzeros, rounding) if rounding else None
     sparse = fac.a.size > SPARSE_OP_ENTRIES and SPARSE_FILL * nonzeros[0].size <= fac.a.size
-    return (right_inverse, float(fac.s[0]), fac.sigma_min, fac.surjective, proved,
-            nonzeros if sparse else None)
+    return (right_inverse, float(fac.s[0]), fac.sigma_min, fac.surjective, bool(rounding),
+            nonzeros if sparse else None, gap_proof)
 
 
 def _nonzeros(op: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,12 +145,31 @@ def _cached_factors(shape: tuple[int, int], data: bytes):
     return _factor(np.frombuffer(data).reshape(shape))
 
 
+# The unit roundoff of float64, and the smallest subnormal: a rounded
+# product that underflows is off by at most ETA, not by U times itself.
+U = 2.0 ** -53
+ETA = 2.0 ** -1074
+
+
 def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u), u = 2**-53: a computed sum of k
     nonzero rounded products, in any order, with or without FMA, is off by
     at most gamma_k times the sum of their magnitudes (zero products add
     exactly)."""
-    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+    return k * U / (1.0 - k * U)
+
+
+class Rounding(NamedTuple):
+    """What the consistency proof learns of an operator op and its right
+    inverse P: a >= ||op||_2 and p >= ||P||_2 (bounds on the norms of |op|
+    and |P|), e >= ||op P - I||_2, and the most nonzeros in a row of op
+    and of P."""
+
+    a: float
+    p: float
+    e: float
+    k_op: int
+    k_p: int
 
 
 def _abs_norm(mat: np.ndarray) -> tuple[float, int]:
@@ -154,10 +190,10 @@ def _abs_norm(mat: np.ndarray) -> tuple[float, int]:
 
 
 def _rhs_always_consistent(op: np.ndarray, right_inverse: np.ndarray,
-                           nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray]) -> bool:
-    """True when no vector that ``as_vector`` admits can fail ``_set_rhs``'s
-    residual check, so the check need not run; ``nonzeros`` is
-    ``_nonzeros(op)``.
+                           nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """``Rounding(a, p, e, k_op, k_p)`` when no vector that ``as_vector``
+    admits can fail ``_set_rhs``'s residual check, so the check need not
+    run, and None otherwise; ``nonzeros`` is ``_nonzeros(op)``.
 
     With P the right inverse, E = op P - I, a and p bounds on the spectral
     norms of |op| and |P| (``_abs_norm``) and k_op, k_p the most nonzeros in
@@ -175,16 +211,19 @@ def _rhs_always_consistent(op: np.ndarray, right_inverse: np.ndarray,
     a p below 2**24 once the cheap terms pass, every product stays finite
     for ||rhs|| < 2**513, and a larger rhs has an infinite computed norm,
     which the check never exceeds.
+
+    The constants returned are the ones ``_gap_proof`` reads: a, p, e, a
+    bound on ||op P - I|| itself (the computed E's bound plus its rounding
+    and underflow), k_op and k_p.
     """
     m, n = op.shape
     a, op_nonzeros = _abs_norm(op)
     p, p_nonzeros = _abs_norm(right_inverse)
     slack = 1 + 8 * _gamma(m + 64)
-    eta = 2.0 ** -1074
     cheap = (a * p * (_gamma(p_nonzeros) + _gamma(op_nonzeros) * (2 + _gamma(p_nonzeros)))
-             + 2 * math.sqrt(m * eta) + 2 * eta * (a * n * p_nonzeros + 2 * m * op_nonzeros))
+             + 2 * math.sqrt(m * ETA) + 2 * ETA * (a * n * p_nonzeros + 2 * m * op_nonzeros))
     if not (p <= 2.0 ** 500 and slack * cheap <= RESIDUAL_RTOL):
-        return False
+        return None
     values, cols, starts = nonzeros
     bounds = np.append(starts, values.size)
     # a row lists at most max(1, op_nonzeros) terms, each a row of P
@@ -201,7 +240,103 @@ def _rhs_always_consistent(op: np.ndarray, right_inverse: np.ndarray,
         col_sums = col_sums + e.sum(axis=0)
         row_sum = max(row_sum, float(e.sum(axis=1).max()))
     e_norm = math.sqrt(float(col_sums.max()) * row_sum) * (1 + 2 * _gamma(m))
-    return slack * (e_norm + cheap) <= RESIDUAL_RTOL
+    if not slack * (e_norm + cheap) <= RESIDUAL_RTOL:
+        return None
+    e = e_norm + _gamma(op_nonzeros) * a * p + 2 * ETA * m * op_nonzeros
+    return Rounding(a, p, e, op_nonzeros, p_nonzeros)
+
+
+def _projector_norm(op: np.ndarray, right_inverse: np.ndarray,
+                    nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    a: float, p: float) -> float:
+    """A bound on ||P op||_2, P the n x m right inverse of op and
+    ``nonzeros`` op's ``_nonzeros`` listing: sqrt(||C||_1 ||C||_inf) of the
+    computed product C, each computed sum inflated by its gamma, plus C's
+    rounding, gamma_k p a for k the most nonzeros in a column of op (the
+    other products are zero and add exactly), and its underflow. C is
+    formed CERT_BLOCK_ENTRIES // n columns at a time, each block the
+    product of the columns of P and the rows of op that the block's
+    nonzeros span, and kept nowhere; for a banded operator that span is a
+    few rows. P op is a projector onto op's row space, so this is near 1
+    (about 2 for the collocation operators), where p a is in the
+    thousands."""
+    _, cols, starts = nonzeros
+    rows = np.repeat(np.arange(starts.size), np.diff(np.append(starts, cols.size)))
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    n = right_inverse.shape[0]
+    step = max(1, CERT_BLOCK_ENTRIES // n)
+    col_sum, row_sums = 0.0, 0.0
+    for start in range(0, op.shape[1], step):
+        lo, hi = np.searchsorted(cols, [start, start + step])
+        if lo == hi:  # columns of zeros: zero columns of C
+            continue
+        span = slice(rows[lo:hi].min(), rows[lo:hi].max() + 1)
+        block = right_inverse[:, span] @ op[span, start:start + step]
+        np.abs(block, out=block)
+        row_sums = row_sums + block.sum(axis=1)
+        col_sum = max(col_sum, float(block.sum(axis=0).max()))
+    k = int(np.bincount(cols).max())
+    return (math.sqrt(col_sum * float(row_sums.max())) * (1 + 2 * _gamma(n))
+            + _gamma(k) * p * a + 2 * ETA * n * k)
+
+
+def _gap_proof(op: np.ndarray, right_inverse: np.ndarray,
+               nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray],
+               rounding: Rounding) -> tuple[float, float, float] | None:
+    """Coefficients (c_r, c_v, c_0) such that c_r |r| + c_v |v| + c_0, taken
+    in floating point from the computed norms |r| and |v|, bounds the gap
+    that ``AffineSet.project_gap`` measures on the projection z of any v
+    (``AffineSet._gap_bound``); None for an operator with a > 2**500.
+
+    The projection forms r = fl(op v - w), o = fl(P r) and z = fl(v - o);
+    the gap is the computed norm of fl(P fl(op z - w)). With E = op P - I,
+    op z - w is exactly -dr - E r - op do + op dz, for dr, do and dz the
+    roundings of r, o and z, so P (op z - w) is at most
+    p |dr| + p e |r| + q (|do| + |dz|), q = ``_projector_norm``. The
+    gamma_k model bounds |dr| by gamma_{k_op} a |v| + u |r|, |do| by
+    gamma_{k_p} p |r| and |dz| by u (|v| + |o|); the measurement adds its
+    own products, gamma_{k_op} a |z| and gamma_{k_p} p |fl(op z - w)|, the
+    subtraction and the norm. Each step holds for any summation order,
+    with or without FMA, and carries its underflow terms; |r| and |v| are
+    bounded through their computed norms, and a final slack covers the
+    rounding of the coefficients and of their use. The terms are linear in
+    |r| and |v|, so they are added as forms [|r|, |v|, 1].
+
+    The model needs every quantity above finite. A bound of at most 1 has
+    c_v |v| <= 1 and c_r |r| <= 1, so |v| <= 1/(2 gamma_{k_op} a p) <=
+    2**53 (a p >= ||op P|| >= 1 - e) and p |r| <= 1/u; with a and p at most
+    2**500 and a p below 2**24 (the consistency proof), no product
+    overflows. ``AffineSet._project_within`` takes no bound above 1.
+    """
+    m, n = op.shape
+    a, p, e, k_op, k_p = rounding
+    if not a <= 2.0 ** 500:
+        return None
+    q = _projector_norm(op, right_inverse, nonzeros, a, p)
+    g_op, g_p = _gamma(k_op), _gamma(k_p)
+    h_op, h_p = 2 * ETA * k_op * math.sqrt(m), 2 * ETA * k_p * math.sqrt(n)
+    r, v, one = np.eye(3)
+    with np.errstate(under="ignore"):  # a term that underflows is below the slack
+        # roundings of the projection's residual, offset and point
+        d_r = g_op * a * v + U * r + h_op * one
+        d_o = g_p * p * r + h_p * one
+        d_z = U * (v + p * r + d_o)
+        # |op z - w| and |P (op z - w)|
+        t = d_r + e * r + a * (d_o + d_z)
+        pt = p * (d_r + e * r) + q * (d_o + d_z)
+        # the measurement: op z, its subtraction, the product with P, the norm
+        z = (1 + U) * (v + p * r + d_o)
+        d_m = g_op * a * z + h_op * one
+        t_hat = (t + d_m) / (1 - U)
+        g = pt + p * (d_m + U * t_hat) + g_p * p * t_hat + h_p * one
+        gap = (1 + U) * math.sqrt(1 + _gamma(n)) * (g + math.sqrt(n * ETA) * one)
+    # |r| <= (1 + 2 gamma_{m+2}) (computed |r| + sqrt(m eta)), and so for |v|
+    c_r = float(gap[0]) * (1 + 2 * _gamma(m + 2))
+    c_v = float(gap[1]) * (1 + 2 * _gamma(n + 2))
+    c_0 = float(gap[2]) + c_r * math.sqrt(m * ETA) + c_v * math.sqrt(n * ETA)
+    slack = 1 + _gamma(128)
+    return c_r * slack, c_v * slack, c_0 * slack
 
 
 class AffineSet(ConvexSet):
@@ -233,6 +368,16 @@ class AffineSet(ConvexSet):
     onto, ill-conditioned, or a mesh too fine for the bound) runs the check
     on every construction and every shift.
 
+    A proved operator also bounds the gap of its projections: the
+    factorization keeps ``_gap_proof``'s coefficients, from the proof's
+    bounds on |op|, |P| and op P - I and one more pass for ||P op||, and
+    ``_project_within`` bounds the gap that ``project_gap`` would measure
+    on a projection by the computed norms of the point and of the
+    residual the projection formed, with no product. Where that bound is at
+    most the caller's slack it stands for the gap; elsewhere, and for any
+    operator without the proof, the gap is measured. ``project_gap``,
+    ``gap`` and ``distance`` always measure.
+
     The ``svd`` that factors op refuses a misshaped, empty or non-finite
     operator with ShapeError; a cache hit has bytes that passed it, since
     the cache keeps no failed call.
@@ -258,8 +403,8 @@ class AffineSet(ConvexSet):
         else:
             factors = _factor(self.op)
         self.dim = self.op.shape[1]
-        (self.right_inverse, self.sigma_max, self.sigma_min,
-         self.surjective, self.every_rhs_consistent, nonzeros) = factors
+        (self.right_inverse, self.sigma_max, self.sigma_min, self.surjective,
+         self.every_rhs_consistent, nonzeros, self._gap_proof) = factors
         self._product = (self.op.dot if nonzeros is None
                          else partial(_sparse_product, *nonzeros))
         self._set_rhs(rhs)
@@ -305,15 +450,40 @@ class AffineSet(ConvexSet):
         return norm(self._offset(v))
 
     def project_gap(self, x) -> tuple[np.ndarray, float]:
-        """``project`` and ``gap`` of the projection, bit for bit, without
-        validating the projection again: a non-finite projection has a
-        non-finite offset, and only then is it passed to ``as_vector``,
-        which refuses it with ShapeError as ``gap`` does."""
+        """``project`` and ``gap`` of the projection, bit for bit."""
         z = self.project(x)
+        return z, self._measured_gap(z)
+
+    def _project_within(self, v, slack):
+        """The projection of v, bit for bit, with ``_gap_bound`` where that
+        is at most ``slack`` and 1, and the measured gap otherwise."""
+        resid = self._product(v) - self.rhs
+        z = v - self.right_inverse.dot(resid)
+        bound = self._gap_bound(resid, v)
+        if bound <= min(slack, 1.0):
+            return z, bound
+        return z, self._measured_gap(z)
+
+    def _gap_bound(self, resid, v) -> float:
+        """A bound on the gap ``project_gap`` measures on the projection of
+        v, wherever it is at most 1, from the computed norms of v and of its
+        residual ``resid`` = op v - rhs (``_gap_proof``); inf for an
+        operator without the proof. The norms take ``_vdot``, which reports
+        no overflow."""
+        if self._gap_proof is None:
+            return math.inf
+        c_r, c_v, c_0 = self._gap_proof
+        return c_r * math.sqrt(_vdot(resid, resid)) + c_v * math.sqrt(_vdot(v, v)) + c_0
+
+    def _measured_gap(self, z) -> float:
+        """``gap(z)`` of a projection z, without validating z again: a
+        non-finite projection has a non-finite offset, and only then is it
+        passed to ``as_vector``, which refuses it with ShapeError as ``gap``
+        does."""
         gap = self._distance(z)
         if not math.isfinite(gap):
             as_vector(z)
-        return z, gap
+        return gap
 
 
 class Box(ConvexSet):
@@ -433,7 +603,7 @@ class Halfspaces(ConvexSet):
     def project(self, x):
         if self._box is not None:
             return self._box.project(x)
-        return dykstra(self._rows, as_vector(x, dim=self.dim))[0]
+        return dykstra(self._rows, x)[0]
 
     def _distance(self, v):
         """0.0 for a point every row holds, ``n_i . v - c_i <= 0`` with each
@@ -557,20 +727,29 @@ class Intersection(ConvexSet):
     def project_gap(self, x) -> tuple[np.ndarray, float]:
         """``project`` and ``gap`` of the projection, bit for bit: the gap
         ``dykstra`` measured is the worst member distance."""
-        return dykstra(self.members, as_vector(x, dim=self.dim))
+        return dykstra(self.members, x)
+
+    def _project_within(self, v, slack):
+        """``dykstra``'s point, with the gap its exact exit may take from a
+        proved first member's bound."""
+        return dykstra(self.members, v, slack)
 
 
-def dykstra(sets, start) -> tuple[np.ndarray, float]:
+def dykstra(sets, start, slack: float = -math.inf) -> tuple[np.ndarray, float]:
     """Dykstra's alternating projections onto an intersection: the point and
-    its gap, the worst member ``distance``.
+    its gap, the worst member ``distance``, or at the exact exit a gap that
+    exceeds ``slack`` exactly when the first member's distance does.
 
-    The first projection, onto the first member, is an exact exit: if it
-    lies in every other member (each ``distance`` exactly 0.0), it is a
-    point of the intersection nearest to ``start`` among the points of a
+    ``start`` is validated once, against the first member's dimension. The
+    first projection, onto the first member, is an exact exit: if it lies
+    in every other member (each ``_distance`` exactly 0.0), it is a point
+    of the intersection nearest to ``start`` among the points of a
     superset, so the metric projection onto the intersection, and is
-    returned with the first member's distance as its gap. Membership must
-    be exact: a point 1e-12 outside a box runs the rounds below, whose
-    first step reuses that projection.
+    returned with the gap of the first member's ``_project_within``: its
+    distance as measured, or a proved bound on it that is at most
+    ``slack`` (never, at the default). Membership must be exact: a point
+    1e-12 outside a box runs the rounds below, whose first step reuses
+    that projection.
 
     Stops when one full round moves the iterate by <= DYKSTRA_TOL AND the
     iterate is feasible; displacement alone is not enough, because the
@@ -580,10 +759,10 @@ def dykstra(sets, start) -> tuple[np.ndarray, float]:
     when DYKSTRA_MAX_ROUNDS rounds are exhausted (in particular for empty
     intersections, where the displacement vanishes but the gap stays put).
     """
-    x = np.array(start, dtype=float)
-    first = sets[0].project(x)
-    if all(s.distance(first) == 0.0 for s in sets[1:]):
-        return first, sets[0].distance(first)
+    x = np.array(as_vector(start, dim=sets[0].dim))
+    first, gap = sets[0]._project_within(x, slack)
+    if all(s._distance(first) == 0.0 for s in sets[1:]):
+        return first, gap
     corrections = [np.zeros_like(x) for _ in sets]
     gap_tol = max(1e-9, 10.0 * DYKSTRA_TOL)
     for _ in range(DYKSTRA_MAX_ROUNDS):

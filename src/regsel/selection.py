@@ -14,6 +14,15 @@ intersection is empty otherwise. Each step therefore projects onto the
 fibre and compares the distance moved, its increment, once with the
 allowed distance: the truncation radius plus the step's slack.
 
+A step also checks its projection's gap, how far the projection misses its
+fibre, against the slack. Where the fibre's operator is proved (an
+``AffineSet`` whose factorization bounds its rounding, alone or as the
+first member of an intersection that ``dykstra`` leaves through its exact
+exit), a rounding bound settles that check without measuring the gap;
+where the bound exceeds the slack, or the operator has no proof, the gap
+is measured. The final membership residual that a certificate prints is
+always measured.
+
 A base point with g(x_base) != 0 is handled by shifting the query, so the
 solved inclusion is always stated at (x_base, y_base + g(x_base)), and
 g(x_base) is read once per equation (``GeneralizedEquation.g_base``).
@@ -91,8 +100,10 @@ class IterationConfig:
 
     @property
     def slack(self) -> float:
-        """10*tol: how far a projection may miss its fibre, the final point
-        its fibre, and the first two steps their truncation radii."""
+        """10*tol: how far a projection may miss its fibre (a proved bound
+        on that gap, or the gap measured where no bound settles it), the
+        final point its fibre (always measured), and the first two steps
+        their truncation radii."""
         return 10.0 * self.tol
 
     def step_budget(self, first: float) -> int:
@@ -249,8 +260,13 @@ def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, w,
     RegularityError when the fibre is empty (Dykstra did not settle) or
     lies farther than ``allowed``, the ball's radius plus the step's slack;
     NumericBreakdownError when the fibre's projection misses it by more
-    than ``cfg.slack``. One ``project_gap`` call gives the projection and
-    its gap, so an intersection's members measure the projection once.
+    than ``cfg.slack``. One ``_project_within`` call gives the projection
+    and its gap: a proved operator's rounding bound where that is at most
+    ``cfg.slack``, so no gap is measured, and otherwise the gap measured,
+    which the error quotes; an intersection's members measure the
+    projection once. ``center`` is ``x_base`` or the last projection, both
+    validated already: an ``AffineSet`` fibre takes it as it is, and
+    ``dykstra`` validates it once.
     """
     drift = norm(center - problem.x_base)
     if drift > problem.radius_x + 1e-12:
@@ -263,7 +279,7 @@ def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, w,
             f"corrected target is {w_dev:.6g} from y_base, outside the image "
             f"ball {problem.radius_y:.6g}")
     try:
-        z, gap = problem.finv(w).project_gap(center)
+        z, gap = problem.finv(w)._project_within(center, cfg.slack)
     except InfeasibilitySuspectedError as exc:
         raise RegularityError(
             f"{what}: the corrected target has no preimage under the "

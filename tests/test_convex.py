@@ -13,7 +13,7 @@ from scipy.optimize import minimize
 
 from oracles import (dykstra_loop, exact_support, exact_vertices, kkt_affine_project,
                      support_lp)
-from regsel import convex
+from regsel import control, convex, problems
 from regsel.convex import (AffineSet, Ball, Box, Halfspaces, Intersection,
                            direction_grid, dykstra, set_from_json)
 from regsel.errors import ContractError, InfeasibilitySuspectedError, ShapeError
@@ -463,7 +463,7 @@ def test_a_proved_operator_passes_the_check_on_every_rhs(seed, rows, extra, log_
     cols = max(1, min(10, rows + extra))
     rank = max(0, min(rows, cols) - deficiency)
     op = _operator(seed, rows, cols, 10.0 ** log_cond, scale, zeros, rank)
-    inverse, _, _, surjective, proved, _ = convex._factor(op)
+    inverse, _, _, surjective, proved, *_ = convex._factor(op)
     if not surjective:
         assert not proved
         return
@@ -542,6 +542,178 @@ def test_the_proof_reads_blocks_of_at_most_its_bound(monkeypatch):
     monkeypatch.setattr(np, "abs", recording_abs)
     assert convex._rhs_always_consistent(op, inverse, convex._nonzeros(op))
     assert sizes and max(sizes) <= convex.CERT_BLOCK_ENTRIES
+
+
+# ---------------------------------------------------------------------------
+# gap proof: a proved operator bounds the gap project_gap would measure on
+# its projection, so the corrector measures only where the bound does not
+# settle its check
+
+
+def _gap_case(fibre, v):
+    """The bound on the projection of v and what project_gap measures (None
+    where it refuses a non-finite projection); _project_within gives the
+    projection's bits, and at any slack the bound where it is at most the
+    slack and 1, the measured gap otherwise."""
+    with np.errstate(all="ignore"):
+        bound = fibre._gap_bound(fibre._product(v) - fibre.rhs, v)
+        try:
+            z, gap = fibre.project_gap(v)
+        except ShapeError:
+            assert not bound <= 1.0
+            with pytest.raises(ShapeError, match="non-finite"):
+                fibre._project_within(v, 1.0)
+            return bound, None
+        for slack in (-math.inf, 0.0, bound, 1.0, math.inf):
+            got, reported = fibre._project_within(v, slack)
+            assert got.tobytes() == z.tobytes()
+            want = bound if bound <= min(slack, 1.0) else gap
+            assert _bits(reported) == _bits(want)
+    return bound, gap
+
+
+# the scales of a point and a right-hand side: zero, subnormal, the
+# steering balls' sizes and beyond, up to squares that overflow
+SCALES = [0.0, 1e-310, 1e-8, 1e-3, 0.05, 1.0, 1e3, 1e150, 1e160]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3), extra=st.integers(0, 2),
+       log_cond=st.floats(0.0, 12.0), scale=st.sampled_from([-400, -200, 0, 200, 400]),
+       zeros=st.sampled_from([0.0, 0.3]), deficiency=st.sampled_from([0, 0, 0, 1]),
+       v_scale=st.sampled_from(SCALES), w_scale=st.sampled_from(SCALES),
+       near=st.booleans())
+def test_the_gap_bound_holds_on_small_operators(seed, rows, extra, log_cond, scale, zeros,
+                                                deficiency, v_scale, w_scale, near):
+    cols = min(5, rows + extra)
+    op = _operator(seed, rows, cols, 10.0 ** log_cond, scale, zeros, rows - deficiency)
+    rng = np.random.default_rng(seed)
+    fibre = AffineSet(op, np.zeros(rows))
+    if fibre.every_rhs_consistent:
+        fibre = fibre.shifted(w_scale * rng.standard_normal(rows))
+    else:  # no proof: every gap is measured
+        assert fibre._gap_proof is None
+    v = v_scale * rng.standard_normal(cols)
+    if near:  # a corrector's later steps start next to their fibre
+        with np.errstate(all="ignore"):
+            v = fibre.project(v) + 1e-9 * v_scale * rng.standard_normal(cols)
+    bound, gap = _gap_case(fibre, v)
+    assert not bound <= 1.0 or gap <= bound
+    assert fibre._gap_proof is not None or bound == math.inf
+
+
+@lru_cache(maxsize=None)
+def _collocation_fibre(name, mesh):
+    dynamics, n, m = problems.DYNAMICS_FIXTURES[name]
+    prob = control.ControlProblem(dynamics=dynamics, control_set=Box([-1.0], [1.0]),
+                                  state_dim=n, control_dim=m, mesh_size=mesh)
+    mat = control._weighted_operator(control.linearize(prob))
+    return AffineSet(mat, np.zeros(mat.shape[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["pendulum", "double_integrator"]),
+       mesh=st.sampled_from([8, 16, 32, 64, 128, 256]), seed=st.integers(0, 2 ** 32 - 1),
+       v_scale=st.sampled_from(SCALES), w_scale=st.sampled_from(SCALES),
+       near=st.booleans())
+def test_the_gap_bound_holds_on_the_collocation_operators(name, mesh, seed, v_scale,
+                                                          w_scale, near):
+    # centres and targets in the steering balls and far beyond; every mesh
+    # up to 256 is proved
+    base = _collocation_fibre(name, mesh)
+    assert base._gap_proof is not None
+    rng = np.random.default_rng(seed)
+    m, n = base.op.shape
+    fibre = base.shifted(w_scale * rng.standard_normal(m) / math.sqrt(m))
+    v = v_scale * rng.standard_normal(n) / math.sqrt(n)
+    if near:
+        with np.errstate(all="ignore"):
+            v = fibre.project(v) + 1e-9 * v_scale * rng.standard_normal(n) / math.sqrt(n)
+    bound, gap = _gap_case(fibre, v)
+    assert not bound <= 1.0 or gap <= bound
+    if (near or v_scale == 0.0) and v_scale <= 1.0 and w_scale <= 0.05:
+        # a steer's centre is 0 or lies next to the fibre it came from, and
+        # its slack is 1e-10: the proof settles such steps
+        assert bound <= 1e-10
+
+
+def _with_right_inverse(fibre, inverse):
+    """A copy of ``fibre`` whose right inverse is ``inverse``, with the
+    consistency and gap proofs built for it: the proofs read the stored
+    right inverse, whatever made it."""
+    other = fibre.shifted(fibre.rhs)
+    nonzeros = convex._nonzeros(fibre.op)
+    rounding = convex._rhs_always_consistent(fibre.op, inverse, nonzeros)
+    assert rounding
+    other.right_inverse = inverse
+    other._gap_proof = convex._gap_proof(fibre.op, inverse, nonzeros, rounding)
+    return other
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3), extra=st.integers(0, 2),
+       log_cond=st.floats(0.0, 3.0), size=st.sampled_from([1e-3, 1.0, 30.0]))
+def test_the_gap_bound_holds_where_op_p_minus_i_sets_the_gap(seed, rows, extra, log_cond,
+                                                             size):
+    # a right inverse moved by eps along the weakest singular pair: op P - I
+    # is about eps sigma_min there, and a residual along that direction
+    # leaves a gap of about eps |r| that only the bound's e term covers
+    cols = min(5, rows + extra)
+    op = _operator(seed, rows, cols, 10.0 ** log_cond, 0, 0.0, rows)
+    fibre = AffineSet(op, np.zeros(rows))
+    u, s, vt = np.linalg.svd(op)
+    eps = 1e-11 / s[rows - 1]
+    moved = _with_right_inverse(
+        fibre, fibre.right_inverse + eps * np.outer(vt[rows - 1], u[:, rows - 1]))
+    bound, gap = _gap_case(moved.shifted(-size * u[:, rows - 1]), np.zeros(cols))
+    assert 0.5e-11 * size <= gap <= bound
+
+
+def test_the_projector_norm_bounds_the_product_and_reads_blocks_of_at_most_its_bound(
+        monkeypatch):
+    # the mesh-128 collocation operator: P op is a projector, norm 1, and the
+    # bound is about 2; the pass forms at most CERT_BLOCK_ENTRIES entries of
+    # it at a time
+    fibre = _collocation_fibre("pendulum", 128)
+    op, inverse = fibre.op, fibre.right_inverse
+    sizes = []
+    absolute = np.abs
+
+    def recording_abs(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return absolute(a, *args, **kwargs)
+
+    rounding = convex._rhs_always_consistent(op, inverse, convex._nonzeros(op))
+    monkeypatch.setattr(np, "abs", recording_abs)
+    q = convex._projector_norm(op, inverse, convex._nonzeros(op), rounding.a, rounding.p)
+    monkeypatch.undo()
+    assert np.linalg.norm(inverse @ op, 2) <= q <= 2.5
+    # 42 columns of P op a block, 42 x 384 entries
+    assert sizes == [42 * 384] * 9 + [6 * 384]
+
+
+def test_the_projector_norm_skips_columns_of_zeros():
+    # 298 zero columns between two nonzero ones, blocks of 54 columns:
+    # four blocks take no product, and the bound still covers ||P op||
+    op = np.zeros((2, 300))
+    op[0, 0], op[1, 299], op[0, 299] = 1.0, 2.0, 0.5
+    inverse = np.linalg.pinv(op)
+    q = convex._projector_norm(op, inverse, convex._nonzeros(op), 3.0, 3.0)
+    assert np.linalg.norm(inverse @ op, 2) <= q <= 1.5
+
+
+def test_an_operator_without_the_proof_measures_every_gap():
+    # not onto, and onto but ill-conditioned: no bound, the gap is measured
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((5, 5)))[0][:, :3]
+    for op in ([[1.0, 0.0], [1.0, 0.0]], (u * [1.0, 1e-4, 1e-9]) @ v.T):
+        fibre = AffineSet(op, np.zeros(len(op)))
+        assert fibre._gap_proof is None
+        x = rng.standard_normal(fibre.dim)
+        z, gap = fibre.project_gap(x)
+        got, reported = fibre._project_within(x, math.inf)
+        assert got.tobytes() == z.tobytes() and _bits(reported) == _bits(gap)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +889,10 @@ def test_dykstra_finds_metric_projection_not_just_feasibility():
 
 class CountingMember(convex.ConvexSet):
     """A member whose projections dykstra makes are counted; ``distance``
-    goes to the wrapped set untouched (a general Halfspaces system answers
-    it from its rows, or with a projection of its own for a point outside:
-    a membership test and not a step)."""
+    and ``_distance`` (the exact exit's membership test) go to the wrapped
+    set untouched (a general Halfspaces system answers them from its rows,
+    or with a projection of its own for a point outside: a membership test
+    and not a step)."""
 
     def __init__(self, inner):
         self.inner, self.dim, self.calls = inner, inner.dim, 0
@@ -730,6 +903,9 @@ class CountingMember(convex.ConvexSet):
 
     def distance(self, x):
         return self.inner.distance(x)
+
+    def _distance(self, v):
+        return self.inner._distance(v)
 
 
 def affine_case(seed):

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bisect_root, random_surjective, three_phase_solve
-from regsel import convex
+from test_cli import COMMITTED, PINNED_BRANCHES, generalized_variants  # noqa: F401 (fixture)
+from regsel import control, convex, problems
+from regsel.cli import main
 from regsel.convex import AffineSet, Box, Intersection
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
                            RegularityError, ShapeError)
@@ -225,9 +227,10 @@ def test_truncated_projection_refuses_a_nan_point(base_set):
 
 
 def test_a_constrained_step_measures_each_member_once(monkeypatch):
-    # An inactive box: each corrector step projects onto the fibre once,
-    # the box measures that projection once (dykstra's exact exit) and the
-    # fibre once (the gap); the final residual measures each member once more.
+    # An inactive box: each corrector step projects onto the fibre once and
+    # the box measures that projection once (dykstra's exact exit); the
+    # fibre's gap is proved, not measured (no offset of the projection); the
+    # final residual measures each member once more.
     rng = np.random.default_rng(4)
     mat = random_surjective(rng, 2, 3, smin=0.5, smax=2.0)
     w = rng.standard_normal((2, 3))
@@ -255,14 +258,13 @@ def test_a_constrained_step_measures_each_member_once(monkeypatch):
             return original(self, *args)
         monkeypatch.setattr(cls, name, counted)
 
-    counting(AffineSet, "project", "project")
+    counting(AffineSet, "_project_within", "project")
     counting(AffineSet, "_offset", "offset")
     counting(Box, "_distance", "box")
     _, cert = solve(p, cfg, y)
     steps = cert.iterate_count + 1
     assert cert.iterate_count >= 3
-    assert counts == {"project": steps, "box": steps + 1,
-                      "offset": 2 * steps + 1}
+    assert counts == {"project": steps, "box": steps + 1, "offset": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -754,3 +756,136 @@ def test_sweep_records_per_point_failures():
     assert res.rows[1].certificate is None
     assert res.rows[1].error != ""
     assert res.max_continuity_ratio == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the projection gap of a corrector step: proved where the fibre's operator
+# is proved and the bound is at most the slack, measured everywhere else; no
+# verdict moves with the proof
+
+FIXTURES = COMMITTED.parents[1] / "tests" / "fixtures"
+
+FIXTURE_COMMANDS = {
+    "narrow-box-solve": ("solve", "generalized_narrow_box.json", "--target", "0.15"),
+    "narrow-box-sweep": ("sweep", "generalized_narrow_box.json", "--target", "0.17",
+                         "--grid", "9"),
+    "boundary-base-solve": ("solve", "base_on_the_boundary.json", "--target", "0.05"),
+    "u01-control": ("control", "double_integrator_u01.json", "--target", "0.05,0"),
+    "u01-control-grid": ("control", "double_integrator_u01.json", "--target", "0.02,0",
+                         "--grid", "3"),
+    "segment-control": ("control", "segment_reachable_set.json", "--target", "0.05,0.05"),
+    "huge-integer-solve": ("solve", "huge_integer_literal.json", "--target", "0.1"),
+}
+
+
+@pytest.fixture
+def gap_counts(monkeypatch):
+    """The fibre projections of corrector steps, and how many of them
+    measured their gap; ``run`` takes a CLI command with the gap proof on or
+    off, each on a cold factor cache."""
+    counts = {"steps": 0, "measured": 0}
+    within, measured = AffineSet._project_within, AffineSet._measured_gap
+
+    def counted_within(self, v, slack):
+        counts["steps"] += 1
+        return within(self, v, slack)
+
+    def counted_measured(self, z):
+        counts["measured"] += 1
+        return measured(self, z)
+
+    monkeypatch.setattr(AffineSet, "_project_within", counted_within)
+    monkeypatch.setattr(AffineSet, "_measured_gap", counted_measured)
+    proof = convex._gap_proof
+
+    def run(capsys, argv, proved=True):
+        counts.update(steps=0, measured=0)
+        monkeypatch.setattr(convex, "_gap_proof", proof if proved else lambda *args: None)
+        convex._cached_factors.cache_clear()
+        try:
+            code = main(list(argv))
+        finally:
+            convex._cached_factors.cache_clear()
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    counts["run"] = run
+    yield counts
+    convex._cached_factors.cache_clear()
+
+
+def _argv(command, file, *flags, where):
+    return (command, "--input", str(where / file), *flags)
+
+
+# the pinned commands that take corrector steps (moduli and verify take none)
+SOLVING_BRANCHES = [name for name, (argv, *_) in PINNED_BRANCHES.items()
+                    if argv[0] in ("solve", "sweep", "control")]
+
+
+@pytest.mark.parametrize("name", SOLVING_BRANCHES + list(FIXTURE_COMMANDS))
+def test_no_verdict_moves_when_every_gap_is_measured(capsys, gap_counts,
+                                                    generalized_variants, name):
+    # solve, steer, sweep and calm_sweep behind the CLI: the same bytes on
+    # stdout and stderr (x, increments, residual, error type and message)
+    # and the same exit code with the proof and with every gap measured
+    if name in FIXTURE_COMMANDS:
+        argv = _argv(*FIXTURE_COMMANDS[name], where=FIXTURES)
+    else:
+        command, file, *flags = PINNED_BRANCHES[name][0]
+        where = COMMITTED if (COMMITTED / file).exists() else generalized_variants
+        argv = _argv(command, file, *flags, where=where)
+    proved = gap_counts["run"](capsys, argv)
+    measured = gap_counts["run"](capsys, argv, proved=False)
+    assert proved == measured
+    assert gap_counts["measured"] == gap_counts["steps"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "128"),
+    ("control", "double_integrator.json", "--target", "0.05,0", "--mesh", "128"),
+    ("solve", "generalized.json", "--target", "0.1"),
+    ("solve", "smooth.json", "--target", "0.08"),
+    ("sweep", "generalized.json", "--target", "0.15", "--grid", "21"),
+    ("sweep", "smooth.json", "--target", "0.19", "--grid", "5"),
+], ids=["pendulum-128", "double-integrator-128", "solve-generalized", "solve-smooth",
+        "sweep-generalized", "sweep-smooth"])
+def test_proved_fibres_measure_no_corrector_gap(capsys, gap_counts, argv):
+    code, _, err = gap_counts["run"](capsys, _argv(*argv, where=COMMITTED))
+    assert code == 0 and err == ""
+    assert gap_counts["steps"] > 0 and gap_counts["measured"] == 0
+
+
+def test_a_mesh_512_steer_measures_every_gap(capsys, gap_counts):
+    # no proof covers the mesh-512 collocation operator
+    argv = ("control", "double_integrator.json", "--target", "0.05,0", "--mesh", "512")
+    code, _, err = gap_counts["run"](capsys, _argv(*argv, where=COMMITTED))
+    assert code == 0 and err == ""
+    assert gap_counts["steps"] > 0 and gap_counts["measured"] == gap_counts["steps"]
+
+
+def test_a_tol_below_the_rounding_fails_on_the_measured_gap(capsys, gap_counts):
+    # the bound does not settle a slack of 1e-17, so the step measures its
+    # gap and the error quotes the measurement
+    argv = ("solve", "generalized.json", "--target", "0.1", "--tol", "1e-18")
+    code, out, err = gap_counts["run"](capsys, _argv(*argv, where=COMMITTED))
+    assert (code, out) == (3, "")
+    assert err == ("regsel: numeric breakdown: iterate step: projection gap 1.068e-17 "
+                   "exceeds 10*tol\n")
+    assert gap_counts["measured"] >= 1
+
+
+@pytest.mark.parametrize("name", ["pendulum", "double_integrator"])
+def test_mesh_128_steers_around_a_ring_measure_no_gap(gap_counts, name):
+    # targets |b| = 0.02 and 0.05 in eight directions, with the schedule of
+    # a 0.065 tau target: every step's bound is below the slack of 1e-10
+    dynamics, n, m = problems.DYNAMICS_FIXTURES[name]
+    prob = control.ControlProblem(dynamics=dynamics, control_set=Box([-1.0], [1.0]),
+                                  state_dim=n, control_dim=m, mesh_size=128)
+    sys_ = control.linearize(prob)
+    setup = control.steering_setup(prob, sys_, tau_target=0.065)
+    for radius in (0.02, 0.05):
+        for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            control.steer(prob, sys_, radius * np.array([np.cos(angle), np.sin(angle)]),
+                          setup=setup)
+    assert gap_counts["steps"] >= 32 and gap_counts["measured"] == 0
