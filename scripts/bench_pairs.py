@@ -11,12 +11,15 @@ first in odd pairs and the working tree first in even ones. Neither side
 runs in place: both load from the same kind of location, at the same
 path depth. ``--out`` gets the lines of a committed ``BENCH_*.json``
 file: a header object, then one object per run with the last stdout line
-of that run as ``result``. The summary printed at the end gives, for each
-end-to-end metric of ``BENCHMARK.json``, both medians and quartiles, the
-change's wins (ties count for neither side), its median against the
-metric's bound, and whether a gain could be claimed: at least ten pairs,
-wins in at least nine tenths of them and medians further apart than the
-parent's interquartile range.
+of that run as ``result`` and the p50 of each operation family that the
+run prints as ``families`` (milliseconds by family name). The summary
+printed at the end gives, for each end-to-end metric of ``BENCHMARK.json``,
+both medians and quartiles, the change's wins (ties count for neither
+side), its median against the metric's bound, and whether a gain could be
+claimed: at least ten pairs, wins in at least nine tenths of them and
+medians further apart than the parent's interquartile range. Then, for
+each family, the median of its p50 on both sides, so a claim shows which
+operations moved.
 
 An archive, not a worktree, holds the parent: it leaves nothing in the
 repository's ``.git``, even when a run is killed.
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -97,14 +101,24 @@ def bench_command(args) -> list[str]:
             "--trace", "0"]
 
 
-def run_once(command: list[str], cwd) -> dict:
-    """The JSON object on the last stdout line of one benchmark run."""
+# a family line of bench/run.py: "  <family> n=<count> p50 <ms> ms  p90 <ms> ms"
+FAMILY_LINE = re.compile(r"  (\S.*?) +n=\d+ +p50 (\S+) ms +p90 \S+ ms")
+
+
+def run_once(command: list[str], cwd) -> tuple[dict, dict]:
+    """The JSON object on the last stdout line of one benchmark run, and
+    the p50 in milliseconds of each operation family it printed."""
     done = subprocess.run(command, cwd=cwd, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"bench_pairs: {' '.join(command)} in {cwd} exited "
                          f"{done.returncode}:\n{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), family_p50s(lines[:-1])
+
+
+def family_p50s(lines: list[str]) -> dict:
+    """Family name -> p50 in milliseconds, from a run's family lines."""
+    return {m[1]: float(m[2]) for m in map(FAMILY_LINE.fullmatch, lines) if m}
 
 
 def run_order(pair: int) -> tuple[str, str]:
@@ -158,6 +172,23 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[dict]:
     return rows
 
 
+def family_medians(runs: list[dict]) -> list[dict]:
+    """Per operation family that both sides report: the median over runs
+    of its p50 on each side, and the change's median relative to the
+    parent's (negative is faster)."""
+    p50s = {"parent": {}, "change": {}}
+    for run in runs:
+        for name, value in run.get("families", {}).items():
+            p50s[run["side"]].setdefault(name, []).append(value)
+    rows = []
+    for name in sorted(set(p50s["parent"]) & set(p50s["change"])):
+        med = {side: statistics.median(p50s[side][name]) for side in p50s}
+        rows.append({"name": name, "parent_median": med["parent"],
+                     "change_median": med["change"],
+                     "change": med["change"] / med["parent"] - 1.0})
+    return rows
+
+
 def failed_share(runs: list[dict], side: str) -> float:
     results = [r["result"] for r in runs if r["side"] == side]
     attempted = sum(r["attempted"] for r in results)
@@ -176,6 +207,10 @@ def report(runs: list[dict], end_to_end: list[dict]) -> list[str]:
             f"[{cq[0]:.6g}, {cq[1]:.6g}]; change wins {row['wins']}/{row['pairs']}; "
             f"worse by {row['worse']:+.2%} vs bound {row['bound']:.0%} ({verdict})"
             + ("; gain claimable" if row["gain"] else ""))
+    for row in family_medians(runs):
+        lines.append(f"  {row['name']}: p50 parent {row['parent_median']:.4g} ms "
+                     f"-> change {row['change_median']:.4g} ms "
+                     f"({row['change']:+.1%})")
     return lines
 
 
@@ -194,8 +229,9 @@ def main(argv=None):
                                   "unignored files in a sibling temporary "
                                   "directory"},
               "protocol": f"{args.pairs} pairs, parent first in odd pairs and "
-                          "change first in even pairs; each line below is the "
-                          "last stdout line of one run",
+                          "change first in even pairs; each line below holds "
+                          "the last stdout line of one run and the p50 of each "
+                          "operation family it printed",
               "host": f"{os.cpu_count()} cores, Python "
                       f"{platform.python_version()}, numpy {numpy.__version__}"}
     runs = []
@@ -206,8 +242,9 @@ def main(argv=None):
         where = prepare(parent, tmp)
         for pair in range(1, args.pairs + 1):
             for i, side in enumerate(run_order(pair)):
+                result, families = run_once(command, where[side])
                 run = {"pair": pair, "side": side, "ran_first": i == 0,
-                       "result": run_once(command, where[side])}
+                       "result": result, "families": families}
                 runs.append(run)
                 out.write(json.dumps(run) + "\n")
                 out.flush()

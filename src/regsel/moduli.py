@@ -49,19 +49,24 @@ its own work only, and each fibre's work once:
   distance +inf. Test values a few ulps apart often share a fibre, so one
   pass finds the distinct consecutive fibres.
 * Metric regularity: the rows d(x, F^{-1}(y)) over all grid points x come
-  from one table of squared distances between the stacked members of the
-  block's distinct fibres and the grid points; np.minimum.reduce folds each
-  fibre's rows and one square root ends (a fibre of one point takes its
-  row of _distances, with no fold). A fibre equal to the one before it
-  reuses its row. The ratio divides the rows by d(y, F(x)).
+  from tables of squared distances between the stacked members of the
+  block's distinct fibres and the grid points. The fold lists the runs of
+  each fibre's members once, each table takes its share of those runs,
+  np.minimum.reduce folds each fibre's rows and one square root ends (a
+  fibre of one point takes its row of _distances, with no fold). A fibre
+  equal to the one before it reuses its row. The ratio divides the rows by
+  d(y, F(x)).
 * Aubin property: the membership pass lists the distinct fibres, their
   members and the fibre of each test value, and computes no regularity
   ratio. Each distinct target fibre's rows are taken at the listed members
   alone, and np.maximum.reduceat turns them into each source fibre's
   excess, once per pair of distinct fibres, then expanded to the test
   values and divided by the gaps ||y_a - y_b||, which form one more table.
-  verify_graph lists the fibres in the pass that takes the regularity
-  ratios.
+  When every fibre is one point the excesses and gaps are symmetric to the
+  bit, so a block of targets y_b reads the sources y_a up to its last
+  target alone, in blocks cut triangularly (_lower_chunks): about half the
+  entries of the full table. verify_graph lists the fibres in the pass
+  that takes the regularity ratios.
 * No table holds more than TABLE_ENTRIES float64 entries unless a single
   row is wider; blocks of test values and fibre members are cut to fit, so
   the tables do not grow with the grid.
@@ -90,6 +95,7 @@ difference overflows to inf and each quotient silently drops to 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -112,10 +118,14 @@ LSC_TAIL_TOL = 1e-6
 # Float64 entries in any one table the graph verifiers build: blocks of test
 # values and fibre members are cut to fit, so the tables of a scan do not
 # grow with the grid. A table keeps at least one row, so a single row wider
-# than this (one value against more points or values) exceeds it. An Aubin
-# block keeps a few such tables live at once (its fibres' rows at the
-# listed members, their excess per source fibre, the gaps and the ratios),
-# each cut at the wider of the listed members and the test values. A table
+# than this (one value against more points or values) exceeds it. The fold
+# takes this many entries of members by points at a time, over runs listed
+# once per call. An Aubin block keeps a few such tables live at once (its
+# fibres' rows at the listed members, their excess per source fibre, the
+# gaps and the ratios), each cut at the wider of the listed members and the
+# test values; when every fibre is one point, a block of k targets whose
+# last is test value r reads the r + 1 sources up to it, and k (r + 1)
+# stays within this. A table
 # is built from coordinate-major operands under SCAN_BUFSIZE: with numpy
 # 2.4.6 on a 2-core x86-64 host, a 2-coordinate table of this size takes
 # 1.7-2.0 ns an entry at rows of 137 to 3,276 entries, where row-major
@@ -584,6 +594,18 @@ def _chunks(count: int, width: int):
         yield slice(lo, min(lo + step, count))
 
 
+def _lower_chunks(count: int):
+    """Consecutive slices of range(count) for a table whose row r reads
+    columns 0 to r alone: each of as many rows k (at least one) as keep
+    k * (its last row + 1) within TABLE_ENTRIES."""
+    lo = 0
+    while lo < count:
+        # the largest k with k * (lo + k) <= TABLE_ENTRIES
+        step = max(1, (math.isqrt(lo * lo + 4 * TABLE_ENTRIES) - lo) // 2)
+        yield slice(lo, min(lo + step, count))
+        lo += step
+
+
 def _run_starts(labels: np.ndarray) -> np.ndarray:
     """Index of the first entry of each run of equal labels."""
     change = np.empty(len(labels), dtype=bool)
@@ -639,27 +661,42 @@ def _fold_fibres(pts, labels, members, count):
     ``count`` fibres.
 
     ``members`` lists the members of consecutive fibres, fibre by fibre, and
-    labels[k] is the fibre of members[k]. Taken TABLE_ENTRIES // (number of
-    points) at a time, they give one table of squared distances to every
-    point, and np.minimum.reduce folds each fibre's run of rows into that
-    fibre's row; one square root of the folded rows ends the fold. As sqrt
-    is correctly rounded and monotone, sqrt(min s) == min sqrt(s): every
-    row has the bits of the minimum over _distances, wherever a fibre is
-    cut.
+    labels[k] is the fibre of members[k]. The runs of equal labels are
+    listed once. Taken TABLE_ENTRIES // (number of points) at a time, the
+    members give one table of squared distances to every point: the rows of
+    the part's one-member runs are stored in one step, and np.minimum.reduce
+    folds the part's share of each longer run into that fibre's row; one
+    square root of the folded rows ends the fold. As sqrt is correctly
+    rounded and monotone, sqrt(min s) == min sqrt(s): every row has the
+    bits of the minimum over _distances, wherever a fibre is cut.
     """
     out = np.full((count, pts.shape[1]), np.inf)
-    for part in _chunks(len(members), pts.shape[1]):
-        lab = labels[part]
-        starts = _run_starts(lab)
-        ends = np.append(starts[1:], len(lab))
-        rows = lab[starts]
-        block = _squared_distances(pts[:, members[part]], pts)
-        fold = ends - starts > 1
-        # only the first fibre of a part can have members in the part before
-        fold[0] |= part.start > 0 and labels[part.start - 1] == rows[0]
-        out[rows[~fold]] = block[starts[~fold]]
-        for lo, hi, row in zip(starts[fold], ends[fold], rows[fold]):
-            np.minimum(out[row], np.minimum.reduce(block[lo:hi]), out=out[row])
+    starts = _run_starts(labels)
+    ends = np.append(starts[1:], len(labels))
+    rows = labels[starts]
+    single = ends - starts == 1
+    one_at, one_row = starts[single], rows[single]
+    listed = pts[:, members]
+    parts = list(_chunks(len(members), pts.shape[1]))
+    # the one-member runs of part i are one_at[cut[i]:cut[i + 1]]
+    cut = np.searchsorted(one_at, [p.start for p in parts] + [len(labels)])
+    runs = zip(*(a[~single].tolist() for a in (starts, ends, rows)))
+    done = (len(labels), None, None)  # starts after every part
+    lo, hi, row = next(runs, done)
+    for part, a, b in zip(parts, cut.tolist(), cut[1:].tolist()):
+        block = _squared_distances(listed[:, part], pts)
+        if b > a:
+            out[one_row[a:b]] = block[one_at[a:b] - part.start]
+        while lo < part.stop:
+            piece = block[max(lo, part.start) - part.start:
+                          min(hi, part.stop) - part.start]
+            if lo >= part.start:  # the run's first piece
+                np.minimum.reduce(piece, out=out[row])
+            else:
+                np.minimum(out[row], np.minimum.reduce(piece), out=out[row])
+            if hi > part.stop:  # the run goes on in the next part
+                break
+            lo, hi, row = next(runs, done)
     return np.sqrt(out, out=out)
 
 
@@ -752,33 +789,49 @@ def _aubin_scan(pts, y_test, fibres, kappa):
     such ratio, and witness (x, y_a, y_b) the first pair in source-major
     (a, b) order attaining it, with the first member x of fib(y_a) that
     does.
+
+    When every fibre is one point, far[b, a] is the distance between the
+    points of fib(y_a) and fib(y_b): far and the gaps are symmetric to the
+    bit, so a worst pair whose source comes after its target has a mirror
+    earlier in source-major order, and the first worst pair has a < b. A
+    block of targets then reads the sources up to its last target alone
+    (_lower_chunks); a pair of the block with a > b never wins a tie over
+    its mirror, which the same block holds. No rows are carried between
+    these blocks.
     """
     members, bounds, fib_of = fibres
     n_test, count = y_test.shape[1], len(bounds) - 1
     listed = pts[:, members]
+    singletons = members.size == count
+    blocks = (_lower_chunks(n_test) if singletons
+              else _chunks(n_test, max(members.size, n_test)))
     ok, worst, witness, src = True, 0.0, (), n_test
     carried = None
-    for rows in _chunks(n_test, max(members.size, n_test)):
+    for rows in blocks:
         fibs = fib_of[rows]
         lo, hi = int(fibs[0]), int(fibs[-1]) + 1
+        # the sources read, and the listed members of their fibres
+        sources, width = ((rows.stop, hi) if singletons
+                          else (n_test, members.size))
         first = lo if carried is None else lo + 1
         sizes = np.diff(bounds[first:hi + 1])
         near = _fibre_distances(
-            listed, np.repeat(np.arange(hi - first), sizes),
+            listed[:, :width], np.repeat(np.arange(hi - first), sizes),
             np.arange(bounds[first], bounds[hi]), hi - first)
         far_fib = near
-        if members.size > count:  # some fibre has several members
+        if not singletons:
             far_fib = np.maximum.reduceat(near, bounds[:-1], axis=1)
         if carried is not None:
             near = np.concatenate([carried[0][None], near])
             far_fib = np.concatenate([carried[1][None], far_fib])
         carried = None
-        if rows.stop < n_test and fib_of[rows.stop] == hi - 1:
+        if (not singletons and rows.stop < n_test
+                and fib_of[rows.stop] == hi - 1):
             carried = (near[-1].copy(), far_fib[-1].copy())
         far = far_fib if len(fibs) == hi - lo else far_fib[fibs - lo]
         if count < n_test:
-            far = far[:, fib_of]
-        gap = _distances(y_test[:, rows], y_test)
+            far = far[:, fib_of[:sources]]
+        gap = _distances(y_test[:, rows], y_test[:, :sources])
         # gap 0 only at y_b itself: the test values are distinct
         valid = gap > 0.0
         ratios = np.divide(far, gap, out=np.full(gap.shape, -np.inf),

@@ -119,3 +119,29 @@ def test_both_sides_run_from_sibling_copies(tmp_path):
     assert (change / ".gitignore").exists()
     assert not (change / "ignored.txt").exists()
     assert not (change / ".git").exists()
+
+
+def test_family_lines_are_kept_and_compared_side_by_side():
+    # the lines bench/run.py prints after its metrics: a family name of 20
+    # characters or more is followed by a single space
+    stdout = ["failed_frac                     0 ratio 0 of 42 operations failed",
+              "  aubin 2->1 x0.95     n=3      p50 0.923 ms  p90 0.9422 ms",
+              "  metric-reg 2->1 x0.95 n=3      p50 8.43 ms  p90 8.536 ms",
+              "host scale               0.699892 ratio median over operations"]
+    assert bench_pairs.family_p50s(stdout) == {"aubin 2->1 x0.95": 0.923,
+                                               "metric-reg 2->1 x0.95": 8.43}
+    runs = synthetic_runs({m["name"]: 1.0 for m in END_TO_END}, pairs=3)
+    for run in runs:
+        pair, faster = run["pair"], run["side"] == "change"
+        run["families"] = {"aubin 2->1 x0.95": (9.0 if faster else 10.0) + pair,
+                           "lg-bound x1.05": 12.0}
+    runs[0]["families"]["parent only"] = 1.0
+    rows = {r["name"]: r for r in bench_pairs.family_medians(runs)}
+    assert set(rows) == {"aubin 2->1 x0.95", "lg-bound x1.05"}
+    assert (rows["aubin 2->1 x0.95"]["parent_median"],
+            rows["aubin 2->1 x0.95"]["change_median"]) == (12.0, 11.0)
+    assert rows["lg-bound x1.05"]["change"] == 0.0
+    lines = bench_pairs.report(runs, END_TO_END)
+    assert lines[-2:] == [
+        "  aubin 2->1 x0.95: p50 parent 12 ms -> change 11 ms (-8.3%)",
+        "  lg-bound x1.05: p50 parent 12 ms -> change 12 ms (+0.0%)"]

@@ -14,6 +14,8 @@ from regsel.problems import ProblemFile, load_problem
 
 BOX_JSON = {"type": "box", "lower": [-1.0], "upper": [1.0]}
 COMMITTED = Path(__file__).resolve().parents[1] / "scripts" / "problems"
+# problem files of the tests alone
+FIXTURE_FILES = Path(__file__).resolve().parent / "fixtures"
 
 RANK_ONE = [[1.0, 2.0], [2.0, 4.0]]
 UNBOUNDED_NORMALS = [
@@ -1626,6 +1628,16 @@ PINNED_BRANCHES = {
     "ci-verify-linear-101-below-the-modulus": (
         ("verify", "linear.json", "--grid", "101", "--kappa", "0.3"), 6,
         CSV_HEADER + "\n" + LINEAR_101_VERIFY.format(verdict="fail")),
+    # x -> 2 x0 + 2 x1 (tests/fixtures): 137 test values over 57 fibres of
+    # many points each, so both scans fold fibres that their tables cut
+    "ci-verify-two-to-one": (
+        ("verify", "linear_two_to_one.json", "--grid", "41", "--kappa", "1.2"), 0,
+        CSV_HEADER + "\n"
+        "metric-regularity,1.1180339887498998,,,,pass,"
+        "0.30000000000000004 0.95000000000000018;2.6000000000000001\n"
+        "aubin,1.1180339887498998,,,,pass,"
+        "-0.90000000000000002 -0.39999999999999991;-2.6000000000000001;"
+        "-2.6999999999999997\n"),
 }
 
 
@@ -1646,7 +1658,8 @@ def generalized_variants(tmp_path_factory):
 @pytest.mark.parametrize("name", PINNED_BRANCHES)
 def test_cli_branches_keep_their_stdout(capsys, generalized_variants, name):
     (command, file, *flags), code, stdout, *loose = PINNED_BRANCHES[name]
-    where = COMMITTED if (COMMITTED / file).exists() else generalized_variants
+    where = next(d for d in (COMMITTED, FIXTURE_FILES, generalized_variants)
+                 if (d / file).exists())
     got = run(capsys, command, "--input", str(where / file), *flags)
     assert got[0] == code
     assert_cells(got[1], stdout, loose[0] if loose else {})

@@ -100,7 +100,7 @@ report()
 
 def test_cli_commands_load_no_scipy():
     commands = documented_commands()
-    assert len(commands) >= 41  # 38 from CI, 3 more control runs
+    assert len(commands) >= 42  # 39 from CI, 3 more control runs
     body = f"""
 import contextlib, io, json, shlex, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

@@ -581,12 +581,15 @@ def two_to_one_map():
 def scan_counts(monkeypatch):
     """Counters of one graph scan: the membership passes (_fibre_blocks), the
     arguments of each _membership_pass, the squared-distance entries by
-    coordinate count (the rows of the coordinate-major operands), and the
-    gap tables (one per Aubin block, the only tables against all 137 test
-    values)."""
-    counts = {"passes": 0, "membership": [], 1: 0, 2: 0, "gaps": 0}
+    coordinate count (the rows of the coordinate-major operands), the gap
+    tables of the 2->1 map (one per Aubin block, the only tables against
+    all 137 test values), and the entries of each table the Aubin scan
+    makes, in order (per block, its rows at the listed members, then its
+    gaps)."""
+    counts = {"passes": 0, "membership": [], 1: 0, 2: 0, "gaps": 0,
+              "aubin": None}
     blocks, squared = moduli._fibre_blocks, moduli._squared_distances
-    membership = moduli._membership_pass
+    membership, aubin = moduli._membership_pass, moduli._aubin_scan
 
     def counted_blocks(*args):
         counts["passes"] += 1
@@ -596,13 +599,20 @@ def scan_counts(monkeypatch):
         counts["membership"].append(args[4:])
         return membership(*args)
 
+    def counted_aubin(*args):
+        counts["aubin"] = []
+        return aubin(*args)
+
     def counted_squared(p, q):
         counts[len(p)] += p.shape[1] * q.shape[1]
         counts["gaps"] += q.shape == (1, 137)
+        if counts["aubin"] is not None:
+            counts["aubin"].append(p.shape[1] * q.shape[1])
         return squared(p, q)
 
     monkeypatch.setattr(moduli, "_fibre_blocks", counted_blocks)
     monkeypatch.setattr(moduli, "_membership_pass", counted_membership)
+    monkeypatch.setattr(moduli, "_aubin_scan", counted_aubin)
     monkeypatch.setattr(moduli, "_squared_distances", counted_squared)
     return counts
 
@@ -644,6 +654,69 @@ def test_verify_graph_finds_the_fibres_once_for_both_verdicts(monkeypatch):
     # listed members: the same 1257 points here
     assert counts[2] == 2 * 1257 * 1257
     assert counts["gaps"] == 11
+
+
+def test_the_fold_lists_its_runs_once_per_call(monkeypatch):
+    # the regularity pass folds the new fibres of each of its 11 blocks:
+    # 100 tables of at most 13 members by the 1257 points, and the runs of
+    # each fold are listed once, not once per table
+    calls = {"folds": 0, "runs": 0, "tables": 0}
+    fold, run_starts = moduli._fold_fibres, moduli._run_starts
+    counts = scan_counts(monkeypatch)
+    squared = moduli._squared_distances
+
+    def counted_fold(*args):
+        calls["folds"] += 1
+        return fold(*args)
+
+    def counted_runs(labels):
+        calls["runs"] += 1
+        return run_starts(labels)
+
+    def counted_squared(p, q):
+        calls["tables"] += len(p) == 2
+        return squared(p, q)
+
+    monkeypatch.setattr(moduli, "_fold_fibres", counted_fold)
+    monkeypatch.setattr(moduli, "_run_starts", counted_runs)
+    monkeypatch.setattr(moduli, "_squared_distances", counted_squared)
+    sampled_reg(two_to_one_map(), grid=41)
+    assert counts[2] == 1257 * 1257
+    assert (calls["folds"], calls["tables"]) == (11, 100)
+    # one listing per fold, and the pass's own runs of values per point
+    assert calls["runs"] == calls["folds"] + 1
+    assert counts["passes"] == 1
+
+
+def singleton_map():
+    """x -> M x on 81 grid points: 81 test values, each fibre one point."""
+    m = np.array([[2.0, 0.5], [0.3, 1.0]])
+    return m, SampledMapping(forward=lambda x: m @ x, x_base=np.zeros(2),
+                             y_base=np.zeros(2), radius_x=1.0,
+                             radius_y=2.0 * np.linalg.norm(m, 2))
+
+
+def test_aubin_reads_half_the_table_when_every_fibre_is_one_point(monkeypatch):
+    # with every fibre one point, far[b, a] and the gaps are symmetric, so
+    # a block of targets reads the sources up to its last target alone. At
+    # 200 entries the 81 test values take 21 blocks of k rows with
+    # k * (last row + 1) <= 200; a full table, block by block, reads
+    # 81 * 81 = 6561 distances between points and as many gaps
+    monkeypatch.setattr(moduli, "TABLE_ENTRIES", 200)
+    m, mapping = singleton_map()
+    counts = scan_counts(monkeypatch)
+    report = verify_aubin(mapping, 0.95 * reg_linear(m), grid=11)
+    near, gaps = counts["aubin"][0::2], counts["aubin"][1::2]
+    assert len(near) == len(gaps) == 21
+    assert max(counts["aubin"]) <= 200
+    assert sum(near) == sum(gaps) == 3516  # 81 * 82 / 2 = 3321 at best
+    # and the membership pass: one distance per test value and point
+    assert counts[2] == 81 * 81 + sum(near) + sum(gaps)
+    ok, worst, witness = aubin_pair_scan(*_sample_graph(mapping, 11),
+                                         0.95 * reg_linear(m))
+    assert report.ok is ok is False
+    assert report.worst_ratio == worst
+    assert_same_witness(report.witness, witness)
 
 
 def test_verify_aubin_doubling():
@@ -862,6 +935,82 @@ def test_aubin_matches_pair_scan_on_lattice_maps(shape, entries, scale):
         assert_lg_scan_matches_loop(mat, 1.05 * reg_linear(mat), grid)
 
 
+def assert_half_table_is_the_pair_scan(mapping, grid, modulus=None):
+    """On a graph whose every fibre is one point, verify_aubin reads half
+    the table: at kappa 1.05 and 0.95 times the modulus (by default the
+    pair scan's) it gives the verdict, value and witness bytes of
+    aubin_pair_scan, and passes at 1.05 alone."""
+    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
+    members, bounds, _ = moduli._membership_pass(pts.T, gy.T, gx_idx,
+                                                 y_test.T, False, True)[1]
+    assert members.size == len(bounds) - 1
+    if modulus is None:
+        modulus = aubin_pair_scan(pts, gy, gx_idx, y_test, 1.0)[1]
+    for factor in (1.05, 0.95):
+        report = verify_aubin(mapping, factor * modulus, grid=grid)
+        ok, worst, witness = aubin_pair_scan(pts, gy, gx_idx, y_test,
+                                             factor * modulus)
+        assert report.ok is ok is (factor > 1.0)
+        assert report.worst_ratio == worst
+        assert_same_witness(report.witness, witness)
+    return worst
+
+
+@pytest.mark.parametrize("entries", [moduli.TABLE_ENTRIES, 200])
+@pytest.mark.parametrize("rows,grid", [
+    ([[1.0, 1.0], [1.0, -1.0]], 9), ([[2.0, 0.0], [0.0, 1.0]], 9),
+    ([[1.0, 2.0], [0.0, 1.0]], 11),
+    ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], 5)])
+def test_half_table_matches_pair_scan_on_lattice_maps(monkeypatch, entries,
+                                                      rows, grid):
+    # integer maps on lattice grids: many pairs tie at the worst ratio, and
+    # the first of them in source-major order must be the witness
+    monkeypatch.setattr(moduli, "TABLE_ENTRIES", entries)
+    mat = np.array(rows)
+    mapping = SampledMapping(forward=lambda x: mat @ x,
+                             x_base=np.zeros(len(mat)),
+                             y_base=np.zeros(len(mat)), radius_x=1.0,
+                             radius_y=2.0 * np.abs(mat).sum())
+    assert_half_table_is_the_pair_scan(mapping, grid)
+
+
+@pytest.mark.parametrize("dim,grid", [(2, 21), (3, 9)])
+def test_half_table_matches_pair_scan_on_verify_grid_maps(dim, grid):
+    # x -> M x with singular values in [0.5, 2] and a lattice vector for
+    # its smallest singular direction, so the grid attains the modulus:
+    # 317 and 257 test values, blocks of targets cut at TABLE_ENTRIES
+    rng = np.random.default_rng(dim)
+    k = np.zeros(dim)
+    while not k.any():
+        k = rng.integers(-2, 3, size=dim).astype(float)
+    q, _ = np.linalg.qr(np.column_stack([k, rng.standard_normal((dim, dim - 1))]))
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    s = np.sort(rng.uniform(0.5, 2.0, size=dim))[::-1]
+    mat = (u * s) @ np.column_stack([q[:, 1:], q[:, 0]]).T
+    mapping = SampledMapping(forward=lambda x: mat @ x, x_base=np.zeros(dim),
+                             y_base=np.zeros(dim), radius_x=1.0,
+                             radius_y=2.0 * np.linalg.norm(mat, 2))
+    assert len(_sample_graph(mapping, grid)[3]) == {2: 317, 3: 257}[dim]
+    worst = assert_half_table_is_the_pair_scan(mapping, grid, 1.0 / s[-1])
+    assert worst == pytest.approx(1.0 / s[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("entries", [moduli.TABLE_ENTRIES, 200])
+@pytest.mark.parametrize("shift", [0.0125, 0.55])
+def test_half_table_matches_pair_scan_where_a_point_has_two_values(
+        monkeypatch, entries, shift):
+    # x -> {2 x, 2 x + shift}: each test value's fibre is one point, and
+    # each point carries two test values. A shift below the grid's step of
+    # 0.1 puts them next to each other, so they share one listed fibre;
+    # 0.55 puts other values between them, so the point is the member of
+    # two listed fibres. Their pairs have far = 0.
+    monkeypatch.setattr(moduli, "TABLE_ENTRIES", entries)
+    mapping = SampledMapping(
+        forward=lambda x: [2.0 * x, 2.0 * x + shift], x_base=[0.0],
+        y_base=[0.0], radius_x=1.0, radius_y=2.0)
+    assert_half_table_is_the_pair_scan(mapping, 41)
+
+
 def uneven_maps():
     """(forward, grid, kappa) of 2->1 maps: empty on a half plane; zero to
     two values per point; a step map whose fibres are strips of 139 to
@@ -898,10 +1047,7 @@ def test_scans_match_the_oracles_where_fibres_repeat_and_where_none_do(
     if case == "repeated":
         mapping, grid, kappa = two_to_one_map(), 41, 1.15
     else:
-        m = np.array([[2.0, 0.5], [0.3, 1.0]])
-        mapping = SampledMapping(forward=lambda x: m @ x, x_base=np.zeros(2),
-                                 y_base=np.zeros(2), radius_x=1.0,
-                                 radius_y=2.0 * np.linalg.norm(m, 2))
+        m, mapping = singleton_map()
         # a constant that fails here; 1.15 passes on the 2->1 map
         grid, kappa = 11, 0.95 * reg_linear(m)
     graph = _sample_graph(mapping, grid)
@@ -915,11 +1061,21 @@ def test_scans_match_the_oracles_where_fibres_repeat_and_where_none_do(
     assert_aubin_matches_pair_scan(mapping, kappa, grid)
 
 
+def assert_fold_is_the_reduceat_fold(pts, labels, members, count):
+    """_fold_fibres on coordinate-major pts against the oracle on rows, at
+    the tables of TABLE_ENTRIES // (number of points) rows it cuts."""
+    step = max(1, moduli.TABLE_ENTRIES // pts.shape[1])
+    got = moduli._fold_fibres(pts, labels, members, count)
+    want = fold_fibres_reduceat(pts.T, labels, members, count, step)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
 def test_fold_has_the_bits_of_the_square_root_then_reduceat_fold(monkeypatch):
     # sqrt is correctly rounded and monotone, so one square root of each
     # fibre's least squared distance is the least of the square roots. The
     # folds of two Aubin scans (cut has points with no values, varying
-    # points with two) and one made by hand, on tables of a few rows.
+    # points with two), on tables of a few rows.
     monkeypatch.setattr(moduli, "TABLE_ENTRIES", 600)
     folds = []
     fold = moduli._fold_fibres
@@ -931,21 +1087,36 @@ def test_fold_has_the_bits_of_the_square_root_then_reduceat_fold(monkeypatch):
                                  radius_y=1.0)
         verify_aubin(mapping, kappa, grid=grid)
     assert len(folds) > 2
-    # 200 lattice points, so distances tie, and tables of 3 rows: fibre 1
-    # spans four tables between fibres of one member, fibre 4 has two, and
-    # fibres 2 and 6 have none, so their rows stay inf
+    monkeypatch.setattr(moduli, "_fold_fibres", fold)
+    for args in folds:
+        assert_fold_is_the_reduceat_fold(*args)
+
+
+@pytest.mark.parametrize("entries,labels,count,empty", [
+    # tables of 3 rows: fibre 1 spans four tables between fibres of one
+    # member, fibre 4 has two, and fibres 2 and 6 have none
+    (600, [0] + [1] * 10 + [3, 4, 4, 5], 7, [2, 6]),
+    # tables of 5 rows: the first holds three one-member fibres and ends
+    # inside fibre 3, which the next table ends; fibre 6 spans three
+    (1000, [0, 1, 2, 3, 3, 3, 3, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 8],
+     9, [4, 7]),
+    # TABLE_ENTRIES below one row of 200 points: tables of one row each
+    (150, [0, 0, 0, 1, 3, 3, 4, 4, 4], 6, [2, 5]),
+], ids=["fibre-over-four-tables", "singletons-then-a-cut-fibre",
+        "below-one-row"])
+def test_fold_matches_the_reduceat_fold_on_hand_made_runs(
+        monkeypatch, entries, labels, count, empty):
+    # 200 lattice points, so distances tie; the runs are listed once per
+    # call and each table takes its share of them
+    monkeypatch.setattr(moduli, "TABLE_ENTRIES", entries)
     pts = np.stack(np.divmod(np.arange(200.0), 20), axis=1) / 8.0
-    labels = np.array([0] + [1] * 10 + [3, 4, 4, 5])
+    labels = np.array(labels)
     members = np.random.default_rng(3).permutation(200)[:labels.size]
-    folds.append((np.ascontiguousarray(pts.T), labels, members, 7))
-    for pts, labels, members, count in folds:
-        # the scans fold coordinate-major points; the oracle takes rows
-        step = max(1, moduli.TABLE_ENTRIES // pts.shape[1])
-        got = fold(pts, labels, members, count)
-        want = fold_fibres_reduceat(pts.T, labels, members, count, step)
-        assert got.tobytes() == want.tobytes()
-    assert np.isinf(got[[2, 6]]).all()
-    assert np.isfinite(got[[0, 1, 3, 4, 5]]).all()
+    got = assert_fold_is_the_reduceat_fold(np.ascontiguousarray(pts.T),
+                                           labels, members, count)
+    filled = np.setdiff1d(np.arange(count), empty)
+    assert np.isinf(got[empty]).all()
+    assert np.isfinite(got[filled]).all()
 
 
 def premise_map():
