@@ -31,7 +31,7 @@ import numpy as np
 from .convex import AffineSet, Box, Halfspaces, Intersection, direction_grid
 from .errors import (ContractError, LocalityError, NumericBreakdownError,
                      RegularityError, ShapeError, UncontrollableError)
-from .linalg import as_vector, stack_matvec, svd
+from .linalg import as_vector, norm, stack_matvec, svd
 from .moduli import (ModulusEstimate, fmt_float, lip_estimate, probe_width,
                      stacking_fault)
 from .selection import (KAPPA_MARGIN, GeneralizedEquation,
@@ -276,19 +276,22 @@ def _remainder(problem: ControlProblem, sys: DiscretizedSystem):
     column per trajectory. The dynamics see all k trajectories in one
     ``_trapezoid_means`` pair, and the linear part adds its terms one by one
     (stack_matvec): a stacked column has the bits of the same trajectory
-    alone.
+    alone. Each entry is ((A x_mid + B u) - mean) / sqrt(N), its terms
+    combined in place, sqrt(N) taken once per remainder.
     """
-    n, nx = sys.state_dim, sys.state_dim * sys.mesh_size
+    n, big_n = sys.state_dim, sys.mesh_size
+    nx, root = n * big_n, math.sqrt(big_n)
 
     def g(scaled):
         scaled = np.asarray(scaled, dtype=float)
         states, controls = _trajectories(scaled, sys)
         mean = _trapezoid_means(problem.dynamics, states, controls)
-        linear = (stack_matvec(sys.a_matrix, 0.5 * (states[:, :-1] + states[:, 1:]))
-                  + stack_matvec(sys.b_matrix, controls))
+        linear = stack_matvec(sys.a_matrix, 0.5 * (states[:, :-1] + states[:, 1:]))
+        linear += stack_matvec(sys.b_matrix, controls)
+        linear -= mean
+        linear /= root
         out = np.zeros((nx + n, states.shape[2]))
-        out[:nx] = (linear - mean).transpose(1, 0, 2).reshape(nx, -1)
-        out /= math.sqrt(sys.mesh_size)
+        out[:nx] = linear.transpose(1, 0, 2).reshape(nx, -1)
         return out.reshape((nx + n,) + scaled.shape[1:])
 
     return g
@@ -370,12 +373,8 @@ def steering_setup(problem: ControlProblem, sys: DiscretizedSystem | None = None
     radius_x = 2.0 * cfg.kappa * tau_target * stretch * 1.02
     radius_y = (1.0 + cfg.kappa * cfg.lam) * tau_target * stretch * 1.02
     lifted = _lift_control_set(problem.control_set, sys)
-
-    def finv(w):
-        return Intersection([fibre.shifted(w), lifted])
-
     equation = GeneralizedEquation(
-        finv=finv, g=g,
+        finv=Intersection([fibre, lifted]).shifted, g=g,
         x_base=np.zeros(mat.shape[1]), y_base=np.zeros(mat.shape[0]),
         radius_x=radius_x, radius_y=radius_y,
         radius_graph=2.0 * (radius_x + radius_y))
@@ -441,8 +440,8 @@ class SteeringResult:
 
 def _trajectory_norms(states: np.ndarray, controls: np.ndarray, mesh: int) -> float:
     """Discretized |x'|_inf + esssup |u| seminorm of a trajectory pair."""
-    slope = mesh * np.max(np.abs(np.diff(states, axis=0)))
-    return float(slope + np.max(np.abs(controls)))
+    slope = mesh * abs(states[1:] - states[:-1]).max()
+    return float(slope + abs(controls).max())
 
 
 def _default_tau_target(size: float) -> float:
@@ -466,12 +465,14 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem, b,
         raise ContractError("steer's set-up was built for another problem")
     if sys is not setup.sys:
         raise ContractError("steer's system is not its set-up's own")
-    b = as_vector(b, dim=problem.state_dim)
+    query = setup.query(b)  # validates b
+    b = query[-problem.state_dim:].copy()
 
-    scaled, cert = solve(setup.equation, setup.config, setup.query(b))
+    scaled, cert = solve(setup.equation, setup.config, query)
     states, controls = _trajectories(scaled, sys)
-    means = _trapezoid_means(problem.dynamics, states, controls)
-    residual = float(np.max(np.abs(np.diff(states, axis=1) - sys.step * means)))
+    gaps = states[:, 1:] - states[:, :-1]
+    gaps -= sys.step * _trapezoid_means(problem.dynamics, states, controls)
+    residual = float(abs(gaps).max())
     if not residual <= DYNAMICS_RESIDUAL_TOL:  # a nan gap fails too
         raise NumericBreakdownError(
             f"trajectory violates the discretized dynamics by {residual:.3e}")
@@ -483,10 +484,10 @@ def steer(problem: ControlProblem, sys: DiscretizedSystem, b,
         raise NumericBreakdownError(
             f"control value at interval {bad[0]} leaves the admissible set")
 
-    norm_b = float(np.linalg.norm(b))
+    norm_b = norm(b)
     ratio = _trajectory_norms(states, controls, sys.mesh_size) / norm_b if norm_b > 0 else 0.0
-    endpoint_error = float(np.linalg.norm(states[-1] - b))
-    return SteeringResult(states=states, controls=controls, target=b.copy(),
+    endpoint_error = norm(states[-1] - b)
+    return SteeringResult(states=states, controls=controls, target=b,
                           endpoint_error=endpoint_error, calm_ratio=ratio,
                           calm_bound=setup.calm_bound,
                           dynamics_residual=residual, certificate=cert)

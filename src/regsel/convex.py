@@ -20,12 +20,13 @@ floating-point bound on the computed residual), and on every construction
 and shift otherwise. Such a proved set also bounds the gap of each
 projection it makes, so the selection's corrector measures a gap only
 where the bound does not settle its check (``_project_within``). It
-multiplies by a large sparse operator's nonzeros.
+multiplies by a large sparse operator's nonzeros. A shift copies a set's
+attributes and sets the new right-hand side (an intersection's, its
+affine first member's), with no construction; ``dykstra`` copies its start.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from functools import cached_property, lru_cache, partial
@@ -356,7 +357,8 @@ class AffineSet(ConvexSet):
     and an operator changed in place gets a fresh factorization. Only operators of at most CACHED_OP_ENTRIES
     entries are cached; a larger one (a fine collocation mesh) is factored
     on every construction, so hold one fibre of it and call ``shifted``,
-    which moves the right-hand side without factoring op.
+    which copies the instance's attributes (sharing the read-only
+    factors) and sets the new right-hand side, with no construction.
 
     The right-hand side's consistency check, ||op P rhs - rhs|| <=
     RESIDUAL_RTOL (1 + ||rhs||), is decided once per operator where the
@@ -411,7 +413,8 @@ class AffineSet(ConvexSet):
 
     def shifted(self, rhs) -> AffineSet:
         """The parallel fibre {x : op @ x = rhs}, without a new factorization."""
-        other = copy.copy(self)
+        other = object.__new__(type(self))
+        other.__dict__ = self.__dict__.copy()
         other._set_rhs(rhs)
         return other
 
@@ -734,22 +737,32 @@ class Intersection(ConvexSet):
         proved first member's bound."""
         return dykstra(self.members, v, slack)
 
+    def shifted(self, rhs) -> Intersection:
+        """This intersection with its first member, an ``AffineSet``, shifted
+        to rhs; the members, flattened and checked once, are not rechecked."""
+        other = object.__new__(type(self))
+        other.members = [self.members[0].shifted(rhs), *self.members[1:]]
+        other.dim = self.dim
+        return other
+
 
 def dykstra(sets, start, slack: float = -math.inf) -> tuple[np.ndarray, float]:
     """Dykstra's alternating projections onto an intersection: the point and
     its gap, the worst member ``distance``, or at the exact exit a gap that
     exceeds ``slack`` exactly when the first member's distance does.
 
-    ``start`` is validated once, against the first member's dimension. The
-    first projection, onto the first member, is an exact exit: if it lies
-    in every other member (each ``_distance`` exactly 0.0), it is a point
-    of the intersection nearest to ``start`` among the points of a
-    superset, so the metric projection onto the intersection, and is
-    returned with the gap of the first member's ``_project_within``: its
-    distance as measured, or a proved bound on it that is at most
-    ``slack`` (never, at the default). Membership must be exact: a point
-    1e-12 outside a box runs the rounds below, whose first step reuses
-    that projection.
+    ``start`` is validated once, against the first member's dimension, and
+    copied: it is never returned or changed, and a view off a 16-byte
+    boundary, whose products OpenBLAS's Prescott kernel sums in another
+    order, gets the bits of a fresh array. The first projection, onto the
+    first member, is an exact exit: if it lies in every other member (each
+    ``_distance`` exactly 0.0), it is a point of the intersection nearest
+    to ``start`` among the points of a superset, so the metric projection
+    onto the intersection, and is returned with the gap of the first
+    member's ``_project_within``: its distance as measured, or a proved
+    bound on it that is at most ``slack`` (never, at the default).
+    Membership must be exact: a point 1e-12 outside a box runs the rounds
+    below, whose first step reuses that projection.
 
     Stops when one full round moves the iterate by <= DYKSTRA_TOL AND the
     iterate is feasible; displacement alone is not enough, because the

@@ -154,7 +154,11 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     (rows**2).sum(axis=1) differs from it in the last bit on many rows.
     OpenBLAS's Prescott kernel sums a vector off a 16-byte boundary in
     another order, and every other row of odd length starts off it, so a
-    block of such rows is copied to an even stride first (not a lone row)."""
+    block of such rows is copied to an even stride first (not a lone row).
+    Rows of width 1 take sqrt(x*x): a one-term dot is that product, rounded
+    once, on every kernel."""
+    if rows.shape[1] == 1:
+        return np.sqrt(rows[:, 0] * rows[:, 0])
     if rows.shape[1] % 2 and rows.shape[0] > 1:
         padded = np.empty((rows.shape[0], rows.shape[1] + 1))
         padded[:, :-1] = rows

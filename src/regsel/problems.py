@@ -317,8 +317,7 @@ class ProblemFile:
         _, g, center, radius = self.sampled
         fibre, box = self.fibre, self.constraint
         equation = GeneralizedEquation(
-            finv=fibre.shifted if box is None
-            else lambda w: Intersection([fibre.shifted(w), box]),
+            finv=(fibre if box is None else Intersection([fibre, box])).shifted,
             g=g, x_base=center, y_base=self.base_y, radius_x=radius,
             radius_y=self.radius_y, radius_graph=self.radius_graph)
         consts = self.constants

@@ -807,7 +807,8 @@ def truncated_projection(base_set, center: np.ndarray, allowed: float,
     if dist > allowed:
         raise RegularityError(
             f"{what}: truncated inverse image is empty, distance {dist:.3g} > "
-            f"allowed radius {allowed:.3g}; kappa={cfg.kappa:.6g} may be below "
+            f"allowed radius {allowed:.3g} by {dist - allowed:.3g}; "
+            f"kappa={cfg.kappa:.6g} may be below "
             f"the true regularity modulus or lambda={cfg.lam:.6g} misestimated")
     return z
 

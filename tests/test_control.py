@@ -1,3 +1,8 @@
+import copy
+import ctypes
+import glob
+import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -547,19 +552,28 @@ def test_steer_pendulum_target():
 
 
 def test_steer_with_prebuilt_setup_factors_nothing(monkeypatch):
+    # nor builds an affine set: each step's fibre is a shift of the set-up's,
+    # made without copy.copy
     p = pendulum(mesh=64)
     setup = steering_setup(p)
-    calls = []
+    calls, inits, copies = [], [], []
     svd = np.linalg.svd
+    init, shallow = AffineSet.__init__, copy.copy
 
     def counting_svd(*args, **kwargs):
         calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
+    def counting_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(AffineSet, "__init__", counting_init)
+    monkeypatch.setattr(copy, "copy", lambda obj: copies.append(obj) or shallow(obj))
     res = steer(p, setup.sys, [0.04, 0.0], setup)
     assert res.certificate.iterate_count >= 2
-    assert calls == []
+    assert calls == [] and inits == [] and copies == []
 
 
 def test_steering_setup_factors_the_collocation_operator_once(monkeypatch,
@@ -771,6 +785,123 @@ def test_halfspace_control_set_steers_like_the_box(mesh):
     for field_name in ("endpoint_error", "calm_ratio", "calm_bound",
                        "dynamics_residual", "certificate"):
         assert getattr(half_run, field_name) == getattr(box_run, field_name)
+
+
+def _scipy_openblas():
+    """numpy's bundled scipy-openblas library and the suffix of its
+    symbols, or None where numpy bundles none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)  # the copy numpy has loaded
+        for suffix in ("64_", ""):
+            if hasattr(lib, "scipy_openblas_get_corename" + suffix):
+                return lib, suffix
+    return None
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS's version and the name it gives the kernel it runs
+    ("Katmai" under OPENBLAS_CORETYPE=Prescott), with OpenBLAS held to one
+    thread for the test: a threaded product may split its sums by the
+    thread count. None, and no change, where numpy bundles no
+    scipy-openblas."""
+    found = _scipy_openblas()
+    if found is None:
+        yield None
+        return
+    lib, suffix = found
+    config, corename = (getattr(lib, f"scipy_openblas_get_{name}{suffix}")
+                        for name in ("config", "corename"))
+    config.restype = corename.restype = ctypes.c_char_p
+    threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix)()
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+    set_threads(1)
+    try:
+        yield config().decode().split()[1], corename().decode()
+    finally:
+        set_threads(threads)
+
+
+STEER_PIN_TARGETS = [(0.04, 0.0), (-0.02, 0.03), (0.01, -0.015)]
+# a line of targets through 0, and one past the certified radius
+STEER_PIN_SWEEP = [(0.01 * k, -0.005 * k) for k in range(-2, 4)] + [(0.2, 0.0)]
+
+# sha256 of steer_digest on the unit box on one BLAS thread, by OpenBLAS
+# version and kernel (the SVD and the right inverse's products sum in a
+# kernel's own order) and by (problem, mesh); numpy's own loops give these
+# bits from its baseline to its AVX-512 dispatch.
+# Mesh 512 is past the consistency proof, so its shifts run the residual
+# check.
+STEER_PINS = {
+    ("0.3.31.188.0", "SkylakeX"): {
+        ("pendulum", 16): "7728dd08b58e27ab8f69621a188b9fe24d4893343f1776465f70552b8d9fd12c",
+        ("pendulum", 64): "e7e70a6fe9e9f933e05b5997c08c569034b1772c3cd9f662c75e50005bd74314",
+        ("pendulum", 128): "6919b52ec780f20688b5dd7c0eb73b95c3bdcdf7d2273efd97c92afbb1730e0a",
+        ("pendulum", 512): "6cb885f8f511fc4f219dc361569a1c87594f1a1c4c76e0d7317c9d837c2b3f44",
+        ("double_integrator", 16): "73e05bbcd58304afa085953dc8921cfee0703de86084cf266925edbbd79959b0",
+        ("double_integrator", 64): "d6c14c90f485ace85b967408ae0dfc64d446b3b4ac483a024f2107ef47591b56",
+        ("double_integrator", 128): "8be5cd0670e3cdbe166e7b912f6904c1cd8f59b89766f4f19a8fd5863cafb079",
+        ("double_integrator", 512): "4d7038574d82e3b8c0d70eab38ab630101401b177fdaa9502e3338d00b3bb126",
+    },
+    ("0.3.31.188.0", "Haswell"): {
+        ("pendulum", 16): "607ec68ac7be499b389bc94628e5369a6897a74a8090a96869fe63a70b15ecc6",
+        ("pendulum", 64): "94210e1315a46d48636af4e2f8012e008e0d6d00e87cdcb835511ae62d62e378",
+        ("pendulum", 128): "8c74ae93a4d0ee5deb0d042cf2bd465e3acc3fb73716250eee7ae2e8760de454",
+        ("pendulum", 512): "7089b89865ee2886a756c26962ef85868b7240b87241bb1f79ce77a1e168d3e2",
+        ("double_integrator", 16): "7eb8d3f402396a46d8232c074715594b38812b0ebcaeccc48b972b6268a83efa",
+        ("double_integrator", 64): "e66c59b7579bbe395d78bc430a0b48155bace50b05ac95b08fff7890436fe12b",
+        ("double_integrator", 128): "6a52bac58c742dc9c445429580caee6802ff4dae4cc9162ae4e22c02827ff303",
+        ("double_integrator", 512): "1cb0baf5c25f83b260c3222c078edad570e07318745d243a743ead4954bfb280",
+    },
+    ("0.3.31.188.0", "Katmai"): {  # OPENBLAS_CORETYPE=Prescott
+        ("pendulum", 16): "2dc3b3e63e5272d73e94832cd581a1f3e1306854c21f20f7c2ca6ff58edd1108",
+        ("pendulum", 64): "e1e12b2372cfeb82d8505f346efc23e2f4c89f994a92f2c408a50a0257f38379",
+        ("pendulum", 128): "2bca20887a024ff021144f7a3a3f3b727d31604c6b2e4e80ed3c511656c3124c",
+        ("pendulum", 512): "b229e1ce6577cdbfa56eb71b69f9c4a03afe7cf73e92f8e47090faf36bf8729e",
+        ("double_integrator", 16): "bb0ce0894c0a3238f0dc23baa45ae9d8b26146425facddc8d51e8f31adbbc94d",
+        ("double_integrator", 64): "3977661a032f7125c8e6012a4298e584faab200bd2b435e7c0c4cbda589ea474",
+        ("double_integrator", 128): "4e0504a660ed7ff2a6b4a62b1a60ffd403e777d7d607a5679fe658ffd15777c7",
+        ("double_integrator", 512): "e3d7fd24136df8daf80e419d44204a8e07c403f013bdb4a1efdd0a8a4acbc5ff",
+    },
+}
+
+
+def steer_digest(p):
+    """sha256 over the states, controls, increments, final residual, calm
+    ratio, endpoint error and dynamics residual of steers to
+    STEER_PIN_TARGETS, then over the rows of a calm_sweep of
+    STEER_PIN_SWEEP (a failed row by its message) and its worst ratios."""
+    setup = steering_setup(p)
+    digest = hashlib.sha256()
+
+    def feed(res):
+        cert = res.certificate
+        for values in (res.states, res.controls, np.array(cert.increments),
+                       np.array([cert.residual, res.calm_ratio, res.endpoint_error,
+                                 res.dynamics_residual])):
+            digest.update(values.tobytes())
+
+    for b in STEER_PIN_TARGETS:
+        feed(steer(p, setup.sys, b, setup))
+    sweep = calm_sweep(setup, STEER_PIN_SWEEP)
+    for res, err in zip(sweep.results, sweep.errors):
+        feed(res) if res is not None else digest.update(err.encode())
+    digest.update(np.array([sweep.max_calm_ratio, sweep.max_continuity_ratio]).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mesh", [16, 64, 128, 512])
+@pytest.mark.parametrize("make", [pendulum, double_integrator])
+def test_steer_outputs_keep_their_pinned_bytes(one_blas_thread, make, mesh):
+    # the unit interval as a box and as halfspaces, the same bytes
+    box = make(mesh=mesh)
+    digest = steer_digest(box)
+    assert steer_digest(replace(box, control_set=Halfspaces([[1.0], [-1.0]],
+                                                             [1.0, 1.0]))) == digest
+    if one_blas_thread not in STEER_PINS:
+        pytest.skip(f"no steer pins recorded for OpenBLAS (version, kernel) {one_blas_thread}")
+    assert digest == STEER_PINS[one_blas_thread][(make.__name__, mesh)]
 
 
 def test_triangle_control_set_steers_inside():

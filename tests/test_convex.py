@@ -1264,6 +1264,56 @@ def test_intersection_flattens_a_nested_intersection():
     assert Intersection([Intersection([a, b]), c]).members == [a, b, c]
 
 
+def test_intersection_shift_moves_its_affine_member_and_checks_nothing(monkeypatch):
+    # the shift of an intersection whose second member was nested: the same
+    # members after the shifted fibre, the bits of a fresh construction, and
+    # no construction of its own
+    fibre = AffineSet([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [0.0, 0.0])
+    box, ball = Box([-1.0, -0.5, -1.0], [1.0, 0.5, 0.2]), Ball([0.0, 0.1, 0.0], 1.5)
+    family = Intersection([fibre, Intersection([box, ball])])
+    fresh = Intersection([fibre.shifted([0.3, -0.2]), box, ball])
+    built = []
+    init = Intersection.__init__
+    monkeypatch.setattr(Intersection, "__init__",
+                        lambda self, members: built.append(members) or init(self, members))
+    moved = family.shifted([0.3, -0.2])
+    assert built == [] and type(moved) is Intersection and moved.dim == 3
+    assert moved.members[1:] == [box, ball] and family.members[0] is fibre
+    assert fibre.rhs.tobytes() == np.zeros(2).tobytes()
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x = 2.0 * rng.standard_normal(3)
+        for got, want in ((moved.project_gap(x), fresh.project_gap(x)),
+                          (moved._project_within(x, 1e-9), fresh._project_within(x, 1e-9))):
+            assert got[0].tobytes() == want[0].tobytes() and _bits(got[1]) == _bits(want[1])
+        assert _bits(moved.gap(x)) == _bits(fresh.gap(x))
+
+
+def _start_layouts(v):
+    """v in the layouts of ``_vector_views``, then as a row of an F-ordered
+    array (strided) and as a column of one (contiguous)."""
+    rows = np.asfortranarray(np.stack([v, -v]))
+    return _vector_views(v) + [rows[0], rows.T[:, 0]]
+
+
+@pytest.mark.parametrize("center,runs_rounds", [(0.3, False), (3.0, True)])
+def test_dykstra_neither_returns_nor_changes_its_start(center, runs_rounds):
+    # starts whose projection onto the plane lies inside the box (the exact
+    # exit) or outside it (the rounds); every layout of a start gets the
+    # bits of a fresh copy of it
+    sets = [AffineSet([[1.0, 1.0, 1.0]], [0.5]), Box([-1.0] * 3, [1.0] * 3)]
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        v = np.array([center, 0.0, 0.0]) + 0.1 * rng.standard_normal(3)
+        want, want_gap = dykstra(sets, v.copy())
+        assert (want.tobytes() != sets[0].project(v).tobytes()) == runs_rounds
+        for start in _start_layouts(v):
+            before = start.tobytes()
+            point, gap = dykstra(sets, start)
+            assert not np.shares_memory(point, start) and start.tobytes() == before
+            assert point.tobytes() == want.tobytes() and _bits(gap) == _bits(want_gap)
+
+
 def test_intersection_gap_is_worst_member_distance():
     s = Intersection([Box([0.0, 0.0], [1.0, 1.0]),
                       AffineSet([[1.0, 0.0]], [3.0])])

@@ -7,7 +7,7 @@ from oracles import (jacobi_singular_values, kkt_affine_project, pinv_apply,
                      power_norm)
 from regsel.errors import NumericBreakdownError, RegularityError, ShapeError
 from regsel.linalg import (as_matrix, as_vector, least_norm_solve, norm,
-                           operator_norm, svd)
+                           operator_norm, row_norms, svd)
 from regsel.moduli import reg_linear
 
 SQRT2 = np.sqrt(2.0)
@@ -311,6 +311,25 @@ def test_norm_has_the_bits_of_numpy(entries):
     wide = np.zeros(2 * v.size)
     wide[::2] = v
     assert _bits(norm(wide[::2].ravel())) == _bits(np.linalg.norm(wide[::2]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_width_one_row_norms_have_the_bits_of_each_row_alone():
+    # sqrt(x*x) against np.linalg.norm's one-term dot, on signed zeros,
+    # subnormals, a square that underflows (1e-200) or overflows (1e200),
+    # infinities and nans, in a column view, a strided one and a lone row
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-200, -1e-200,
+                1e-154, 1e200, -1e200, 1.3407807929942596e154, 1.7976931348623157e308,
+                np.inf, -np.inf, np.nan, -np.nan, 1.0, -2.5]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([specials, rng.standard_normal(40)
+                             * 10.0 ** rng.integers(-320, 300, 40)])
+    wide = np.zeros((values.size, 3))
+    wide[:, 1] = values
+    for rows in (values[:, None], wide[:, 1:2], values[7:8, None]):
+        expected = [_bits(np.linalg.norm(row.copy())) for row in rows]
+        assert [_bits(v) for v in row_norms(rows)] == expected
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")

@@ -189,8 +189,16 @@ def test_truncated_projection_keeps_feasible_center():
 def test_truncated_projection_empty_intersection_is_regularity_error():
     # distance from the origin to {x1+x2=2} is sqrt(2) > 1
     with pytest.raises(RegularityError,
-                       match=r"distance 1.41 > allowed radius 1;"):
+                       match=r"distance 1.41 > allowed radius 1 by 0.414;"):
         step_onto(AffineSet([[1.0, 1.0]], [2.0]), np.zeros(2), 1.0)
+
+
+def test_refused_step_names_an_excess_that_three_digits_hide():
+    # distance 0.025 to {x1+x2=0.025*sqrt(2)} against a radius of 0.02499:
+    # both sides read 0.025 to 3 digits, the excess 1e-05 tells them apart
+    with pytest.raises(RegularityError,
+                       match=r"distance 0.025 > allowed radius 0.025 by 1e-05;"):
+        step_onto(AffineSet([[1.0, 1.0]], [0.025 * np.sqrt(2.0)]), np.zeros(2), 0.02499)
 
 
 def test_truncated_projection_radius_zero_feasible_center_is_singleton():
@@ -421,7 +429,7 @@ def test_solve_surfaces_misdeclared_lipschitz_constant():
     p = scalar_problem(g=lambda x: 0.5 * x)
     cfg = IterationConfig(kappa=1.05, lam=0.2, alpha=2.0)
     with pytest.raises(RegularityError,
-                       match=r"distance 0.025 > allowed radius 0.02;.*kappa"):
+                       match=r"distance 0.025 > allowed radius 0.02 by 0.005;.*kappa"):
         solve(p, cfg, [0.1])
 
 
@@ -434,7 +442,7 @@ def test_solve_refuses_a_step_ratio_above_alpha_lambda():
                             radius_y=1.0, radius_graph=2.0)
     with pytest.raises(RegularityError,
                        match=r"iterate step: truncated inverse image is empty, "
-                             r"distance 1e-12 > allowed radius 1e-15;"):
+                             r"distance 1e-12 > allowed radius 1e-15 by 9.99e-13;"):
         solve(p, IterationConfig(kappa=1.1, lam=0.0, alpha=2.2), [1e-6])
 
 
@@ -467,7 +475,7 @@ def test_solve_refuses_an_iterate_step_above_step_ratio():
         solve(scalar_problem(g=lambda x: s * x), cfg, [0.1])
     assert str(err.value).startswith(
         f"iterate step: truncated inverse image is empty, distance {s * first:.3g} > "
-        f"allowed radius {allowed:.3g};")
+        f"allowed radius {allowed:.3g} by {s * first - allowed:.3g};")
 
 
 def test_solve_refuses_a_final_residual_above_ten_tol():
