@@ -80,11 +80,12 @@ def _verify_grid(args, dim: int) -> int:
 
 def _query(value, flag: str, dim: int) -> np.ndarray:
     """A query vector named by ``flag``: the flag's comma-separated text or a
-    file's list. It must have dim finite components and a norm that does
-    not overflow float64 (taken with numpy's overflow warning silenced)."""
+    file's list. It must have dim finite components, none of them empty,
+    and a norm that does not overflow float64 (taken with numpy's overflow
+    warning silenced)."""
     if isinstance(value, str):
         try:
-            vals = [float(tok) for tok in value.split(",") if tok.strip()]
+            vals = [float(tok) for tok in value.split(",")]
         except ValueError:
             raise ProblemFileError(
                 f"{flag}: expected comma-separated floats, got {value!r}")

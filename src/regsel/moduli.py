@@ -73,9 +73,10 @@ its own work only, and each fibre's work once:
 
 Every table, gaps too, comes from _squared_distances, which adds squared
 differences in coordinate order (below 8 coordinates numpy's own order).
-A scan holds the grid points, sampled values and test values
-coordinate-major, one point per column, transposed once per scan, so each
-coordinate the kernel reads is a contiguous row. The scan runs under a
+_sample_graph builds the grid points, sampled values and test values
+coordinate-major, one point per column, and the stacked forward call and
+the scans read those arrays as they are, so each coordinate the kernel
+reads is a contiguous row. The scan runs under a
 ufunc buffer of SCAN_BUFSIZE elements, set by _graph_scan after the graph
 is sampled (the forward oracle runs under the caller's numpy state) and
 restored on return or raise. numpy 2.4 takes a broadcast whose rows are
@@ -485,42 +486,45 @@ class SampledMapping:
 
 
 def _stacked_graph(forward: Callable, pts: np.ndarray, rows: int):
-    """The values of ``forward`` at the rows of pts, as the rows of one
-    (len(pts), rows) array from one stacked call, or None.
+    """The values of ``forward`` at the columns of the (d, k) array pts, as
+    the columns of one (rows, k) array from one stacked call on pts itself,
+    or None.
 
     forward is probed (stacking_fault) on probe_width(d, rows) of the points
     themselves, spread from the first to the last, so it is never called
     off them. None when forward fails the probe, when a call raises
     TypeError, ValueError or IndexError, or when the stacked call gives
-    anything but finite values of shape (rows, len(pts)).
+    anything but finite values of shape (rows, k).
     """
-    k = probe_width(pts.shape[1], rows)
-    probe = pts[np.arange(k) * (len(pts) - 1) // (k - 1)]
+    k = probe_width(len(pts), rows)
+    probe = pts[:, np.arange(k) * (pts.shape[1] - 1) // (k - 1)]
     try:
-        if stacking_fault(forward, (np.ascontiguousarray(probe.T),), rows):
+        if stacking_fault(forward, (np.ascontiguousarray(probe),), rows):
             return None
-        out = np.asarray(forward(np.ascontiguousarray(pts.T)), dtype=float)
+        out = np.asarray(forward(pts), dtype=float)
     except (TypeError, ValueError, IndexError):
         return None
-    if out.shape != (rows, len(pts)) or not np.isfinite(out).all():
+    if out.shape != (rows, pts.shape[1]) or not np.isfinite(out).all():
         return None
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(out)
 
 
 def _sample_graph(mapping: SampledMapping, grid: int):
-    """Graph of the mapping on ``grid`` points per axis of the domain ball.
+    """Graph of the mapping on ``grid`` points per axis of the domain ball,
+    coordinate-major as the scans read it.
 
-    Returns the grid points, the sampled values as rows of gy, the index
-    gx_idx of the point each value belongs to (nondecreasing; a point with
-    no values has no row) and the distinct values inside the image ball,
-    which are the test values.
+    Returns the grid points as the columns of pts, the sampled values as
+    the columns of gy, the index gx_idx of the point each value belongs to
+    (nondecreasing; a point with no values has no column) and the distinct
+    values inside the image ball as the columns of y_test, sorted as rows
+    by np.unique: these are the test values.
 
-    The values come from one stacked call on every grid point when forward
-    passes the stacking probe on grid points and that call gives finite
-    values of shape (m, points) (_stacked_graph); each point then has one
-    value and gx_idx is arange. Any other forward is called one grid point
-    at a time through values_at, which raises ShapeError on a misshaped or
-    non-finite value.
+    The values come from one stacked call on pts when forward passes the
+    stacking probe on grid points and that call gives finite values of
+    shape (m, points) (_stacked_graph); each point then has one value and
+    gx_idx is arange. Any other forward is called one grid point at a time
+    through values_at, which raises ShapeError on a misshaped or non-finite
+    value.
     """
     if grid < 2:
         # One point per axis would be the corner x_base - radius_x alone, so
@@ -530,29 +534,34 @@ def _sample_graph(mapping: SampledMapping, grid: int):
     count = int(grid) + 1 - int(grid) % 2
     axes = [np.linspace(c - mapping.radius_x, c + mapping.radius_x, count)
             for c in mapping.x_base]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = np.linalg.norm(pts - mapping.x_base, axis=1) <= mapping.radius_x + 1e-12
-    pts = pts[keep]
-    gy = _stacked_graph(mapping.forward, pts, mapping.y_base.size)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    keep = (np.linalg.norm(pts - mapping.x_base[:, None], axis=0)
+            <= mapping.radius_x + 1e-12)
+    # compress keeps each coordinate a contiguous row; pts[:, keep] would not
+    pts = pts.compress(keep, axis=1)
+    dim = mapping.y_base.size
+    gy = _stacked_graph(mapping.forward, pts, dim)
     if gy is not None:
-        gx_idx = np.arange(len(pts))
+        gx_idx = np.arange(pts.shape[1])
     else:
         # Values are packed as they come: a list of one small array per
         # value would hold more memory than every later table of a scan.
+        # forward sees each point as a contiguous row, as the stacked call
+        # sees contiguous coordinates.
         packed, counts = bytearray(), []
-        for x in pts:
+        for x in pts.T.copy():
             vals = mapping.values_at(x)
             counts.append(len(vals))
             for v in vals:
                 packed += v.tobytes()
-        gy = np.frombuffer(packed).reshape(-1, mapping.y_base.size)
-        gx_idx = np.repeat(np.arange(pts.shape[0]), counts)
-    in_ball = np.linalg.norm(gy - mapping.y_base, axis=1) <= mapping.radius_y + 1e-12
+        gy = np.frombuffer(packed).reshape(-1, dim).T.copy()
+        gx_idx = np.repeat(np.arange(pts.shape[1]), counts)
+    in_ball = (np.linalg.norm(gy - mapping.y_base[:, None], axis=0)
+               <= mapping.radius_y + 1e-12)
     # return_counts takes the same sort path but skips np.ma.is_masked, whose
     # first call imports numpy.ma (about 1.1 MB held and 14 ms in a cold run)
-    y_test = np.unique(gy[in_ball], axis=0, return_counts=True)[0]
-    return pts, gy, gx_idx, y_test
+    y_test = np.unique(gy[:, in_ball], axis=1, return_counts=True)[0]
+    return pts, gy, gx_idx, np.ascontiguousarray(y_test)
 
 
 def _squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -865,7 +874,6 @@ def _graph_scan(mapping: SampledMapping, grid, kappa=None, regularity=True):
     the caller's buffer size comes back on return or raise.
     """
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    pts, gy, y_test = (np.ascontiguousarray(a.T) for a in (pts, gy, y_test))
     old = np.setbufsize(SCAN_BUFSIZE)
     try:
         ratio, fibres = _membership_pass(pts, gy, gx_idx, y_test, regularity,

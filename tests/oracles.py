@@ -267,11 +267,19 @@ def random_surjective(rng, rows: int, cols: int, smin: float = 0.05,
     return (u * s) @ v[:, :rows].T
 
 
-def sampled_fibre(pts, gy, gx_idx, y, rtol: float = 1e-9) -> np.ndarray:
-    """Grid points x with a sampled value of F(x) within rtol*(1+|y|) of y.
+def row_major(pts, gy, gx_idx, y_test):
+    """The graph of regsel.moduli._sample_graph, whose arrays hold one point
+    per column, with one point per row: the oracles loop over rows."""
+    return (np.ascontiguousarray(pts.T), np.ascontiguousarray(gy.T), gx_idx,
+            np.ascontiguousarray(y_test.T))
 
-    gy holds the sampled graph values, gx_idx[i] the index in pts of the
-    point gy[i] belongs to.
+
+def sampled_fibre(pts, gy, gx_idx, y, rtol: float = 1e-9) -> np.ndarray:
+    """Grid points x with a sampled value of F(x) within rtol*(1+|y|) of y,
+    as rows.
+
+    pts and gy hold the grid points and the sampled graph values as rows,
+    gx_idx[i] the index in pts of the point gy[i] belongs to.
     """
     n_pts = pts.shape[0]
     dist_rows = np.linalg.norm(gy - y, axis=1)
@@ -294,8 +302,10 @@ def aubin_pair_scan(pts, gy, gx_idx, y_test, kappa: float,
     Gaps |y_from - y_to| add squared coordinates in coordinate order
     (distances_3d), as the verifiers define them: a dot-kernel norm can
     differ in its last bit, and two pairs whose ratios tie under one
-    definition then tie under the other at different pairs.
+    definition then tie under the other at different pairs. The graph is
+    that of _sample_graph, one point per column.
     """
+    pts, gy, gx_idx, y_test = row_major(pts, gy, gx_idx, y_test)
     fibers = [sampled_fibre(pts, gy, gx_idx, y, rtol) for y in y_test]
     worst = 0.0
     witness = ()
@@ -552,7 +562,8 @@ def polynomial_value_loop(poly, x):
 # pass (sampled_reg, verify_metric_regularity, lg_bound_check) and its
 # Aubin scan over the listing of distinct fibres (verify_aubin,
 # verify_graph) must reproduce their values, verdicts and witnesses bit
-# for bit. They take the sampled graph of regsel.moduli._sample_graph.
+# for bit. They take the sampled graph of regsel.moduli._sample_graph, one
+# point per column, and loop over its rows (row_major).
 
 
 def distances_3d(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -599,6 +610,7 @@ def _fibres(pts, gy, gx_idx, y_test):
 
 def ratio_scan_loop(pts, gy, gx_idx, y_test):
     """Worst d(x, fib(y)) / d(y, F(x)) over the sampled graph, with witness."""
+    pts, gy, gx_idx, y_test = row_major(pts, gy, gx_idx, y_test)
     worst = 0.0
     witness = ()
     prev_fibre = None
@@ -628,6 +640,7 @@ def ratio_scan_loop(pts, gy, gx_idx, y_test):
 
 def aubin_fibre_loop(pts, gy, gx_idx, y_test, kappa: float):
     """Aubin check looping over source fibres: (ok, worst ratio, witness)."""
+    pts, gy, gx_idx, y_test = row_major(pts, gy, gx_idx, y_test)
     members = [np.flatnonzero(in_fibre)
                for _, _, in_fibre in _fibres(pts, gy, gx_idx, y_test)]
     starts = np.cumsum([0] + [m.size for m in members[:-1]])

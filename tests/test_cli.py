@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from console_cases import BY_NAME
 from regsel import cli, control, convex, moduli, problems, smooth
 from regsel.cli import main
 from regsel.moduli import CSV_HEADER
@@ -745,6 +746,17 @@ def test_a_non_finite_vector_flag_is_refused_naming_the_flag(capsys, monkeypatch
                    f"got {value!r}\n")
 
 
+@pytest.mark.parametrize("name, flag", [
+    ("solve-empty-target-component", "--target"),
+    ("solve-empty-parameter-component", "--parameter"),
+    ("control-empty-target-component", "--target")])
+def test_an_empty_vector_component_is_refused_naming_the_flag(capsys, name, flag):
+    # "0.05,,0" is not the two components 0.05 and 0
+    code, out, err = run(capsys, *BY_NAME[name].argv())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"regsel: input error: {flag}: expected comma-separated floats")
+
+
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the run
 @pytest.mark.parametrize("grid", [(), ("--grid", "8")], ids=["single", "grid"])
 @pytest.mark.parametrize("source", ["flag", "file"])
@@ -1326,14 +1338,12 @@ LINEAR_101_VERIFY = (
     "-1.96 -0.089999999999999969;-1.96 -0.080000000000000016\n")
 
 
-PINNED_BRANCHES = {
+PINNED_STDOUT = {
     # an Intersection fibre; the target lies inside the box [-1, 0.1]
     "solve-boxed": (
-        ("solve", "boxed.json", "--target", "0.05"), 0,
         "x,0.031250000008760298\n" + GENERALIZED_CERTIFICATE_AT_005),
     # no constants in the file: the default schedule fills them in
     "solve-default-schedule": (
-        ("solve", "unscheduled.json", "--target", "0.1"), 0,
         "x,0.062500000017520596\nkappa,0.84615384615384615\n"
         "lambda,0.36000000000304833\nalpha,1.8119658119540516\n"
         "tau,0.20545454545378336\ngamma,4.8672566371861956\niterations,14\n"
@@ -1345,8 +1355,6 @@ PINNED_BRANCHES = {
         "residual,2.1563808431187461e-11\ntail_bound,2.6875235996924966e-10\n"
         "calm_ok,true\n"),
     "control-grid-1": (
-        ("control", "double_integrator.json", "--target", "0.05,0",
-         "--grid", "1"), 0,
         GATE_LINES["double_integrator.json"]
         + "index,status,b1,b2,endpoint_error,calm_ratio\n"
         "0,ok,0.050000000000000003,0,7.0997481469891062e-30,12.093184442612245\n"
@@ -1362,7 +1370,6 @@ PINNED_BRANCHES = {
     # a target the box control set cannot reach: the set-up succeeded, so
     # its schedule precedes the error, as a failed solve's does
     "control-unreachable": (
-        ("control", "double_integrator.json", "--target", "0.5,0"), 4,
         GATE_LINES["double_integrator.json"]
         + "kappa,6.0741784202376037\nlambda,0\nalpha,12.148356840475207\n"
         "tau,0.66300000000000003\ngamma,12.148356840475207\n"
@@ -1372,19 +1379,15 @@ PINNED_BRANCHES = {
     # a schedule rejected at mesh 8 exits 4 on both paths, before any
     # schedule line
     "control-mesh-8": (
-        ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8"), 4,
         GATE_LINES["pendulum.json --mesh 8"]
         + "error,constant schedule rejected for the steering problem: "
         "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
     "control-mesh-8-grid": (
-        ("control", "pendulum.json", "--target", "0.05,0", "--mesh", "8",
-         "--grid", "3"), 4,
         GATE_LINES["pendulum.json --mesh 8"]
         + "error,constant schedule rejected for the steering problem: "
         "kappa*lambda: default schedule rejected, 1.02539 >= 0.9\n"),
-    # every command of CI's console-script step that exits 0
+    # every console case named ci-* that exits 0, and one that exits 6
     "ci-moduli-linear": (
-        ("moduli", "linear.json"), 0,
         CSV_HEADER + "\n"
         "reg,2,,,0,,\n"
         "lip,0,1,3000,0,,0.39138229847650152 "
@@ -1392,27 +1395,23 @@ PINNED_BRANCHES = {
         "clm,0,1,3000,0,,0.51318071070115734 -0.53919946247888895;0 0\n",
         {("lip", 6): KERNEL_RTOL, ("clm", 6): KERNEL_RTOL}),
     "ci-moduli-generalized": (
-        ("moduli", "generalized.json", "--samples", "3000"), 0,
         CSV_HEADER + "\n"
         "reg,0.76923076923076916,,,0,,\n"
         "lip,0.30000000004599314,1,3000,0,,"
         "-0.12689200942875228;-0.1268921301231293\n"
         "clm,0.29999999999999999,1,3000,0,,0.2986961328189226;0\n"),
     "ci-moduli-pendulum": (
-        ("moduli", "pendulum.json", "--samples", "3000"), 0,
         CSV_HEADER + "\nreg,5.2530006167207866,,,0,,\n" + "".join(
             f"{kind},0.32009077419213083,0.5,3000,0,,{PENDULUM_WITNESS};{PENDULUM_CENTRE}\n"
             for kind in ("lip", "clm")),
         {("reg", 1): 0.0, ("lip", 1): 0.0, ("clm", 1): 0.0,
          ("lip", 6): KERNEL_RTOL, ("clm", 6): KERNEL_RTOL}),
     "ci-moduli-smooth": (
-        ("moduli", "smooth.json", "--samples", "3000"), 0,
         CSV_HEADER + "\n"
         "reg,1,,,0,,\n"
         "lip,0.099999996368092869,1,3000,0,,0.99999989912363241;1\n"
         "clm,0.050000000000000044,1,3000,0,,-1;0\n"),
     "ci-solve-generalized": (
-        ("solve", "generalized.json", "--target", "0.1"), 0,
         "x,0.062500000017520596\n"
         "kappa,1\n"
         "lambda,0.35999999999999999\n"
@@ -1429,10 +1428,8 @@ PINNED_BRANCHES = {
         "tail_bound,2.6546343248612381e-10\n"
         "calm_ok,true\n"),
     "ci-solve-parameter": (
-        ("solve", "generalized.json", "--parameter", "0.05"), 0,
         "x,-0.031250000008760298\n" + GENERALIZED_CERTIFICATE_AT_005),
     "ci-solve-smooth": (
-        ("solve", "smooth.json", "--target", "0.08"), 0,
         "x,0.079682534683311837\n"
         "kappa,1.1000000000000001\n"
         "lambda,0.11999999466200192\n"
@@ -1446,7 +1443,6 @@ PINNED_BRANCHES = {
         "tail_bound,2.9782883587001957e-12\n"
         "calm_ok,true\n"),
     "ci-sweep-generalized": (
-        ("sweep", "generalized.json", "--target", "0.15", "--grid", "21"), 0,
         "index,status,y1,x1,iterations,residual\n"
         "0,ok,0,0,1,0\n"
         "1,ok,0.0074999999999999997,0.0046874999943058108,13,"
@@ -1496,7 +1492,6 @@ PINNED_BRANCHES = {
         "empirical_clm,0.62500000017520596\n"
         "jumps,0\n"),
     "ci-sweep-smooth": (
-        ("sweep", "smooth.json", "--target", "0.19", "--grid", "21"), 0,
         "index,status,y1,x1,iterations,residual\n"
         "0,ok,0,0,1,0\n"
         "1,ok,0.0095000000000000015,0.0094954917817872374,3,"
@@ -1537,7 +1532,6 @@ PINNED_BRANCHES = {
         "empirical_clm,0.99952545071444587\n"
         "jumps,0\n"),
     "ci-control-double-integrator": (
-        ("control", "double_integrator.json", "--target", "0.05,0"), 0,
         "kalman_rank,2\n"
         "kalman_controllable,true\n"
         "reachable_interior,true\n"
@@ -1563,7 +1557,6 @@ PINNED_BRANCHES = {
          ("dynamics_residual", 1): STEER_ATOL, ("calm_ratio", 1): 0.0,
          ("calm_bound", 1): 0.0, **loose_rows(DOUBLE_INTEGRATOR_TRAJECTORY, STEER_ATOL)}),
     "ci-control-pendulum-grid-8": (
-        ("control", "pendulum.json", "--target", "0.05,0", "--grid", "8"), 0,
         "kalman_rank,2\n"
         "kalman_controllable,true\n"
         "reachable_interior,true\n"
@@ -1590,7 +1583,6 @@ PINNED_BRANCHES = {
          **{(name, 1): 0.0 for name in ("kappa", "lambda", "alpha", "gamma", "calm_bound",
                                         "max_calm_ratio", "max_continuity_ratio")}}),
     "ci-verify-linear-kappa": (
-        ("verify", "linear.json", "--kappa", "2.1"), 0,
         CSV_HEADER + "\n"
         "metric-regularity,2,,,,pass,-0.80000000000000004 "
         "-0.39999999999999991;-1.6000000000000001 -0.29999999999999999\n"
@@ -1598,22 +1590,19 @@ PINNED_BRANCHES = {
         "-0.59999999999999998;-1.6000000000000001 "
         "-0.29999999999999999;-1.6000000000000001 -0.19999999999999996\n"),
     "ci-verify-lsc": (
-        ("verify", "lsc_counterexample.json"), 0,
         CSV_HEADER + "\n"
         "lsc-probe,0.0022809523809523835,,,,lsc-violated,0.050000000000000003\n"),
     "ci-verify-generalized": (
-        ("verify", "generalized.json"), 0, GENERALIZED_VERIFY),
+        GENERALIZED_VERIFY),
     "ci-verify-generalized-kappa": (
-        ("verify", "generalized.json", "--kappa", "2"), 0, GENERALIZED_VERIFY),
+        GENERALIZED_VERIFY),
     "ci-verify-smooth": (
-        ("verify", "smooth.json"), 0,
         CSV_HEADER + "\n"
         "metric-regularity,1.098901098901099,,,,pass,"
         "-0.80000000000000004;-0.94999999999999996\n"
         "aubin,1.098901098901099,,,,pass,"
         "-1;-0.94999999999999996;-0.76800000000000002\n"),
     "ci-verify-smooth-kappa": (
-        ("verify", "smooth.json", "--kappa", "1.2", "--grid", "9"), 0,
         CSV_HEADER + "\n"
         "metric-regularity,1.0958904109589045,,,,pass,"
         "-0.75;-0.94999999999999996\n"
@@ -1623,15 +1612,12 @@ PINNED_BRANCHES = {
     # block boundaries here than anywhere else, and with --kappa 0.3 both
     # verdicts fail with the same ratios and witnesses
     "ci-verify-linear-101": (
-        ("verify", "linear.json", "--grid", "101"), 0,
         CSV_HEADER + "\n" + LINEAR_101_VERIFY.format(verdict="pass")),
     "ci-verify-linear-101-below-the-modulus": (
-        ("verify", "linear.json", "--grid", "101", "--kappa", "0.3"), 6,
         CSV_HEADER + "\n" + LINEAR_101_VERIFY.format(verdict="fail")),
     # x -> 2 x0 + 2 x1 (tests/fixtures): 137 test values over 57 fibres of
     # many points each, so both scans fold fibres that their tables cut
     "ci-verify-two-to-one": (
-        ("verify", "linear_two_to_one.json", "--grid", "41", "--kappa", "1.2"), 0,
         CSV_HEADER + "\n"
         "metric-regularity,1.1180339887498998,,,,pass,"
         "0.30000000000000004 0.95000000000000018;2.6000000000000001\n"
@@ -1641,28 +1627,13 @@ PINNED_BRANCHES = {
 }
 
 
-@pytest.fixture(scope="module")
-def generalized_variants(tmp_path_factory):
-    """Copies of generalized.json with a box [-1, 0.1] constraint
-    (boxed.json) and without its constants (unscheduled.json)."""
-    root = tmp_path_factory.mktemp("variants")
-    payload = json.loads((COMMITTED / "generalized.json").read_text())
-    boxed = {**payload,
-             "constraint": {"type": "box", "lower": [-1.0], "upper": [0.1]}}
-    (root / "boxed.json").write_text(json.dumps(boxed))
-    unscheduled = {k: v for k, v in payload.items() if k != "constants"}
-    (root / "unscheduled.json").write_text(json.dumps(unscheduled))
-    return root
-
-
-@pytest.mark.parametrize("name", PINNED_BRANCHES)
-def test_cli_branches_keep_their_stdout(capsys, generalized_variants, name):
-    (command, file, *flags), code, stdout, *loose = PINNED_BRANCHES[name]
-    where = next(d for d in (COMMITTED, FIXTURE_FILES, generalized_variants)
-                 if (d / file).exists())
-    got = run(capsys, command, "--input", str(where / file), *flags)
-    assert got[0] == code
-    assert_cells(got[1], stdout, loose[0] if loose else {})
+@pytest.mark.parametrize("name", PINNED_STDOUT)
+def test_cli_branches_keep_their_stdout(capsys, name):
+    case, pin = BY_NAME[name], PINNED_STDOUT[name]
+    stdout, loose = pin if isinstance(pin, tuple) else (pin, {})
+    got = run(capsys, *case.argv())
+    assert got[0] == case.code
+    assert_cells(got[1], stdout, loose)
 
 
 # ---------------------------------------------------------------------------
@@ -1744,15 +1715,14 @@ def test_a_rejected_default_schedule_is_a_regularity_failure(capsys, fdir,
 
 
 @pytest.mark.parametrize("argv", [
-    ("solve", "unscheduled.json", "--target", "0.1"),
-    ("sweep", "unscheduled.json", "--target", "0.1", "--grid", "3"),
-    ("solve", "smooth.json", "--target", "0.08"),
+    ("solve", FIXTURE_FILES / "generalized_unscheduled.json", "--target", "0.1"),
+    ("sweep", FIXTURE_FILES / "generalized_unscheduled.json", "--target", "0.1",
+     "--grid", "3"),
+    ("solve", COMMITTED / "smooth.json", "--target", "0.08"),
 ])
-def test_a_bad_tol_on_a_file_without_constants_is_an_input_error(
-        capsys, generalized_variants, argv):
-    where = COMMITTED if (COMMITTED / argv[1]).exists() else generalized_variants
-    code, out, err = run(capsys, argv[0], "--input", str(where / argv[1]),
-                         *argv[2:], "--tol", "inf")
+def test_a_bad_tol_on_a_file_without_constants_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--input", str(argv[1]), *argv[2:],
+                         "--tol", "inf")
     assert (code, out) == (2, "")
     assert err == "regsel: contract violation: tol must be finite, got inf\n"
 

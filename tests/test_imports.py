@@ -2,9 +2,8 @@
 
 scipy is a test dependency: the oracles take ``linprog`` and ``expm`` from
 it, and no module of the package imports it. One fresh interpreter, in
-which ``import scipy`` fails, runs every command of the README and of CI's
-console-script step, and ``control`` on both committed control files with
-one target and with ``--grid``; each must exit as CI expects it to. The
+which ``import scipy`` fails, runs every console case of console_cases.py,
+and each must exit, and write to stderr and stdout, as the table says. The
 demo scripts, which read the library's result fields, run the same way.
 """
 
@@ -20,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import regsel
+from console_cases import CASES, faults
 
 SRC = str(Path(regsel.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,32 +40,6 @@ def python_fresh(*args: str) -> str:
 def run_fresh(body: str) -> list:
     """Run body in a new interpreter; one parsed JSON line per print."""
     return [json.loads(line) for line in python_fresh("-c", body).splitlines()]
-
-
-def documented_commands() -> dict:
-    """argv string -> expected exit code: the README's commands (exit 0),
-    CI's console-script commands (exit 0 for those ``clean`` runs, or the
-    code its ``test "$rc"`` names, less a redirect of stdout or stderr and
-    the check that reads it), and control on both committed control files,
-    one target and a grid each."""
-    commands = {}
-    for line in (ROOT / "README.md").read_text().splitlines():
-        if line.startswith("regsel "):
-            commands[line[len("regsel "):]] = 0
-    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    for line in ci.splitlines():
-        refused = re.fullmatch(
-            r'\s*rc=0; regsel (.*?)(?: > "\$RUNNER_TEMP/stdout"| 2> "\$RUNNER_TEMP/stderr")? '
-            r'\|\| rc=\$\?; test "\$rc" -eq (\d+)(?:; (?:grep|test) .*)?', line)
-        if refused:
-            commands[refused.group(1)] = int(refused.group(2))
-        elif re.fullmatch(r"\s*clean regsel .*", line):
-            commands[line.strip()[len("clean regsel "):]] = 0
-    for name in ("double_integrator", "pendulum"):
-        path = f"scripts/problems/{name}.json"
-        commands[f"control --input {path} --target 0.05,0"] = 0
-        commands[f"control --input {path} --target 0.05,0 --grid 3"] = 0
-    return commands
 
 
 def test_cli_imports_no_private_library_name():
@@ -99,25 +73,28 @@ report()
 
 
 def test_cli_commands_load_no_scipy():
-    commands = documented_commands()
-    assert len(commands) >= 42  # 39 from CI, 3 more control runs
+    # every console case, each with its exit code, its stderr and its
+    # required stdout line, as console_cases.py checks them in CI; a
+    # warning shows on every case, not once per process
     body = f"""
-import contextlib, io, json, shlex, sys
+import contextlib, io, json, sys, warnings
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+warnings.simplefilter("always")
 from regsel.cli import main
-for args in {list(commands)!r}:
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
+for argv in {[case.argv() for case in CASES]!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(shlex.split(args))
+            code = main(argv)
         except SystemExit as exc:  # argparse refuses a flag with exit 2
             code = exc.code
-    print(json.dumps([args, code]))
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
 print(json.dumps(sys.modules["scipy"]))
 """
-    *codes, scipy = run_fresh(body)
+    *runs, scipy = run_fresh(body)
     assert scipy is None
-    assert dict(codes) == commands
+    assert {case.name: found for case, run in zip(CASES, runs)
+            if (found := faults(case, *run))} == {}
 
 
 def test_readme_library_example_prints_what_the_cli_prints():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (aubin_fibre_loop, aubin_pair_scan, distances_3d,
                      fold_fibres_reduceat, pinv_apply, ratio_scan_loop,
-                     sampled_fibre, sup_quotient_block_loop)
+                     row_major, sampled_fibre, sup_quotient_block_loop)
 from regsel import moduli
 from regsel.convex import AffineSet
 from regsel.errors import ContractError, ShapeError
@@ -877,8 +877,8 @@ def assert_lg_scan_matches_loop(mat, kappa, grid):
 
 def assert_aubin_matches_pair_scan(mapping, kappa, grid):
     report = verify_aubin(mapping, kappa, grid=grid)
-    pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    ok, worst, witness = aubin_pair_scan(pts, gy, gx_idx, y_test, kappa)
+    graph = _sample_graph(mapping, grid)
+    ok, worst, witness = aubin_pair_scan(*graph, kappa)
     assert report.ok is ok
     assert ulps_apart(report.worst_ratio, worst) <= 4, (report.worst_ratio, worst)
     if not witness:
@@ -888,6 +888,7 @@ def assert_aubin_matches_pair_scan(mapping, kappa, grid):
         # same arithmetic, so the tie rule must pick the same pair and point
         assert all(np.array_equal(u, v) for u, v in zip(report.witness, witness))
     x, y_from, y_to = report.witness
+    pts, gy, gx_idx, _ = row_major(*graph)
     assert any(np.array_equal(x, p)
                for p in sampled_fibre(pts, gy, gx_idx, y_from))
     fib_to = sampled_fibre(pts, gy, gx_idx, y_to)
@@ -941,8 +942,8 @@ def assert_half_table_is_the_pair_scan(mapping, grid, modulus=None):
     pair scan's) it gives the verdict, value and witness bytes of
     aubin_pair_scan, and passes at 1.05 alone."""
     pts, gy, gx_idx, y_test = _sample_graph(mapping, grid)
-    members, bounds, _ = moduli._membership_pass(pts.T, gy.T, gx_idx,
-                                                 y_test.T, False, True)[1]
+    members, bounds, _ = moduli._membership_pass(pts, gy, gx_idx, y_test,
+                                                 False, True)[1]
     assert members.size == len(bounds) - 1
     if modulus is None:
         modulus = aubin_pair_scan(pts, gy, gx_idx, y_test, 1.0)[1]
@@ -990,7 +991,7 @@ def test_half_table_matches_pair_scan_on_verify_grid_maps(dim, grid):
     mapping = SampledMapping(forward=lambda x: mat @ x, x_base=np.zeros(dim),
                              y_base=np.zeros(dim), radius_x=1.0,
                              radius_y=2.0 * np.linalg.norm(mat, 2))
-    assert len(_sample_graph(mapping, grid)[3]) == {2: 317, 3: 257}[dim]
+    assert _sample_graph(mapping, grid)[3].shape[1] == {2: 317, 3: 257}[dim]
     worst = assert_half_table_is_the_pair_scan(mapping, grid, 1.0 / s[-1])
     assert worst == pytest.approx(1.0 / s[-1], rel=1e-12)
 
@@ -1052,9 +1053,8 @@ def test_scans_match_the_oracles_where_fibres_repeat_and_where_none_do(
         grid, kappa = 11, 0.95 * reg_linear(m)
     graph = _sample_graph(mapping, grid)
     pts, gy, gx_idx, y_test = graph
-    fibres = moduli._membership_pass(pts.T, gy.T, gx_idx, y_test.T, False,
-                                     True)[1]
-    assert (fibres[0].size, len(fibres[1]) - 1, len(graph[3])) == {
+    fibres = moduli._membership_pass(pts, gy, gx_idx, y_test, False, True)[1]
+    assert (fibres[0].size, len(fibres[1]) - 1, y_test.shape[1]) == {
         "repeated": (1257, 57, 137), "singletons": (81, 81, 81)}[case]
     # verify_graph against both verifiers, and verify_aubin against the pairs
     assert_scans_match_loops(mapping, kappa, grid)
@@ -1359,11 +1359,11 @@ def test_test_values_are_the_bytes_of_plain_unique():
         forward=lambda x: np.array([np.floor(x[0]), -0.0 * x[1]]),
         x_base=np.zeros(2), y_base=np.zeros(2), radius_x=2.0, radius_y=1.5)
     _, gy, _, y_test = _sample_graph(mapping, 9)
-    zeros = gy[:, 1] == 0.0
-    assert np.signbit(gy[zeros, 1]).any() and not np.signbit(gy[zeros, 1]).all()
-    in_ball = np.linalg.norm(gy, axis=1) <= 1.5 + 1e-12
-    assert y_test.tobytes() == np.unique(gy[in_ball], axis=0).tobytes()
-    assert len(y_test) == 3
+    zeros = gy[1] == 0.0
+    assert np.signbit(gy[1, zeros]).any() and not np.signbit(gy[1, zeros]).all()
+    in_ball = np.linalg.norm(gy, axis=0) <= 1.5 + 1e-12
+    assert y_test.tobytes() == np.unique(gy[:, in_ball], axis=1).tobytes()
+    assert y_test.shape[1] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1431,7 +1431,7 @@ def test_a_stacked_graph_has_the_bytes_of_the_per_point_graph(
     graph = _sample_graph(mapping, grid)
     assert paths == [True]
     assert_same_graph(graph, per_point_graph(mapping, grid))
-    np.testing.assert_array_equal(graph[2], np.arange(len(graph[0])))
+    np.testing.assert_array_equal(graph[2], np.arange(graph[0].shape[1]))
     assert_scans_match_loops(mapping, 1.05 * sampled_reg(mapping, grid).value,
                              grid)
 
@@ -1498,7 +1498,7 @@ def test_a_stacked_call_that_fails_after_the_probe_falls_back(monkeypatch,
                                         y_base=[0.0], radius_x=1.0,
                                         radius_y=2.0), 9)
     assert_same_graph(graph, want)
-    assert len(graph[1]) == len(graph[0]) == 9
+    assert graph[1].shape[1] == graph[0].shape[1] == 9
 
 
 def test_a_non_finite_stacked_value_falls_back_to_the_per_point_error(
@@ -1521,7 +1521,7 @@ def test_forward_is_never_called_off_the_grid(monkeypatch):
     pts = _sample_graph(SampledMapping(forward=lambda x: mat @ x,
                                        x_base=np.zeros(2), y_base=np.zeros(2),
                                        radius_x=1.0, radius_y=5.0), 7)[0]
-    on_grid = {tuple(p): mat @ p for p in pts}
+    on_grid = {tuple(p): mat @ p for p in pts.T}
     # a lookup answers grid points only, and fails the probe
     looked_up = SampledMapping(forward=lambda x: on_grid[tuple(x)],
                                x_base=np.zeros(2), y_base=np.zeros(2),

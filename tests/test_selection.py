@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from console_cases import BY_NAME, CASES
 from oracles import bisect_root, random_surjective, three_phase_solve
-from test_cli import COMMITTED, PINNED_BRANCHES, generalized_variants  # noqa: F401 (fixture)
+from test_cli import COMMITTED, PINNED_STDOUT
 from regsel import control, convex, problems
 from regsel.cli import main
 from regsel.convex import AffineSet, Box, Intersection
@@ -771,21 +772,6 @@ def test_sweep_records_per_point_failures():
 # is proved and the bound is at most the slack, measured everywhere else; no
 # verdict moves with the proof
 
-FIXTURES = COMMITTED.parents[1] / "tests" / "fixtures"
-
-FIXTURE_COMMANDS = {
-    "narrow-box-solve": ("solve", "generalized_narrow_box.json", "--target", "0.15"),
-    "narrow-box-sweep": ("sweep", "generalized_narrow_box.json", "--target", "0.17",
-                         "--grid", "9"),
-    "boundary-base-solve": ("solve", "base_on_the_boundary.json", "--target", "0.05"),
-    "u01-control": ("control", "double_integrator_u01.json", "--target", "0.05,0"),
-    "u01-control-grid": ("control", "double_integrator_u01.json", "--target", "0.02,0",
-                         "--grid", "3"),
-    "segment-control": ("control", "segment_reachable_set.json", "--target", "0.05,0.05"),
-    "huge-integer-solve": ("solve", "huge_integer_literal.json", "--target", "0.1"),
-}
-
-
 @pytest.fixture
 def gap_counts(monkeypatch):
     """The fibre projections of corrector steps, and how many of them
@@ -826,23 +812,20 @@ def _argv(command, file, *flags, where):
     return (command, "--input", str(where / file), *flags)
 
 
-# the pinned commands that take corrector steps (moduli and verify take none)
-SOLVING_BRANCHES = [name for name, (argv, *_) in PINNED_BRANCHES.items()
-                    if argv[0] in ("solve", "sweep", "control")]
+# the console cases that take corrector steps (moduli and verify take
+# none) and either have their stdout pinned or read a problem file of the
+# tests, whose constraints and control sets are edge cases of the gap proof
+GAP_CASES = [case.name for case in CASES
+             if case.args.split()[0] in ("solve", "sweep", "control")
+             and (case.name in PINNED_STDOUT or "tests/fixtures/" in case.args)]
 
 
-@pytest.mark.parametrize("name", SOLVING_BRANCHES + list(FIXTURE_COMMANDS))
-def test_no_verdict_moves_when_every_gap_is_measured(capsys, gap_counts,
-                                                    generalized_variants, name):
+@pytest.mark.parametrize("name", GAP_CASES)
+def test_no_verdict_moves_when_every_gap_is_measured(capsys, gap_counts, name):
     # solve, steer, sweep and calm_sweep behind the CLI: the same bytes on
     # stdout and stderr (x, increments, residual, error type and message)
     # and the same exit code with the proof and with every gap measured
-    if name in FIXTURE_COMMANDS:
-        argv = _argv(*FIXTURE_COMMANDS[name], where=FIXTURES)
-    else:
-        command, file, *flags = PINNED_BRANCHES[name][0]
-        where = COMMITTED if (COMMITTED / file).exists() else generalized_variants
-        argv = _argv(command, file, *flags, where=where)
+    argv = BY_NAME[name].argv()
     proved = gap_counts["run"](capsys, argv)
     measured = gap_counts["run"](capsys, argv, proved=False)
     assert proved == measured
