@@ -3,10 +3,11 @@
 The catalogue is deliberately small: affine solution sets, boxes, balls,
 halfspace systems, and finite intersections of those. Every set answers
 project / distance / gap, and ``project_gap``, which returns a projection
-and its gap together. The selection iteration calls ``_project_within``,
-the same projection with a gap that a proved affine set may bound instead
-of measuring (below). An intersection takes the gap of its projection from
-``dykstra``'s exit, so each member is measured at most once per point. Boxes
+and its gap together. The selection iteration calls ``_project_within``
+on its own vectors, taken as given (the policy in ``linalg``): the same
+projection, with a gap that a proved affine set may bound instead of
+measuring (below). An intersection takes the gap of its projection from
+``_dykstra``'s exit, so each member is measured at most once per point. Boxes
 and halfspace systems, the two kinds of control set, also answer
 ``support`` for the steering application's interior test, taking
 directions as rows (a halfspace system from its vertices, so on a bounded
@@ -82,13 +83,17 @@ class ConvexSet:
         return self._distance(as_vector(x, dim=self.dim))
 
     def _distance(self, v: np.ndarray) -> float:
-        """``distance`` of a vector that ``as_vector`` already validated."""
+        """``distance`` of a vector taken as given (the policy in ``linalg``)."""
         return norm(v - self.project(v))
 
     def gap(self, x) -> float:
-        """Feasibility gap of x, zero on the set; the distance unless a set
-        has a cheaper bound (``Intersection``)."""
-        return self.distance(x)
+        """Feasibility gap of x, zero on the set."""
+        return self._gap(as_vector(x, dim=self.dim))
+
+    def _gap(self, v: np.ndarray) -> float:
+        """``gap`` of v, taken as given: the distance unless a set has a
+        cheaper bound (``Intersection``)."""
+        return self._distance(v)
 
     def project_gap(self, x) -> tuple[np.ndarray, float]:
         """The projection z of x and ``gap(z)``, in one call."""
@@ -96,12 +101,12 @@ class ConvexSet:
         return z, self.gap(z)
 
     def _project_within(self, v: np.ndarray, slack: float) -> tuple[np.ndarray, float]:
-        """The projection z of a vector v that ``as_vector`` already
-        validated, and a gap that exceeds ``slack`` exactly when ``gap(z)``
-        does: ``gap(z)`` as measured, or a proved bound on it that is at most
-        ``slack`` (a proved ``AffineSet``, and an ``Intersection`` whose
-        ``dykstra`` leaves through its exact exit from one). A non-finite
-        projection raises ShapeError, as ``gap`` does."""
+        """The projection z of v, taken as ``_distance`` takes it, and a gap
+        that exceeds ``slack`` exactly when ``gap(z)`` does: ``gap(z)`` as
+        measured, or a proved bound on it that is at most ``slack`` (a proved
+        ``AffineSet``, and an ``Intersection`` whose ``_dykstra`` leaves
+        through its exact exit from one). A non-finite projection raises
+        ShapeError, as ``gap`` does."""
         return self.project_gap(v)
 
 
@@ -722,10 +727,9 @@ class Intersection(ConvexSet):
     def project(self, x):
         return self.project_gap(x)[0]
 
-    def gap(self, x) -> float:
+    def _gap(self, v) -> float:
         """Worst member distance; a feasibility gap, not the true distance."""
-        x = as_vector(x, dim=self.dim)
-        return max(m._distance(x) for m in self.members)
+        return max(m._distance(v) for m in self.members)
 
     def project_gap(self, x) -> tuple[np.ndarray, float]:
         """``project`` and ``gap`` of the projection, bit for bit: the gap
@@ -734,8 +738,8 @@ class Intersection(ConvexSet):
 
     def _project_within(self, v, slack):
         """``dykstra``'s point, with the gap its exact exit may take from a
-        proved first member's bound."""
-        return dykstra(self.members, v, slack)
+        proved first member's bound; v is not validated again."""
+        return _dykstra(self.members, v, slack)
 
     def shifted(self, rhs) -> Intersection:
         """This intersection with its first member, an ``AffineSet``, shifted
@@ -752,12 +756,13 @@ def dykstra(sets, start, slack: float = -math.inf) -> tuple[np.ndarray, float]:
     exceeds ``slack`` exactly when the first member's distance does.
 
     ``start`` is validated once, against the first member's dimension, and
-    copied: it is never returned or changed, and a view off a 16-byte
-    boundary, whose products OpenBLAS's Prescott kernel sums in another
-    order, gets the bits of a fresh array. The first projection, onto the
-    first member, is an exact exit: if it lies in every other member (each
-    ``_distance`` exactly 0.0), it is a point of the intersection nearest
-    to ``start`` among the points of a superset, so the metric projection
+    copied (by ``_dykstra``, the body, which takes a start as given): it is
+    never returned or changed, and a view off a 16-byte boundary, whose
+    products OpenBLAS's Prescott kernel sums in another order, gets the
+    bits of a fresh array. The first projection, onto the first member, is
+    an exact exit: if it lies in every other member (each ``_distance``
+    exactly 0.0), it is a point of the intersection nearest to ``start``
+    among the points of a superset, so the metric projection
     onto the intersection, and is returned with the gap of the first
     member's ``_project_within``: its distance as measured, or a proved
     bound on it that is at most ``slack`` (never, at the default).
@@ -772,7 +777,12 @@ def dykstra(sets, start, slack: float = -math.inf) -> tuple[np.ndarray, float]:
     when DYKSTRA_MAX_ROUNDS rounds are exhausted (in particular for empty
     intersections, where the displacement vanishes but the gap stays put).
     """
-    x = np.array(as_vector(start, dim=sets[0].dim))
+    return _dykstra(sets, as_vector(start, dim=sets[0].dim), slack)
+
+
+def _dykstra(sets, start: np.ndarray, slack: float = -math.inf) -> tuple[np.ndarray, float]:
+    """``dykstra`` of a start of the sets' dimension, taken as given."""
+    x = np.array(start)
     first, gap = sets[0]._project_within(x, slack)
     if all(s._distance(first) == 0.0 for s in sets[1:]):
         return first, gap

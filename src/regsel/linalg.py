@@ -1,8 +1,19 @@
-"""Dense linear-operator kernels.
+"""Dense linear-operator kernels, and the package's validation policy.
 
 All matrix computations in the package funnel through the SVD helpers here,
 so surjectivity decisions and regularity constants come from a single source.
 Vectors are 1-D float64 arrays, operators are 2-D float64 arrays.
+
+Input is validated once, where it enters the library, by ``as_vector`` or
+``as_matrix`` (ShapeError): in the public functions, methods and
+constructors (``solve``, ``sweep``, ``steer``, ``smooth_selection``,
+``dykstra``, every ``ConvexSet`` method, ``AffineSet.shifted`` included, the
+samplers and the file parser). Private paths take the library's own float64
+arrays as given: a corrector step's ``_project_within`` and ``_dykstra``,
+the final residual's ``ConvexSet._gap`` and a smooth problem's fibres. A
+value on the solve path that may come from outside (``solve``'s query, g's
+or f's value) passes ``shaped_vector``; the norm the solve or its step
+takes of it decides its finiteness. Certificate checks run on every path.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ RESIDUAL_RTOL = 1e-9
 # implementation without the __array_function__ dispatch (NEP 18) costs what
 # ndarray.dot does on a short vector; the dispatch would add about 40 %.
 _vdot = getattr(np.vdot, "_implementation", np.vdot)
+_FLOAT = np.dtype(np.float64)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -46,6 +58,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ShapeError(f"expected a vector of length {dim}, got {v.size}")
     return v
+
+
+def shaped_vector(x, dim: int) -> np.ndarray:
+    """x itself, entries unscanned, when it is an ndarray of float64 and
+    shape (dim,): its caller's norm decides their finiteness; else as_vector."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (dim,):
+        return x
+    return as_vector(x, dim)
 
 
 def as_matrix(a) -> np.ndarray:

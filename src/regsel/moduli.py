@@ -104,7 +104,7 @@ import numpy as np
 
 from . import convex
 from .errors import ContractError, ShapeError
-from .linalg import SvdFactorization, as_matrix, as_vector, row_norms, svd
+from .linalg import SvdFactorization, as_matrix, as_vector, row_norms, shaped_vector, svd
 
 # Relative slack used when comparing sampled distances against kappa times
 # sampled distances; absorbs roundoff in grid arithmetic.
@@ -1002,7 +1002,7 @@ def lg_bound_check(op, g: Callable, center, kappa: float, lam: float,
     def forward(x):  # one point or stacked columns, as g takes them
         if np.ndim(x) == 2:
             return m @ x + np.asarray(g(x), dtype=float)
-        return m @ x + as_vector(g(x), dim=m.shape[0])
+        return m @ x + shaped_vector(g(x), m.shape[0])  # values_at scans the sum
 
     y_center = forward(center)
     image_radius = (op.sigma_max + lam) * radius + 1e-9

@@ -40,7 +40,7 @@ import numpy as np
 from .convex import ConvexSet
 from .errors import (ContractError, InfeasibilitySuspectedError, LocalityError,
                      NumericBreakdownError, RegularityError)
-from .linalg import as_vector, norm
+from .linalg import as_vector, norm, shaped_vector
 from .moduli import fmt_float
 
 # Default margins of kappa over a regularity modulus, lambda over a sampled lip
@@ -183,17 +183,18 @@ class GeneralizedEquation:
         if not isinstance(base_set, ConvexSet):
             raise ContractError("finv must return ConvexSet instances")
         gap = base_set.gap(self.x_base)
-        if gap > 1e-9:
+        if not gap <= 1e-9:  # a nan gap is refused too
             raise ContractError(
                 f"x_base is not in finv(y_base): gap {gap:.3e}")
 
     def g_value(self, x) -> np.ndarray:
-        return as_vector(self.g(x), dim=self.y_base.size)
+        """g(x) through ``shaped_vector``; a step decides its finiteness."""
+        return shaped_vector(self.g(x), self.y_base.size)
 
     @cached_property
     def g_base(self) -> np.ndarray:
-        """g(x_base), read on first use and shared, read-only, by every query."""
-        value = np.array(self.g_value(self.x_base))
+        """g(x_base), validated on first use, shared read-only by every query."""
+        value = np.array(as_vector(self.g(self.x_base), dim=self.y_base.size))
         value.flags.writeable = False
         return value
 
@@ -260,13 +261,12 @@ def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, w,
     RegularityError when the fibre is empty (Dykstra did not settle) or
     lies farther than ``allowed``, the ball's radius plus the step's slack;
     NumericBreakdownError when the fibre's projection misses it by more
-    than ``cfg.slack``. One ``_project_within`` call gives the projection
-    and its gap: a proved operator's rounding bound where that is at most
-    ``cfg.slack``, so no gap is measured, and otherwise the gap measured,
-    which the error quotes; an intersection's members measure the
-    projection once. ``center`` is ``x_base`` or the last projection, both
-    validated already: an ``AffineSet`` fibre takes it as it is, and
-    ``dykstra`` validates it once.
+    than ``cfg.slack``. One ``_project_within`` call on ``center`` (x_base
+    or the last projection, taken as given) gives the projection and its
+    gap: a proved operator's rounding bound where that is at most
+    ``cfg.slack``, and otherwise the gap measured, which the error quotes.
+    w holds a value of the caller's g unscanned: a w_dev past its bound
+    refuses a non-finite w with ShapeError, as ``as_vector`` does.
     """
     drift = norm(center - problem.x_base)
     if drift > problem.radius_x + 1e-12:
@@ -274,17 +274,19 @@ def _corrector_step(problem: GeneralizedEquation, cfg: IterationConfig, w,
             f"iterate drifted {drift:.6g} from x_base, outside the domain "
             f"ball {problem.radius_x:.6g}")
     w_dev = norm(w - problem.y_base)
-    if w_dev > problem.radius_y + 1e-12:
+    if not w_dev <= problem.radius_y + 1e-12:
+        as_vector(w)
         raise LocalityError(
             f"corrected target is {w_dev:.6g} from y_base, outside the image "
             f"ball {problem.radius_y:.6g}")
+    slack = cfg.slack
     try:
-        z, gap = problem.finv(w)._project_within(center, cfg.slack)
+        z, gap = problem.finv(w)._project_within(center, slack)
     except InfeasibilitySuspectedError as exc:
         raise RegularityError(
             f"{what}: the corrected target has no preimage under the "
             f"constraint (Dykstra gap {exc.gap:.3e})") from exc
-    if gap > cfg.slack:
+    if gap > slack:
         raise NumericBreakdownError(
             f"{what}: projection gap {gap:.3e} exceeds 10*tol")
     dist = norm(z - center)
@@ -309,35 +311,38 @@ def solve(problem: GeneralizedEquation, cfg: IterationConfig,
     that budget are stuck above tol at the rounding floor:
     NumericBreakdownError. Returns the selection value and a certificate
     with the step lengths, the final membership residual, and the calmness
-    verdict against gamma = 2*kappa/(1 - alpha*lambda).
+    verdict against gamma = 2*kappa/(1 - alpha*lambda). y passes
+    ``shaped_vector``, and its distance ``dev`` refuses a non-finite one.
     """
-    y = as_vector(y, dim=problem.y_base.size)
+    y = shaped_vector(y, problem.y_base.size)
     tau = compute_tau(cfg, (problem.radius_x, problem.radius_y))
     dev = norm(y - problem.y_base - problem.g_base)
-    if dev > tau + 1e-15:
+    if not dev <= tau + 1e-15:
+        as_vector(y)
         raise LocalityError(
             f"query is {dev:.6g} from the base output, outside the certified "
             f"radius tau={tau:.6g}")
 
+    slack, ratio, tol = cfg.slack, cfg.step_ratio, cfg.tol
     x, _ = _corrector_step(problem, cfg, y - problem.g_base, problem.x_base,
-                           cfg.kappa * dev + cfg.slack, "initial selection")
+                           cfg.kappa * dev + slack, "initial selection")
     x, step = _corrector_step(
         problem, cfg, y - problem.g_value(x), x,
-        cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev + cfg.slack,
+        cfg.kappa * (1.0 + cfg.kappa * cfg.lam) * dev + slack,
         "first corrector step")
     increments, budget = [step], cfg.step_budget(step)
-    while step > cfg.tol:
+    while step > tol:
         if len(increments) == budget:
             raise NumericBreakdownError(
                 f"stalled after {budget} steps, the budget the contraction "
-                f"certifies: increment {step:.3e} is above tol={cfg.tol:.3e} "
+                f"certifies: increment {step:.3e} is above tol={tol:.3e} "
                 f"at the rounding floor {cfg.step_floor:.3e}")
         x, step = _corrector_step(problem, cfg, y - problem.g_value(x), x,
-                                  cfg.step_ratio * step + STEP_SLACK, "iterate step")
+                                  ratio * step + STEP_SLACK, "iterate step")
         increments.append(step)
 
-    residual = problem.finv(y - problem.g_value(x)).gap(x)
-    if residual > cfg.slack:
+    residual = problem.finv(y - problem.g_value(x))._gap(x)
+    if not residual <= slack:
         raise NumericBreakdownError(
             f"final membership residual {residual:.3e} exceeds 10*tol")
     calm_ok = norm(x - problem.x_base) <= cfg.gamma * dev + 1e-9

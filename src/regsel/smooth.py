@@ -17,7 +17,7 @@ import numpy as np
 
 from .convex import AffineSet
 from .errors import ContractError, RegularityError, ShapeError
-from .linalg import as_matrix, as_vector, stack_matvec
+from .linalg import as_matrix, as_vector, norm, shaped_vector, stack_matvec
 from .moduli import lip_estimate, reg_linear
 from .selection import (GeneralizedEquation, IterationCertificate,
                         IterationConfig, default_config, solve)
@@ -73,10 +73,13 @@ class SmoothProblem:
         fibre = self.base_fibre
 
         def finv(w):
-            return fibre.shifted(as_vector(w, dim=b.shape[0]) + offset)
+            return fibre.shifted(w + offset)
+
+        def g(x):  # the remainder of a point of the solver's, f's value unscanned
+            return shaped_vector(self.f(x), b.shape[0]) - stack_matvec(b, x - self.x_base)
 
         return GeneralizedEquation(
-            finv=finv, g=self.remainder, x_base=self.x_base,
+            finv=finv, g=g, x_base=self.x_base,
             y_base=np.zeros(b.shape[0]), radius_x=self.radius,
             radius_y=self.radius, radius_graph=2.0 * self.radius)
 
@@ -125,9 +128,9 @@ def smooth_selection(problem: SmoothProblem, y, cfg: IterationConfig
     """Local right inverse: returns x with f(x) = y, plus the certificate,
     under the caller's schedule (``config_for`` builds the default one)."""
     x, cert = solve(split(problem), cfg, y)
-    y = as_vector(y, dim=problem.y_base.size)
-    resid = np.linalg.norm(as_vector(problem.f(x)) - y)
-    if resid > 1e-8 * (1.0 + np.linalg.norm(y)):
+    y = shaped_vector(y, problem.y_base.size)
+    resid = norm(shaped_vector(problem.f(x), y.size) - y)
+    if not resid <= 1e-8 * (1.0 + np.linalg.norm(y)):
         raise RegularityError(
             f"selection does not satisfy f(x) = y: residual {resid:.3e}")
     return x, cert

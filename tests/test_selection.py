@@ -1,3 +1,4 @@
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from console_cases import BY_NAME, CASES
 from oracles import bisect_root, random_surjective, three_phase_solve
 from test_cli import COMMITTED, PINNED_STDOUT
-from regsel import control, convex, problems
+from regsel import control, convex, linalg, problems, selection
 from regsel.cli import main
 from regsel.convex import AffineSet, Box, Intersection
 from regsel.errors import (ContractError, LocalityError, NumericBreakdownError,
-                           RegularityError, ShapeError)
+                           RegselError, RegularityError, ShapeError)
+from regsel.linalg import as_vector
 from regsel.selection import (STEP_SLACK, GeneralizedEquation, IterationConfig,
                               _corrector_step, compute_tau, default_config, solve,
                               solve_implicit, sweep)
@@ -147,10 +149,12 @@ def test_compute_tau_shrinks_with_domain_radius():
 
 
 def test_problem_rejects_base_off_graph():
-    with pytest.raises(ContractError, match="x_base"):
-        GeneralizedEquation(finv=singleton_inverse, g=None, x_base=[0.5],
-                            y_base=[0.0], radius_x=1.0, radius_y=1.0,
-                            radius_graph=4.0)
+    # a base off its fibre, and a fibre whose gap at the base is nan
+    for finv, x_base in ((singleton_inverse, [0.5]), (lambda y: NanFibre(), [0.0, 0.0])):
+        with pytest.raises(ContractError, match="x_base"):
+            GeneralizedEquation(finv=finv, g=None, x_base=x_base,
+                                y_base=[0.0], radius_x=1.0, radius_y=1.0,
+                                radius_graph=4.0)
 
 
 def test_problem_rejects_small_graph_radius():
@@ -388,6 +392,112 @@ def test_solve_rejects_query_outside_tau():
     tau = compute_tau(cfg, (1.0, 1.0))
     with pytest.raises(LocalityError, match="tau"):
         solve(p, cfg, [tau * 1.5])
+
+
+# A value that comes from outside the library on the solve path (a query, a
+# value of the caller's g, or of a smooth map's f in tests/test_smooth.py),
+# by kind: how a float64 vector v of the right length is spoilt, and the
+# error of the solve, (class, message) for a value of length 2, or None when
+# the value is converted, as as_vector converts it, and solved.
+EDGE_VALUES = {
+    "short": (lambda v: v[:1], (ShapeError, "expected a vector of length 2, got 1")),
+    "long": (lambda v: np.append(v, 0.0), (ShapeError, "expected a vector of length 2, got 3")),
+    "column": (lambda v: v[:, None], (ShapeError, "expected a vector, got array of shape (2, 1)")),
+    "list": (list, None),
+    "int": (lambda v: v.astype(int), None),
+    "nan": (lambda v: v + np.nan, (ShapeError, "vector has non-finite entries")),
+    "inf": (lambda v: v - np.inf, (ShapeError, "vector has non-finite entries")),
+    "overflow": (lambda v: v + 1e200, (LocalityError, "{what} is inf from")),
+}
+
+
+def edge_outcome(kind, run, what):
+    """run(spoil) solves with a value spoilt by ``spoil``; the outcome must
+    be EDGE_VALUES's error, or for a converted kind that of the same solve
+    with the value converted first: the same bits, or the same error."""
+    spoil, error = EDGE_VALUES[kind]
+    if error is None:
+        def outcome(spoil):
+            try:
+                x, cert = run(spoil)
+            except RegselError as exc:
+                return type(exc), str(exc)
+            return x.tobytes(), cert.increments
+
+        assert outcome(spoil) == outcome(lambda v: np.asarray(spoil(v), dtype=float))
+        return
+    cls, message = error
+    with np.errstate(over="ignore"), pytest.raises(cls) as err:
+        run(spoil)
+    assert str(err.value).startswith(message.format(what=what))
+
+
+def edge_equation(g, box=False):
+    """M x + g(x) in F(x) for a 2 x 3 matrix M, F^{-1}(w) its fibre of w, cut
+    by a box wide enough never to be active when ``box``."""
+    mat = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5]])
+    cut = Box(-np.ones(3), np.ones(3))
+    return GeneralizedEquation(
+        finv=(lambda w: Intersection([AffineSet(mat, w), cut])) if box else
+        (lambda w: AffineSet(mat, w)), g=g, x_base=np.zeros(3), y_base=np.zeros(2),
+        radius_x=0.5, radius_y=0.5, radius_graph=1.0)
+
+
+EDGE_CONFIG = IterationConfig(kappa=2.0, lam=0.2, alpha=2.5)
+EDGE_QUERY = np.array([0.03, -0.02])
+
+
+def edge_g(x):
+    return 0.05 * np.sin(x[:2] + 1.0)
+
+
+@pytest.mark.parametrize("kind", EDGE_VALUES)
+def test_solve_checks_the_perturbation_as_as_vector_does(kind):
+    # g's value at x_base, read once per equation, is validated in full; at
+    # a step's point it passes on its shape, and the step's w_dev decides
+    # whether it is finite
+    def run(spoil):
+        def g(x):
+            return spoil(edge_g(x)) if np.any(x) else edge_g(x)
+
+        return solve(edge_equation(g), EDGE_CONFIG, edge_g(np.zeros(3)) + EDGE_QUERY)
+
+    edge_outcome(kind, run, "corrected target")
+
+
+@pytest.mark.parametrize("kind", EDGE_VALUES)
+def test_solve_checks_its_query_as_as_vector_does(kind):
+    def run(spoil):
+        return solve(edge_equation(edge_g), EDGE_CONFIG,
+                     spoil(edge_g(np.zeros(3)) + EDGE_QUERY))
+
+    edge_outcome(kind, run, "query")
+
+
+@pytest.mark.parametrize("box", [False, True], ids=["fibre", "boxed"])
+def test_a_solve_validates_its_query_once_and_no_step(monkeypatch, box):
+    # a float64 query passes on its shape and its distance from the base
+    # output; the steps and the final residual take the solver's own
+    # vectors and the g values of the right shape as given, so as_vector
+    # runs only in the fibres' constructors (AffineSet._set_rhs), and once
+    # more for a query that needs converting
+    p = edge_equation(edge_g, box)
+    y = edge_g(np.zeros(3)) + EDGE_QUERY
+    p.g_base  # validated on the equation's first query
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return as_vector(*args, **kwargs)
+
+    for module in (linalg, convex, selection):
+        monkeypatch.setattr(module, "as_vector", counted)
+    _, cert = solve(p, EDGE_CONFIG, y)
+    assert cert.iterate_count >= 3
+    assert set(callers) == {"_set_rhs"}
+    callers.clear()
+    solve(p, EDGE_CONFIG, list(y))
+    assert [c for c in callers if c != "_set_rhs"] == ["shaped_vector"]
 
 
 def test_solve_runs_a_slow_contraction_to_its_derived_budget():

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (augmented_jacobian, derivative_check, pinv_apply,
                      sampled_calm_bound)
+from test_selection import EDGE_VALUES, edge_outcome
 from regsel.errors import ContractError, RegularityError, ShapeError
 from regsel.linalg import least_norm_solve
 from regsel.moduli import lip_estimate, reg_linear
@@ -69,6 +70,31 @@ def test_smooth_problem_requires_a_jacobian():
     with pytest.raises(TypeError, match="jacobian"):
         SmoothProblem(f=lambda x: np.array([np.sin(x[0]) + x[1]]),
                       x_base=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", EDGE_VALUES)
+def test_smooth_selection_checks_f_as_as_vector_does(kind):
+    # f's value at x_base is validated in full; at a step's point it passes
+    # on its shape (a value of another length is refused, not broadcast
+    # against the linear part), and the step's w_dev decides whether it is
+    # finite
+    b = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5]])
+
+    def smooth_f(x):
+        return b @ x + 0.05 * x[:2] ** 2
+
+    def problem(f):
+        return SmoothProblem(f=f, x_base=np.zeros(3), jacobian=lambda x: b, radius=0.5)
+
+    cfg = config_for(problem(smooth_f))
+
+    def run(spoil):
+        def f(x):
+            return spoil(smooth_f(x)) if np.any(x) else smooth_f(x)
+
+        return smooth_selection(problem(f), np.array([0.01, 0.02]), cfg)
+
+    edge_outcome(kind, run, "corrected target")
 
 
 # ---------------------------------------------------------------------------
